@@ -7,20 +7,21 @@ invariant failure. Set TRIGRID_LOG=1 for trace output on stderr.
 import argparse
 import logging
 import os
-import random
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import formats
 from .ear_planner import PlanError, plan_ear
 from .grid import (GridError, TriGridGraph, degree6_vertices, generate,
                    is_locally_connected, is_star_of_david, is_two_connected)
+from .ears import EarError
+from .hamilton import HamiltonError
 from .hc_planner import plan_hamilton
 from .matching import is_factor_critical
 from .oracle import (OracleBudgetError, bfs_component, export_csv,
                      is_reconfigurable_bruteforce)
-from .placement import Placement, PlacementError, verify_sequence
+from .placement import PlacementError, verify_sequence
 from .render import render_graph, render_plan_frames
 
 EXIT_OK = 0
@@ -48,12 +49,16 @@ def _write(out: Optional[str], text: str) -> None:
         Path(out).write_text(text)
 
 
+def _param(kv: str) -> Tuple[str, int]:
+    key, _, value = kv.partition("=")
+    try:
+        return key, int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected key=integer, got {kv!r}")
+
+
 def cmd_gen(args) -> int:
-    params = {}
-    for kv in args.param or []:
-        k, v = kv.split("=", 1)
-        params[k] = int(v)
-    g = generate(args.kind, **params)
+    g = generate(args.kind, **dict(args.param or []))
     _write(args.out, formats.serialize_graph(g))
     return EXIT_OK
 
@@ -116,7 +121,7 @@ def cmd_plan(args) -> int:
             report = plan_hamilton(g, p, q)
         else:
             report = plan_ear(g, p, q)
-    except PlanError as exc:
+    except (PlanError, EarError, HamiltonError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     check = verify_sequence(report.sequence, expected_end=q)
@@ -187,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a named instance")
     g.add_argument("kind")
-    g.add_argument("--param", action="append", metavar="key=value")
+    g.add_argument("--param", action="append", type=_param, metavar="key=value")
     g.add_argument("--out")
     g.set_defaults(fn=cmd_gen)
 
@@ -202,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target")
     p.add_argument("--strategy", choices=["ear", "hamilton", "auto"],
                    default="auto")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_plan)
 
@@ -224,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("graph")
     r.add_argument("--placement")
     r.add_argument("--plan")
-    r.add_argument("--format", choices=["svg"], default="svg")
     r.add_argument("--out")
     r.set_defaults(fn=cmd_render)
     return ap
@@ -233,8 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
-    if getattr(args, "seed", None) is not None:
-        random.seed(args.seed)
     try:
         return args.fn(args)
     except (formats.ParseError, PlacementError) as exc:

@@ -3,17 +3,15 @@ decompositions: align both placements, then reconfigure level by level."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .grid import Edge, TriGridGraph, edge_key
-from .matching import Matching, MatchingError, alternating_path_to
-from .ears import (EarDecomposition, EarError, NoAdmissibleError, cycle_edges,
-                   find_admissible, align_with_ears, path_edges)
-from .placement import (Placement, PlacementError, RotationSpec, SlideMove,
-                        SlideSequence, expose, invert_sequence, legal_moves,
-                        rotate, slide, verify_sequence)
+from .matching import alternating_path_to
+from .ears import EarDecomposition, cycle_edges, find_admissible, align_with_ears
+from .placement import (Placement, RotationSpec, SlideSequence, expose,
+                        invert_sequence, rotate, shortest_slides_within,
+                        verify_sequence)
 
 
 class PlanError(Exception):
@@ -25,52 +23,19 @@ class PlanReport:
     sequence: SlideSequence
     slide_count: int
     strategy: str
-    budget_n2n_ok: bool
     recursion_trace: List[Dict] = field(default_factory=list)
 
 
-def _region_moves(p: Placement, vs: Set[int], es: Set[Edge]) -> List[SlideMove]:
-    out = []
-    for mv in legal_moves(p):
-        if mv.dest_vertex not in vs:
-            continue
-        if edge_key(mv.kept_vertex, mv.dest_vertex) not in es:
-            continue
-        if p.piece(mv.label) not in es:
-            continue
-        out.append(mv)
-    return out
-
-
-def _bfs_region(p: Placement, q: Placement, vs: Set[int],
-                es: Set[Edge]) -> SlideSequence:
-    """Exact BFS over region-restricted states; for tiny cores only."""
-    target = (q.pieces, q.exposed)
-    if (p.pieces, p.exposed) == target:
-        return SlideSequence(p, ())
-    seen = {p.pieces}
-    frontier: deque = deque([(p, ())])
-    while frontier:
-        cur, moves = frontier.popleft()
-        for mv in _region_moves(cur, vs, es):
-            nxt = slide(cur, mv)
-            if nxt.pieces in seen:
-                continue
-            seen.add(nxt.pieces)
-            if (nxt.pieces, nxt.exposed) == target:
-                return SlideSequence(p, moves + (mv,))
-            frontier.append((nxt, moves + (mv,)))
-    raise PlanError("core target unreachable within region")
-
-
 def base_pentagon(p: Placement, q: Placement,
-                  region: Optional[Tuple[Set[int], Set[Edge]]] = None) -> SlideSequence:
-    """Optimal plan on a pentagon core via breadth-first search."""
-    if region is None:
-        vs, es = set(p.graph.vertex_ids), set(p.graph.edges)
-    else:
-        vs, es = region
-    return _bfs_region(p, q, vs, es)
+                  edges: Optional[Set[Edge]] = None) -> SlideSequence:
+    """Shortest plan from p to q that slides only along `edges` (default:
+    every edge of the host), by breadth-first search; for small cores such
+    as the pentagon. Raises PlanError if q is unreachable that way."""
+    seq = shortest_slides_within(p, p.graph.edges if edges is None else edges,
+                                 lambda s: s.pieces == q.pieces)
+    if seq is None:
+        raise PlanError("core target unreachable within region")
+    return seq
 
 
 def _forced_cycle_dominoes(cycle: Sequence[int], gap: int) -> List[Edge]:
@@ -95,7 +60,7 @@ class _Planner:
         if i <= 3:
             if self.d.kind == "pentagon":
                 self.trace.append({"level": i, "kind": "pentagon-core"})
-                return base_pentagon(p, q, (vs, es))
+                return base_pentagon(p, q, es)
             if self.d.kind == "diamond_cycle":
                 self.trace.append({"level": i, "kind": "diamond-core"})
                 return base_diamond_cycle(p, q, self.d, region=(vs, es))
@@ -230,12 +195,6 @@ class _Planner:
         return seq.then(step)
 
 
-def reconfigure_aligned(g: TriGridGraph, d: EarDecomposition,
-                        p_aligned: Placement, q_aligned: Placement) -> SlideSequence:
-    planner = _Planner(g, d)
-    return planner.plan(d.levels, p_aligned, q_aligned)
-
-
 def base_diamond_cycle(p: Placement, q: Placement,
                        d: Optional[EarDecomposition] = None,
                        region: Optional[Tuple[Set[int], Set[Edge]]] = None) -> SlideSequence:
@@ -343,9 +302,7 @@ def plan_ear(g: TriGridGraph, p: Placement, q: Placement) -> PlanReport:
     planner = _Planner(g, d)
     mid = planner.plan(d.levels, sp.end, sq.end)
     seq = sp.then(mid).then(invert_sequence(sq))
-    n = g.n
     report = PlanReport(seq, len(seq.moves), "ear",
-                        budget_n2n_ok=(len(seq.moves) <= n ** (2 * n) or n <= 1),
                         recursion_trace=planner.trace)
     check = verify_sequence(seq, q)
     if not check.ok or check.matches_expected is False:

@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from .grid import Edge, TriGridGraph, edge_key
-from .matching import (Matching, MatchingError, near_perfect_matching,
+from .matching import (Matching, near_perfect_matching, odd_alternating_cycle_through,
                        symmetric_difference_path)
 from .placement import Placement, SlideSequence, expose
 
@@ -120,10 +120,12 @@ def _cycle_edge_list(cycle: Sequence[int]) -> List[Edge]:
 
 def _alternating_ear_from(g: TriGridGraph, m: Matching, inside: Set[int],
                           x: int, y: int) -> Optional[List[int]]:
-    """An odd alternating ear x, y, ..., w with w in `inside`, w != x.
+    """An odd alternating ear x, y, ..., w with w in `inside`, w != x, or
+    None.
 
-    Tries the symmetric-difference path of a matching exposing y first, then
-    an exhaustive alternating DFS (first edge in m, even inner length).
+    The only candidate is the symmetric-difference path of m and a matching
+    exposing y, cut at its first vertex back in `inside`; it is returned if
+    that ear has an odd number of edges and does not end at x.
     """
     n2 = near_perfect_matching(g, y)
     if n2 is not None:
@@ -139,29 +141,6 @@ def _alternating_ear_from(g: TriGridGraph, m: Matching, inside: Set[int],
             ok = all(v not in inside for v in trunc[:-1])
             if ok and len(trunc) % 2 == 1:
                 return [x] + trunc
-
-    # fallback: direct search for an even alternating path from y into inside
-    best: List[List[int]] = []
-
-    def dfs(path: List[int], need_m: bool):
-        if best:
-            return
-        cur = path[-1]
-        for w in sorted(g.adj[cur]):
-            if (edge_key(cur, w) in m.edges) != need_m:
-                continue
-            if w in inside:
-                if not need_m and w != x and len(path) % 2 == 1:
-                    best.append(path + [w])
-                    return
-                continue
-            if w in path:
-                continue
-            dfs(path + [w], not need_m)
-
-    dfs([y], True)
-    if best:
-        return [x] + best[0]
     return None
 
 
@@ -203,9 +182,10 @@ def ear_decomposition(g: TriGridGraph, m: Matching) -> EarDecomposition:
     aligned in the ear sense.
     """
     (exposed,) = set(g.vertex_ids) - m.covered
-    from .matching import odd_alternating_cycle_through
     first = min(g.adj[exposed])
-    base = odd_alternating_cycle_through(g, m, edge_key(exposed, first))
+    base = odd_alternating_cycle_through(g, m, exposed, edge_key(exposed, first))
+    if base is None:
+        raise EarError(f"no odd alternating cycle through ({exposed}, {first})")
     ears = grow_ears(g, m, set(base), cycle_edges(base))
     d = EarDecomposition(tuple(base), tuple(ears))
     validate_decomposition(g, d)
@@ -315,40 +295,6 @@ def _diamond_labelings(d: Tuple[int, int, int, int]) -> List[Tuple[int, int, int
     return out
 
 
-def _odd_cycle_through_edge(g: TriGridGraph, m: Matching, exposed: int,
-                            want_edge: Edge, avoid: Set[int]) -> Optional[Tuple[int, ...]]:
-    """Odd m-alternating cycle at `exposed` containing `want_edge`, not
-    touching `avoid`."""
-    results: List[Tuple[int, ...]] = []
-
-    def dfs(path: List[int], need_m: bool):
-        if results:
-            return
-        cur = path[-1]
-        for w in sorted(g.adj[cur]):
-            if w in avoid:
-                continue
-            if (edge_key(cur, w) in m.edges) != need_m:
-                continue
-            if w == exposed:
-                if not need_m and len(path) % 2 == 1 and len(path) >= 3:
-                    cyc = tuple(path)
-                    if want_edge in cycle_edges(cyc):
-                        results.append(cyc)
-                continue
-            if w in path:
-                continue
-            dfs(path + [w], not need_m)
-
-    for first in sorted(g.adj[exposed]):
-        if first in avoid:
-            continue
-        dfs([exposed, first], True)
-        if results:
-            return results[0]
-    return None
-
-
 def _diamond_structure(g: TriGridGraph) -> Optional[Tuple[EarDecomposition, Matching]]:
     for d in enumerate_diamonds(g):
         for u, v, x, y, diag in _diamond_labelings(d):
@@ -360,18 +306,12 @@ def _diamond_structure(g: TriGridGraph) -> Optional[Tuple[EarDecomposition, Matc
                 if m0 is None:
                     continue
                 m = Matching(m0.edges | {edge_key(x, y)})
-                cyc = _odd_cycle_through_edge(g, m, o, edge_key(u, v), {x, y})
+                cyc = odd_alternating_cycle_through(g, m, o, edge_key(u, v), (x, y))
                 if cyc is None:
                     continue
-                # rotate cycle tuple so validation sees it from any start
-                core = EarDecomposition(cyc, ((u, x, y, v), _norm_diag(diag, (u, x, y, v))),
-                                        kind="diamond_cycle")
+                core = EarDecomposition(cyc, ((u, x, y, v), diag), kind="diamond_cycle")
                 return core, m
     return None
-
-
-def _norm_diag(diag: Edge, p1: Tuple[int, int, int, int]) -> Tuple[int, int]:
-    return diag
 
 
 def find_admissible(g: TriGridGraph) -> Tuple[EarDecomposition, Matching]:

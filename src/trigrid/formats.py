@@ -7,7 +7,7 @@ the offending line number on malformed input.
 
 from typing import List, Optional, Sequence, Tuple
 
-from .grid import Edge, TriGridGraph, build_abstract, build_graph, edge_key
+from .grid import TriGridGraph, build_abstract, build_graph, edge_key
 from .ears import EarDecomposition
 from .hamilton import HamiltonCycle
 from .matching import Matching
@@ -30,7 +30,11 @@ def _records(text: str) -> List[Tuple[int, List[str]]]:
     return out
 
 
-def _ints(parts: Sequence[str], lineno: int) -> List[int]:
+def _ints(parts: Sequence[str], lineno: int,
+          count: Optional[int] = None) -> List[int]:
+    """The fields as integers; exactly `count` of them when given."""
+    if count is not None and len(parts) != count:
+        raise ParseError(f"expected {count} integers, got {parts!r}", lineno)
     try:
         return [int(x) for x in parts]
     except ValueError:
@@ -61,15 +65,15 @@ def parse_graph(text: str, name: str = "") -> TriGridGraph:
     for lineno, parts in _records(text):
         tag = parts[0]
         if tag == "v":
-            vid, x, y = _ints(parts[1:], lineno)
+            vid, x, y = _ints(parts[1:], lineno, 3)
             if vid in points:
                 raise ParseError(f"duplicate vertex id {vid}", lineno)
             points[vid] = (x, y)
         elif tag == "av":
-            (vid,) = _ints(parts[1:], lineno)
+            (vid,) = _ints(parts[1:], lineno, 1)
             abstract_vs.append(vid)
         elif tag == "ae":
-            u, v = _ints(parts[1:], lineno)
+            u, v = _ints(parts[1:], lineno, 2)
             abstract_es.append(edge_key(u, v))
         else:
             raise ParseError(f"unknown record {tag!r}", lineno)
@@ -104,10 +108,10 @@ def parse_matching(text: str) -> Tuple[Matching, Optional[int]]:
     exposed = None
     for lineno, parts in _records(text):
         if parts[0] == "m":
-            u, v = _ints(parts[1:], lineno)
+            u, v = _ints(parts[1:], lineno, 2)
             edges.append(edge_key(u, v))
         elif parts[0] == "x":
-            (exposed,) = _ints(parts[1:], lineno)
+            (exposed,) = _ints(parts[1:], lineno, 1)
         else:
             raise ParseError(f"unknown record {parts[0]!r}", lineno)
     return Matching(frozenset(edges)), exposed
@@ -124,7 +128,7 @@ def parse_placement(text: str, g: TriGridGraph) -> Placement:
     for lineno, parts in _records(text):
         if parts[0] != "p":
             raise ParseError(f"unknown record {parts[0]!r}", lineno)
-        label, u, v = _ints(parts[1:], lineno)
+        label, u, v = _ints(parts[1:], lineno, 3)
         if label in pieces:
             raise ParseError(f"duplicate label {label}", lineno)
         pieces[label] = edge_key(u, v)
@@ -146,7 +150,7 @@ def parse_moves(text: str) -> List[SlideMove]:
     for lineno, parts in _records(text):
         if parts[0] != "s":
             raise ParseError(f"unknown record {parts[0]!r}", lineno)
-        label, kept, dest = _ints(parts[1:], lineno)
+        label, kept, dest = _ints(parts[1:], lineno, 3)
         out.append(SlideMove(label, kept, dest))
     return out
 
@@ -225,12 +229,12 @@ def parse_plan(text: str, g: TriGridGraph) -> Tuple[str, SlideSequence]:
     strategy = None
     slides = None
     rest = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line.startswith("strategy "):
             strategy = line.split()[1]
         elif line.startswith("slides "):
-            slides = int(line.split()[1])
+            (slides,) = _ints(line.split()[1:], lineno, 1)
         else:
             rest.append(raw)
     if strategy is None or slides is None:

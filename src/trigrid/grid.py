@@ -7,10 +7,9 @@ Vertices live at axial coordinates (x, y); the cartesian projection is
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 Point = Tuple[int, int]
 Edge = Tuple[int, int]
@@ -167,12 +166,15 @@ def _face_walks(points: Sequence[Point], adj: Dict[int, Tuple[int, ...]],
     return walks
 
 
-def _walk_area(walk: Tuple[int, ...], points: Sequence[Point]) -> float:
-    coords = [cartesian(points[v - 1]) for v in walk]
-    s = 0.0
-    for (x1, y1), (x2, y2) in zip(coords, coords[1:] + coords[:1]):
-        s += x1 * y2 - x2 * y1
-    return s / 2.0
+def _walk_area(walk: Tuple[int, ...], points: Sequence[Point]) -> int:
+    """Twice the signed area of a closed walk in axial lattice units.
+
+    Exact; its sign is that of the cartesian area, since the axial to
+    cartesian map has a positive determinant.
+    """
+    coords = [points[v - 1] for v in walk]
+    return sum(x1 * y2 - x2 * y1
+               for (x1, y1), (x2, y2) in zip(coords, coords[1:] + coords[:1]))
 
 
 def build_graph(points: Iterable[Point], name: str = "") -> TriGridGraph:
@@ -202,7 +204,9 @@ def build_graph(points: Iterable[Point], name: str = "") -> TriGridGraph:
     triangles: List[FrozenSet[int]] = []
     holes: List[Tuple[int, ...]] = []
     for w in walks:
-        if _walk_area(w, pts) < 0:
+        # the outer walk runs clockwise; on a tree it is the only walk and
+        # encloses zero area
+        if _walk_area(w, pts) <= 0:
             if outer is not None:
                 raise AssertionError("two clockwise faces found")
             outer = w
@@ -321,8 +325,6 @@ def canonical_point_form(points: Iterable[Point]) -> Tuple[Point, ...]:
         base = [_mirror(p) for p in pts] if mirrored else list(pts)
         for _ in range(6):
             base = [_rot60(p) for p in base]
-            mx = min(p[0] for p in base)
-            my = min(p[1] for p in base if p[0] == mx)
             # translate so the lexicographic minimum sits at the origin
             m = min(base)
             shifted = tuple(sorted((p[0] - m[0], p[1] - m[1]) for p in base))
@@ -412,6 +414,11 @@ def hex_with_hole_graph(radius: int = 2,
 def generate(kind: str, **params) -> TriGridGraph:
     """Named instances: triangle, pentagon, hexagon, diamond_cycle(n),
     chord_cycle(n, m), star_of_david, hex_with_hole(radius, removed)."""
+    def need(key: str) -> int:
+        if key not in params:
+            raise GridError(f"{kind} needs parameter {key}")
+        return params[key]
+
     if kind == "triangle":
         return build_graph([(0, 0), (1, 0), (0, 1)], name="triangle")
     if kind == "pentagon":
@@ -421,9 +428,9 @@ def generate(kind: str, **params) -> TriGridGraph:
     if kind == "star_of_david":
         return build_graph(star_of_david_points(), name="star_of_david")
     if kind == "diamond_cycle":
-        return diamond_cycle_graph(params["n"])
+        return diamond_cycle_graph(need("n"))
     if kind == "chord_cycle":
-        return chord_cycle_graph(params["n"], params["m"])
+        return chord_cycle_graph(need("n"), need("m"))
     if kind == "hex_with_hole":
         return hex_with_hole_graph(params.get("radius", 2),
                                    params.get("removed", ((1, -1), (-1, 1))))

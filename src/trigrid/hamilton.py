@@ -12,7 +12,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tup
 import networkx as nx
 
 from .grid import Edge, GridError, TriGridGraph, cartesian, edge_key, is_star_of_david
-from .ears import cycle_edges
+from .ears import cycle_edges, enumerate_diamonds
 
 
 class HamiltonError(Exception):
@@ -70,7 +70,7 @@ def _normalize(g: TriGridGraph, order: Sequence[int]) -> Tuple[int, ...]:
     return tuple(order)
 
 
-def _hamilton_search(g: TriGridGraph, all_cycles: bool) -> Iterator[Tuple[int, ...]]:
+def _hamilton_search(g: TriGridGraph) -> Iterator[Tuple[int, ...]]:
     """Backtracking over simple paths with a connectivity-style prune:
     every unvisited vertex must keep two usable neighbors."""
     nvert = g.num_vertices
@@ -112,7 +112,7 @@ def find_hamilton(g: TriGridGraph) -> HamiltonCycle:
     """
     if g.is_lattice and is_star_of_david(g):
         raise GridError("the Star of David graph has no Hamilton cycle")
-    for order in _hamilton_search(g, all_cycles=False):
+    for order in _hamilton_search(g):
         h = HamiltonCycle(_normalize(g, order))
         validate_cycle(g, h)
         return h
@@ -123,7 +123,7 @@ def enumerate_hamilton_cycles(g: TriGridGraph) -> Iterator[HamiltonCycle]:
     """All distinct Hamilton cycles (deduplicated up to rotation and
     direction), in search order."""
     seen: Set[Tuple[int, ...]] = set()
-    for order in _hamilton_search(g, all_cycles=True):
+    for order in _hamilton_search(g):
         h = HamiltonCycle(_normalize(g, order))
         key = min(h.order, (h.order[0],) + h.order[1:][::-1])
         if key in seen:
@@ -277,14 +277,9 @@ def _parity_labelings(h: HamiltonCycle,
     return out
 
 
-def _diamonds(g: TriGridGraph) -> List[Tuple[int, int, int, int]]:
-    from .ears import enumerate_diamonds
-    return enumerate_diamonds(g)
-
-
 def _scan(g: TriGridGraph, h: HamiltonCycle) -> List[ParityDiamond]:
     found = []
-    for diamond in _diamonds(g):
+    for diamond in enumerate_diamonds(g):
         found.extend(_parity_labelings(h, diamond))
     return found
 
@@ -304,75 +299,17 @@ def select_parity(h: HamiltonCycle,
     return _best(cands)
 
 
-def _modified_cycles(g: TriGridGraph, h: HamiltonCycle) -> Iterator[HamiltonCycle]:
-    """Local reroutes of the cycle: detach a vertex from its two cycle
-    neighbors f, g (which must be adjacent) and insert it between an
-    adjacent cycle edge (b, c)."""
-    he = set(h.edges)
-    pos = {v: i for i, v in enumerate(h.order)}
-    n = len(h.order)
-    for a in g.vertex_ids:
-        f = h.order[(pos[a] - 1) % n]
-        g2 = h.order[(pos[a] + 1) % n]
-        if not g.has_edge(f, g2):
-            continue
-        others = [w for w in g.adj[a] if w not in (f, g2)]
-        for b in others:
-            for c in others:
-                if b >= c or edge_key(b, c) not in he:
-                    continue
-                new_edges = (he - {edge_key(a, f), edge_key(a, g2), edge_key(b, c)}) \
-                    | {edge_key(a, b), edge_key(a, c), edge_key(f, g2)}
-                order = _edges_to_cycle(new_edges, g.num_vertices)
-                if order is None:
-                    continue
-                h2 = HamiltonCycle(_normalize(g, order))
-                validate_cycle(g, h2)
-                yield h2
-
-
-def _edges_to_cycle(edges: Set[Edge], nvert: int) -> Optional[Tuple[int, ...]]:
-    """Walk an edge set that should form one spanning cycle; None if it
-    splits into several cycles or is not 2-regular."""
-    adj: Dict[int, List[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    if len(adj) != nvert or any(len(ns) != 2 for ns in adj.values()):
-        return None
-    order = [min(adj)]
-    prev = None
-    while True:
-        nxt = [w for w in adj[order[-1]] if w != prev]
-        prev = order[-1]
-        cand = nxt[0]
-        if cand == order[0]:
-            break
-        order.append(cand)
-    if len(order) != nvert:
-        return None
-    return tuple(order)
-
-
 def find_local_structure(g: TriGridGraph, h: HamiltonCycle) -> ParityDiamond:
-    """A parity diamond for some Hamilton cycle of the graph.
+    """The parity diamond on the given Hamilton cycle with the shortest p2
+    (ties broken by vertex labels); its `cycle` is h.
 
-    Scans the given cycle first; if no diamond qualifies, tries local
-    reroutes of the cycle, then falls back to enumerating other Hamilton
-    cycles. The returned structure's cycle may differ from the input.
+    Raises HamiltonError below five vertices and NoLocalStructureError when
+    no diamond on h meets the parity conditions.
     """
     if g.num_vertices < 5:
         raise HamiltonError("graph too small for the diamond structure")
     validate_cycle(g, h)
     cands = _scan(g, h)
-    if cands:
-        return _best(cands)
-    for h2 in _modified_cycles(g, h):
-        cands = _scan(g, h2)
-        if cands:
-            return _best(cands)
-    for h2 in enumerate_hamilton_cycles(g):
-        cands = _scan(g, h2)
-        if cands:
-            return _best(cands)
-    raise NoLocalStructureError("no parity diamond on any Hamilton cycle")
+    if not cands:
+        raise NoLocalStructureError("no parity diamond on the Hamilton cycle")
+    return _best(cands)

@@ -6,12 +6,11 @@ parity diamond's adjacent swap, then undo the target-side alignment.
 Slide counts grow as O(n^3).
 """
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .grid import Edge, TriGridGraph, edge_key, is_locally_connected, is_star_of_david
 from .ears import EarDecomposition, cycle_edges
-from .ear_planner import PlanError, PlanReport, _bfs_region, _forced_cycle_dominoes
+from .ear_planner import PlanError, PlanReport, _forced_cycle_dominoes, base_pentagon
 from .hamilton import (HamiltonCycle, ParityDiamond, find_hamilton,
                        find_local_structure)
 from .placement import (Placement, RotationSpec, SlideMove, SlideSequence,
@@ -56,10 +55,10 @@ def _swap_special(cur: Placement, pd: ParityDiamond) -> SlideSequence:
     """Exchange the labels on the two swap dominoes; gap stays at c.
 
     Short even side (two edges): the five vertices a, b, c, d and the
-    inner vertex of p1 form a pentagon, solved by local search. Longer
-    even side: slide the (a, b) piece to (b, c), rotate the p1 + (a, d)
-    cycle one notch, then rotate the p1 + (a, b), (b, c), (c, d) cycle
-    back to the swapped state.
+    inner vertex of p1 form a pentagon, solved by `base_pentagon` on the
+    edges among them. Longer even side: slide the (a, b) piece to (b, c),
+    rotate the p1 + (a, d) cycle one notch, then rotate the p1 + (a, b),
+    (b, c), (c, d) cycle back to the swapped state.
     """
     a, b, c, d = pd.a, pd.b, pd.c, pd.d
     assert cur.exposed == c
@@ -79,7 +78,7 @@ def _swap_special(cur: Placement, pd: ParityDiamond) -> SlideSequence:
         vs = {a, b, c, d, v}
         es = {edge_key(x, y) for x in vs for y in vs
               if x < y and cur.graph.has_edge(x, y)}
-        seq = _bfs_region(cur, target, vs, es)
+        seq = base_pentagon(cur, target, es)
     else:
         v1, v2, v3 = pd.p1[-2], pd.p1[-3], pd.p1[1]
         mv = SlideMove(hi, b, c)
@@ -163,7 +162,6 @@ def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement,
     if h is None:
         h = find_hamilton(g)
     pd = find_local_structure(g, h)
-    h = pd.cycle
 
     sp = align_with_hamilton(p, h)
     sq = align_with_hamilton(q, h)
@@ -197,5 +195,4 @@ def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement,
     if not report.ok:
         raise PlanError(f"plan verification failed: {report.message}")
     return PlanReport(sequence=seq, slide_count=len(seq.moves),
-                      strategy="hamilton",
-                      budget_n2n_ok=True, recursion_trace=trace)
+                      strategy="hamilton", recursion_trace=trace)

@@ -3,7 +3,6 @@ alternating paths/cycles, and centrality tests."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -167,44 +166,42 @@ def enumerate_near_perfect_matchings(g: TriGridGraph) -> List[Matching]:
     return out
 
 
-def odd_alternating_cycle_through(g: TriGridGraph, m: Matching, e: Edge,
-                                  minimal: bool = True) -> Tuple[int, ...]:
-    """An odd m-alternating cycle through e, defect at the exposed vertex.
+def odd_alternating_cycle_through(g: TriGridGraph, m: Matching, exposed: int, e: Edge,
+                                  avoid: Iterable[int] = ()) -> Optional[Tuple[int, ...]]:
+    """The first odd m-alternating cycle at the exposed vertex that contains
+    e and misses `avoid`, or None.
 
-    With `minimal` the BFS layering yields a shortest such cycle. Raises if
-    none exists (cannot happen on a factor-critical graph).
+    Depth-first search from `exposed` over sorted neighbours, leaving it by
+    a non-matching edge and alternating matching/non-matching edges until
+    it returns; the cycle is listed from `exposed` in search direction.
     """
-    for cyc in _odd_alternating_cycles(g, m, e):
-        return cyc
-    raise MatchingError(f"no odd alternating cycle through {e}")
-
-
-def _odd_alternating_cycles(g: TriGridGraph, m: Matching,
-                            e: Edge) -> Iterable[Tuple[int, ...]]:
-    # exhaustive DFS enumeration, ordered by length (shortest first)
-    u, v = e
-    exposed, first = (u, v) if not m.covers(u) else (v, u)
     if m.covers(exposed):
-        raise MatchingError("edge is not incident to the exposed vertex")
-    found: List[Tuple[int, ...]] = []
+        raise MatchingError(f"vertex {exposed} is covered by the matching")
+    e = edge_key(*e)
+    avoid = set(avoid)
 
-    def dfs(path: List[int], need_m: bool):
+    def dfs(path: List[int], need_m: bool) -> Optional[Tuple[int, ...]]:
         cur = path[-1]
         for w in sorted(g.adj[cur]):
-            in_m = edge_key(cur, w) in m.edges
-            if in_m != need_m:
+            if w in avoid or (edge_key(cur, w) in m.edges) != need_m:
                 continue
             if w == exposed:
-                if not in_m and len(path) % 2 == 1:
-                    found.append(tuple(path))
+                if any(edge_key(a, b) == e for a, b in zip(path, path[1:] + path[:1])):
+                    return tuple(path)
                 continue
             if w in path:
                 continue
-            dfs(path + [w], not need_m)
+            found = dfs(path + [w], not need_m)
+            if found is not None:
+                return found
+        return None
 
-    dfs([exposed, first], True)
-    found.sort(key=lambda c: (len(c), c))
-    return found
+    for first in sorted(g.adj[exposed]):
+        if first not in avoid:
+            found = dfs([exposed, first], True)
+            if found is not None:
+                return found
+    return None
 
 
 def is_alternating_cycle(m: Matching, cycle: Sequence[int]) -> bool:

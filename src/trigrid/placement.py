@@ -5,10 +5,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .grid import Edge, TriGridGraph, edge_key
-from .matching import Matching, MatchingError, alternating_path_to, is_alternating_cycle
+from .matching import Matching, alternating_path_to, is_alternating_cycle
 
 
 class PlacementError(Exception):
@@ -145,7 +145,6 @@ def apply_sequence(p: Placement, moves: Iterable[SlideMove]) -> Placement:
 
 def is_aligned(p: Placement, cycle: Sequence[int]) -> bool:
     """True iff cycle is an odd M_p-alternating cycle containing v_p."""
-    k = len(cycle)
     if p.exposed not in cycle:
         return False
     for a, b in zip(cycle, list(cycle[1:]) + [cycle[0]]):
@@ -182,24 +181,44 @@ def aligned_cycle_state(k: int, j: int, h: int) -> Dict[int, Edge]:
     return out
 
 
-def _cycle_moves(p: Placement, cycle_edges: Set[Edge]) -> List[SlideMove]:
-    """Legal moves that slide a cycle piece along a cycle edge."""
-    out = []
-    for mv in legal_moves(p):
-        if edge_key(mv.kept_vertex, mv.dest_vertex) not in cycle_edges:
-            continue
-        if p.piece(mv.label) in cycle_edges:
-            out.append(mv)
-    return out
+def shortest_slides_within(p: Placement, edges: Set[Edge],
+                           goal: Callable[[Placement], bool]) -> Optional[SlideSequence]:
+    """Breadth-first search for a shortest slide sequence from p to a state
+    meeting `goal`, or None if none is reachable.
+
+    Only slides whose piece and landing edge both lie in `edges` are
+    expanded, in `legal_moves` order, so pieces off `edges` never move and
+    the first goal state found is the one returned.
+    """
+    if goal(p):
+        return SlideSequence(p, ())
+    seen = {p.pieces}
+    frontier: deque = deque([(p, ())])
+    while frontier:
+        cur, moves = frontier.popleft()
+        for mv in legal_moves(cur):
+            if (edge_key(mv.kept_vertex, mv.dest_vertex) not in edges
+                    or cur.piece(mv.label) not in edges):
+                continue
+            nxt = slide(cur, mv)
+            if nxt.pieces in seen:
+                continue
+            seen.add(nxt.pieces)
+            path = moves + (mv,)
+            if goal(nxt):
+                return SlideSequence(p, path)
+            frontier.append((nxt, path))
+    return None
 
 
 def rotate(p: Placement, spec: RotationSpec) -> SlideSequence:
     """Shortest rotation along the aligned cycle reaching the target.
 
-    Explores only slides whose piece and landing edge lie on the cycle, so
-    pieces off the cycle never move; the reachable states are the gap
-    positions crossed with the label phases, a set of size at most
-    (2k'+1)k' for cycle length 2k'+1.
+    A breadth-first search (`shortest_slides_within`) over slides whose
+    piece and landing edge lie on the cycle; the reachable states are the
+    gap positions crossed with the label phases, at most (2k'+1)k' of them
+    for cycle length 2k'+1. Raises PlacementError if p is not aligned with
+    the cycle or the target is unreachable along it.
     """
     cyc = spec.cycle
     if not is_aligned(p, cyc):
@@ -216,22 +235,10 @@ def rotate(p: Placement, spec: RotationSpec) -> SlideSequence:
                     return False
         return True
 
-    if done(p):
-        return SlideSequence(p, ())
-    seen = {p.pieces}
-    frontier: deque = deque([(p, ())])
-    while frontier:
-        cur, moves = frontier.popleft()
-        for mv in _cycle_moves(cur, cycle_edges):
-            nxt = slide(cur, mv)
-            if nxt.pieces in seen:
-                continue
-            seen.add(nxt.pieces)
-            path = moves + (mv,)
-            if done(nxt):
-                return SlideSequence(p, path)
-            frontier.append((nxt, path))
-    raise PlacementError("rotation target unreachable along the cycle")
+    seq = shortest_slides_within(p, cycle_edges, done)
+    if seq is None:
+        raise PlacementError("rotation target unreachable along the cycle")
+    return seq
 
 
 def expose(p: Placement, v: int,

@@ -76,3 +76,51 @@ def test_parse_error_exit_code(tmp_path):
 
 def test_gen_unknown_kind_refused(tmp_path):
     assert main(["gen", "mobius", "--out", str(tmp_path / "x")]) == 2
+
+
+def _write_lattice(tmp_path, name, points):
+    path = tmp_path / name
+    path.write_text("".join(f"v {i} {x} {y}\n"
+                            for i, (x, y) in enumerate(points, start=1)))
+    return path
+
+
+def test_short_vertex_record_is_parse_error(tmp_path):
+    bad = tmp_path / "short.graph"
+    bad.write_text("v 1 0 0\nv 2 1\nv 3 0 1\n")
+    assert main(["check", str(bad)]) == 3
+
+
+def test_non_integer_slides_header_is_parse_error(tmp_path):
+    gpath = _gen(tmp_path, "pentagon")
+    g = formats.parse_graph(gpath.read_text())
+    start = _write_placement(tmp_path, "s.p", g, [(2, 3), (4, 5)])
+    plan = tmp_path / "bad.plan"
+    plan.write_text("strategy ear\nslides x\nstart\n" + start.read_text())
+    assert main(["verify", str(gpath), str(plan)]) == 3
+
+
+def test_gen_param_without_value(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "hexagon", "--param", "radius", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+
+
+def test_gen_missing_param_refused(tmp_path):
+    assert main(["gen", "diamond_cycle", "--out", str(tmp_path / "x")]) == 2
+
+
+def test_plan_refuses_host_without_admissible_core(tmp_path, capsys):
+    # a triangle with a pendant path has no pentagon or diamond core
+    gpath = _write_lattice(tmp_path, "pendant.graph",
+                           [(0, 0), (0, 1), (1, 0), (2, 0), (3, 0)])
+    g = formats.parse_graph(gpath.read_text())
+    start = _write_placement(tmp_path, "s.p", g, [(1, 2), (4, 5)])
+    assert main(["plan", str(gpath), str(start), str(start)]) == 2
+    assert "refused" in capsys.readouterr().err
+
+
+def test_check_collinear_host(tmp_path, capsys):
+    gpath = _write_lattice(tmp_path, "line.graph", [(0, 0), (1, 0), (2, 0)])
+    assert main(["check", str(gpath)]) == 0
+    assert "vertices 3" in capsys.readouterr().out

@@ -50,7 +50,6 @@ def test_plan_ear_report_fields(pentagon, rng):
     rep = plan_ear(pentagon, p, q)
     assert rep.strategy == "ear"
     assert rep.slide_count == len(rep.sequence.moves)
-    assert rep.budget_n2n_ok
     check = verify_sequence(rep.sequence, expected_end=q)
     assert check.ok and check.matches_expected
 
@@ -88,3 +87,11 @@ def test_plan_ear_refuses_triangle():
     p = Placement.make(g, [(1, 2)])
     with pytest.raises(Exception):
         plan_ear(g, p, p)
+
+
+def test_base_pentagon_goal_outside_edges(pentagon):
+    p = Placement.make(pentagon, [(2, 3), (4, 5)])
+    q = Placement.make(pentagon, [(1, 2), (4, 5)])
+    assert len(base_pentagon(p, q)) >= 1
+    with pytest.raises(PlanError):
+        base_pentagon(p, q, set(pentagon.edges) - {(1, 2)})

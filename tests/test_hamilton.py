@@ -112,6 +112,7 @@ def test_find_local_structure_corpus():
         h = find_hamilton(g)
         pd = find_local_structure(g, h)
         validate_cycle(g, pd.cycle)
+        assert pd.cycle == h
         ring = [(pd.a, pd.b), (pd.b, pd.c), (pd.c, pd.d), (pd.d, pd.a)]
         assert all(g.has_edge(u, v) for u, v in ring)
         assert g.has_edge(pd.a, pd.c)
@@ -130,8 +131,7 @@ def test_find_local_structure_rejects_tiny():
         find_local_structure(g, h)
 
 
-def test_local_structure_may_modify_cycle(hex7):
-    # whatever cycle comes back must still be a Hamilton cycle of the host
+def test_local_structure_keeps_cycle(hex7):
+    # every Hamilton cycle of hex7 carries a parity diamond of its own
     for h in enumerate_hamilton_cycles(hex7):
-        pd = find_local_structure(hex7, h)
-        validate_cycle(hex7, pd.cycle)
+        assert find_local_structure(hex7, h).cycle == h

@@ -83,15 +83,28 @@ def test_is_central(pentagon):
 def test_odd_alternating_cycle():
     g = _cycle_graph(7)
     m = near_perfect_matching(g, 1)
-    cyc = odd_alternating_cycle_through(g, m, edge_key(1, 2))
+    cyc = odd_alternating_cycle_through(g, m, 1, edge_key(1, 2))
     assert len(cyc) == 7
     assert is_alternating_cycle(m, cyc)
 
 
 def test_odd_alternating_cycle_pentagon(pentagon):
     m = Matching(frozenset({(2, 3), (4, 5)}))
-    cyc = odd_alternating_cycle_through(pentagon, m, edge_key(1, 2))
+    cyc = odd_alternating_cycle_through(pentagon, m, 1, edge_key(1, 2))
     assert len(cyc) % 2 == 1
     assert is_alternating_cycle(m, cyc)
     assert edge_key(1, 2) in {edge_key(a, b)
                               for a, b in zip(cyc, cyc[1:] + cyc[:1])}
+
+
+def test_odd_alternating_cycle_avoid():
+    # 7-cycle 1..7 with the diamond 8, 9 hung on its edge (6, 7)
+    g = diamond_cycle_graph(4)
+    m = Matching(frozenset({(2, 3), (4, 5), (6, 9), (7, 8)}))
+    through_diamond = (1, 2, 3, 4, 5, 6, 9, 8, 7)
+    assert odd_alternating_cycle_through(g, m, 1, (8, 9)) == through_diamond
+    assert odd_alternating_cycle_through(g, m, 1, (4, 5)) == through_diamond
+    assert odd_alternating_cycle_through(g, m, 1, (4, 5), avoid=(8, 9)) is None
+    m2 = Matching(frozenset({(2, 3), (4, 5), (6, 7), (8, 9)}))
+    assert odd_alternating_cycle_through(g, m2, 1, (4, 5), avoid=(8, 9)) \
+        == (1, 2, 3, 4, 5, 6, 7)

@@ -1,10 +1,14 @@
 import pytest
 
 from trigrid.grid import build_abstract, build_graph, edge_key
-from trigrid.placement import (IllegalMoveError, Placement, RotationSpec,
-                               SlideMove, SlideSequence, aligned_cycle_state,
-                               apply_sequence, expose, invert_sequence,
-                               legal_moves, rotate, slide, verify_sequence)
+from trigrid.oracle import bfs_component
+from trigrid.placement import (IllegalMoveError, Placement, PlacementError,
+                               RotationSpec, SlideMove, SlideSequence,
+                               aligned_cycle_state, apply_sequence, expose,
+                               invert_sequence, legal_moves, rotate,
+                               shortest_slides_within, slide, verify_sequence)
+
+from conftest import random_placement
 
 
 def _cycle_graph(n):
@@ -91,6 +95,27 @@ def test_rotation_bounds_small():
                                             for i in range(1, k + 1))))
                     assert len(full) <= k * k + k
                     assert full.end.pieces == tgt.pieces
+
+
+def test_shortest_slides_within_is_shortest(hex7, rng):
+    p = random_placement(hex7, rng)
+    comp = bfs_component(hex7, p)
+    for _ in range(10):
+        q = random_placement(hex7, rng)
+        seq = shortest_slides_within(p, hex7.edges, lambda s: s.pieces == q.pieces)
+        assert len(seq) == comp.distance_to(q)
+        assert verify_sequence(seq, expected_end=q).matches_expected
+
+
+def test_rotation_target_off_cycle():
+    # 7-cycle with the chord (1, 3): label 1 cannot reach it by rotation
+    g = build_abstract(7, [(i, i + 1) for i in range(1, 7)] + [(1, 7), (1, 3)])
+    p = _cycle_placement(g, 3, 3, 1)
+    cyc = tuple(range(1, 8))
+    assert shortest_slides_within(p, g.edges - {(1, 3)},
+                                  lambda s: s.piece(1) == (1, 3)) is None
+    with pytest.raises(PlacementError):
+        rotate(p, RotationSpec(cyc, target_pieces=((1, (1, 3)),)))
 
 
 def test_expose(pentagon):
