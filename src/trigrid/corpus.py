@@ -6,9 +6,9 @@ and locally-connected grids spanning 5 to 25 vertices.
 """
 
 import itertools
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import List, Set, Tuple
 
-from .grid import (DIRS, Point, TriGridGraph, build_graph, canonical_point_form,
+from .grid import (Point, TriGridGraph, build_graph, canonical_point_form,
                    degree6_vertices, hexagon_points, is_locally_connected,
                    is_star_of_david, is_two_connected)
 from .matching import is_factor_critical

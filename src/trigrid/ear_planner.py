@@ -38,7 +38,7 @@ def base_pentagon(p: Placement, q: Placement,
     return seq
 
 
-def _forced_cycle_dominoes(cycle: Sequence[int], gap: int) -> List[Edge]:
+def forced_cycle_dominoes(cycle: Sequence[int], gap: int) -> List[Edge]:
     """Dominoes of the unique tiling of an odd cycle with the given gap,
     listed in cycle order starting after the gap."""
     i = cycle.index(gap)
@@ -170,7 +170,7 @@ class _Planner:
         """Hamilton branch: bubble the target labels into consecutive order
         with a fixed two-domino swap window, then rotate into place."""
         v = ear[0]
-        dominoes = _forced_cycle_dominoes(cyc, v)
+        dominoes = forced_cycle_dominoes(cyc, v)
         w1, w2 = dominoes[-1], dominoes[-2]   # adjacent, both in G_{i-1}
         assert w1 == edge_key(ppath[1], ppath[2])
 
@@ -236,7 +236,7 @@ def base_diamond_cycle(p: Placement, q: Placement,
 
     # target labels along the Hamilton cycle, read against the parking
     # direction so the accumulating train matches the target cyclic order
-    dominoes = _forced_cycle_dominoes(c_prime, tgt.exposed)
+    dominoes = forced_cycle_dominoes(c_prime, tgt.exposed)
     labels = [tgt.label_at(e) for e in reversed(dominoes)]
     assert all(lab is not None for lab in labels)
 

@@ -413,7 +413,18 @@ def hex_with_hole_graph(radius: int = 2,
 
 def generate(kind: str, **params) -> TriGridGraph:
     """Named instances: triangle, pentagon, hexagon, diamond_cycle(n),
-    chord_cycle(n, m), star_of_david, hex_with_hole(radius, removed)."""
+    chord_cycle(n, m), star_of_david, hex_with_hole(radius). Raises
+    GridError for an unknown kind, a missing parameter, or a parameter
+    the kind does not take."""
+    takes = {"triangle": (), "pentagon": (), "hexagon": (), "star_of_david": (),
+             "diamond_cycle": ("n",), "chord_cycle": ("n", "m"),
+             "hex_with_hole": ("radius",)}
+    if kind not in takes:
+        raise GridError(f"unknown instance kind: {kind}")
+    extra = sorted(set(params) - set(takes[kind]))
+    if extra:
+        raise GridError(f"{kind} does not take parameter {extra[0]}")
+
     def need(key: str) -> int:
         if key not in params:
             raise GridError(f"{kind} needs parameter {key}")
@@ -431,7 +442,4 @@ def generate(kind: str, **params) -> TriGridGraph:
         return diamond_cycle_graph(need("n"))
     if kind == "chord_cycle":
         return chord_cycle_graph(need("n"), need("m"))
-    if kind == "hex_with_hole":
-        return hex_with_hole_graph(params.get("radius", 2),
-                                   params.get("removed", ((1, -1), (-1, 1))))
-    raise GridError(f"unknown instance kind: {kind}")
+    return hex_with_hole_graph(params.get("radius", 2))

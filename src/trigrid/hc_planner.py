@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .grid import Edge, TriGridGraph, edge_key, is_locally_connected, is_star_of_david
 from .ears import EarDecomposition, cycle_edges
-from .ear_planner import PlanError, PlanReport, _forced_cycle_dominoes, base_pentagon
+from .ear_planner import PlanError, PlanReport, base_pentagon, forced_cycle_dominoes
 from .hamilton import (HamiltonCycle, ParityDiamond, find_hamilton,
                        find_local_structure)
 from .placement import (Placement, RotationSpec, SlideMove, SlideSequence,
@@ -37,7 +37,7 @@ def align_with_hamilton(p: Placement, h: HamiltonCycle) -> SlideSequence:
 # adjacent swaps at the diamond
 
 def _dominoes(pd: ParityDiamond, p: Placement) -> List[Edge]:
-    return _forced_cycle_dominoes(pd.cycle.order, p.exposed)
+    return forced_cycle_dominoes(pd.cycle.order, p.exposed)
 
 
 def _special_pair(pd: ParityDiamond, dominoes: List[Edge]) -> Tuple[int, int]:
@@ -82,8 +82,8 @@ def _swap_special(cur: Placement, pd: ParityDiamond) -> SlideSequence:
     else:
         v1, v2, v3 = pd.p1[-2], pd.p1[-3], pd.p1[1]
         mv = SlideMove(hi, b, c)
-        s1 = SlideSequence(cur, (mv,))
-        cur1 = s1.end
+        cur1 = slide(cur, mv)
+        s1 = SlideSequence(cur, (mv,), cur1)
         cyc_a = tuple(pd.p1)                       # d .. a, closed by (a, d)
         s2 = rotate(cur1, RotationSpec(cyc_a, target_exposed=a,
                                        target_pieces=((lo, edge_key(d, v3)),)))

@@ -8,7 +8,7 @@ count (matchings times label orderings) stays in the low millions.
 import csv
 import math
 from dataclasses import dataclass
-from typing import Dict, IO, Iterable, List, Optional, Tuple
+from typing import Dict, IO, Optional, Tuple
 
 from .grid import Edge, TriGridGraph
 from .matching import enumerate_near_perfect_matchings

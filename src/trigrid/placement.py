@@ -79,19 +79,30 @@ class SlideMove:
 
 @dataclass(frozen=True)
 class SlideSequence:
+    """Moves from `start`. Builders that already hold the end placement pass
+    it as `_end`; otherwise (an empty sequence excepted) `end` replays the
+    moves once on first access and keeps the result."""
+
     start: Placement
     moves: Tuple[SlideMove, ...] = ()
+    _end: Optional[Placement] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self._end is None and not self.moves:
+            object.__setattr__(self, "_end", self.start)
 
     def __len__(self) -> int:
         return len(self.moves)
 
     @property
     def end(self) -> Placement:
-        return apply_sequence(self.start, self.moves)
+        if self._end is None:
+            object.__setattr__(self, "_end", apply_sequence(self.start, self.moves))
+        return self._end
 
     def then(self, other: "SlideSequence") -> "SlideSequence":
         assert other.start.pieces == self.end.pieces
-        return SlideSequence(self.start, self.moves + other.moves)
+        return SlideSequence(self.start, self.moves + other.moves, other.end)
 
 
 @dataclass(frozen=True)
@@ -206,39 +217,73 @@ def shortest_slides_within(p: Placement, edges: Set[Edge],
             seen.add(nxt.pieces)
             path = moves + (mv,)
             if goal(nxt):
-                return SlideSequence(p, path)
+                return SlideSequence(p, path, nxt)
             frontier.append((nxt, path))
     return None
+
+
+class _CycleWalk:
+    """Slides along an aligned cycle that all move the gap the same way,
+    two positions per slide (`step` is +1 or -1 along the cycle order)."""
+
+    def __init__(self, p: Placement, cyc: Tuple[int, ...], step: int,
+                 owner: Dict[int, int]):
+        self.cyc, self.step = cyc, step
+        self.gap = cyc.index(p.exposed)
+        self.pieces = list(p.pieces)
+        self.owner = dict(owner)                # covered vertex -> label
+        self.moves: List[SlideMove] = []
+
+    def next_move(self) -> SlideMove:
+        kept = self.cyc[(self.gap + self.step) % len(self.cyc)]
+        return SlideMove(self.owner[kept], kept, self.cyc[self.gap])
+
+    def advance(self) -> None:
+        mv = self.next_move()
+        self.moves.append(mv)
+        self.pieces[mv.label - 1] = edge_key(mv.kept_vertex, mv.dest_vertex)
+        self.owner[mv.dest_vertex] = mv.label
+        self.gap = (self.gap + 2 * self.step) % len(self.cyc)
+
+    def same_state(self, other: "_CycleWalk") -> bool:
+        return self.gap == other.gap and self.pieces == other.pieces
 
 
 def rotate(p: Placement, spec: RotationSpec) -> SlideSequence:
     """Shortest rotation along the aligned cycle reaching the target.
 
-    A breadth-first search (`shortest_slides_within`) over slides whose
-    piece and landing edge lie on the cycle; the reachable states are the
-    gap positions crossed with the label phases, at most (2k'+1)k' of them
-    for cycle length 2k'+1. Raises PlacementError if p is not aligned with
-    the cycle or the target is unreachable along it.
+    Every state aligned with the cycle has exactly two on-cycle slides, one
+    moving the gap two positions each way, so the states reachable along
+    the cycle form one cycle of at most (2k'+1)k' states for cycle length
+    2k'+1. The two directions are walked in lockstep, the one whose first
+    slide comes first in `legal_moves` order leading. This returns the
+    moves of `shortest_slides_within` on the cycle edges, ties included,
+    in O(n + moves). Raises PlacementError if p is not aligned with the
+    cycle, or if the walks meet before reaching the target.
     """
     cyc = spec.cycle
     if not is_aligned(p, cyc):
         raise PlacementError("placement is not aligned with the rotation cycle")
-    cycle_edges = {edge_key(a, b) for a, b in zip(cyc, list(cyc[1:]) + [cyc[0]])}
-    want_pieces = dict(spec.target_pieces) if spec.target_pieces is not None else None
+    want = {label: edge_key(*e) for label, e in spec.target_pieces or ()}
 
-    def done(q: Placement) -> bool:
-        if spec.target_exposed is not None and q.exposed != spec.target_exposed:
-            return False
-        if want_pieces is not None:
-            for label, e in want_pieces.items():
-                if q.piece(label) != edge_key(*e):
-                    return False
-        return True
+    def done(w: _CycleWalk) -> bool:
+        return ((spec.target_exposed is None or cyc[w.gap] == spec.target_exposed)
+                and all(w.pieces[label - 1] == e for label, e in want.items()))
 
-    seq = shortest_slides_within(p, cycle_edges, done)
-    if seq is None:
-        raise PlacementError("rotation target unreachable along the cycle")
-    return seq
+    owner = {v: label for label, e in enumerate(p.pieces, 1) for v in e}
+    walks = [_CycleWalk(p, cyc, step, owner) for step in (1, -1)]
+    if done(walks[0]):
+        return SlideSequence(p, ())
+    walks.sort(key=lambda w: (w.next_move().label, w.next_move().kept_vertex))
+    lead, trail = walks
+    while True:
+        for w, other in ((lead, trail), (trail, lead)):
+            w.advance()
+            if w.same_state(other):
+                raise PlacementError("rotation target unreachable along the cycle")
+            if done(w):
+                end = Placement(p.graph, tuple(w.pieces), cyc[w.gap])
+                return SlideSequence(p, tuple(w.moves), end)
 
 
 def expose(p: Placement, v: int,
@@ -265,7 +310,7 @@ def expose(p: Placement, v: int,
         moves.append(mv)
         cur = slide(cur, mv)
     assert cur.exposed == v
-    return SlideSequence(p, tuple(moves))
+    return SlideSequence(p, tuple(moves), cur)
 
 
 def invert_sequence(seq: SlideSequence) -> SlideSequence:
@@ -276,7 +321,7 @@ def invert_sequence(seq: SlideSequence) -> SlideSequence:
     moves = []
     for after, mv in zip(reversed(states[1:]), reversed(seq.moves)):
         moves.append(SlideMove(mv.label, mv.kept_vertex, after.exposed))
-    return SlideSequence(states[-1], tuple(moves))
+    return SlideSequence(states[-1], tuple(moves), states[0])
 
 
 @dataclass(frozen=True)

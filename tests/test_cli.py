@@ -1,5 +1,3 @@
-from pathlib import Path
-
 import pytest
 
 from trigrid import formats
@@ -124,3 +122,14 @@ def test_check_collinear_host(tmp_path, capsys):
     gpath = _write_lattice(tmp_path, "line.graph", [(0, 0), (1, 0), (2, 0)])
     assert main(["check", str(gpath)]) == 0
     assert "vertices 3" in capsys.readouterr().out
+
+
+def test_gen_hex_with_hole_removed_param_refused(tmp_path):
+    assert main(["gen", "hex_with_hole", "--param", "removed=3",
+                 "--out", str(tmp_path / "x")]) == 2
+
+
+def test_gen_hexagon_radius_param_refused(tmp_path):
+    out = tmp_path / "x"
+    assert main(["gen", "hexagon", "--param", "radius=3", "--out", str(out)]) == 2
+    assert not out.exists()

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trigrid.grid import build_abstract, build_graph, edge_key
 from trigrid.oracle import bfs_component
@@ -145,3 +147,77 @@ def test_verify_sequence(pentagon):
     bad = SlideSequence(p, seq.moves + (SlideMove(1, 1, 1),))
     rep2 = verify_sequence(bad)
     assert not rep2.ok and rep2.first_bad_index == 1
+
+
+def _on_cycle_moves(p, ces):
+    return [mv for mv in legal_moves(p)
+            if p.piece(mv.label) in ces
+            and edge_key(mv.kept_vertex, mv.dest_vertex) in ces]
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 8), rnd=st.randoms(use_true_random=False))
+def test_rotate_matches_shortest_slides_within(k, rnd):
+    """`rotate` returns the moves of the restricted BFS, ties included, and
+    raises exactly when the BFS finds nothing. The cycle sits in a host
+    with chords and off-cycle pieces, whose slides both must ignore."""
+    m = 2 * k + 1
+    cyc = list(range(1, m + 1))
+    rnd.shuffle(cyc)
+    ces = {edge_key(cyc[i], cyc[(i + 1) % m]) for i in range(m)}
+    chords = [edge_key(a, b) for a in cyc for b in cyc
+              if a < b and edge_key(a, b) not in ces]
+    extra = rnd.randint(0, 2)
+    spares = [(m + 2 * t + 1, m + 2 * t + 2) for t in range(extra)]
+    edges = (ces | set(rnd.sample(chords, rnd.randint(0, min(3, len(chords)))))
+             | set(spares) | {(rnd.choice(cyc), a) for a, _ in spares})
+    g = build_abstract(m + 2 * extra, sorted(edges))
+    j = rnd.randrange(m)
+    dominoes = [edge_key(cyc[(j + t) % m], cyc[(j + t + 1) % m])
+                for t in range(1, m, 2)]
+    pieces = dominoes + spares
+    rnd.shuffle(pieces)
+    p = Placement.make(g, pieces)
+
+    # a target state some way round the state cycle of m * k states; a
+    # walk of half its length reaches the state both directions tie on
+    q, prev = p, None
+    for _ in range(rnd.choice([m * k // 2, rnd.randrange(m * k + 1)])):
+        nxt = [slide(q, mv) for mv in _on_cycle_moves(q, ces)]
+        nxt = [s for s in nxt if prev is None or s.pieces != prev.pieces]
+        prev, q = q, rnd.choice(nxt)
+    labels = [i for i in range(1, p.n + 1) if p.piece(i) in ces]
+    chosen = rnd.sample(labels, rnd.randint(0, len(labels)))
+    want = [(lab, q.piece(lab)) for lab in chosen]
+    lab = rnd.randrange(1, p.n + 1)
+    if rnd.random() < 0.2 and lab not in chosen:        # often unreachable
+        want.append((lab, rnd.choice(sorted(g.edges))))
+    exposed = rnd.choice([None, q.exposed, rnd.choice(cyc)])
+    spec = RotationSpec(tuple(cyc), target_exposed=exposed,
+                        target_pieces=tuple(want) if want else None)
+
+    def goal(s):
+        return ((exposed is None or s.exposed == exposed)
+                and all(s.piece(lab) == e for lab, e in want))
+
+    ref = shortest_slides_within(p, ces, goal)
+    if ref is None:
+        with pytest.raises(PlacementError):
+            rotate(p, spec)
+        return
+    seq = rotate(p, spec)
+    assert seq.moves == ref.moves
+    end = apply_sequence(p, seq.moves)
+    assert seq.end.pieces == end.pieces and seq.end.exposed == end.exposed
+
+
+def test_then_chain_end_matches_replay(hex7, rng):
+    p = random_placement(hex7, rng)
+    seq = SlideSequence(p, ())
+    for _ in range(6):
+        step = expose(seq.end, rng.choice(list(hex7.vertex_ids)))
+        seq = seq.then(step).then(invert_sequence(step)).then(step)
+    raw = SlideSequence(p, seq.moves)              # no end given: replays once
+    end = apply_sequence(p, seq.moves)
+    for s in (seq, raw):
+        assert s.end.pieces == end.pieces and s.end.exposed == end.exposed
