@@ -19,8 +19,8 @@ from .ears import EarError
 from .hamilton import HamiltonError
 from .hc_planner import plan_hamilton
 from .matching import is_factor_critical
-from .oracle import (OracleBudgetError, bfs_component, export_csv,
-                     is_reconfigurable_bruteforce)
+from .oracle import (DEFAULT_VERTEX_BOUND, OracleBudgetError, bfs_component,
+                     export_csv, is_reconfigurable_bruteforce)
 from .placement import PlacementError, verify_sequence
 from .render import render_graph, render_plan_frames
 
@@ -153,14 +153,14 @@ def cmd_oracle(args) -> int:
     try:
         if args.start:
             p = formats.parse_placement(Path(args.start).read_text(), g)
-            comp = bfs_component(g, p, vertex_bound=args.budget_states)
+            comp = bfs_component(g, p, vertex_bound=args.max_vertices)
             if args.out:
                 with open(args.out, "w") as fh:
                     export_csv(comp, fh)
             print(f"component_size {comp.size}")
             print(f"eccentricity {comp.eccentricity}")
         else:
-            ok = is_reconfigurable_bruteforce(g, vertex_bound=args.budget_states)
+            ok = is_reconfigurable_bruteforce(g, vertex_bound=args.max_vertices)
             print(f"reconfigurable {ok}")
     except OracleBudgetError as exc:
         print(f"refused: {exc}", file=sys.stderr)
@@ -219,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle", help="exhaustive state-space search")
     o.add_argument("graph")
     o.add_argument("--start")
-    o.add_argument("--budget-states", type=int, default=13,
-                   help="vertex bound for the search")
+    o.add_argument("--max-vertices", type=int, default=DEFAULT_VERTEX_BOUND,
+                   help="refuse hosts with more vertices (default %(default)s)")
     o.add_argument("--out")
     o.set_defaults(fn=cmd_oracle)
 

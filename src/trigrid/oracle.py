@@ -1,22 +1,35 @@
 """Exhaustive ground truth over the labeled-placement state space.
 
 Breadth-first search over every placement reachable by single slides;
-usable for instances up to roughly thirteen vertices, where the state
-count (matchings times label orderings) stays in the low millions.
+usable for instances up to roughly thirteen vertices, where a component
+holds up to about 10^5 states (matchings times label orderings).
+
+A state is a `bytes` of length |V| + 1: byte 0 holds the exposed vertex and
+byte v the label of the piece covering v (0 at the exposed vertex). Every
+neighbour w of the exposed vertex x is covered, so each one gives exactly
+one slide: the piece on w and its partner u moves onto (w, x), and u
+becomes exposed. A successor is therefore a copy of the state with three
+bytes rewritten, and no `Placement` is built during a search. Vertex ids
+and labels must fit in a byte, so hosts above 255 vertices are refused.
+
+`bfs_component` runs a level-synchronous BFS from one placement.
+`distance` runs a bidirectional BFS that expands the smaller frontier one
+level at a time and stops at the first level where the two sides meet.
 """
 
 import csv
 import math
 from dataclasses import dataclass
-from typing import Dict, IO, Optional, Tuple
+from typing import Dict, IO, List, Optional, Sequence, Tuple
 
 from .grid import Edge, TriGridGraph
 from .matching import enumerate_near_perfect_matchings
-from .placement import Placement, legal_moves, slide
+from .placement import Placement
 
 DEFAULT_VERTEX_BOUND = 13
 
-StateKey = Tuple[Tuple[Edge, ...], int]
+# Largest host the byte encoding can hold: vertex ids are stored in byte 0.
+_MAX_ENCODED_VERTICES = 255
 
 
 class OracleBudgetError(Exception):
@@ -25,10 +38,11 @@ class OracleBudgetError(Exception):
 
 @dataclass(frozen=True)
 class Component:
-    """One connected component of the slide graph, with BFS distances."""
+    """One connected component of the slide graph, with BFS distances keyed
+    on encoded states."""
 
     start: Placement
-    distances: Dict[StateKey, int]
+    distances: Dict[bytes, int]
 
     @property
     def size(self) -> int:
@@ -45,32 +59,73 @@ class Component:
         return self.distances.get(_key(p))
 
 
-def _key(p: Placement) -> StateKey:
-    return (p.pieces, p.exposed)
+def _key(p: Placement) -> bytes:
+    """Encode p: byte 0 is the exposed vertex, byte v the label covering v."""
+    b = bytearray(p.graph.num_vertices + 1)
+    b[0] = p.exposed
+    for label, (u, v) in enumerate(p.pieces, 1):
+        b[u] = b[v] = label
+    return bytes(b)
+
+
+def _decode(s: bytes) -> Tuple[Tuple[Edge, ...], int]:
+    """Inverse of `_key`: (pieces, exposed) with each piece as (min, max)."""
+    pieces = []
+    for label in range(1, (len(s) - 2) // 2 + 1):
+        u = s.find(label, 1)
+        pieces.append((u, s.find(label, u + 1)))
+    return tuple(pieces), s[0]
+
+
+def _adjacency(g: TriGridGraph) -> List[Tuple[int, ...]]:
+    return [()] + [g.adj[v] for v in g.vertex_ids]
+
+
+def _successors(s: bytes, adj: Sequence[Tuple[int, ...]]) -> List[bytes]:
+    """Every state one slide away from s: the same moves as `legal_moves`."""
+    x = s[0]
+    out = []
+    for w in adj[x]:
+        label = s[w]
+        u = s.find(label, 1)
+        if u == w:
+            u = s.find(label, w + 1)
+        b = bytearray(s)
+        b[0] = u
+        b[x] = label
+        b[u] = 0
+        out.append(bytes(b))
+    return out
 
 
 def _check_budget(g: TriGridGraph, bound: int) -> None:
     if g.num_vertices > bound:
         raise OracleBudgetError(
             f"{g.num_vertices} vertices exceed the oracle bound of {bound}")
+    if g.num_vertices > _MAX_ENCODED_VERTICES:
+        raise OracleBudgetError(
+            f"{g.num_vertices} vertices exceed the {_MAX_ENCODED_VERTICES}-vertex "
+            "limit of the oracle's state encoding")
 
 
 def bfs_component(g: TriGridGraph, p: Placement,
                   vertex_bound: int = DEFAULT_VERTEX_BOUND) -> Component:
     """All placements reachable from p, each with its shortest slide count."""
     _check_budget(g, vertex_bound)
-    from collections import deque
-    dist: Dict[StateKey, int] = {_key(p): 0}
-    frontier = deque([p])
+    adj = _adjacency(g)
+    start = _key(p)
+    dist: Dict[bytes, int] = {start: 0}
+    frontier = [start]
+    d = 0
     while frontier:
-        cur = frontier.popleft()
-        d = dist[_key(cur)]
-        for mv in legal_moves(cur):
-            nxt = slide(cur, mv)
-            k = _key(nxt)
-            if k not in dist:
-                dist[k] = d + 1
-                frontier.append(nxt)
+        d += 1
+        nxt = []
+        for s in frontier:
+            for t in _successors(s, adj):
+                if t not in dist:
+                    dist[t] = d
+                    nxt.append(t)
+        frontier = nxt
     return Component(p, dist)
 
 
@@ -95,17 +150,47 @@ def is_reconfigurable_bruteforce(g: TriGridGraph,
 
 def distance(g: TriGridGraph, p: Placement, q: Placement,
              vertex_bound: int = DEFAULT_VERTEX_BOUND) -> Optional[int]:
-    """Shortest slide count from p to q, or None if unreachable."""
-    comp = bfs_component(g, p, vertex_bound)
-    return comp.distance_to(q)
+    """Shortest slide count from p to q, or None if unreachable.
+
+    Slides are reversible, so a search from q uses the same successors.
+    Each step expands the smaller frontier by one whole level; the first
+    level that reaches the other side holds a shortest path, and the least
+    total over that level's meetings is its length."""
+    _check_budget(g, vertex_bound)
+    adj = _adjacency(g)
+    a, b = _key(p), _key(q)
+    if a == b:
+        return 0
+    near, far = {a: 0}, {b: 0}
+    near_frontier, far_frontier = [a], [b]
+    while near_frontier and far_frontier:
+        if len(near_frontier) > len(far_frontier):
+            near, far = far, near
+            near_frontier, far_frontier = far_frontier, near_frontier
+        best = None
+        nxt = []
+        for s in near_frontier:
+            d = near[s] + 1
+            for t in _successors(s, adj):
+                if t in near:
+                    continue
+                near[t] = d
+                nxt.append(t)
+                other = far.get(t)
+                if other is not None and (best is None or d + other < best):
+                    best = d + other
+        if best is not None:
+            return best
+        near_frontier = nxt
+    return None
 
 
 def export_csv(comp: Component, out: IO[str]) -> None:
     """Rows `state_key,distance` plus a summary line."""
     w = csv.writer(out)
     w.writerow(["state_key", "distance"])
-    for key, d in sorted(comp.distances.items(), key=lambda kv: (kv[1], kv[0])):
-        pieces, exposed = key
+    rows = sorted((d, _decode(s)) for s, d in comp.distances.items())
+    for d, (pieces, exposed) in rows:
         text = " ".join(f"{u}-{v}" for u, v in pieces) + f" /{exposed}"
         w.writerow([text, d])
     w.writerow([f"# component_size={comp.size} eccentricity={comp.eccentricity}",

@@ -13,9 +13,8 @@ from trigrid.ear_planner import PlanError, base_diamond_cycle, plan_ear
 from trigrid.ears import NoAdmissibleError, find_admissible
 from trigrid.grid import (build_graph, chord_cycle_graph, diamond_cycle_graph,
                           edge_key, star_of_david_points)
-from trigrid.hamilton import (dual_forests, enumerate_hamilton_cycles,
-                              find_hamilton, find_local_structure,
-                              validate_cycle)
+from trigrid.hamilton import (dual_forests, find_hamilton,
+                              find_local_structure, validate_cycle)
 from trigrid.hc_planner import plan_hamilton
 from trigrid.matching import (enumerate_near_perfect_matchings,
                               is_factor_critical)

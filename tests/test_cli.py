@@ -1,9 +1,11 @@
+import hashlib
+
 import pytest
 
 from trigrid import formats
 from trigrid.cli import main
-from trigrid.grid import build_graph, star_of_david_points
-from trigrid.matching import enumerate_near_perfect_matchings
+from trigrid.grid import build_graph, hexagon_points, star_of_david_points
+from trigrid.matching import enumerate_near_perfect_matchings, near_perfect_matching
 from trigrid.placement import Placement
 
 
@@ -64,6 +66,33 @@ def test_oracle_cli(tmp_path, capsys):
     assert "reconfigurable True" in capsys.readouterr().out
     big = _gen(tmp_path, "chord_cycle", "n=8", "m=2")
     assert main(["oracle", str(big)]) == 2
+
+
+# Digests of the CSV written by the tuple-keyed oracle this encoding replaced.
+@pytest.mark.parametrize("kind,params,digest", [
+    ("hexagon", [], "fa5f167b852f0ac7804a713c8cf16a8db2b61a72c4c3072730015570b6cb8413"),
+    ("chord_cycle", ["n=5", "m=3"], "dae0708f487af55dc159e32d40d5da225daa8068761ab38bdd57b0c113270d49"),
+])
+def test_oracle_csv_is_unchanged(tmp_path, kind, params, digest):
+    gpath = _gen(tmp_path, kind, *params)
+    g = formats.parse_graph(gpath.read_text())
+    edges = sorted(enumerate_near_perfect_matchings(g)[0].edges)
+    start = _write_placement(tmp_path, "s.p", g, edges[::-1])
+    out = tmp_path / "states.csv"
+    assert main(["oracle", str(gpath), "--start", str(start),
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_oracle_refuses_host_beyond_encoding(tmp_path, capsys):
+    g = build_graph(hexagon_points(9))          # 271 vertices
+    gpath = tmp_path / "hex271.graph"
+    gpath.write_text(formats.serialize_graph(g))
+    m = near_perfect_matching(g, 1)
+    start = _write_placement(tmp_path, "s.p", g, sorted(m.edges))
+    for extra in ([], ["--start", str(start)]):
+        assert main(["oracle", str(gpath), "--max-vertices", "1000"] + extra) == 2
+        assert "255" in capsys.readouterr().err
 
 
 def test_parse_error_exit_code(tmp_path):

@@ -1,9 +1,9 @@
 import pytest
 
 from trigrid import formats
-from trigrid.ears import EarDecomposition, find_admissible
-from trigrid.grid import build_abstract, build_graph, diamond_cycle_graph
-from trigrid.hamilton import HamiltonCycle, find_hamilton
+from trigrid.ears import find_admissible
+from trigrid.grid import diamond_cycle_graph
+from trigrid.hamilton import find_hamilton
 from trigrid.matching import near_perfect_matching
 from trigrid.placement import Placement, SlideMove, slide, SlideSequence
 

@@ -1,7 +1,7 @@
 import pytest
 
 from trigrid.grid import (DisconnectedError, DuplicatePointError,
-                          EvenOrderError, build_graph, build_abstract,
+                          EvenOrderError, build_graph,
                           canonical_point_form, chord_cycle_graph,
                           degree6_vertices, diamond_cycle_graph, generate,
                           hex_with_hole_graph, hexagon_points,

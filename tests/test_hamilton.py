@@ -4,10 +4,8 @@ import networkx as nx
 import pytest
 
 from trigrid.corpus import locally_connected_corpus
-from trigrid.grid import (GridError, build_graph, edge_key, hexagon_points,
-                          star_of_david_points)
-from trigrid.hamilton import (HamiltonCycle, HamiltonError,
-                              NoLocalStructureError, dual_forests,
+from trigrid.grid import GridError, build_graph, edge_key, star_of_david_points
+from trigrid.hamilton import (HamiltonCycle, HamiltonError, dual_forests,
                               enumerate_hamilton_cycles, find_hamilton,
                               find_local_structure, select_parity,
                               validate_cycle)

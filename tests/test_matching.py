@@ -1,7 +1,5 @@
 import itertools
 
-import pytest
-
 from trigrid.grid import (build_abstract, build_graph, diamond_cycle_graph,
                           edge_key, star_of_david_points)
 from trigrid.matching import (Matching, alternating_path_to,

@@ -1,14 +1,19 @@
 import io
 import math
+from collections import deque
+from itertools import permutations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from trigrid.grid import build_graph, chord_cycle_graph, diamond_cycle_graph
+from trigrid.grid import (DIRS, GridError, build_graph, chord_cycle_graph,
+                          diamond_cycle_graph)
 from trigrid.matching import enumerate_near_perfect_matchings
-from trigrid.oracle import (OracleBudgetError, bfs_component, distance,
+from trigrid.oracle import (OracleBudgetError, _decode, bfs_component, distance,
                             export_csv, is_reconfigurable_bruteforce,
                             state_count)
-from trigrid.placement import Placement
+from trigrid.placement import Placement, legal_moves, slide
 
 from conftest import random_placement
 
@@ -44,6 +49,12 @@ def test_chord_cycle_splits():
     p = random_placement(g, __import__("random").Random(7))
     comp = bfs_component(g, p)
     assert comp.size < state_count(g)
+    # some relabeling of p lies outside its component
+    outside = next(q for q in (Placement.make(g, pieces)
+                               for pieces in permutations(p.pieces))
+                   if not comp.contains(q))
+    assert distance(g, p, outside) is None
+    assert distance(g, outside, p) is None
 
 
 def test_diamond_cycle_reconfigurable():
@@ -64,3 +75,61 @@ def test_export_csv(pentagon):
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "state_key,distance"
     assert len(lines) == comp.size + 2          # header + rows + summary
+
+
+def _reference_distances(p):
+    """Plain BFS over `legal_moves`/`slide`, keyed on (pieces, exposed)."""
+    dist = {(p.pieces, p.exposed): 0}
+    frontier = deque([p])
+    while frontier:
+        cur = frontier.popleft()
+        d = dist[(cur.pieces, cur.exposed)]
+        for mv in legal_moves(cur):
+            nxt = slide(cur, mv)
+            if (nxt.pieces, nxt.exposed) not in dist:
+                dist[(nxt.pieces, nxt.exposed)] = d + 1
+                frontier.append(nxt)
+    return dist
+
+
+def _random_host(size, rnd):
+    """chord_cycle(5, 3) for size 0, else a connected lattice point set of
+    `size` points grown from the origin."""
+    if size == 0:
+        return chord_cycle_graph(5, 3)
+    pts = {(0, 0)}
+    while len(pts) < size:
+        x, y = rnd.choice(sorted(pts))
+        dx, dy = rnd.choice(DIRS)
+        pts.add((x + dx, y + dy))
+    try:
+        return build_graph(sorted(pts))
+    except GridError:
+        assume(False)
+
+
+def _random_placements(g, rnd, count):
+    ms = enumerate_near_perfect_matchings(g)
+    assume(ms)
+    out = []
+    for _ in range(count):
+        edges = sorted(rnd.choice(ms).edges)
+        rnd.shuffle(edges)
+        out.append(Placement.make(g, edges))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(size=st.sampled_from([0, 5, 7, 9]), rnd=st.randoms(use_true_random=False))
+def test_oracle_matches_reference_bfs(size, rnd):
+    """The byte-encoded BFS finds the reference BFS's component and
+    distances, and the bidirectional `distance` agrees with both, None
+    included for pairs in different components."""
+    g = _random_host(size, rnd)
+    p, *qs = _random_placements(g, rnd, 4)
+    ref = _reference_distances(p)
+    comp = bfs_component(g, p)
+    assert {_decode(s): d for s, d in comp.distances.items()} == ref
+    for q in qs:
+        assert comp.distance_to(q) == ref.get((q.pieces, q.exposed))
+        assert distance(g, p, q) == comp.distance_to(q)
