@@ -12,9 +12,8 @@ becomes exposed. A successor is therefore a copy of the state with three
 bytes rewritten, and no `Placement` is built during a search. Vertex ids
 and labels must fit in a byte, so hosts above 255 vertices are refused.
 
-`bfs_component` runs a level-synchronous BFS from one placement.
-`distance` runs a bidirectional BFS that expands the smaller frontier one
-level at a time and stops at the first level where the two sides meet.
+`bfs_component` runs a level-synchronous BFS from one placement, and
+`distance` looks q up in the component of p.
 """
 
 import csv
@@ -152,37 +151,9 @@ def distance(g: TriGridGraph, p: Placement, q: Placement,
              vertex_bound: int = DEFAULT_VERTEX_BOUND) -> Optional[int]:
     """Shortest slide count from p to q, or None if unreachable.
 
-    Slides are reversible, so a search from q uses the same successors.
-    Each step expands the smaller frontier by one whole level; the first
-    level that reaches the other side holds a shortest path, and the least
-    total over that level's meetings is its length."""
-    _check_budget(g, vertex_bound)
-    adj = _adjacency(g)
-    a, b = _key(p), _key(q)
-    if a == b:
-        return 0
-    near, far = {a: 0}, {b: 0}
-    near_frontier, far_frontier = [a], [b]
-    while near_frontier and far_frontier:
-        if len(near_frontier) > len(far_frontier):
-            near, far = far, near
-            near_frontier, far_frontier = far_frontier, near_frontier
-        best = None
-        nxt = []
-        for s in near_frontier:
-            d = near[s] + 1
-            for t in _successors(s, adj):
-                if t in near:
-                    continue
-                near[t] = d
-                nxt.append(t)
-                other = far.get(t)
-                if other is not None and (best is None or d + other < best):
-                    best = d + other
-        if best is not None:
-            return best
-        near_frontier = nxt
-    return None
+    Runs the whole `bfs_component` from p, so a call costs the same for
+    every q in the component."""
+    return bfs_component(g, p, vertex_bound).distance_to(q)
 
 
 def export_csv(comp: Component, out: IO[str]) -> None:

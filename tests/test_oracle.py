@@ -123,8 +123,8 @@ def _random_placements(g, rnd, count):
 @given(size=st.sampled_from([0, 5, 7, 9]), rnd=st.randoms(use_true_random=False))
 def test_oracle_matches_reference_bfs(size, rnd):
     """The byte-encoded BFS finds the reference BFS's component and
-    distances, and the bidirectional `distance` agrees with both, None
-    included for pairs in different components."""
+    distances, and `distance` agrees with both, None included for pairs
+    in different components."""
     g = _random_host(size, rnd)
     p, *qs = _random_placements(g, rnd, 4)
     ref = _reference_distances(p)
