@@ -1,13 +1,15 @@
 """Command-line interface: gen | check | plan | verify | oracle | render.
 
 Exit codes: 0 success, 2 precondition refusal, 3 parse error, 4 internal
-invariant failure. Set TRIGRID_LOG=1 for trace output on stderr.
+invariant failure. Set TRIGRID_LOG=1 (any non-empty value) for debug
+lines on stderr, such as a summary of each plan.
 """
 
 import argparse
 import logging
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -32,10 +34,20 @@ EXIT_INTERNAL = 4
 log = logging.getLogger("trigrid")
 
 
+EAR_BRANCHES = ("pentagon-core", "diamond-core", "hamilton", "spare-edge")
+
+
 def _setup_logging() -> None:
-    level = logging.DEBUG if os.environ.get("TRIGRID_LOG") else logging.WARNING
-    logging.basicConfig(stream=sys.stderr, level=level,
-                        format="trigrid: %(message)s")
+    """With TRIGRID_LOG set, the `trigrid` logger's debug lines go to the
+    stderr of this call."""
+    log.handlers.clear()
+    if os.environ.get("TRIGRID_LOG"):
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter("trigrid: %(message)s"))
+        log.addHandler(handler)
+        log.setLevel(logging.DEBUG)
+    else:
+        log.setLevel(logging.WARNING)
 
 
 def _load_graph(path: str) -> TriGridGraph:
@@ -130,6 +142,13 @@ def cmd_plan(args) -> int:
               f"{check.message}", file=sys.stderr)
         return EXIT_INTERNAL
     _write(args.out, formats.serialize_plan(report.strategy, report.sequence))
+    if log.isEnabledFor(logging.DEBUG):
+        line = f"plan strategy {report.strategy} slides {report.slide_count}"
+        if report.strategy == "ear":
+            branches = Counter(e.get("kind") or e.get("branch")
+                               for e in report.recursion_trace)
+            line += "".join(f" {b} {branches[b]}" for b in EAR_BRANCHES)
+        log.debug(line)
     print(f"verified {report.slide_count} slides ({report.strategy})",
           file=sys.stderr)
     return EXIT_OK

@@ -7,8 +7,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .grid import Edge, TriGridGraph, edge_key
-from .matching import alternating_path_to
-from .ears import EarDecomposition, cycle_edges, find_admissible, align_with_ears
+from .matching import MatchingError, alternating_path_to, near_perfect_matching
+from .ears import (EarDecomposition, LevelMatchings, align_with_ears, cycle_edges,
+                   find_admissible)
 from .placement import (Placement, RotationSpec, SlideSequence, expose,
                         invert_sequence, rotate, shortest_slides_within,
                         verify_sequence)
@@ -48,13 +49,13 @@ def forced_cycle_dominoes(cycle: Sequence[int], gap: int) -> List[Edge]:
 
 class _Planner:
     def __init__(self, g: TriGridGraph, d: EarDecomposition):
-        self.g = g
         self.d = d
+        self.levels = LevelMatchings(g, d)
         self.trace: List[Dict] = []
 
     def plan(self, i: int, p: Placement, q: Placement) -> SlideSequence:
         """Plan p -> q using only edges of G_i; p and q agree outside G_i."""
-        vs, es = self.d.region(i)
+        vs, es = self.levels.regions[i]
         if p.pieces == q.pieces and p.exposed == q.exposed:
             return SlideSequence(p, ())
         if i <= 3:
@@ -72,22 +73,20 @@ class _Planner:
 
     # -- length-1 ear: clear the chord on both sides, recurse below
     def _chord_step(self, i: int, p: Placement, q: Placement) -> SlideSequence:
-        ear = self.d.ear(i)
-        vs, es = self.d.region(i)
-        sp = expose(p, ear[0], within=vs, edges=es)
-        sq = expose(q, ear[0], within=vs, edges=es)
+        v = self.d.ear(i)[0]
+        sp = self.levels.expose(p, i, v)
+        sq = self.levels.expose(q, i, v)
         mid = self.plan(i - 1, sp.end, sq.end)
         return sp.then(mid).then(invert_sequence(sq))
 
     # -- proper ear with interior: stage target labels onto the ear
     def _ear_step(self, i: int, p: Placement, q: Placement) -> SlideSequence:
         ear = self.d.ear(i)
-        vs, es = self.d.region(i)
-        sub_vs, sub_es = self.d.region(i - 1)
+        vs, _ = self.levels.regions[i]
         v, u = ear[0], ear[-1]
 
-        sp = expose(p, v, within=vs, edges=es)
-        sq = expose(q, v, within=vs, edges=es)
+        sp = self.levels.expose(p, i, v)
+        sq = self.levels.expose(q, i, v)
         cur, tgt = sp.end, sq.end
         seq = sp
 
@@ -96,8 +95,7 @@ class _Planner:
         assert all(x is not None for x in lam), "target ear is not aligned"
         ell = len(lam)
 
-        ppath = alternating_path_to(self.g, cur.matching, v, u,
-                                    within=sub_vs, edges=sub_es)
+        ppath = alternating_path_to(cur.matching, self.levels.exposing(i - 1, u), v, u)
         cyc = tuple(ear[:-1]) + tuple(reversed(ppath[1:]))
         ces = cycle_edges(cyc)
         p_dominoes = [edge_key(ppath[t], ppath[t + 1])
@@ -130,7 +128,7 @@ class _Planner:
         """Non-Hamilton branch: park labels at the far end of the ear
         through a spare matched edge off the cycle."""
         v, u = ear[0], ear[-1]
-        sub_vs, _ = self.d.region(i - 1)
+        sub_vs, _ = self.levels.regions[i - 1]
         e1 = edge_key(ppath[-2], ppath[-1])
         e2 = edge_key(ear[-3], ear[-2])
         staging = edge_key(ppath[1], ppath[2])
@@ -287,8 +285,12 @@ def _clear_chords(p: Placement, cyc: Tuple[int, ...], chords: Sequence[Edge],
     cur = p
     allowed = set(es)
     for e in chords:
-        step = expose(cur, e[0], within=vs, edges=allowed)
-        seq, cur = seq.then(step), step.end
+        if cur.exposed != e[0]:
+            m = near_perfect_matching(p.graph, e[0], within=vs, edges=allowed)
+            if m is None:
+                raise MatchingError(f"no matching of the core exposes vertex {e[0]}")
+            step = expose(cur, e[0], m)
+            seq, cur = seq.then(step), step.end
         allowed.discard(e)
     return seq
 
@@ -297,9 +299,9 @@ def plan_ear(g: TriGridGraph, p: Placement, q: Placement) -> PlanReport:
     """Full pipeline: find an admissible decomposition, align both ends,
     reconfigure level by level, undo the target alignment."""
     d, _ = find_admissible(g)
-    sp = align_with_ears(p, d)
-    sq = align_with_ears(q, d)
     planner = _Planner(g, d)
+    sp = align_with_ears(p, planner.levels)
+    sq = align_with_ears(q, planner.levels)
     mid = planner.plan(d.levels, sp.end, sq.end)
     seq = sp.then(mid).then(invert_sequence(sq))
     report = PlanReport(seq, len(seq.moves), "ear",

@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .grid import Edge, TriGridGraph, edge_key
-from .matching import (Matching, near_perfect_matching, odd_alternating_cycle_through,
-                       symmetric_difference_path)
+from .matching import (Matching, MatchingError, near_perfect_matching,
+                       odd_alternating_cycle_through, symmetric_difference_path)
 from .placement import Placement, SlideSequence, expose
 
 
@@ -332,17 +332,49 @@ def find_admissible(g: TriGridGraph) -> Tuple[EarDecomposition, Matching]:
 # ---------------------------------------------------------------------------
 # alignment
 
-def align_with_ears(p: Placement, d: EarDecomposition) -> SlideSequence:
+class LevelMatchings:
+    """One plan's table of the levels of a decomposition: the region G_i of
+    every level, built once, and for each (level, vertex) asked for the
+    nearly perfect matching of G_i that exposes the vertex, computed on
+    first use. A planner makes one per plan and drops it with the plan.
+
+    Each matching is `near_perfect_matching` on `d.region(i)`, whose sets
+    are built in the same order on every call; the blossom algorithm's
+    answer depends on that order, so the table returns what a fresh call
+    would.
+    """
+
+    def __init__(self, g: TriGridGraph, d: EarDecomposition):
+        self.g, self.d = g, d
+        self.regions = {i: d.region(i) for i in range(1, d.levels + 1)}
+        self._exposing: Dict[Tuple[int, int], Matching] = {}
+
+    def exposing(self, i: int, v: int) -> Matching:
+        """The nearly perfect matching of G_i that exposes v."""
+        m = self._exposing.get((i, v))
+        if m is None:
+            vs, es = self.regions[i]
+            m = near_perfect_matching(self.g, v, within=vs, edges=es)
+            if m is None:
+                raise MatchingError(f"no matching of level {i} exposes vertex {v}")
+            self._exposing[(i, v)] = m
+        return m
+
+    def expose(self, p: Placement, i: int, v: int) -> SlideSequence:
+        """Expose v by slides inside G_i; no matching is looked up when v
+        is exposed already."""
+        if p.exposed == v:
+            return SlideSequence(p, ())
+        return expose(p, v, self.exposing(i, v))
+
+
+def align_with_ears(p: Placement, levels: LevelMatchings) -> SlideSequence:
     """Expose an endpoint of each ear, last to first, inside the stage
     subgraph; interior degree-2 forcing then aligns every ear and finally
     the base cycle."""
+    d = levels.d
     seq = SlideSequence(p, ())
-    cur = p
     for i in range(d.levels, 1, -1):
-        ear = d.ear(i)
-        vs, es = d.region(i)
-        step = expose(cur, ear[0], within=vs, edges=es)
-        seq = seq.then(step)
-        cur = step.end
-    assert is_aligned_with(cur, d), "alignment postcondition failed"
+        seq = seq.then(levels.expose(seq.end, i, d.ear(i)[0]))
+    assert is_aligned_with(seq.end, d), "alignment postcondition failed"
     return seq

@@ -26,9 +26,8 @@ def hamilton_decomposition(g: TriGridGraph, h: HamiltonCycle) -> EarDecompositio
 def align_with_hamilton(p: Placement, h: HamiltonCycle) -> SlideSequence:
     """Move every piece onto the cycle, chord by chord; afterwards the
     cycle alternates and holds the exposed vertex."""
-    from .ears import align_with_ears
-    d = hamilton_decomposition(p.graph, h)
-    seq = align_with_ears(p, d)
+    from .ears import LevelMatchings, align_with_ears
+    seq = align_with_ears(p, LevelMatchings(p.graph, hamilton_decomposition(p.graph, h)))
     assert seq.end.matching.edges <= h.edges
     return seq
 

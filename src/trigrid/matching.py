@@ -119,29 +119,20 @@ def symmetric_difference_path(m1: Matching, m2: Matching, start: int) -> List[in
             raise MatchingError("symmetric-difference component is a cycle")
 
 
-def alternating_path_to(g: TriGridGraph, m: Matching, frm: int, to: int,
-                        within: Optional[Iterable[int]] = None,
-                        edges: Optional[Iterable[Edge]] = None) -> List[int]:
+def alternating_path_to(m: Matching, target: Matching, frm: int, to: int) -> List[int]:
     """Even alternating path from the exposed vertex `frm` to `to`.
 
-    Built from M Δ M' where M' is a nearly perfect matching exposing `to`;
-    consecutive edges alternate non-matching/matching relative to m. With
-    `within`/`edges` the path stays inside that subgraph and m is taken
-    restricted to it.
+    `target` is a nearly perfect matching exposing `to`, of the host or of
+    a subgraph. The path is the component of M Δ target at `frm`: its
+    edges alternate target/m edges, so every non-matching edge on it is a
+    target edge and lies in target's subgraph. Callers that need many
+    paths in one subgraph look the target matching up once and pass it in.
     """
-    if within is not None or edges is not None:
-        scope = set(g.vertex_ids if within is None else within)
-        pool = g.edges if edges is None else {edge_key(*e) for e in edges}
-        m = Matching(frozenset(e for e in m.edges
-                               if e in pool and e[0] in scope and e[1] in scope))
     if m.covers(frm):
         raise MatchingError(f"vertex {frm} is not exposed by the matching")
     if frm == to:
         return [frm]
-    m2 = near_perfect_matching(g, to, within=within, edges=edges)
-    if m2 is None:
-        raise MatchingError(f"no matching exposes vertex {to}")
-    path = symmetric_difference_path(m, m2, frm)
+    path = symmetric_difference_path(m, target, frm)
     assert path[-1] == to and len(path) % 2 == 1
     return path
 

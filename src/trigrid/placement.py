@@ -198,27 +198,42 @@ def shortest_slides_within(p: Placement, edges: Set[Edge],
     meeting `goal`, or None if none is reachable.
 
     Only slides whose piece and landing edge both lie in `edges` are
-    expanded, in `legal_moves` order, so pieces off `edges` never move and
-    the first goal state found is the one returned.
+    expanded, so pieces off `edges` never move. Each state carries a
+    vertex -> label map of the pieces on `edges`; its slides are read from
+    the neighbours of the exposed vertex across `edges`, in `legal_moves`
+    order (by label, then kept vertex), so the first goal state found is
+    the one a search over `legal_moves` and `slide` returns.
     """
     if goal(p):
         return SlideSequence(p, ())
+    g = p.graph
+    nbrs: Dict[int, List[int]] = {}
+    for a, b in edges:
+        if g.has_edge(a, b):
+            nbrs.setdefault(a, []).append(b)
+            nbrs.setdefault(b, []).append(a)
+    owner = {v: label for label, e in enumerate(p.pieces, 1) if e in edges
+             for v in e}
     seen = {p.pieces}
-    frontier: deque = deque([(p, ())])
+    frontier: deque = deque([(p.pieces, p.exposed, owner, ())])
     while frontier:
-        cur, moves = frontier.popleft()
-        for mv in legal_moves(cur):
-            if (edge_key(mv.kept_vertex, mv.dest_vertex) not in edges
-                    or cur.piece(mv.label) not in edges):
+        pieces, gap, owner, moves = frontier.popleft()
+        for label, kept in sorted((owner[w], w) for w in nbrs.get(gap, ())
+                                  if w in owner):
+            a, b = pieces[label - 1]
+            far = b if kept == a else a
+            nxt = pieces[:label - 1] + (edge_key(kept, gap),) + pieces[label:]
+            if nxt in seen:
                 continue
-            nxt = slide(cur, mv)
-            if nxt.pieces in seen:
-                continue
-            seen.add(nxt.pieces)
-            path = moves + (mv,)
-            if goal(nxt):
-                return SlideSequence(p, path, nxt)
-            frontier.append((nxt, path))
+            seen.add(nxt)
+            path = moves + (SlideMove(label, kept, gap),)
+            state = Placement(g, nxt, far)
+            if goal(state):
+                return SlideSequence(p, path, state)
+            nowner = dict(owner)
+            nowner[gap] = label
+            del nowner[far]
+            frontier.append((nxt, far, nowner, path))
     return None
 
 
@@ -286,20 +301,19 @@ def rotate(p: Placement, spec: RotationSpec) -> SlideSequence:
                 return SlideSequence(p, tuple(w.moves), end)
 
 
-def expose(p: Placement, v: int,
-           within: Optional[Iterable[int]] = None,
-           edges: Optional[Iterable[Edge]] = None) -> SlideSequence:
+def expose(p: Placement, v: int, m: Matching) -> SlideSequence:
     """Slide pieces along an alternating path until v is exposed.
 
-    Uses the symmetric difference of M_p with a matching exposing v; the
-    move count is half the path length, at most n. With `within`/`edges`,
-    both the path and every slide stay inside that subgraph.
+    `m` is a nearly perfect matching exposing v, of the host or of the
+    subgraph to stay in, which must hold p's exposed vertex. The path is
+    the component of M_p Δ m at p's exposed vertex, and every slide lands
+    its piece on an m-edge; the move count is half the path length, at
+    most n.
     """
-    scope = None if within is None else set(within)
-    if scope is not None and (v not in scope or p.exposed not in scope):
-        raise PlacementError("expose target or exposed vertex outside subgraph")
-    path = alternating_path_to(p.graph, p.matching, p.exposed, v,
-                               within=scope, edges=edges)
+    if m.covers(v) or (p.exposed != v and not m.covers(p.exposed)):
+        raise PlacementError("the matching does not expose v, or p's exposed "
+                             "vertex lies outside its subgraph")
+    path = alternating_path_to(p.matching, m, p.exposed, v)
     moves = []
     cur = p
     for t in range(1, len(path), 2):

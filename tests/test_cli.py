@@ -162,3 +162,41 @@ def test_gen_hexagon_radius_param_refused(tmp_path):
     out = tmp_path / "x"
     assert main(["gen", "hexagon", "--param", "radius=3", "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_plan_logs_summary_under_trigrid_log(tmp_path, capsys, monkeypatch):
+    """With TRIGRID_LOG set, `plan` logs one debug line: strategy, slide
+    count and, for the ear planner, the count of each recursion branch."""
+    from collections import Counter
+
+    from trigrid.ear_planner import plan_ear
+
+    g = build_graph(hexagon_points(2))
+    gpath = tmp_path / "hex19.graph"
+    gpath.write_text(formats.serialize_graph(g))
+    p = Placement.make(g, sorted(near_perfect_matching(g, 1).edges))
+    q = Placement.make(g, sorted(near_perfect_matching(g, 19).edges, reverse=True))
+    start = _write_placement(tmp_path, "s.p", g, p.pieces)
+    target = _write_placement(tmp_path, "t.p", g, q.pieces)
+    argv = ["plan", str(gpath), str(start), str(target), "--strategy", "ear",
+            "--out", str(tmp_path / "out.plan")]
+
+    monkeypatch.delenv("TRIGRID_LOG", raising=False)
+    assert main(argv) == 0
+    assert "trigrid:" not in capsys.readouterr().err
+
+    monkeypatch.setenv("TRIGRID_LOG", "1")
+    assert main(argv) == 0
+    lines = [ln for ln in capsys.readouterr().err.splitlines()
+             if ln.startswith("trigrid: plan ")]
+    rep = plan_ear(g, p, q)
+    seen = Counter(e.get("kind") or e.get("branch") for e in rep.recursion_trace)
+    assert lines == [f"trigrid: plan strategy ear slides {rep.slide_count}"
+                     f" pentagon-core {seen['pentagon-core']} diamond-core 0"
+                     f" hamilton {seen['hamilton']} spare-edge {seen['spare-edge']}"]
+    assert seen["pentagon-core"] and seen["hamilton"] and seen["spare-edge"]
+
+    assert main(argv[:5] + ["hamilton", "--out", str(tmp_path / "h.plan")]) == 0
+    err = capsys.readouterr().err
+    assert "trigrid: plan strategy hamilton slides " in err
+    assert "pentagon-core" not in err

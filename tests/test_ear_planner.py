@@ -2,10 +2,12 @@ import itertools
 
 import pytest
 
+from trigrid import matching
 from trigrid.corpus import degree6_corpus
 from trigrid.ear_planner import (PlanError, base_diamond_cycle, base_pentagon,
                                  plan_ear)
-from trigrid.grid import build_graph, diamond_cycle_graph
+from trigrid.ears import find_admissible
+from trigrid.grid import build_graph, diamond_cycle_graph, edge_key, hexagon_points
 from trigrid.matching import enumerate_near_perfect_matchings
 from trigrid.oracle import bfs_component
 from trigrid.placement import Placement, verify_sequence
@@ -94,3 +96,27 @@ def test_base_pentagon_goal_outside_edges(pentagon):
     assert len(base_pentagon(p, q)) >= 1
     with pytest.raises(PlanError):
         base_pentagon(p, q, set(pentagon.edges) - {(1, 2)})
+
+
+def test_plan_ear_matches_each_level_once(monkeypatch, rng):
+    """One plan computes the matching of G_i exposing v at most once per
+    (level, vertex), however often the recursion re-plans a level. Each
+    blossom call is keyed by the graph it runs on, which names the level
+    (its edge set) and the exposed vertex (the one left out)."""
+    g = build_graph(hexagon_points(2))
+    p, q = random_placement(g, rng), random_placement(g, rng)
+    calls = []
+    blossom = matching.nx.max_weight_matching
+
+    def counting(h, *args, **kwargs):
+        calls.append((frozenset(h.nodes), frozenset(edge_key(*e) for e in h.edges)))
+        return blossom(h, *args, **kwargs)
+
+    monkeypatch.setattr(matching.nx, "max_weight_matching", counting)
+    find_admissible(g)                   # plan_ear runs this search first
+    search = len(calls)
+    calls.clear()
+    rep = plan_ear(g, p, q)
+    level_calls = calls[search:]
+    assert rep.recursion_trace and level_calls
+    assert len(level_calls) == len(set(level_calls))

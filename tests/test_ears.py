@@ -4,7 +4,7 @@ from trigrid.corpus import degree6_corpus
 from trigrid.grid import (build_graph, diamond_cycle_graph,
                           star_of_david_points)
 from trigrid.ears import (EarDecomposition, EarError, NoAdmissibleError,
-                          align_with_ears, cycle_edges, ear_decomposition,
+                          LevelMatchings, align_with_ears, cycle_edges, ear_decomposition,
                           extend_from_central, find_admissible, is_aligned_with,
                           path_edges, validate_decomposition)
 from trigrid.matching import near_perfect_matching
@@ -92,8 +92,24 @@ def test_extend_from_central(hex7):
 def test_align_with_ears(rng):
     for g in degree6_corpus():
         d, _ = find_admissible(g)
+        levels = LevelMatchings(g, d)            # shared, as within one plan
         for _ in range(5):
             p = random_placement(g, rng)
-            seq = align_with_ears(p, d)
+            seq = align_with_ears(p, levels)
             assert seq.start.pieces == p.pieces
             assert is_aligned_with(seq.end, d)
+
+
+def test_level_matchings_are_fresh_matchings():
+    """Each table entry is what a fresh `near_perfect_matching` call on the
+    level's region returns, and a second lookup returns the same object."""
+    g = degree6_corpus(13, 12)[-1]
+    d, _ = find_admissible(g)
+    levels = LevelMatchings(g, d)
+    for i in range(1, d.levels + 1):
+        vs, es = d.region(i)
+        assert levels.regions[i] == (vs, es)
+        for v in sorted(vs):
+            m = levels.exposing(i, v)
+            assert m == near_perfect_matching(g, v, within=vs, edges=es)
+            assert levels.exposing(i, v) is m

@@ -50,7 +50,7 @@ def test_factor_critical():
 
 def test_alternating_path(pentagon):
     m = Matching(frozenset({(2, 3), (4, 5)}))
-    path = alternating_path_to(pentagon, m, 1, 3)
+    path = alternating_path_to(m, near_perfect_matching(pentagon, 3), 1, 3)
     assert path[0] == 1 and path[-1] == 3
     assert len(path) % 2 == 1                  # even number of edges
     # flipping along the path yields a matching exposing 3
@@ -64,7 +64,7 @@ def test_alternating_path(pentagon):
 
 def test_alternating_path_trivial(pentagon):
     m = Matching(frozenset({(2, 3), (4, 5)}))
-    assert alternating_path_to(pentagon, m, 1, 1) == [1]
+    assert alternating_path_to(m, near_perfect_matching(pentagon, 1), 1, 1) == [1]
 
 
 def test_is_central(pentagon):

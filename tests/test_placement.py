@@ -1,8 +1,11 @@
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigrid.grid import build_abstract, build_graph, edge_key
+from trigrid.matching import Matching, near_perfect_matching
 from trigrid.oracle import bfs_component
 from trigrid.placement import (IllegalMoveError, Placement, PlacementError,
                                RotationSpec, SlideMove, SlideSequence,
@@ -21,6 +24,11 @@ def _cycle_graph(n):
 def _cycle_placement(g, k, j, h):
     state = aligned_cycle_state(k, j, h)
     return Placement.make(g, [state[i] for i in range(1, k + 1)])
+
+
+def _expose(p, v):
+    """`expose` anywhere in the host."""
+    return expose(p, v, near_perfect_matching(p.graph, v))
 
 
 def test_slide_triangle():
@@ -109,6 +117,64 @@ def test_shortest_slides_within_is_shortest(hex7, rng):
         assert verify_sequence(seq, expected_end=q).matches_expected
 
 
+def _reference_slides_within(p, edges, goal):
+    """The restricted slide BFS over `legal_moves` and `slide`: its moves,
+    or None."""
+    if goal(p):
+        return ()
+    seen = {p.pieces}
+    frontier = deque([(p, ())])
+    while frontier:
+        cur, moves = frontier.popleft()
+        for mv in legal_moves(cur):
+            if (edge_key(mv.kept_vertex, mv.dest_vertex) not in edges
+                    or cur.piece(mv.label) not in edges):
+                continue
+            nxt = slide(cur, mv)
+            if nxt.pieces in seen:
+                continue
+            seen.add(nxt.pieces)
+            if goal(nxt):
+                return moves + (mv,)
+            frontier.append((nxt, moves + (mv,)))
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), rnd=st.randoms(use_true_random=False))
+def test_shortest_slides_within_matches_reference(n, rnd):
+    """Same moves as the `legal_moves`/`slide` BFS, ties included, or None
+    with it, on small random hosts, placements, edge subsets and goals."""
+    m = 2 * n + 1
+    order = list(range(1, m + 1))
+    rnd.shuffle(order)
+    pieces = [edge_key(order[2 * t], order[2 * t + 1]) for t in range(n)]
+    rnd.shuffle(pieces)
+    tree = [edge_key(order[i], rnd.choice(order[:i])) for i in range(1, m)]
+    others = [edge_key(a, b) for a in order for b in order if a < b]
+    extra = rnd.sample(others, rnd.randint(0, min(m, len(others))))
+    g = build_abstract(m, set(pieces) | set(tree) | set(extra))
+    p = Placement.make(g, pieces)
+    edges = {e for e in g.edges if rnd.random() < 0.8}
+
+    q = p                                   # a random walk in the whole host
+    for _ in range(rnd.randrange(3 * m)):
+        q = slide(q, rnd.choice(legal_moves(q)))
+    lab, e, v = rnd.randrange(1, n + 1), rnd.choice(sorted(g.edges)), rnd.choice(order)
+    goal = rnd.choice([lambda s: s.pieces == q.pieces,
+                       lambda s: s.piece(lab) == e,
+                       lambda s: s.exposed == v and s.piece(lab) == q.piece(lab)])
+
+    ref = _reference_slides_within(p, edges, goal)
+    seq = shortest_slides_within(p, edges, goal)
+    if ref is None:
+        assert seq is None
+        return
+    assert seq.moves == ref
+    end = apply_sequence(p, seq.moves)
+    assert seq.end.pieces == end.pieces and seq.end.exposed == end.exposed
+
+
 def test_rotation_target_off_cycle():
     # 7-cycle with the chord (1, 3): label 1 cannot reach it by rotation
     g = build_abstract(7, [(i, i + 1) for i in range(1, 7)] + [(1, 7), (1, 3)])
@@ -123,17 +189,21 @@ def test_rotation_target_off_cycle():
 def test_expose(pentagon):
     p = Placement.make(pentagon, [(2, 3), (4, 5)])
     assert p.exposed == 1
-    seq = expose(p, 3)
+    seq = _expose(p, 3)
     assert len(seq) == 1 and seq.end.exposed == 3
-    assert len(expose(p, p.exposed)) == 0
+    assert len(_expose(p, p.exposed)) == 0
     for v in pentagon.vertex_ids:
-        s = expose(p, v)
+        s = _expose(p, v)
         assert s.end.exposed == v and len(s) <= p.n + 1
+    with pytest.raises(PlacementError):                 # covers 3
+        expose(p, 3, near_perfect_matching(pentagon, 1))
+    with pytest.raises(PlacementError):                 # its subgraph misses 1
+        expose(p, 3, Matching(frozenset({(4, 5)})))
 
 
 def test_invert_sequence(pentagon):
     p = Placement.make(pentagon, [(2, 3), (4, 5)])
-    seq = expose(p, 4)
+    seq = _expose(p, 4)
     inv = invert_sequence(seq)
     assert inv.start.pieces == seq.end.pieces
     assert inv.end.pieces == p.pieces and inv.end.exposed == p.exposed
@@ -141,7 +211,7 @@ def test_invert_sequence(pentagon):
 
 def test_verify_sequence(pentagon):
     p = Placement.make(pentagon, [(2, 3), (4, 5)])
-    seq = expose(p, 3)
+    seq = _expose(p, 3)
     rep = verify_sequence(seq, expected_end=seq.end)
     assert rep.ok and rep.move_count == 1
     bad = SlideSequence(p, seq.moves + (SlideMove(1, 1, 1),))
@@ -215,7 +285,7 @@ def test_then_chain_end_matches_replay(hex7, rng):
     p = random_placement(hex7, rng)
     seq = SlideSequence(p, ())
     for _ in range(6):
-        step = expose(seq.end, rng.choice(list(hex7.vertex_ids)))
+        step = _expose(seq.end, rng.choice(list(hex7.vertex_ids)))
         seq = seq.then(step).then(invert_sequence(step)).then(step)
     raw = SlideSequence(p, seq.moves)              # no end given: replays once
     end = apply_sequence(p, seq.moves)

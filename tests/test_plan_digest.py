@@ -14,7 +14,8 @@ import pytest
 from trigrid.corpus import degree6_corpus, locally_connected_corpus
 from trigrid.ear_planner import plan_ear
 from trigrid.formats import serialize_moves
-from trigrid.grid import diamond_cycle_graph
+from trigrid.grid import (build_graph, diamond_cycle_graph, hex_with_hole_graph,
+                          hexagon_points)
 from trigrid.hc_planner import plan_hamilton
 
 from conftest import random_placement
@@ -31,6 +32,12 @@ CASES = {
                      "839d7387a83738b562f31415060820844309a9709b98f604ee769b1523de6ca3"),
     "diamond_cycle6-ear": (lambda: diamond_cycle_graph(6), plan_ear,
                            "d338221d30c0767e2c308e84fed46e5140e48ad59619f9cf9b8956bc82e3b22b"),
+    # the two below reach the ear planner's spare-edge branch (`_spare_fill`),
+    # which the cases above never take
+    "hex19-ear": (lambda: build_graph(hexagon_points(2)), plan_ear,
+                  "e52ff20c27a639b0359c4e89a832fdc921801c7fa0b676e6e804ddbcf911883d"),
+    "hex_with_hole2-ear": (lambda: hex_with_hole_graph(2), plan_ear,
+                           "6757e2fe85c1cf5215ff282c6626a799c77b57b78026e9c11e46cf5e88bc9eb2"),
 }
 
 
