@@ -1,8 +1,9 @@
 """Command-line interface: gen | check | plan | verify | oracle | render.
 
-Exit codes: 0 success, 2 precondition refusal, 3 parse error, 4 internal
-invariant failure. Set TRIGRID_LOG=1 (any non-empty value) for debug
-lines on stderr, such as a summary of each plan.
+Exit codes: 0 success, 2 precondition refusal, 3 parse error or a file
+that cannot be read or written, 4 internal invariant failure. Set
+TRIGRID_LOG=1 (any non-empty value) for debug lines on stderr, such as a
+summary of each plan.
 """
 
 import argparse
@@ -14,7 +15,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from . import formats
-from .ear_planner import PlanError, plan_ear
+from .ear_planner import PlanError, PlanInvariantError, plan_ear
 from .grid import (GridError, TriGridGraph, degree6_vertices, generate,
                    is_locally_connected, is_star_of_david, is_two_connected)
 from .ears import EarError
@@ -148,6 +149,7 @@ def cmd_plan(args) -> int:
             branches = Counter(e.get("kind") or e.get("branch")
                                for e in report.recursion_trace)
             line += "".join(f" {b} {branches[b]}" for b in EAR_BRANCHES)
+        line += f" cut {report.stats['uncut_slides'] - report.slide_count}"
         log.debug(line)
     print(f"verified {report.slide_count} slides ({report.strategy})",
           file=sys.stderr)
@@ -260,10 +262,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (formats.ParseError, PlacementError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except OSError as exc:
+        print(f"cannot read/write {exc.filename}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_PARSE
     except GridError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except AssertionError as exc:
+    except (AssertionError, PlanInvariantError) as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

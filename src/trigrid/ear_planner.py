@@ -10,7 +10,7 @@ from .grid import Edge, TriGridGraph, edge_key
 from .matching import MatchingError, alternating_path_to, near_perfect_matching
 from .ears import (EarDecomposition, LevelMatchings, align_with_ears, cycle_edges,
                    find_admissible)
-from .placement import (Placement, RotationSpec, SlideSequence, expose,
+from .placement import (Placement, RotationSpec, SlideSequence, cut_loops, expose,
                         invert_sequence, rotate, shortest_slides_within,
                         verify_sequence)
 
@@ -19,12 +19,33 @@ class PlanError(Exception):
     pass
 
 
+class PlanInvariantError(Exception):
+    """A plan a planner built fails its own final replay: a bug in the
+    planner, not a refusal of the input."""
+
+
 @dataclass
 class PlanReport:
+    """A verified plan. `stats["uncut_slides"]` is the slide count before
+    `cut_loops`."""
+
     sequence: SlideSequence
     slide_count: int
     strategy: str
     recursion_trace: List[Dict] = field(default_factory=list)
+    stats: Dict[str, int] = field(default_factory=dict)
+
+
+def finish_plan(seq: SlideSequence, q: Placement, strategy: str,
+                trace: List[Dict]) -> PlanReport:
+    """Cut the loops out of a full plan, replay it, and report it; raises
+    PlanInvariantError if the replay does not end at q."""
+    cut = cut_loops(seq)
+    check = verify_sequence(cut, expected_end=q)
+    if not check.ok:
+        raise PlanInvariantError(f"plan verification failed: {check.message}")
+    return PlanReport(cut, len(cut.moves), strategy, recursion_trace=trace,
+                      stats={"uncut_slides": len(seq.moves)})
 
 
 def base_pentagon(p: Placement, q: Placement,
@@ -303,10 +324,5 @@ def plan_ear(g: TriGridGraph, p: Placement, q: Placement) -> PlanReport:
     sp = align_with_ears(p, planner.levels)
     sq = align_with_ears(q, planner.levels)
     mid = planner.plan(d.levels, sp.end, sq.end)
-    seq = sp.then(mid).then(invert_sequence(sq))
-    report = PlanReport(seq, len(seq.moves), "ear",
-                        recursion_trace=planner.trace)
-    check = verify_sequence(seq, q)
-    if not check.ok or check.matches_expected is False:
-        raise PlanError(f"plan verification failed: {check.message}")
-    return report
+    return finish_plan(sp.then(mid).then(invert_sequence(sq)), q, "ear",
+                       planner.trace)

@@ -10,11 +10,12 @@ from typing import Dict, List, Optional, Tuple
 
 from .grid import Edge, TriGridGraph, edge_key, is_locally_connected, is_star_of_david
 from .ears import EarDecomposition, cycle_edges
-from .ear_planner import PlanError, PlanReport, base_pentagon, forced_cycle_dominoes
+from .ear_planner import (PlanError, PlanReport, base_pentagon, finish_plan,
+                          forced_cycle_dominoes)
 from .hamilton import (HamiltonCycle, ParityDiamond, find_hamilton,
                        find_local_structure)
 from .placement import (Placement, RotationSpec, SlideMove, SlideSequence,
-                        invert_sequence, rotate, slide, verify_sequence)
+                        invert_sequence, rotate, slide)
 
 
 def hamilton_decomposition(g: TriGridGraph, h: HamiltonCycle) -> EarDecomposition:
@@ -189,9 +190,4 @@ def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement,
     assert cur.pieces == tgt.pieces and cur.exposed == tgt.exposed
     trace.append({"phase": "sort", "swaps": swaps})
 
-    seq = seq.then(invert_sequence(sq.then(rq)))
-    report = verify_sequence(seq, expected_end=q)
-    if not report.ok:
-        raise PlanError(f"plan verification failed: {report.message}")
-    return PlanReport(sequence=seq, slide_count=len(seq.moves),
-                      strategy="hamilton", recursion_trace=trace)
+    return finish_plan(seq.then(invert_sequence(sq.then(rq))), q, "hamilton", trace)

@@ -3,6 +3,7 @@ vertex exposure."""
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -336,6 +337,46 @@ def invert_sequence(seq: SlideSequence) -> SlideSequence:
     for after, mv in zip(reversed(states[1:]), reversed(seq.moves)):
         moves.append(SlideMove(mv.label, mv.kept_vertex, after.exposed))
     return SlideSequence(states[-1], tuple(moves), states[0])
+
+
+def cut_loops(seq: SlideSequence) -> SlideSequence:
+    """The plan with every revisited state cut out: from the start, jump to
+    the last visit of each state before taking its next move.
+
+    The result has the same start and end, visits no state twice, and its
+    moves are an in-order subsequence of `seq.moves`. One replay keys each
+    state by the bytes of an array holding the label covering each vertex
+    (0 at the exposed one), two writes per slide, so the cut is linear in
+    the plan. The moves are assumed legal; `verify_sequence` is the check.
+    """
+    moves = seq.moves
+    if not moves:
+        return seq
+    start = seq.start
+    state = array("H", bytes(2 * (start.graph.num_vertices + 1)))
+    gap = start.exposed
+    for label, (u, v) in enumerate(start.pieces, 1):
+        state[u] = state[v] = label
+    pieces = list(start.pieces)                 # unordered ends until the end
+    keys = [state.tobytes()]
+    for mv in moves:
+        label, kept = mv.label, mv.kept_vertex
+        a, b = pieces[label - 1]
+        far = b if kept == a else a
+        pieces[label - 1] = (kept, gap)
+        state[gap], state[far] = label, 0
+        gap = far
+        keys.append(state.tobytes())
+    last = {key: i for i, key in enumerate(keys)}
+    kept_moves = []
+    i = last[keys[0]]
+    while i < len(moves):
+        kept_moves.append(moves[i])
+        i = last[keys[i + 1]]
+    if len(kept_moves) == len(moves):
+        return seq
+    end = Placement(start.graph, tuple(edge_key(a, b) for a, b in pieces), gap)
+    return SlideSequence(start, tuple(kept_moves), end)
 
 
 @dataclass(frozen=True)

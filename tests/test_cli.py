@@ -166,10 +166,12 @@ def test_gen_hexagon_radius_param_refused(tmp_path):
 
 def test_plan_logs_summary_under_trigrid_log(tmp_path, capsys, monkeypatch):
     """With TRIGRID_LOG set, `plan` logs one debug line: strategy, slide
-    count and, for the ear planner, the count of each recursion branch."""
+    count, for the ear planner the count of each recursion branch, and the
+    slides `cut_loops` removed."""
     from collections import Counter
 
     from trigrid.ear_planner import plan_ear
+    from trigrid.hc_planner import plan_hamilton
 
     g = build_graph(hexagon_points(2))
     gpath = tmp_path / "hex19.graph"
@@ -191,12 +193,69 @@ def test_plan_logs_summary_under_trigrid_log(tmp_path, capsys, monkeypatch):
              if ln.startswith("trigrid: plan ")]
     rep = plan_ear(g, p, q)
     seen = Counter(e.get("kind") or e.get("branch") for e in rep.recursion_trace)
+    cut = rep.stats["uncut_slides"] - rep.slide_count
     assert lines == [f"trigrid: plan strategy ear slides {rep.slide_count}"
                      f" pentagon-core {seen['pentagon-core']} diamond-core 0"
-                     f" hamilton {seen['hamilton']} spare-edge {seen['spare-edge']}"]
+                     f" hamilton {seen['hamilton']} spare-edge {seen['spare-edge']}"
+                     f" cut {cut}"]
     assert seen["pentagon-core"] and seen["hamilton"] and seen["spare-edge"]
+    assert cut > 0
 
     assert main(argv[:5] + ["hamilton", "--out", str(tmp_path / "h.plan")]) == 0
+    lines = [ln for ln in capsys.readouterr().err.splitlines()
+             if ln.startswith("trigrid: plan ")]
+    rep = plan_hamilton(g, p, q)
+    cut = rep.stats["uncut_slides"] - rep.slide_count
+    assert lines == [f"trigrid: plan strategy hamilton slides {rep.slide_count}"
+                     f" cut {cut}"]
+    assert cut > 0
+
+
+def test_plan_failing_final_replay_is_internal_error(tmp_path, capsys, monkeypatch):
+    """A plan that fails the planner's own final replay exits 4, not 2."""
+    from trigrid import ear_planner
+    from trigrid.placement import SlideSequence, cut_loops
+
+    def drop_last(seq):
+        cut = cut_loops(seq)
+        return SlideSequence(cut.start, cut.moves[:-1])
+
+    monkeypatch.setattr(ear_planner, "cut_loops", drop_last)
+    gpath = _gen(tmp_path, "hexagon")
+    g = formats.parse_graph(gpath.read_text())
+    start = _write_placement(tmp_path, "s.p", g, sorted(near_perfect_matching(g, 1).edges))
+    target = _write_placement(tmp_path, "t.p", g,
+                              sorted(near_perfect_matching(g, 7).edges, reverse=True))
+    for strategy in ("ear", "hamilton"):
+        out = tmp_path / f"{strategy}.plan"
+        assert main(["plan", str(gpath), str(start), str(target),
+                     "--strategy", strategy, "--out", str(out)]) == 4
+        assert "internal invariant failure" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _missing_input_argv(tmp_path, command):
+    gpath = _gen(tmp_path, "pentagon")
+    g = formats.parse_graph(gpath.read_text())
+    start = _write_placement(tmp_path, "s.p", g, [(2, 3), (4, 5)])
+    nope = str(tmp_path / "nope")
+    return {
+        "check": ["check", nope],
+        "plan": ["plan", str(gpath), str(start), nope],
+        "verify": ["verify", str(gpath), nope],
+        "oracle": ["oracle", str(gpath), "--start", nope],
+        "render": ["render", nope, "--placement", str(start)],
+        "plan --out": ["plan", str(gpath), str(start), str(start),
+                       "--out", str(tmp_path / "no-such-dir" / "out.plan")],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["check", "plan", "verify", "oracle", "render",
+                                     "plan --out"])
+def test_unreadable_or_unwritable_file_exits_3(tmp_path, capsys, command):
+    argv = _missing_input_argv(tmp_path, command)
+    capsys.readouterr()
+    assert main(argv) == 3
     err = capsys.readouterr().err
-    assert "trigrid: plan strategy hamilton slides " in err
-    assert "pentagon-core" not in err
+    assert err.startswith(f"cannot read/write {tmp_path}") and err.count("\n") == 1
+    assert "Traceback" not in err

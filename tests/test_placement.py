@@ -9,8 +9,8 @@ from trigrid.matching import Matching, near_perfect_matching
 from trigrid.oracle import bfs_component
 from trigrid.placement import (IllegalMoveError, Placement, PlacementError,
                                RotationSpec, SlideMove, SlideSequence,
-                               aligned_cycle_state, apply_sequence, expose,
-                               invert_sequence, legal_moves, rotate,
+                               aligned_cycle_state, apply_sequence, cut_loops,
+                               expose, invert_sequence, legal_moves, rotate,
                                shortest_slides_within, slide, verify_sequence)
 
 from conftest import random_placement
@@ -291,3 +291,67 @@ def test_then_chain_end_matches_replay(hex7, rng):
     end = apply_sequence(p, seq.moves)
     for s in (seq, raw):
         assert s.end.pieces == end.pieces and s.end.exposed == end.exposed
+
+
+def _states(seq):
+    out = [seq.start]
+    for mv in seq.moves:
+        out.append(slide(out[-1], mv))
+    return [(s.pieces, s.exposed) for s in out]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 4), rnd=st.randoms(use_true_random=False))
+def test_cut_loops_properties(n, rnd):
+    """On random legal walks that often step back or repeat a stretch, the
+    cut plan replays to the same end, is no longer, visits no state twice,
+    keeps its moves in order, and is cut no further by a second pass."""
+    m = 2 * n + 1
+    order = list(range(1, m + 1))
+    rnd.shuffle(order)
+    pieces = [edge_key(order[2 * t], order[2 * t + 1]) for t in range(n)]
+    tree = [edge_key(order[i], rnd.choice(order[:i])) for i in range(1, m)]
+    others = [edge_key(a, b) for a in order for b in order if a < b]
+    extra = rnd.sample(others, rnd.randint(0, min(m, len(others))))
+    g = build_abstract(m, set(pieces) | set(tree) | set(extra))
+    p = Placement.make(g, pieces)
+
+    seq = SlideSequence(p, ())
+    for _ in range(rnd.randrange(6 * m)):
+        r = rnd.random()
+        q = seq.end
+        if r < 0.3 and seq.moves:           # step back
+            last = seq.moves[-1]
+            mv = SlideMove(last.label, last.kept_vertex, q.exposed)
+        elif r < 0.4 and seq.moves:         # back along a stretch, then again
+            k = rnd.randint(1, min(len(seq), m))
+            tail = SlideSequence(apply_sequence(p, seq.moves[:-k]), seq.moves[-k:])
+            seq = seq.then(invert_sequence(tail)).then(tail)
+            continue
+        else:
+            mv = rnd.choice(legal_moves(q))
+        seq = seq.then(SlideSequence(q, (mv,), slide(q, mv)))
+
+    cut = cut_loops(seq)
+    check = verify_sequence(cut, expected_end=seq.end)
+    assert check.ok and check.matches_expected
+    assert cut.start is seq.start
+    assert (cut.end.pieces, cut.end.exposed) == (seq.end.pieces, seq.end.exposed)
+    assert len(cut) <= len(seq)
+    states = _states(cut)
+    assert len(set(states)) == len(states)
+    it = iter(seq.moves)
+    assert all(mv in it for mv in cut.moves)
+    assert cut_loops(cut).moves == cut.moves
+    if len(set(_states(seq))) == len(seq) + 1:
+        assert cut.moves == seq.moves
+
+
+def test_cut_loops_round_trip_is_empty(hex7, rng):
+    p = random_placement(hex7, rng)
+    out = _expose(p, next(v for v in hex7.vertex_ids if v != p.exposed))
+    seq = out.then(invert_sequence(out))
+    assert len(seq) > 0
+    cut = cut_loops(seq)
+    assert cut.moves == ()
+    assert (cut.end.pieces, cut.end.exposed) == (p.pieces, p.exposed)
