@@ -27,17 +27,17 @@ def _hex11():
 
 CASES = {
     "hex11-hamilton": (_hex11, plan_hamilton,
-                       "138b3475701c9df77138a89aeccff9d918536677e349ac19c133377bb22b6f39"),
+                       "bdd0d153cadd0416193b38ed61c055b6098f5d4f4850c3b02bab377985cb6e8f"),
     "deg6-11v-ear": (lambda: degree6_corpus(13, 12)[-1], plan_ear,
-                     "839d7387a83738b562f31415060820844309a9709b98f604ee769b1523de6ca3"),
+                     "457faa36ff118bac4d132e0e78fcd26e3596df80d855690682900bdf03e89031"),
     "diamond_cycle6-ear": (lambda: diamond_cycle_graph(6), plan_ear,
-                           "d338221d30c0767e2c308e84fed46e5140e48ad59619f9cf9b8956bc82e3b22b"),
+                           "38095e4f3cb744e1c4b3b6be19497ae2e7bc9276942ad470e97147d8934df957"),
     # the two below reach the ear planner's spare-edge branch (`_spare_fill`),
     # which the cases above never take
     "hex19-ear": (lambda: build_graph(hexagon_points(2)), plan_ear,
-                  "e52ff20c27a639b0359c4e89a832fdc921801c7fa0b676e6e804ddbcf911883d"),
+                  "e7df5cd4b53436811c3de6520ef5f7291860507e0f73dbfa4c0e715796f29d1a"),
     "hex_with_hole2-ear": (lambda: hex_with_hole_graph(2), plan_ear,
-                           "6757e2fe85c1cf5215ff282c6626a799c77b57b78026e9c11e46cf5e88bc9eb2"),
+                           "10322941ea486850fbf084d9ae8eca2341ace1ef580d2d816314693d165e9a66"),
 }
 
 
