@@ -263,7 +263,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:
-        print(f"cannot read/write {exc.filename}: {exc.strerror or exc}",
+        print(f"cannot read/write {exc.filename or '-'}: {exc.strerror or exc}",
               file=sys.stderr)
         return EXIT_PARSE
     except GridError as exc:

@@ -349,10 +349,7 @@ def cut_loops(seq: SlideSequence) -> SlideSequence:
     (0 at the exposed one), two writes per slide, so the cut is linear in
     the plan. The moves are assumed legal; `verify_sequence` is the check.
     """
-    moves = seq.moves
-    if not moves:
-        return seq
-    start = seq.start
+    moves, start = seq.moves, seq.start
     state = array("H", bytes(2 * (start.graph.num_vertices + 1)))
     gap = start.exposed
     for label, (u, v) in enumerate(start.pieces, 1):

@@ -140,11 +140,9 @@ def _reference_slides_within(p, edges, goal):
     return None
 
 
-@settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 4), rnd=st.randoms(use_true_random=False))
-def test_shortest_slides_within_matches_reference(n, rnd):
-    """Same moves as the `legal_moves`/`slide` BFS, ties included, or None
-    with it, on small random hosts, placements, edge subsets and goals."""
+def _random_host_placement(n, rnd):
+    """A placement of n pieces on a random connected host of 2n + 1
+    vertices, and the host's vertices in random order."""
     m = 2 * n + 1
     order = list(range(1, m + 1))
     rnd.shuffle(order)
@@ -154,7 +152,16 @@ def test_shortest_slides_within_matches_reference(n, rnd):
     others = [edge_key(a, b) for a in order for b in order if a < b]
     extra = rnd.sample(others, rnd.randint(0, min(m, len(others))))
     g = build_abstract(m, set(pieces) | set(tree) | set(extra))
-    p = Placement.make(g, pieces)
+    return Placement.make(g, pieces), order
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), rnd=st.randoms(use_true_random=False))
+def test_shortest_slides_within_matches_reference(n, rnd):
+    """Same moves as the `legal_moves`/`slide` BFS, ties included, or None
+    with it, on small random hosts, placements, edge subsets and goals."""
+    p, order = _random_host_placement(n, rnd)
+    g, m = p.graph, len(order)
     edges = {e for e in g.edges if rnd.random() < 0.8}
 
     q = p                                   # a random walk in the whole host
@@ -306,16 +313,8 @@ def test_cut_loops_properties(n, rnd):
     """On random legal walks that often step back or repeat a stretch, the
     cut plan replays to the same end, is no longer, visits no state twice,
     keeps its moves in order, and is cut no further by a second pass."""
-    m = 2 * n + 1
-    order = list(range(1, m + 1))
-    rnd.shuffle(order)
-    pieces = [edge_key(order[2 * t], order[2 * t + 1]) for t in range(n)]
-    tree = [edge_key(order[i], rnd.choice(order[:i])) for i in range(1, m)]
-    others = [edge_key(a, b) for a in order for b in order if a < b]
-    extra = rnd.sample(others, rnd.randint(0, min(m, len(others))))
-    g = build_abstract(m, set(pieces) | set(tree) | set(extra))
-    p = Placement.make(g, pieces)
-
+    p, order = _random_host_placement(n, rnd)
+    m = len(order)
     seq = SlideSequence(p, ())
     for _ in range(rnd.randrange(6 * m)):
         r = rnd.random()
