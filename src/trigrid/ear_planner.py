@@ -4,14 +4,14 @@ decompositions: align both placements, then reconfigure level by level."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .grid import Edge, TriGridGraph, edge_key
 from .matching import MatchingError, alternating_path_to, near_perfect_matching
 from .ears import (EarDecomposition, LevelMatchings, align_with_ears, cycle_edges,
                    find_admissible)
-from .placement import (Placement, RotationSpec, SlideSequence, cut_loops, expose,
-                        invert_sequence, rotate, shortest_slides_within,
+from .placement import (Placement, RotationSpec, SlideMove, SlideSequence, cut_loops,
+                        expose, invert_sequence, rotate, shortest_slides_within,
                         verify_sequence)
 
 
@@ -27,7 +27,8 @@ class PlanInvariantError(Exception):
 @dataclass
 class PlanReport:
     """A verified plan. `stats["uncut_slides"]` is the slide count before
-    `cut_loops`."""
+    `cut_loops`; `stats["swaps"]` counts the ear planner's transpositions
+    and `stats["gadgets"]` the ones it had to build (0 for other planners)."""
 
     sequence: SlideSequence
     slide_count: int
@@ -37,7 +38,7 @@ class PlanReport:
 
 
 def finish_plan(seq: SlideSequence, q: Placement, strategy: str,
-                trace: List[Dict]) -> PlanReport:
+                trace: List[Dict], swaps: int = 0, gadgets: int = 0) -> PlanReport:
     """Cut the loops out of a full plan, replay it, and report it; raises
     PlanInvariantError if the replay does not end at q."""
     cut = cut_loops(seq)
@@ -45,7 +46,8 @@ def finish_plan(seq: SlideSequence, q: Placement, strategy: str,
     if not check.ok:
         raise PlanInvariantError(f"plan verification failed: {check.message}")
     return PlanReport(cut, len(cut.moves), strategy, recursion_trace=trace,
-                      stats={"uncut_slides": len(seq.moves)})
+                      stats={"uncut_slides": len(seq.moves), "swaps": swaps,
+                             "gadgets": gadgets})
 
 
 def base_pentagon(p: Placement, q: Placement,
@@ -68,11 +70,18 @@ def forced_cycle_dominoes(cycle: Sequence[int], gap: int) -> List[Edge]:
     return [edge_key(order[t], order[t + 1]) for t in range(0, len(order) - 1, 2)]
 
 
+# (level, unlabeled pieces, exposed vertex, the two swapped positions)
+GadgetKey = Tuple[int, FrozenSet[Edge], int, FrozenSet[Edge]]
+
+
 class _Planner:
     def __init__(self, g: TriGridGraph, d: EarDecomposition):
         self.d = d
         self.levels = LevelMatchings(g, d)
         self.trace: List[Dict] = []
+        # kept vertices of each transposition gadget built in this plan
+        self.gadgets: Dict[GadgetKey, Tuple[int, ...]] = {}
+        self.swaps = 0
 
     def plan(self, i: int, p: Placement, q: Placement) -> SlideSequence:
         """Plan p -> q using only edges of G_i; p and q agree outside G_i."""
@@ -137,11 +146,28 @@ class _Planner:
         return seq.then(mid).then(invert_sequence(sq))
 
     def _swap(self, i: int, cur: Placement, a: int, b: int) -> SlideSequence:
-        """Recursive sub-plan that transposes labels a and b in G_{i-1}."""
+        """Sub-plan that transposes labels a and b in G_{i-1}.
+
+        A slide is fixed by its kept vertex and the exposed vertex; labels
+        only name the pieces. So the first swap of two positions from an
+        unlabeled state plans level i - 1 and cuts its loops, and every
+        later one replays that gadget's kept vertices on the current labels.
+        """
+        self.swaps += 1
         pieces = list(cur.pieces)
         pieces[a - 1], pieces[b - 1] = pieces[b - 1], pieces[a - 1]
         target = Placement(cur.graph, tuple(pieces), cur.exposed)
-        return self.plan(i - 1, cur, target)
+        key = (i, frozenset(cur.pieces), cur.exposed,
+               frozenset((cur.piece(a), cur.piece(b))))
+        kept = self.gadgets.get(key)
+        if kept is None:
+            gadget = cut_loops(self.plan(i - 1, cur, target))
+            self.gadgets[key] = tuple(mv.kept_vertex for mv in gadget.moves)
+        else:
+            gadget = _replay_gadget(cur, kept)
+        if gadget.end != target:
+            raise PlanInvariantError("gadget does not end at the swap target")
+        return gadget
 
     def _spare_fill(self, i: int, cur: Placement, lam: List[int],
                     cyc: Tuple[int, ...], ear: Tuple[int, ...],
@@ -212,6 +238,28 @@ class _Planner:
         step = rotate(cur, RotationSpec(cyc, target_exposed=v,
                                         target_pieces=((lam[0], dominoes[0]),)))
         return seq.then(step)
+
+
+def _replay_gadget(cur: Placement, kept: Tuple[int, ...]) -> SlideSequence:
+    """The slides from `cur` that keep the vertices `kept` in turn, each
+    moving the piece covering its kept vertex onto the exposed vertex; the
+    labels are read off the current placement."""
+    pieces = list(cur.pieces)
+    owner = {v: label for label, e in enumerate(pieces, 1) for v in e}
+    gap = cur.exposed
+    moves = []
+    for v in kept:
+        label = owner.get(v)
+        if label is None:
+            raise PlanInvariantError(f"gadget keeps uncovered vertex {v}")
+        x, y = pieces[label - 1]
+        far = y if v == x else x
+        moves.append(SlideMove(label, v, gap))
+        pieces[label - 1] = edge_key(v, gap)
+        owner[gap] = label
+        del owner[far]
+        gap = far
+    return SlideSequence(cur, tuple(moves), Placement(cur.graph, tuple(pieces), gap))
 
 
 def base_diamond_cycle(p: Placement, q: Placement,
@@ -325,4 +373,4 @@ def plan_ear(g: TriGridGraph, p: Placement, q: Placement) -> PlanReport:
     sq = align_with_ears(q, planner.levels)
     mid = planner.plan(d.levels, sp.end, sq.end)
     return finish_plan(sp.then(mid).then(invert_sequence(sq)), q, "ear",
-                       planner.trace)
+                       planner.trace, planner.swaps, len(planner.gadgets))
