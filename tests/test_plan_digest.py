@@ -29,15 +29,15 @@ CASES = {
     "hex11-hamilton": (_hex11, plan_hamilton,
                        "bdd0d153cadd0416193b38ed61c055b6098f5d4f4850c3b02bab377985cb6e8f"),
     "deg6-11v-ear": (lambda: degree6_corpus(13, 12)[-1], plan_ear,
-                     "457faa36ff118bac4d132e0e78fcd26e3596df80d855690682900bdf03e89031"),
+                     "3d9093f136e6e3e772b39ad26f75dc568dc34acbf80638bbb1f442efd5769f55"),
     "diamond_cycle6-ear": (lambda: diamond_cycle_graph(6), plan_ear,
                            "38095e4f3cb744e1c4b3b6be19497ae2e7bc9276942ad470e97147d8934df957"),
     # the two below reach the ear planner's spare-edge branch (`_spare_fill`),
     # which the cases above never take
     "hex19-ear": (lambda: build_graph(hexagon_points(2)), plan_ear,
-                  "e7df5cd4b53436811c3de6520ef5f7291860507e0f73dbfa4c0e715796f29d1a"),
+                  "181440ffc2205d85c4f1c29637f02057baed7fd92591eaa5a61043f8d8de9be1"),
     "hex_with_hole2-ear": (lambda: hex_with_hole_graph(2), plan_ear,
-                           "10322941ea486850fbf084d9ae8eca2341ace1ef580d2d816314693d165e9a66"),
+                           "1c6d95b23f25a660ee5009c45504bf449d4e44b1a528358d56274e2033e05e3e"),
 }
 
 
