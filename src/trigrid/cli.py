@@ -1,9 +1,10 @@
 """Command-line interface: gen | check | plan | verify | oracle | render.
 
 Exit codes: 0 success, 2 precondition refusal, 3 parse error or a file
-that cannot be read or written, 4 internal invariant failure. Set
-TRIGRID_LOG=1 (any non-empty value) for debug lines on stderr, such as a
-summary of each plan.
+that cannot be read or written, 4 internal invariant failure (a planner
+that raises a placement or matching error, or whose plan fails its
+replay). Set TRIGRID_LOG=1 (any non-empty value) for debug lines on
+stderr, such as a summary of each plan.
 """
 
 import argparse
@@ -21,7 +22,7 @@ from .grid import (GridError, TriGridGraph, degree6_vertices, generate,
 from .ears import EarError
 from .hamilton import HamiltonError
 from .hc_planner import plan_hamilton
-from .matching import is_factor_critical
+from .matching import MatchingError, is_factor_critical
 from .oracle import (DEFAULT_VERTEX_BOUND, OracleBudgetError, bfs_component,
                      export_csv, is_reconfigurable_bruteforce)
 from .placement import PlacementError, verify_sequence
@@ -137,6 +138,9 @@ def cmd_plan(args) -> int:
     except (PlanError, EarError, HamiltonError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
+    except (PlacementError, MatchingError) as exc:
+        # the inputs parsed, so a bad placement or matching here is the planner's
+        raise PlanInvariantError(f"planner raised {type(exc).__name__}: {exc}") from exc
     check = verify_sequence(report.sequence, expected_end=q)
     if not check.ok:
         print(f"internal error: produced plan fails verification: "
@@ -150,6 +154,8 @@ def cmd_plan(args) -> int:
                                for e in report.recursion_trace)
             line += "".join(f" {b} {branches[b]}" for b in EAR_BRANCHES)
         line += f" cut {report.stats['uncut_slides'] - report.slide_count}"
+        if report.strategy == "ear":
+            line += f" swaps {report.stats['swaps']} gadgets {report.stats['gadgets']}"
         log.debug(line)
     print(f"verified {report.slide_count} slides ({report.strategy})",
           file=sys.stderr)

@@ -166,8 +166,9 @@ def test_gen_hexagon_radius_param_refused(tmp_path):
 
 def test_plan_logs_summary_under_trigrid_log(tmp_path, capsys, monkeypatch):
     """With TRIGRID_LOG set, `plan` logs one debug line: strategy, slide
-    count, for the ear planner the count of each recursion branch, and the
-    slides `cut_loops` removed."""
+    count, for the ear planner the count of each recursion branch, the
+    slides `cut_loops` removed, and for the ear planner its swaps and the
+    gadgets it built for them."""
     from collections import Counter
 
     from trigrid.ear_planner import plan_ear
@@ -194,12 +195,14 @@ def test_plan_logs_summary_under_trigrid_log(tmp_path, capsys, monkeypatch):
     rep = plan_ear(g, p, q)
     seen = Counter(e.get("kind") or e.get("branch") for e in rep.recursion_trace)
     cut = rep.stats["uncut_slides"] - rep.slide_count
+    swaps, gadgets = rep.stats["swaps"], rep.stats["gadgets"]
     assert lines == [f"trigrid: plan strategy ear slides {rep.slide_count}"
                      f" pentagon-core {seen['pentagon-core']} diamond-core 0"
                      f" hamilton {seen['hamilton']} spare-edge {seen['spare-edge']}"
-                     f" cut {cut}"]
+                     f" cut {cut} swaps {swaps} gadgets {gadgets}"]
     assert seen["pentagon-core"] and seen["hamilton"] and seen["spare-edge"]
     assert cut > 0
+    assert 0 < gadgets < swaps
 
     assert main(argv[:5] + ["hamilton", "--out", str(tmp_path / "h.plan")]) == 0
     lines = [ln for ln in capsys.readouterr().err.splitlines()
@@ -209,6 +212,7 @@ def test_plan_logs_summary_under_trigrid_log(tmp_path, capsys, monkeypatch):
     assert lines == [f"trigrid: plan strategy hamilton slides {rep.slide_count}"
                      f" cut {cut}"]
     assert cut > 0
+    assert rep.stats["swaps"] == rep.stats["gadgets"] == 0
 
 
 def test_plan_failing_final_replay_is_internal_error(tmp_path, capsys, monkeypatch):
@@ -232,6 +236,79 @@ def test_plan_failing_final_replay_is_internal_error(tmp_path, capsys, monkeypat
                      "--strategy", strategy, "--out", str(out)]) == 4
         assert "internal invariant failure" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _hex7_plan_argv(tmp_path, strategy):
+    gpath = _gen(tmp_path, "hexagon")
+    g = formats.parse_graph(gpath.read_text())
+    start = _write_placement(tmp_path, "s.p", g, sorted(near_perfect_matching(g, 1).edges))
+    target = _write_placement(tmp_path, "t.p", g,
+                              sorted(near_perfect_matching(g, 7).edges, reverse=True))
+    return ["plan", str(gpath), str(start), str(target), "--strategy", strategy,
+            "--out", str(tmp_path / f"{strategy}.plan")]
+
+
+def test_ear_plan_failing_finish_plan_replay_is_internal_error(tmp_path, capsys,
+                                                                monkeypatch):
+    """A full ear plan that does not end at the target fails `finish_plan`'s
+    own replay, with every gadget intact, and exits 4."""
+    from trigrid import ear_planner
+    from trigrid.placement import SlideSequence
+
+    finish = ear_planner.finish_plan
+
+    def short_of_target(seq, *args):
+        return finish(SlideSequence(seq.start, seq.moves[:-1]), *args)
+
+    monkeypatch.setattr(ear_planner, "finish_plan", short_of_target)
+    argv = _hex7_plan_argv(tmp_path, "ear")
+    capsys.readouterr()
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal invariant failure: plan verification failed")
+    assert not (tmp_path / "ear.plan").exists()
+
+
+@pytest.mark.parametrize("strategy", ["ear", "hamilton"])
+@pytest.mark.parametrize("target,error", [
+    ("rotate", "PlacementError"),
+    ("LevelMatchings.exposing", "MatchingError"),
+])
+def test_planner_internal_error_exits_4(tmp_path, capsys, monkeypatch, strategy,
+                                        target, error):
+    """A placement or matching error raised inside a planner is the planner's
+    fault, not a parse error of its inputs: exit 4, one line, no traceback."""
+    from trigrid import ear_planner, ears, hc_planner
+    from trigrid.matching import MatchingError
+    from trigrid.placement import PlacementError
+
+    exc = {"PlacementError": PlacementError, "MatchingError": MatchingError}[error]
+
+    def broken(*args, **kwargs):
+        raise exc("injected")
+
+    if target == "rotate":
+        module = ear_planner if strategy == "ear" else hc_planner
+        monkeypatch.setattr(module, "rotate", broken)
+    else:
+        monkeypatch.setattr(ears.LevelMatchings, "exposing", broken)
+    argv = _hex7_plan_argv(tmp_path, strategy)
+    capsys.readouterr()
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err == f"internal invariant failure: planner raised {error}: injected\n"
+    assert not (tmp_path / f"{strategy}.plan").exists()
+
+
+def test_bad_placement_file_is_still_parse_error(tmp_path, capsys):
+    gpath = _gen(tmp_path, "pentagon")
+    g = formats.parse_graph(gpath.read_text())
+    start = _write_placement(tmp_path, "s.p", g, [(2, 3), (4, 5)])
+    bad = tmp_path / "bad.p"
+    bad.write_text("p 1 1 2\np 2 2 3\n")                 # pieces overlap at 2
+    capsys.readouterr()
+    assert main(["plan", str(gpath), str(start), str(bad)]) == 3
+    assert capsys.readouterr().err.startswith("parse error:")
 
 
 def _missing_input_argv(tmp_path, command):

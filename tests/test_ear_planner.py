@@ -4,8 +4,8 @@ import pytest
 
 from trigrid import matching
 from trigrid.corpus import degree6_corpus
-from trigrid.ear_planner import (PlanError, base_diamond_cycle, base_pentagon,
-                                 plan_ear)
+from trigrid.ear_planner import (PlanError, PlanInvariantError, _Planner,
+                                 base_diamond_cycle, base_pentagon, plan_ear)
 from trigrid.ears import find_admissible
 from trigrid.grid import build_graph, diamond_cycle_graph, edge_key, hexagon_points
 from trigrid.matching import enumerate_near_perfect_matchings
@@ -120,3 +120,64 @@ def test_plan_ear_matches_each_level_once(monkeypatch, rng):
     level_calls = calls[search:]
     assert rep.recursion_trace and level_calls
     assert len(level_calls) == len(set(level_calls))
+
+
+def _gadget_key(i, cur, a, b):
+    return (i, frozenset(cur.pieces), cur.exposed,
+            frozenset((cur.piece(a), cur.piece(b))))
+
+
+def test_plan_ear_builds_each_gadget_once(monkeypatch, rng):
+    """A transposition of two positions from one unlabeled state re-plans
+    level i - 1 once per plan; later swaps of the same key replay it."""
+    g = build_graph(hexagon_points(2))
+    p, q = random_placement(g, rng), random_placement(g, rng)
+    swaps, builds, open_swaps = [], [], []
+    swap, plan = _Planner._swap, _Planner.plan
+
+    def counting_swap(self, i, cur, a, b):
+        swaps.append(_gadget_key(i, cur, a, b))
+        open_swaps.append(swaps[-1])
+        try:
+            return swap(self, i, cur, a, b)
+        finally:
+            open_swaps.pop()
+
+    def counting_plan(self, i, p_, q_):
+        if open_swaps and open_swaps[-1] is not None:
+            builds.append(open_swaps[-1])     # the swap's own re-plan of level i - 1
+            open_swaps[-1] = None
+        return plan(self, i, p_, q_)
+
+    monkeypatch.setattr(_Planner, "_swap", counting_swap)
+    monkeypatch.setattr(_Planner, "plan", counting_plan)
+    rep = plan_ear(g, p, q)
+    assert builds and len(builds) == len(set(builds)) == len(set(swaps))
+    assert len(builds) < len(swaps)
+    assert rep.stats["swaps"] == len(swaps) and rep.stats["gadgets"] == len(builds)
+    check = verify_sequence(rep.sequence, expected_end=q)
+    assert check.ok and check.matches_expected
+
+
+def test_plan_ear_corrupted_gadget_fails_its_next_hit(monkeypatch, rng):
+    """A stored gadget that no longer transposes its two positions raises
+    PlanInvariantError when a later swap replays it."""
+    g = build_graph(hexagon_points(2))
+    p, q = random_placement(g, rng), random_placement(g, rng)
+    stored = []
+
+    class Corrupting(dict):
+        def __setitem__(self, key, kept):
+            stored.append(key)
+            super().__setitem__(key, kept[:-1])
+
+    init = _Planner.__init__
+
+    def corrupting_init(self, *args):
+        init(self, *args)
+        self.gadgets = Corrupting()
+
+    monkeypatch.setattr(_Planner, "__init__", corrupting_init)
+    with pytest.raises(PlanInvariantError, match="gadget does not end at the swap target"):
+        plan_ear(g, p, q)
+    assert stored
