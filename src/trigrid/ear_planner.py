@@ -70,17 +70,15 @@ def forced_cycle_dominoes(cycle: Sequence[int], gap: int) -> List[Edge]:
     return [edge_key(order[t], order[t + 1]) for t in range(0, len(order) - 1, 2)]
 
 
-# (level, unlabeled pieces, exposed vertex, the two swapped positions)
-GadgetKey = Tuple[int, FrozenSet[Edge], int, FrozenSet[Edge]]
-
-
 class _Planner:
     def __init__(self, g: TriGridGraph, d: EarDecomposition):
         self.d = d
         self.levels = LevelMatchings(g, d)
         self.trace: List[Dict] = []
-        # kept vertices of each transposition gadget built in this plan
-        self.gadgets: Dict[GadgetKey, Tuple[int, ...]] = {}
+        # (level, unlabeled pieces, exposed vertex, the two swapped
+        # positions) -> kept vertices of the gadget built for it in this plan
+        self.gadgets: Dict[Tuple[int, FrozenSet[Edge], int, FrozenSet[Edge]],
+                           Tuple[int, ...]] = {}
         self.swaps = 0
 
     def plan(self, i: int, p: Placement, q: Placement) -> SlideSequence:

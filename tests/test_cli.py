@@ -5,8 +5,9 @@ import pytest
 from trigrid import formats
 from trigrid.cli import main
 from trigrid.grid import build_graph, hexagon_points, star_of_david_points
-from trigrid.matching import enumerate_near_perfect_matchings, near_perfect_matching
-from trigrid.placement import Placement
+from trigrid.matching import (MatchingError, enumerate_near_perfect_matchings,
+                              near_perfect_matching)
+from trigrid.placement import Placement, PlacementError
 
 
 def _gen(tmp_path, kind, *params):
@@ -270,22 +271,17 @@ def test_ear_plan_failing_finish_plan_replay_is_internal_error(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("strategy", ["ear", "hamilton"])
-@pytest.mark.parametrize("target,error", [
-    ("rotate", "PlacementError"),
-    ("LevelMatchings.exposing", "MatchingError"),
-])
+@pytest.mark.parametrize("target,error", [("rotate", PlacementError),
+                                          ("LevelMatchings.exposing", MatchingError)],
+                         ids=["rotate", "exposing"])
 def test_planner_internal_error_exits_4(tmp_path, capsys, monkeypatch, strategy,
                                         target, error):
     """A placement or matching error raised inside a planner is the planner's
     fault, not a parse error of its inputs: exit 4, one line, no traceback."""
     from trigrid import ear_planner, ears, hc_planner
-    from trigrid.matching import MatchingError
-    from trigrid.placement import PlacementError
-
-    exc = {"PlacementError": PlacementError, "MatchingError": MatchingError}[error]
 
     def broken(*args, **kwargs):
-        raise exc("injected")
+        raise error("injected")
 
     if target == "rotate":
         module = ear_planner if strategy == "ear" else hc_planner
@@ -296,7 +292,7 @@ def test_planner_internal_error_exits_4(tmp_path, capsys, monkeypatch, strategy,
     capsys.readouterr()
     assert main(argv) == 4
     err = capsys.readouterr().err
-    assert err == f"internal invariant failure: planner raised {error}: injected\n"
+    assert err == f"internal invariant failure: planner raised {error.__name__}: injected\n"
     assert not (tmp_path / f"{strategy}.plan").exists()
 
 
