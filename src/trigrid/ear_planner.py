@@ -10,8 +10,8 @@ from .grid import Edge, TriGridGraph, edge_key
 from .matching import MatchingError, alternating_path_to, near_perfect_matching
 from .ears import (EarDecomposition, LevelMatchings, align_with_ears, cycle_edges,
                    find_admissible)
-from .placement import (Placement, RotationSpec, SlideMove, SlideSequence, cut_loops,
-                        expose, invert_sequence, rotate, shortest_slides_within,
+from .placement import (Placement, RotationSpec, SlideSequence, cut_loops, expose,
+                        invert_sequence, replay, rotate, shortest_slides_within,
                         verify_sequence)
 
 
@@ -162,7 +162,7 @@ class _Planner:
             gadget = cut_loops(self.plan(i - 1, cur, target))
             self.gadgets[key] = tuple(mv.kept_vertex for mv in gadget.moves)
         else:
-            gadget = _replay_gadget(cur, kept)
+            gadget = replay(cur, kept)
         if gadget.end != target:
             raise PlanInvariantError("gadget does not end at the swap target")
         return gadget
@@ -236,28 +236,6 @@ class _Planner:
         step = rotate(cur, RotationSpec(cyc, target_exposed=v,
                                         target_pieces=((lam[0], dominoes[0]),)))
         return seq.then(step)
-
-
-def _replay_gadget(cur: Placement, kept: Tuple[int, ...]) -> SlideSequence:
-    """The slides from `cur` that keep the vertices `kept` in turn, each
-    moving the piece covering its kept vertex onto the exposed vertex; the
-    labels are read off the current placement."""
-    pieces = list(cur.pieces)
-    owner = {v: label for label, e in enumerate(pieces, 1) for v in e}
-    gap = cur.exposed
-    moves = []
-    for v in kept:
-        label = owner.get(v)
-        if label is None:
-            raise PlanInvariantError(f"gadget keeps uncovered vertex {v}")
-        x, y = pieces[label - 1]
-        far = y if v == x else x
-        moves.append(SlideMove(label, v, gap))
-        pieces[label - 1] = edge_key(v, gap)
-        owner[gap] = label
-        del owner[far]
-        gap = far
-    return SlideSequence(cur, tuple(moves), Placement(cur.graph, tuple(pieces), gap))
 
 
 def base_diamond_cycle(p: Placement, q: Placement,

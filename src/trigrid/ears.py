@@ -8,8 +8,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .grid import Edge, TriGridGraph, edge_key
-from .matching import (Matching, MatchingError, near_perfect_matching,
-                       odd_alternating_cycle_through, symmetric_difference_path)
+from .matching import (Matching, MatchingError, is_alternating_cycle,
+                       near_perfect_matching, odd_alternating_cycle_through,
+                       symmetric_difference_path)
 from .placement import Placement, SlideSequence, expose
 
 
@@ -93,15 +94,8 @@ def is_aligned_with(p: Placement, d: EarDecomposition) -> bool:
     vertex; (b) each ear alternates with endpoints uncovered by its own
     matching edges."""
     m = p.matching
-    if p.exposed not in d.base:
+    if p.exposed not in d.base or not is_alternating_cycle(m, d.base):
         return False
-    base_flags = [e in m.edges for e in _cycle_edge_list(d.base)]
-    if sum(base_flags) != len(d.base) // 2:
-        return False
-    for i, e in enumerate(_cycle_edge_list(d.base)):
-        nxt = base_flags[(i + 1) % len(base_flags)]
-        if base_flags[i] and nxt:
-            return False
     for ear in d.ears:
         flags = [edge_key(a, b) in m.edges for a, b in zip(ear, ear[1:])]
         # odd ear, endpoints free: pattern must be 0,1,0,1,...,0
@@ -109,10 +103,6 @@ def is_aligned_with(p: Placement, d: EarDecomposition) -> bool:
         if flags != want:
             return False
     return True
-
-
-def _cycle_edge_list(cycle: Sequence[int]) -> List[Edge]:
-    return [edge_key(a, b) for a, b in zip(cycle, list(cycle[1:]) + [cycle[0]])]
 
 
 # ---------------------------------------------------------------------------

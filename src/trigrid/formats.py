@@ -1,5 +1,5 @@
-"""Line-oriented text formats for graphs, matchings, placements, move
-sequences, ear decompositions, cycles, and plan files.
+"""Line-oriented text formats for graphs, placements, move sequences and
+plan files.
 
 All records are single ASCII lines; `#` starts a comment. Parsers report
 the offending line number on malformed input.
@@ -8,9 +8,6 @@ the offending line number on malformed input.
 from typing import List, Optional, Sequence, Tuple
 
 from .grid import TriGridGraph, build_abstract, build_graph, edge_key
-from .ears import EarDecomposition
-from .hamilton import HamiltonCycle
-from .matching import Matching
 from .placement import Placement, SlideMove, SlideSequence
 
 
@@ -94,28 +91,7 @@ def parse_graph(text: str, name: str = "") -> TriGridGraph:
 
 
 # ---------------------------------------------------------------------------
-# matchings and placements
-
-def serialize_matching(m: Matching, exposed: Optional[int] = None) -> str:
-    lines = [f"m {u} {v}" for u, v in sorted(m.edges)]
-    if exposed is not None:
-        lines.append(f"x {exposed}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_matching(text: str) -> Tuple[Matching, Optional[int]]:
-    edges = []
-    exposed = None
-    for lineno, parts in _records(text):
-        if parts[0] == "m":
-            u, v = _ints(parts[1:], lineno, 2)
-            edges.append(edge_key(u, v))
-        elif parts[0] == "x":
-            (exposed,) = _ints(parts[1:], lineno, 1)
-        else:
-            raise ParseError(f"unknown record {parts[0]!r}", lineno)
-    return Matching(frozenset(edges)), exposed
-
+# placements
 
 def serialize_placement(p: Placement) -> str:
     lines = [f"p {label} {u} {v}"
@@ -181,44 +157,7 @@ def parse_sequence(text: str, g: TriGridGraph) -> SlideSequence:
 
 
 # ---------------------------------------------------------------------------
-# decompositions, cycles, plans
-
-def serialize_decomposition(d: EarDecomposition) -> str:
-    lines = ["base " + " ".join(map(str, d.base))]
-    lines += ["ear " + " ".join(map(str, ear)) for ear in d.ears]
-    lines.append(f"kind {d.kind}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_decomposition(text: str) -> EarDecomposition:
-    base: Optional[Tuple[int, ...]] = None
-    ears = []
-    kind = "none"
-    for lineno, parts in _records(text):
-        if parts[0] == "base":
-            base = tuple(_ints(parts[1:], lineno))
-        elif parts[0] == "ear":
-            ears.append(tuple(_ints(parts[1:], lineno)))
-        elif parts[0] == "kind":
-            kind = parts[1]
-        else:
-            raise ParseError(f"unknown record {parts[0]!r}", lineno)
-    if base is None:
-        raise ParseError("missing base record", 1)
-    return EarDecomposition(base, tuple(ears), kind)
-
-
-def serialize_cycle(h: HamiltonCycle) -> str:
-    return "h " + " ".join(map(str, h.order)) + "\n"
-
-
-def parse_cycle(text: str) -> HamiltonCycle:
-    for lineno, parts in _records(text):
-        if parts[0] != "h":
-            raise ParseError(f"unknown record {parts[0]!r}", lineno)
-        return HamiltonCycle(tuple(_ints(parts[1:], lineno)))
-    raise ParseError("missing cycle record", 1)
-
+# plans
 
 def serialize_plan(strategy: str, seq: SlideSequence) -> str:
     return (f"strategy {strategy}\nslides {len(seq.moves)}\n"

@@ -14,8 +14,8 @@ from .ear_planner import (PlanError, PlanReport, base_pentagon, finish_plan,
                           forced_cycle_dominoes)
 from .hamilton import (HamiltonCycle, ParityDiamond, find_hamilton,
                        find_local_structure)
-from .placement import (Placement, RotationSpec, SlideMove, SlideSequence,
-                        invert_sequence, rotate, slide)
+from .placement import (Placement, RotationSpec, SlideSequence, invert_sequence,
+                        replay, rotate)
 
 
 def hamilton_decomposition(g: TriGridGraph, h: HamiltonCycle) -> EarDecomposition:
@@ -81,12 +81,10 @@ def _swap_special(cur: Placement, pd: ParityDiamond) -> SlideSequence:
         seq = base_pentagon(cur, target, es)
     else:
         v1, v2, v3 = pd.p1[-2], pd.p1[-3], pd.p1[1]
-        mv = SlideMove(hi, b, c)
-        cur1 = slide(cur, mv)
-        s1 = SlideSequence(cur, (mv,), cur1)
+        s1 = replay(cur, (b,))                     # the (a, b) piece onto (b, c)
         cyc_a = tuple(pd.p1)                       # d .. a, closed by (a, d)
-        s2 = rotate(cur1, RotationSpec(cyc_a, target_exposed=a,
-                                       target_pieces=((lo, edge_key(d, v3)),)))
+        s2 = rotate(s1.end, RotationSpec(cyc_a, target_exposed=a,
+                                         target_pieces=((lo, edge_key(d, v3)),)))
         cur2 = s2.end
         cyc_b = tuple(pd.p1) + (b, c)              # d .. a, b, c, closed by (c, d)
         s3 = rotate(cur2, RotationSpec(

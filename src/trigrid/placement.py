@@ -1,5 +1,5 @@
-"""Labeled placements, the slide move, rotation along odd cycles, and
-vertex exposure."""
+"""Labeled placements, the slide move, the in-place slide kernel (`Board`,
+`replay`), rotation along odd cycles, and vertex exposure."""
 
 from __future__ import annotations
 
@@ -66,9 +66,6 @@ class Placement:
             if v in (a, b):
                 return i + 1
         return None
-
-    def key(self) -> Tuple[Edge, ...]:
-        return self.pieces
 
 
 @dataclass(frozen=True)
@@ -155,6 +152,53 @@ def apply_sequence(p: Placement, moves: Iterable[SlideMove]) -> Placement:
     return p
 
 
+class Board:
+    """A placement stepped in place: the pieces by label, `owner` holding
+    the label covering each vertex (0 where none does), and the exposed
+    vertex `gap`. A slide is fixed by its kept vertex: the piece covering
+    it pivots onto the gap. `step` trusts that the kept vertex neighbours
+    the gap; `slide` and `verify_sequence` are the checked path."""
+
+    __slots__ = ("graph", "pieces", "owner", "gap")
+
+    def __init__(self, p: Placement):
+        self.graph = p.graph
+        self.pieces = list(p.pieces)            # unordered ends until `placement`
+        self.owner = array("H", bytes(2 * (p.graph.num_vertices + 1)))
+        for label, (u, v) in enumerate(p.pieces, 1):
+            self.owner[u] = self.owner[v] = label
+        self.gap = p.exposed
+
+    def step(self, kept: int) -> int:
+        """Slide the piece covering `kept` onto the gap and return its
+        label; raises PlacementError if no piece covers `kept`."""
+        owner, gap = self.owner, self.gap
+        label = owner[kept]
+        if not label:
+            raise PlacementError(f"vertex {kept} is not covered")
+        a, b = self.pieces[label - 1]
+        far = b if kept == a else a
+        self.pieces[label - 1] = (kept, gap)
+        owner[gap], owner[far] = label, 0
+        self.gap = far
+        return label
+
+    def placement(self) -> Placement:
+        return Placement(self.graph, tuple(edge_key(a, b) for a, b in self.pieces),
+                         self.gap)
+
+
+def replay(p: Placement, kept_vertices: Iterable[int]) -> SlideSequence:
+    """The slides from p that keep `kept_vertices` in turn, labels read off
+    the board; raises PlacementError at a kept vertex no piece covers."""
+    board = Board(p)
+    moves = []
+    for kept in kept_vertices:
+        gap = board.gap
+        moves.append(SlideMove(board.step(kept), kept, gap))
+    return SlideSequence(p, tuple(moves), board.placement())
+
+
 def is_aligned(p: Placement, cycle: Sequence[int]) -> bool:
     """True iff cycle is an odd M_p-alternating cycle containing v_p."""
     if p.exposed not in cycle:
@@ -238,33 +282,6 @@ def shortest_slides_within(p: Placement, edges: Set[Edge],
     return None
 
 
-class _CycleWalk:
-    """Slides along an aligned cycle that all move the gap the same way,
-    two positions per slide (`step` is +1 or -1 along the cycle order)."""
-
-    def __init__(self, p: Placement, cyc: Tuple[int, ...], step: int,
-                 owner: Dict[int, int]):
-        self.cyc, self.step = cyc, step
-        self.gap = cyc.index(p.exposed)
-        self.pieces = list(p.pieces)
-        self.owner = dict(owner)                # covered vertex -> label
-        self.moves: List[SlideMove] = []
-
-    def next_move(self) -> SlideMove:
-        kept = self.cyc[(self.gap + self.step) % len(self.cyc)]
-        return SlideMove(self.owner[kept], kept, self.cyc[self.gap])
-
-    def advance(self) -> None:
-        mv = self.next_move()
-        self.moves.append(mv)
-        self.pieces[mv.label - 1] = edge_key(mv.kept_vertex, mv.dest_vertex)
-        self.owner[mv.dest_vertex] = mv.label
-        self.gap = (self.gap + 2 * self.step) % len(self.cyc)
-
-    def same_state(self, other: "_CycleWalk") -> bool:
-        return self.gap == other.gap and self.pieces == other.pieces
-
-
 def rotate(p: Placement, spec: RotationSpec) -> SlideSequence:
     """Shortest rotation along the aligned cycle reaching the target.
 
@@ -280,26 +297,33 @@ def rotate(p: Placement, spec: RotationSpec) -> SlideSequence:
     cyc = spec.cycle
     if not is_aligned(p, cyc):
         raise PlacementError("placement is not aligned with the rotation cycle")
-    want = {label: edge_key(*e) for label, e in spec.target_pieces or ()}
+    want = [(label, edge_key(*e)) for label, e in spec.target_pieces or ()]
 
-    def done(w: _CycleWalk) -> bool:
-        return ((spec.target_exposed is None or cyc[w.gap] == spec.target_exposed)
-                and all(w.pieces[label - 1] == e for label, e in want.items()))
+    def done(b: Board) -> bool:
+        owner = b.owner
+        return ((spec.target_exposed is None or b.gap == spec.target_exposed)
+                and all(owner[u] == owner[v] == label for label, (u, v) in want))
 
-    owner = {v: label for label, e in enumerate(p.pieces, 1) for v in e}
-    walks = [_CycleWalk(p, cyc, step, owner) for step in (1, -1)]
-    if done(walks[0]):
+    start = Board(p)
+    if done(start):
         return SlideSequence(p, ())
-    walks.sort(key=lambda w: (w.next_move().label, w.next_move().kept_vertex))
-    lead, trail = walks
+    n = len(cyc)
+    # per direction: the gap -> the kept vertex of its next slide
+    aheads = [{cyc[i]: cyc[(i + step) % n] for i in range(n)} for step in (1, -1)]
+    aheads.sort(key=lambda ahead: (start.owner[ahead[p.exposed]], ahead[p.exposed]))
+    # each walk logs (label, kept, gap) per slide; only the winner's
+    # become SlideMoves
+    lead, trail = [(board, ahead, []) for board, ahead in zip((start, Board(p)), aheads)]
     while True:
-        for w, other in ((lead, trail), (trail, lead)):
-            w.advance()
-            if w.same_state(other):
+        for (board, ahead, log), other in ((lead, trail[0]), (trail, lead[0])):
+            gap = board.gap
+            kept = ahead[gap]
+            log.append((board.step(kept), kept, gap))
+            if board.gap == other.gap and board.owner == other.owner:
                 raise PlacementError("rotation target unreachable along the cycle")
-            if done(w):
-                end = Placement(p.graph, tuple(w.pieces), cyc[w.gap])
-                return SlideSequence(p, tuple(w.moves), end)
+            if done(board):
+                return SlideSequence(p, tuple(SlideMove(*s) for s in log),
+                                     board.placement())
 
 
 def expose(p: Placement, v: int, m: Matching) -> SlideSequence:
@@ -315,28 +339,13 @@ def expose(p: Placement, v: int, m: Matching) -> SlideSequence:
         raise PlacementError("the matching does not expose v, or p's exposed "
                              "vertex lies outside its subgraph")
     path = alternating_path_to(p.matching, m, p.exposed, v)
-    moves = []
-    cur = p
-    for t in range(1, len(path), 2):
-        kept, far = path[t], path[t + 1]
-        label = cur.label_at(edge_key(kept, far))
-        assert label is not None
-        mv = SlideMove(label, kept, cur.exposed)
-        moves.append(mv)
-        cur = slide(cur, mv)
-    assert cur.exposed == v
-    return SlideSequence(p, tuple(moves), cur)
+    return replay(p, path[1::2])
 
 
 def invert_sequence(seq: SlideSequence) -> SlideSequence:
-    """The reverse reconfiguration: slides are involutions move-by-move."""
-    states = [seq.start]
-    for mv in seq.moves:
-        states.append(slide(states[-1], mv))
-    moves = []
-    for after, mv in zip(reversed(states[1:]), reversed(seq.moves)):
-        moves.append(SlideMove(mv.label, mv.kept_vertex, after.exposed))
-    return SlideSequence(states[-1], tuple(moves), states[0])
+    """The reverse reconfiguration: a slide is undone by keeping the same
+    vertex, so the inverse keeps the kept vertices in reverse order."""
+    return replay(seq.end, [mv.kept_vertex for mv in reversed(seq.moves)])
 
 
 def cut_loops(seq: SlideSequence) -> SlideSequence:
@@ -344,26 +353,18 @@ def cut_loops(seq: SlideSequence) -> SlideSequence:
     the last visit of each state before taking its next move.
 
     The result has the same start and end, visits no state twice, and its
-    moves are an in-order subsequence of `seq.moves`. One replay keys each
-    state by the bytes of an array holding the label covering each vertex
-    (0 at the exposed one), two writes per slide, so the cut is linear in
-    the plan. The moves are assumed legal; `verify_sequence` is the check.
+    moves are an in-order subsequence of `seq.moves`. One replay on a
+    `Board` keys each state by the bytes of its vertex -> label map, two
+    writes per slide, so the cut is linear in the plan. The moves are
+    assumed legal; `verify_sequence` is the check.
     """
     moves, start = seq.moves, seq.start
-    state = array("H", bytes(2 * (start.graph.num_vertices + 1)))
-    gap = start.exposed
-    for label, (u, v) in enumerate(start.pieces, 1):
-        state[u] = state[v] = label
-    pieces = list(start.pieces)                 # unordered ends until the end
-    keys = [state.tobytes()]
+    board = Board(start)
+    step, owner = board.step, board.owner
+    keys = [owner.tobytes()]
     for mv in moves:
-        label, kept = mv.label, mv.kept_vertex
-        a, b = pieces[label - 1]
-        far = b if kept == a else a
-        pieces[label - 1] = (kept, gap)
-        state[gap], state[far] = label, 0
-        gap = far
-        keys.append(state.tobytes())
+        step(mv.kept_vertex)
+        keys.append(owner.tobytes())
     last = {key: i for i, key in enumerate(keys)}
     kept_moves = []
     i = last[keys[0]]
@@ -372,8 +373,7 @@ def cut_loops(seq: SlideSequence) -> SlideSequence:
         i = last[keys[i + 1]]
     if len(kept_moves) == len(moves):
         return seq
-    end = Placement(start.graph, tuple(edge_key(a, b) for a, b in pieces), gap)
-    return SlideSequence(start, tuple(kept_moves), end)
+    return SlideSequence(start, tuple(kept_moves), board.placement())
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,14 @@
 import pytest
 
-from trigrid.corpus import degree6_corpus
-from trigrid.grid import (build_graph, diamond_cycle_graph,
+from trigrid.corpus import degree6_corpus, locally_connected_corpus
+from trigrid.grid import (build_graph, diamond_cycle_graph, edge_key,
                           star_of_david_points)
 from trigrid.ears import (EarDecomposition, EarError, NoAdmissibleError,
                           LevelMatchings, align_with_ears, cycle_edges, ear_decomposition,
                           extend_from_central, find_admissible, is_aligned_with,
                           path_edges, validate_decomposition)
-from trigrid.matching import near_perfect_matching
+from trigrid.matching import enumerate_near_perfect_matchings, near_perfect_matching
+from trigrid.placement import Placement
 
 from conftest import random_placement
 
@@ -113,3 +114,34 @@ def test_level_matchings_are_fresh_matchings():
             m = levels.exposing(i, v)
             assert m == near_perfect_matching(g, v, within=vs, edges=es)
             assert levels.exposing(i, v) is m
+
+
+def test_is_aligned_with_every_placement():
+    """On every nearly perfect matching of small corpus hosts,
+    `is_aligned_with` agrees with a count of the matched base edges and a
+    check of each ear's pattern, and each way of failing occurs. The ears
+    of a full decomposition fail whenever the base does, so the base alone
+    is checked too."""
+    seen = set()
+    for g in locally_connected_corpus()[:5]:            # pent5 .. hex13
+        full, _ = find_admissible(g)
+        for d in (full, EarDecomposition(full.base, (), full.kind)):
+            for m in enumerate_near_perfect_matchings(g):
+                p = Placement.make(g, sorted(m.edges))
+                base = (sum(e in m.edges for e in cycle_edges(d.base))
+                        == len(d.base) // 2)
+                ears = all([edge_key(a, b) in m.edges for a, b in zip(ear, ear[1:])]
+                           == [t % 2 == 1 for t in range(len(ear) - 1)]
+                           for ear in d.ears)
+                if p.exposed not in d.base:
+                    why = "exposed off the base"
+                elif not base:
+                    why = "base does not alternate"
+                elif not ears:
+                    why = "an ear does not alternate"
+                else:
+                    why = "aligned"
+                assert is_aligned_with(p, d) == (why == "aligned"), (g.name, d, why)
+                seen.add(why)
+    assert seen == {"exposed off the base", "base does not alternate",
+                    "an ear does not alternate", "aligned"}

@@ -1,10 +1,7 @@
 import pytest
 
 from trigrid import formats
-from trigrid.ears import find_admissible
 from trigrid.grid import diamond_cycle_graph
-from trigrid.hamilton import find_hamilton
-from trigrid.matching import near_perfect_matching
 from trigrid.placement import Placement, SlideMove, slide, SlideSequence
 
 from conftest import random_placement
@@ -28,13 +25,6 @@ def test_parse_graph_reports_line():
     with pytest.raises(formats.ParseError) as ei:
         formats.parse_graph("v 1 0 0\nv 2 bogus 0\n")
     assert ei.value.line == 2
-
-
-def test_matching_roundtrip(pentagon):
-    m = near_perfect_matching(pentagon, 1)
-    text = formats.serialize_matching(m, exposed=1)
-    back, exposed = formats.parse_matching(text)
-    assert back.edges == m.edges and exposed == 1
 
 
 def test_placement_roundtrip(pentagon, rng):
@@ -62,18 +52,6 @@ def test_sequence_roundtrip(pentagon):
 def test_moves_roundtrip():
     moves = [SlideMove(1, 2, 3), SlideMove(2, 4, 1)]
     assert formats.parse_moves(formats.serialize_moves(moves)) == moves
-
-
-def test_decomposition_roundtrip(pentagon):
-    d, _ = find_admissible(pentagon)
-    back = formats.parse_decomposition(formats.serialize_decomposition(d))
-    assert back == d
-
-
-def test_cycle_roundtrip(hex7):
-    h = find_hamilton(hex7)
-    back = formats.parse_cycle(formats.serialize_cycle(h))
-    assert back.order == h.order
 
 
 def test_plan_roundtrip(pentagon):

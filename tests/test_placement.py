@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trigrid.corpus import locally_connected_corpus
 from trigrid.grid import build_abstract, build_graph, edge_key
 from trigrid.matching import Matching, near_perfect_matching
 from trigrid.oracle import bfs_component
 from trigrid.placement import (IllegalMoveError, Placement, PlacementError,
                                RotationSpec, SlideMove, SlideSequence,
                                aligned_cycle_state, apply_sequence, cut_loops,
-                               expose, invert_sequence, legal_moves, rotate,
-                               shortest_slides_within, slide, verify_sequence)
+                               expose, invert_sequence, legal_moves, replay,
+                               rotate, shortest_slides_within, slide,
+                               verify_sequence)
 
 from conftest import random_placement
 
@@ -214,6 +216,40 @@ def test_invert_sequence(pentagon):
     inv = invert_sequence(seq)
     assert inv.start.pieces == seq.end.pieces
     assert inv.end.pieces == p.pieces and inv.end.exposed == p.exposed
+
+
+_HOSTS = locally_connected_corpus()
+
+
+@settings(max_examples=100, deadline=None)
+@given(host=st.sampled_from(_HOSTS), rnd=st.randoms(use_true_random=False))
+def test_invert_sequence_matches_slide_reference(host, rnd):
+    """On random legal walks, the inverse is the walk's `slide` states
+    undone from the end, and the walk followed by it cuts to nothing."""
+    states, moves = [random_placement(host, rnd)], []
+    for _ in range(rnd.randrange(4 * host.num_vertices)):
+        mv = rnd.choice(legal_moves(states[-1]))
+        moves.append(mv)
+        states.append(slide(states[-1], mv))
+    seq = SlideSequence(states[0], tuple(moves))
+    ref = tuple(SlideMove(mv.label, mv.kept_vertex, after.exposed)
+                for after, mv in zip(reversed(states[1:]), reversed(moves)))
+    inv = invert_sequence(seq)
+    assert inv.moves == ref
+    assert inv.start.pieces == states[-1].pieces
+    assert (inv.end.pieces, inv.end.exposed) == (states[0].pieces, states[0].exposed)
+    assert cut_loops(seq.then(inv)).moves == ()
+
+
+def test_replay_raises_at_uncovered_kept_vertex(pentagon):
+    p = Placement.make(pentagon, [(2, 3), (4, 5)])      # exposed 1
+    seq = replay(p, (2,))
+    assert seq.moves == (SlideMove(1, 2, 1),)
+    assert seq.end.pieces == slide(p, seq.moves[0]).pieces and seq.end.exposed == 3
+    with pytest.raises(PlacementError):
+        replay(p, (1,))                                 # the exposed vertex
+    with pytest.raises(PlacementError):
+        replay(p, (2, 3))                               # exposed after one slide
 
 
 def test_verify_sequence(pentagon):
