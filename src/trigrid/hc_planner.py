@@ -9,26 +9,33 @@ Slide counts grow as O(n^3).
 from typing import Dict, List, Optional, Tuple
 
 from .grid import Edge, TriGridGraph, edge_key, is_locally_connected, is_star_of_david
-from .ears import EarDecomposition, cycle_edges
+from .ears import cycle_edges
 from .ear_planner import (PlanError, PlanReport, base_pentagon, finish_plan,
                           forced_cycle_dominoes)
 from .hamilton import (HamiltonCycle, ParityDiamond, find_hamilton,
                        find_local_structure)
-from .placement import (Placement, RotationSpec, SlideSequence, invert_sequence,
-                        replay, rotate)
-
-
-def hamilton_decomposition(g: TriGridGraph, h: HamiltonCycle) -> EarDecomposition:
-    """The spanning cycle as a base with every chord as a length-1 ear."""
-    chords = sorted(g.edges - cycle_edges(h.order))
-    return EarDecomposition(h.order, tuple(chords))
+from .matching import Matching
+from .placement import (Placement, RotationSpec, SlideSequence, expose,
+                        invert_sequence, replay, rotate)
 
 
 def align_with_hamilton(p: Placement, h: HamiltonCycle) -> SlideSequence:
     """Move every piece onto the cycle, chord by chord; afterwards the
-    cycle alternates and holds the exposed vertex."""
-    from .ears import LevelMatchings, align_with_ears
-    seq = align_with_ears(p, LevelMatchings(p.graph, hamilton_decomposition(p.graph, h)))
+    cycle alternates and holds the exposed vertex.
+
+    The chords are walked sorted, last to first. A chord that holds a
+    piece has its first endpoint exposed through the cycle's forced
+    dominoes at that vertex, the one nearly perfect matching of the odd
+    cycle that exposes it. Every slide lands its piece on one of those
+    dominoes, a cycle edge, so an emptied chord stays empty and each chord
+    needs at most one `expose`.
+    """
+    seq = SlideSequence(p, ())
+    for e in sorted(p.graph.edges - cycle_edges(h.order), reverse=True):
+        cur = seq.end
+        if e in cur.pieces:
+            dominoes = Matching(frozenset(forced_cycle_dominoes(h.order, e[0])))
+            seq = seq.then(expose(cur, e[0], dominoes))
     assert seq.end.matching.edges <= h.edges
     return seq
 

@@ -272,12 +272,14 @@ def test_ear_plan_failing_finish_plan_replay_is_internal_error(tmp_path, capsys,
 
 @pytest.mark.parametrize("strategy", ["ear", "hamilton"])
 @pytest.mark.parametrize("target,error", [("rotate", PlacementError),
-                                          ("LevelMatchings.exposing", MatchingError)],
+                                          ("exposing", MatchingError)],
                          ids=["rotate", "exposing"])
 def test_planner_internal_error_exits_4(tmp_path, capsys, monkeypatch, strategy,
                                         target, error):
     """A placement or matching error raised inside a planner is the planner's
-    fault, not a parse error of its inputs: exit 4, one line, no traceback."""
+    fault, not a parse error of its inputs: exit 4, one line, no traceback.
+    The exposing step is the ear planner's level-matching lookup and the
+    cycle planner's `expose` onto the cycle's forced dominoes."""
     from trigrid import ear_planner, ears, hc_planner
 
     def broken(*args, **kwargs):
@@ -286,8 +288,10 @@ def test_planner_internal_error_exits_4(tmp_path, capsys, monkeypatch, strategy,
     if target == "rotate":
         module = ear_planner if strategy == "ear" else hc_planner
         monkeypatch.setattr(module, "rotate", broken)
-    else:
+    elif strategy == "ear":
         monkeypatch.setattr(ears.LevelMatchings, "exposing", broken)
+    else:
+        monkeypatch.setattr(hc_planner, "expose", broken)
     argv = _hex7_plan_argv(tmp_path, strategy)
     capsys.readouterr()
     assert main(argv) == 4
