@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .grid import Edge, TriGridGraph, edge_key
-from .matching import Matching, alternating_path_to, is_alternating_cycle
+from .matching import Matching, alternating_path_to
 
 
 class PlacementError(Exception):
@@ -187,6 +187,22 @@ class Board:
         return Placement(self.graph, tuple(edge_key(a, b) for a, b in self.pieces),
                          self.gap)
 
+    def is_aligned(self, cycle: Sequence[int]) -> bool:
+        """True iff cycle is an odd cycle of the host through the gap whose
+        vertices after the gap pair off, in order, into pieces. Only the
+        gap is uncovered, so two vertices of the pairs share an owner
+        exactly when one piece covers both."""
+        cycle = tuple(cycle)
+        if len(cycle) % 2 == 0 or self.gap not in cycle:
+            return False
+        has_edge = self.graph.has_edge
+        if not all(has_edge(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])):
+            return False
+        i = cycle.index(self.gap)
+        after, owner = cycle[i + 1:] + cycle[:i], self.owner
+        return all(owner[a] == owner[b]
+                   for a, b in zip(after[::2], after[1::2]))
+
 
 def replay(p: Placement, kept_vertices: Iterable[int]) -> SlideSequence:
     """The slides from p that keep `kept_vertices` in turn, labels read off
@@ -201,12 +217,7 @@ def replay(p: Placement, kept_vertices: Iterable[int]) -> SlideSequence:
 
 def is_aligned(p: Placement, cycle: Sequence[int]) -> bool:
     """True iff cycle is an odd M_p-alternating cycle containing v_p."""
-    if p.exposed not in cycle:
-        return False
-    for a, b in zip(cycle, list(cycle[1:]) + [cycle[0]]):
-        if not p.graph.has_edge(a, b):
-            return False
-    return is_alternating_cycle(p.matching, cycle)
+    return Board(p).is_aligned(cycle)
 
 
 def aligned_cycle_state(k: int, j: int, h: int) -> Dict[int, Edge]:
@@ -295,7 +306,8 @@ def rotate(p: Placement, spec: RotationSpec) -> SlideSequence:
     cycle, or if the walks meet before reaching the target.
     """
     cyc = spec.cycle
-    if not is_aligned(p, cyc):
+    start = Board(p)
+    if not start.is_aligned(cyc):
         raise PlacementError("placement is not aligned with the rotation cycle")
     want = [(label, edge_key(*e)) for label, e in spec.target_pieces or ()]
 
@@ -304,7 +316,6 @@ def rotate(p: Placement, spec: RotationSpec) -> SlideSequence:
         return ((spec.target_exposed is None or b.gap == spec.target_exposed)
                 and all(owner[u] == owner[v] == label for label, (u, v) in want))
 
-    start = Board(p)
     if done(start):
         return SlideSequence(p, ())
     n = len(cyc)

@@ -5,13 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigrid.corpus import locally_connected_corpus
+from trigrid.ear_planner import forced_cycle_dominoes
 from trigrid.grid import build_abstract, build_graph, edge_key
-from trigrid.matching import Matching, near_perfect_matching
+from trigrid.hamilton import find_hamilton
+from trigrid.matching import Matching, is_alternating_cycle, near_perfect_matching
 from trigrid.oracle import bfs_component
 from trigrid.placement import (IllegalMoveError, Placement, PlacementError,
                                RotationSpec, SlideMove, SlideSequence,
                                aligned_cycle_state, apply_sequence, cut_loops,
-                               expose, invert_sequence, legal_moves, replay,
+                               expose, invert_sequence, is_aligned, legal_moves, replay,
                                rotate, shortest_slides_within, slide,
                                verify_sequence)
 
@@ -260,6 +262,41 @@ def test_verify_sequence(pentagon):
     bad = SlideSequence(p, seq.moves + (SlideMove(1, 1, 1),))
     rep2 = verify_sequence(bad)
     assert not rep2.ok and rep2.first_bad_index == 1
+
+
+def _is_aligned_reference(p, cycle):
+    """`is_aligned` read off the placement's matching: the cycle holds the
+    exposed vertex, its edges are host edges, and it alternates in M_p."""
+    if p.exposed not in cycle:
+        return False
+    for a, b in zip(cycle, list(cycle[1:]) + [cycle[0]]):
+        if not p.graph.has_edge(a, b):
+            return False
+    return is_alternating_cycle(p.matching, cycle)
+
+
+@settings(max_examples=200, deadline=None)
+@given(host=st.sampled_from(_HOSTS), rnd=st.randoms(use_true_random=False))
+def test_is_aligned_matches_matching_reference(host, rnd):
+    """The board check agrees with the matching-based reference on states a
+    few random slides from one aligned with a Hamilton cycle: for the cycle
+    from any start in both directions, for the vertex sequences left without
+    its last one or two vertices, and for every triangle at the exposed
+    vertex."""
+    order = find_hamilton(host).order
+    dominoes = forced_cycle_dominoes(order, rnd.choice(order))
+    rnd.shuffle(dominoes)
+    p = Placement.make(host, dominoes)
+    for _ in range(rnd.randrange(6)):
+        p = slide(p, rnd.choice(legal_moves(p)))
+    i = rnd.randrange(len(order))
+    turned = order[i:] + order[:i]
+    gap = p.exposed
+    cycles = [turned, turned[::-1], turned[:-1], turned[:-2]]
+    cycles += [(gap, a, b) for a in host.adj[gap] for b in host.adj[a]
+               if b in host.adj[gap]]
+    for cyc in cycles:
+        assert is_aligned(p, cyc) == _is_aligned_reference(p, cyc)
 
 
 def _on_cycle_moves(p, ces):
