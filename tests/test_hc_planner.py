@@ -1,25 +1,39 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trigrid.corpus import locally_connected_corpus
-from trigrid.ear_planner import PlanError
-from trigrid.grid import build_graph, star_of_david_points
+from trigrid.ear_planner import PlanError, forced_cycle_dominoes
+from trigrid.grid import build_graph, edge_key, hexagon_points, star_of_david_points
 from trigrid.hamilton import find_hamilton, find_local_structure
 from trigrid.hc_planner import (_dominoes, _label_order, align_with_hamilton,
                                 plan_hamilton, swap_adjacent)
-from trigrid.placement import (Placement, RotationSpec, rotate,
+from trigrid.placement import (Placement, RotationSpec, is_aligned, rotate,
                                verify_sequence)
 
 from conftest import random_placement
 
 
-def test_align_with_hamilton(rng):
-    for g in locally_connected_corpus()[:4]:
-        h = find_hamilton(g)
-        for _ in range(5):
-            p = random_placement(g, rng)
-            seq = align_with_hamilton(p, h)
-            assert seq.start.pieces == p.pieces
-            assert all(e in h.edges for e in seq.end.pieces)
+@settings(max_examples=100, deadline=None)
+@given(host=st.sampled_from(locally_connected_corpus()),
+       rnd=st.randoms(use_true_random=False))
+def test_align_with_hamilton(host, rnd):
+    """Every slide lands on a cycle edge, the end is aligned with the
+    cycle, and a placement already aligned with it gets no slides."""
+    h = find_hamilton(host)
+    p = random_placement(host, rnd)
+    seq = align_with_hamilton(p, h)
+    assert seq.start.pieces == p.pieces
+    assert verify_sequence(seq, expected_end=seq.end).ok
+    assert all(edge_key(mv.kept_vertex, mv.dest_vertex) in h.edges
+               for mv in seq.moves)
+    assert is_aligned(seq.end, h.order)
+    dominoes = forced_cycle_dominoes(h.order, rnd.choice(h.order))
+    rnd.shuffle(dominoes)
+    for aligned in (seq.end, Placement.make(host, dominoes)):
+        assert align_with_hamilton(aligned, h).moves == ()
 
 
 def _aligned_at_c(g, rng):
@@ -74,6 +88,17 @@ def test_plan_hamilton_corpus_sample(rng):
             rep = plan_hamilton(g, p, q)
             check = verify_sequence(rep.sequence, expected_end=q)
             assert check.ok and check.matches_expected
+
+
+def test_plan_hamilton_hex37():
+    """One seeded pair on the 37-vertex hexagon, larger than any host of
+    `locally_connected_corpus()`."""
+    g = build_graph(hexagon_points(3))
+    rng = random.Random(1)
+    p, q = random_placement(g, rng), random_placement(g, rng)
+    rep = plan_hamilton(g, p, q)
+    check = verify_sequence(rep.sequence, expected_end=q)
+    assert check.ok and check.matches_expected
 
 
 def test_plan_hamilton_refuses_star_of_david():
