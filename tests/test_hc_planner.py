@@ -36,6 +36,21 @@ def test_align_with_hamilton(host, rnd):
         assert align_with_hamilton(aligned, h).moves == ()
 
 
+def test_plan_hamilton_runs_no_matching_search(monkeypatch, rng):
+    """The cycle planner aligns on its cycle's forced dominoes: no blossom
+    matching runs while it plans."""
+    import networkx
+
+    def no_blossom(*args, **kwargs):
+        raise AssertionError("blossom matching called")
+
+    pairs = [(g, random_placement(g, rng), random_placement(g, rng))
+             for g in locally_connected_corpus()[4:]]
+    monkeypatch.setattr(networkx, "max_weight_matching", no_blossom)
+    for g, p, q in pairs:
+        assert verify_sequence(plan_hamilton(g, p, q).sequence, expected_end=q).ok
+
+
 def _aligned_at_c(g, rng):
     h = find_hamilton(g)
     pd = find_local_structure(g, h)
