@@ -326,7 +326,8 @@ class LevelMatchings:
     """One plan's table of the levels of a decomposition: the region G_i of
     every level, built once, and for each (level, vertex) asked for the
     nearly perfect matching of G_i that exposes the vertex, computed on
-    first use. A planner makes one per plan and drops it with the plan.
+    first use. The ear planner makes one per plan and drops it with the
+    plan; the cycle planner aligns on its cycle's forced dominoes instead.
 
     Each matching is `near_perfect_matching` on `d.region(i)`, whose sets
     are built in the same order on every call; the blossom algorithm's
