@@ -9,7 +9,6 @@ Slide counts grow as O(n^3).
 from typing import Dict, List, Optional, Tuple
 
 from .grid import Edge, TriGridGraph, edge_key, is_locally_connected, is_star_of_david
-from .ears import cycle_edges
 from .ear_planner import (PlanError, PlanReport, base_pentagon, finish_plan,
                           forced_cycle_dominoes)
 from .hamilton import (HamiltonCycle, ParityDiamond, find_hamilton,
@@ -31,7 +30,7 @@ def align_with_hamilton(p: Placement, h: HamiltonCycle) -> SlideSequence:
     needs at most one `expose`.
     """
     seq = SlideSequence(p, ())
-    for e in sorted(p.graph.edges - cycle_edges(h.order), reverse=True):
+    for e in sorted(p.graph.edges - h.edges, reverse=True):
         cur = seq.end
         if e in cur.pieces:
             dominoes = Matching(frozenset(forced_cycle_dominoes(h.order, e[0])))
