@@ -7,6 +7,7 @@ swapping adjacent pieces along the cycle.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
@@ -30,7 +31,7 @@ class HamiltonCycle:
 
     order: Tuple[int, ...]
 
-    @property
+    @cached_property
     def edges(self) -> FrozenSet[Edge]:
         return frozenset(cycle_edges(self.order))
 
@@ -285,7 +286,7 @@ def _scan(g: TriGridGraph, h: HamiltonCycle) -> List[ParityDiamond]:
 
 
 def _best(cands: List[ParityDiamond]) -> ParityDiamond:
-    return min(cands, key=lambda pd: (len(pd.p2), (pd.a, pd.b, pd.c, pd.d)))
+    return min(cands, key=lambda pd: (len(pd.p1), len(pd.p2), (pd.a, pd.b, pd.c, pd.d)))
 
 
 def select_parity(h: HamiltonCycle,
@@ -300,8 +301,10 @@ def select_parity(h: HamiltonCycle,
 
 
 def find_local_structure(g: TriGridGraph, h: HamiltonCycle) -> ParityDiamond:
-    """The parity diamond on the given Hamilton cycle with the shortest p2
-    (ties broken by vertex labels); its `cycle` is h.
+    """The parity diamond on the given Hamilton cycle with the shortest p1,
+    then the shortest p2 (ties broken by vertex labels); its `cycle` is h.
+    Each adjacent swap of the cycle planner rotates over p1, and a p1 of
+    three vertices makes the swap a five-vertex search.
 
     Raises HamiltonError below five vertices and NoLocalStructureError when
     no diamond on h meets the parity conditions.

@@ -1,9 +1,10 @@
 """Reconfiguration planner driven by a Hamilton cycle.
 
 Pipeline: align both placements with a spanning cycle, pin the gap at the
-diamond corner, bubble-sort the label order along the cycle using the
-parity diamond's adjacent swap, then undo the target-side alignment.
-Slide counts grow as O(n^3).
+diamond corner, bubble-sort the cyclic label order along the cycle using
+the parity diamond's adjacent swap, turning the cycle only as far as each
+swap needs and never back, rotate once into the target's frame, then undo
+the target-side alignment. Slide counts grow as O(n^3).
 """
 
 from typing import Dict, List, Optional, Tuple
@@ -101,42 +102,31 @@ def _swap_special(cur: Placement, pd: ParityDiamond) -> SlideSequence:
     return seq
 
 
-def swap_adjacent(p_aligned: Placement, j: int, pd: ParityDiamond) -> SlideSequence:
-    """Transpose the labels on dominoes j and j + 1 (cyclic positions along
-    the cycle from the gap at c); every other piece is restored.
+def swap_adjacent(cur: Placement, j: int, pd: ParityDiamond) -> SlideSequence:
+    """Transpose the labels x and y on dominoes j and j + 1 (cyclic
+    positions along the cycle from the gap at c), leaving the cycle turned.
 
-    Rotates the chosen pair onto the swap dominoes, exchanges there, and
-    rotates back — O(n) slides per call.
+    Rotates along the cycle until x sits on the lower swap domino and y on
+    the one after it, then exchanges them there. The end placement is the
+    start turned by lo - j domino positions, lo being the lower swap
+    domino's position, with x and y exchanged; the gap is back at c.
     """
-    cur = p_aligned
     assert cur.exposed == pd.c
     dominoes = _dominoes(pd, cur)
-    n = len(dominoes)
-    j2 = (j + 1) % n
-    if j == j2:
-        return SlideSequence(cur, ())
-    x = cur.label_at(dominoes[j])
-    y = cur.label_at(dominoes[j2])
-    assert x is not None and y is not None
+    k = len(dominoes)
+    order = _label_order(cur, dominoes)
+    x, y = order[j], order[(j + 1) % k]
     i_ab, i_v = _special_pair(pd, dominoes)
-    lo_i = i_ab if (i_v - i_ab) % n == 1 else i_v
-
-    def rotate_pair_to(state: Placement, lab: int, slot: int) -> SlideSequence:
-        return rotate(state, RotationSpec(
-            pd.cycle.order, target_exposed=pd.c,
-            target_pieces=((lab, dominoes[slot]),)))
-
-    s_in = rotate_pair_to(cur, x, lo_i)
-    mid = _swap_special(s_in.end, pd)
-    s_out = rotate_pair_to(mid.end, y, j)
-    seq = s_in.then(mid).then(s_out)
-    out = seq.end
-    assert out.exposed == pd.c
-    assert out.piece(x) == dominoes[j2] and out.piece(y) == dominoes[j]
-    for lab in range(1, cur.n + 1):
-        if lab not in (x, y):
-            assert out.piece(lab) == cur.piece(lab)
-    return seq
+    lo = i_ab if (i_v - i_ab) % k == 1 else i_v
+    turn = rotate(cur, RotationSpec(pd.cycle.order, target_exposed=pd.c,
+                                    target_pieces=((x, dominoes[lo]),)))
+    swap = _swap_special(turn.end, pd)
+    want = list(cur.pieces)
+    for i, lab in enumerate(order):
+        want[lab - 1] = dominoes[(i + lo - j) % k]
+    want[x - 1], want[y - 1] = want[y - 1], want[x - 1]
+    assert swap.end.exposed == pd.c and list(swap.end.pieces) == want
+    return SlideSequence(cur, turn.moves + swap.moves, swap.end)
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +141,32 @@ def _label_order(p: Placement, dominoes: List[Edge]) -> List[int]:
     return out
 
 
+def _nearest_rotation(have: List[int], want: List[int]) -> List[int]:
+    """The rotation of `want` with the fewest inversions against `have`
+    (ties to the smallest shift). Moving the first entry, at position s in
+    `have`, to the back changes the count by k - 1 - 2s."""
+    k = len(have)
+    pos = {lab: i for i, lab in enumerate(have)}
+    s = [pos[lab] for lab in want]
+    inv = sum(s[i] > s[t] for i in range(k) for t in range(i + 1, k))
+    best, shift = inv, 0
+    for r in range(k - 1):
+        inv += k - 1 - 2 * s[r]
+        if inv < best:
+            best, shift = inv, r + 1
+    return want[shift:] + want[:shift]
+
+
 def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement,
                   h: Optional[HamiltonCycle] = None) -> PlanReport:
     """A verified slide plan from p to q on a locally-connected graph.
 
-    Aligns both placements with a Hamilton cycle, pins the gap at the
-    diamond corner c, sorts the piece order by adjacent swaps, and undoes
-    the target-side alignment.
+    Aligns both placements with a Hamilton cycle and pins p's gap at the
+    diamond corner c. A rotation keeps the cyclic order of the labels
+    along the cycle, and nothing else, so the sort aims at the rotation of
+    q's order with the fewest inversions and walks each label leftwards by
+    adjacent swaps, never turning the cycle back between them. One final
+    rotation sets the frame to q's alignment, which is then undone.
     """
     if g.is_lattice and is_star_of_david(g):
         raise PlanError("the Star of David graph is not reconfigurable")
@@ -170,28 +179,29 @@ def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement,
     sp = align_with_hamilton(p, h)
     sq = align_with_hamilton(q, h)
     rp = rotate(sp.end, RotationSpec(h.order, target_exposed=pd.c))
-    rq = rotate(sq.end, RotationSpec(h.order, target_exposed=pd.c))
-    seq = sp.then(rp)
-    cur = seq.end
-    tgt = rq.end
-
+    cur = rp.end
+    aligned_q = sq.end
     dominoes = _dominoes(pd, cur)
-    want = _label_order(tgt, dominoes)
+    slot = {e: i for i, e in enumerate(dominoes)}
+    have = _label_order(cur, dominoes)
+    want = _nearest_rotation(have, _label_order(
+        aligned_q, forced_cycle_dominoes(h.order, aligned_q.exposed)))
     trace: List[Dict] = [{"phase": "align", "cycle": h.order,
                           "diamond": (pd.a, pd.b, pd.c, pd.d), "case": pd.case}]
+    moves = list(sp.moves + rp.moves)
     swaps = 0
-    # bubble sort on the domino positions: walk each wanted label leftwards
-    while True:
-        have = _label_order(cur, dominoes)
-        if have == want:
-            break
-        j = next(i for i in range(len(want)) if have[i] != want[i])
-        k = have.index(want[j])
-        step = swap_adjacent(cur, k - 1, pd)
-        seq = seq.then(step)
-        cur = step.end
-        swaps += 1
-    assert cur.pieces == tgt.pieces and cur.exposed == tgt.exposed
+    # bubble sort in the turning frame: `have` lists the labels in cycle
+    # order from the label that started on domino 0
+    for j, lab in enumerate(want):
+        for i in range(have.index(lab, j), j, -1):
+            step = swap_adjacent(cur, slot[cur.piece(have[i - 1])], pd)
+            moves.extend(step.moves)
+            cur = step.end
+            have[i - 1], have[i] = have[i], have[i - 1]
+            swaps += 1
     trace.append({"phase": "sort", "swaps": swaps})
-
-    return finish_plan(seq.then(invert_sequence(sq.then(rq))), q, "hamilton", trace)
+    last = rotate(cur, RotationSpec(h.order, target_exposed=aligned_q.exposed,
+                                    target_pieces=((want[0], aligned_q.piece(want[0])),)))
+    assert last.end.pieces == aligned_q.pieces and last.end.exposed == aligned_q.exposed
+    seq = SlideSequence(p, tuple(moves) + last.moves, aligned_q)
+    return finish_plan(seq.then(invert_sequence(sq)), q, "hamilton", trace)

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 from trigrid.corpus import locally_connected_corpus
 from trigrid.ear_planner import PlanError, forced_cycle_dominoes
 from trigrid.grid import build_graph, edge_key, hexagon_points, star_of_david_points
-from trigrid.hamilton import find_hamilton, find_local_structure
-from trigrid.hc_planner import (_dominoes, _label_order, align_with_hamilton,
-                                plan_hamilton, swap_adjacent)
+from trigrid.hamilton import _scan, find_hamilton, find_local_structure
+from trigrid.hc_planner import (_dominoes, _label_order, _special_pair, _swap_special,
+                                align_with_hamilton, plan_hamilton, swap_adjacent)
 from trigrid.placement import (Placement, RotationSpec, is_aligned, rotate,
                                verify_sequence)
 
@@ -51,9 +52,9 @@ def test_plan_hamilton_runs_no_matching_search(monkeypatch, rng):
         assert verify_sequence(plan_hamilton(g, p, q).sequence, expected_end=q).ok
 
 
-def _aligned_at_c(g, rng):
-    h = find_hamilton(g)
-    pd = find_local_structure(g, h)
+def _aligned_at_c(g, rng, pd=None):
+    if pd is None:
+        pd = find_local_structure(g, find_hamilton(g))
     p = random_placement(g, rng)
     seq = align_with_hamilton(p, pd.cycle)
     seq = seq.then(rotate(seq.end, RotationSpec(pd.cycle.order,
@@ -61,20 +62,85 @@ def _aligned_at_c(g, rng):
     return pd, seq.end
 
 
-def test_swap_adjacent_is_transposition(hex7, rng):
-    pd, cur = _aligned_at_c(hex7, rng)
+def _exchanged(cur, x, y):
+    pieces = list(cur.pieces)
+    pieces[x - 1], pieces[y - 1] = pieces[y - 1], pieces[x - 1]
+    return tuple(pieces)
+
+
+@pytest.mark.parametrize("g", locally_connected_corpus(), ids=lambda g: g.name)
+def test_swap_adjacent_is_transposition(g, rng):
+    """Every adjacent pair is exchanged exactly, in a frame turned so that
+    the pair sits on the swap dominoes: the end is the start turned by
+    lo - j positions, with the two labels exchanged."""
+    pd, cur = _aligned_at_c(g, rng)
     dominoes = _dominoes(pd, cur)
-    for j in range(len(dominoes)):
-        before = _label_order(cur, dominoes)
+    k = len(dominoes)
+    i_ab, i_v = _special_pair(pd, dominoes)
+    lo = i_ab if (i_v - i_ab) % k == 1 else i_v     # y's domino follows x's
+    for j in range(k):
         step = swap_adjacent(cur, j, pd)
-        after = _label_order(step.end, dominoes)
-        k = (j + 1) % len(dominoes)
-        want = list(before)
-        want[j], want[k] = want[k], want[j]
-        assert after == want
+        assert verify_sequence(step).ok
+        before = _label_order(cur, dominoes)
+        pieces = list(cur.pieces)
+        for i, lab in enumerate(before):
+            pieces[lab - 1] = dominoes[(i + lo - j) % k]
+        turned = Placement(g, tuple(pieces), pd.c)
+        x, y = before[j], before[(j + 1) % k]
         assert step.end.exposed == pd.c
-        rep = verify_sequence(step)
-        assert rep.ok
+        assert step.end.pieces == _exchanged(turned, x, y)
+        cur = step.end
+
+
+@functools.lru_cache(maxsize=None)
+def _diamonds(name):
+    """Every parity diamond on the Hamilton cycle of a corpus host."""
+    g = next(g for g in locally_connected_corpus() if g.name == name)
+    return g, _scan(g, find_hamilton(g))
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from([g.name for g in locally_connected_corpus()]),
+       data=st.data(), rnd=st.randoms(use_true_random=False))
+def test_swap_special_exchanges_the_swap_dominoes(name, data, rnd):
+    """For any parity diamond on the cycle, not only the one the planner
+    picks, `_swap_special` exchanges exactly the labels on the two swap
+    dominoes and leaves the gap at c."""
+    g, cands = _diamonds(name)
+    pd = data.draw(st.sampled_from(cands))
+    _, cur = _aligned_at_c(g, rnd, pd)
+    dominoes = _dominoes(pd, cur)
+    x, y = (cur.label_at(dominoes[i]) for i in _special_pair(pd, dominoes))
+    seq = _swap_special(cur, pd)
+    assert verify_sequence(seq).ok
+    assert seq.end.exposed == pd.c
+    assert seq.end.pieces == _exchanged(cur, x, y)
+
+
+def _inversions(have, want):
+    pos = {lab: i for i, lab in enumerate(have)}
+    s = [pos[lab] for lab in want]
+    return sum(s[i] > s[t] for i in range(len(s)) for t in range(i + 1, len(s)))
+
+
+def test_sort_swaps_are_the_fewest_cyclic_inversions(rng):
+    """The sort makes one swap per inversion between p's aligned order,
+    read from the gap at c, and the best rotation of q's aligned order."""
+    for g in locally_connected_corpus():
+        h = find_hamilton(g)
+        pd = find_local_structure(g, h)
+        for _ in range(3):
+            p, q = random_placement(g, rng), random_placement(g, rng)
+            sp = align_with_hamilton(p, h)
+            at_c = rotate(sp.end, RotationSpec(h.order, target_exposed=pd.c)).end
+            have = _label_order(at_c, _dominoes(pd, at_c))
+            aq = align_with_hamilton(q, h).end
+            want = _label_order(aq, forced_cycle_dominoes(h.order, aq.exposed))
+            fewest = min(_inversions(have, want[r:] + want[:r])
+                         for r in range(len(want)))
+            rep = plan_hamilton(g, p, q, h)
+            assert rep.recursion_trace[-1] == {"phase": "sort", "swaps": fewest}
+            assert verify_sequence(rep.sequence, expected_end=q).matches_expected
 
 
 def test_plan_hamilton_identity(hex7, rng):
