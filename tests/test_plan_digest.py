@@ -27,7 +27,7 @@ def _hex11():
 
 CASES = {
     "hex11-hamilton": (_hex11, plan_hamilton,
-                       "243a8b25718b09afea30c1b89e9215b4b0b10b03303435fcf2b46497ac21828b"),
+                       "b6a19d586e91ec88edfae6ae986a0d8d7534caee4674f56a8f3a383091860be5"),
     "deg6-11v-ear": (lambda: degree6_corpus(13, 12)[-1], plan_ear,
                      "3d9093f136e6e3e772b39ad26f75dc568dc34acbf80638bbb1f442efd5769f55"),
     "diamond_cycle6-ear": (lambda: diamond_cycle_graph(6), plan_ear,
