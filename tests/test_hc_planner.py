@@ -62,34 +62,39 @@ def _aligned_at_c(g, rng, pd=None):
     return pd, seq.end
 
 
-def _exchanged(cur, x, y):
-    pieces = list(cur.pieces)
+def _exchanged(g, pieces, x, y, gap):
+    """The placement of `pieces` with the pieces of labels x and y
+    exchanged, exposing `gap`."""
+    pieces = list(pieces)
     pieces[x - 1], pieces[y - 1] = pieces[y - 1], pieces[x - 1]
-    return tuple(pieces)
+    return Placement(g, tuple(pieces), gap)
 
 
-@pytest.mark.parametrize("g", locally_connected_corpus(), ids=lambda g: g.name)
-def test_swap_adjacent_is_transposition(g, rng):
-    """Every adjacent pair is exchanged exactly, in a frame turned so that
-    the pair sits on the swap dominoes: the end is the start turned by
-    lo - j positions, with the two labels exchanged."""
-    pd, cur = _aligned_at_c(g, rng)
-    dominoes = _dominoes(pd, cur)
-    k = len(dominoes)
-    i_ab, i_v = _special_pair(pd, dominoes)
-    lo = i_ab if (i_v - i_ab) % k == 1 else i_v     # y's domino follows x's
-    for j in range(k):
-        step = swap_adjacent(cur, j, pd)
-        assert verify_sequence(step).ok
-        before = _label_order(cur, dominoes)
-        pieces = list(cur.pieces)
-        for i, lab in enumerate(before):
-            pieces[lab - 1] = dominoes[(i + lo - j) % k]
-        turned = Placement(g, tuple(pieces), pd.c)
-        x, y = before[j], before[(j + 1) % k]
-        assert step.end.exposed == pd.c
-        assert step.end.pieces == _exchanged(turned, x, y)
-        cur = step.end
+def _assert_reaches(seq, want):
+    """The moves replay legally to `want`, and the sequence ends there."""
+    assert verify_sequence(seq, expected_end=want).matches_expected
+    assert seq.end.pieces == want.pieces and seq.end.exposed == want.exposed
+
+
+def test_swap_adjacent_is_transposition(rng):
+    """On every corpus host, every adjacent pair is exchanged exactly, in a
+    frame turned so that the pair sits on the swap dominoes: the end is
+    the start turned by lo - j positions, with the two labels exchanged."""
+    for g in locally_connected_corpus():
+        pd, cur = _aligned_at_c(g, rng)
+        dominoes = _dominoes(pd, cur)
+        k = len(dominoes)
+        i_ab, i_v = _special_pair(pd, dominoes)
+        lo = i_ab if (i_v - i_ab) % k == 1 else i_v     # y's domino follows x's
+        for j in range(k):
+            before = _label_order(cur, dominoes)
+            turned = list(cur.pieces)
+            for i, lab in enumerate(before):
+                turned[lab - 1] = dominoes[(i + lo - j) % k]
+            want = _exchanged(g, turned, before[j], before[(j + 1) % k], pd.c)
+            step = swap_adjacent(cur, j, pd)
+            _assert_reaches(step, want)
+            cur = step.end
 
 
 @functools.lru_cache(maxsize=None)
@@ -111,10 +116,7 @@ def test_swap_special_exchanges_the_swap_dominoes(name, data, rnd):
     _, cur = _aligned_at_c(g, rnd, pd)
     dominoes = _dominoes(pd, cur)
     x, y = (cur.label_at(dominoes[i]) for i in _special_pair(pd, dominoes))
-    seq = _swap_special(cur, pd)
-    assert verify_sequence(seq).ok
-    assert seq.end.exposed == pd.c
-    assert seq.end.pieces == _exchanged(cur, x, y)
+    _assert_reaches(_swap_special(cur, pd), _exchanged(g, cur.pieces, x, y, pd.c))
 
 
 def _inversions(have, want):
