@@ -172,7 +172,11 @@ def cmd_verify(args) -> int:
     print(f"strategy {strategy}")
     print(f"moves {report.move_count}")
     print(f"ok {report.ok}")
-    return EXIT_OK if report.ok else EXIT_REFUSED
+    if report.ok:
+        return EXIT_OK
+    where = "" if report.first_bad_index is None else f"move {report.first_bad_index}: "
+    print(f"failed: {where}{report.message}", file=sys.stderr)
+    return EXIT_REFUSED
 
 
 def cmd_oracle(args) -> int:
@@ -260,9 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built once per process: each `parse_args` fills a fresh namespace
+_PARSER = build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     _setup_logging()
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except (formats.ParseError, PlacementError) as exc:

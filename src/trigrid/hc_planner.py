@@ -7,7 +7,7 @@ swap needs and never back, rotate once into the target's frame, then undo
 the target-side alignment. Slide counts grow as O(n^3).
 """
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .grid import Edge, TriGridGraph, edge_key, is_locally_connected, is_star_of_david
 from .ear_planner import (PlanError, PlanReport, base_pentagon, finish_plan,
@@ -58,14 +58,23 @@ def _special_pair(pd: ParityDiamond, dominoes: List[Edge]) -> Tuple[int, int]:
     return i_ab, i_v
 
 
-def _swap_special(cur: Placement, pd: ParityDiamond) -> SlideSequence:
+# (unlabeled pieces, whether the (a, b) label is the smaller) -> kept
+# vertices of the pentagon swap found for that state, for one plan
+PentagonMemo = Dict[Tuple[FrozenSet[Edge], bool], Tuple[int, ...]]
+
+
+def _swap_special(cur: Placement, pd: ParityDiamond, memo: PentagonMemo) -> SlideSequence:
     """Exchange the labels on the two swap dominoes; gap stays at c.
 
     Short even side (two edges): the five vertices a, b, c, d and the
     inner vertex of p1 form a pentagon, solved by `base_pentagon` on the
-    edges among them. Longer even side: slide the (a, b) piece to (b, c),
-    rotate the p1 + (a, d) cycle one notch, then rotate the p1 + (a, b),
-    (b, c), (c, d) cycle back to the swapped state.
+    edges among them. Slides are label-blind and the search breaks ties
+    by label, so its kept vertices depend only on the unlabeled pieces
+    and on which of the two labels is smaller: `memo` keeps them, and
+    later swaps on the same state replay them. Longer even side: slide
+    the (a, b) piece to (b, c), rotate the p1 + (a, d) cycle one notch,
+    then rotate the p1 + (a, b), (b, c), (c, d) cycle back to the
+    swapped state.
     """
     a, b, c, d = pd.a, pd.b, pd.c, pd.d
     assert cur.exposed == c
@@ -81,11 +90,16 @@ def _swap_special(cur: Placement, pd: ParityDiamond) -> SlideSequence:
     target = Placement(cur.graph, tuple(target_pieces), cur.exposed)
 
     if len(pd.p1) == 3:
-        v = pd.p1[1]
-        vs = {a, b, c, d, v}
-        es = {edge_key(x, y) for x in vs for y in vs
-              if x < y and cur.graph.has_edge(x, y)}
-        seq = base_pentagon(cur, target, es)
+        key = (frozenset(cur.pieces), hi < lo)
+        kept = memo.get(key)
+        if kept is None:
+            vs = {a, b, c, d, pd.p1[1]}
+            es = {edge_key(x, y) for x in vs for y in vs
+                  if x < y and cur.graph.has_edge(x, y)}
+            seq = base_pentagon(cur, target, es)
+            memo[key] = tuple(mv.kept_vertex for mv in seq.moves)
+        else:
+            seq = replay(cur, kept)
     else:
         v1, v2, v3 = pd.p1[-2], pd.p1[-3], pd.p1[1]
         s1 = replay(cur, (b,))                     # the (a, b) piece onto (b, c)
@@ -102,7 +116,8 @@ def _swap_special(cur: Placement, pd: ParityDiamond) -> SlideSequence:
     return seq
 
 
-def swap_adjacent(cur: Placement, j: int, pd: ParityDiamond) -> SlideSequence:
+def swap_adjacent(cur: Placement, j: int, pd: ParityDiamond,
+                  memo: PentagonMemo) -> SlideSequence:
     """Transpose the labels x and y on dominoes j and j + 1 (cyclic
     positions along the cycle from the gap at c), leaving the cycle turned.
 
@@ -110,6 +125,7 @@ def swap_adjacent(cur: Placement, j: int, pd: ParityDiamond) -> SlideSequence:
     the one after it, then exchanges them there. The end placement is the
     start turned by lo - j domino positions, lo being the lower swap
     domino's position, with x and y exchanged; the gap is back at c.
+    `memo` is the plan's pentagon-swap memo (see `_swap_special`).
     """
     assert cur.exposed == pd.c
     dominoes = _dominoes(pd, cur)
@@ -120,7 +136,7 @@ def swap_adjacent(cur: Placement, j: int, pd: ParityDiamond) -> SlideSequence:
     lo = i_ab if (i_v - i_ab) % k == 1 else i_v
     turn = rotate(cur, RotationSpec(pd.cycle.order, target_exposed=pd.c,
                                     target_pieces=((x, dominoes[lo]),)))
-    swap = _swap_special(turn.end, pd)
+    swap = _swap_special(turn.end, pd, memo)
     want = list(cur.pieces)
     for i, lab in enumerate(order):
         want[lab - 1] = dominoes[(i + lo - j) % k]
@@ -190,11 +206,12 @@ def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement,
                           "diamond": (pd.a, pd.b, pd.c, pd.d), "case": pd.case}]
     moves = list(sp.moves + rp.moves)
     swaps = 0
+    memo: PentagonMemo = {}
     # bubble sort in the turning frame: `have` lists the labels in cycle
     # order from the label that started on domino 0
     for j, lab in enumerate(want):
         for i in range(have.index(lab, j), j, -1):
-            step = swap_adjacent(cur, slot[cur.piece(have[i - 1])], pd)
+            step = swap_adjacent(cur, slot[cur.piece(have[i - 1])], pd, memo)
             moves.extend(step.moves)
             cur = step.end
             have[i - 1], have[i] = have[i], have[i - 1]

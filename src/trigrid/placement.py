@@ -1,12 +1,14 @@
-"""Labeled placements, the slide move, the in-place slide kernel (`Board`,
-`replay`), rotation along odd cycles, and vertex exposure."""
+"""Labeled placements, the slide move and its checks (`slide`,
+`verify_sequence`), the in-place slide kernel (`Board`, `replay`),
+rotation along odd cycles, and vertex exposure."""
 
 from __future__ import annotations
 
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Collection, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 from .grid import Edge, TriGridGraph, edge_key
 from .matching import Matching, alternating_path_to
@@ -68,8 +70,7 @@ class Placement:
         return None
 
 
-@dataclass(frozen=True)
-class SlideMove:
+class SlideMove(NamedTuple):
     label: int
     kept_vertex: int
     dest_vertex: int
@@ -117,22 +118,37 @@ class RotationSpec:
     target_pieces: Optional[Tuple[Tuple[int, Edge], ...]] = None
 
 
-def slide(p: Placement, move: SlideMove) -> Placement:
-    if not (1 <= move.label <= p.n):
-        raise IllegalMoveError(f"label {move.label} absent")
-    u, v = p.piece(move.label)
-    if move.kept_vertex == v:
+def _check_slide(pieces: Sequence[Edge], gap: int, edges: Collection[Edge],
+                 label: int, kept: int, dest: int) -> Tuple[int, Edge]:
+    """The four checks of a slide on `pieces` (by label) exposing `gap`:
+    the label exists, `kept` is an endpoint of its piece, `dest` is the
+    gap, and (kept, gap) is an edge. Returns the vertex the piece abandons
+    and the edge it lands on; raises IllegalMoveError at the first check
+    that fails."""
+    if not 1 <= label <= len(pieces):
+        raise IllegalMoveError(f"label {label} absent")
+    u, v = pieces[label - 1]
+    if kept == v:
         abandoned = u
-    elif move.kept_vertex == u:
+    elif kept == u:
         abandoned = v
     else:
-        raise IllegalMoveError(f"vertex {move.kept_vertex} not an endpoint of piece {move.label}")
-    if move.dest_vertex != p.exposed:
-        raise IllegalMoveError(f"destination {move.dest_vertex} is not the exposed vertex")
-    if not p.graph.has_edge(move.kept_vertex, p.exposed):
-        raise IllegalMoveError(f"({move.kept_vertex},{p.exposed}) is not an edge")
+        raise IllegalMoveError(f"vertex {kept} not an endpoint of piece {label}")
+    if dest != gap:
+        raise IllegalMoveError(f"destination {dest} is not the exposed vertex")
+    landing = (kept, gap) if kept < gap else (gap, kept)
+    if landing not in edges:
+        raise IllegalMoveError(f"({kept},{gap}) is not an edge")
+    return abandoned, landing
+
+
+def slide(p: Placement, move: SlideMove) -> Placement:
+    """The checked reference slide: a new placement, or IllegalMoveError."""
+    label, kept, dest = move
+    abandoned, landing = _check_slide(p.pieces, p.exposed, p.graph.edges,
+                                      label, kept, dest)
     new_pieces = list(p.pieces)
-    new_pieces[move.label - 1] = edge_key(move.kept_vertex, p.exposed)
+    new_pieces[label - 1] = landing
     return Placement(p.graph, tuple(new_pieces), abandoned)
 
 
@@ -157,7 +173,8 @@ class Board:
     the label covering each vertex (0 where none does), and the exposed
     vertex `gap`. A slide is fixed by its kept vertex: the piece covering
     it pivots onto the gap. `step` trusts that the kept vertex neighbours
-    the gap; `slide` and `verify_sequence` are the checked path."""
+    the gap; `slide` and `verify_sequence` check every move, by the one
+    routine `_check_slide`."""
 
     __slots__ = ("graph", "pieces", "owner", "gap")
 
@@ -367,7 +384,8 @@ def cut_loops(seq: SlideSequence) -> SlideSequence:
     moves are an in-order subsequence of `seq.moves`. One replay on a
     `Board` keys each state by the bytes of its vertex -> label map, two
     writes per slide, so the cut is linear in the plan. The moves are
-    assumed legal; `verify_sequence` is the check.
+    assumed legal; `verify_sequence` checks them, as both planners do on
+    the cut plan.
     """
     moves, start = seq.moves, seq.start
     board = Board(start)
@@ -399,12 +417,18 @@ class VerifyReport:
 
 def verify_sequence(seq: SlideSequence,
                     expected_end: Optional[Placement] = None) -> VerifyReport:
-    cur = seq.start
-    for i, mv in enumerate(seq.moves):
+    """Replay `seq` from its start with `slide`'s checks on every move,
+    stepping one list of pieces and the gap in place; the first illegal
+    move ends the replay with its index and message. The end placement is
+    built once and compared with `expected_end` when one is given."""
+    start = seq.start
+    pieces, gap, edges = list(start.pieces), start.exposed, start.graph.edges
+    for i, (label, kept, dest) in enumerate(seq.moves):
         try:
-            cur = slide(cur, mv)
+            gap, pieces[label - 1] = _check_slide(pieces, gap, edges, label, kept, dest)
         except IllegalMoveError as exc:
             return VerifyReport(False, i, None, first_bad_index=i, message=str(exc))
+    cur = Placement(start.graph, tuple(pieces), gap)
     matches = None
     if expected_end is not None:
         matches = (cur.pieces == expected_end.pieces

@@ -336,3 +336,53 @@ def test_unreadable_or_unwritable_file_exits_3(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith(f"cannot read/write {tmp_path}") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_main_carries_no_option_between_calls(tmp_path, capsys, monkeypatch):
+    """`main` parses every call with one parser built at import: repeated
+    calls with different subcommands and options see only their own."""
+    from trigrid import cli
+
+    def no_rebuild():
+        raise AssertionError("parser built again")
+
+    monkeypatch.setattr(cli, "build_parser", no_rebuild)
+    argv = _hex7_plan_argv(tmp_path, "ear")
+    gpath, start, target = argv[1:4]
+    wrong = str(tmp_path / "s.p")
+    for plan_argv, strategy in ((argv, "ear"),
+                                (argv[:4] + ["--out", str(tmp_path / "auto.plan")],
+                                 "hamilton")):
+        assert main(plan_argv) == 0
+        plan = plan_argv[-1]
+        assert open(plan).readline() == f"strategy {strategy}\n"
+        assert main(["verify", gpath, plan, "--target", wrong]) == 2
+        assert main(["verify", gpath, plan]) == 0
+        assert main(["verify", gpath, plan, "--target", target]) == 0
+    assert main(["oracle", gpath, "--max-vertices", "5"]) == 2
+    capsys.readouterr()
+    assert main(["oracle", gpath]) == 0
+    assert capsys.readouterr().out == "reconfigurable True\n"
+    assert main(["gen", "hexagon", "--param", "radius=3",
+                 "--out", str(tmp_path / "x.graph")]) == 2
+    assert main(["gen", "hexagon", "--out", str(tmp_path / "y.graph")]) == 0
+    assert formats.parse_graph((tmp_path / "y.graph").read_text()).num_vertices == 7
+
+
+def test_verify_names_the_first_bad_move(tmp_path, capsys):
+    """A plan whose second move keeps a vertex off its piece fails with
+    exit 2; stdout keeps its three lines and stderr names the move."""
+    argv = _hex7_plan_argv(tmp_path, "hamilton")
+    assert main(argv) == 0
+    gpath, target, plan = argv[1], argv[3], tmp_path / "hamilton.plan"
+    lines = plan.read_text().splitlines()
+    moves = [i for i, ln in enumerate(lines) if ln.startswith("s ")]
+    _, label, kept, dest = lines[moves[1]].split()
+    lines[moves[1]] = f"s {label} {dest} {dest}"        # the gap is on no piece
+    bad = tmp_path / "bad.plan"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", gpath, str(bad), "--target", target]) == 2
+    out, err = capsys.readouterr()
+    assert out == "strategy hamilton\nmoves 1\nok False\n"
+    assert err == f"failed: move 1: vertex {dest} not an endpoint of piece {label}\n"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigrid.corpus import locally_connected_corpus
-from trigrid.ear_planner import PlanError, forced_cycle_dominoes
+from trigrid.ear_planner import PlanError, base_pentagon, forced_cycle_dominoes
 from trigrid.grid import build_graph, edge_key, hexagon_points, star_of_david_points
 from trigrid.hamilton import _scan, find_hamilton, find_local_structure
 from trigrid.hc_planner import (_dominoes, _label_order, _special_pair, _swap_special,
@@ -79,9 +79,11 @@ def _assert_reaches(seq, want):
 def test_swap_adjacent_is_transposition(rng):
     """On every corpus host, every adjacent pair is exchanged exactly, in a
     frame turned so that the pair sits on the swap dominoes: the end is
-    the start turned by lo - j positions, with the two labels exchanged."""
+    the start turned by lo - j positions, with the two labels exchanged.
+    One pentagon-swap memo serves each host's swaps, as in a plan."""
     for g in locally_connected_corpus():
         pd, cur = _aligned_at_c(g, rng)
+        memo = {}
         dominoes = _dominoes(pd, cur)
         k = len(dominoes)
         i_ab, i_v = _special_pair(pd, dominoes)
@@ -92,7 +94,7 @@ def test_swap_adjacent_is_transposition(rng):
             for i, lab in enumerate(before):
                 turned[lab - 1] = dominoes[(i + lo - j) % k]
             want = _exchanged(g, turned, before[j], before[(j + 1) % k], pd.c)
-            step = swap_adjacent(cur, j, pd)
+            step = swap_adjacent(cur, j, pd, memo)
             _assert_reaches(step, want)
             cur = step.end
 
@@ -116,7 +118,7 @@ def test_swap_special_exchanges_the_swap_dominoes(name, data, rnd):
     _, cur = _aligned_at_c(g, rnd, pd)
     dominoes = _dominoes(pd, cur)
     x, y = (cur.label_at(dominoes[i]) for i in _special_pair(pd, dominoes))
-    _assert_reaches(_swap_special(cur, pd), _exchanged(g, cur.pieces, x, y, pd.c))
+    _assert_reaches(_swap_special(cur, pd, {}), _exchanged(g, cur.pieces, x, y, pd.c))
 
 
 def _inversions(have, want):
@@ -142,6 +144,33 @@ def test_sort_swaps_are_the_fewest_cyclic_inversions(rng):
                          for r in range(len(want)))
             rep = plan_hamilton(g, p, q, h)
             assert rep.recursion_trace[-1] == {"phase": "sort", "swaps": fewest}
+            assert verify_sequence(rep.sequence, expected_end=q).matches_expected
+
+
+def test_pentagon_swap_searches_once_per_label_order(monkeypatch):
+    """Within a plan, the pentagon swap's search runs at most once for each
+    order of the two swapped labels; every other swap replays its kept
+    vertices. The plans still verify."""
+    from trigrid import hc_planner
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return base_pentagon(*args)
+
+    monkeypatch.setattr(hc_planner, "base_pentagon", counted)
+    rng = random.Random(1)
+    for g in locally_connected_corpus():
+        if g.name not in ("para21", "hex23", "para25"):
+            continue
+        h = find_hamilton(g)
+        assert len(find_local_structure(g, h).p1) == 3
+        for _ in range(3):
+            p, q = random_placement(g, rng), random_placement(g, rng)
+            calls.clear()
+            rep = plan_hamilton(g, p, q, h)
+            assert len(calls) <= 2 < rep.recursion_trace[-1]["swaps"]
             assert verify_sequence(rep.sequence, expected_end=q).matches_expected
 
 

@@ -11,7 +11,7 @@ from trigrid.hamilton import find_hamilton
 from trigrid.matching import Matching, is_alternating_cycle, near_perfect_matching
 from trigrid.oracle import bfs_component
 from trigrid.placement import (IllegalMoveError, Placement, PlacementError,
-                               RotationSpec, SlideMove, SlideSequence,
+                               RotationSpec, SlideMove, SlideSequence, VerifyReport,
                                aligned_cycle_state, apply_sequence, cut_loops,
                                expose, invert_sequence, is_aligned, legal_moves, replay,
                                rotate, shortest_slides_within, slide,
@@ -262,6 +262,81 @@ def test_verify_sequence(pentagon):
     bad = SlideSequence(p, seq.moves + (SlideMove(1, 1, 1),))
     rep2 = verify_sequence(bad)
     assert not rep2.ok and rep2.first_bad_index == 1
+
+
+def _verify_reference(seq, expected_end):
+    """`verify_sequence` as a fold of `slide` over the moves."""
+    cur = seq.start
+    for i, mv in enumerate(seq.moves):
+        try:
+            cur = slide(cur, mv)
+        except IllegalMoveError as exc:
+            return VerifyReport(False, i, None, first_bad_index=i, message=str(exc))
+    matches = None
+    if expected_end is not None:
+        matches = (cur.pieces, cur.exposed) == (expected_end.pieces, expected_end.exposed)
+    return VerifyReport(matches is not False, len(seq.moves), cur,
+                        matches_expected=matches,
+                        message="" if matches is not False
+                        else "final placement differs from expected")
+
+
+def _corrupt(p, mv, kind, rnd):
+    """`mv`, legal from p, made illegal by one of the four checks of a
+    slide, with the message that check gives; None where p offers no such
+    move."""
+    label, kept, gap = mv
+    if kind == "label":
+        label = rnd.choice([0, p.n + 1, -label])
+        return SlideMove(label, kept, gap), f"label {label} absent"
+    if kind == "endpoint":
+        kept = rnd.choice([v for v in p.graph.vertex_ids if v not in p.piece(label)])
+        return (SlideMove(label, kept, gap),
+                f"vertex {kept} not an endpoint of piece {label}")
+    if kind == "dest":
+        dest = rnd.choice([v for v in p.graph.vertex_ids if v != gap])
+        return (SlideMove(label, kept, dest),
+                f"destination {dest} is not the exposed vertex")
+    off = [(lab, w) for lab, e in enumerate(p.pieces, 1) for w in e
+           if not p.graph.has_edge(w, gap)]
+    if not off:
+        return None
+    label, kept = rnd.choice(off)
+    return SlideMove(label, kept, gap), f"({kept},{gap}) is not an edge"
+
+
+@settings(max_examples=300, deadline=None)
+@given(host=st.sampled_from(_HOSTS), rnd=st.randoms(use_true_random=False),
+       kind=st.sampled_from([None, "label", "endpoint", "dest", "edge"]),
+       expect=st.sampled_from([None, "end", "other"]))
+def test_verify_sequence_matches_slide_reference(host, rnd, kind, expect):
+    """On random legal walks, some with one move made illegal by one of
+    the four checks of a slide, and with no, the true or another expected
+    end, the in-place replay reports what a fold of `slide` reports. As
+    `slide` shares its checks, two more asserts stand apart from it: a
+    corrupted walk fails at the corrupted move with that check's message,
+    and a legal one ends where `replay` ends."""
+    states, moves = [random_placement(host, rnd)], []
+    for _ in range(rnd.randrange(1, 4 * host.num_vertices)):
+        mv = rnd.choice(legal_moves(states[-1]))
+        moves.append(mv)
+        states.append(slide(states[-1], mv))
+    bad = None
+    if kind is not None:
+        i = rnd.randrange(len(moves))
+        bad = _corrupt(states[i], moves[i], kind, rnd)
+    if bad is not None:
+        moves[i] = bad[0]
+    seq = SlideSequence(states[0], tuple(moves))
+    expected = {None: None, "end": states[-1],
+                "other": random_placement(host, rnd)}[expect]
+    rep = verify_sequence(seq, expected)
+    assert rep == _verify_reference(seq, expected)      # placements by pieces and gap
+    if bad is not None:
+        assert (rep.ok, rep.first_bad_index, rep.message) == (False, i, bad[1])
+    else:                                   # the end `Board` reaches
+        end = replay(states[0], [mv.kept_vertex for mv in moves]).end
+        assert (rep.final.pieces, rep.final.exposed) == (end.pieces, end.exposed)
 
 
 def _is_aligned_reference(p, cycle):
