@@ -1,7 +1,8 @@
 """Command-line interface: gen | check | plan | verify | oracle | render.
 
-Exit codes: 0 success, 2 precondition refusal, 3 parse error or a file
-that cannot be read or written, 4 internal invariant failure (a planner
+Exit codes: 0 success, 2 precondition refusal, 3 parse error (naming the
+line of the file; a file that is not UTF-8 text is one) or a file that
+cannot be read or written, 4 internal invariant failure (a planner
 that raises a placement or matching error, or whose plan fails its
 replay). Set TRIGRID_LOG=1 (any non-empty value) for debug lines on
 stderr, such as a summary of each plan.
@@ -52,8 +53,20 @@ def _setup_logging() -> None:
         log.setLevel(logging.WARNING)
 
 
+def _read(path: str) -> str:
+    """The file's text; a byte sequence that is not UTF-8 is a parse error
+    naming its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise formats.ParseError(f"{path}: byte {data[exc.start]:#04x} is not "
+                                 f"UTF-8 text", line) from None
+
+
 def _load_graph(path: str) -> TriGridGraph:
-    return formats.parse_graph(Path(path).read_text(), name=Path(path).stem)
+    return formats.parse_graph(_read(path), name=Path(path).stem)
 
 
 def _write(out: Optional[str], text: str) -> None:
@@ -127,8 +140,8 @@ def cmd_plan(args) -> int:
         print("refused: the Star of David graph is not reconfigurable",
               file=sys.stderr)
         return EXIT_REFUSED
-    p = formats.parse_placement(Path(args.start).read_text(), g)
-    q = formats.parse_placement(Path(args.target).read_text(), g)
+    p = formats.parse_placement(_read(args.start), g)
+    q = formats.parse_placement(_read(args.target), g)
     strategy = _pick_strategy(g, args.strategy)
     try:
         if strategy == "hamilton":
@@ -164,10 +177,10 @@ def cmd_plan(args) -> int:
 
 def cmd_verify(args) -> int:
     g = _load_graph(args.graph)
-    strategy, seq = formats.parse_plan(Path(args.plan).read_text(), g)
+    strategy, seq = formats.parse_plan(_read(args.plan), g)
     expected = None
     if args.target:
-        expected = formats.parse_placement(Path(args.target).read_text(), g)
+        expected = formats.parse_placement(_read(args.target), g)
     report = verify_sequence(seq, expected_end=expected)
     print(f"strategy {strategy}")
     print(f"moves {report.move_count}")
@@ -183,7 +196,7 @@ def cmd_oracle(args) -> int:
     g = _load_graph(args.graph)
     try:
         if args.start:
-            p = formats.parse_placement(Path(args.start).read_text(), g)
+            p = formats.parse_placement(_read(args.start), g)
             comp = bfs_component(g, p, vertex_bound=args.max_vertices)
             if args.out:
                 with open(args.out, "w") as fh:
@@ -202,7 +215,7 @@ def cmd_oracle(args) -> int:
 def cmd_render(args) -> int:
     g = _load_graph(args.graph)
     if args.plan:
-        _, seq = formats.parse_plan(Path(args.plan).read_text(), g)
+        _, seq = formats.parse_plan(_read(args.plan), g)
         frames = render_plan_frames(g, seq)
         base = Path(args.out or "plan.svg")
         for i, svg in enumerate(frames):
@@ -212,7 +225,7 @@ def cmd_render(args) -> int:
         return EXIT_OK
     p = None
     if args.placement:
-        p = formats.parse_placement(Path(args.placement).read_text(), g)
+        p = formats.parse_placement(_read(args.placement), g)
     _write(args.out, render_graph(g, p))
     return EXIT_OK
 

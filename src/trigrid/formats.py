@@ -1,14 +1,17 @@
 """Line-oriented text formats for graphs, placements, move sequences and
 plan files.
 
-All records are single ASCII lines; `#` starts a comment. Parsers report
-the offending line number on malformed input.
+All records are single ASCII lines; `#` starts a comment. Every reader
+makes one pass over its text: each line is split once, dispatched on its
+tag and converted once. A `ParseError` names the offending line's number
+in the text given to the parser, which for a plan or sequence is the
+whole file.
 """
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .grid import TriGridGraph, build_abstract, build_graph, edge_key
-from .placement import Placement, SlideMove, SlideSequence
+from .grid import Edge, TriGridGraph, build_abstract, build_graph, edge_key
+from .placement import Placement, PlacementError, SlideMove, SlideSequence
 
 
 class ParseError(Exception):
@@ -17,25 +20,29 @@ class ParseError(Exception):
         self.line = line
 
 
-def _records(text: str) -> List[Tuple[int, List[str]]]:
-    out = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append((i, line.split()))
-    return out
+def _records(text: str) -> Iterator[Tuple[int, List[str]]]:
+    """(line number, fields) of each line that is neither blank nor a comment."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        parts = line.split()
+        if parts and parts[0][0] != "#":
+            yield lineno, parts
 
 
-def _ints(parts: Sequence[str], lineno: int,
-          count: Optional[int] = None) -> List[int]:
-    """The fields as integers; exactly `count` of them when given."""
-    if count is not None and len(parts) != count:
-        raise ParseError(f"expected {count} integers, got {parts!r}", lineno)
-    try:
-        return [int(x) for x in parts]
-    except ValueError:
-        raise ParseError(f"expected integers, got {parts!r}", lineno)
+def _int_error(fields: Sequence[str], lineno: int, count: int) -> ParseError:
+    """The error for fields that are not exactly `count` integers."""
+    if len(fields) != count:
+        return ParseError(f"expected {count} integers, got {fields!r}", lineno)
+    return ParseError(f"expected integers, got {fields!r}", lineno)
+
+
+def _ints(fields: Sequence[str], lineno: int, count: int) -> List[int]:
+    """The fields as exactly `count` integers."""
+    if len(fields) == count:
+        try:
+            return [int(x) for x in fields]
+        except ValueError:
+            pass
+    raise _int_error(fields, lineno, count)
 
 
 # ---------------------------------------------------------------------------
@@ -99,18 +106,49 @@ def serialize_placement(p: Placement) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Pieces:
+    """The `p label u v` records of one placement, each checked on its own
+    line: three integers, a new label, a host edge, and no vertex that an
+    earlier piece covers."""
+
+    def __init__(self, g: TriGridGraph):
+        self.g = g
+        self.by_label: Dict[int, Edge] = {}
+        self.owner: Dict[int, int] = {}          # covered vertex -> label
+
+    def add(self, parts: List[str], lineno: int) -> None:
+        label, u, v = _ints(parts[1:], lineno, 3)
+        if label in self.by_label:
+            raise ParseError(f"duplicate label {label}", lineno)
+        e = edge_key(u, v)
+        if e not in self.g.edges:
+            raise ParseError(f"piece edge {e} not in graph", lineno)
+        for w in e:
+            if w in self.owner:
+                raise ParseError(f"piece {label} overlaps piece "
+                                 f"{self.owner[w]} at vertex {w}", lineno)
+            self.owner[w] = label
+        self.by_label[label] = e
+
+    def placement(self, lineno: int) -> Placement:
+        """The placement, its labels dense 1..n and n the host's piece
+        count; `lineno` is the line a whole-block error names."""
+        labels = sorted(self.by_label)
+        if labels != list(range(1, len(labels) + 1)):
+            raise ParseError("labels must be dense 1..n", lineno)
+        try:
+            return Placement.make(self.g, [self.by_label[i] for i in labels])
+        except PlacementError as exc:
+            raise ParseError(str(exc), lineno) from None
+
+
 def parse_placement(text: str, g: TriGridGraph) -> Placement:
-    pieces = {}
+    pieces = _Pieces(g)
     for lineno, parts in _records(text):
         if parts[0] != "p":
             raise ParseError(f"unknown record {parts[0]!r}", lineno)
-        label, u, v = _ints(parts[1:], lineno, 3)
-        if label in pieces:
-            raise ParseError(f"duplicate label {label}", lineno)
-        pieces[label] = edge_key(u, v)
-    if sorted(pieces) != list(range(1, len(pieces) + 1)):
-        raise ParseError("labels must be dense 1..n", 1)
-    return Placement.make(g, [pieces[i] for i in sorted(pieces)])
+        pieces.add(parts, lineno)
+    return pieces.placement(1)
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +164,7 @@ def parse_moves(text: str) -> List[SlideMove]:
     for lineno, parts in _records(text):
         if parts[0] != "s":
             raise ParseError(f"unknown record {parts[0]!r}", lineno)
-        label, kept, dest = _ints(parts[1:], lineno, 3)
-        out.append(SlideMove(label, kept, dest))
+        out.append(SlideMove(*_ints(parts[1:], lineno, 3)))
     return out
 
 
@@ -136,24 +173,63 @@ def serialize_sequence(seq: SlideSequence) -> str:
             + serialize_moves(seq.moves))
 
 
+def _read_sequence(text: str, g: TriGridGraph,
+                   plan: bool) -> Tuple[str, SlideSequence]:
+    """The one pass behind `parse_sequence` and, with `plan`, `parse_plan`:
+    the strategy ("" unless `plan`) and the sequence.
+
+    `p` records belong to the start block, from a `start` line up to the
+    next `s` record; `s` records are moves wherever they stand. With
+    `plan`, `strategy` and `slides` header records may stand anywhere;
+    both must be present, and the slide count must match the moves.
+    """
+    strategy: Optional[str] = None
+    slides: Optional[int] = None
+    slides_line = start_line = 0
+    pieces = _Pieces(g)
+    moves: List[SlideMove] = []
+    append = moves.append
+    in_start = False
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        tag = parts[0]
+        if tag == "s":
+            try:
+                _, label, kept, dest = parts
+                append(SlideMove(int(label), int(kept), int(dest)))
+            except ValueError:
+                raise _int_error(parts[1:], lineno, 3) from None
+            in_start = False
+        elif tag == "p" and in_start:
+            pieces.add(parts, lineno)
+        elif tag == "start" and len(parts) == 1:
+            in_start = True
+            start_line = start_line or lineno
+        elif tag[0] == "#":
+            continue
+        elif plan and tag == "strategy":
+            if len(parts) != 2:
+                raise ParseError(f"expected one strategy name, got {parts[1:]!r}",
+                                 lineno)
+            strategy = parts[1]
+        elif plan and tag == "slides":
+            (slides,) = _ints(parts[1:], lineno, 1)
+            slides_line = lineno
+        else:
+            raise ParseError(f"unknown record {tag!r}", lineno)
+    if plan and (strategy is None or slides is None):
+        raise ParseError("missing plan header", 1)
+    if plan and slides != len(moves):
+        raise ParseError(f"header says {slides} slides, file has {len(moves)}",
+                         slides_line)
+    seq = SlideSequence(pieces.placement(start_line or 1), tuple(moves))
+    return strategy or "", seq
+
+
 def parse_sequence(text: str, g: TriGridGraph) -> SlideSequence:
-    lines = text.splitlines()
-    start_lines: List[str] = []
-    move_lines: List[str] = []
-    mode = None
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line == "start":
-            mode = "p"
-            continue
-        if line.split()[0] == "s":
-            mode = "s"
-        (start_lines if mode == "p" else move_lines).append(line)
-    start = parse_placement("\n".join(start_lines), g)
-    moves = parse_moves("\n".join(move_lines))
-    return SlideSequence(start, tuple(moves))
+    return _read_sequence(text, g, plan=False)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -165,21 +241,6 @@ def serialize_plan(strategy: str, seq: SlideSequence) -> str:
 
 
 def parse_plan(text: str, g: TriGridGraph) -> Tuple[str, SlideSequence]:
-    strategy = None
-    slides = None
-    rest = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("strategy "):
-            strategy = line.split()[1]
-        elif line.startswith("slides "):
-            (slides,) = _ints(line.split()[1:], lineno, 1)
-        else:
-            rest.append(raw)
-    if strategy is None or slides is None:
-        raise ParseError("missing plan header", 1)
-    seq = parse_sequence("\n".join(rest), g)
-    if len(seq.moves) != slides:
-        raise ParseError(f"header says {slides} slides, file has "
-                         f"{len(seq.moves)}", 1)
-    return strategy, seq
+    """The strategy and sequence of a plan file, read in one pass over its
+    lines; a `ParseError` names the offending line of the file."""
+    return _read_sequence(text, g, plan=True)

@@ -73,7 +73,15 @@ def _normalize(g: TriGridGraph, order: Sequence[int]) -> Tuple[int, ...]:
 
 def _hamilton_search(g: TriGridGraph) -> Iterator[Tuple[int, ...]]:
     """Backtracking over simple paths with a connectivity-style prune:
-    every unvisited vertex must keep two usable neighbors."""
+    every unvisited vertex must keep two usable neighbors (unvisited, the
+    tail or the start).
+
+    Extending the path from tail t to w takes a usable neighbor only from
+    the unvisited neighbors of t, and none when t is the start; every
+    other unvisited vertex keeps the count it had, which the check one
+    level up passed. So each step checks t's unvisited neighbors alone,
+    except the first, which checks every unvisited vertex because the
+    root runs no check."""
     nvert = g.num_vertices
     start = min(g.vertex_ids, key=lambda v: (g.degree(v), v))
     visited = {start}
@@ -94,10 +102,11 @@ def _hamilton_search(g: TriGridGraph) -> Iterator[Tuple[int, ...]]:
             return
         nbrs = sorted((w for w in g.adj[tail] if w not in visited),
                       key=lambda w: (g.degree(w), w))
+        at_risk = g.vertex_ids if tail == start else g.adj[tail]
         for w in nbrs:
             visited.add(w)
             path.append(w)
-            if all(usable(x, w) >= 2 for x in g.vertex_ids if x not in visited):
+            if all(usable(x, w) >= 2 for x in at_risk if x not in visited):
                 yield from extend()
             path.pop()
             visited.discard(w)

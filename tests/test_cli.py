@@ -386,3 +386,41 @@ def test_verify_names_the_first_bad_move(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "strategy hamilton\nmoves 1\nok False\n"
     assert err == f"failed: move 1: vertex {dest} not an endpoint of piece {label}\n"
+
+
+def test_verify_parse_error_names_the_line_of_the_file(tmp_path, capsys):
+    """A non-integer move deep in a plan exits 3 and names its line in the
+    file, not its place among the moves."""
+    argv = _hex7_plan_argv(tmp_path, "hamilton")
+    assert main(argv) == 0
+    gpath, target, plan = argv[1], argv[3], tmp_path / "hamilton.plan"
+    lines = plan.read_text().splitlines()
+    lineno = [i for i, ln in enumerate(lines, 1) if ln.startswith("s ")][1]
+    lines[lineno - 1] = "s 1 2 x"
+    bad = tmp_path / "bad.plan"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", gpath, str(bad), "--target", target]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"parse error: line {lineno}: expected integers, got ['1', '2', 'x']\n"
+
+
+@pytest.mark.parametrize("command", ["check", "plan", "verify"])
+def test_non_utf8_input_is_parse_error(tmp_path, capsys, command):
+    """A byte that is not UTF-8 in an input file exits 3, naming the file
+    and its line, with no traceback."""
+    argv = _hex7_plan_argv(tmp_path, "hamilton")
+    assert main(argv) == 0
+    gpath, start, plan = argv[1], argv[2], str(tmp_path / "hamilton.plan")
+    victim = {"check": gpath, "plan": start, "verify": plan}[command]
+    lines = open(victim, "rb").read().splitlines(keepends=True)
+    lines[1] = lines[1].rstrip(b"\n") + b" \xff\n"
+    with open(victim, "wb") as fh:
+        fh.write(b"".join(lines))
+    run = {"check": ["check", gpath], "plan": argv[:-2] + ["--out", "-"],
+           "verify": ["verify", gpath, plan]}[command]
+    capsys.readouterr()
+    assert main(run) == 3
+    err = capsys.readouterr().err
+    assert err == f"parse error: line 2: {victim}: byte 0xff is not UTF-8 text\n"

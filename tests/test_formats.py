@@ -68,3 +68,81 @@ def test_plan_slide_count_mismatch(pentagon):
     text = formats.serialize_plan("ear", seq).replace("slides 1", "slides 2")
     with pytest.raises(formats.ParseError):
         formats.parse_plan(text, pentagon)
+
+
+def _hex7_plan(hex7, rng):
+    from trigrid.hc_planner import plan_hamilton
+    p, q = random_placement(hex7, rng), random_placement(hex7, rng)
+    seq = plan_hamilton(hex7, p, q).sequence
+    assert len(seq.moves) >= 3
+    return seq
+
+
+def test_plan_and_sequence_read_back_through_comments(hex7, rng):
+    """A valid plan or sequence, with comments, blank lines and indentation
+    between its records, reads back to the same start and moves."""
+    seq = _hex7_plan(hex7, rng)
+    for text, parse in ((formats.serialize_plan("hamilton", seq),
+                         lambda t: formats.parse_plan(t, hex7)),
+                        (formats.serialize_sequence(seq),
+                         lambda t: ("hamilton", formats.parse_sequence(t, hex7)))):
+        noisy = "".join(f"# {i}\n\n  {line} \n" for i, line in enumerate(text.splitlines()))
+        for t in (text, noisy):
+            strategy, back = parse(t)
+            assert strategy == "hamilton"
+            assert back.start == seq.start and back.moves == seq.moves
+            assert back.end == seq.end
+
+
+# In a plan the header takes lines 1-2 and `start` line 3, so hex7's three
+# pieces are lines 4-6 and the moves start at line 7; a sequence file has
+# no header, so each line sits two lines earlier.
+@pytest.mark.parametrize("plan", [True, False], ids=["plan", "sequence"])
+@pytest.mark.parametrize("lineno,bad", [
+    (8, "s 1 2 x"), (8, "s 1 2"), (8, "p 1 2 3"), (8, "q 1 2 3"),
+    (6, "p 3 1 x"), (6, "p 3 1"), (6, "p 1 1 2"), (6, "s 1"), (6, "start 1"),
+])
+def test_parse_error_names_the_line_of_the_file(hex7, rng, plan, lineno, bad):
+    seq = _hex7_plan(hex7, rng)
+    text = (formats.serialize_plan("hamilton", seq) if plan
+            else formats.serialize_sequence(seq))
+    lineno -= 0 if plan else 2
+    lines = text.splitlines()
+    lines[lineno - 1] = bad
+    with pytest.raises(formats.ParseError) as ei:
+        if plan:
+            formats.parse_plan("\n".join(lines) + "\n", hex7)
+        else:
+            formats.parse_sequence("\n".join(lines) + "\n", hex7)
+    assert ei.value.line == lineno
+    assert str(ei.value).startswith(f"line {lineno}: ")
+
+
+def test_placement_errors_name_their_line(hex7):
+    """Each piece is checked on its own line: a non-edge, a vertex two
+    pieces cover; a missing piece names the block's first line."""
+    good = formats.serialize_placement(Placement.make(hex7, [(1, 2), (3, 4), (5, 7)]))
+    assert formats.parse_placement(good, hex7).exposed == 6
+    for text, lineno, message in (
+            ("p 1 1 2\np 2 3 4\np 3 5 5\n", 3, "piece edge (5, 5) not in graph"),
+            ("p 1 1 2\np 2 2 4\np 3 5 7\n", 2, "piece 2 overlaps piece 1 at vertex 2"),
+            ("p 1 1 2\np 2 3 4\n", 1, "expected 3 pieces, got 2")):
+        with pytest.raises(formats.ParseError) as ei:
+            formats.parse_placement(text, hex7)
+        assert (ei.value.line, str(ei.value)) == (lineno, f"line {lineno}: {message}")
+
+
+def test_plan_header_errors(hex7, rng):
+    seq = _hex7_plan(hex7, rng)
+    text = formats.serialize_plan("hamilton", seq)
+    n = len(seq.moves)
+    for bad, lineno in ((text.replace(f"slides {n}\n", f"slides {n + 1}\n"), 2),
+                        (text.replace("strategy hamilton\n", "strategy\n"), 1),
+                        (text.replace("strategy hamilton\n", ""), 1),
+                        (text.replace("start\n", ""), 3)):
+        with pytest.raises(formats.ParseError) as ei:
+            formats.parse_plan(bad, hex7)
+        assert ei.value.line == lineno
+    with pytest.raises(formats.ParseError) as ei:
+        formats.parse_sequence(text, hex7)
+    assert str(ei.value) == "line 1: unknown record 'strategy'"

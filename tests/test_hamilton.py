@@ -4,11 +4,12 @@ import networkx as nx
 import pytest
 
 from trigrid.corpus import locally_connected_corpus
-from trigrid.grid import GridError, build_graph, edge_key, star_of_david_points
-from trigrid.hamilton import (HamiltonCycle, HamiltonError, dual_forests,
-                              enumerate_hamilton_cycles, find_hamilton,
-                              find_local_structure, select_parity,
-                              validate_cycle)
+from trigrid.grid import (GridError, TriGridGraph, build_graph, edge_key,
+                          star_of_david_points)
+from trigrid.hamilton import (HamiltonCycle, HamiltonError, _hamilton_search,
+                              dual_forests, enumerate_hamilton_cycles,
+                              find_hamilton, find_local_structure,
+                              select_parity, validate_cycle)
 
 
 def _brute_cycles(g):
@@ -49,6 +50,56 @@ def test_enumerate_matches_brute_force(pentagon, hex7):
         mine = {min(h.order, tuple([h.order[0]] + list(reversed(h.order[1:]))))
                 for h in enumerate_hamilton_cycles(g)}
         assert mine == _brute_cycles(g)
+
+
+def _full_check_search(g):
+    """The Hamilton search with the prune checking every unvisited vertex
+    after every step, as a reference for the search that checks only the
+    vertices a step can make fail."""
+    start = min(g.vertex_ids, key=lambda v: (g.degree(v), v))
+    visited, path = {start}, [start]
+
+    def usable(w, tail):
+        return sum(1 for x in g.adj[w] if x == tail or x == start or x not in visited)
+
+    def extend():
+        tail = path[-1]
+        if len(path) == g.num_vertices:
+            if g.has_edge(tail, start):
+                yield tuple(path)
+            return
+        for w in sorted((w for w in g.adj[tail] if w not in visited),
+                        key=lambda w: (g.degree(w), w)):
+            visited.add(w)
+            path.append(w)
+            if all(usable(x, w) >= 2 for x in g.vertex_ids if x not in visited):
+                yield from extend()
+            path.pop()
+            visited.discard(w)
+
+    yield from extend()
+
+
+def test_search_matches_full_check_reference(monkeypatch):
+    """The same paths in the same order as the full-check search, through
+    the same nodes: the log of `degree` calls, made for the unvisited
+    neighbours of every path either search extends, is the same too. The
+    first twenty paths on every locally-connected corpus host, and every
+    path on the smallest hosts. On a path of three vertices only the first
+    step's full check prunes: its far end has one neighbour."""
+    calls = []
+    degree = TriGridGraph.degree
+    monkeypatch.setattr(TriGridGraph, "degree",
+                        lambda g, v: calls.append(v) or degree(g, v))
+    line = build_graph([(0, 0), (1, 0), (2, 0)], name="line3")
+    for g in locally_connected_corpus() + [line]:
+        count = None if g.num_vertices <= 9 else 20
+        runs = []
+        for search in (_hamilton_search, _full_check_search):
+            calls.clear()
+            runs.append((list(itertools.islice(search(g), count)), list(calls)))
+        assert runs[0] == runs[1], g.name
+        assert bool(runs[0][0]) == (g is not line)
 
 
 def test_hex7_has_six_cycles(hex7):
