@@ -229,23 +229,29 @@ def enumerate_pentagons(g: TriGridGraph) -> List[Tuple[int, Tuple[int, int, int,
 
 def enumerate_diamonds(g: TriGridGraph) -> List[Tuple[int, int, int, int]]:
     """Diamonds as (s1, s2, t1, t2): shared edge (s1, s2), outer vertices
-    t1, t2, inducing exactly 5 edges."""
-    out = []
+    t1 < t2, inducing exactly 5 edges, that is, t1 and t2 not adjacent.
+
+    Only triangles on a common edge can form one, so each triangle is
+    paired with the later triangles on its three edges. The list is in
+    the order of a scan over all pairs of `_triangles`, by first triangle
+    and then second, which `_diamond_structure` relies on: it takes the
+    first diamond that works.
+    """
     tris = _triangles(g)
+    on_edge: Dict[Edge, List[int]] = {}
+    for i, tri in enumerate(tris):
+        for e in itertools.combinations(tri, 2):
+            on_edge.setdefault(e, []).append(i)
+    out = []
     for i, a in enumerate(tris):
-        for b in tris[i + 1:]:
-            shared = set(a) & set(b)
-            if len(shared) != 2:
-                continue
-            s1, s2 = sorted(shared)
-            (t1,) = set(a) - shared
-            (t2,) = set(b) - shared
+        later = sorted((j, e) for e in itertools.combinations(a, 2)
+                       for j in on_edge[e] if j > i)
+        for j, (s1, s2) in later:
+            (t1,) = set(a) - {s1, s2}
+            (t2,) = set(tris[j]) - {s1, s2}
             if t1 > t2:
                 t1, t2 = t2, t1
-            vs = [s1, s2, t1, t2]
-            count = sum(1 for x, y in itertools.combinations(vs, 2)
-                        if g.has_edge(x, y))
-            if count == 5:
+            if not g.has_edge(t1, t2):
                 out.append((s1, s2, t1, t2))
     return out
 

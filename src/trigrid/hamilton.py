@@ -240,17 +240,15 @@ class ParityDiamond:
 
 
 def _arc(order: Sequence[int], frm: int, to: int, avoid: int) -> Tuple[int, ...]:
-    """The cycle arc from `frm` to `to` not passing through `avoid`."""
+    """The cycle arc from `frm` to `to` not passing through `avoid`: the
+    forward arc if it avoids it, else the backward one, both sliced from
+    the cycle turned to start at `frm`."""
     i = order.index(frm)
-    n = len(order)
-    for step in (1, -1):
-        path = [frm]
-        j = i
-        while path[-1] != to:
-            j = (j + step) % n
-            path.append(order[j])
+    ring = tuple(order[i:]) + tuple(order[:i])
+    j = ring.index(to)
+    for path in (ring[:j + 1], ring[:1] + ring[:j - 1:-1]):
         if avoid not in path:
-            return tuple(path)
+            return path
     raise HamiltonError("both arcs pass through the avoided vertex")
 
 

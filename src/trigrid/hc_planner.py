@@ -7,7 +7,7 @@ swap needs and never back, rotate once into the target's frame, then undo
 the target-side alignment. Slide counts grow as O(n^3).
 """
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .grid import Edge, TriGridGraph, edge_key, is_locally_connected, is_star_of_david
 from .ear_planner import (PlanError, PlanReport, base_pentagon, finish_plan,
@@ -43,19 +43,30 @@ def align_with_hamilton(p: Placement, h: HamiltonCycle) -> SlideSequence:
 # ---------------------------------------------------------------------------
 # adjacent swaps at the diamond
 
-def _dominoes(pd: ParityDiamond, p: Placement) -> List[Edge]:
-    return forced_cycle_dominoes(pd.cycle.order, p.exposed)
+class TurningFrame(NamedTuple):
+    """The sort's frame with the gap at c, the same at every swap of a
+    plan: the cycle's forced dominoes listed from c, each domino's index,
+    the indices of the two swap dominoes (`i_ab` on (a, b), `i_v` its
+    neighbour along p1) and `lo`, the lower of the two in cycle order."""
+
+    pd: ParityDiamond
+    dominoes: Tuple[Edge, ...]
+    slot: Dict[Edge, int]
+    i_ab: int
+    i_v: int
+    lo: int
 
 
-def _special_pair(pd: ParityDiamond, dominoes: List[Edge]) -> Tuple[int, int]:
-    """Indices of the two swap dominoes: the one on (a, b) and its
-    neighbor along p1 (the domino covering the p1-neighbor of a)."""
-    i_ab = dominoes.index(edge_key(pd.a, pd.b))
+def turning_frame(pd: ParityDiamond) -> TurningFrame:
+    dominoes = tuple(forced_cycle_dominoes(pd.cycle.order, pd.c))
+    slot = {e: i for i, e in enumerate(dominoes)}
+    i_ab = slot[edge_key(pd.a, pd.b)]
     v1 = pd.p1[-2]
     i_v = next(i for i, e in enumerate(dominoes) if v1 in e)
-    n = len(dominoes)
-    assert (i_v - i_ab) % n in (1, n - 1), "swap dominoes not adjacent"
-    return i_ab, i_v
+    k = len(dominoes)
+    assert (i_v - i_ab) % k in (1, k - 1), "swap dominoes not adjacent"
+    lo = i_ab if (i_v - i_ab) % k == 1 else i_v
+    return TurningFrame(pd, dominoes, slot, i_ab, i_v, lo)
 
 
 # (unlabeled pieces, whether the (a, b) label is the smaller) -> kept
@@ -63,7 +74,7 @@ def _special_pair(pd: ParityDiamond, dominoes: List[Edge]) -> Tuple[int, int]:
 PentagonMemo = Dict[Tuple[FrozenSet[Edge], bool], Tuple[int, ...]]
 
 
-def _swap_special(cur: Placement, pd: ParityDiamond, memo: PentagonMemo) -> SlideSequence:
+def _swap_special(cur: Placement, frame: TurningFrame, memo: PentagonMemo) -> SlideSequence:
     """Exchange the labels on the two swap dominoes; gap stays at c.
 
     Short even side (two edges): the five vertices a, b, c, d and the
@@ -76,12 +87,11 @@ def _swap_special(cur: Placement, pd: ParityDiamond, memo: PentagonMemo) -> Slid
     then rotate the p1 + (a, b), (b, c), (c, d) cycle back to the
     swapped state.
     """
+    pd = frame.pd
     a, b, c, d = pd.a, pd.b, pd.c, pd.d
     assert cur.exposed == c
-    dominoes = _dominoes(pd, cur)
-    i_ab, i_v = _special_pair(pd, dominoes)
-    hi = cur.label_at(dominoes[i_ab])
-    lo = cur.label_at(dominoes[i_v])
+    hi = cur.label_at(frame.dominoes[frame.i_ab])
+    lo = cur.label_at(frame.dominoes[frame.i_v])
     assert hi is not None and lo is not None
 
     target_pieces = list(cur.pieces)
@@ -116,7 +126,7 @@ def _swap_special(cur: Placement, pd: ParityDiamond, memo: PentagonMemo) -> Slid
     return seq
 
 
-def swap_adjacent(cur: Placement, j: int, pd: ParityDiamond,
+def swap_adjacent(cur: Placement, j: int, frame: TurningFrame,
                   memo: PentagonMemo) -> SlideSequence:
     """Transpose the labels x and y on dominoes j and j + 1 (cyclic
     positions along the cycle from the gap at c), leaving the cycle turned.
@@ -125,18 +135,17 @@ def swap_adjacent(cur: Placement, j: int, pd: ParityDiamond,
     the one after it, then exchanges them there. The end placement is the
     start turned by lo - j domino positions, lo being the lower swap
     domino's position, with x and y exchanged; the gap is back at c.
-    `memo` is the plan's pentagon-swap memo (see `_swap_special`).
+    `frame` is the plan's turning frame and `memo` its pentagon-swap memo
+    (see `_swap_special`).
     """
+    pd, dominoes, lo = frame.pd, frame.dominoes, frame.lo
     assert cur.exposed == pd.c
-    dominoes = _dominoes(pd, cur)
     k = len(dominoes)
     order = _label_order(cur, dominoes)
     x, y = order[j], order[(j + 1) % k]
-    i_ab, i_v = _special_pair(pd, dominoes)
-    lo = i_ab if (i_v - i_ab) % k == 1 else i_v
     turn = rotate(cur, RotationSpec(pd.cycle.order, target_exposed=pd.c,
                                     target_pieces=((x, dominoes[lo]),)))
-    swap = _swap_special(turn.end, pd, memo)
+    swap = _swap_special(turn.end, frame, memo)
     want = list(cur.pieces)
     for i, lab in enumerate(order):
         want[lab - 1] = dominoes[(i + lo - j) % k]
@@ -148,13 +157,10 @@ def swap_adjacent(cur: Placement, j: int, pd: ParityDiamond,
 # ---------------------------------------------------------------------------
 # full plan
 
-def _label_order(p: Placement, dominoes: List[Edge]) -> List[int]:
-    out = []
-    for e in dominoes:
-        lab = p.label_at(e)
-        assert lab is not None
-        out.append(lab)
-    return out
+def _label_order(p: Placement, dominoes: Sequence[Edge]) -> List[int]:
+    """The labels on `dominoes`, in turn; every domino must hold a piece."""
+    label_of = {e: label for label, e in enumerate(p.pieces, 1)}
+    return [label_of[e] for e in dominoes]
 
 
 def _nearest_rotation(have: List[int], want: List[int]) -> List[int]:
@@ -183,13 +189,22 @@ def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement,
     q's order with the fewest inversions and walks each label leftwards by
     adjacent swaps, never turning the cycle back between them. One final
     rotation sets the frame to q's alignment, which is then undone.
+
+    Hosts below five vertices have no parity diamond: a single vertex
+    holds no pieces, and the one piece on a triangle is placed by a
+    rotation along it.
     """
     if g.is_lattice and is_star_of_david(g):
         raise PlanError("the Star of David graph is not reconfigurable")
     if g.is_lattice and not is_locally_connected(g):
         raise PlanError("cycle planner needs a locally-connected graph")
+    if g.n == 0:
+        return finish_plan(SlideSequence(p, ()), q, "hamilton", [])
     if h is None:
         h = find_hamilton(g)
+    if g.num_vertices < 5:
+        turn = rotate(p, RotationSpec(h.order, target_exposed=q.exposed))
+        return finish_plan(turn, q, "hamilton", [{"phase": "rotate", "cycle": h.order}])
     pd = find_local_structure(g, h)
 
     sp = align_with_hamilton(p, h)
@@ -197,9 +212,9 @@ def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement,
     rp = rotate(sp.end, RotationSpec(h.order, target_exposed=pd.c))
     cur = rp.end
     aligned_q = sq.end
-    dominoes = _dominoes(pd, cur)
-    slot = {e: i for i, e in enumerate(dominoes)}
-    have = _label_order(cur, dominoes)
+    frame = turning_frame(pd)
+    slot = frame.slot
+    have = _label_order(cur, frame.dominoes)
     want = _nearest_rotation(have, _label_order(
         aligned_q, forced_cycle_dominoes(h.order, aligned_q.exposed)))
     trace: List[Dict] = [{"phase": "align", "cycle": h.order,
@@ -211,7 +226,7 @@ def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement,
     # order from the label that started on domino 0
     for j, lab in enumerate(want):
         for i in range(have.index(lab, j), j, -1):
-            step = swap_adjacent(cur, slot[cur.piece(have[i - 1])], pd, memo)
+            step = swap_adjacent(cur, slot[cur.piece(have[i - 1])], frame, memo)
             moves.extend(step.moves)
             cur = step.end
             have[i - 1], have[i] = have[i], have[i - 1]

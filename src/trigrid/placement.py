@@ -7,6 +7,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import (Callable, Collection, Dict, Iterable, List, NamedTuple, Optional,
                     Sequence, Set, Tuple)
 
@@ -212,8 +213,9 @@ class Board:
         cycle = tuple(cycle)
         if len(cycle) % 2 == 0 or self.gap not in cycle:
             return False
-        has_edge = self.graph.has_edge
-        if not all(has_edge(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])):
+        edges = self.graph.edges
+        if not all(((a, b) if a < b else (b, a)) in edges
+                   for a, b in zip(cycle, cycle[1:] + cycle[:1])):
             return False
         i = cycle.index(self.gap)
         after, owner = cycle[i + 1:] + cycle[:i], self.owner
@@ -311,47 +313,98 @@ def shortest_slides_within(p: Placement, edges: Set[Edge],
 
 
 def rotate(p: Placement, spec: RotationSpec) -> SlideSequence:
-    """Shortest rotation along the aligned cycle reaching the target.
+    """Shortest rotation along the aligned cycle reaching the target, in
+    closed form.
 
-    Every state aligned with the cycle has exactly two on-cycle slides, one
-    moving the gap two positions each way, so the states reachable along
-    the cycle form one cycle of at most (2k'+1)k' states for cycle length
-    2k'+1. The two directions are walked in lockstep, the one whose first
-    slide comes first in `legal_moves` order leading. This returns the
-    moves of `shortest_slides_within` on the cycle edges, ties included,
-    in O(n + moves). Raises PlacementError if p is not aligned with the
-    cycle, or if the walks meet before reaching the target.
+    Let the cycle have n = 2k+1 vertices, ring[0] the gap, and L the
+    labels on the k dominoes after it. An aligned state has exactly two
+    on-cycle slides: keeping ring[1] moves the gap two places forwards
+    and turns L left by one; keeping ring[-1] undoes that. So state u
+    (u slides forwards, or -u backwards, u mod n*k) has the gap at
+    ring[2u] and L turned left by u, and as n and k are coprime the
+    states reachable along the cycle form one cycle of n*k states. Each
+    goal is a congruence on u. The gap at ring[e] needs u = e(k+1)
+    mod n, as k+1 halves mod n. The label at L[a] on the edge (ring[j],
+    ring[j+1]) needs, for one of the k positions i it can hold,
+    u = a - i mod k and 2u = j - 1 - 2i mod n: one u mod n*k each.
+    The shorter walk to a state meeting every goal wins, ties going to
+    the direction whose first slide comes first in `legal_moves` order:
+    these are the moves of `shortest_slides_within` on the cycle's edges.
+    Only the winner's moves are built, the kept vertices sliced from the
+    ring and the labels cycled from L, in O(n + moves), and its end
+    placement directly. Raises PlacementError if p is not aligned with
+    the cycle, or if no state along it meets the target.
     """
     cyc = spec.cycle
-    start = Board(p)
-    if not start.is_aligned(cyc):
+    board = Board(p)
+    if not board.is_aligned(cyc):
         raise PlacementError("placement is not aligned with the rotation cycle")
-    want = [(label, edge_key(*e)) for label, e in spec.target_pieces or ()]
-
-    def done(b: Board) -> bool:
-        owner = b.owner
-        return ((spec.target_exposed is None or b.gap == spec.target_exposed)
-                and all(owner[u] == owner[v] == label for label, (u, v) in want))
-
-    if done(start):
-        return SlideSequence(p, ())
-    n = len(cyc)
-    # per direction: the gap -> the kept vertex of its next slide
-    aheads = [{cyc[i]: cyc[(i + step) % n] for i in range(n)} for step in (1, -1)]
-    aheads.sort(key=lambda ahead: (start.owner[ahead[p.exposed]], ahead[p.exposed]))
-    # each walk logs (label, kept, gap) per slide; only the winner's
-    # become SlideMoves
-    lead, trail = [(board, ahead, []) for board, ahead in zip((start, Board(p)), aheads)]
-    while True:
-        for (board, ahead, log), other in ((lead, trail[0]), (trail, lead[0])):
-            gap = board.gap
-            kept = ahead[gap]
-            log.append((board.step(kept), kept, gap))
-            if board.gap == other.gap and board.owner == other.owner:
+    n, k = len(cyc), len(cyc) // 2
+    g = cyc.index(p.exposed)
+    ring = cyc[g:] + cyc[:g]                   # from the gap, forwards
+    labels = [board.owner[v] for v in ring[1::2]]
+    index = {v: i for i, v in enumerate(ring)}
+    slot = {lab: i for i, lab in enumerate(labels)}
+    # goals as (label position, index j of the edge's first vertex from
+    # the gap); the gap goal is position None with j its index
+    goals = []
+    if spec.target_exposed is not None:
+        if spec.target_exposed not in index:
+            raise PlacementError("rotation target unreachable along the cycle")
+        goals.append((None, index[spec.target_exposed]))
+    for label, e in spec.target_pieces or ():
+        e = edge_key(*e)
+        if label not in slot:                  # off the cycle: never moves
+            if not 1 <= label <= p.n or p.pieces[label - 1] != e:
                 raise PlacementError("rotation target unreachable along the cycle")
-            if done(board):
-                return SlideSequence(p, tuple(SlideMove(*s) for s in log),
-                                     board.placement())
+            continue
+        ia, ib = index.get(e[0]), index.get(e[1])
+        if ia is None or ib is None or (ia - ib) % n not in (1, n - 1):
+            raise PlacementError("rotation target unreachable along the cycle")
+        goals.append((slot[label], ia if (ib - ia) % n == 1 else ib))
+    if not goals:
+        return SlideSequence(p, ())
+    half = k + 1                               # the inverse of 2 mod n
+    at, j = goals[0]
+    if at is None:
+        us = [j * half % n + n * r for r in range(k)]
+    else:
+        us = []
+        for i in range(k):                     # u = r mod n and u = at - i mod k;
+            r = (j - 1 - 2 * i) * half % n     # n = 1 mod k, so u = r + n*m
+            us.append(r + n * ((at - i - r) % k))
+    for at, j in goals[1:]:
+        if at is None:
+            us = [u for u in us if (2 * u - j) % n == 0]
+        else:                                  # the label sits at L[(at - u) mod k]
+            us = [u for u in us if (2 * u + 1 + 2 * ((at - u) % k) - j) % n == 0]
+    if not us:
+        raise PlacementError("rotation target unreachable along the cycle")
+    if 0 in us:
+        return SlideSequence(p, ())
+    fwd, bwd = min(us), n * k - max(us)
+    # the lead direction: its first slide comes first in legal_moves order
+    forward_leads = (labels[0], ring[1]) < (labels[-1], ring[-1])
+    if fwd < bwd or (fwd == bwd and forward_leads):
+        u, t, walk, order = fwd, fwd, ring, labels
+    else:
+        u, t, walk, order = n * k - bwd, bwd, ring[:1] + ring[:0:-1], labels[::-1]
+    # step s keeps walk[2s+1] with the gap at walk[2s] (indices mod n),
+    # and moves order[s mod k]
+    twice = walk + walk
+    laps = t // n + 1
+    # tuple.__new__ builds each SlideMove as `SlideMove._make` does, without
+    # a Python-level call per move
+    moves = tuple(map(tuple.__new__, repeat(SlideMove),
+                      zip((order * (t // k + 1))[:t], (twice[1::2] * laps)[:t],
+                          (twice[0::2] * laps)[:t])))
+    # the end: gap at ring[2u], L turned left by u on the dominoes after it
+    gap, turn = 2 * u % n, u % k
+    after = ring[gap + 1:] + ring[:gap]
+    pieces = list(p.pieces)
+    for label, a, b in zip(labels[turn:] + labels[:turn], after[::2], after[1::2]):
+        pieces[label - 1] = (a, b) if a < b else (b, a)
+    return SlideSequence(p, moves, Placement(p.graph, tuple(pieces), ring[gap]))
 
 
 def expose(p: Placement, v: int, m: Matching) -> SlideSequence:
@@ -389,11 +442,19 @@ def cut_loops(seq: SlideSequence) -> SlideSequence:
     """
     moves, start = seq.moves, seq.start
     board = Board(start)
-    step, owner = board.step, board.owner
+    pieces, owner, gap = board.pieces, board.owner, board.gap
     keys = [owner.tobytes()]
-    for mv in moves:
-        step(mv.kept_vertex)
+    for _, kept, _ in moves:                   # `Board.step`, inlined
+        label = owner[kept]
+        if not label:
+            raise PlacementError(f"vertex {kept} is not covered")
+        a, b = pieces[label - 1]
+        far = b if kept == a else a
+        pieces[label - 1] = (kept, gap)
+        owner[gap], owner[far] = label, 0
+        gap = far
         keys.append(owner.tobytes())
+    board.gap = gap
     last = {key: i for i, key in enumerate(keys)}
     kept_moves = []
     i = last[keys[0]]

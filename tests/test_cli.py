@@ -52,6 +52,30 @@ def test_plan_verify_render_pipeline(tmp_path, capsys):
     assert svg.read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("points", [[(0, 0), (1, 0), (0, 1)], [(0, 0)]],
+                         ids=["triangle", "one-vertex"])
+def test_plan_hosts_below_five_vertices(tmp_path, capsys, points):
+    """`check` vouches for the cycle planner on the triangle and on a single
+    vertex, so `plan` plans every pair there, start equal to target
+    included, and `verify` accepts each plan."""
+    g = build_graph(points)
+    gpath = tmp_path / "small.graph"
+    gpath.write_text(formats.serialize_graph(g))
+    assert main(["check", str(gpath)]) == 0
+    assert "sufficient_condition locally-connected (cycle planner)" in capsys.readouterr().out
+    matchings = [sorted(m.edges) for m in enumerate_near_perfect_matchings(g)]
+    assert len(matchings) == max(1, g.num_vertices)
+    for i, start_edges in enumerate(matchings):
+        for j, target_edges in enumerate(matchings):
+            start = _write_placement(tmp_path, f"s{i}.p", g, start_edges)
+            target = _write_placement(tmp_path, f"t{j}.p", g, target_edges)
+            plan = tmp_path / f"{i}-{j}.plan"
+            assert main(["plan", str(gpath), str(start), str(target),
+                         "--out", str(plan)]) == 0
+            assert main(["verify", str(gpath), str(plan), "--target", str(target)]) == 0
+            assert "ok True" in capsys.readouterr().out
+
+
 def test_plan_refuses_star_of_david(tmp_path):
     g = build_graph(star_of_david_points())
     gpath = tmp_path / "sod.graph"

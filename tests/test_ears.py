@@ -1,10 +1,14 @@
+import itertools
+
 import pytest
 
 from trigrid.corpus import degree6_corpus, locally_connected_corpus
-from trigrid.grid import (build_graph, diamond_cycle_graph, edge_key,
+from trigrid.grid import (build_abstract, build_graph, diamond_cycle_graph, edge_key,
+                          hex_with_hole_graph,
                           star_of_david_points)
 from trigrid.ears import (EarDecomposition, EarError, NoAdmissibleError,
-                          LevelMatchings, align_with_ears, cycle_edges, ear_decomposition,
+                          LevelMatchings, _triangles, align_with_ears, cycle_edges,
+                          ear_decomposition, enumerate_diamonds,
                           extend_from_central, find_admissible, is_aligned_with,
                           path_edges, validate_decomposition)
 from trigrid.matching import enumerate_near_perfect_matchings, near_perfect_matching
@@ -145,3 +149,37 @@ def test_is_aligned_with_every_placement():
                 seen.add(why)
     assert seen == {"exposed off the base", "base does not alternate",
                     "an ear does not alternate", "aligned"}
+
+
+def _diamonds_all_pairs(g):
+    """Every pair of triangles sharing an edge whose outer vertices are not
+    adjacent, scanned over all pairs of `_triangles` in order."""
+    out = []
+    tris = _triangles(g)
+    for i, a in enumerate(tris):
+        for b in tris[i + 1:]:
+            shared = set(a) & set(b)
+            if len(shared) != 2:
+                continue
+            s1, s2 = sorted(shared)
+            (t1,) = set(a) - shared
+            (t2,) = set(b) - shared
+            if t1 > t2:
+                t1, t2 = t2, t1
+            vs = [s1, s2, t1, t2]
+            if sum(g.has_edge(x, y) for x, y in itertools.combinations(vs, 2)) == 5:
+                out.append((s1, s2, t1, t2))
+    return out
+
+
+def test_enumerate_diamonds_matches_all_pairs_scan():
+    """Same diamonds in the same order as the all-pairs scan, since
+    `_diamond_structure` takes the first that works. The abstract host,
+    K5 less one edge, has edges on three triangles."""
+    k5_less = build_abstract(5, [e for e in itertools.combinations(range(1, 6), 2)
+                                 if e != (4, 5)])
+    hosts = (locally_connected_corpus() + degree6_corpus(17, 30)
+             + [hex_with_hole_graph(2), diamond_cycle_graph(6), k5_less])
+    for g in hosts:
+        assert enumerate_diamonds(g) == _diamonds_all_pairs(g), g.name
+    assert len(enumerate_diamonds(k5_less)) == 3

@@ -6,7 +6,7 @@ import pytest
 from trigrid.corpus import locally_connected_corpus
 from trigrid.grid import (GridError, TriGridGraph, build_graph, edge_key,
                           star_of_david_points)
-from trigrid.hamilton import (HamiltonCycle, HamiltonError, _hamilton_search,
+from trigrid.hamilton import (HamiltonCycle, HamiltonError, _arc, _hamilton_search,
                               dual_forests, enumerate_hamilton_cycles,
                               find_hamilton, find_local_structure,
                               select_parity, validate_cycle)
@@ -184,3 +184,32 @@ def test_local_structure_keeps_cycle(hex7):
     # every Hamilton cycle of hex7 carries a parity diamond of its own
     for h in enumerate_hamilton_cycles(hex7):
         assert find_local_structure(hex7, h).cycle == h
+
+
+def _arc_walk(order, frm, to, avoid):
+    """Walk the cycle from `frm` forwards, then backwards, until `to`;
+    the first walk that misses `avoid`, or None."""
+    n = len(order)
+    for step in (1, -1):
+        path = [frm]
+        j = order.index(frm)
+        while path[-1] != to:
+            j = (j + step) % n
+            path.append(order[j])
+        if avoid not in path:
+            return tuple(path)
+    return None
+
+
+def test_arc_matches_walk_on_corpus_cycles():
+    """Every (from, to, avoid) triple on the Hamilton cycle of every corpus
+    host: the sliced arc is the walked one, and both fail together."""
+    for g in locally_connected_corpus():
+        order = find_hamilton(g).order
+        for frm, to, avoid in itertools.product(order, repeat=3):
+            want = _arc_walk(order, frm, to, avoid)
+            if want is None:
+                with pytest.raises(HamiltonError):
+                    _arc(order, frm, to, avoid)
+            else:
+                assert _arc(order, frm, to, avoid) == want

@@ -9,10 +9,11 @@ from trigrid.corpus import locally_connected_corpus
 from trigrid.ear_planner import PlanError, base_pentagon, forced_cycle_dominoes
 from trigrid.grid import build_graph, edge_key, hexagon_points, star_of_david_points
 from trigrid.hamilton import _scan, find_hamilton, find_local_structure
-from trigrid.hc_planner import (_dominoes, _label_order, _special_pair, _swap_special,
-                                align_with_hamilton, plan_hamilton, swap_adjacent)
+from trigrid.hc_planner import (_label_order, _swap_special, align_with_hamilton,
+                                plan_hamilton, swap_adjacent, turning_frame)
+from trigrid.ears import cycle_edges
 from trigrid.placement import (Placement, RotationSpec, is_aligned, rotate,
-                               verify_sequence)
+                               shortest_slides_within, verify_sequence)
 
 from conftest import random_placement
 
@@ -84,17 +85,16 @@ def test_swap_adjacent_is_transposition(rng):
     for g in locally_connected_corpus():
         pd, cur = _aligned_at_c(g, rng)
         memo = {}
-        dominoes = _dominoes(pd, cur)
+        frame = turning_frame(pd)
+        dominoes, lo = frame.dominoes, frame.lo          # y's domino follows x's
         k = len(dominoes)
-        i_ab, i_v = _special_pair(pd, dominoes)
-        lo = i_ab if (i_v - i_ab) % k == 1 else i_v     # y's domino follows x's
         for j in range(k):
             before = _label_order(cur, dominoes)
             turned = list(cur.pieces)
             for i, lab in enumerate(before):
                 turned[lab - 1] = dominoes[(i + lo - j) % k]
             want = _exchanged(g, turned, before[j], before[(j + 1) % k], pd.c)
-            step = swap_adjacent(cur, j, pd, memo)
+            step = swap_adjacent(cur, j, frame, memo)
             _assert_reaches(step, want)
             cur = step.end
 
@@ -116,9 +116,9 @@ def test_swap_special_exchanges_the_swap_dominoes(name, data, rnd):
     g, cands = _diamonds(name)
     pd = data.draw(st.sampled_from(cands))
     _, cur = _aligned_at_c(g, rnd, pd)
-    dominoes = _dominoes(pd, cur)
-    x, y = (cur.label_at(dominoes[i]) for i in _special_pair(pd, dominoes))
-    _assert_reaches(_swap_special(cur, pd, {}), _exchanged(g, cur.pieces, x, y, pd.c))
+    frame = turning_frame(pd)
+    x, y = (cur.label_at(frame.dominoes[i]) for i in (frame.i_ab, frame.i_v))
+    _assert_reaches(_swap_special(cur, frame, {}), _exchanged(g, cur.pieces, x, y, pd.c))
 
 
 def _inversions(have, want):
@@ -137,7 +137,7 @@ def test_sort_swaps_are_the_fewest_cyclic_inversions(rng):
             p, q = random_placement(g, rng), random_placement(g, rng)
             sp = align_with_hamilton(p, h)
             at_c = rotate(sp.end, RotationSpec(h.order, target_exposed=pd.c)).end
-            have = _label_order(at_c, _dominoes(pd, at_c))
+            have = _label_order(at_c, forced_cycle_dominoes(h.order, at_c.exposed))
             aq = align_with_hamilton(q, h).end
             want = _label_order(aq, forced_cycle_dominoes(h.order, aq.exposed))
             fewest = min(_inversions(have, want[r:] + want[:r])
@@ -172,6 +172,39 @@ def test_pentagon_swap_searches_once_per_label_order(monkeypatch):
             rep = plan_hamilton(g, p, q, h)
             assert len(calls) <= 2 < rep.recursion_trace[-1]["swaps"]
             assert verify_sequence(rep.sequence, expected_end=q).matches_expected
+
+
+def test_planner_rotations_match_shortest_slides_within(monkeypatch):
+    """Every rotation the cycle planner asks for on the cycle-large hosts,
+    replayed through the breadth-first search over the cycle's edges: the
+    same moves and the same end."""
+    from trigrid import hc_planner
+
+    specs = []
+
+    def recorded(p, spec):
+        specs.append((p, spec))
+        return rotate(p, spec)
+
+    monkeypatch.setattr(hc_planner, "rotate", recorded)
+    rng = random.Random(3)
+    for g in locally_connected_corpus():
+        if g.name in ("para21", "hex23", "para25"):
+            h = find_hamilton(g)
+            for _ in range(2):
+                plan_hamilton(g, random_placement(g, rng), random_placement(g, rng), h)
+    assert len(specs) > 60
+    for p, spec in specs:
+        want = dict(spec.target_pieces or ())
+
+        def goal(s):
+            return ((spec.target_exposed is None or s.exposed == spec.target_exposed)
+                    and all(s.piece(lab) == e for lab, e in want.items()))
+
+        ref = shortest_slides_within(p, cycle_edges(spec.cycle), goal)
+        seq = rotate(p, spec)
+        assert seq.moves == ref.moves
+        assert seq.end.pieces == ref.end.pieces and seq.end.exposed == ref.end.exposed
 
 
 def test_plan_hamilton_identity(hex7, rng):

@@ -381,7 +381,7 @@ def _on_cycle_moves(p, ces):
 
 
 @settings(max_examples=300, deadline=None)
-@given(k=st.integers(1, 8), rnd=st.randoms(use_true_random=False))
+@given(k=st.integers(1, 13), rnd=st.randoms(use_true_random=False))
 def test_rotate_matches_shortest_slides_within(k, rnd):
     """`rotate` returns the moves of the restricted BFS, ties included, and
     raises exactly when the BFS finds nothing. The cycle sits in a host
