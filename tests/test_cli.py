@@ -110,14 +110,17 @@ def test_oracle_csv_is_unchanged(tmp_path, kind, params, digest):
 
 
 def test_oracle_refuses_host_beyond_encoding(tmp_path, capsys):
-    g = build_graph(hexagon_points(9))          # 271 vertices
-    gpath = tmp_path / "hex271.graph"
-    gpath.write_text(formats.serialize_graph(g))
-    m = near_perfect_matching(g, 1)
-    start = _write_placement(tmp_path, "s.p", g, sorted(m.edges))
-    for extra in ([], ["--start", str(start)]):
-        assert main(["oracle", str(gpath), "--max-vertices", "1000"] + extra) == 2
-        assert "255" in capsys.readouterr().err
+    # 127 vertices and 342 edges; 271 vertices and 756 edges
+    for radius in (6, 9):
+        g = build_graph(hexagon_points(radius))
+        gpath = tmp_path / f"hex{g.num_vertices}.graph"
+        gpath.write_text(formats.serialize_graph(g))
+        m = near_perfect_matching(g, 1)
+        start = _write_placement(tmp_path, "s.p", g, sorted(m.edges))
+        for extra in ([], ["--start", str(start)]):
+            assert main(["oracle", str(gpath), "--max-vertices", "1000"] + extra) == 2
+            err = capsys.readouterr().err
+            assert f"{len(g.edges)} edges exceed the 256-edge limit" in err
 
 
 def test_parse_error_exit_code(tmp_path):

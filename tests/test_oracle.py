@@ -1,5 +1,6 @@
 import io
 import math
+import random
 from collections import deque
 from itertools import permutations
 
@@ -8,9 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trigrid.grid import (DIRS, GridError, build_graph, chord_cycle_graph,
-                          diamond_cycle_graph)
+                          diamond_cycle_graph, hexagon_points)
 from trigrid.matching import enumerate_near_perfect_matchings
-from trigrid.oracle import (OracleBudgetError, _decode, bfs_component, distance,
+from trigrid.oracle import (OracleBudgetError, bfs_component, distance,
                             export_csv, is_reconfigurable_bruteforce,
                             state_count)
 from trigrid.placement import Placement, legal_moves, slide
@@ -129,7 +130,27 @@ def test_oracle_matches_reference_bfs(size, rnd):
     p, *qs = _random_placements(g, rnd, 4)
     ref = _reference_distances(p)
     comp = bfs_component(g, p)
-    assert {_decode(s): d for s, d in comp.distances.items()} == ref
+    assert {comp.decode(s): d for s, d in comp.distances.items()} == ref
     for q in qs:
         assert comp.distance_to(q) == ref.get((q.pieces, q.exposed))
         assert distance(g, p, q) == comp.distance_to(q)
+
+
+def test_oracle_matches_reference_bfs_on_hex11():
+    """Beyond the hypothesis hosts: the 11-vertex host of the benchmark,
+    7,680 states, from a seeded start."""
+    g = build_graph(hexagon_points(1) + [(2, -1), (2, 0), (-1, -1), (0, -2)])
+    p = random_placement(g, random.Random(11))
+    comp = bfs_component(g, p)
+    assert comp.size == 7680
+    assert {comp.decode(s): d for s, d in comp.distances.items()} == _reference_distances(p)
+
+
+def test_placement_off_the_host_is_not_in_the_component(pentagon):
+    p = Placement.make(pentagon, [(2, 3), (4, 5)])
+    comp = bfs_component(pentagon, p)
+    off = Placement(pentagon, ((2, 3), (4, 99)), 1)
+    assert comp.distance_to(off) is None
+    assert not comp.contains(off)
+    with pytest.raises(ValueError):
+        bfs_component(pentagon, off)
