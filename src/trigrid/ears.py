@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .grid import Edge, TriGridGraph, edge_key
 from .matching import (Matching, MatchingError, is_alternating_cycle,
                        near_perfect_matching, odd_alternating_cycle_through,
-                       symmetric_difference_path)
+                       perfect_matching, symmetric_difference_path)
 from .placement import Placement, SlideSequence, expose
 
 
@@ -260,13 +260,10 @@ def _pentagon_structure(g: TriGridGraph) -> Optional[Tuple[EarDecomposition, Mat
     for t, (c1, c2, c3, c4) in sorted(enumerate_pentagons(g)):
         rest = set(g.vertex_ids) - {t, c1, c2, c3, c4}
         if rest:
-            from .matching import _nx_graph
-            import networkx as nx
-            h = _nx_graph(g, within=rest)
-            pm = nx.max_weight_matching(h, maxcardinality=True)
-            if 2 * len(pm) != len(rest):
+            pm = perfect_matching(g, within=rest)
+            if pm is None:
                 continue
-            outer = frozenset(edge_key(u, v) for u, v in pm)
+            outer = pm.edges
         else:
             outer = frozenset()
         cycle_m = {edge_key(c1, c2), edge_key(c3, c4)}

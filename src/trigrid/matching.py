@@ -1,13 +1,30 @@
 """Matching primitives: near-perfect matchings, factor-criticality,
-alternating paths/cycles, and centrality tests."""
+alternating paths/cycles, and centrality tests.
+
+Every maximum matching here comes from one exact solver,
+`blossom.max_cardinality_matching`: Edmonds' blossom method in Galil's
+primal-dual form, ported from networkx's `max_weight_matching` for unit
+weights. `perfect_matching` builds each subgraph for it in a fixed input
+order: vertices in the iteration order of the kept set, neighbours in the
+order their edges appear in the edge pool. Which of several maximum
+matchings comes back depends on that order, and with it the ear planner's
+plans and the benchmark's placements; for the same order the solver returns
+what networkx returned.
+
+Two certificates back each answer. A matching that leaves at most one
+vertex exposed is maximum by its size alone. Every other one is checked
+against the solver's final duals (networkx's dual-optimality check), which
+prove that no larger matching exists. That covers each None from
+`near_perfect_matching` on a subgraph with an even number of vertices left,
+and each False from `is_central` that parity does not already settle.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
+from .blossom import max_cardinality_matching
 from .grid import Edge, TriGridGraph, edge_key
 
 
@@ -43,16 +60,29 @@ class Matching:
         return self.partner(v) is not None
 
 
-def _nx_graph(g: TriGridGraph, skip: Iterable[int] = (),
-              within: Optional[Iterable[int]] = None,
-              edges: Optional[Iterable[Edge]] = None) -> nx.Graph:
+def perfect_matching(g: TriGridGraph, skip: Iterable[int] = (),
+                     within: Optional[Iterable[int]] = None,
+                     edges: Optional[Iterable[Edge]] = None) -> Optional[Matching]:
+    """A perfect matching of the subgraph on `within` (or V) minus `skip`,
+    over `edges` (or E), or None if it has none.
+
+    The blossom gets the subgraph's vertices in the iteration order of the
+    kept set and each vertex's neighbours in the order their edges appear in
+    the edge pool; that order decides which perfect matching comes back
+    (see the module docstring).
+    """
     keep = set(g.vertex_ids if within is None else within)
     keep -= set(skip)
     pool = g.edges if edges is None else {edge_key(*e) for e in edges}
-    h = nx.Graph()
-    h.add_nodes_from(keep)
-    h.add_edges_from((u, v) for u, v in pool if u in keep and v in keep)
-    return h
+    adj: Dict[int, List[int]] = {v: [] for v in keep}
+    for u, v in pool:
+        if u in keep and v in keep:
+            adj[u].append(v)
+            adj[v].append(u)
+    mate = max_cardinality_matching(adj)
+    if len(mate) != len(adj):
+        return None
+    return Matching(frozenset((v, w) for v, w in mate.items() if v < w))
 
 
 def near_perfect_matching(g: TriGridGraph, expose: int,
@@ -69,11 +99,7 @@ def near_perfect_matching(g: TriGridGraph, expose: int,
     scope = set(g.vertex_ids if within is None else within)
     if expose not in scope:
         raise MatchingError(f"vertex {expose} outside the subgraph")
-    h = _nx_graph(g, skip=(expose,), within=scope, edges=edges)
-    m = nx.max_weight_matching(h, maxcardinality=True)
-    if 2 * len(m) != len(scope) - 1:
-        return None
-    return Matching(frozenset(edge_key(u, v) for u, v in m))
+    return perfect_matching(g, skip=(expose,), within=scope, edges=edges)
 
 
 def is_factor_critical(g: TriGridGraph) -> bool:
@@ -86,9 +112,7 @@ def is_central(g: TriGridGraph, sub: Iterable[int]) -> bool:
     rest = [v for v in g.vertex_ids if v not in removed]
     if len(rest) % 2 == 1:
         return False
-    h = _nx_graph(g, skip=removed)
-    m = nx.max_weight_matching(h, maxcardinality=True)
-    return 2 * len(m) == len(rest)
+    return perfect_matching(g, skip=removed) is not None
 
 
 def symmetric_difference_path(m1: Matching, m2: Matching, start: int) -> List[int]:

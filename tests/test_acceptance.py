@@ -13,8 +13,7 @@ from trigrid.ear_planner import PlanError, base_diamond_cycle, plan_ear
 from trigrid.ears import NoAdmissibleError, find_admissible
 from trigrid.grid import (build_graph, chord_cycle_graph, diamond_cycle_graph,
                           edge_key, star_of_david_points)
-from trigrid.hamilton import (dual_forests, find_hamilton,
-                              find_local_structure, validate_cycle)
+from trigrid.hamilton import find_hamilton, find_local_structure, validate_cycle
 from trigrid.hc_planner import plan_hamilton
 from trigrid.matching import (enumerate_near_perfect_matchings,
                               is_factor_critical)
@@ -24,6 +23,7 @@ from trigrid.placement import (Placement, RotationSpec, aligned_cycle_state,
                                rotate, verify_sequence)
 
 from conftest import random_placement
+from dual_forests import dual_forests
 
 
 class _Budget:

@@ -1,7 +1,12 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trigrid
 from trigrid import formats
 from trigrid.cli import main
 from trigrid.grid import build_graph, hexagon_points, star_of_david_points
@@ -451,3 +456,13 @@ def test_non_utf8_input_is_parse_error(tmp_path, capsys, command):
     assert main(run) == 3
     err = capsys.readouterr().err
     assert err == f"parse error: line 2: {victim}: byte 0xff is not UTF-8 text\n"
+
+
+def test_cli_import_loads_no_networkx():
+    """networkx is a test dependency only: a fresh `import trigrid.cli`, as
+    every `trigrid` process does, must not load it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(trigrid.__file__).resolve().parents[1]))
+    probe = "import sys, trigrid.cli; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -101,18 +101,19 @@ def test_base_pentagon_goal_outside_edges(pentagon):
 def test_plan_ear_matches_each_level_once(monkeypatch, rng):
     """One plan computes the matching of G_i exposing v at most once per
     (level, vertex), however often the recursion re-plans a level. Each
-    blossom call is keyed by the graph it runs on, which names the level
-    (its edge set) and the exposed vertex (the one left out)."""
+    blossom call is keyed by the adjacency it runs on, which names the
+    level (its edge set) and the exposed vertex (the one left out)."""
     g = build_graph(hexagon_points(2))
     p, q = random_placement(g, rng), random_placement(g, rng)
     calls = []
-    blossom = matching.nx.max_weight_matching
+    blossom = matching.max_cardinality_matching
 
-    def counting(h, *args, **kwargs):
-        calls.append((frozenset(h.nodes), frozenset(edge_key(*e) for e in h.edges)))
-        return blossom(h, *args, **kwargs)
+    def counting(adj):
+        calls.append((frozenset(adj),
+                      frozenset(edge_key(v, w) for v in adj for w in adj[v])))
+        return blossom(adj)
 
-    monkeypatch.setattr(matching.nx, "max_weight_matching", counting)
+    monkeypatch.setattr(matching, "max_cardinality_matching", counting)
     find_admissible(g)                   # plan_ear runs this search first
     search = len(calls)
     calls.clear()

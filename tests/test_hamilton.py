@@ -7,9 +7,10 @@ from trigrid.corpus import locally_connected_corpus
 from trigrid.grid import (GridError, TriGridGraph, build_graph, edge_key,
                           star_of_david_points)
 from trigrid.hamilton import (HamiltonCycle, HamiltonError, _arc, _hamilton_search,
-                              dual_forests, enumerate_hamilton_cycles,
-                              find_hamilton, find_local_structure,
-                              select_parity, validate_cycle)
+                              enumerate_hamilton_cycles, find_hamilton,
+                              find_local_structure, select_parity, validate_cycle)
+
+from dual_forests import dual_forests
 
 
 def _brute_cycles(g):

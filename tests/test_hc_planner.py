@@ -41,14 +41,14 @@ def test_align_with_hamilton(host, rnd):
 def test_plan_hamilton_runs_no_matching_search(monkeypatch, rng):
     """The cycle planner aligns on its cycle's forced dominoes: no blossom
     matching runs while it plans."""
-    import networkx
+    from trigrid import matching
 
     def no_blossom(*args, **kwargs):
         raise AssertionError("blossom matching called")
 
     pairs = [(g, random_placement(g, rng), random_placement(g, rng))
              for g in locally_connected_corpus()[4:]]
-    monkeypatch.setattr(networkx, "max_weight_matching", no_blossom)
+    monkeypatch.setattr(matching, "max_cardinality_matching", no_blossom)
     for g, p, q in pairs:
         assert verify_sequence(plan_hamilton(g, p, q).sequence, expected_end=q).ok
 
