@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 
 from . import formats
 from .ear_planner import PlanError, PlanInvariantError, plan_ear
-from .grid import (GridError, TriGridGraph, degree6_vertices, generate,
+from .grid import (GridError, TriGridGraph, degree6_vertices, generate, hole_count,
                    is_locally_connected, is_star_of_david, is_two_connected)
 from .ears import EarError
 from .hamilton import HamiltonError
@@ -113,7 +113,7 @@ def cmd_check(args) -> int:
         f"locally_connected {lc}",
         f"star_of_david {sod}",
         f"degree6_vertices {' '.join(map(str, deg6)) if deg6 else '-'}",
-        f"holes {len(g.holes) if g.is_lattice else '-'}",
+        f"holes {hole_count(g) if g.is_lattice else '-'}",
     ]
     if lc and not sod:
         lines.append("sufficient_condition locally-connected (cycle planner)")

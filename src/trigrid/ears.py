@@ -7,7 +7,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .grid import Edge, TriGridGraph, edge_key
+from .grid import Edge, TriGridGraph, edge_key, triangles
 from .matching import (Matching, MatchingError, is_alternating_cycle,
                        near_perfect_matching, odd_alternating_cycle_through,
                        perfect_matching, symmetric_difference_path)
@@ -164,24 +164,6 @@ def grow_ears(g: TriGridGraph, m: Matching, base_vs: Set[int],
     return ears
 
 
-def ear_decomposition(g: TriGridGraph, m: Matching) -> EarDecomposition:
-    """An odd proper ear decomposition aligned with m.
-
-    The base is an odd alternating cycle through the exposed vertex; further
-    ears come from alternating paths, so the placement carrying m stays
-    aligned in the ear sense.
-    """
-    (exposed,) = set(g.vertex_ids) - m.covered
-    first = min(g.adj[exposed])
-    base = odd_alternating_cycle_through(g, m, exposed, edge_key(exposed, first))
-    if base is None:
-        raise EarError(f"no odd alternating cycle through ({exposed}, {first})")
-    ears = grow_ears(g, m, set(base), cycle_edges(base))
-    d = EarDecomposition(tuple(base), tuple(ears))
-    validate_decomposition(g, d)
-    return d
-
-
 def extend_from_central(g: TriGridGraph, m: Matching,
                         partial: EarDecomposition) -> EarDecomposition:
     """Complete a decomposition whose prefix is `partial` (over a central
@@ -195,15 +177,6 @@ def extend_from_central(g: TriGridGraph, m: Matching,
 
 # ---------------------------------------------------------------------------
 # admissible cores
-
-def _triangles(g: TriGridGraph) -> List[Tuple[int, int, int]]:
-    out = []
-    for u, v in sorted(g.edges):
-        for w in sorted(set(g.adj[u]) & set(g.adj[v])):
-            if w > v:
-                out.append((u, v, w))
-    return out
-
 
 def enumerate_pentagons(g: TriGridGraph) -> List[Tuple[int, Tuple[int, int, int, int]]]:
     """Fans of three triangles: apex t with a 4-path c1-c2-c3-c4 of
@@ -233,11 +206,11 @@ def enumerate_diamonds(g: TriGridGraph) -> List[Tuple[int, int, int, int]]:
 
     Only triangles on a common edge can form one, so each triangle is
     paired with the later triangles on its three edges. The list is in
-    the order of a scan over all pairs of `_triangles`, by first triangle
+    the order of a scan over all pairs of `triangles`, by first triangle
     and then second, which `_diamond_structure` relies on: it takes the
     first diamond that works.
     """
-    tris = _triangles(g)
+    tris = triangles(g)
     on_edge: Dict[Edge, List[int]] = {}
     for i, tri in enumerate(tris):
         for e in itertools.combinations(tri, 2):

@@ -3,6 +3,9 @@
 Vertices live at axial coordinates (x, y); the cartesian projection is
 (x + y/2, y*sqrt(3)/2).  Vertex ids are assigned 1..|V| in lexicographic
 (x, y) order so that all derived artifacts are deterministic.
+
+No faces are stored. Triangles are enumerated on demand (`triangles`), and
+a host's holes are counted by Euler's formula (`hole_count`).
 """
 
 from __future__ import annotations
@@ -55,18 +58,14 @@ class TriGridGraph:
 
     ``points`` is empty for abstract instances (``is_lattice`` False); those
     support matching/placement/oracle machinery but are rejected by the
-    lattice-only predicates and by the face census.
+    lattice-only predicates and by `hole_count`. The graph holds its
+    vertices and edges only: no faces, boundary walks or holes.
     """
 
     n: int                                   # |V| = 2n + 1
     points: Tuple[Point, ...]                # id i -> points[i-1]; () if abstract
     edges: FrozenSet[Edge]
     adj: Dict[int, Tuple[int, ...]] = field(compare=False)
-    faces: Tuple[FrozenSet[int], ...]        # triangle faces
-    boundary_cycles: Tuple[Tuple[int, ...], ...]   # holes + outer face walks
-    outer_face: Tuple[int, ...]
-    holes: Tuple[Tuple[int, ...], ...]
-    inner_edges: FrozenSet[Edge]
     is_lattice: bool = True
     name: str = ""
 
@@ -101,6 +100,15 @@ def _lattice_edges(points: Sequence[Point]) -> Set[Tuple[Point, Point]]:
     return out
 
 
+def _adjacency(num_vertices: int, edges: Iterable[Edge]) -> Dict[int, Tuple[int, ...]]:
+    """Sorted neighbours of each vertex 1..num_vertices."""
+    adj_sets: Dict[int, Set[int]] = {i: set() for i in range(1, num_vertices + 1)}
+    for u, v in edges:
+        adj_sets[u].add(v)
+        adj_sets[v].add(u)
+    return {v: tuple(sorted(s)) for v, s in adj_sets.items()}
+
+
 def _connected(vertices: Iterable[int], adj: Dict[int, Tuple[int, ...]]) -> bool:
     vs = list(vertices)
     if not vs:
@@ -114,67 +122,6 @@ def _connected(vertices: Iterable[int], adj: Dict[int, Tuple[int, ...]]) -> bool
                 seen.add(w)
                 stack.append(w)
     return len(seen) == len(vs)
-
-
-def _face_walks(points: Sequence[Point], adj: Dict[int, Tuple[int, ...]],
-                id_of: Dict[Point, int]) -> List[Tuple[int, ...]]:
-    """Enumerate faces of the planar embedding given by lattice coordinates.
-
-    Around each vertex the incident edges are ordered by lattice direction
-    (counter-clockwise); each face is traced by the standard next-half-edge
-    rule and reported as a closed walk of vertex ids.
-    """
-    dir_index = {d: i for i, d in enumerate(DIRS)}
-    # ccw[v] = neighbors of v in ccw angular order
-    ccw: Dict[int, List[int]] = {}
-    for p in points:
-        v = id_of[p]
-        nbrs = []
-        for d in DIRS:
-            q = (p[0] + d[0], p[1] + d[1])
-            if q in id_of and id_of[q] in adj[v]:
-                nbrs.append(id_of[q])
-        ccw[v] = nbrs
-
-    def next_half_edge(u: int, v: int) -> Tuple[int, int]:
-        # direction of v -> u, then the next neighbor clockwise around v
-        pu, pv = points[u - 1], points[v - 1]
-        back = (pu[0] - pv[0], pu[1] - pv[1])
-        i = dir_index[back]
-        # scan clockwise (decreasing ccw index) for the next present neighbor
-        for step in range(1, 7):
-            d = DIRS[(i - step) % 6]
-            q = (pv[0] + d[0], pv[1] + d[1])
-            if q in id_of and id_of[q] in adj[v]:
-                return (v, id_of[q])
-        raise AssertionError("isolated direction scan failed")
-
-    visited: Set[Tuple[int, int]] = set()
-    walks: List[Tuple[int, ...]] = []
-    for p in points:
-        u = id_of[p]
-        for v in adj[u]:
-            if (u, v) in visited:
-                continue
-            walk = []
-            cur = (u, v)
-            while cur not in visited:
-                visited.add(cur)
-                walk.append(cur[0])
-                cur = next_half_edge(*cur)
-            walks.append(tuple(walk))
-    return walks
-
-
-def _walk_area(walk: Tuple[int, ...], points: Sequence[Point]) -> int:
-    """Twice the signed area of a closed walk in axial lattice units.
-
-    Exact; its sign is that of the cartesian area, since the axial to
-    cartesian map has a positive determinant.
-    """
-    coords = [points[v - 1] for v in walk]
-    return sum(x1 * y2 - x2 * y1
-               for (x1, y1), (x2, y2) in zip(coords, coords[1:] + coords[:1]))
 
 
 def build_graph(points: Iterable[Point], name: str = "") -> TriGridGraph:
@@ -191,56 +138,15 @@ def build_graph(points: Iterable[Point], name: str = "") -> TriGridGraph:
 
     edge_pts = _lattice_edges(pts)
     edges = frozenset(edge_key(id_of[a], id_of[b]) for a, b in edge_pts)
-    adj_sets: Dict[int, Set[int]] = {i: set() for i in range(1, len(pts) + 1)}
-    for u, v in edges:
-        adj_sets[u].add(v)
-        adj_sets[v].add(u)
-    adj = {v: tuple(sorted(s)) for v, s in adj_sets.items()}
+    adj = _adjacency(len(pts), edges)
     if not _connected(adj, adj):
         raise DisconnectedError("induced graph is disconnected")
-
-    walks = _face_walks(pts, adj, id_of)
-    outer = None
-    triangles: List[FrozenSet[int]] = []
-    holes: List[Tuple[int, ...]] = []
-    for w in walks:
-        # the outer walk runs clockwise; on a tree it is the only walk and
-        # encloses zero area
-        if _walk_area(w, pts) <= 0:
-            if outer is not None:
-                raise AssertionError("two clockwise faces found")
-            outer = w
-            continue
-        if len(w) == 3:
-            triangles.append(frozenset(w))
-        else:
-            # induced triangular grid graphs admit no internal 4- or 5-faces
-            assert len(w) >= 6, f"internal face of length {len(w)}"
-            holes.append(w)
-    if outer is None:  # single vertex, no edges: no faces at all
-        outer = tuple(sorted(id_of.values()))[:1]
-    boundary = tuple(holes) + (outer,)
-    boundary_edges = set()
-    for w in boundary:
-        for a, b in zip(w, w[1:] + w[:1]):
-            if edge_key(a, b) in edges:
-                boundary_edges.add(edge_key(a, b))
-    inner = frozenset(edges - boundary_edges)
-    for e in inner:
-        count = sum(1 for t in triangles if e[0] in t and e[1] in t)
-        assert count == 2, f"inner edge {e} lies in {count} triangles"
 
     return TriGridGraph(
         n=(len(pts) - 1) // 2,
         points=tuple(pts),
         edges=edges,
         adj=adj,
-        faces=tuple(sorted(triangles, key=sorted)),
-        boundary_cycles=boundary,
-        outer_face=outer,
-        holes=tuple(holes),
-        inner_edges=inner,
-        is_lattice=True,
         name=name,
     )
 
@@ -253,11 +159,7 @@ def build_abstract(num_vertices: int, edge_list: Iterable[Edge], name: str = "")
     for u, v in edges:
         if not (1 <= u <= num_vertices and 1 <= v <= num_vertices):
             raise GridError(f"edge ({u},{v}) out of range")
-    adj_sets: Dict[int, Set[int]] = {i: set() for i in range(1, num_vertices + 1)}
-    for u, v in edges:
-        adj_sets[u].add(v)
-        adj_sets[v].add(u)
-    adj = {v: tuple(sorted(s)) for v, s in adj_sets.items()}
+    adj = _adjacency(num_vertices, edges)
     if not _connected(adj, adj):
         raise DisconnectedError("abstract graph is disconnected")
     return TriGridGraph(
@@ -265,11 +167,6 @@ def build_abstract(num_vertices: int, edge_list: Iterable[Edge], name: str = "")
         points=(),
         edges=edges,
         adj=adj,
-        faces=(),
-        boundary_cycles=(),
-        outer_face=(),
-        holes=(),
-        inner_edges=frozenset(),
         is_lattice=False,
         name=name,
     )
@@ -302,6 +199,28 @@ def is_locally_connected(g: TriGridGraph) -> bool:
 
 def degree6_vertices(g: TriGridGraph) -> Set[int]:
     return {v for v in g.vertex_ids if g.degree(v) == 6}
+
+
+def triangles(g: TriGridGraph) -> List[Tuple[int, int, int]]:
+    """Every triangle (u, v, w), u < v < w, in lexicographic order."""
+    out = []
+    for u, v in sorted(g.edges):
+        for w in sorted(set(g.adj[u]) & set(g.adj[v])):
+            if w > v:
+                out.append((u, v, w))
+    return out
+
+
+def hole_count(g: TriGridGraph) -> int:
+    """The number of holes of a lattice host, by Euler's formula.
+
+    A connected plane graph has |E| - |V| + 1 bounded faces. On the
+    triangular lattice every 3-cycle bounds a unit-triangle face, so the
+    bounded faces are the triangles plus the holes.
+    """
+    if not g.is_lattice:
+        raise NotLatticeError("abstract graph has no holes to count")
+    return len(g.edges) - g.num_vertices + 1 - len(triangles(g))
 
 
 # ---------------------------------------------------------------------------

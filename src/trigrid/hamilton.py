@@ -218,17 +218,6 @@ def _best(cands: List[ParityDiamond]) -> ParityDiamond:
     return min(cands, key=lambda pd: (len(pd.p1), len(pd.p2), (pd.a, pd.b, pd.c, pd.d)))
 
 
-def select_parity(h: HamiltonCycle,
-                  diamond: Tuple[int, int, int, int]) -> ParityDiamond:
-    """Orient a qualifying diamond so the two cycle subpaths have the
-    required parities; exactly the right orientation exists because the
-    cycle has odd length."""
-    cands = _parity_labelings(h, diamond)
-    if not cands:
-        raise HamiltonError("diamond does not meet the parity conditions")
-    return _best(cands)
-
-
 def find_local_structure(g: TriGridGraph, h: HamiltonCycle) -> ParityDiamond:
     """The parity diamond on the given Hamilton cycle with the shortest p1,
     then the shortest p2 (ties broken by vertex labels); its `cycle` is h.

@@ -34,30 +34,30 @@ class MatchingError(Exception):
 
 @dataclass(frozen=True)
 class Matching:
+    """A set of disjoint edges. The vertex -> partner map built while
+    checking disjointness is kept as ``_mate``, outside the dataclass
+    fields, so equality and hashing see only the edges."""
+
     edges: FrozenSet[Edge]
 
     def __post_init__(self):
-        seen: Set[int] = set()
+        mate: Dict[int, int] = {}
         for u, v in self.edges:
-            if u in seen or v in seen:
+            if u in mate or v in mate:
                 raise MatchingError("edges share an endpoint")
-            seen.add(u)
-            seen.add(v)
+            mate[u] = v
+            mate[v] = u
+        object.__setattr__(self, "_mate", mate)
 
     @property
     def covered(self) -> Set[int]:
-        return {x for e in self.edges for x in e}
+        return set(self._mate)
 
     def partner(self, v: int) -> Optional[int]:
-        for u, w in self.edges:
-            if u == v:
-                return w
-            if w == v:
-                return u
-        return None
+        return self._mate.get(v)
 
     def covers(self, v: int) -> bool:
-        return self.partner(v) is not None
+        return v in self._mate
 
 
 def perfect_matching(g: TriGridGraph, skip: Iterable[int] = (),
@@ -118,29 +118,26 @@ def is_central(g: TriGridGraph, sub: Iterable[int]) -> bool:
 def symmetric_difference_path(m1: Matching, m2: Matching, start: int) -> List[int]:
     """The component of M1 Δ M2 containing `start`, traced as a vertex path.
 
-    With m1 exposing `start` and m2 exposing some other vertex, the component
-    is a path that starts with an m2-edge and alternates m2/m1 edges.
+    With `start` covered by exactly one of the two matchings, the component
+    is a path that starts with that matching's edge and alternates between
+    the two; it is walked on their partner maps. It is just [start] when
+    no edge of M1 Δ M2 meets `start`, and MatchingError when two do.
     """
-    adj: Dict[int, List[Tuple[int, int]]] = {}
-    diff = (m1.edges - m2.edges) | (m2.edges - m1.edges)
-    for u, v in diff:
-        adj.setdefault(u, []).append((v, 1 if edge_key(u, v) in m1.edges else 2))
-        adj.setdefault(v, []).append((u, 1 if edge_key(u, v) in m1.edges else 2))
-    if start not in adj:
+    a, b = m1.partner(start), m2.partner(start)
+    if a == b:
         return [start]
+    if a is not None and b is not None:
+        raise MatchingError("symmetric-difference component is not a path")
+    # each vertex the walk reaches holds the edge it came by in one map and
+    # leaves by the other map's edge, which differs, so it lies in M1 Δ M2
+    mate, other = (m1._mate, m2._mate) if b is None else (m2._mate, m1._mate)
     path = [start]
-    prev = None
-    cur = start
-    while True:
-        nxt = [w for w, _ in adj[cur] if w != prev]
-        if not nxt:
-            return path
-        if len(nxt) > 1:
-            raise MatchingError("symmetric-difference component is not a path")
-        prev, cur = cur, nxt[0]
-        path.append(cur)
-        if cur == start:
-            raise MatchingError("symmetric-difference component is a cycle")
+    nxt = mate.get(start)
+    while nxt is not None:
+        path.append(nxt)
+        mate, other = other, mate
+        nxt = mate.get(nxt)
+    return path
 
 
 def alternating_path_to(m: Matching, target: Matching, frm: int, to: int) -> List[int]:

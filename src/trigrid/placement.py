@@ -234,39 +234,6 @@ def replay(p: Placement, kept_vertices: Iterable[int]) -> SlideSequence:
     return SlideSequence(p, tuple(moves), board.placement())
 
 
-def is_aligned(p: Placement, cycle: Sequence[int]) -> bool:
-    """True iff cycle is an odd M_p-alternating cycle containing v_p."""
-    return Board(p).is_aligned(cycle)
-
-
-def aligned_cycle_state(k: int, j: int, h: int) -> Dict[int, Edge]:
-    """Landing state of a rotation: label -> edge on the canonical cycle.
-
-    The cycle has vertices 1..2k+1 in anti-clockwise order; the returned map
-    places labels 1..k so that vertex j is exposed and the labels are offset
-    by h (j and h must agree mod 2). Comparisons use the un-reduced index
-    h+2i-1 against j; vertex names reduce into 1..2k+1.
-    """
-    if (j - h) % 2 != 0:
-        raise PlacementError("j and h must have the same parity")
-    mod = 2 * k + 1
-    # Label offsets repeat with period k; reduce h into the window (j-2k, j]
-    # so the un-reduced comparison below leaves exactly vertex j uncovered.
-    h = j - 2 * (((j - h) // 2) % k)
-
-    def red(x: int) -> int:
-        return (x - 1) % mod + 1
-
-    out = {}
-    for i in range(1, k + 1):
-        t = h + 2 * i - 1
-        if t < j:
-            out[i] = edge_key(red(t - 1), red(t))
-        else:
-            out[i] = edge_key(red(t), red(t + 1))
-    return out
-
-
 def shortest_slides_within(p: Placement, edges: Set[Edge],
                            goal: Callable[[Placement], bool]) -> Optional[SlideSequence]:
     """Breadth-first search for a shortest slide sequence from p to a state

@@ -3,17 +3,19 @@
 
 The closed curve of a Hamilton cycle on a lattice host splits the triangle
 faces into the two sides of its polygon. On each side, triangles that share
-an inner edge the cycle does not use are joined; both dual graphs are
-forests of maximum degree three. No planner uses this, so it lives with the
-tests, and networkx, a test dependency, holds the two dual graphs.
+an inner edge (an edge on two triangles) the cycle does not use are joined;
+both dual graphs are forests of maximum degree three. No planner uses this,
+so it lives with the tests, and networkx, a test dependency, holds the two
+dual graphs.
 """
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 import networkx as nx
 
-from trigrid.grid import Edge, GridError, TriGridGraph, cartesian, edge_key
+from trigrid.grid import Edge, GridError, TriGridGraph, cartesian, triangles
 from trigrid.hamilton import HamiltonCycle, validate_cycle
 
 
@@ -54,26 +56,28 @@ def dual_forests(g: TriGridGraph, h: HamiltonCycle) -> DualForests:
     poly = [cartesian(g.point_of(v)) for v in h.order]
     hedges = h.edges
 
+    tris = [frozenset(t) for t in triangles(g)]
     outside: Set[FrozenSet[int]] = set()
-    for tri in g.faces:
+    for tri in tris:
         cx = sum(cartesian(g.point_of(v))[0] for v in tri) / 3.0
         cy = sum(cartesian(g.point_of(v))[1] for v in tri) / 3.0
         if not _point_in_polygon((cx, cy), poly):
             outside.add(tri)
 
     by_edge: Dict[Edge, List[FrozenSet[int]]] = {}
-    for tri in g.faces:
-        for u, v in ((a, b) for a in tri for b in tri if a < b):
-            if g.has_edge(u, v):
-                by_edge.setdefault(edge_key(u, v), []).append(tri)
+    for tri in tris:
+        for e in itertools.combinations(sorted(tri), 2):
+            by_edge.setdefault(e, []).append(tri)
 
     side1 = nx.Graph()
     side2 = nx.Graph()
-    for tri in g.faces:
+    for tri in tris:
         (side1 if tri in outside else side2).add_node(tri)
     cut: Set[Edge] = set()
-    for e in g.inner_edges:
-        t1, t2 = by_edge[e]
+    for e, on_e in by_edge.items():
+        if len(on_e) != 2:
+            continue
+        t1, t2 = on_e
         if e in hedges:
             cut.add(e)
             assert (t1 in outside) != (t2 in outside), \
@@ -86,4 +90,4 @@ def dual_forests(g: TriGridGraph, h: HamiltonCycle) -> DualForests:
     for forest in (side1, side2):
         assert forest.number_of_nodes() == 0 or nx.is_forest(forest)
         assert all(dg <= 3 for _, dg in forest.degree())
-    return DualForests(tuple(g.faces), side1, side2, frozenset(cut))
+    return DualForests(tuple(tris), side1, side2, frozenset(cut))

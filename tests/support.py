@@ -1,0 +1,77 @@
+"""Reference helpers that only tests call: canonical aligned states on a
+cycle, the alignment check on a placement, an ear decomposition grown from
+a matching, and the orientation of one parity diamond. No planner uses
+them, so they live with the tests.
+"""
+
+from typing import Dict, Sequence, Tuple
+
+from trigrid.ears import (EarDecomposition, EarError, cycle_edges, grow_ears,
+                          validate_decomposition)
+from trigrid.grid import Edge, TriGridGraph, edge_key
+from trigrid.hamilton import (HamiltonCycle, HamiltonError, ParityDiamond, _best,
+                              _parity_labelings)
+from trigrid.matching import Matching, odd_alternating_cycle_through
+from trigrid.placement import Board, Placement, PlacementError
+
+
+def is_aligned(p: Placement, cycle: Sequence[int]) -> bool:
+    """True iff cycle is an odd M_p-alternating cycle containing v_p."""
+    return Board(p).is_aligned(cycle)
+
+
+def aligned_cycle_state(k: int, j: int, h: int) -> Dict[int, Edge]:
+    """Landing state of a rotation: label -> edge on the canonical cycle.
+
+    The cycle has vertices 1..2k+1 in anti-clockwise order; the returned map
+    places labels 1..k so that vertex j is exposed and the labels are offset
+    by h (j and h must agree mod 2). Comparisons use the un-reduced index
+    h+2i-1 against j; vertex names reduce into 1..2k+1.
+    """
+    if (j - h) % 2 != 0:
+        raise PlacementError("j and h must have the same parity")
+    mod = 2 * k + 1
+    # Label offsets repeat with period k; reduce h into the window (j-2k, j]
+    # so the un-reduced comparison below leaves exactly vertex j uncovered.
+    h = j - 2 * (((j - h) // 2) % k)
+
+    def red(x: int) -> int:
+        return (x - 1) % mod + 1
+
+    out = {}
+    for i in range(1, k + 1):
+        t = h + 2 * i - 1
+        if t < j:
+            out[i] = edge_key(red(t - 1), red(t))
+        else:
+            out[i] = edge_key(red(t), red(t + 1))
+    return out
+
+
+def ear_decomposition(g: TriGridGraph, m: Matching) -> EarDecomposition:
+    """An odd proper ear decomposition aligned with m.
+
+    The base is an odd alternating cycle through the exposed vertex; further
+    ears come from alternating paths, so the placement carrying m stays
+    aligned in the ear sense.
+    """
+    (exposed,) = set(g.vertex_ids) - m.covered
+    first = min(g.adj[exposed])
+    base = odd_alternating_cycle_through(g, m, exposed, edge_key(exposed, first))
+    if base is None:
+        raise EarError(f"no odd alternating cycle through ({exposed}, {first})")
+    ears = grow_ears(g, m, set(base), cycle_edges(base))
+    d = EarDecomposition(tuple(base), tuple(ears))
+    validate_decomposition(g, d)
+    return d
+
+
+def select_parity(h: HamiltonCycle,
+                  diamond: Tuple[int, int, int, int]) -> ParityDiamond:
+    """Orient a qualifying diamond so the two cycle subpaths have the
+    required parities; exactly the right orientation exists because the
+    cycle has odd length."""
+    cands = _parity_labelings(h, diamond)
+    if not cands:
+        raise HamiltonError("diamond does not meet the parity conditions")
+    return _best(cands)

@@ -19,11 +19,11 @@ from trigrid.matching import (enumerate_near_perfect_matchings,
                               is_factor_critical)
 from trigrid.oracle import (bfs_component, is_reconfigurable_bruteforce,
                             state_count)
-from trigrid.placement import (Placement, RotationSpec, aligned_cycle_state,
-                               rotate, verify_sequence)
+from trigrid.placement import Placement, RotationSpec, rotate, verify_sequence
 
 from conftest import random_placement
 from dual_forests import dual_forests
+from support import aligned_cycle_state
 
 
 class _Budget:
@@ -117,6 +117,8 @@ def test_criterion_3_diamond_cycle_base():
 
 
 def test_criterion_4_gcd_law():
+    # up to n = 6 the gcd rule agrees with the parity rule (n and m not both
+    # odd); tests/test_oracle.py checks n = 7, where the two part
     budget = _Budget(300)
     results = []
     for n in range(3, 7):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from trigrid.blossom import max_cardinality_matching
 from trigrid.corpus import degree6_corpus, locally_connected_corpus
 from trigrid.ears import find_admissible
-from trigrid.grid import build_graph, edge_key, star_of_david_points
+from trigrid.grid import build_graph, edge_key, star_of_david_points, triangles
 from trigrid.matching import is_central, near_perfect_matching
 
 
@@ -92,7 +92,7 @@ def test_matching_verdicts_equal_networkx_on_the_corpus():
             assert (m and m.edges) == ref, (g.name, v)
             nones += m is None
             assert is_central(g, (v,)) == (_networkx_perfect(g, skip={v}) is not None)
-        for tri in g.faces:
+        for tri in triangles(g):
             central = is_central(g, tri)
             assert central == (_networkx_perfect(g, skip=set(tri)) is not None), (g.name, tri)
             falses += not central

@@ -186,6 +186,18 @@ def test_check_collinear_host(tmp_path, capsys):
     assert "vertices 3" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("kind, params, holes", [
+    ("hex_with_hole", (), "2"), ("hexagon", (), "0"),
+    ("chord_cycle", ("n=5", "m=3"), "-")])
+def test_check_reports_holes(tmp_path, capsys, kind, params, holes):
+    """`check` counts a lattice host's holes and prints `-` for an abstract
+    host, which has none to count."""
+    gpath = _gen(tmp_path, kind, *params)
+    capsys.readouterr()
+    assert main(["check", str(gpath)]) == 0
+    assert f"holes {holes}" in capsys.readouterr().out.splitlines()
+
+
 def test_gen_hex_with_hole_removed_param_refused(tmp_path):
     assert main(["gen", "hex_with_hole", "--param", "removed=3",
                  "--out", str(tmp_path / "x")]) == 2

@@ -4,17 +4,17 @@ import pytest
 
 from trigrid.corpus import degree6_corpus, locally_connected_corpus
 from trigrid.grid import (build_abstract, build_graph, diamond_cycle_graph, edge_key,
-                          hex_with_hole_graph,
-                          star_of_david_points)
+                          hex_with_hole_graph, star_of_david_points, triangles)
 from trigrid.ears import (EarDecomposition, EarError, NoAdmissibleError,
-                          LevelMatchings, _triangles, align_with_ears, cycle_edges,
-                          ear_decomposition, enumerate_diamonds,
+                          LevelMatchings, align_with_ears, cycle_edges,
+                          enumerate_diamonds,
                           extend_from_central, find_admissible, is_aligned_with,
                           path_edges, validate_decomposition)
 from trigrid.matching import enumerate_near_perfect_matchings, near_perfect_matching
 from trigrid.placement import Placement
 
 from conftest import random_placement
+from support import ear_decomposition
 
 
 def test_decomposition_regions():
@@ -153,9 +153,9 @@ def test_is_aligned_with_every_placement():
 
 def _diamonds_all_pairs(g):
     """Every pair of triangles sharing an edge whose outer vertices are not
-    adjacent, scanned over all pairs of `_triangles` in order."""
+    adjacent, scanned over all pairs of `triangles` in order."""
     out = []
-    tris = _triangles(g)
+    tris = triangles(g)
     for i, a in enumerate(tris):
         for b in tris[i + 1:]:
             shared = set(a) & set(b)

@@ -1,12 +1,14 @@
+import random
+
 import pytest
 
-from trigrid.grid import (DisconnectedError, DuplicatePointError,
-                          EvenOrderError, build_graph,
+from trigrid.grid import (DIRS, DisconnectedError, DuplicatePointError,
+                          EvenOrderError, GridError, NotLatticeError, build_graph,
                           canonical_point_form, chord_cycle_graph,
                           degree6_vertices, diamond_cycle_graph, generate,
-                          hex_with_hole_graph, hexagon_points,
+                          hex_with_hole_graph, hexagon_points, hole_count,
                           is_locally_connected, is_star_of_david,
-                          is_two_connected, star_of_david_points)
+                          is_two_connected, star_of_david_points, triangles)
 
 TRIANGLE = [(0, 0), (1, 0), (0, 1)]
 
@@ -15,25 +17,92 @@ def test_triangle_census():
     g = build_graph(TRIANGLE)
     assert g.num_vertices == 3
     assert len(g.edges) == 3
-    assert len(g.faces) == 1
-    assert g.holes == ()
+    assert triangles(g) == [(1, 2, 3)]
+    assert hole_count(g) == 0
 
 
 def test_pentagon_census(pentagon):
     assert pentagon.num_vertices == 5
     assert len(pentagon.edges) == 7
-    assert len(pentagon.faces) == 3
-    assert pentagon.holes == ()
+    assert len(triangles(pentagon)) == 3
+    assert hole_count(pentagon) == 0
 
 
 def test_holed_instance_census():
     g = hex_with_hole_graph()
-    assert len(g.holes) >= 1
-    assert all(len(h) >= 6 for h in g.holes)
-    # every inner edge lies in exactly two triangles
-    for e in g.inner_edges:
-        count = sum(1 for tri in g.faces if set(e) <= set(tri))
-        assert count == 2
+    assert len(triangles(g)) == 24 - 2 * 6     # 6 around each removed point
+    assert hole_count(g) == 2
+
+
+def _missing_components(points):
+    """Holes counted independently of the host's edges: the connected
+    components of the lattice points missing from the bounding box (plus a
+    margin of 1) that do not reach the box's border. The triangular lattice
+    is self-matching, so each hole holds exactly one such component."""
+    xs = [x for x, _ in points]
+    ys = [y for _, y in points]
+    x0, x1, y0, y1 = min(xs) - 1, max(xs) + 1, min(ys) - 1, max(ys) + 1
+    missing = {(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)} - set(points)
+    count = 0
+    while missing:
+        stack = [missing.pop()]
+        bounded = True
+        while stack:
+            x, y = stack.pop()
+            bounded &= x0 < x < x1 and y0 < y < y1
+            for dx, dy in DIRS:
+                q = (x + dx, y + dy)
+                if q in missing:
+                    missing.remove(q)
+                    stack.append(q)
+        count += bounded
+    return count
+
+
+def _random_points(rng):
+    """Lattice points grown one neighbour at a time from the origin to an
+    odd count, or a radius-3 hexagon with random points punched out (which
+    can leave it disconnected or even)."""
+    if rng.random() < 0.5:
+        size = rng.randrange(1, 40, 2)
+        pts = {(0, 0)}
+        while len(pts) < size:
+            x, y = rng.choice(sorted(pts))
+            dx, dy = rng.choice(DIRS)
+            pts.add((x + dx, y + dy))
+        return sorted(pts)
+    hexagon = hexagon_points(3)
+    return sorted(set(hexagon) - set(rng.sample(hexagon, rng.randrange(1, 13))))
+
+
+def test_hole_count_equals_missing_components():
+    """Euler's count of holes equals the components of missing lattice
+    points they enclose, on random grown and punched hosts."""
+    rng = random.Random(20261018)
+    holed = hosts = 0
+    while hosts < 400:
+        pts = _random_points(rng)
+        try:
+            g = build_graph(pts)
+        except GridError:
+            continue
+        holes = hole_count(g)
+        assert holes == _missing_components(pts), pts
+        hosts += 1
+        holed += holes > 0
+    assert holed >= 40
+
+
+@pytest.mark.parametrize("kind, holes", [("triangle", 0), ("pentagon", 0),
+                                         ("hexagon", 0), ("hex_with_hole", 2)])
+def test_hole_count_of_generated_hosts(kind, holes):
+    g = generate(kind)
+    assert hole_count(g) == holes == _missing_components(g.points)
+
+
+def test_hole_count_refuses_abstract_hosts():
+    with pytest.raises(NotLatticeError):
+        hole_count(chord_cycle_graph(4, 2))
 
 
 def test_build_errors():
@@ -77,12 +146,6 @@ def test_degree6():
     # no-interior instance
     g = build_graph([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)])
     assert degree6_vertices(g) == set()
-    # degree-6 vertices are exactly those off every boundary cycle
-    for g in (hexg, hex_with_hole_graph()):
-        on_boundary = set()
-        for cyc in g.boundary_cycles:
-            on_boundary |= set(cyc)
-        assert degree6_vertices(g) == set(g.vertex_ids) - on_boundary
 
 
 def test_generate_families():

@@ -8,9 +8,10 @@ from trigrid.grid import (GridError, TriGridGraph, build_graph, edge_key,
                           star_of_david_points)
 from trigrid.hamilton import (HamiltonCycle, HamiltonError, _arc, _hamilton_search,
                               enumerate_hamilton_cycles, find_hamilton,
-                              find_local_structure, select_parity, validate_cycle)
+                              find_local_structure, validate_cycle)
 
 from dual_forests import dual_forests
+from support import select_parity
 
 
 def _brute_cycles(g):

@@ -12,10 +12,11 @@ from trigrid.hamilton import _scan, find_hamilton, find_local_structure
 from trigrid.hc_planner import (_label_order, _swap_special, align_with_hamilton,
                                 plan_hamilton, swap_adjacent, turning_frame)
 from trigrid.ears import cycle_edges
-from trigrid.placement import (Placement, RotationSpec, is_aligned, rotate,
+from trigrid.placement import (Placement, RotationSpec, rotate,
                                shortest_slides_within, verify_sequence)
 
 from conftest import random_placement
+from support import is_aligned
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,12 +1,15 @@
 import itertools
 
+import pytest
+
 from trigrid.grid import (build_abstract, build_graph, diamond_cycle_graph,
-                          edge_key, star_of_david_points)
-from trigrid.matching import (Matching, alternating_path_to,
+                          edge_key, hexagon_points, star_of_david_points)
+from trigrid.matching import (Matching, MatchingError, alternating_path_to,
                               enumerate_near_perfect_matchings,
                               is_alternating_cycle, is_central,
                               is_factor_critical, near_perfect_matching,
-                              odd_alternating_cycle_through)
+                              odd_alternating_cycle_through,
+                              symmetric_difference_path)
 
 
 def _cycle_graph(n):
@@ -106,3 +109,75 @@ def test_odd_alternating_cycle_avoid():
     m2 = Matching(frozenset({(2, 3), (4, 5), (6, 7), (8, 9)}))
     assert odd_alternating_cycle_through(g, m2, 1, (4, 5), avoid=(8, 9)) \
         == (1, 2, 3, 4, 5, 6, 7)
+
+
+def test_matching_partner_map():
+    """Partners come from the map built in the disjointness check; it is
+    no field, so equality, hashing and repr see only the edges."""
+    m = Matching(frozenset({(2, 3), (4, 5)}))
+    assert [m.partner(v) for v in range(1, 6)] == [None, 3, 2, 5, 4]
+    assert m.covered == {2, 3, 4, 5}
+    assert m.covers(4) and not m.covers(1)
+    same = Matching(frozenset({(4, 5), (2, 3)}))
+    assert m == same and hash(m) == hash(same)
+    assert repr(m) == f"Matching(edges={m.edges!r})"
+    with pytest.raises(MatchingError):
+        Matching(frozenset({(1, 2), (2, 3)}))
+
+
+def _component_path(m1, m2, start):
+    """Reference: the component of M1 Δ M2 at `start` from an adjacency of
+    the whole symmetric difference, walked from `start`; None when `start`
+    meets two of its edges."""
+    adj = {}
+    for u, v in m1.edges ^ m2.edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    if len(adj.get(start, ())) > 1:
+        return None
+    path, prev = [start], None
+    while True:
+        nxt = [w for w in adj.get(path[-1], ()) if w != prev]
+        if not nxt:
+            return path
+        prev = path[-1]
+        path.append(nxt[0])
+
+
+def test_symmetric_difference_path_equals_component_walk():
+    """On every pair of nearly perfect matchings of small hosts and every
+    start, the path equals the reference walk, or both find no path."""
+    hosts = (build_graph([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]),
+             _cycle_graph(7), build_graph(hexagon_points(1)))
+    refused = 0
+    for g in hosts:
+        ms = enumerate_near_perfect_matchings(g)
+        for m1, m2 in itertools.product(ms, repeat=2):
+            for v in g.vertex_ids:
+                ref = _component_path(m1, m2, v)
+                if ref is None:
+                    refused += 1
+                    with pytest.raises(MatchingError, match="not a path"):
+                        symmetric_difference_path(m1, m2, v)
+                else:
+                    assert symmetric_difference_path(m1, m2, v) == ref
+    assert refused
+
+
+def test_symmetric_difference_path_from_m1_covered_start():
+    """The case the ear growth uses: `start` covered by m1 and exposed by
+    m2. The path leaves by m1's edge and ends at m1's exposed vertex."""
+    m1 = Matching(frozenset({(2, 3), (4, 5), (6, 7)}))    # exposes 1
+    m2 = Matching(frozenset({(3, 4), (5, 6), (1, 7)}))    # exposes 2
+    assert symmetric_difference_path(m1, m2, 2) == [2, 3, 4, 5, 6, 7, 1]
+    assert symmetric_difference_path(m2, m1, 1) == [1, 7, 6, 5, 4, 3, 2]
+
+
+def test_symmetric_difference_path_not_a_path():
+    """A start that both matchings cover, by different edges, meets two
+    edges of M1 Δ M2: no path starts there."""
+    m1 = Matching(frozenset({(1, 2), (3, 4), (5, 6)}))    # exposes 7
+    m2 = Matching(frozenset({(1, 7), (2, 3), (4, 5)}))    # exposes 6
+    with pytest.raises(MatchingError, match="not a path"):
+        symmetric_difference_path(m1, m2, 1)
+    assert symmetric_difference_path(m1, m2, 7) == [7, 1, 2, 3, 4, 5, 6]

@@ -45,7 +45,7 @@ def test_distance_symmetric(pentagon, rng):
 
 
 def test_chord_cycle_splits():
-    g = chord_cycle_graph(5, 3)          # gcd(4, 5)... gcd(n-1, m-1) = 2
+    g = chord_cycle_graph(5, 3)          # n and m both odd: not reconfigurable
     assert not is_reconfigurable_bruteforce(g)
     p = random_placement(g, __import__("random").Random(7))
     comp = bfs_component(g, p)
@@ -56,6 +56,17 @@ def test_chord_cycle_splits():
                    if not comp.contains(q))
     assert distance(g, p, outside) is None
     assert distance(g, outside, p) is None
+
+
+@pytest.mark.parametrize("m, verdict", [(2, True), (3, False), (4, True),
+                                        (5, False), (6, True)])
+def test_chord_cycle_parity_rule_at_n7(m, verdict):
+    """chord_cycle(n, m) is reconfigurable exactly when n and m are not
+    both odd. At n = 7 the BFS separates that rule from gcd(n-1, m-1) = 1,
+    which predicts False at m = 4."""
+    g = chord_cycle_graph(7, m)
+    assert is_reconfigurable_bruteforce(g, vertex_bound=15) is verdict
+    assert verdict == (7 % 2 == 0 or m % 2 == 0)
 
 
 def test_diamond_cycle_reconfigurable():

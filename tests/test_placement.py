@@ -12,12 +12,12 @@ from trigrid.matching import Matching, is_alternating_cycle, near_perfect_matchi
 from trigrid.oracle import bfs_component
 from trigrid.placement import (IllegalMoveError, Placement, PlacementError,
                                RotationSpec, SlideMove, SlideSequence, VerifyReport,
-                               aligned_cycle_state, apply_sequence, cut_loops,
-                               expose, invert_sequence, is_aligned, legal_moves, replay,
-                               rotate, shortest_slides_within, slide,
-                               verify_sequence)
+                               apply_sequence, cut_loops, expose, invert_sequence,
+                               legal_moves, replay, rotate, shortest_slides_within,
+                               slide, verify_sequence)
 
 from conftest import random_placement
+from support import aligned_cycle_state, is_aligned
 
 
 def _cycle_graph(n):
