@@ -168,7 +168,8 @@ def cmd_plan(args) -> int:
             line += "".join(f" {b} {branches[b]}" for b in EAR_BRANCHES)
         line += f" cut {report.stats['uncut_slides'] - report.slide_count}"
         if report.strategy == "ear":
-            line += f" swaps {report.stats['swaps']} gadgets {report.stats['gadgets']}"
+            line += "".join(f" {k} {report.stats[k]}"
+                            for k in ("swaps", "gadgets", "fallbacks"))
         log.debug(line)
     print(f"verified {report.slide_count} slides ({report.strategy})",
           file=sys.stderr)

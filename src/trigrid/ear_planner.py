@@ -27,8 +27,12 @@ class PlanInvariantError(Exception):
 @dataclass
 class PlanReport:
     """A verified plan. `stats["uncut_slides"]` is the slide count before
-    `cut_loops`; `stats["swaps"]` counts the ear planner's transpositions
-    and `stats["gadgets"]` the ones it had to build (0 for other planners)."""
+    `cut_loops`. Three counts are the ear planner's (0 for other planners):
+    `swaps`, the transpositions its level fills ask for, not the
+    lower-level ones each of them is conjugated from; `gadgets`, the
+    transpositions it built rather than replayed, at every level; and
+    `fallbacks`, the levels it planned whole for a transposition because
+    no rotation brought both pieces into the level below."""
 
     sequence: SlideSequence
     slide_count: int
@@ -38,7 +42,8 @@ class PlanReport:
 
 
 def finish_plan(seq: SlideSequence, q: Placement, strategy: str,
-                trace: List[Dict], swaps: int = 0, gadgets: int = 0) -> PlanReport:
+                trace: List[Dict], swaps: int = 0, gadgets: int = 0,
+                fallbacks: int = 0) -> PlanReport:
     """Cut the loops out of a full plan, replay it, and report it; raises
     PlanInvariantError if the replay does not end at q."""
     cut = cut_loops(seq)
@@ -47,7 +52,7 @@ def finish_plan(seq: SlideSequence, q: Placement, strategy: str,
         raise PlanInvariantError(f"plan verification failed: {check.message}")
     return PlanReport(cut, len(cut.moves), strategy, recursion_trace=trace,
                       stats={"uncut_slides": len(seq.moves), "swaps": swaps,
-                             "gadgets": gadgets})
+                             "gadgets": gadgets, "fallbacks": fallbacks})
 
 
 def base_pentagon(p: Placement, q: Placement,
@@ -80,6 +85,7 @@ class _Planner:
         self.gadgets: Dict[Tuple[int, FrozenSet[Edge], int, FrozenSet[Edge]],
                            Tuple[int, ...]] = {}
         self.swaps = 0
+        self.fallbacks = 0
 
     def plan(self, i: int, p: Placement, q: Placement) -> SlideSequence:
         """Plan p -> q using only edges of G_i; p and q agree outside G_i."""
@@ -111,7 +117,7 @@ class _Planner:
     def _ear_step(self, i: int, p: Placement, q: Placement) -> SlideSequence:
         ear = self.d.ear(i)
         vs, _ = self.levels.regions[i]
-        v, u = ear[0], ear[-1]
+        v = ear[0]
 
         sp = self.levels.expose(p, i, v)
         sq = self.levels.expose(q, i, v)
@@ -123,11 +129,7 @@ class _Planner:
         assert all(x is not None for x in lam), "target ear is not aligned"
         ell = len(lam)
 
-        ppath = alternating_path_to(cur.matching, self.levels.exposing(i - 1, u), v, u)
-        cyc = tuple(ear[:-1]) + tuple(reversed(ppath[1:]))
-        ces = cycle_edges(cyc)
-        p_dominoes = [edge_key(ppath[t], ppath[t + 1])
-                      for t in range(1, len(ppath) - 1, 2)]
+        cyc, ppath = self._ear_cycle(i, cur)
         hamilton = len(cyc) == len(vs)
         self.trace.append({"level": i, "ell": ell,
                            "branch": "hamilton" if hamilton else "spare-edge"})
@@ -143,29 +145,97 @@ class _Planner:
         mid = self.plan(i - 1, cur, tgt)
         return seq.then(mid).then(invert_sequence(sq))
 
+    def _ear_cycle(self, i: int, cur: Placement) -> Tuple[Tuple[int, ...], List[int]]:
+        """With the gap at the first vertex v of ear i and the ear aligned:
+        the odd cycle that runs along the ear from v and back to v through
+        G_{i-1}, on the alternating path from v to the ear's last vertex,
+        and that path."""
+        ear = self.d.ear(i)
+        ppath = alternating_path_to(cur.matching, self.levels.exposing(i - 1, ear[-1]),
+                                    ear[0], ear[-1])
+        return tuple(ear[:-1]) + tuple(reversed(ppath[1:])), ppath
+
     def _swap(self, i: int, cur: Placement, a: int, b: int) -> SlideSequence:
-        """Sub-plan that transposes labels a and b in G_{i-1}.
+        """Sub-plan of a level-i fill that transposes labels a and b in
+        G_{i-1}; counted in `swaps`."""
+        self.swaps += 1
+        return self._transpose(i - 1, cur, a, b)
+
+    def _transpose(self, j: int, cur: Placement, a: int, b: int) -> SlideSequence:
+        """Slides inside G_j that transpose labels a and b, both on edges of
+        G_j, and leave every other piece and the gap where they were.
 
         A slide is fixed by its kept vertex and the exposed vertex; labels
-        only name the pieces. So the first swap of two positions from an
-        unlabeled state plans level i - 1 and cuts its loops, and every
-        later one replays that gadget's kept vertices on the current labels.
+        only name the pieces. So the first transposition of two positions
+        from an unlabeled state at level j is built by `_conjugate` and
+        cut, and every later one replays its kept vertices on the current
+        labels. Both are checked against the swapped placement.
         """
-        self.swaps += 1
         pieces = list(cur.pieces)
         pieces[a - 1], pieces[b - 1] = pieces[b - 1], pieces[a - 1]
         target = Placement(cur.graph, tuple(pieces), cur.exposed)
-        key = (i, frozenset(cur.pieces), cur.exposed,
+        key = (j, frozenset(cur.pieces), cur.exposed,
                frozenset((cur.piece(a), cur.piece(b))))
         kept = self.gadgets.get(key)
         if kept is None:
-            gadget = cut_loops(self.plan(i - 1, cur, target))
+            gadget = cut_loops(self._conjugate(j, cur, a, b, target))
             self.gadgets[key] = tuple(mv.kept_vertex for mv in gadget.moves)
         else:
             gadget = replay(cur, kept)
         if gadget.end != target:
             raise PlanInvariantError("gadget does not end at the swap target")
         return gadget
+
+    def _conjugate(self, j: int, cur: Placement, a: int, b: int,
+                   target: Placement) -> SlideSequence:
+        """The transposition of labels a and b at level j as
+        E . R . T . R^-1 . E^-1.
+
+        E exposes the first vertex v of ear j, which aligns the ear. R
+        turns the labels along `_ear_cycle`, the gap back at v, so that
+        both pieces lie in G_{j-1}; a chord needs none, as then no piece
+        is on it. T is the same transposition at level j - 1. Slides are
+        label-blind, so R's and E's kept vertices replayed in reverse after
+        T undo them and leave only the transposition. The core levels
+        (j <= 3) are planned directly, and so is level j, counted in
+        `fallbacks`, when no turn of the cycle brings both pieces into
+        G_{j-1}.
+        """
+        if j <= 3:
+            return self.plan(j, cur, target)
+        ear = self.d.ear(j)
+        outer = self.levels.expose(cur, j, ear[0])
+        if len(ear) > 2:
+            turn = self._lower(j, outer.end, a, b)
+            if turn is None:
+                self.fallbacks += 1
+                return self.plan(j, cur, target)
+            outer = outer.then(turn)
+        inner = self._transpose(j - 1, outer.end, a, b)
+        back = replay(inner.end, [mv.kept_vertex for mv in reversed(outer.moves)])
+        return outer.then(inner).then(back)
+
+    def _lower(self, j: int, cur: Placement, a: int, b: int) -> Optional[SlideSequence]:
+        """The shortest rotation along ear j's cycle, the gap at the ear's
+        first vertex before and after, that leaves the pieces of a and b
+        on edges of G_{j-1}; None if no turn does.
+
+        The cycle's dominoes from the gap are the ear's m and then G_{j-1}'s
+        r. Returning the gap turns the k = m + r labels on them by whole
+        laps of the cycle, one domino a lap either way, so a turn by t
+        costs min(t, k - t) laps.
+        """
+        cyc, _ = self._ear_cycle(j, cur)
+        dominoes = forced_cycle_dominoes(cyc, cyc[0])
+        m, k = len(self.d.ear(j)) // 2 - 1, len(dominoes)
+        slots = [(x, dominoes.index(cur.piece(x))) for x in (a, b)
+                 if cur.piece(x) in dominoes]
+        turns = [t for t in range(k) if all((s - t) % k >= m for _, s in slots)]
+        if not turns:
+            return None
+        t = min(turns, key=lambda t: min(t, k - t))
+        return rotate(cur, RotationSpec(cyc, target_exposed=cyc[0], target_pieces=tuple(
+            (x, dominoes[(s - t) % k]) for x, s in slots)))
 
     def _spare_fill(self, i: int, cur: Placement, lam: List[int],
                     cyc: Tuple[int, ...], ear: Tuple[int, ...],
@@ -349,4 +419,5 @@ def plan_ear(g: TriGridGraph, p: Placement, q: Placement) -> PlanReport:
     sq = align_with_ears(q, planner.levels)
     mid = planner.plan(d.levels, sp.end, sq.end)
     return finish_plan(sp.then(mid).then(invert_sequence(sq)), q, "ear",
-                       planner.trace, planner.swaps, len(planner.gadgets))
+                       planner.trace, planner.swaps, len(planner.gadgets),
+                       planner.fallbacks)

@@ -178,28 +178,6 @@ def extend_from_central(g: TriGridGraph, m: Matching,
 # ---------------------------------------------------------------------------
 # admissible cores
 
-def enumerate_pentagons(g: TriGridGraph) -> List[Tuple[int, Tuple[int, int, int, int]]]:
-    """Fans of three triangles: apex t with a 4-path c1-c2-c3-c4 of
-    neighbors, inducing exactly 7 edges on the 5 vertices."""
-    out = []
-    for t in g.vertex_ids:
-        nbrs = sorted(g.adj[t])
-        for quad in itertools.permutations(nbrs, 4):
-            c1, c2, c3, c4 = quad
-            if c1 > c4:
-                continue     # each fan once
-            if not (g.has_edge(c1, c2) and g.has_edge(c2, c3) and g.has_edge(c3, c4)):
-                continue
-            vs = {t, c1, c2, c3, c4}
-            if len(vs) != 5:
-                continue
-            count = sum(1 for a, b in itertools.combinations(sorted(vs), 2)
-                        if g.has_edge(a, b))
-            if count == 7:
-                out.append((t, quad))
-    return out
-
-
 def enumerate_diamonds(g: TriGridGraph) -> List[Tuple[int, int, int, int]]:
     """Diamonds as (s1, s2, t1, t2): shared edge (s1, s2), outer vertices
     t1 < t2, inducing exactly 5 edges, that is, t1 and t2 not adjacent.
@@ -229,21 +207,41 @@ def enumerate_diamonds(g: TriGridGraph) -> List[Tuple[int, int, int, int]]:
     return out
 
 
+def _fans(g: TriGridGraph, t: int) -> List[Tuple[int, int, int, int]]:
+    """Pentagon fans at apex t, sorted: 4-paths c1-c2-c3-c4 of neighbours
+    of t with c1 < c4 and no chord c1-c3, c2-c4 or c1-c4, so that the five
+    vertices induce exactly 7 edges (three triangles on t)."""
+    nbrs = set(g.adj[t])
+    near = {c: nbrs.intersection(g.adj[c]) for c in nbrs}   # edges among them
+    out = []
+    for c1 in nbrs:
+        for c2 in near[c1]:
+            for c3 in near[c2] - near[c1] - {c1}:
+                for c4 in near[c3] - near[c1] - near[c2] - {c1}:
+                    if c1 < c4:
+                        out.append((c1, c2, c3, c4))
+    return sorted(out)
+
+
 def _pentagon_structure(g: TriGridGraph) -> Optional[Tuple[EarDecomposition, Matching]]:
-    for t, (c1, c2, c3, c4) in sorted(enumerate_pentagons(g)):
-        rest = set(g.vertex_ids) - {t, c1, c2, c3, c4}
-        if rest:
-            pm = perfect_matching(g, within=rest)
-            if pm is None:
-                continue
-            outer = pm.edges
-        else:
-            outer = frozenset()
-        cycle_m = {edge_key(c1, c2), edge_key(c3, c4)}
-        m = Matching(frozenset(cycle_m) | outer)
-        base = (t, c1, c2, c3, c4)
-        core = EarDecomposition(base, ((t, c2), (t, c3)), kind="pentagon")
-        return core, m
+    """The first pentagon fan, by apex and then by path, whose other
+    vertices have a perfect matching, with that matching and the fan's
+    two cycle dominoes; None if no fan has one."""
+    for t in sorted(g.vertex_ids):
+        for c1, c2, c3, c4 in _fans(g, t):
+            rest = set(g.vertex_ids) - {t, c1, c2, c3, c4}
+            if rest:
+                pm = perfect_matching(g, within=rest)
+                if pm is None:
+                    continue
+                outer = pm.edges
+            else:
+                outer = frozenset()
+            cycle_m = {edge_key(c1, c2), edge_key(c3, c4)}
+            m = Matching(frozenset(cycle_m) | outer)
+            base = (t, c1, c2, c3, c4)
+            core = EarDecomposition(base, ((t, c2), (t, c3)), kind="pentagon")
+            return core, m
     return None
 
 

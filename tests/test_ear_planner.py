@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,11 +7,12 @@ from trigrid import matching
 from trigrid.corpus import degree6_corpus
 from trigrid.ear_planner import (PlanError, PlanInvariantError, _Planner,
                                  base_diamond_cycle, base_pentagon, plan_ear)
-from trigrid.ears import find_admissible
-from trigrid.grid import build_graph, diamond_cycle_graph, edge_key, hexagon_points
+from trigrid.ears import align_with_ears, find_admissible
+from trigrid.grid import (build_graph, diamond_cycle_graph, edge_key, hex_with_hole_graph,
+                          hexagon_points)
 from trigrid.matching import enumerate_near_perfect_matchings
 from trigrid.oracle import bfs_component
-from trigrid.placement import Placement, verify_sequence
+from trigrid.placement import Placement, replay, verify_sequence
 
 from conftest import random_placement
 
@@ -123,38 +125,42 @@ def test_plan_ear_matches_each_level_once(monkeypatch, rng):
     assert len(level_calls) == len(set(level_calls))
 
 
-def _gadget_key(i, cur, a, b):
-    return (i, frozenset(cur.pieces), cur.exposed,
+def _gadget_key(j, cur, a, b):
+    return (j, frozenset(cur.pieces), cur.exposed,
             frozenset((cur.piece(a), cur.piece(b))))
 
 
 def test_plan_ear_builds_each_gadget_once(monkeypatch, rng):
-    """A transposition of two positions from one unlabeled state re-plans
-    level i - 1 once per plan; later swaps of the same key replay it."""
+    """A transposition of two positions from one unlabeled state at one
+    level is built once per plan, at every level of the recursion; later
+    transpositions of the same key, nested ones included, replay it.
+    `swaps` counts only the fills' transpositions and `gadgets` the
+    builds."""
     g = build_graph(hexagon_points(2))
     p, q = random_placement(g, rng), random_placement(g, rng)
-    swaps, builds, open_swaps = [], [], []
-    swap, plan = _Planner._swap, _Planner.plan
+    swaps, transposes, builds = [], [], []
+    swap, transpose, conjugate = _Planner._swap, _Planner._transpose, _Planner._conjugate
 
     def counting_swap(self, i, cur, a, b):
-        swaps.append(_gadget_key(i, cur, a, b))
-        open_swaps.append(swaps[-1])
-        try:
-            return swap(self, i, cur, a, b)
-        finally:
-            open_swaps.pop()
+        swaps.append(_gadget_key(i - 1, cur, a, b))
+        return swap(self, i, cur, a, b)
 
-    def counting_plan(self, i, p_, q_):
-        if open_swaps and open_swaps[-1] is not None:
-            builds.append(open_swaps[-1])     # the swap's own re-plan of level i - 1
-            open_swaps[-1] = None
-        return plan(self, i, p_, q_)
+    def counting_transpose(self, j, cur, a, b):
+        transposes.append(_gadget_key(j, cur, a, b))
+        return transpose(self, j, cur, a, b)
+
+    def counting_conjugate(self, j, cur, a, b, target):
+        builds.append(_gadget_key(j, cur, a, b))
+        return conjugate(self, j, cur, a, b, target)
 
     monkeypatch.setattr(_Planner, "_swap", counting_swap)
-    monkeypatch.setattr(_Planner, "plan", counting_plan)
+    monkeypatch.setattr(_Planner, "_transpose", counting_transpose)
+    monkeypatch.setattr(_Planner, "_conjugate", counting_conjugate)
     rep = plan_ear(g, p, q)
-    assert builds and len(builds) == len(set(builds)) == len(set(swaps))
-    assert len(builds) < len(swaps)
+    assert builds and len(builds) == len(set(builds)) == len(set(transposes))
+    assert len(builds) < len(transposes)
+    assert len(transposes) > len(swaps) and set(swaps) <= set(transposes)
+    assert len({key[0] for key in builds}) > 1, "builds at one level only"
     assert rep.stats["swaps"] == len(swaps) and rep.stats["gadgets"] == len(builds)
     check = verify_sequence(rep.sequence, expected_end=q)
     assert check.ok and check.matches_expected
@@ -162,7 +168,8 @@ def test_plan_ear_builds_each_gadget_once(monkeypatch, rng):
 
 def test_plan_ear_corrupted_gadget_fails_its_next_hit(monkeypatch, rng):
     """A stored gadget that no longer transposes its two positions raises
-    PlanInvariantError when a later swap replays it."""
+    PlanInvariantError when a later transposition, at its own level or
+    nested in a higher one, replays it."""
     g = build_graph(hexagon_points(2))
     p, q = random_placement(g, rng), random_placement(g, rng)
     stored = []
@@ -182,3 +189,66 @@ def test_plan_ear_corrupted_gadget_fails_its_next_hit(monkeypatch, rng):
     with pytest.raises(PlanInvariantError, match="gadget does not end at the swap target"):
         plan_ear(g, p, q)
     assert stored
+
+
+def test_plan_ear_gadget_build_is_checked(monkeypatch, rng):
+    """A built gadget that misses its target raises PlanInvariantError
+    before the memo keeps it."""
+    g = build_graph(hexagon_points(2))
+    p, q = random_placement(g, rng), random_placement(g, rng)
+    conjugate = _Planner._conjugate
+
+    def short(self, j, cur, a, b, target):
+        seq = conjugate(self, j, cur, a, b, target)
+        return replay(seq.start, [mv.kept_vertex for mv in seq.moves[:-1]])
+
+    monkeypatch.setattr(_Planner, "_conjugate", short)
+    with pytest.raises(PlanInvariantError, match="gadget does not end at the swap target"):
+        plan_ear(g, p, q)
+
+
+def _g_j_state(planner, j, rng, g):
+    """A random placement, aligned with the decomposition and then with
+    its gap moved to a random vertex of G_j inside G_j, and two labels
+    on edges of G_j."""
+    cur = align_with_ears(random_placement(g, rng), planner.levels).end
+    vs, es = planner.levels.regions[j]
+    cur = planner.levels.expose(cur, j, rng.choice(sorted(vs))).end
+    a, b = rng.sample([x for x in range(1, cur.n + 1) if cur.piece(x) in es], 2)
+    return cur, a, b
+
+
+@pytest.mark.parametrize("build,kinds", [
+    (lambda: build_graph(hexagon_points(2)), {"core", "ear", "chord", "fallback"}),
+    (lambda: hex_with_hole_graph(2), {"core", "ear", "chord", "fallback"}),
+    (lambda: diamond_cycle_graph(6), {"core"}),
+], ids=["hex19", "hex_with_hole2", "diamond_cycle6"])
+def test_transpose_at_every_level(build, kinds):
+    """`_transpose(j, ...)` at every level, from seeded random states of
+    G_j: it ends exactly at the placement with the two labels swapped and
+    the gap where it started, and every piece it slides leaves and lands
+    on edges of G_j. The levels are the core's (j <= 3; all of
+    diamond_cycle(6)), proper ears and chords, and on both lattice hosts
+    some states need the plan(j) fallback."""
+    g = build()
+    d, _ = find_admissible(g)
+    rng = random.Random(17)
+    seen = set()
+    for j in range(3, d.levels + 1):
+        _, es = d.region(j)
+        seen.add("core" if j <= 3 else "chord" if len(d.ear(j)) == 2 else "ear")
+        for _ in range(3):
+            planner = _Planner(g, d)
+            cur, a, b = _g_j_state(planner, j, rng, g)
+            pieces = list(cur.pieces)
+            pieces[a - 1], pieces[b - 1] = pieces[b - 1], pieces[a - 1]
+            seq = planner._transpose(j, cur, a, b)
+            check = verify_sequence(seq, expected_end=Placement(g, tuple(pieces),
+                                                                cur.exposed))
+            assert check.ok and check.matches_expected, (j, a, b)
+            for label, kept, dest in seq.moves:
+                assert pieces[label - 1] in es and edge_key(kept, dest) in es, j
+                pieces[label - 1] = edge_key(kept, dest)
+            if planner.fallbacks:
+                seen.add("fallback")
+    assert seen == kinds

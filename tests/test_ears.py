@@ -6,7 +6,7 @@ from trigrid.corpus import degree6_corpus, locally_connected_corpus
 from trigrid.grid import (build_abstract, build_graph, diamond_cycle_graph, edge_key,
                           hex_with_hole_graph, star_of_david_points, triangles)
 from trigrid.ears import (EarDecomposition, EarError, NoAdmissibleError,
-                          LevelMatchings, align_with_ears, cycle_edges,
+                          LevelMatchings, _fans, align_with_ears, cycle_edges,
                           enumerate_diamonds,
                           extend_from_central, find_admissible, is_aligned_with,
                           path_edges, validate_decomposition)
@@ -183,3 +183,37 @@ def test_enumerate_diamonds_matches_all_pairs_scan():
     for g in hosts:
         assert enumerate_diamonds(g) == _diamonds_all_pairs(g), g.name
     assert len(enumerate_diamonds(k5_less)) == 3
+
+
+def _fans_permutation_scan(g, t):
+    """Every ordered 4-tuple of t's neighbours that is a path c1-c2-c3-c4
+    with c1 < c4 and makes 7 edges with t, in permutation order."""
+    out = []
+    for quad in itertools.permutations(sorted(g.adj[t]), 4):
+        c1, c2, c3, c4 = quad
+        if c1 > c4 or not (g.has_edge(c1, c2) and g.has_edge(c2, c3)
+                           and g.has_edge(c3, c4)):
+            continue
+        vs = (t,) + quad
+        if sum(g.has_edge(a, b) for a, b in itertools.combinations(vs, 2)) == 7:
+            out.append(quad)
+    return out
+
+
+def test_fans_match_permutation_scan():
+    """`_fans` lists the same pentagon fans per apex, in the same order, as
+    a scan of all 4-permutations of the apex's neighbours; so
+    `_pentagon_structure`, which takes the first fan whose rest has a
+    perfect matching, picks the same core. K5 and the wheel on six spokes
+    are abstract hosts whose neighbourhoods hold chords and 4-cycles."""
+    k5 = build_abstract(5, list(itertools.combinations(range(1, 6), 2)))
+    wheel = build_abstract(7, [(1, s) for s in range(2, 8)]
+                           + [(s, (s - 1) % 6 + 2) for s in range(2, 8)])
+    hosts = (locally_connected_corpus() + degree6_corpus(17, 30)
+             + [hex_with_hole_graph(2), diamond_cycle_graph(6), k5, wheel])
+    fans = 0
+    for g in hosts:
+        for t in g.vertex_ids:
+            assert _fans(g, t) == _fans_permutation_scan(g, t), (g.name, t)
+            fans += len(_fans(g, t))
+    assert fans and not _fans(k5, 1) and len(_fans(wheel, 1)) == 6
