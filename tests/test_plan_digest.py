@@ -29,15 +29,15 @@ CASES = {
     "hex11-hamilton": (_hex11, plan_hamilton,
                        "b6a19d586e91ec88edfae6ae986a0d8d7534caee4674f56a8f3a383091860be5"),
     "deg6-11v-ear": (lambda: degree6_corpus(13, 12)[-1], plan_ear,
-                     "3d9093f136e6e3e772b39ad26f75dc568dc34acbf80638bbb1f442efd5769f55"),
+                     "488ba7a5930e964b595b7206616f3d9767eff1fff0354a735f31f77f58d8780e"),
     "diamond_cycle6-ear": (lambda: diamond_cycle_graph(6), plan_ear,
                            "38095e4f3cb744e1c4b3b6be19497ae2e7bc9276942ad470e97147d8934df957"),
     # the two below reach the ear planner's spare-edge branch (`_spare_fill`),
     # which the cases above never take
     "hex19-ear": (lambda: build_graph(hexagon_points(2)), plan_ear,
-                  "181440ffc2205d85c4f1c29637f02057baed7fd92591eaa5a61043f8d8de9be1"),
+                  "592c1ecb3464e277176d00a1315650683e2b052fcb95e93b0044802e83f3220f"),
     "hex_with_hole2-ear": (lambda: hex_with_hole_graph(2), plan_ear,
-                           "1c6d95b23f25a660ee5009c45504bf449d4e44b1a528358d56274e2033e05e3e"),
+                           "faf464ca0cb1988c74649307565856b8ad28409f16822fd22b25311842663327"),
 }
 
 
