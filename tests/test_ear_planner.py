@@ -207,11 +207,11 @@ def test_plan_ear_gadget_build_is_checked(monkeypatch, rng):
         plan_ear(g, p, q)
 
 
-def _g_j_state(planner, j, rng, g):
+def _g_j_state(planner, j, rng):
     """A random placement, aligned with the decomposition and then with
     its gap moved to a random vertex of G_j inside G_j, and two labels
     on edges of G_j."""
-    cur = align_with_ears(random_placement(g, rng), planner.levels).end
+    cur = align_with_ears(random_placement(planner.levels.g, rng), planner.levels).end
     vs, es = planner.levels.regions[j]
     cur = planner.levels.expose(cur, j, rng.choice(sorted(vs))).end
     a, b = rng.sample([x for x in range(1, cur.n + 1) if cur.piece(x) in es], 2)
@@ -239,16 +239,17 @@ def test_transpose_at_every_level(build, kinds):
         seen.add("core" if j <= 3 else "chord" if len(d.ear(j)) == 2 else "ear")
         for _ in range(3):
             planner = _Planner(g, d)
-            cur, a, b = _g_j_state(planner, j, rng, g)
+            cur, a, b = _g_j_state(planner, j, rng)
             pieces = list(cur.pieces)
             pieces[a - 1], pieces[b - 1] = pieces[b - 1], pieces[a - 1]
             seq = planner._transpose(j, cur, a, b)
             check = verify_sequence(seq, expected_end=Placement(g, tuple(pieces),
                                                                 cur.exposed))
             assert check.ok and check.matches_expected, (j, a, b)
+            now = list(cur.pieces)
             for label, kept, dest in seq.moves:
-                assert pieces[label - 1] in es and edge_key(kept, dest) in es, j
-                pieces[label - 1] = edge_key(kept, dest)
+                assert now[label - 1] in es and edge_key(kept, dest) in es, j
+                now[label - 1] = edge_key(kept, dest)
             if planner.fallbacks:
                 seen.add("fallback")
     assert seen == kinds

@@ -204,16 +204,20 @@ def test_fans_match_permutation_scan():
     """`_fans` lists the same pentagon fans per apex, in the same order, as
     a scan of all 4-permutations of the apex's neighbours; so
     `_pentagon_structure`, which takes the first fan whose rest has a
-    perfect matching, picks the same core. K5 and the wheel on six spokes
-    are abstract hosts whose neighbourhoods hold chords and 4-cycles."""
+    perfect matching, picks the same core. The abstract hosts hold what
+    lattice neighbourhoods cannot: K5, the wheel on six spokes, and the
+    fan 2-3-4-5 around vertex 1 with each one of its three chords."""
     k5 = build_abstract(5, list(itertools.combinations(range(1, 6), 2)))
     wheel = build_abstract(7, [(1, s) for s in range(2, 8)]
                            + [(s, (s - 1) % 6 + 2) for s in range(2, 8)])
+    chorded = [build_abstract(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 4),
+                                  (4, 5), chord]) for chord in ((2, 4), (3, 5), (2, 5))]
     hosts = (locally_connected_corpus() + degree6_corpus(17, 30)
-             + [hex_with_hole_graph(2), diamond_cycle_graph(6), k5, wheel])
+             + [hex_with_hole_graph(2), diamond_cycle_graph(6), k5, wheel] + chorded)
     fans = 0
     for g in hosts:
         for t in g.vertex_ids:
             assert _fans(g, t) == _fans_permutation_scan(g, t), (g.name, t)
             fans += len(_fans(g, t))
     assert fans and not _fans(k5, 1) and len(_fans(wheel, 1)) == 6
+    assert not any(_fans(h, 1) for h in chorded)
