@@ -217,7 +217,7 @@ def _fans(g: TriGridGraph, t: int) -> List[Tuple[int, int, int, int]]:
     for c1 in nbrs:
         for c2 in near[c1]:
             for c3 in near[c2] - near[c1] - {c1}:
-                for c4 in near[c3] - near[c1] - near[c2] - {c1}:
+                for c4 in near[c3] - near[c1] - near[c2]:
                     if c1 < c4:
                         out.append((c1, c2, c3, c4))
     return sorted(out)
@@ -229,19 +229,11 @@ def _pentagon_structure(g: TriGridGraph) -> Optional[Tuple[EarDecomposition, Mat
     two cycle dominoes; None if no fan has one."""
     for t in sorted(g.vertex_ids):
         for c1, c2, c3, c4 in _fans(g, t):
-            rest = set(g.vertex_ids) - {t, c1, c2, c3, c4}
-            if rest:
-                pm = perfect_matching(g, within=rest)
-                if pm is None:
-                    continue
-                outer = pm.edges
-            else:
-                outer = frozenset()
-            cycle_m = {edge_key(c1, c2), edge_key(c3, c4)}
-            m = Matching(frozenset(cycle_m) | outer)
-            base = (t, c1, c2, c3, c4)
-            core = EarDecomposition(base, ((t, c2), (t, c3)), kind="pentagon")
-            return core, m
+            pm = perfect_matching(g, within=set(g.vertex_ids) - {t, c1, c2, c3, c4})
+            if pm is not None:
+                m = Matching(pm.edges | {edge_key(c1, c2), edge_key(c3, c4)})
+                base = (t, c1, c2, c3, c4)
+                return EarDecomposition(base, ((t, c2), (t, c3)), kind="pentagon"), m
     return None
 
 
