@@ -17,16 +17,16 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from . import formats
-from .ear_planner import PlanError, PlanInvariantError, plan_ear
+from .ear_planner import plan_ear
 from .grid import (GridError, TriGridGraph, degree6_vertices, generate, hole_count,
                    is_locally_connected, is_star_of_david, is_two_connected)
-from .ears import EarError
-from .hamilton import HamiltonError
+from .ears import NoAdmissibleError, find_admissible
 from .hc_planner import plan_hamilton
 from .matching import MatchingError, is_factor_critical
 from .oracle import (DEFAULT_VERTEX_BOUND, OracleBudgetError, bfs_component,
                      export_csv, is_reconfigurable_bruteforce)
 from .placement import PlacementError, verify_sequence
+from .plans import PlanError, PlanInvariantError
 from .render import render_graph, render_plan_frames
 
 EXIT_OK = 0
@@ -91,7 +91,6 @@ def cmd_gen(args) -> int:
 
 
 def _has_admissible_core(g: TriGridGraph) -> bool:
-    from .ears import NoAdmissibleError, find_admissible
     try:
         find_admissible(g)
         return True
@@ -148,7 +147,7 @@ def cmd_plan(args) -> int:
             report = plan_hamilton(g, p, q)
         else:
             report = plan_ear(g, p, q)
-    except (PlanError, EarError, HamiltonError) as exc:
+    except PlanError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except (PlacementError, MatchingError) as exc:
@@ -167,9 +166,8 @@ def cmd_plan(args) -> int:
                                for e in report.recursion_trace)
             line += "".join(f" {b} {branches[b]}" for b in EAR_BRANCHES)
         line += f" cut {report.stats['uncut_slides'] - report.slide_count}"
-        if report.strategy == "ear":
-            line += "".join(f" {k} {report.stats[k]}"
-                            for k in ("swaps", "gadgets", "fallbacks"))
+        line += "".join(f" {k} {report.stats[k]}"
+                        for k in ("swaps", "gadgets", "fallbacks"))
         log.debug(line)
     print(f"verified {report.slide_count} slides ({report.strategy})",
           file=sys.stderr)

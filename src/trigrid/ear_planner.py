@@ -3,76 +3,16 @@ decompositions: align both placements, then reconfigure level by level."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .grid import Edge, TriGridGraph, edge_key
 from .matching import MatchingError, alternating_path_to, near_perfect_matching
 from .ears import (EarDecomposition, LevelMatchings, align_with_ears, cycle_edges,
                    find_admissible)
 from .placement import (Placement, RotationSpec, SlideSequence, cut_loops, expose,
-                        invert_sequence, replay, rotate, shortest_slides_within,
-                        verify_sequence)
-
-
-class PlanError(Exception):
-    pass
-
-
-class PlanInvariantError(Exception):
-    """A plan a planner built fails its own final replay: a bug in the
-    planner, not a refusal of the input."""
-
-
-@dataclass
-class PlanReport:
-    """A verified plan. `stats["uncut_slides"]` is the slide count before
-    `cut_loops`. Three counts are the ear planner's (0 for other planners):
-    `swaps`, the transpositions its level fills ask for, not the
-    lower-level ones each of them is conjugated from; `gadgets`, the
-    transpositions it built rather than replayed, at every level; and
-    `fallbacks`, the levels it planned whole for a transposition because
-    no rotation brought both pieces into the level below."""
-
-    sequence: SlideSequence
-    slide_count: int
-    strategy: str
-    recursion_trace: List[Dict] = field(default_factory=list)
-    stats: Dict[str, int] = field(default_factory=dict)
-
-
-def finish_plan(seq: SlideSequence, q: Placement, strategy: str,
-                trace: List[Dict], swaps: int = 0, gadgets: int = 0,
-                fallbacks: int = 0) -> PlanReport:
-    """Cut the loops out of a full plan, replay it, and report it; raises
-    PlanInvariantError if the replay does not end at q."""
-    cut = cut_loops(seq)
-    check = verify_sequence(cut, expected_end=q)
-    if not check.ok:
-        raise PlanInvariantError(f"plan verification failed: {check.message}")
-    return PlanReport(cut, len(cut.moves), strategy, recursion_trace=trace,
-                      stats={"uncut_slides": len(seq.moves), "swaps": swaps,
-                             "gadgets": gadgets, "fallbacks": fallbacks})
-
-
-def base_pentagon(p: Placement, q: Placement,
-                  edges: Optional[Set[Edge]] = None) -> SlideSequence:
-    """Shortest plan from p to q that slides only along `edges` (default:
-    every edge of the host), by breadth-first search; for small cores such
-    as the pentagon. Raises PlanError if q is unreachable that way."""
-    seq = shortest_slides_within(p, p.graph.edges if edges is None else edges,
-                                 lambda s: s.pieces == q.pieces)
-    if seq is None:
-        raise PlanError("core target unreachable within region")
-    return seq
-
-
-def forced_cycle_dominoes(cycle: Sequence[int], gap: int) -> List[Edge]:
-    """Dominoes of the unique tiling of an odd cycle with the given gap,
-    listed in cycle order starting after the gap."""
-    i = cycle.index(gap)
-    order = list(cycle[i + 1:]) + list(cycle[:i])
-    return [edge_key(order[t], order[t + 1]) for t in range(0, len(order) - 1, 2)]
+                        invert_sequence, replay, rotate)
+from .plans import (PlanError, PlanReport, Transpositions, base_pentagon, finish_plan,
+                    forced_cycle_dominoes)
 
 
 class _Planner:
@@ -80,10 +20,7 @@ class _Planner:
         self.d = d
         self.levels = LevelMatchings(g, d)
         self.trace: List[Dict] = []
-        # (level, unlabeled pieces, exposed vertex, the two swapped
-        # positions) -> kept vertices of the gadget built for it in this plan
-        self.gadgets: Dict[Tuple[int, FrozenSet[Edge], int, FrozenSet[Edge]],
-                           Tuple[int, ...]] = {}
+        self.gadgets = Transpositions()
         self.swaps = 0
         self.fallbacks = 0
 
@@ -165,26 +102,14 @@ class _Planner:
         """Slides inside G_j that transpose labels a and b, both on edges of
         G_j, and leave every other piece and the gap where they were.
 
-        A slide is fixed by its kept vertex and the exposed vertex; labels
-        only name the pieces. So the first transposition of two positions
-        from an unlabeled state at level j is built by `_conjugate` and
-        cut, and every later one replays its kept vertices on the current
-        labels. Both are checked against the swapped placement.
+        The memo is keyed by the level, the unlabeled pieces, the gap and
+        the two positions: the first transposition of a key is built by
+        `_conjugate` and cut, and every later one replays it.
         """
-        pieces = list(cur.pieces)
-        pieces[a - 1], pieces[b - 1] = pieces[b - 1], pieces[a - 1]
-        target = Placement(cur.graph, tuple(pieces), cur.exposed)
         key = (j, frozenset(cur.pieces), cur.exposed,
                frozenset((cur.piece(a), cur.piece(b))))
-        kept = self.gadgets.get(key)
-        if kept is None:
-            gadget = cut_loops(self._conjugate(j, cur, a, b, target))
-            self.gadgets[key] = tuple(mv.kept_vertex for mv in gadget.moves)
-        else:
-            gadget = replay(cur, kept)
-        if gadget.end != target:
-            raise PlanInvariantError("gadget does not end at the swap target")
-        return gadget
+        return self.gadgets(cur, a, b, key, lambda target: cut_loops(
+            self._conjugate(j, cur, a, b, target)))
 
     def _conjugate(self, j: int, cur: Placement, a: int, b: int,
                    target: Placement) -> SlideSequence:

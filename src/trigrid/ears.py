@@ -12,9 +12,10 @@ from .matching import (Matching, MatchingError, is_alternating_cycle,
                        near_perfect_matching, odd_alternating_cycle_through,
                        perfect_matching, symmetric_difference_path)
 from .placement import Placement, SlideSequence, expose
+from .plans import PlanError
 
 
-class EarError(Exception):
+class EarError(PlanError):
     pass
 
 

@@ -11,9 +11,10 @@ from typing import FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .grid import Edge, GridError, TriGridGraph, cartesian, edge_key, is_star_of_david
 from .ears import cycle_edges, enumerate_diamonds
+from .plans import PlanError
 
 
-class HamiltonError(Exception):
+class HamiltonError(PlanError):
     pass
 
 

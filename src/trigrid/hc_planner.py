@@ -7,16 +7,16 @@ swap needs and never back, rotate once into the target's frame, then undo
 the target-side alignment. Slide counts grow as O(n^3).
 """
 
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .grid import Edge, TriGridGraph, edge_key, is_locally_connected, is_star_of_david
-from .ear_planner import (PlanError, PlanReport, base_pentagon, finish_plan,
-                          forced_cycle_dominoes)
 from .hamilton import (HamiltonCycle, ParityDiamond, find_hamilton,
                        find_local_structure)
 from .matching import Matching
 from .placement import (Placement, RotationSpec, SlideSequence, expose,
                         invert_sequence, replay, rotate)
+from .plans import (PlanError, PlanInvariantError, PlanReport, Transpositions,
+                    base_pentagon, finish_plan, forced_cycle_dominoes)
 
 
 def align_with_hamilton(p: Placement, h: HamiltonCycle) -> SlideSequence:
@@ -69,20 +69,15 @@ def turning_frame(pd: ParityDiamond) -> TurningFrame:
     return TurningFrame(pd, dominoes, slot, i_ab, i_v, lo)
 
 
-# (unlabeled pieces, whether the (a, b) label is the smaller) -> kept
-# vertices of the pentagon swap found for that state, for one plan
-PentagonMemo = Dict[Tuple[FrozenSet[Edge], bool], Tuple[int, ...]]
-
-
-def _swap_special(cur: Placement, frame: TurningFrame, memo: PentagonMemo) -> SlideSequence:
+def _swap_special(cur: Placement, frame: TurningFrame, memo: Transpositions) -> SlideSequence:
     """Exchange the labels on the two swap dominoes; gap stays at c.
 
     Short even side (two edges): the five vertices a, b, c, d and the
     inner vertex of p1 form a pentagon, solved by `base_pentagon` on the
     edges among them. Slides are label-blind and the search breaks ties
     by label, so its kept vertices depend only on the unlabeled pieces
-    and on which of the two labels is smaller: `memo` keeps them, and
-    later swaps on the same state replay them. Longer even side: slide
+    and on which of the two labels is smaller: that is its key in `memo`,
+    and later swaps on the same state replay it. Longer even side: slide
     the (a, b) piece to (b, c), rotate the p1 + (a, d) cycle one notch,
     then rotate the p1 + (a, b), (b, c), (c, d) cycle back to the
     swapped state.
@@ -94,40 +89,28 @@ def _swap_special(cur: Placement, frame: TurningFrame, memo: PentagonMemo) -> Sl
     lo = cur.label_at(frame.dominoes[frame.i_v])
     assert hi is not None and lo is not None
 
-    target_pieces = list(cur.pieces)
-    target_pieces[hi - 1], target_pieces[lo - 1] = \
-        target_pieces[lo - 1], target_pieces[hi - 1]
-    target = Placement(cur.graph, tuple(target_pieces), cur.exposed)
-
     if len(pd.p1) == 3:
-        key = (frozenset(cur.pieces), hi < lo)
-        kept = memo.get(key)
-        if kept is None:
+        def search(target: Placement) -> SlideSequence:
             vs = {a, b, c, d, pd.p1[1]}
             es = {edge_key(x, y) for x in vs for y in vs
                   if x < y and cur.graph.has_edge(x, y)}
-            seq = base_pentagon(cur, target, es)
-            memo[key] = tuple(mv.kept_vertex for mv in seq.moves)
-        else:
-            seq = replay(cur, kept)
-    else:
-        v1, v2, v3 = pd.p1[-2], pd.p1[-3], pd.p1[1]
-        s1 = replay(cur, (b,))                     # the (a, b) piece onto (b, c)
-        cyc_a = tuple(pd.p1)                       # d .. a, closed by (a, d)
-        s2 = rotate(s1.end, RotationSpec(cyc_a, target_exposed=a,
-                                         target_pieces=((lo, edge_key(d, v3)),)))
-        cur2 = s2.end
-        cyc_b = tuple(pd.p1) + (b, c)              # d .. a, b, c, closed by (c, d)
-        s3 = rotate(cur2, RotationSpec(
-            cyc_b, target_exposed=c,
-            target_pieces=((hi, edge_key(v1, v2)), (lo, edge_key(a, b)))))
-        seq = s1.then(s2).then(s3)
-    assert seq.end.pieces == target.pieces and seq.end.exposed == c
-    return seq
+            return base_pentagon(cur, target, es)
+        return memo(cur, hi, lo, (frozenset(cur.pieces), hi < lo), search)
+    v1, v2, v3 = pd.p1[-2], pd.p1[-3], pd.p1[1]
+    s1 = replay(cur, (b,))                     # the (a, b) piece onto (b, c)
+    cyc_a = tuple(pd.p1)                       # d .. a, closed by (a, d)
+    s2 = rotate(s1.end, RotationSpec(cyc_a, target_exposed=a,
+                                     target_pieces=((lo, edge_key(d, v3)),)))
+    cur2 = s2.end
+    cyc_b = tuple(pd.p1) + (b, c)              # d .. a, b, c, closed by (c, d)
+    s3 = rotate(cur2, RotationSpec(
+        cyc_b, target_exposed=c,
+        target_pieces=((hi, edge_key(v1, v2)), (lo, edge_key(a, b)))))
+    return s1.then(s2).then(s3)
 
 
 def swap_adjacent(cur: Placement, j: int, frame: TurningFrame,
-                  memo: PentagonMemo) -> SlideSequence:
+                  memo: Transpositions) -> SlideSequence:
     """Transpose the labels x and y on dominoes j and j + 1 (cyclic
     positions along the cycle from the gap at c), leaving the cycle turned.
 
@@ -136,7 +119,8 @@ def swap_adjacent(cur: Placement, j: int, frame: TurningFrame,
     start turned by lo - j domino positions, lo being the lower swap
     domino's position, with x and y exchanged; the gap is back at c.
     `frame` is the plan's turning frame and `memo` its pentagon-swap memo
-    (see `_swap_special`).
+    (see `_swap_special`). Raises PlanInvariantError if the swap misses
+    that end.
     """
     pd, dominoes, lo = frame.pd, frame.dominoes, frame.lo
     assert cur.exposed == pd.c
@@ -150,7 +134,8 @@ def swap_adjacent(cur: Placement, j: int, frame: TurningFrame,
     for i, lab in enumerate(order):
         want[lab - 1] = dominoes[(i + lo - j) % k]
     want[x - 1], want[y - 1] = want[y - 1], want[x - 1]
-    assert swap.end.exposed == pd.c and list(swap.end.pieces) == want
+    if swap.end.exposed != pd.c or list(swap.end.pieces) != want:
+        raise PlanInvariantError("adjacent swap does not end at its target")
     return SlideSequence(cur, turn.moves + swap.moves, swap.end)
 
 
@@ -221,7 +206,7 @@ def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement,
                           "diamond": (pd.a, pd.b, pd.c, pd.d), "case": pd.case}]
     moves = list(sp.moves + rp.moves)
     swaps = 0
-    memo: PentagonMemo = {}
+    memo = Transpositions()
     # bubble sort in the turning frame: `have` lists the labels in cycle
     # order from the label that started on domino 0
     for j, lab in enumerate(want):
@@ -236,4 +221,5 @@ def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement,
                                     target_pieces=((want[0], aligned_q.piece(want[0])),)))
     assert last.end.pieces == aligned_q.pieces and last.end.exposed == aligned_q.exposed
     seq = SlideSequence(p, tuple(moves) + last.moves, aligned_q)
-    return finish_plan(seq.then(invert_sequence(sq)), q, "hamilton", trace)
+    return finish_plan(seq.then(invert_sequence(sq)), q, "hamilton", trace,
+                       swaps, len(memo))

@@ -1,0 +1,106 @@
+"""What both planners share: their errors, the finished plan, the
+transposition memo, and the pentagon and odd-cycle building blocks."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+
+from .grid import Edge, edge_key
+from .placement import (Placement, SlideSequence, cut_loops, replay,
+                        shortest_slides_within, verify_sequence)
+
+
+class PlanError(Exception):
+    """A planner refuses its input: the host or placements lie outside its
+    domain."""
+
+
+class PlanInvariantError(Exception):
+    """A plan a planner built fails its own final replay: a bug in the
+    planner, not a refusal of the input."""
+
+
+@dataclass
+class PlanReport:
+    """A verified plan. `stats["uncut_slides"]` is the slide count before
+    `cut_loops`. `swaps` counts the transpositions the planner asks for:
+    the ear planner's level fills, not the lower-level ones each of them is
+    conjugated from, and the cycle planner's adjacent swaps. `gadgets`
+    counts the transpositions built rather than replayed (`Transpositions`):
+    the ear planner's at every level, the cycle planner's pentagon
+    searches. `fallbacks` counts the levels the ear planner planned whole
+    for a transposition because no rotation brought both pieces into the
+    level below (0 for the cycle planner)."""
+
+    sequence: SlideSequence
+    slide_count: int
+    strategy: str
+    recursion_trace: List[Dict] = field(default_factory=list)
+    stats: Dict[str, int] = field(default_factory=dict)
+
+
+def finish_plan(seq: SlideSequence, q: Placement, strategy: str,
+                trace: List[Dict], swaps: int = 0, gadgets: int = 0,
+                fallbacks: int = 0) -> PlanReport:
+    """Cut the loops out of a full plan, replay it, and report it; raises
+    PlanInvariantError if the replay does not end at q."""
+    cut = cut_loops(seq)
+    check = verify_sequence(cut, expected_end=q)
+    if not check.ok:
+        raise PlanInvariantError(f"plan verification failed: {check.message}")
+    return PlanReport(cut, len(cut.moves), strategy, recursion_trace=trace,
+                      stats={"uncut_slides": len(seq.moves), "swaps": swaps,
+                             "gadgets": gadgets, "fallbacks": fallbacks})
+
+
+class Transpositions:
+    """One plan's memo of transposition gadgets. A slide is fixed by its
+    kept vertex and the gap, not by labels, so a gadget built once for a
+    key replays on any labels. Within one plan a key must fix the
+    unlabeled state, the gap, the two positions and whatever else `build`
+    depends on. `kept` maps each key to its gadget's kept vertices; the
+    memo's length is the number of builds."""
+
+    def __init__(self) -> None:
+        self.kept: Dict[Hashable, Tuple[int, ...]] = {}
+
+    def __len__(self) -> int:
+        return len(self.kept)
+
+    def __call__(self, cur: Placement, a: int, b: int, key: Hashable,
+                 build: Callable[[Placement], SlideSequence]) -> SlideSequence:
+        """Slides from cur that exchange the pieces of labels a and b and
+        keep every other piece and the gap: replayed for a known key, else
+        `build(target)`, target being the swapped placement. Raises
+        PlanInvariantError if they do not end at target."""
+        pieces = list(cur.pieces)
+        pieces[a - 1], pieces[b - 1] = pieces[b - 1], pieces[a - 1]
+        target = Placement(cur.graph, tuple(pieces), cur.exposed)
+        kept = self.kept.get(key)
+        gadget = build(target) if kept is None else replay(cur, kept)
+        if gadget.end != target:
+            raise PlanInvariantError("gadget does not end at the swap target")
+        if kept is None:
+            self.kept[key] = tuple(mv.kept_vertex for mv in gadget.moves)
+        return gadget
+
+
+def base_pentagon(p: Placement, q: Placement,
+                  edges: Optional[Set[Edge]] = None) -> SlideSequence:
+    """Shortest plan from p to q that slides only along `edges` (default:
+    every edge of the host), by breadth-first search; for small cores such
+    as the pentagon. Raises PlanError if q is unreachable that way."""
+    seq = shortest_slides_within(p, p.graph.edges if edges is None else edges,
+                                 lambda s: s.pieces == q.pieces)
+    if seq is None:
+        raise PlanError("core target unreachable within region")
+    return seq
+
+
+def forced_cycle_dominoes(cycle: Sequence[int], gap: int) -> List[Edge]:
+    """Dominoes of the unique tiling of an odd cycle with the given gap,
+    listed in cycle order starting after the gap."""
+    i = cycle.index(gap)
+    order = list(cycle[i + 1:]) + list(cycle[:i])
+    return [edge_key(order[t], order[t + 1]) for t in range(0, len(order) - 1, 2)]

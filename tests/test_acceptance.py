@@ -9,7 +9,7 @@ import networkx as nx
 import pytest
 
 from trigrid.corpus import degree6_corpus, locally_connected_corpus
-from trigrid.ear_planner import PlanError, base_diamond_cycle, plan_ear
+from trigrid.ear_planner import base_diamond_cycle, plan_ear
 from trigrid.ears import NoAdmissibleError, find_admissible
 from trigrid.grid import (build_graph, chord_cycle_graph, diamond_cycle_graph,
                           edge_key, hex_with_hole_graph, hexagon_points,
@@ -21,6 +21,7 @@ from trigrid.matching import (enumerate_near_perfect_matchings,
 from trigrid.oracle import (bfs_component, is_reconfigurable_bruteforce,
                             state_count)
 from trigrid.placement import Placement, RotationSpec, rotate, verify_sequence
+from trigrid.plans import PlanError
 
 from conftest import random_placement
 from dual_forests import dual_forests

@@ -212,8 +212,10 @@ def test_gen_hexagon_radius_param_refused(tmp_path):
 def test_plan_logs_summary_under_trigrid_log(tmp_path, capsys, monkeypatch):
     """With TRIGRID_LOG set, `plan` logs one debug line: strategy, slide
     count, for the ear planner the count of each recursion branch, the
-    slides `cut_loops` removed, and for the ear planner its swaps, the
-    gadgets it built at every level and the levels it re-planned whole."""
+    slides `cut_loops` removed, and the plan's swaps, gadgets built and
+    fallbacks: for the ear planner its fills' transpositions, the gadgets
+    it built at every level and the levels it re-planned whole; for the
+    cycle planner its adjacent swaps and pentagon searches."""
     from collections import Counter
 
     from trigrid.ear_planner import plan_ear
@@ -255,22 +257,24 @@ def test_plan_logs_summary_under_trigrid_log(tmp_path, capsys, monkeypatch):
              if ln.startswith("trigrid: plan ")]
     rep = plan_hamilton(g, p, q)
     cut = rep.stats["uncut_slides"] - rep.slide_count
+    swaps, gadgets = rep.stats["swaps"], rep.stats["gadgets"]
     assert lines == [f"trigrid: plan strategy hamilton slides {rep.slide_count}"
-                     f" cut {cut}"]
+                     f" cut {cut} swaps {swaps} gadgets {gadgets} fallbacks 0"]
     assert cut > 0
-    assert rep.stats["swaps"] == rep.stats["gadgets"] == rep.stats["fallbacks"] == 0
+    assert swaps == rep.recursion_trace[-1]["swaps"] > gadgets > 0
+    assert rep.stats["fallbacks"] == 0
 
 
 def test_plan_failing_final_replay_is_internal_error(tmp_path, capsys, monkeypatch):
     """A plan that fails the planner's own final replay exits 4, not 2."""
-    from trigrid import ear_planner
+    from trigrid import plans
     from trigrid.placement import SlideSequence, cut_loops
 
     def drop_last(seq):
         cut = cut_loops(seq)
         return SlideSequence(cut.start, cut.moves[:-1])
 
-    monkeypatch.setattr(ear_planner, "cut_loops", drop_last)
+    monkeypatch.setattr(plans, "cut_loops", drop_last)
     gpath = _gen(tmp_path, "hexagon")
     g = formats.parse_graph(gpath.read_text())
     start = _write_placement(tmp_path, "s.p", g, sorted(near_perfect_matching(g, 1).edges))
@@ -476,6 +480,18 @@ def test_cli_import_loads_no_networkx():
     every `trigrid` process does, must not load it."""
     env = dict(os.environ, PYTHONPATH=str(Path(trigrid.__file__).resolve().parents[1]))
     probe = "import sys, trigrid.cli; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("planner,other", [("hc_planner", "ear_planner"),
+                                           ("ear_planner", "hc_planner")])
+def test_planner_import_loads_no_other_planner(planner, other):
+    """The two planners share `trigrid.plans`, and a fresh import of either
+    loads nothing of the other."""
+    env = dict(os.environ, PYTHONPATH=str(Path(trigrid.__file__).resolve().parents[1]))
+    probe = f"import sys, trigrid.{planner}; print('trigrid.{other}' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"

@@ -5,14 +5,14 @@ import pytest
 
 from trigrid import matching
 from trigrid.corpus import degree6_corpus
-from trigrid.ear_planner import (PlanError, PlanInvariantError, _Planner,
-                                 base_diamond_cycle, base_pentagon, plan_ear)
+from trigrid.ear_planner import _Planner, base_diamond_cycle, plan_ear
 from trigrid.ears import align_with_ears, find_admissible
 from trigrid.grid import (build_graph, diamond_cycle_graph, edge_key, hex_with_hole_graph,
                           hexagon_points)
 from trigrid.matching import enumerate_near_perfect_matchings
 from trigrid.oracle import bfs_component
 from trigrid.placement import Placement, replay, verify_sequence
+from trigrid.plans import PlanError, PlanInvariantError, base_pentagon
 
 from conftest import random_placement
 
@@ -183,7 +183,7 @@ def test_plan_ear_corrupted_gadget_fails_its_next_hit(monkeypatch, rng):
 
     def corrupting_init(self, *args):
         init(self, *args)
-        self.gadgets = Corrupting()
+        self.gadgets.kept = Corrupting()
 
     monkeypatch.setattr(_Planner, "__init__", corrupting_init)
     with pytest.raises(PlanInvariantError, match="gadget does not end at the swap target"):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigrid.corpus import locally_connected_corpus
-from trigrid.ear_planner import PlanError, base_pentagon, forced_cycle_dominoes
 from trigrid.grid import build_graph, edge_key, hexagon_points, star_of_david_points
 from trigrid.hamilton import _scan, find_hamilton, find_local_structure
 from trigrid.hc_planner import (_label_order, _swap_special, align_with_hamilton,
@@ -14,6 +13,8 @@ from trigrid.hc_planner import (_label_order, _swap_special, align_with_hamilton
 from trigrid.ears import cycle_edges
 from trigrid.placement import (Placement, RotationSpec, rotate,
                                shortest_slides_within, verify_sequence)
+from trigrid.plans import (PlanError, PlanInvariantError, Transpositions, base_pentagon,
+                           forced_cycle_dominoes)
 
 from conftest import random_placement
 from support import is_aligned
@@ -85,7 +86,7 @@ def test_swap_adjacent_is_transposition(rng):
     One pentagon-swap memo serves each host's swaps, as in a plan."""
     for g in locally_connected_corpus():
         pd, cur = _aligned_at_c(g, rng)
-        memo = {}
+        memo = Transpositions()
         frame = turning_frame(pd)
         dominoes, lo = frame.dominoes, frame.lo          # y's domino follows x's
         k = len(dominoes)
@@ -119,7 +120,8 @@ def test_swap_special_exchanges_the_swap_dominoes(name, data, rnd):
     _, cur = _aligned_at_c(g, rnd, pd)
     frame = turning_frame(pd)
     x, y = (cur.label_at(frame.dominoes[i]) for i in (frame.i_ab, frame.i_v))
-    _assert_reaches(_swap_special(cur, frame, {}), _exchanged(g, cur.pieces, x, y, pd.c))
+    _assert_reaches(_swap_special(cur, frame, Transpositions()),
+                    _exchanged(g, cur.pieces, x, y, pd.c))
 
 
 def _inversions(have, want):
@@ -172,7 +174,35 @@ def test_pentagon_swap_searches_once_per_label_order(monkeypatch):
             calls.clear()
             rep = plan_hamilton(g, p, q, h)
             assert len(calls) <= 2 < rep.recursion_trace[-1]["swaps"]
+            assert rep.stats["gadgets"] == len(calls)
+            assert rep.stats["swaps"] == rep.recursion_trace[-1]["swaps"]
             assert verify_sequence(rep.sequence, expected_end=q).matches_expected
+
+
+def test_plan_hamilton_corrupted_gadget_fails_its_next_hit(monkeypatch):
+    """A stored pentagon-swap gadget that is one move short raises
+    PlanInvariantError when a later swap on the same state replays it."""
+    from trigrid import hc_planner
+
+    stored = []
+
+    class Corrupting(dict):
+        def __setitem__(self, key, kept):
+            stored.append(key)
+            super().__setitem__(key, kept[:-1])
+
+    def corrupting_memo():
+        memo = Transpositions()
+        memo.kept = Corrupting()
+        return memo
+
+    monkeypatch.setattr(hc_planner, "Transpositions", corrupting_memo)
+    g = next(g for g in locally_connected_corpus() if g.name == "para21")
+    rng = random.Random(1)
+    p, q = random_placement(g, rng), random_placement(g, rng)
+    with pytest.raises(PlanInvariantError, match="gadget does not end at the swap target"):
+        plan_hamilton(g, p, q)
+    assert stored
 
 
 def test_planner_rotations_match_shortest_slides_within(monkeypatch):

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigrid.corpus import locally_connected_corpus
-from trigrid.ear_planner import forced_cycle_dominoes
 from trigrid.grid import build_abstract, build_graph, edge_key
 from trigrid.hamilton import find_hamilton
 from trigrid.matching import Matching, is_alternating_cycle, near_perfect_matching
@@ -15,6 +14,7 @@ from trigrid.placement import (IllegalMoveError, Placement, PlacementError,
                                apply_sequence, cut_loops, expose, invert_sequence,
                                legal_moves, replay, rotate, shortest_slides_within,
                                slide, verify_sequence)
+from trigrid.plans import forced_cycle_dominoes
 
 from conftest import random_placement
 from support import aligned_cycle_state, is_aligned
