@@ -1,10 +1,12 @@
 """Command-line interface: gen | check | plan | verify | oracle | render.
 
-Exit codes: 0 success, 2 precondition refusal, 3 parse error (naming the
-line of the file; a file that is not UTF-8 text is one) or a file that
-cannot be read or written, 4 internal invariant failure (a planner
-that raises a placement or matching error, or whose plan fails its
-replay). Set TRIGRID_LOG=1 (any non-empty value) for debug lines on
+Exit codes: 0 success, 2 precondition refusal (a host, plan or budget
+outside what the command handles), 3 parse error (naming the line of
+the file; a file that is not UTF-8 text is one) or a file that cannot be
+read or written, 4 internal invariant failure (a planner that raises a
+placement or matching error, or whose plan fails its replay). Commands
+raise; `main` alone maps each error family to its exit code and one
+stderr line. Set TRIGRID_LOG=1 (any non-empty value) for debug lines on
 stderr, such as a summary of each plan.
 """
 
@@ -25,7 +27,7 @@ from .hc_planner import plan_hamilton
 from .matching import MatchingError, is_factor_critical
 from .oracle import (DEFAULT_VERTEX_BOUND, OracleBudgetError, bfs_component,
                      export_csv, is_reconfigurable_bruteforce)
-from .placement import PlacementError, verify_sequence
+from .placement import PlacementError, VerifyReport, verify_sequence
 from .plans import PlanError, PlanInvariantError
 from .render import render_graph, render_plan_frames
 
@@ -136,28 +138,14 @@ def _pick_strategy(g: TriGridGraph, requested: str) -> str:
 def cmd_plan(args) -> int:
     g = _load_graph(args.graph)
     if g.is_lattice and is_star_of_david(g):
-        print("refused: the Star of David graph is not reconfigurable",
-              file=sys.stderr)
-        return EXIT_REFUSED
+        raise PlanError("the Star of David graph is not reconfigurable")
     p = formats.parse_placement(_read(args.start), g)
     q = formats.parse_placement(_read(args.target), g)
-    strategy = _pick_strategy(g, args.strategy)
-    try:
-        if strategy == "hamilton":
-            report = plan_hamilton(g, p, q)
-        else:
-            report = plan_ear(g, p, q)
-    except PlanError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
-    except (PlacementError, MatchingError) as exc:
-        # the inputs parsed, so a bad placement or matching here is the planner's
-        raise PlanInvariantError(f"planner raised {type(exc).__name__}: {exc}") from exc
+    planner = plan_hamilton if _pick_strategy(g, args.strategy) == "hamilton" else plan_ear
+    report = planner(g, p, q)
     check = verify_sequence(report.sequence, expected_end=q)
     if not check.ok:
-        print(f"internal error: produced plan fails verification: "
-              f"{check.message}", file=sys.stderr)
-        return EXIT_INTERNAL
+        raise PlanInvariantError(f"produced plan fails verification: {check.message}")
     _write(args.out, formats.serialize_plan(report.strategy, report.sequence))
     if log.isEnabledFor(logging.DEBUG):
         line = f"plan strategy {report.strategy} slides {report.slide_count}"
@@ -184,8 +172,12 @@ def cmd_verify(args) -> int:
     print(f"strategy {strategy}")
     print(f"moves {report.move_count}")
     print(f"ok {report.ok}")
-    if report.ok:
-        return EXIT_OK
+    return EXIT_OK if report.ok else _plan_failed(report)
+
+
+def _plan_failed(report: VerifyReport) -> int:
+    """EXIT_REFUSED, after one stderr line naming a failed plan's first bad
+    move and why."""
     where = "" if report.first_bad_index is None else f"move {report.first_bad_index}: "
     print(f"failed: {where}{report.message}", file=sys.stderr)
     return EXIT_REFUSED
@@ -193,21 +185,17 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     g = _load_graph(args.graph)
-    try:
-        if args.start:
-            p = formats.parse_placement(_read(args.start), g)
-            comp = bfs_component(g, p, vertex_bound=args.max_vertices)
-            if args.out:
-                with open(args.out, "w") as fh:
-                    export_csv(comp, fh)
-            print(f"component_size {comp.size}")
-            print(f"eccentricity {comp.eccentricity}")
-        else:
-            ok = is_reconfigurable_bruteforce(g, vertex_bound=args.max_vertices)
-            print(f"reconfigurable {ok}")
-    except OracleBudgetError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
+    if args.start:
+        p = formats.parse_placement(_read(args.start), g)
+        comp = bfs_component(g, p, vertex_bound=args.max_vertices)
+        if args.out:
+            with open(args.out, "w") as fh:
+                export_csv(comp, fh)
+        print(f"component_size {comp.size}")
+        print(f"eccentricity {comp.eccentricity}")
+    else:
+        ok = is_reconfigurable_bruteforce(g, vertex_bound=args.max_vertices)
+        print(f"reconfigurable {ok}")
     return EXIT_OK
 
 
@@ -215,6 +203,9 @@ def cmd_render(args) -> int:
     g = _load_graph(args.graph)
     if args.plan:
         _, seq = formats.parse_plan(_read(args.plan), g)
+        check = verify_sequence(seq)
+        if not check.ok:
+            return _plan_failed(check)
         frames = render_plan_frames(g, seq)
         base = Path(args.out or "plan.svg")
         for i, svg in enumerate(frames):
@@ -285,18 +276,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
-    except (formats.ParseError, PlacementError) as exc:
+    except formats.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:
         print(f"cannot read/write {exc.filename or '-'}: {exc.strerror or exc}",
               file=sys.stderr)
         return EXIT_PARSE
-    except GridError as exc:
+    except (GridError, PlanError, OracleBudgetError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except (AssertionError, PlanInvariantError) as exc:
-        print(f"internal invariant failure: {exc}", file=sys.stderr)
+    except (PlanInvariantError, PlacementError, MatchingError, AssertionError) as exc:
+        # the inputs parsed, so a bad placement or matching here is a planner's
+        print(f"internal invariant failure: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -7,7 +7,7 @@ cycle.
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterator, List, Sequence, Set, Tuple
 
 from .grid import Edge, GridError, TriGridGraph, cartesian, edge_key, is_star_of_david
 from .ears import cycle_edges, enumerate_diamonds
@@ -15,10 +15,6 @@ from .plans import PlanError
 
 
 class HamiltonError(PlanError):
-    pass
-
-
-class NoLocalStructureError(HamiltonError):
     pass
 
 
@@ -175,18 +171,6 @@ def _arc(order: Sequence[int], frm: int, to: int, avoid: int) -> Tuple[int, ...]
     raise HamiltonError("both arcs pass through the avoided vertex")
 
 
-def _classify(h: HamiltonCycle, a: int, b: int, c: int, d: int) -> Optional[str]:
-    """Lemma-condition case for the labeling, or None if neither holds."""
-    he = h.edges
-    if edge_key(a, c) in he:
-        return None
-    if edge_key(a, b) in he and edge_key(b, c) in he:
-        return "ii"
-    if edge_key(a, b) in he and edge_key(c, d) in he:
-        return "i"
-    return None
-
-
 def _parity_labelings(h: HamiltonCycle,
                       diamond: Tuple[int, int, int, int]) -> List[ParityDiamond]:
     """All labelings of the diamond satisfying the parity conditions."""
@@ -201,8 +185,13 @@ def _parity_labelings(h: HamiltonCycle,
             p2 = _arc(h.order, b, c, avoid=a)
             if (len(p1) - 1) % 2 != 0 or (len(p2) - 1) % 2 != 1:
                 continue
-            case = "ii" if len(p2) == 2 else _classify(h, a, b, c, d)
-            if case is None:
+            # (b, c) on the cycle makes p2 that one edge: case ii; else case i
+            # needs (c, d) on the cycle
+            if len(p2) == 2:
+                case = "ii"
+            elif edge_key(c, d) in he:
+                case = "i"
+            else:
                 continue
             out.append(ParityDiamond(a, b, c, d, h, case, p1, p2))
     return out
@@ -225,13 +214,13 @@ def find_local_structure(g: TriGridGraph, h: HamiltonCycle) -> ParityDiamond:
     Each adjacent swap of the cycle planner rotates over p1, and a p1 of
     three vertices makes the swap a five-vertex search.
 
-    Raises HamiltonError below five vertices and NoLocalStructureError when
-    no diamond on h meets the parity conditions.
+    Raises HamiltonError below five vertices and when no diamond on h
+    meets the parity conditions.
     """
     if g.num_vertices < 5:
         raise HamiltonError("graph too small for the diamond structure")
     validate_cycle(g, h)
     cands = _scan(g, h)
     if not cands:
-        raise NoLocalStructureError("no parity diamond on the Hamilton cycle")
+        raise HamiltonError("no parity diamond on the Hamilton cycle")
     return _best(cands)

@@ -1,15 +1,22 @@
 import hashlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from typing import Dict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trigrid
 from trigrid import formats
 from trigrid.cli import main
 from trigrid.grid import build_graph, hexagon_points, star_of_david_points
+from trigrid.hc_planner import plan_hamilton
 from trigrid.matching import (MatchingError, enumerate_near_perfect_matchings,
                               near_perfect_matching)
 from trigrid.placement import Placement, PlacementError
@@ -315,7 +322,8 @@ def test_ear_plan_failing_finish_plan_replay_is_internal_error(tmp_path, capsys,
     capsys.readouterr()
     assert main(argv) == 4
     err = capsys.readouterr().err
-    assert err.startswith("internal invariant failure: plan verification failed")
+    assert err.startswith("internal invariant failure: PlanInvariantError: "
+                          "plan verification failed")
     assert not (tmp_path / "ear.plan").exists()
 
 
@@ -345,7 +353,7 @@ def test_planner_internal_error_exits_4(tmp_path, capsys, monkeypatch, strategy,
     capsys.readouterr()
     assert main(argv) == 4
     err = capsys.readouterr().err
-    assert err == f"internal invariant failure: planner raised {error.__name__}: injected\n"
+    assert err == f"internal invariant failure: {error.__name__}: injected\n"
     assert not (tmp_path / f"{strategy}.plan").exists()
 
 
@@ -453,6 +461,124 @@ def test_verify_parse_error_names_the_line_of_the_file(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"parse error: line {lineno}: expected integers, got ['1', '2', 'x']\n"
+
+
+def test_render_plan_writes_one_frame_per_state(tmp_path, capsys):
+    """`render --plan` draws a verified plan's start and the state after
+    each slide, `<stem>-0000.svg` and up; a plan whose first move is
+    illegal exits 2 with verify's line and draws nothing."""
+    argv = _hex7_plan_argv(tmp_path, "hamilton")
+    assert main(argv) == 0
+    gpath, plan = argv[1], tmp_path / "hamilton.plan"
+    g = formats.parse_graph(Path(gpath).read_text())
+    moves = formats.parse_plan(plan.read_text(), g)[1].moves
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    capsys.readouterr()
+    assert main(["render", gpath, "--plan", str(plan),
+                 "--out", str(frames / "hex7.svg")]) == 0
+    assert capsys.readouterr().err == f"wrote {len(moves) + 1} frames\n"
+    assert sorted(f.name for f in frames.iterdir()) == [
+        f"hex7-{i:04d}.svg" for i in range(len(moves) + 1)]
+    assert all(f.read_text().startswith("<svg") for f in frames.iterdir())
+
+    lines = plan.read_text().splitlines()
+    first = next(i for i, ln in enumerate(lines) if ln.startswith("s "))
+    _, label, kept, dest = lines[first].split()
+    lines[first] = f"s {label} {dest} {dest}"           # keeps the gap, not its piece
+    bad = tmp_path / "bad.plan"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "bad-frames" / "bad.svg"
+    out.parent.mkdir()
+    assert main(["render", gpath, "--plan", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"failed: move 0: vertex {dest} not an "
+                                       f"endpoint of piece {label}\n")
+    assert not any(out.parent.iterdir())
+
+
+def _hex7_files() -> Dict[str, str]:
+    """The texts of a `hex7` host, a start and target placement and a
+    verified plan between them."""
+    g = build_graph(hexagon_points(1))
+    p = Placement.make(g, sorted(near_perfect_matching(g, 1).edges))
+    q = Placement.make(g, sorted(near_perfect_matching(g, 7).edges, reverse=True))
+    plan = plan_hamilton(g, p, q)
+    return {"graph": formats.serialize_graph(g),
+            "start": formats.serialize_placement(p),
+            "target": formats.serialize_placement(q),
+            "plan": formats.serialize_plan(plan.strategy, plan.sequence)}
+
+
+_HEX7_FILES = _hex7_files()
+_TOKENS = ["0", "1", "2", "3", "6", "7", "8", "-1", "x", "v", "p", "s", "start",
+           "strategy", "slides", "#", "\udcff"]
+
+
+@st.composite
+def _mutated_files(draw) -> Dict[str, str]:
+    """`_HEX7_FILES` with one to four edits, each replacing, deleting,
+    duplicating or swapping a token or a line of one file."""
+    files = {name: [ln.split() for ln in text.splitlines()]
+             for name, text in _HEX7_FILES.items()}
+    for _ in range(draw(st.integers(1, 4))):
+        lines = files[draw(st.sampled_from(sorted(files)))]
+        if not lines:
+            continue
+        i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+        op = draw(st.sampled_from(["replace", "delete", "duplicate", "swap"]))
+        if draw(st.booleans()):                              # a line
+            if op == "replace":
+                lines[i] = [draw(st.sampled_from(_TOKENS))
+                            for _ in range(draw(st.integers(0, 4)))]
+            elif op == "delete":
+                del lines[i]
+            elif op == "duplicate":
+                lines.insert(j, list(lines[i]))
+            else:
+                lines[i], lines[j] = lines[j], lines[i]
+        elif lines[i]:                                       # a token of line i
+            tokens = lines[i]
+            k, m = (draw(st.integers(0, len(tokens) - 1)) for _ in range(2))
+            if op == "replace":
+                tokens[k] = draw(st.sampled_from(_TOKENS))
+            elif op == "delete":
+                del tokens[k]
+            elif op == "duplicate":
+                tokens.insert(m, tokens[k])
+            else:
+                tokens[k], tokens[m] = tokens[m], tokens[k]
+    return {name: "".join(" ".join(ln) + "\n" for ln in lines)
+            for name, lines in files.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(files=_mutated_files())
+def test_mutated_inputs_exit_0_2_or_3(files):
+    """Whatever is wrong with a host, placement or plan file, every command
+    returns 0, 2 or 3, raises nothing, and on failure writes one stderr
+    line at most: exit 4 is for planner faults, which no input causes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = {}
+        for name, text in files.items():
+            path[name] = os.path.join(tmp, name)
+            with open(path[name], "w", encoding="utf-8", errors="surrogateescape") as fh:
+                fh.write(text)
+        frames = os.path.join(tmp, "frames.svg")
+        plan_out = os.path.join(tmp, "out.plan")
+        graph, start, target, plan = (path[k] for k in ("graph", "start", "target", "plan"))
+        for argv in (["plan", graph, start, target, "--out", plan_out],
+                     ["plan", graph, start, target, "--strategy", "ear",
+                      "--out", plan_out],
+                     ["verify", graph, plan, "--target", target],
+                     ["check", graph],
+                     ["oracle", graph, "--start", start],
+                     ["render", graph, "--plan", plan, "--out", frames]):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                rc = main(argv)
+            assert rc in (0, 2, 3), (argv[0], rc, err.getvalue())
+            if rc:
+                assert err.getvalue().count("\n") <= 1, (argv[0], err.getvalue())
 
 
 @pytest.mark.parametrize("command", ["check", "plan", "verify"])

@@ -2,14 +2,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trigrid import matching
 from trigrid.corpus import degree6_corpus
 from trigrid.ear_planner import _Planner, base_diamond_cycle, plan_ear
 from trigrid.ears import align_with_ears, find_admissible
-from trigrid.grid import (build_graph, diamond_cycle_graph, edge_key, hex_with_hole_graph,
-                          hexagon_points)
-from trigrid.matching import enumerate_near_perfect_matchings
+from trigrid.grid import (DIRS, build_graph, degree6_vertices, diamond_cycle_graph, edge_key,
+                          hex_with_hole_graph, hexagon_points, is_two_connected)
+from trigrid.matching import enumerate_near_perfect_matchings, is_factor_critical
 from trigrid.oracle import bfs_component
 from trigrid.placement import Placement, replay, verify_sequence
 from trigrid.plans import PlanError, PlanInvariantError, base_pentagon
@@ -72,6 +74,40 @@ def test_plan_ear_corpus_sample(rng):
             rep = plan_ear(g, p, q)
             check = verify_sequence(rep.sequence, expected_end=q)
             assert check.ok and check.matches_expected
+
+
+def _frontier(pts):
+    """The lattice points next to the set and not in it, sorted."""
+    return sorted({(x + dx, y + dy) for x, y in pts for dx, dy in DIRS} - pts)
+
+
+def _grown_host(rng, size):
+    """`hex7` grown to `size` vertices two lattice points at a time, each
+    pair kept only if the host stays 2-connected and factor-critical; the
+    hexagon's centre keeps degree 6."""
+    pts = set(hexagon_points(1))
+    while len(pts) < size:
+        a = rng.choice(_frontier(pts))
+        b = rng.choice(_frontier(pts | {a}))
+        g = build_graph(pts | {a, b})
+        if is_two_connected(g) and is_factor_critical(g):
+            pts |= {a, b}
+    return build_graph(pts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), size=st.sampled_from([9, 11, 13, 15, 17]))
+def test_plan_ear_plans_its_whole_domain(seed, size):
+    """The paper's first theorem as the ear planner's contract: on a random
+    2-connected, factor-critical host with a degree-6 vertex, any start and
+    target get a plan that replays to the target."""
+    rng = random.Random(seed)
+    g = _grown_host(rng, size)
+    assert degree6_vertices(g)
+    p, q = random_placement(g, rng), random_placement(g, rng)
+    rep = plan_ear(g, p, q)
+    check = verify_sequence(rep.sequence, expected_end=q)
+    assert check.ok and check.matches_expected
 
 
 def test_plan_ear_matches_oracle_reachability(rng):

@@ -1,10 +1,19 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trigrid import formats
-from trigrid.grid import diamond_cycle_graph
-from trigrid.placement import Placement, SlideMove, slide, SlideSequence
+from trigrid.corpus import locally_connected_corpus
+from trigrid.grid import chord_cycle_graph, diamond_cycle_graph, hex_with_hole_graph
+from trigrid.placement import Placement, SlideMove, legal_moves, slide, SlideSequence
 
 from conftest import random_placement
+
+# lattice hosts with and without holes, and abstract ones
+_HOSTS = locally_connected_corpus()[:8] + [hex_with_hole_graph(2), diamond_cycle_graph(3),
+                                           chord_cycle_graph(5, 3)]
 
 
 def test_graph_roundtrip_lattice(pentagon):
@@ -60,6 +69,28 @@ def test_plan_roundtrip(pentagon):
     text = formats.serialize_plan("ear", seq)
     strategy, back = formats.parse_plan(text, pentagon)
     assert strategy == "ear" and back.moves == seq.moves
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=st.sampled_from(_HOSTS), seed=st.integers(0, 2 ** 32 - 1),
+       steps=st.integers(0, 40), strategy=st.sampled_from(["ear", "hamilton"]))
+def test_parse_inverts_serialize(g, seed, steps, strategy):
+    """Each writer's text reads back to what it wrote: a host, a random
+    placement on it, and a plan of random legal slides from there."""
+    back = formats.parse_graph(formats.serialize_graph(g), name=g.name)
+    assert back == g and back.adj == g.adj
+    rng = random.Random(seed)
+    p = random_placement(g, rng)
+    assert formats.parse_placement(formats.serialize_placement(p), g) == p
+    cur, moves = p, []
+    for _ in range(steps):
+        mv = rng.choice(legal_moves(cur))
+        cur = slide(cur, mv)
+        moves.append(mv)
+    seq = SlideSequence(p, tuple(moves))
+    name, back_seq = formats.parse_plan(formats.serialize_plan(strategy, seq), g)
+    assert name == strategy
+    assert back_seq.start == p and back_seq.moves == seq.moves and back_seq.end == cur
 
 
 def test_plan_slide_count_mismatch(pentagon):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trigrid.grid import (DIRS, DisconnectedError, DuplicatePointError,
                           EvenOrderError, GridError, NotLatticeError, build_graph,
@@ -112,6 +114,62 @@ def test_build_errors():
         build_graph([(0, 0), (0, 0), (1, 0)])
     with pytest.raises(DisconnectedError):
         build_graph([(0, 0), (5, 5), (9, 9)])
+
+
+def _lattice_components(points):
+    """The number of connected components of the points' lattice graph."""
+    unseen, count = set(points), 0
+    while unseen:
+        count += 1
+        stack = [unseen.pop()]
+        while stack:
+            x, y = stack.pop()
+            for dx, dy in DIRS:
+                q = (x + dx, y + dy)
+                if q in unseen:
+                    unseen.remove(q)
+                    stack.append(q)
+    return count
+
+
+_WINDOW = [(x, y) for x in range(-1, 3) for y in range(-1, 3)]
+# any points of the window, repeats included, or a subset of it in any order,
+# each point kept with probability 3/4 so that most subsets are connected
+_POINT_LISTS = (st.lists(st.sampled_from(_WINDOW), max_size=11)
+                | st.lists(st.sampled_from([True, True, True, False]),
+                           min_size=len(_WINDOW), max_size=len(_WINDOW))
+                .map(lambda keep: [q for q, k in zip(_WINDOW, keep) if k])
+                .flatmap(st.permutations))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pts=_POINT_LISTS)
+def test_build_graph_is_the_induced_lattice_graph_or_refuses(pts):
+    """Any list of lattice points, duplicates, even sizes and disconnected
+    sets included, builds the graph on its points in lexicographic order
+    whose edges are exactly the lattice-adjacent pairs, or raises the
+    `GridError` for the first thing wrong with it."""
+    distinct = sorted(set(pts))
+    if not pts:
+        expected = GridError
+    elif len(distinct) < len(pts):
+        expected = DuplicatePointError
+    elif len(pts) % 2 == 0:
+        expected = EvenOrderError
+    elif _lattice_components(pts) > 1:
+        expected = DisconnectedError
+    else:
+        expected = None
+    if expected is not None:
+        with pytest.raises(GridError) as ei:
+            build_graph(pts)
+        assert type(ei.value) is expected
+        return
+    g = build_graph(pts)
+    assert g.points == tuple(distinct)
+    assert g.edges == {(i, j) for i, a in enumerate(distinct, 1)
+                       for j, b in enumerate(distinct, 1)
+                       if i < j and (b[0] - a[0], b[1] - a[1]) in DIRS}
 
 
 def test_two_connected():
