@@ -11,6 +11,8 @@ stderr, such as a summary of each plan.
 """
 
 import argparse
+import errno
+import io
 import logging
 import os
 import sys
@@ -189,8 +191,9 @@ def cmd_oracle(args) -> int:
         p = formats.parse_placement(_read(args.start), g)
         comp = bfs_component(g, p, vertex_bound=args.max_vertices)
         if args.out:
-            with open(args.out, "w") as fh:
-                export_csv(comp, fh)
+            rows = io.StringIO()
+            export_csv(comp, rows)
+            _write(args.out, rows.getvalue())
         print(f"component_size {comp.size}")
         print(f"eccentricity {comp.eccentricity}")
     else:
@@ -202,6 +205,9 @@ def cmd_oracle(args) -> int:
 def cmd_render(args) -> int:
     g = _load_graph(args.graph)
     if args.plan:
+        if args.out == "-":
+            raise OSError(errno.EINVAL, "a plan's frames are files, one per state, "
+                          "not stdout", "-")
         _, seq = formats.parse_plan(_read(args.plan), g)
         check = verify_sequence(seq)
         if not check.ok:

@@ -3,12 +3,11 @@ decompositions: align both placements, then reconfigure level by level."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .grid import Edge, TriGridGraph, edge_key
-from .matching import MatchingError, alternating_path_to, near_perfect_matching
-from .ears import (EarDecomposition, LevelMatchings, align_with_ears, cycle_edges,
-                   find_admissible)
+from .grid import Edge, TriGridGraph, cycle_edges, edge_key
+from .matching import Matching, alternating_path_to
+from .ears import EarDecomposition, LevelMatchings, align_with_ears, find_admissible
 from .placement import (Placement, RotationSpec, SlideSequence, cut_loops, expose,
                         invert_sequence, replay, rotate)
 from .plans import (PlanError, PlanReport, Transpositions, base_pentagon, finish_plan,
@@ -25,62 +24,48 @@ class _Planner:
         self.fallbacks = 0
 
     def plan(self, i: int, p: Placement, q: Placement) -> SlideSequence:
-        """Plan p -> q using only edges of G_i; p and q agree outside G_i."""
-        vs, es = self.levels.regions[i]
+        """Plan p -> q using only edges of G_i; p and q agree outside G_i.
+
+        Above the core, expose the first vertex of ear i on both sides,
+        which aligns the ear, stage the target's ear labels onto the ear if
+        it has an interior (a chord holds no piece), plan level i - 1, and
+        undo the target side's exposing."""
         if p.pieces == q.pieces and p.exposed == q.exposed:
             return SlideSequence(p, ())
         if i <= 3:
             if self.d.kind == "pentagon":
                 self.trace.append({"level": i, "kind": "pentagon-core"})
-                return base_pentagon(p, q, es)
+                return base_pentagon(p, q, self.levels.regions[i][1])
             if self.d.kind == "diamond_cycle":
                 self.trace.append({"level": i, "kind": "diamond-core"})
-                return base_diamond_cycle(p, q, self.d, region=(vs, es))
+                return base_diamond_cycle(p, q, self.d)
             raise PlanError("decomposition is not admissible")
         ear = self.d.ear(i)
-        if len(ear) == 2:
-            return self._chord_step(i, p, q)
-        return self._ear_step(i, p, q)
-
-    # -- length-1 ear: clear the chord on both sides, recurse below
-    def _chord_step(self, i: int, p: Placement, q: Placement) -> SlideSequence:
-        v = self.d.ear(i)[0]
-        sp = self.levels.expose(p, i, v)
-        sq = self.levels.expose(q, i, v)
+        sp = self.levels.expose(p, i, ear[0])
+        sq = self.levels.expose(q, i, ear[0])
+        if len(ear) > 2:
+            sp = sp.then(self._stage(i, sp.end, sq.end))
         mid = self.plan(i - 1, sp.end, sq.end)
         return sp.then(mid).then(invert_sequence(sq))
 
-    # -- proper ear with interior: stage target labels onto the ear
-    def _ear_step(self, i: int, p: Placement, q: Placement) -> SlideSequence:
+    def _stage(self, i: int, cur: Placement, tgt: Placement) -> SlideSequence:
+        """With the gap at the first vertex of ear i on both sides, move
+        the labels the target holds on the ear onto the same ear edges."""
         ear = self.d.ear(i)
         vs, _ = self.levels.regions[i]
-        v = ear[0]
-
-        sp = self.levels.expose(p, i, v)
-        sq = self.levels.expose(q, i, v)
-        cur, tgt = sp.end, sq.end
-        seq = sp
-
         q_dominoes = [edge_key(ear[t], ear[t + 1]) for t in range(1, len(ear) - 1, 2)]
         lam = [tgt.label_at(e) for e in q_dominoes]
         assert all(x is not None for x in lam), "target ear is not aligned"
-        ell = len(lam)
 
         cyc, ppath = self._ear_cycle(i, cur)
         hamilton = len(cyc) == len(vs)
-        self.trace.append({"level": i, "ell": ell,
+        self.trace.append({"level": i, "ell": len(lam),
                            "branch": "hamilton" if hamilton else "spare-edge"})
-
-        if hamilton:
-            seq = seq.then(self._hamilton_fill(i, cur, lam, cyc, ear, ppath))
-        else:
-            seq = seq.then(self._spare_fill(i, cur, lam, cyc, ear, ppath))
-        cur = seq.end
-
+        fill = self._hamilton_fill if hamilton else self._spare_fill
+        seq = fill(i, cur, lam, cyc, ear, ppath)
         for lab, e in zip(lam, q_dominoes):
-            assert cur.piece(lab) == e, "ear staging failed"
-        mid = self.plan(i - 1, cur, tgt)
-        return seq.then(mid).then(invert_sequence(sq))
+            assert seq.end.piece(lab) == e, "ear staging failed"
+        return seq
 
     def _ear_cycle(self, i: int, cur: Placement) -> Tuple[Tuple[int, ...], List[int]]:
         """With the gap at the first vertex v of ear i and the ear aligned:
@@ -234,26 +219,19 @@ class _Planner:
 
 
 def base_diamond_cycle(p: Placement, q: Placement,
-                       d: Optional[EarDecomposition] = None,
-                       region: Optional[Tuple[Set[int], Set[Edge]]] = None) -> SlideSequence:
+                       d: Optional[EarDecomposition] = None) -> SlideSequence:
     """Plan on an odd cycle with an attached diamond via the two-cycle
     rotation loop: stage each target label on the diamond's far edge along
     the Hamilton cycle, then park it with an inner-cycle rotation."""
-    g = p.graph
     if d is None:
-        d, _ = find_admissible(g)
+        d, _ = find_admissible(p.graph)
         if d.kind != "diamond_cycle":
             raise PlanError("host is not a diamond-attached odd cycle")
-    if region is None:
-        vs, es = d.region(3)
-    else:
-        vs, es = region
     c_inner = d.base
-    p1 = d.ear(2)                 # u, x, y, v along the diamond
-    u, x, y, v = p1
+    u, x, y, v = d.ear(2)         # the diamond's path; d.ears[1] is its diagonal
     # Hamilton cycle: inner cycle with edge (u, v) replaced by the ear path
-    iu, iv = c_inner.index(u), c_inner.index(v)
     ring = list(c_inner)
+    iu = ring.index(u)
     if ring[(iu + 1) % len(ring)] != v:
         ring.reverse()
         iu = ring.index(u)
@@ -267,10 +245,10 @@ def base_diamond_cycle(p: Placement, q: Placement,
     mid_edge = edge_key(x, y)
 
     # align both ends with the Hamilton cycle by clearing the two chords
-    sp = _clear_chords(p, c_prime, (edge_key(u, v), _diag_edge(p.graph, p1)), vs, es)
-    sq = _clear_chords(q, c_prime, (edge_key(u, v), _diag_edge(q.graph, p1)), vs, es)
+    chords = (edge_key(u, v), d.ears[1])
+    sp = _clear_chords(p, c_prime, chords)
+    sq = _clear_chords(q, c_prime, chords)
     cur, tgt = sp.end, sq.end
-    seq = sp
 
     # target labels along the Hamilton cycle, read against the parking
     # direction so the accumulating train matches the target cyclic order
@@ -299,39 +277,29 @@ def base_diamond_cycle(p: Placement, q: Placement,
         return body.then(step)
 
     # any cyclic shift of the reading produces the same cyclic order; take
-    # the cheapest one
-    best = None
-    for shift in range(len(labels)):
-        cand = run(labels[shift:] + labels[:shift])
-        if best is None or len(cand.moves) < len(best.moves):
-            best = cand
-    seq = seq.then(best)
-    return seq.then(invert_sequence(sq))
+    # the first cheapest one
+    best = min((run(labels[shift:] + labels[:shift]) for shift in range(len(labels))),
+               key=lambda s: len(s.moves))
+    return sp.then(best).then(invert_sequence(sq))
 
 
-def _diag_edge(g: TriGridGraph, p1: Sequence[int]) -> Edge:
-    u, x, y, v = p1
-    if g.has_edge(x, v):
-        return edge_key(x, v)
-    assert g.has_edge(u, y)
-    return edge_key(u, y)
+def _clear_chords(p: Placement, cyc: Tuple[int, ...],
+                  chords: Tuple[Edge, ...]) -> SlideSequence:
+    """Align with the core's Hamilton cycle `cyc` by exposing, chord by
+    chord, the chord's first endpoint unless the gap is there already.
 
-
-def _clear_chords(p: Placement, cyc: Tuple[int, ...], chords: Sequence[Edge],
-                  vs: Set[int], es: Set[Edge]) -> SlideSequence:
-    """Align with a Hamilton cycle of the region by exposing chord
-    endpoints, narrowing the allowed edge set chord by chord."""
+    The core's edges are the cycle's and the two chords', (u, v) and the
+    diamond's diagonal. A nearly perfect matching of the core that exposes
+    an endpoint of either chord uses neither: with (u, v), x and y match
+    each other and all four diamond vertices are covered; the diagonal
+    (x, v) strands y, whose only neighbours are x and v, and (u, y) strands
+    x, neither of them a chord endpoint then. So the cycle's forced
+    dominoes are the only such matching, and no search is needed."""
     seq = SlideSequence(p, ())
-    cur = p
-    allowed = set(es)
     for e in chords:
-        if cur.exposed != e[0]:
-            m = near_perfect_matching(p.graph, e[0], within=vs, edges=allowed)
-            if m is None:
-                raise MatchingError(f"no matching of the core exposes vertex {e[0]}")
-            step = expose(cur, e[0], m)
-            seq, cur = seq.then(step), step.end
-        allowed.discard(e)
+        if seq.end.exposed != e[0]:
+            m = Matching(frozenset(forced_cycle_dominoes(cyc, e[0])))
+            seq = seq.then(expose(seq.end, e[0], m))
     return seq
 
 

@@ -3,11 +3,10 @@ alignment with a decomposition."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .grid import Edge, TriGridGraph, edge_key, triangles
+from .grid import Edge, TriGridGraph, cycle_edges, edge_key, enumerate_diamonds
 from .matching import (Matching, MatchingError, is_alternating_cycle,
                        near_perfect_matching, odd_alternating_cycle_through,
                        perfect_matching, symmetric_difference_path)
@@ -21,10 +20,6 @@ class EarError(PlanError):
 
 class NoAdmissibleError(EarError):
     pass
-
-
-def cycle_edges(cycle: Sequence[int]) -> Set[Edge]:
-    return {edge_key(a, b) for a, b in zip(cycle, list(cycle[1:]) + [cycle[0]])}
 
 
 def path_edges(path: Sequence[int]) -> Set[Edge]:
@@ -178,35 +173,6 @@ def extend_from_central(g: TriGridGraph, m: Matching,
 
 # ---------------------------------------------------------------------------
 # admissible cores
-
-def enumerate_diamonds(g: TriGridGraph) -> List[Tuple[int, int, int, int]]:
-    """Diamonds as (s1, s2, t1, t2): shared edge (s1, s2), outer vertices
-    t1 < t2, inducing exactly 5 edges, that is, t1 and t2 not adjacent.
-
-    Only triangles on a common edge can form one, so each triangle is
-    paired with the later triangles on its three edges. The list is in
-    the order of a scan over all pairs of `triangles`, by first triangle
-    and then second, which `_diamond_structure` relies on: it takes the
-    first diamond that works.
-    """
-    tris = triangles(g)
-    on_edge: Dict[Edge, List[int]] = {}
-    for i, tri in enumerate(tris):
-        for e in itertools.combinations(tri, 2):
-            on_edge.setdefault(e, []).append(i)
-    out = []
-    for i, a in enumerate(tris):
-        later = sorted((j, e) for e in itertools.combinations(a, 2)
-                       for j in on_edge[e] if j > i)
-        for j, (s1, s2) in later:
-            (t1,) = set(a) - {s1, s2}
-            (t2,) = set(tris[j]) - {s1, s2}
-            if t1 > t2:
-                t1, t2 = t2, t1
-            if not g.has_edge(t1, t2):
-                out.append((s1, s2, t1, t2))
-    return out
-
 
 def _fans(g: TriGridGraph, t: int) -> List[Tuple[int, int, int, int]]:
     """Pentagon fans at apex t, sorted: 4-paths c1-c2-c3-c4 of neighbours

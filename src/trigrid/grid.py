@@ -10,6 +10,7 @@ a host's holes are counted by Euler's formula (`hole_count`).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
@@ -209,6 +210,39 @@ def triangles(g: TriGridGraph) -> List[Tuple[int, int, int]]:
             if w > v:
                 out.append((u, v, w))
     return out
+
+
+def enumerate_diamonds(g: TriGridGraph) -> List[Tuple[int, int, int, int]]:
+    """Diamonds as (s1, s2, t1, t2): shared edge (s1, s2), outer vertices
+    t1 < t2, inducing exactly 5 edges, that is, t1 and t2 not adjacent.
+
+    Only triangles on a common edge can form one, so each triangle is
+    paired with the later triangles on its three edges. The list is in
+    the order of a scan over all pairs of `triangles`, by first triangle
+    and then second, which `ears._diamond_structure` relies on: it takes
+    the first diamond that works.
+    """
+    tris = triangles(g)
+    on_edge: Dict[Edge, List[int]] = {}
+    for i, tri in enumerate(tris):
+        for e in itertools.combinations(tri, 2):
+            on_edge.setdefault(e, []).append(i)
+    out = []
+    for i, a in enumerate(tris):
+        later = sorted((j, e) for e in itertools.combinations(a, 2)
+                       for j in on_edge[e] if j > i)
+        for j, (s1, s2) in later:
+            (t1,) = set(a) - {s1, s2}
+            (t2,) = set(tris[j]) - {s1, s2}
+            if t1 > t2:
+                t1, t2 = t2, t1
+            if not g.has_edge(t1, t2):
+                out.append((s1, s2, t1, t2))
+    return out
+
+
+def cycle_edges(cycle: Sequence[int]) -> Set[Edge]:
+    return {edge_key(a, b) for a, b in zip(cycle, list(cycle[1:]) + [cycle[0]])}
 
 
 def hole_count(g: TriGridGraph) -> int:

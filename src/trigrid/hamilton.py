@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import FrozenSet, Iterator, List, Sequence, Set, Tuple
 
-from .grid import Edge, GridError, TriGridGraph, cartesian, edge_key, is_star_of_david
-from .ears import cycle_edges, enumerate_diamonds
+from .grid import (Edge, GridError, TriGridGraph, cartesian, cycle_edges, edge_key,
+                   enumerate_diamonds, is_star_of_david)
 from .plans import PlanError
 
 

@@ -6,9 +6,8 @@ them, so they live with the tests.
 
 from typing import Dict, Sequence, Tuple
 
-from trigrid.ears import (EarDecomposition, EarError, cycle_edges, grow_ears,
-                          validate_decomposition)
-from trigrid.grid import Edge, TriGridGraph, edge_key
+from trigrid.ears import EarDecomposition, EarError, grow_ears, validate_decomposition
+from trigrid.grid import Edge, TriGridGraph, cycle_edges, edge_key
 from trigrid.hamilton import (HamiltonCycle, HamiltonError, ParityDiamond, _best,
                               _parity_labelings)
 from trigrid.matching import Matching, odd_alternating_cycle_through

@@ -121,6 +121,24 @@ def test_oracle_csv_is_unchanged(tmp_path, kind, params, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_oracle_out_dash_writes_csv_to_stdout(tmp_path, capsys, monkeypatch):
+    """`oracle --start --out -` prints the CSV the file would hold, before
+    the summary lines, and writes no file named `-`."""
+    gpath = _gen(tmp_path, "hexagon")
+    g = formats.parse_graph(gpath.read_text())
+    start = _write_placement(tmp_path, "s.p", g, sorted(near_perfect_matching(g, 1).edges))
+    out = tmp_path / "states.csv"
+    argv = ["oracle", str(gpath), "--start", str(start), "--out"]
+    assert main(argv + [str(out)]) == 0
+    summary = capsys.readouterr().out
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["-"]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.startswith("state_key,distance")
+    assert stdout == out.read_bytes().decode() + summary
+    assert not (tmp_path / "-").exists()
+
+
 def test_oracle_refuses_host_beyond_encoding(tmp_path, capsys):
     # 127 vertices and 342 edges; 271 vertices and 756 edges
     for radius in (6, 9):
@@ -494,6 +512,23 @@ def test_render_plan_writes_one_frame_per_state(tmp_path, capsys):
     assert capsys.readouterr().err == (f"failed: move 0: vertex {dest} not an "
                                        f"endpoint of piece {label}\n")
     assert not any(out.parent.iterdir())
+
+
+def test_render_plan_out_dash_exits_3(tmp_path, capsys, monkeypatch):
+    """`render --plan --out -` cannot put one file per frame on stdout: it
+    exits 3 with one `cannot read/write -` line and writes no frame."""
+    argv = _hex7_plan_argv(tmp_path, "hamilton")
+    assert main(argv) == 0
+    gpath, plan = argv[1], str(tmp_path / "hamilton.plan")
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    capsys.readouterr()
+    assert main(["render", gpath, "--plan", plan, "--out", "-"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("cannot read/write -: ") and err.count("\n") == 1
+    assert not any(cwd.iterdir())
 
 
 def _hex7_files() -> Dict[str, str]:

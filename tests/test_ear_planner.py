@@ -49,6 +49,24 @@ def test_base_diamond_cycle_bound(n, rng):
         assert rep.ok and rep.matches_expected
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_base_diamond_cycle_runs_no_matching_search(n, rng, monkeypatch):
+    """The diamond core aligns both ends through its Hamilton cycle's
+    forced dominoes: given its decomposition, it never calls the blossom."""
+    g = diamond_cycle_graph(n)
+    d, _ = find_admissible(g)
+    assert d.kind == "diamond_cycle"
+    pairs = [(random_placement(g, rng), random_placement(g, rng)) for _ in range(10)]
+
+    def no_search(adj):
+        raise AssertionError("the diamond core ran a matching search")
+
+    monkeypatch.setattr(matching, "max_cardinality_matching", no_search)
+    for p, q in pairs:
+        rep = verify_sequence(base_diamond_cycle(p, q, d), expected_end=q)
+        assert rep.ok and rep.matches_expected
+
+
 def test_plan_ear_report_fields(pentagon, rng):
     p = random_placement(pentagon, rng)
     q = random_placement(pentagon, rng)

@@ -3,11 +3,11 @@ import itertools
 import pytest
 
 from trigrid.corpus import degree6_corpus, locally_connected_corpus
-from trigrid.grid import (build_abstract, build_graph, diamond_cycle_graph, edge_key,
-                          hex_with_hole_graph, star_of_david_points, triangles)
+from trigrid.grid import (build_abstract, build_graph, cycle_edges, diamond_cycle_graph,
+                          edge_key, enumerate_diamonds, hex_with_hole_graph,
+                          star_of_david_points, triangles)
 from trigrid.ears import (EarDecomposition, EarError, NoAdmissibleError,
-                          LevelMatchings, _fans, align_with_ears, cycle_edges,
-                          enumerate_diamonds,
+                          LevelMatchings, _fans, align_with_ears,
                           extend_from_central, find_admissible, is_aligned_with,
                           path_edges, validate_decomposition)
 from trigrid.matching import enumerate_near_perfect_matchings, near_perfect_matching

@@ -138,7 +138,7 @@ def test_dual_forests_invariants():
 
 
 def test_select_parity_hex7(hex7):
-    from trigrid.ears import enumerate_diamonds
+    from trigrid.grid import enumerate_diamonds
     h = find_hamilton(hex7)
     pd = None
     for diamond in enumerate_diamonds(hex7):

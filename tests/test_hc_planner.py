@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigrid.corpus import locally_connected_corpus
-from trigrid.grid import build_graph, edge_key, hexagon_points, star_of_david_points
+from trigrid.grid import (build_graph, cycle_edges, edge_key, hexagon_points,
+                          star_of_david_points)
 from trigrid.hamilton import _scan, find_hamilton, find_local_structure
 from trigrid.hc_planner import (_label_order, _swap_special, align_with_hamilton,
                                 plan_hamilton, swap_adjacent, turning_frame)
-from trigrid.ears import cycle_edges
 from trigrid.placement import (Placement, RotationSpec, rotate,
                                shortest_slides_within, verify_sequence)
 from trigrid.plans import (PlanError, PlanInvariantError, Transpositions, base_pentagon,
