@@ -228,7 +228,7 @@ def base_diamond_cycle(p: Placement, q: Placement,
         if d.kind != "diamond_cycle":
             raise PlanError("host is not a diamond-attached odd cycle")
     c_inner = d.base
-    u, x, y, v = d.ear(2)         # the diamond's path; d.ears[1] is its diagonal
+    u, x, y, v = d.ear(2)         # the diamond's path; d.ear(3) is its diagonal
     # Hamilton cycle: inner cycle with edge (u, v) replaced by the ear path
     ring = list(c_inner)
     iu = ring.index(u)
@@ -245,7 +245,7 @@ def base_diamond_cycle(p: Placement, q: Placement,
     mid_edge = edge_key(x, y)
 
     # align both ends with the Hamilton cycle by clearing the two chords
-    chords = (edge_key(u, v), d.ears[1])
+    chords = (edge_key(u, v), d.ear(3))
     sp = _clear_chords(p, c_prime, chords)
     sq = _clear_chords(q, c_prime, chords)
     cur, tgt = sp.end, sq.end
