@@ -8,10 +8,9 @@ from typing import Dict, List, Optional, Tuple
 from .grid import Edge, TriGridGraph, cycle_edges, edge_key
 from .matching import Matching, alternating_path_to
 from .ears import EarDecomposition, LevelMatchings, align_with_ears, find_admissible
-from .placement import (Placement, RotationSpec, SlideSequence, cut_loops, expose,
+from .placement import (Placement, SlideSequence, cut_loops, expose, forced_cycle_dominoes,
                         invert_sequence, replay, rotate)
-from .plans import (PlanError, PlanReport, Transpositions, base_pentagon, finish_plan,
-                    forced_cycle_dominoes)
+from .plans import PlanError, PlanReport, Transpositions, base_pentagon, finish_plan
 
 
 class _Planner:
@@ -144,8 +143,7 @@ class _Planner:
         if not turns:
             return None
         t = min(turns, key=lambda t: min(t, k - t))
-        return rotate(cur, RotationSpec(cyc, target_exposed=cyc[0], target_pieces=tuple(
-            (x, dominoes[(s - t) % k]) for x, s in slots)))
+        return rotate(cur, cyc, cyc[0], [(x, dominoes[(s - t) % k]) for x, s in slots])
 
     def _spare_fill(self, i: int, cur: Placement, lam: List[int],
                     cyc: Tuple[int, ...], ear: Tuple[int, ...],
@@ -170,21 +168,18 @@ class _Planner:
         for j, lab in enumerate(lam, start=1):
             pos = cur.piece(lab)
             if pos in on_cycle and (pos[0] in ear[1:-1] or pos[1] in ear[1:-1]):
-                step = rotate(cur, RotationSpec(cyc, target_exposed=v,
-                                                target_pieces=((lab, staging),)))
+                step = rotate(cur, cyc, v, [(lab, staging)])
                 seq, cur = seq.then(step), step.end
             if cur.piece(lab) != spare:
                 step = self._swap(i, cur, lab, cur.label_at(spare))
                 seq, cur = seq.then(step), step.end
             if j >= 2:
-                step = rotate(cur, RotationSpec(cyc, target_exposed=v,
-                                                target_pieces=((lam[j - 2], e2),)))
+                step = rotate(cur, cyc, v, [(lam[j - 2], e2)])
                 seq, cur = seq.then(step), step.end
             step = self._swap(i, cur, lab, cur.label_at(e1))
             seq, cur = seq.then(step), step.end
         # final notch: pull the train fully onto the ear
-        step = rotate(cur, RotationSpec(cyc, target_exposed=v,
-                                        target_pieces=((lam[-1], e2),)))
+        step = rotate(cur, cyc, v, [(lam[-1], e2)])
         return seq.then(step)
 
     def _hamilton_fill(self, i: int, cur: Placement, lam: List[int],
@@ -207,26 +202,20 @@ class _Planner:
             while order_after(cur, a) != b:
                 nxt = order_after(cur, a)
                 # bring (a, nxt) into the swap window, then transpose
-                step = rotate(cur, RotationSpec(cyc, target_exposed=v,
-                                                target_pieces=((a, w2),)))
+                step = rotate(cur, cyc, v, [(a, w2)])
                 seq, cur = seq.then(step), step.end
                 assert cur.piece(nxt) == w1
                 step = self._swap(i, cur, a, nxt)
                 seq, cur = seq.then(step), step.end
-        step = rotate(cur, RotationSpec(cyc, target_exposed=v,
-                                        target_pieces=((lam[0], dominoes[0]),)))
+        step = rotate(cur, cyc, v, [(lam[0], dominoes[0])])
         return seq.then(step)
 
 
-def base_diamond_cycle(p: Placement, q: Placement,
-                       d: Optional[EarDecomposition] = None) -> SlideSequence:
-    """Plan on an odd cycle with an attached diamond via the two-cycle
-    rotation loop: stage each target label on the diamond's far edge along
-    the Hamilton cycle, then park it with an inner-cycle rotation."""
-    if d is None:
-        d, _ = find_admissible(p.graph)
-        if d.kind != "diamond_cycle":
-            raise PlanError("host is not a diamond-attached odd cycle")
+def base_diamond_cycle(p: Placement, q: Placement, d: EarDecomposition) -> SlideSequence:
+    """Plan on the diamond core of `d`, an odd cycle with an attached
+    diamond, via the two-cycle rotation loop: stage each target label on
+    the diamond's far edge along the Hamilton cycle, then park it with an
+    inner-cycle rotation."""
     c_inner = d.base
     u, x, y, v = d.ear(2)         # the diamond's path; d.ear(3) is its diagonal
     # Hamilton cycle: inner cycle with edge (u, v) replaced by the ear path
@@ -263,17 +252,14 @@ def base_diamond_cycle(p: Placement, q: Placement,
         state = cur
         prev = None
         for lab in order[:-1]:
-            step = rotate(state, RotationSpec(c_prime, target_pieces=((lab, mid_edge),)))
+            step = rotate(state, c_prime, pieces=[(lab, mid_edge)])
             body, state = body.then(step), step.end
             if prev is not None:
-                step = rotate(state, RotationSpec(c_inner,
-                                                  target_pieces=((prev, park_edge),)))
+                step = rotate(state, c_inner, pieces=[(prev, park_edge)])
                 body, state = body.then(step), step.end
             prev = lab
         # the cyclic order now matches the target: finish with one rotation
-        step = rotate(state, RotationSpec(
-            c_prime, target_exposed=tgt.exposed,
-            target_pieces=tuple((lab, tgt.piece(lab)) for lab in order)))
+        step = rotate(state, c_prime, tgt.exposed, [(lab, tgt.piece(lab)) for lab in order])
         return body.then(step)
 
     # any cyclic shift of the reading produces the same cyclic order; take

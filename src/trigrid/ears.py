@@ -7,10 +7,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .grid import Edge, TriGridGraph, cycle_edges, edge_key, enumerate_diamonds
-from .matching import (Matching, MatchingError, is_alternating_cycle,
-                       near_perfect_matching, odd_alternating_cycle_through,
-                       perfect_matching, symmetric_difference_path)
-from .placement import Placement, SlideSequence, expose
+from .matching import (Matching, MatchingError, near_perfect_matching,
+                       odd_alternating_cycle_through, perfect_matching,
+                       symmetric_difference_path)
+from .placement import Board, Placement, SlideSequence, expose
 from .plans import PlanError
 
 
@@ -86,12 +86,12 @@ def validate_decomposition(g: TriGridGraph, d: EarDecomposition) -> None:
 
 
 def is_aligned_with(p: Placement, d: EarDecomposition) -> bool:
-    """Conditions: (a) base is an alternating odd cycle holding the exposed
-    vertex; (b) each ear alternates with endpoints uncovered by its own
-    matching edges."""
-    m = p.matching
-    if p.exposed not in d.base or not is_alternating_cycle(m, d.base):
+    """Conditions: (a) the placement is aligned with the base cycle
+    (`Board.is_aligned`); (b) each ear alternates with endpoints uncovered
+    by its own matching edges."""
+    if not Board(p).is_aligned(d.base):
         return False
+    m = p.matching
     for ear in d.ears:
         flags = [edge_key(a, b) in m.edges for a, b in zip(ear, ear[1:])]
         # odd ear, endpoints free: pattern must be 0,1,0,1,...,0
@@ -158,17 +158,6 @@ def grow_ears(g: TriGridGraph, m: Matching, base_vs: Set[int],
         ears.append(e)
         covered.add(e)
     return ears
-
-
-def extend_from_central(g: TriGridGraph, m: Matching,
-                        partial: EarDecomposition) -> EarDecomposition:
-    """Complete a decomposition whose prefix is `partial` (over a central
-    subgraph) using the greedy alternating-ear growth."""
-    vs, es = partial.region(partial.levels)
-    ears = grow_ears(g, m, vs, es)
-    d = EarDecomposition(partial.base, partial.ears + tuple(ears), partial.kind)
-    validate_decomposition(g, d)
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +238,10 @@ def find_admissible(g: TriGridGraph) -> Tuple[EarDecomposition, Matching]:
     if found is None:
         raise NoAdmissibleError("no admissible core found")
     core, m = found
-    return extend_from_central(g, m, core), m
+    vs, es = core.region(core.levels)
+    d = EarDecomposition(core.base, core.ears + tuple(grow_ears(g, m, vs, es)), core.kind)
+    validate_decomposition(g, d)
+    return d, m
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ from .grid import Edge, TriGridGraph, edge_key, is_locally_connected, is_star_of
 from .hamilton import (HamiltonCycle, ParityDiamond, find_hamilton,
                        find_local_structure)
 from .matching import Matching
-from .placement import (Placement, RotationSpec, SlideSequence, expose,
+from .placement import (Placement, SlideSequence, expose, forced_cycle_dominoes,
                         invert_sequence, replay, rotate)
 from .plans import (PlanError, PlanInvariantError, PlanReport, Transpositions,
-                    base_pentagon, finish_plan, forced_cycle_dominoes)
+                    base_pentagon, finish_plan)
 
 
 def align_with_hamilton(p: Placement, h: HamiltonCycle) -> SlideSequence:
@@ -98,14 +98,10 @@ def _swap_special(cur: Placement, frame: TurningFrame, memo: Transpositions) -> 
         return memo(cur, hi, lo, (frozenset(cur.pieces), hi < lo), search)
     v1, v2, v3 = pd.p1[-2], pd.p1[-3], pd.p1[1]
     s1 = replay(cur, (b,))                     # the (a, b) piece onto (b, c)
-    cyc_a = tuple(pd.p1)                       # d .. a, closed by (a, d)
-    s2 = rotate(s1.end, RotationSpec(cyc_a, target_exposed=a,
-                                     target_pieces=((lo, edge_key(d, v3)),)))
-    cur2 = s2.end
-    cyc_b = tuple(pd.p1) + (b, c)              # d .. a, b, c, closed by (c, d)
-    s3 = rotate(cur2, RotationSpec(
-        cyc_b, target_exposed=c,
-        target_pieces=((hi, edge_key(v1, v2)), (lo, edge_key(a, b)))))
+    cyc_a = pd.p1                              # d .. a, closed by (a, d)
+    s2 = rotate(s1.end, cyc_a, a, [(lo, edge_key(d, v3))])
+    cyc_b = pd.p1 + (b, c)                     # d .. a, b, c, closed by (c, d)
+    s3 = rotate(s2.end, cyc_b, c, [(hi, edge_key(v1, v2)), (lo, edge_key(a, b))])
     return s1.then(s2).then(s3)
 
 
@@ -127,8 +123,7 @@ def swap_adjacent(cur: Placement, j: int, frame: TurningFrame,
     k = len(dominoes)
     order = _label_order(cur, dominoes)
     x, y = order[j], order[(j + 1) % k]
-    turn = rotate(cur, RotationSpec(pd.cycle.order, target_exposed=pd.c,
-                                    target_pieces=((x, dominoes[lo]),)))
+    turn = rotate(cur, pd.cycle.order, pd.c, [(x, dominoes[lo])])
     swap = _swap_special(turn.end, frame, memo)
     want = list(cur.pieces)
     for i, lab in enumerate(order):
@@ -188,13 +183,13 @@ def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement,
     if h is None:
         h = find_hamilton(g)
     if g.num_vertices < 5:
-        turn = rotate(p, RotationSpec(h.order, target_exposed=q.exposed))
+        turn = rotate(p, h.order, q.exposed)
         return finish_plan(turn, q, "hamilton", [{"phase": "rotate", "cycle": h.order}])
     pd = find_local_structure(g, h)
 
     sp = align_with_hamilton(p, h)
     sq = align_with_hamilton(q, h)
-    rp = rotate(sp.end, RotationSpec(h.order, target_exposed=pd.c))
+    rp = rotate(sp.end, h.order, pd.c)
     cur = rp.end
     aligned_q = sq.end
     frame = turning_frame(pd)
@@ -217,8 +212,7 @@ def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement,
             have[i - 1], have[i] = have[i], have[i - 1]
             swaps += 1
     trace.append({"phase": "sort", "swaps": swaps})
-    last = rotate(cur, RotationSpec(h.order, target_exposed=aligned_q.exposed,
-                                    target_pieces=((want[0], aligned_q.piece(want[0])),)))
+    last = rotate(cur, h.order, aligned_q.exposed, [(want[0], aligned_q.piece(want[0]))])
     assert last.end.pieces == aligned_q.pieces and last.end.exposed == aligned_q.exposed
     seq = SlideSequence(p, tuple(moves) + last.moves, aligned_q)
     return finish_plan(seq.then(invert_sequence(sq)), q, "hamilton", trace,

@@ -1,5 +1,5 @@
-"""Matching primitives: near-perfect matchings, factor-criticality,
-alternating paths/cycles, and centrality tests.
+"""Matching primitives: near-perfect matchings, factor-criticality, and
+alternating paths and odd alternating cycles.
 
 Every maximum matching here comes from one exact solver,
 `blossom.max_cardinality_matching`: Edmonds' blossom method in Galil's
@@ -15,14 +15,13 @@ Two certificates back each answer. A matching that leaves at most one
 vertex exposed is maximum by its size alone. Every other one is checked
 against the solver's final duals (networkx's dual-optimality check), which
 prove that no larger matching exists. That covers each None from
-`near_perfect_matching` on a subgraph with an even number of vertices left,
-and each False from `is_central` that parity does not already settle.
+`near_perfect_matching` on a subgraph with an even number of vertices left.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .blossom import max_cardinality_matching
 from .grid import Edge, TriGridGraph, edge_key
@@ -104,15 +103,6 @@ def near_perfect_matching(g: TriGridGraph, expose: int,
 
 def is_factor_critical(g: TriGridGraph) -> bool:
     return all(near_perfect_matching(g, v) is not None for v in g.vertex_ids)
-
-
-def is_central(g: TriGridGraph, sub: Iterable[int]) -> bool:
-    """True iff removing `sub` leaves a graph with a perfect matching."""
-    removed = set(sub)
-    rest = [v for v in g.vertex_ids if v not in removed]
-    if len(rest) % 2 == 1:
-        return False
-    return perfect_matching(g, skip=removed) is not None
 
 
 def symmetric_difference_path(m1: Matching, m2: Matching, start: int) -> List[int]:
@@ -214,13 +204,3 @@ def odd_alternating_cycle_through(g: TriGridGraph, m: Matching, exposed: int, e:
             if found is not None:
                 return found
     return None
-
-
-def is_alternating_cycle(m: Matching, cycle: Sequence[int]) -> bool:
-    """Check cycle edges alternate in m with the exposed vertex as sole defect."""
-    k = len(cycle)
-    if k % 2 == 0:
-        return False
-    flags = [edge_key(cycle[i], cycle[(i + 1) % k]) in m.edges for i in range(k)]
-    defects = sum(1 for i in range(k) if flags[i] == flags[i - 1] and not flags[i])
-    return flags.count(True) == k // 2 and defects == 1

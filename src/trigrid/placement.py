@@ -1,6 +1,6 @@
 """Labeled placements, the slide move and its checks (`slide`,
-`verify_sequence`), the in-place slide kernel (`Board`, `replay`),
-rotation along odd cycles, and vertex exposure."""
+`verify_sequence`), the in-place slide kernel (`Board`, `replay`), an odd
+cycle's forced dominoes and rotation along it, and vertex exposure."""
 
 from __future__ import annotations
 
@@ -105,20 +105,6 @@ class SlideSequence:
         return SlideSequence(self.start, self.moves + other.moves, other.end)
 
 
-@dataclass(frozen=True)
-class RotationSpec:
-    """Rotation target along an aligned odd cycle.
-
-    Exactly one goal: `target_exposed` retargets the exposed vertex;
-    `target_pieces` (label -> edge, for the labels on the cycle) demands an
-    exact landing state, optionally together with `target_exposed`.
-    """
-
-    cycle: Tuple[int, ...]
-    target_exposed: Optional[int] = None
-    target_pieces: Optional[Tuple[Tuple[int, Edge], ...]] = None
-
-
 def _check_slide(pieces: Sequence[Edge], gap: int, edges: Collection[Edge],
                  label: int, kept: int, dest: int) -> Tuple[int, Edge]:
     """The four checks of a slide on `pieces` (by label) exposing `gap`:
@@ -207,9 +193,9 @@ class Board:
 
     def is_aligned(self, cycle: Sequence[int]) -> bool:
         """True iff cycle is an odd cycle of the host through the gap whose
-        vertices after the gap pair off, in order, into pieces. Only the
-        gap is uncovered, so two vertices of the pairs share an owner
-        exactly when one piece covers both."""
+        forced dominoes are pieces. Only the gap is uncovered, so the two
+        ends of a domino share an owner exactly when one piece covers
+        both."""
         cycle = tuple(cycle)
         if len(cycle) % 2 == 0 or self.gap not in cycle:
             return False
@@ -217,10 +203,16 @@ class Board:
         if not all(((a, b) if a < b else (b, a)) in edges
                    for a, b in zip(cycle, cycle[1:] + cycle[:1])):
             return False
-        i = cycle.index(self.gap)
-        after, owner = cycle[i + 1:] + cycle[:i], self.owner
-        return all(owner[a] == owner[b]
-                   for a, b in zip(after[::2], after[1::2]))
+        owner = self.owner
+        return all(owner[a] == owner[b] for a, b in forced_cycle_dominoes(cycle, self.gap))
+
+
+def forced_cycle_dominoes(cycle: Sequence[int], gap: int) -> List[Edge]:
+    """Dominoes of the unique tiling of an odd cycle with the given gap,
+    listed in cycle order starting after the gap."""
+    i = cycle.index(gap)
+    after = cycle[i + 1:] + cycle[:i]
+    return [(a, b) if a < b else (b, a) for a, b in zip(after[::2], after[1::2])]
 
 
 def replay(p: Placement, kept_vertices: Iterable[int]) -> SlideSequence:
@@ -279,9 +271,11 @@ def shortest_slides_within(p: Placement, edges: Set[Edge],
     return None
 
 
-def rotate(p: Placement, spec: RotationSpec) -> SlideSequence:
-    """Shortest rotation along the aligned cycle reaching the target, in
-    closed form.
+def rotate(p: Placement, cycle: Tuple[int, ...], exposed: Optional[int] = None,
+           pieces: Iterable[Tuple[int, Edge]] = ()) -> SlideSequence:
+    """Shortest rotation along the aligned odd `cycle` that exposes
+    `exposed`, if given, and lands each (label, edge) of `pieces` on its
+    edge, in closed form.
 
     Let the cycle have n = 2k+1 vertices, ring[0] the gap, and L the
     labels on the k dominoes after it. An aligned state has exactly two
@@ -299,27 +293,28 @@ def rotate(p: Placement, spec: RotationSpec) -> SlideSequence:
     these are the moves of `shortest_slides_within` on the cycle's edges.
     Only the winner's moves are built, the kept vertices sliced from the
     ring and the labels cycled from L, in O(n + moves), and its end
-    placement directly. Raises PlacementError if p is not aligned with
-    the cycle, or if no state along it meets the target.
+    placement from the forced dominoes at its gap. A label off the cycle
+    never moves, so its edge must be the one it holds. Raises
+    PlacementError if p is not aligned with the cycle, or if no state
+    along it meets every goal.
     """
-    cyc = spec.cycle
     board = Board(p)
-    if not board.is_aligned(cyc):
+    if not board.is_aligned(cycle):
         raise PlacementError("placement is not aligned with the rotation cycle")
-    n, k = len(cyc), len(cyc) // 2
-    g = cyc.index(p.exposed)
-    ring = cyc[g:] + cyc[:g]                   # from the gap, forwards
+    n, k = len(cycle), len(cycle) // 2
+    g = cycle.index(p.exposed)
+    ring = cycle[g:] + cycle[:g]               # from the gap, forwards
     labels = [board.owner[v] for v in ring[1::2]]
     index = {v: i for i, v in enumerate(ring)}
     slot = {lab: i for i, lab in enumerate(labels)}
     # goals as (label position, index j of the edge's first vertex from
-    # the gap); the gap goal is position None with j its index
+    # the gap); the gap goal, first if given, is position None with j its index
     goals = []
-    if spec.target_exposed is not None:
-        if spec.target_exposed not in index:
+    if exposed is not None:
+        if exposed not in index:
             raise PlacementError("rotation target unreachable along the cycle")
-        goals.append((None, index[spec.target_exposed]))
-    for label, e in spec.target_pieces or ():
+        goals.append((None, index[exposed]))
+    for label, e in pieces:
         e = edge_key(*e)
         if label not in slot:                  # off the cycle: never moves
             if not 1 <= label <= p.n or p.pieces[label - 1] != e:
@@ -340,11 +335,8 @@ def rotate(p: Placement, spec: RotationSpec) -> SlideSequence:
         for i in range(k):                     # u = r mod n and u = at - i mod k;
             r = (j - 1 - 2 * i) * half % n     # n = 1 mod k, so u = r + n*m
             us.append(r + n * ((at - i - r) % k))
-    for at, j in goals[1:]:
-        if at is None:
-            us = [u for u in us if (2 * u - j) % n == 0]
-        else:                                  # the label sits at L[(at - u) mod k]
-            us = [u for u in us if (2 * u + 1 + 2 * ((at - u) % k) - j) % n == 0]
+    for at, j in goals[1:]:                    # the label sits at L[(at - u) mod k]
+        us = [u for u in us if (2 * u + 1 + 2 * ((at - u) % k) - j) % n == 0]
     if not us:
         raise PlacementError("rotation target unreachable along the cycle")
     if 0 in us:
@@ -366,12 +358,11 @@ def rotate(p: Placement, spec: RotationSpec) -> SlideSequence:
                       zip((order * (t // k + 1))[:t], (twice[1::2] * laps)[:t],
                           (twice[0::2] * laps)[:t])))
     # the end: gap at ring[2u], L turned left by u on the dominoes after it
-    gap, turn = 2 * u % n, u % k
-    after = ring[gap + 1:] + ring[:gap]
-    pieces = list(p.pieces)
-    for label, a, b in zip(labels[turn:] + labels[:turn], after[::2], after[1::2]):
-        pieces[label - 1] = (a, b) if a < b else (b, a)
-    return SlideSequence(p, moves, Placement(p.graph, tuple(pieces), ring[gap]))
+    gap, turn = ring[2 * u % n], u % k
+    end = list(p.pieces)
+    for label, e in zip(labels[turn:] + labels[:turn], forced_cycle_dominoes(ring, gap)):
+        end[label - 1] = e
+    return SlideSequence(p, moves, Placement(p.graph, tuple(end), gap))
 
 
 def expose(p: Placement, v: int, m: Matching) -> SlideSequence:

@@ -1,12 +1,12 @@
 """What both planners share: their errors, the finished plan, the
-transposition memo, and the pentagon and odd-cycle building blocks."""
+transposition memo, and the pentagon building block."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
 
-from .grid import Edge, edge_key
+from .grid import Edge
 from .placement import (Placement, SlideSequence, cut_loops, replay,
                         shortest_slides_within, verify_sequence)
 
@@ -96,11 +96,3 @@ def base_pentagon(p: Placement, q: Placement,
     if seq is None:
         raise PlanError("core target unreachable within region")
     return seq
-
-
-def forced_cycle_dominoes(cycle: Sequence[int], gap: int) -> List[Edge]:
-    """Dominoes of the unique tiling of an odd cycle with the given gap,
-    listed in cycle order starting after the gap."""
-    i = cycle.index(gap)
-    order = list(cycle[i + 1:]) + list(cycle[:i])
-    return [edge_key(order[t], order[t + 1]) for t in range(0, len(order) - 1, 2)]

@@ -1,22 +1,42 @@
 """Reference helpers that only tests call: canonical aligned states on a
-cycle, the alignment check on a placement, an ear decomposition grown from
-a matching, and the orientation of one parity diamond. No planner uses
-them, so they live with the tests.
+cycle, the alignment check on a placement and its matching-based reference,
+the centrality test, an ear decomposition grown from a matching, and the
+orientation of one parity diamond. No planner uses them, so they live with
+the tests.
 """
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from trigrid.ears import EarDecomposition, EarError, grow_ears, validate_decomposition
 from trigrid.grid import Edge, TriGridGraph, cycle_edges, edge_key
 from trigrid.hamilton import (HamiltonCycle, HamiltonError, ParityDiamond, _best,
                               _parity_labelings)
-from trigrid.matching import Matching, odd_alternating_cycle_through
+from trigrid.matching import Matching, odd_alternating_cycle_through, perfect_matching
 from trigrid.placement import Board, Placement, PlacementError
 
 
 def is_aligned(p: Placement, cycle: Sequence[int]) -> bool:
     """True iff cycle is an odd M_p-alternating cycle containing v_p."""
     return Board(p).is_aligned(cycle)
+
+
+def is_alternating_cycle(m: Matching, cycle: Sequence[int]) -> bool:
+    """Check cycle edges alternate in m with the exposed vertex as sole defect."""
+    k = len(cycle)
+    if k % 2 == 0:
+        return False
+    flags = [edge_key(cycle[i], cycle[(i + 1) % k]) in m.edges for i in range(k)]
+    defects = sum(1 for i in range(k) if flags[i] == flags[i - 1] and not flags[i])
+    return flags.count(True) == k // 2 and defects == 1
+
+
+def is_central(g: TriGridGraph, sub: Iterable[int]) -> bool:
+    """True iff removing `sub` leaves a graph with a perfect matching."""
+    removed = set(sub)
+    rest = [v for v in g.vertex_ids if v not in removed]
+    if len(rest) % 2 == 1:
+        return False
+    return perfect_matching(g, skip=removed) is not None
 
 
 def aligned_cycle_state(k: int, j: int, h: int) -> Dict[int, Edge]:

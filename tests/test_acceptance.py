@@ -20,7 +20,7 @@ from trigrid.matching import (enumerate_near_perfect_matchings,
                               is_factor_critical)
 from trigrid.oracle import (bfs_component, is_reconfigurable_bruteforce,
                             state_count)
-from trigrid.placement import Placement, RotationSpec, rotate, verify_sequence
+from trigrid.placement import Placement, rotate, verify_sequence
 from trigrid.plans import PlanError
 
 from conftest import random_placement
@@ -71,7 +71,7 @@ def test_criterion_2_rotation_bounds():
         for j in range(1, n + 1):
             p = aligned(j, 1 if j % 2 else 2)
             for j2 in range(1, n + 1):
-                seq = rotate(p, RotationSpec(cyc, target_exposed=j2))
+                seq = rotate(p, cyc, j2)
                 assert len(seq) <= k
                 worst_gap = max(worst_gap, len(seq))
         # full rotations: the cycle's rotational symmetry carries the start
@@ -81,10 +81,7 @@ def test_criterion_2_rotation_bounds():
             for j2 in range(1, n + 1):
                 for h2 in range(1 if j2 % 2 else 2, n + 1, 2):
                     tgt = aligned(j2, h2)
-                    full = rotate(p, RotationSpec(
-                        cyc, target_exposed=j2,
-                        target_pieces=tuple((i, tgt.piece(i))
-                                            for i in range(1, k + 1))))
+                    full = rotate(p, cyc, j2, [(i, tgt.piece(i)) for i in range(1, k + 1)])
                     assert len(full) <= k * k + k
                     assert full.end.pieces == tgt.pieces, \
                         "did not land on the closed-form aligned state"
@@ -102,11 +99,12 @@ def test_criterion_3_diamond_cycle_base():
     worst = {}
     for n in (3, 4, 5):
         g = diamond_cycle_graph(n)
+        d, _ = find_admissible(g)
         worst[n] = 0
         for _ in range(100):
             p = random_placement(g, rng)
             q = random_placement(g, rng)
-            seq = base_diamond_cycle(p, q)
+            seq = base_diamond_cycle(p, q, d)
             assert len(seq) <= n ** 3 + n ** 2
             rep = verify_sequence(seq, expected_end=q)
             assert rep.ok and rep.matches_expected

@@ -14,7 +14,9 @@ from trigrid.blossom import max_cardinality_matching
 from trigrid.corpus import degree6_corpus, locally_connected_corpus
 from trigrid.ears import find_admissible
 from trigrid.grid import build_graph, edge_key, star_of_david_points, triangles
-from trigrid.matching import is_central, near_perfect_matching
+from trigrid.matching import near_perfect_matching
+
+from support import is_central
 
 
 def _networkx_matching(nodes, edges):

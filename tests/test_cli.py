@@ -176,6 +176,25 @@ def test_short_vertex_record_is_parse_error(tmp_path):
     assert main(["check", str(bad)]) == 3
 
 
+@pytest.mark.parametrize("text, lineno, message", [
+    ("v 1 0 0\nv 1 1 0\n", 2, "duplicate vertex id 1"),
+    ("v 1 0 0\nav 2\n", 1, "mixed lattice and abstract records"),
+    ("v 1 1 0\nv 2 0 0\nv 3 0 1\n", 1,
+     "vertex ids must follow lexicographic point order (x, then y)"),
+    ("av 1\nav 3\nae 1 3\n", 1, "vertex ids must be dense 1..|V|"),
+], ids=["duplicate-id", "mixed-records", "point-order", "sparse-abstract-ids"])
+def test_graph_file_refusals_are_parse_errors(tmp_path, capsys, text, lineno, message):
+    """`check` refuses a malformed graph file with exit 3 and one
+    `parse error: line N: ...` line."""
+    bad = tmp_path / "bad.graph"
+    bad.write_text(text)
+    capsys.readouterr()
+    assert main(["check", str(bad)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"parse error: line {lineno}: {message}\n"
+
+
 def test_non_integer_slides_header_is_parse_error(tmp_path):
     gpath = _gen(tmp_path, "pentagon")
     g = formats.parse_graph(gpath.read_text())

@@ -40,10 +40,11 @@ def test_base_pentagon_all_pairs(pentagon):
 @pytest.mark.parametrize("n", [3, 4])
 def test_base_diamond_cycle_bound(n, rng):
     g = diamond_cycle_graph(n)
+    d, _ = find_admissible(g)
     for _ in range(25):
         p = random_placement(g, rng)
         q = random_placement(g, rng)
-        seq = base_diamond_cycle(p, q)
+        seq = base_diamond_cycle(p, q, d)
         assert len(seq) <= n ** 3 + n ** 2
         rep = verify_sequence(seq, expected_end=q)
         assert rep.ok and rep.matches_expected

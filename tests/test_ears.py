@@ -8,8 +8,8 @@ from trigrid.grid import (build_abstract, build_graph, cycle_edges, diamond_cycl
                           star_of_david_points, triangles)
 from trigrid.ears import (EarDecomposition, EarError, NoAdmissibleError,
                           LevelMatchings, _fans, align_with_ears,
-                          extend_from_central, find_admissible, is_aligned_with,
-                          path_edges, validate_decomposition)
+                          find_admissible, grow_ears, is_aligned_with, path_edges,
+                          validate_decomposition)
 from trigrid.matching import enumerate_near_perfect_matchings, near_perfect_matching
 from trigrid.placement import Placement
 
@@ -86,8 +86,8 @@ def test_ear_decomposition_from_matching(hex7):
 
 def test_extend_from_central(hex7):
     d, m = find_admissible(hex7)
-    partial = EarDecomposition(d.base, (), d.kind)
-    full = extend_from_central(hex7, m, partial)
+    vs, es = d.region(1)
+    full = EarDecomposition(d.base, tuple(grow_ears(hex7, m, vs, es)), d.kind)
     assert full.base == d.base and full.kind == d.kind
     validate_decomposition(hex7, full)
     vs, _ = full.region(full.levels)

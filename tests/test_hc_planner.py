@@ -11,10 +11,9 @@ from trigrid.grid import (build_graph, cycle_edges, edge_key, hexagon_points,
 from trigrid.hamilton import _scan, find_hamilton, find_local_structure
 from trigrid.hc_planner import (_label_order, _swap_special, align_with_hamilton,
                                 plan_hamilton, swap_adjacent, turning_frame)
-from trigrid.placement import (Placement, RotationSpec, rotate,
+from trigrid.placement import (Placement, forced_cycle_dominoes, rotate,
                                shortest_slides_within, verify_sequence)
-from trigrid.plans import (PlanError, PlanInvariantError, Transpositions, base_pentagon,
-                           forced_cycle_dominoes)
+from trigrid.plans import PlanError, PlanInvariantError, Transpositions, base_pentagon
 
 from conftest import random_placement
 from support import is_aligned
@@ -60,8 +59,7 @@ def _aligned_at_c(g, rng, pd=None):
         pd = find_local_structure(g, find_hamilton(g))
     p = random_placement(g, rng)
     seq = align_with_hamilton(p, pd.cycle)
-    seq = seq.then(rotate(seq.end, RotationSpec(pd.cycle.order,
-                                                target_exposed=pd.c)))
+    seq = seq.then(rotate(seq.end, pd.cycle.order, pd.c))
     return pd, seq.end
 
 
@@ -139,7 +137,7 @@ def test_sort_swaps_are_the_fewest_cyclic_inversions(rng):
         for _ in range(3):
             p, q = random_placement(g, rng), random_placement(g, rng)
             sp = align_with_hamilton(p, h)
-            at_c = rotate(sp.end, RotationSpec(h.order, target_exposed=pd.c)).end
+            at_c = rotate(sp.end, h.order, pd.c).end
             have = _label_order(at_c, forced_cycle_dominoes(h.order, at_c.exposed))
             aq = align_with_hamilton(q, h).end
             want = _label_order(aq, forced_cycle_dominoes(h.order, aq.exposed))
@@ -211,11 +209,11 @@ def test_planner_rotations_match_shortest_slides_within(monkeypatch):
     same moves and the same end."""
     from trigrid import hc_planner
 
-    specs = []
+    calls = []
 
-    def recorded(p, spec):
-        specs.append((p, spec))
-        return rotate(p, spec)
+    def recorded(p, cycle, exposed=None, pieces=()):
+        calls.append((p, cycle, exposed, list(pieces)))
+        return rotate(p, cycle, exposed, pieces)
 
     monkeypatch.setattr(hc_planner, "rotate", recorded)
     rng = random.Random(3)
@@ -224,16 +222,14 @@ def test_planner_rotations_match_shortest_slides_within(monkeypatch):
             h = find_hamilton(g)
             for _ in range(2):
                 plan_hamilton(g, random_placement(g, rng), random_placement(g, rng), h)
-    assert len(specs) > 60
-    for p, spec in specs:
-        want = dict(spec.target_pieces or ())
-
+    assert len(calls) > 60
+    for p, cycle, exposed, pieces in calls:
         def goal(s):
-            return ((spec.target_exposed is None or s.exposed == spec.target_exposed)
-                    and all(s.piece(lab) == e for lab, e in want.items()))
+            return ((exposed is None or s.exposed == exposed)
+                    and all(s.piece(lab) == e for lab, e in pieces))
 
-        ref = shortest_slides_within(p, cycle_edges(spec.cycle), goal)
-        seq = rotate(p, spec)
+        ref = shortest_slides_within(p, cycle_edges(cycle), goal)
+        seq = rotate(p, cycle, exposed, pieces)
         assert seq.moves == ref.moves
         assert seq.end.pieces == ref.end.pieces and seq.end.exposed == ref.end.exposed
 

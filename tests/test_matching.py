@@ -6,10 +6,11 @@ from trigrid.grid import (build_abstract, build_graph, diamond_cycle_graph,
                           edge_key, hexagon_points, star_of_david_points)
 from trigrid.matching import (Matching, MatchingError, alternating_path_to,
                               enumerate_near_perfect_matchings,
-                              is_alternating_cycle, is_central,
                               is_factor_critical, near_perfect_matching,
                               odd_alternating_cycle_through,
                               symmetric_difference_path)
+
+from support import is_alternating_cycle, is_central
 
 
 def _cycle_graph(n):

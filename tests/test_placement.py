@@ -7,17 +7,16 @@ from hypothesis import strategies as st
 from trigrid.corpus import locally_connected_corpus
 from trigrid.grid import build_abstract, build_graph, edge_key
 from trigrid.hamilton import find_hamilton
-from trigrid.matching import Matching, is_alternating_cycle, near_perfect_matching
+from trigrid.matching import Matching, near_perfect_matching
 from trigrid.oracle import bfs_component
 from trigrid.placement import (IllegalMoveError, Placement, PlacementError,
-                               RotationSpec, SlideMove, SlideSequence, VerifyReport,
-                               apply_sequence, cut_loops, expose, invert_sequence,
-                               legal_moves, replay, rotate, shortest_slides_within,
-                               slide, verify_sequence)
-from trigrid.plans import forced_cycle_dominoes
+                               SlideMove, SlideSequence, VerifyReport,
+                               apply_sequence, cut_loops, expose, forced_cycle_dominoes,
+                               invert_sequence, legal_moves, replay, rotate,
+                               shortest_slides_within, slide, verify_sequence)
 
 from conftest import random_placement
-from support import aligned_cycle_state, is_aligned
+from support import aligned_cycle_state, is_aligned, is_alternating_cycle
 
 
 def _cycle_graph(n):
@@ -75,7 +74,7 @@ def test_legal_moves_counts(pentagon):
 def test_rotation_short():
     g = _cycle_graph(7)
     p = _cycle_placement(g, 3, 3, 1)
-    seq = rotate(p, RotationSpec(tuple(range(1, 8)), target_exposed=1))
+    seq = rotate(p, tuple(range(1, 8)), 1)
     assert len(seq) == 1
     assert seq.end.pieces == _cycle_placement(g, 3, 1, 1).pieces
 
@@ -85,9 +84,7 @@ def test_rotation_full_target():
     p = _cycle_placement(g, 3, 3, 1)
     tgt = _cycle_placement(g, 3, 6, 4)
     assert tgt.pieces == ((4, 5), (1, 7), (2, 3))
-    seq = rotate(p, RotationSpec(
-        tuple(range(1, 8)), target_exposed=6,
-        target_pieces=tuple((i, tgt.piece(i)) for i in (1, 2, 3))))
+    seq = rotate(p, tuple(range(1, 8)), 6, [(i, tgt.piece(i)) for i in (1, 2, 3)])
     assert len(seq) <= 12                     # k^2 + k with k = 3
     assert seq.end.pieces == tgt.pieces and seq.end.exposed == 6
 
@@ -99,14 +96,11 @@ def test_rotation_bounds_small():
         for j in range(1, 2 * k + 2, 2):
             p = _cycle_placement(g, k, j, 1)
             for j2 in range(1, 2 * k + 2):
-                seq = rotate(p, RotationSpec(cyc, target_exposed=j2))
+                seq = rotate(p, cyc, j2)
                 assert len(seq) <= k
                 for h2 in range(1 if j2 % 2 else 2, 2 * k + 2, 2):
                     tgt = _cycle_placement(g, k, j2, h2)
-                    full = rotate(p, RotationSpec(
-                        cyc, target_exposed=j2,
-                        target_pieces=tuple((i, tgt.piece(i))
-                                            for i in range(1, k + 1))))
+                    full = rotate(p, cyc, j2, [(i, tgt.piece(i)) for i in range(1, k + 1)])
                     assert len(full) <= k * k + k
                     assert full.end.pieces == tgt.pieces
 
@@ -194,7 +188,7 @@ def test_rotation_target_off_cycle():
     assert shortest_slides_within(p, g.edges - {(1, 3)},
                                   lambda s: s.piece(1) == (1, 3)) is None
     with pytest.raises(PlacementError):
-        rotate(p, RotationSpec(cyc, target_pieces=((1, (1, 3)),)))
+        rotate(p, cyc, pieces=[(1, (1, 3))])
 
 
 def test_expose(pentagon):
@@ -418,8 +412,6 @@ def test_rotate_matches_shortest_slides_within(k, rnd):
     if rnd.random() < 0.2 and lab not in chosen:        # often unreachable
         want.append((lab, rnd.choice(sorted(g.edges))))
     exposed = rnd.choice([None, q.exposed, rnd.choice(cyc)])
-    spec = RotationSpec(tuple(cyc), target_exposed=exposed,
-                        target_pieces=tuple(want) if want else None)
 
     def goal(s):
         return ((exposed is None or s.exposed == exposed)
@@ -428,9 +420,9 @@ def test_rotate_matches_shortest_slides_within(k, rnd):
     ref = shortest_slides_within(p, ces, goal)
     if ref is None:
         with pytest.raises(PlacementError):
-            rotate(p, spec)
+            rotate(p, tuple(cyc), exposed, want)
         return
-    seq = rotate(p, spec)
+    seq = rotate(p, tuple(cyc), exposed, want)
     assert seq.moves == ref.moves
     end = apply_sequence(p, seq.moves)
     assert seq.end.pieces == end.pieces and seq.end.exposed == end.exposed
