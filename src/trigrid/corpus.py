@@ -8,9 +8,8 @@ and locally-connected grids spanning 5 to 25 vertices.
 import itertools
 from typing import List, Set, Tuple
 
-from .grid import (Point, TriGridGraph, build_graph, canonical_point_form,
-                   degree6_vertices, hexagon_points, is_locally_connected,
-                   is_star_of_david, is_two_connected)
+from .grid import (Point, TriGridGraph, build_graph, canonical_point_form, hexagon_points,
+                   is_locally_connected, is_star_of_david, is_two_connected)
 from .matching import is_factor_critical
 
 
@@ -23,7 +22,8 @@ def degree6_corpus(max_vertices: int = 13,
     """Factor-critical 2-connected grids with a degree-6 vertex.
 
     The full 7-point hexagon plus even-sized subsets of the radius-2 ring,
-    deduplicated up to lattice symmetry, smallest first.
+    deduplicated up to lattice symmetry, smallest first. Each is connected
+    and odd, and its centre has degree 6.
     """
     core = hexagon_points(1)
     ring = _ring_points(2)
@@ -37,12 +37,7 @@ def degree6_corpus(max_vertices: int = 13,
             if key in seen:
                 continue
             seen.add(key)
-            try:
-                g = build_graph(pts, name=f"deg6-{len(pts)}v-{len(out)}")
-            except Exception:
-                continue
-            if not degree6_vertices(g):
-                continue
+            g = build_graph(pts, name=f"deg6-{len(pts)}v-{len(out)}")
             if not is_two_connected(g) or not is_factor_critical(g):
                 continue
             out.append(g)

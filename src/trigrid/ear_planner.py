@@ -150,7 +150,7 @@ class _Planner:
                     ppath: List[int]) -> SlideSequence:
         """Non-Hamilton branch: park labels at the far end of the ear
         through a spare matched edge off the cycle."""
-        v, u = ear[0], ear[-1]
+        v = ear[0]
         sub_vs, _ = self.levels.regions[i - 1]
         e1 = edge_key(ppath[-2], ppath[-1])
         e2 = edge_key(ear[-3], ear[-2])
@@ -166,21 +166,16 @@ class _Planner:
 
         seq = SlideSequence(cur, ())
         for j, lab in enumerate(lam, start=1):
-            pos = cur.piece(lab)
+            pos = seq.end.piece(lab)
             if pos in on_cycle and (pos[0] in ear[1:-1] or pos[1] in ear[1:-1]):
-                step = rotate(cur, cyc, v, [(lab, staging)])
-                seq, cur = seq.then(step), step.end
-            if cur.piece(lab) != spare:
-                step = self._swap(i, cur, lab, cur.label_at(spare))
-                seq, cur = seq.then(step), step.end
+                seq = seq.then(rotate(seq.end, cyc, v, [(lab, staging)]))
+            if seq.end.piece(lab) != spare:
+                seq = seq.then(self._swap(i, seq.end, lab, seq.end.label_at(spare)))
             if j >= 2:
-                step = rotate(cur, cyc, v, [(lam[j - 2], e2)])
-                seq, cur = seq.then(step), step.end
-            step = self._swap(i, cur, lab, cur.label_at(e1))
-            seq, cur = seq.then(step), step.end
+                seq = seq.then(rotate(seq.end, cyc, v, [(lam[j - 2], e2)]))
+            seq = seq.then(self._swap(i, seq.end, lab, seq.end.label_at(e1)))
         # final notch: pull the train fully onto the ear
-        step = rotate(cur, cyc, v, [(lam[-1], e2)])
-        return seq.then(step)
+        return seq.then(rotate(seq.end, cyc, v, [(lam[-1], e2)]))
 
     def _hamilton_fill(self, i: int, cur: Placement, lam: List[int],
                        cyc: Tuple[int, ...], ear: Tuple[int, ...],
@@ -199,16 +194,12 @@ class _Planner:
         seq = SlideSequence(cur, ())
         for j in range(len(lam) - 1, 0, -1):
             a, b = lam[j - 1], lam[j]
-            while order_after(cur, a) != b:
-                nxt = order_after(cur, a)
+            while (nxt := order_after(seq.end, a)) != b:
                 # bring (a, nxt) into the swap window, then transpose
-                step = rotate(cur, cyc, v, [(a, w2)])
-                seq, cur = seq.then(step), step.end
-                assert cur.piece(nxt) == w1
-                step = self._swap(i, cur, a, nxt)
-                seq, cur = seq.then(step), step.end
-        step = rotate(cur, cyc, v, [(lam[0], dominoes[0])])
-        return seq.then(step)
+                seq = seq.then(rotate(seq.end, cyc, v, [(a, w2)]))
+                assert seq.end.piece(nxt) == w1
+                seq = seq.then(self._swap(i, seq.end, a, nxt))
+        return seq.then(rotate(seq.end, cyc, v, [(lam[0], dominoes[0])]))
 
 
 def base_diamond_cycle(p: Placement, q: Placement, d: EarDecomposition) -> SlideSequence:
@@ -249,18 +240,15 @@ def base_diamond_cycle(p: Placement, q: Placement, d: EarDecomposition) -> Slide
         # once all labels but one form a consecutive train the cyclic order
         # is fixed, so the last label needs no iteration of its own
         body = SlideSequence(cur, ())
-        state = cur
         prev = None
         for lab in order[:-1]:
-            step = rotate(state, c_prime, pieces=[(lab, mid_edge)])
-            body, state = body.then(step), step.end
+            body = body.then(rotate(body.end, c_prime, pieces=[(lab, mid_edge)]))
             if prev is not None:
-                step = rotate(state, c_inner, pieces=[(prev, park_edge)])
-                body, state = body.then(step), step.end
+                body = body.then(rotate(body.end, c_inner, pieces=[(prev, park_edge)]))
             prev = lab
         # the cyclic order now matches the target: finish with one rotation
-        step = rotate(state, c_prime, tgt.exposed, [(lab, tgt.piece(lab)) for lab in order])
-        return body.then(step)
+        return body.then(rotate(body.end, c_prime, tgt.exposed,
+                                [(lab, tgt.piece(lab)) for lab in order]))
 
     # any cyclic shift of the reading produces the same cyclic order; take
     # the first cheapest one

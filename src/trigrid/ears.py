@@ -1,5 +1,9 @@
 """Odd proper ear decompositions, admissible-core search, and placement
-alignment with a decomposition."""
+alignment with a decomposition.
+
+Past the admissible core, odd ears absorb the factor-critical host, as in
+Lovász's ear theorem: each is an alternating path (`alternating_path_to`)
+from a vertex just outside, cut where it first comes back in."""
 
 from __future__ import annotations
 
@@ -7,9 +11,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .grid import Edge, TriGridGraph, cycle_edges, edge_key, enumerate_diamonds
-from .matching import (Matching, MatchingError, near_perfect_matching,
-                       odd_alternating_cycle_through, perfect_matching,
-                       symmetric_difference_path)
+from .matching import (Matching, MatchingError, alternating_path_to, near_perfect_matching,
+                       odd_alternating_cycle_through, perfect_matching)
 from .placement import Board, Placement, SlideSequence, expose
 from .plans import PlanError
 
@@ -104,40 +107,37 @@ def is_aligned_with(p: Placement, d: EarDecomposition) -> bool:
 # ---------------------------------------------------------------------------
 # greedy ear growth from a central core
 
-def _alternating_ear_from(g: TriGridGraph, m: Matching, inside: Set[int],
+def _alternating_ear_from(g: TriGridGraph, m: Matching, gap: int, inside: Set[int],
                           x: int, y: int) -> Optional[List[int]]:
     """An odd alternating ear x, y, ..., w with w in `inside`, w != x, or
     None.
 
-    The only candidate is the symmetric-difference path of m and a matching
-    exposing y, cut at its first vertex back in `inside`; it is returned if
-    that ear has an odd number of edges and does not end at x.
+    The only candidate is the alternating path from y, which a matching n2
+    of the host exposes, to m's exposed vertex `gap`, cut at its first
+    vertex in `inside` (`gap` is inside, so there is one). It is returned
+    if that ear has an odd number of edges and does not end at x.
     """
     n2 = near_perfect_matching(g, y)
-    if n2 is not None:
-        path = symmetric_difference_path(m, n2, y)
-        trunc = []
-        for w in path:
-            trunc.append(w)
-            if w != y and w in inside:
-                break
-        else:
-            trunc = []
-        if trunc and trunc[-1] in inside and trunc[-1] != x:
-            ok = all(v not in inside for v in trunc[:-1])
-            if ok and len(trunc) % 2 == 1:
-                return [x] + trunc
-    return None
+    if n2 is None:
+        return None
+    path = alternating_path_to(n2, m, y, gap)
+    cut = next(t for t, w in enumerate(path) if w in inside)
+    if cut % 2 == 1 or path[cut] == x:
+        return None
+    return [x] + path[:cut + 1]
 
 
 def grow_ears(g: TriGridGraph, m: Matching, base_vs: Set[int],
               base_es: Set[Edge]) -> List[Tuple[int, ...]]:
     """Absorb the rest of the graph with odd proper ears, then chords.
 
-    Invariant kept throughout: no matching edge crosses the current
-    subgraph boundary, so every new boundary vertex is matched outward and
-    the alternating ear construction applies.
+    m is a nearly perfect matching of the host that exposes a vertex of
+    the base. Invariant kept throughout: no matching edge crosses the
+    current subgraph boundary, so every new boundary vertex is matched
+    outward and the alternating ear construction applies.
     """
+    (gap,) = set(g.vertex_ids) - m.covered
+    assert gap in base_vs, "m must expose a vertex of the base"
     inside = set(base_vs)
     covered = set(base_es)
     ears: List[Tuple[int, ...]] = []
@@ -146,7 +146,7 @@ def grow_ears(g: TriGridGraph, m: Matching, base_vs: Set[int],
                           if y not in inside)
         ear = None
         for x, y in boundary:
-            ear = _alternating_ear_from(g, m, inside, x, y)
+            ear = _alternating_ear_from(g, m, gap, inside, x, y)
             if ear is not None:
                 break
         if ear is None:
@@ -154,10 +154,7 @@ def grow_ears(g: TriGridGraph, m: Matching, base_vs: Set[int],
         ears.append(tuple(ear))
         inside |= set(ear)
         covered |= path_edges(ear)
-    for e in sorted(g.edges - covered):
-        ears.append(e)
-        covered.add(e)
-    return ears
+    return ears + sorted(g.edges - covered)
 
 
 # ---------------------------------------------------------------------------
@@ -193,24 +190,18 @@ def _pentagon_structure(g: TriGridGraph) -> Optional[Tuple[EarDecomposition, Mat
     return None
 
 
-def _diamond_labelings(d: Tuple[int, int, int, int]) -> List[Tuple[int, int, int, int, Edge]]:
+def _diamond_structure(g: TriGridGraph) -> Optional[Tuple[EarDecomposition, Matching]]:
     """For diamond (s1,s2,t1,t2) the outer 4-cycle is t1-s1-t2-s2-t1; each
     outer edge (u,v) yields core path u-x-y-v with (x,y) opposite and the
-    shared edge as the diagonal chord."""
-    s1, s2, t1, t2 = d
-    ring = [t1, s1, t2, s2]
-    out = []
-    for i in range(4):
-        u, v = ring[i], ring[(i + 1) % 4]
-        x, y = ring[(i + 3) % 4], ring[(i + 2) % 4]
-        out.append((u, v, x, y, edge_key(s1, s2)))
-    return out
-
-
-def _diamond_structure(g: TriGridGraph) -> Optional[Tuple[EarDecomposition, Matching]]:
-    for d in enumerate_diamonds(g):
-        for u, v, x, y, diag in _diamond_labelings(d):
-            # core: cycle C through edge (u,v) avoiding x,y; piece on (x,y)
+    shared edge as the diagonal chord. The first core, an odd alternating
+    cycle through (u,v) that avoids x and y plus the piece on (x,y), with
+    its matching; None if no diamond has one."""
+    for s1, s2, t1, t2 in enumerate_diamonds(g):
+        ring = [t1, s1, t2, s2]
+        diag = edge_key(s1, s2)
+        for i in range(4):
+            u, v = ring[i], ring[(i + 1) % 4]
+            x, y = ring[(i + 3) % 4], ring[(i + 2) % 4]
             for o in g.vertex_ids:
                 if o in (x, y):
                     continue

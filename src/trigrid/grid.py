@@ -160,6 +160,8 @@ def build_abstract(num_vertices: int, edge_list: Iterable[Edge], name: str = "")
     for u, v in edges:
         if not (1 <= u <= num_vertices and 1 <= v <= num_vertices):
             raise GridError(f"edge ({u},{v}) out of range")
+        if u == v:
+            raise GridError(f"edge ({u},{v}) is a loop")
     adj = _adjacency(num_vertices, edges)
     if not _connected(adj, adj):
         raise DisconnectedError("abstract graph is disconnected")
@@ -232,10 +234,9 @@ def enumerate_diamonds(g: TriGridGraph) -> List[Tuple[int, int, int, int]]:
         later = sorted((j, e) for e in itertools.combinations(a, 2)
                        for j in on_edge[e] if j > i)
         for j, (s1, s2) in later:
+            # triples sharing (s1, s2) sort by their third vertex, so t1 < t2
             (t1,) = set(a) - {s1, s2}
             (t2,) = set(tris[j]) - {s1, s2}
-            if t1 > t2:
-                t1, t2 = t2, t1
             if not g.has_edge(t1, t2):
                 out.append((s1, s2, t1, t2))
     return out

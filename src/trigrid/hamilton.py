@@ -145,7 +145,8 @@ class ParityDiamond:
     """A diamond (two triangles sharing the edge (a, c); outer vertices b
     and d) positioned on a Hamilton cycle so that the cycle contains
     (a, b) but not (a, c), the subpath p1 from d to a avoiding b has even
-    length, and the subpath p2 from b to c avoiding a has odd length.
+    length, and the subpath p2 from b to c avoiding a has odd length. The
+    arcs do not cross: c is not on p1, nor d on p2.
     """
 
     a: int
@@ -183,7 +184,8 @@ def _parity_labelings(h: HamiltonCycle,
                 continue
             p1 = _arc(h.order, d, a, avoid=b)
             p2 = _arc(h.order, b, c, avoid=a)
-            if (len(p1) - 1) % 2 != 0 or (len(p2) - 1) % 2 != 1:
+            if ((len(p1) - 1) % 2 != 0 or (len(p2) - 1) % 2 != 1
+                    or c in p1 or d in p2):            # arcs that cross
                 continue
             # (b, c) on the cycle makes p2 that one edge: case ii; else case i
             # needs (c, d) on the cycle

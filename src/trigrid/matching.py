@@ -1,5 +1,6 @@
-"""Matching primitives: near-perfect matchings, factor-criticality, and
-alternating paths and odd alternating cycles.
+"""Matching primitives: near-perfect matchings, factor-criticality, odd
+alternating cycles, and `alternating_path_to`, the one walk over the
+symmetric difference of two matchings (expose, ear cycles, ear growth).
 
 Every maximum matching here comes from one exact solver,
 `blossom.max_cardinality_matching`: Edmonds' blossom method in Galil's
@@ -105,45 +106,28 @@ def is_factor_critical(g: TriGridGraph) -> bool:
     return all(near_perfect_matching(g, v) is not None for v in g.vertex_ids)
 
 
-def symmetric_difference_path(m1: Matching, m2: Matching, start: int) -> List[int]:
-    """The component of M1 Δ M2 containing `start`, traced as a vertex path.
-
-    With `start` covered by exactly one of the two matchings, the component
-    is a path that starts with that matching's edge and alternates between
-    the two; it is walked on their partner maps. It is just [start] when
-    no edge of M1 Δ M2 meets `start`, and MatchingError when two do.
-    """
-    a, b = m1.partner(start), m2.partner(start)
-    if a == b:
-        return [start]
-    if a is not None and b is not None:
-        raise MatchingError("symmetric-difference component is not a path")
-    # each vertex the walk reaches holds the edge it came by in one map and
-    # leaves by the other map's edge, which differs, so it lies in M1 Δ M2
-    mate, other = (m1._mate, m2._mate) if b is None else (m2._mate, m1._mate)
-    path = [start]
-    nxt = mate.get(start)
-    while nxt is not None:
-        path.append(nxt)
-        mate, other = other, mate
-        nxt = mate.get(nxt)
-    return path
-
-
 def alternating_path_to(m: Matching, target: Matching, frm: int, to: int) -> List[int]:
     """Even alternating path from the exposed vertex `frm` to `to`.
 
     `target` is a nearly perfect matching exposing `to`, of the host or of
-    a subgraph. The path is the component of M Δ target at `frm`: its
-    edges alternate target/m edges, so every non-matching edge on it is a
-    target edge and lies in target's subgraph. Callers that need many
-    paths in one subgraph look the target matching up once and pass it in.
+    a subgraph. The path is the component of M Δ target at `frm`, walked on
+    the two partner maps from target's edge at `frm`: its edges alternate
+    target/m edges, so every non-matching edge on it is a target edge and
+    lies in target's subgraph. It is just [frm] when `frm` is `to`.
+    Callers that need many paths in one subgraph look the target matching
+    up once and pass it in.
     """
     if m.covers(frm):
         raise MatchingError(f"vertex {frm} is not exposed by the matching")
-    if frm == to:
-        return [frm]
-    path = symmetric_difference_path(m, target, frm)
+    # each vertex the walk reaches holds the edge it came by in one map and
+    # leaves by the other map's edge, which differs, so it lies in M Δ target
+    mate, other = target._mate, m._mate
+    path = [frm]
+    nxt = mate.get(frm)
+    while nxt is not None:
+        path.append(nxt)
+        mate, other = other, mate
+        nxt = mate.get(nxt)
     assert path[-1] == to and len(path) % 2 == 1
     return path
 

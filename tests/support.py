@@ -1,8 +1,8 @@
 """Reference helpers that only tests call: canonical aligned states on a
 cycle, the alignment check on a placement and its matching-based reference,
-the centrality test, an ear decomposition grown from a matching, and the
-orientation of one parity diamond. No planner uses them, so they live with
-the tests.
+the centrality test, an ear decomposition grown from a matching, the
+orientation of one parity diamond, and a host whose only parity labeling
+has crossing arcs. No planner uses them, so they live with the tests.
 """
 
 from typing import Dict, Iterable, Sequence, Tuple
@@ -13,6 +13,13 @@ from trigrid.hamilton import (HamiltonCycle, HamiltonError, ParityDiamond, _best
                               _parity_labelings)
 from trigrid.matching import Matching, odd_alternating_cycle_through, perfect_matching
 from trigrid.placement import Board, Placement, PlacementError
+
+
+# the 9-vertex host whose Hamilton cycle (1, 7, 5, 6, 3, 2, 4, 8, 9) has one
+# parity labeling, a=2, b=4, c=5, d=7, and its p1 (7, 5, 6, 3, 2) passes c
+CROSSING_ARCS_EDGES = [(1, 3), (1, 5), (1, 7), (1, 8), (1, 9), (2, 3), (2, 4), (2, 5),
+                       (2, 7), (3, 6), (3, 7), (3, 9), (4, 5), (4, 8), (5, 6), (5, 7),
+                       (7, 9), (8, 9)]
 
 
 def is_aligned(p: Placement, cycle: Sequence[int]) -> bool:

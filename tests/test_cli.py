@@ -21,6 +21,8 @@ from trigrid.matching import (MatchingError, enumerate_near_perfect_matchings,
                               near_perfect_matching)
 from trigrid.placement import Placement, PlacementError
 
+from support import CROSSING_ARCS_EDGES
+
 
 def _gen(tmp_path, kind, *params):
     out = tmp_path / f"{kind}.graph"
@@ -193,6 +195,37 @@ def test_graph_file_refusals_are_parse_errors(tmp_path, capsys, text, lineno, me
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"parse error: line {lineno}: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"], ["plan", "s.p", "t.p"], ["plan", "s.p", "t.p", "--strategy", "ear"],
+    ["oracle"], ["oracle", "--start", "s.p"]], ids=["check", "plan", "plan-ear", "oracle",
+                                                   "oracle-start"])
+def test_loop_edge_is_refused(tmp_path, capsys, argv):
+    """An abstract graph file with a loop edge is refused with exit 2 and
+    one `refused:` line, before any placement file is read."""
+    gpath = tmp_path / "loop.graph"
+    gpath.write_text("av 1\nav 2\nav 3\nae 1 1\nae 1 2\nae 2 3\nae 1 3\n")
+    capsys.readouterr()
+    assert main([argv[0], str(gpath)] + argv[1:]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "refused: edge (1,1) is a loop\n"
+
+
+def test_hamilton_plan_refuses_host_with_crossing_parity_arcs(tmp_path, capsys):
+    """The host's only parity labeling has crossing arcs: `plan --strategy
+    hamilton` refuses it with exit 2, and the ear planner still plans."""
+    gpath = tmp_path / "crossing.graph"
+    gpath.write_text("".join(f"av {v}\n" for v in range(1, 10))
+                     + "".join(f"ae {u} {v}\n" for u, v in CROSSING_ARCS_EDGES))
+    g = formats.parse_graph(gpath.read_text())
+    start = _write_placement(tmp_path, "s.p", g, sorted(near_perfect_matching(g, 1).edges))
+    target = _write_placement(tmp_path, "t.p", g, sorted(near_perfect_matching(g, 9).edges))
+    argv = ["plan", str(gpath), str(start), str(target), "--out", str(tmp_path / "x.plan")]
+    capsys.readouterr()
+    assert main(argv + ["--strategy", "hamilton"]) == 2
+    assert capsys.readouterr().err == "refused: no parity diamond on the Hamilton cycle\n"
+    assert main(argv + ["--strategy", "ear"]) == 0
 
 
 def test_non_integer_slides_header_is_parse_error(tmp_path):

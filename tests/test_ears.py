@@ -33,6 +33,25 @@ def test_validate_rejects_even_base(pentagon):
         validate_decomposition(pentagon, EarDecomposition((1, 2, 4, 3), ()))
 
 
+@pytest.mark.parametrize("base, ears, message", [
+    ((1, 2, 4, 5, 3), ((2, 1, 3),), "has even length"),
+    ((1, 2, 4, 5, 3), ((3, 3),), "is not proper"),
+    ((1, 2, 3), ((4, 5),), "endpoints not in earlier subgraph"),
+    ((1, 2, 4, 5, 3), ((2, 4, 5, 3),), "interior meets earlier subgraph"),
+    ((1, 2, 4, 5, 3), ((2, 5),), r"ear edge \(2, 5\) missing from graph"),
+    ((1, 2, 4, 5, 3), ((1, 2),), r"ear edge \(1, 2\) repeated"),
+    ((1, 2, 4, 5, 3), ((2, 3),), "does not cover the graph exactly"),
+], ids=["even", "improper", "endpoint-outside", "interior-inside", "missing-edge",
+        "repeated-edge", "uncovered"])
+def test_validate_rejects_bad_ears(pentagon, base, ears, message):
+    """Each ear check of `validate_decomposition` refuses on its own; the
+    pentagon's 5-cycle (1, 2, 4, 5, 3) with the ears (2, 3) and (3, 4) is
+    valid."""
+    validate_decomposition(pentagon, EarDecomposition((1, 2, 4, 5, 3), ((2, 3), (3, 4))))
+    with pytest.raises(EarError, match=message):
+        validate_decomposition(pentagon, EarDecomposition(base, ears))
+
+
 def test_validate_rejects_missing_edge(pentagon):
     with pytest.raises(EarError):
         validate_decomposition(pentagon, EarDecomposition((1, 2, 5), ()))

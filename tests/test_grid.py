@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigrid.grid import (DIRS, DisconnectedError, DuplicatePointError,
-                          EvenOrderError, GridError, NotLatticeError, build_graph,
-                          canonical_point_form, chord_cycle_graph,
+                          EvenOrderError, GridError, NotLatticeError, build_abstract,
+                          build_graph, canonical_point_form, chord_cycle_graph,
                           degree6_vertices, diamond_cycle_graph, generate,
                           hex_with_hole_graph, hexagon_points, hole_count,
                           is_locally_connected, is_star_of_david,
@@ -114,6 +114,14 @@ def test_build_errors():
         build_graph([(0, 0), (0, 0), (1, 0)])
     with pytest.raises(DisconnectedError):
         build_graph([(0, 0), (5, 5), (9, 9)])
+
+
+def test_build_abstract_refuses_a_loop():
+    """A loop edge is refused like an out-of-range one; the triangle
+    without it builds."""
+    assert build_abstract(3, [(1, 2), (2, 3), (1, 3)]).edges == {(1, 2), (2, 3), (1, 3)}
+    with pytest.raises(GridError, match=r"edge \(1,1\) is a loop"):
+        build_abstract(3, [(1, 1), (1, 2), (2, 3), (1, 3)])
 
 
 def _lattice_components(points):

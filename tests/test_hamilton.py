@@ -4,14 +4,14 @@ import networkx as nx
 import pytest
 
 from trigrid.corpus import locally_connected_corpus
-from trigrid.grid import (GridError, TriGridGraph, build_graph, edge_key,
+from trigrid.grid import (GridError, TriGridGraph, build_abstract, build_graph, edge_key,
                           star_of_david_points)
 from trigrid.hamilton import (HamiltonCycle, HamiltonError, _arc, _hamilton_search,
                               enumerate_hamilton_cycles, find_hamilton,
                               find_local_structure, validate_cycle)
 
 from dual_forests import dual_forests
-from support import select_parity
+from support import CROSSING_ARCS_EDGES, select_parity
 
 
 def _brute_cycles(g):
@@ -171,8 +171,20 @@ def test_find_local_structure_corpus():
         assert edge_key(pd.a, pd.c) not in pd.cycle.edges
         assert pd.p1[0] == pd.d and pd.p1[-1] == pd.a and pd.b not in pd.p1
         assert pd.p2[0] == pd.b and pd.p2[-1] == pd.c and pd.a not in pd.p2
+        assert pd.c not in pd.p1 and pd.d not in pd.p2
         assert len(pd.p1) % 2 == 1 and len(pd.p2) % 2 == 0
         assert (pd.case == "ii") == (len(pd.p2) == 2)
+
+
+def test_find_local_structure_rejects_crossing_arcs():
+    """A labeling whose p1 passes through c cannot carry the cycle
+    planner's swaps (its plans failed `rotate`'s alignment check); the
+    host is refused instead."""
+    g = build_abstract(9, CROSSING_ARCS_EDGES)
+    h = find_hamilton(g)
+    assert h.order == (1, 7, 5, 6, 3, 2, 4, 8, 9)
+    with pytest.raises(HamiltonError, match="no parity diamond"):
+        find_local_structure(g, h)
 
 
 def test_find_local_structure_rejects_tiny():

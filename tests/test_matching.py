@@ -7,8 +7,7 @@ from trigrid.grid import (build_abstract, build_graph, diamond_cycle_graph,
 from trigrid.matching import (Matching, MatchingError, alternating_path_to,
                               enumerate_near_perfect_matchings,
                               is_factor_critical, near_perfect_matching,
-                              odd_alternating_cycle_through,
-                              symmetric_difference_path)
+                              odd_alternating_cycle_through)
 
 from support import is_alternating_cycle, is_central
 
@@ -145,40 +144,32 @@ def _component_path(m1, m2, start):
         path.append(nxt[0])
 
 
-def test_symmetric_difference_path_equals_component_walk():
+def test_alternating_path_equals_component_walk():
     """On every pair of nearly perfect matchings of small hosts and every
-    start, the path equals the reference walk, or both find no path."""
+    start, the path from m1's exposed vertex equals the reference walk,
+    and every start m1 covers is refused."""
     hosts = (build_graph([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]),
              _cycle_graph(7), build_graph(hexagon_points(1)))
     refused = 0
     for g in hosts:
         ms = enumerate_near_perfect_matchings(g)
         for m1, m2 in itertools.product(ms, repeat=2):
+            (to,) = set(g.vertex_ids) - m2.covered
             for v in g.vertex_ids:
-                ref = _component_path(m1, m2, v)
-                if ref is None:
+                if m1.covers(v):
                     refused += 1
-                    with pytest.raises(MatchingError, match="not a path"):
-                        symmetric_difference_path(m1, m2, v)
+                    with pytest.raises(MatchingError, match="is not exposed"):
+                        alternating_path_to(m1, m2, v, to)
                 else:
-                    assert symmetric_difference_path(m1, m2, v) == ref
+                    assert alternating_path_to(m1, m2, v, to) == _component_path(m1, m2, v)
     assert refused
 
 
-def test_symmetric_difference_path_from_m1_covered_start():
-    """The case the ear growth uses: `start` covered by m1 and exposed by
-    m2. The path leaves by m1's edge and ends at m1's exposed vertex."""
+def test_alternating_path_ear_growth_roles():
+    """The case the ear growth uses: the walk starts at the vertex a second
+    matching exposes and leaves by the host matching's edge, ending at the
+    host matching's exposed vertex; with the roles swapped it runs back."""
     m1 = Matching(frozenset({(2, 3), (4, 5), (6, 7)}))    # exposes 1
     m2 = Matching(frozenset({(3, 4), (5, 6), (1, 7)}))    # exposes 2
-    assert symmetric_difference_path(m1, m2, 2) == [2, 3, 4, 5, 6, 7, 1]
-    assert symmetric_difference_path(m2, m1, 1) == [1, 7, 6, 5, 4, 3, 2]
-
-
-def test_symmetric_difference_path_not_a_path():
-    """A start that both matchings cover, by different edges, meets two
-    edges of M1 Δ M2: no path starts there."""
-    m1 = Matching(frozenset({(1, 2), (3, 4), (5, 6)}))    # exposes 7
-    m2 = Matching(frozenset({(1, 7), (2, 3), (4, 5)}))    # exposes 6
-    with pytest.raises(MatchingError, match="not a path"):
-        symmetric_difference_path(m1, m2, 1)
-    assert symmetric_difference_path(m1, m2, 7) == [7, 1, 2, 3, 4, 5, 6]
+    assert alternating_path_to(m2, m1, 2, 1) == [2, 3, 4, 5, 6, 7, 1]
+    assert alternating_path_to(m1, m2, 1, 2) == [1, 7, 6, 5, 4, 3, 2]

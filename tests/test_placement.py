@@ -191,6 +191,18 @@ def test_rotation_target_off_cycle():
         rotate(p, cyc, pieces=[(1, (1, 3))])
 
 
+def test_rotate_refuses_misaligned_start_and_gap_off_cycle(pentagon):
+    """`rotate` refuses a start not aligned with the cycle, and a gap
+    target the cycle does not pass through."""
+    tri = (1, 2, 3)
+    aligned = Placement.make(pentagon, [(2, 3), (4, 5)])      # exposed 1
+    assert rotate(aligned, tri, exposed=2).end.exposed == 2
+    with pytest.raises(PlacementError, match="not aligned"):
+        rotate(Placement.make(pentagon, [(2, 4), (3, 5)]), tri, exposed=2)
+    with pytest.raises(PlacementError, match="unreachable"):
+        rotate(aligned, tri, exposed=4)
+
+
 def test_expose(pentagon):
     p = Placement.make(pentagon, [(2, 3), (4, 5)])
     assert p.exposed == 1
