@@ -6,14 +6,13 @@ the file; a file that is not UTF-8 text is one) or a file that cannot be
 read or written, 4 internal invariant failure (a planner that raises a
 placement or matching error, or whose plan fails its replay). Commands
 raise; `main` alone maps each error family to its exit code and one
-stderr line. Set TRIGRID_LOG=1 (any non-empty value) for debug lines on
-stderr, such as a summary of each plan.
+stderr line. Set TRIGRID_LOG=1 (any non-empty value) for a one-line
+summary of each plan on stderr.
 """
 
 import argparse
 import errno
 import io
-import logging
 import os
 import sys
 from collections import Counter
@@ -38,23 +37,7 @@ EXIT_REFUSED = 2
 EXIT_PARSE = 3
 EXIT_INTERNAL = 4
 
-log = logging.getLogger("trigrid")
-
-
 EAR_BRANCHES = ("pentagon-core", "diamond-core", "hamilton", "spare-edge")
-
-
-def _setup_logging() -> None:
-    """With TRIGRID_LOG set, the `trigrid` logger's debug lines go to the
-    stderr of this call."""
-    log.handlers.clear()
-    if os.environ.get("TRIGRID_LOG"):
-        handler = logging.StreamHandler(sys.stderr)
-        handler.setFormatter(logging.Formatter("trigrid: %(message)s"))
-        log.addHandler(handler)
-        log.setLevel(logging.DEBUG)
-    else:
-        log.setLevel(logging.WARNING)
 
 
 def _read(path: str) -> str:
@@ -105,13 +88,14 @@ def _has_admissible_core(g: TriGridGraph) -> bool:
 def cmd_check(args) -> int:
     g = _load_graph(args.graph)
     fc = is_factor_critical(g)
+    tc = is_two_connected(g)
     lc = g.is_lattice and is_locally_connected(g)
     sod = g.is_lattice and is_star_of_david(g)
     deg6 = sorted(degree6_vertices(g)) if g.is_lattice else []
     lines = [
         f"vertices {g.num_vertices}",
         f"edges {len(g.edges)}",
-        f"two_connected {is_two_connected(g)}",
+        f"two_connected {tc}",
         f"factor_critical {fc}",
         f"locally_connected {lc}",
         f"star_of_david {sod}",
@@ -120,7 +104,7 @@ def cmd_check(args) -> int:
     ]
     if lc and not sod:
         lines.append("sufficient_condition locally-connected (cycle planner)")
-    elif fc and is_two_connected(g) and _has_admissible_core(g):
+    elif fc and tc and _has_admissible_core(g):
         lines.append("sufficient_condition factor-critical with admissible "
                      "core (ear planner)")
     else:
@@ -149,8 +133,8 @@ def cmd_plan(args) -> int:
     if not check.ok:
         raise PlanInvariantError(f"produced plan fails verification: {check.message}")
     _write(args.out, formats.serialize_plan(report.strategy, report.sequence))
-    if log.isEnabledFor(logging.DEBUG):
-        line = f"plan strategy {report.strategy} slides {report.slide_count}"
+    if os.environ.get("TRIGRID_LOG"):
+        line = f"trigrid: plan strategy {report.strategy} slides {report.slide_count}"
         if report.strategy == "ear":
             branches = Counter(e.get("kind") or e.get("branch")
                                for e in report.recursion_trace)
@@ -158,7 +142,7 @@ def cmd_plan(args) -> int:
         line += f" cut {report.stats['uncut_slides'] - report.slide_count}"
         line += "".join(f" {k} {report.stats[k]}"
                         for k in ("swaps", "gadgets", "fallbacks"))
-        log.debug(line)
+        print(line, file=sys.stderr)
     print(f"verified {report.slide_count} slides ({report.strategy})",
           file=sys.stderr)
     return EXIT_OK
@@ -278,7 +262,6 @@ _PARSER = build_parser()
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    _setup_logging()
     args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)

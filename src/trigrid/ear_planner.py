@@ -280,7 +280,7 @@ def _clear_chords(p: Placement, cyc: Tuple[int, ...],
 def plan_ear(g: TriGridGraph, p: Placement, q: Placement) -> PlanReport:
     """Full pipeline: find an admissible decomposition, align both ends,
     reconfigure level by level, undo the target alignment."""
-    d, _ = find_admissible(g)
+    d = find_admissible(g)
     planner = _Planner(g, d)
     sp = align_with_ears(p, planner.levels)
     sq = align_with_ears(q, planner.levels)

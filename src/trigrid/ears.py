@@ -217,8 +217,8 @@ def _diamond_structure(g: TriGridGraph) -> Optional[Tuple[EarDecomposition, Matc
     return None
 
 
-def find_admissible(g: TriGridGraph) -> Tuple[EarDecomposition, Matching]:
-    """An admissible decomposition plus a witnessing matching.
+def find_admissible(g: TriGridGraph) -> EarDecomposition:
+    """An admissible decomposition of g.
 
     Searches central pentagon cores first, then diamond-plus-odd-cycle
     cores, and completes either with the greedy ear growth.
@@ -232,7 +232,7 @@ def find_admissible(g: TriGridGraph) -> Tuple[EarDecomposition, Matching]:
     vs, es = core.region(core.levels)
     d = EarDecomposition(core.base, core.ears + tuple(grow_ears(g, m, vs, es)), core.kind)
     validate_decomposition(g, d)
-    return d, m
+    return d
 
 
 # ---------------------------------------------------------------------------

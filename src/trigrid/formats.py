@@ -64,6 +64,7 @@ def serialize_graph(g: TriGridGraph) -> str:
 
 def parse_graph(text: str, name: str = "") -> TriGridGraph:
     points = {}
+    seen = set()
     abstract_vs = []
     abstract_es = []
     for lineno, parts in _records(text):
@@ -72,7 +73,10 @@ def parse_graph(text: str, name: str = "") -> TriGridGraph:
             vid, x, y = _ints(parts[1:], lineno, 3)
             if vid in points:
                 raise ParseError(f"duplicate vertex id {vid}", lineno)
+            if (x, y) in seen:
+                raise ParseError(f"duplicate lattice point ({x}, {y})", lineno)
             points[vid] = (x, y)
+            seen.add((x, y))
         elif tag == "av":
             (vid,) = _ints(parts[1:], lineno, 1)
             abstract_vs.append(vid)

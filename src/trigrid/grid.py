@@ -316,10 +316,6 @@ def _pentagon_points() -> List[Point]:
     return [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]
 
 
-def _hexagon_points() -> List[Point]:
-    return [(0, 0)] + [d for d in DIRS]
-
-
 def hexagon_points(radius: int = 1) -> List[Point]:
     """Filled lattice hexagon of the given radius around the origin."""
     pts = []
@@ -359,9 +355,9 @@ def chord_cycle_graph(n: int, m: int) -> TriGridGraph:
     return build_abstract(k, edges, name=f"chord_cycle({n},{m})")
 
 
-def hex_with_hole_graph(radius: int = 2,
-                        removed: Sequence[Point] = ((1, -1), (-1, 1))) -> TriGridGraph:
-    pts = [p for p in hexagon_points(radius) if tuple(p) not in {tuple(r) for r in removed}]
+def hex_with_hole_graph(radius: int = 2) -> TriGridGraph:
+    """The filled hexagon of the given radius without (1, -1) and (-1, 1)."""
+    pts = [p for p in hexagon_points(radius) if p not in ((1, -1), (-1, 1))]
     return build_graph(pts, name=f"hex_with_hole(r={radius})")
 
 
@@ -389,7 +385,7 @@ def generate(kind: str, **params) -> TriGridGraph:
     if kind == "pentagon":
         return build_graph(_pentagon_points(), name="pentagon")
     if kind == "hexagon":
-        return build_graph(_hexagon_points(), name="hexagon")
+        return build_graph(hexagon_points(1), name="hexagon")
     if kind == "star_of_david":
         return build_graph(star_of_david_points(), name="star_of_david")
     if kind == "diamond_cycle":

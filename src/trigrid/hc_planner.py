@@ -7,7 +7,7 @@ swap needs and never back, rotate once into the target's frame, then undo
 the target-side alignment. Slide counts grow as O(n^3).
 """
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .grid import Edge, TriGridGraph, edge_key, is_locally_connected, is_star_of_david
 from .hamilton import (HamiltonCycle, ParityDiamond, find_hamilton,
@@ -159,8 +159,7 @@ def _nearest_rotation(have: List[int], want: List[int]) -> List[int]:
     return want[shift:] + want[:shift]
 
 
-def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement,
-                  h: Optional[HamiltonCycle] = None) -> PlanReport:
+def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement) -> PlanReport:
     """A verified slide plan from p to q on a locally-connected graph.
 
     Aligns both placements with a Hamilton cycle and pins p's gap at the
@@ -180,8 +179,7 @@ def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement,
         raise PlanError("cycle planner needs a locally-connected graph")
     if g.n == 0:
         return finish_plan(SlideSequence(p, ()), q, "hamilton", [])
-    if h is None:
-        h = find_hamilton(g)
+    h = find_hamilton(g)
     if g.num_vertices < 5:
         turn = rotate(p, h.order, q.exposed)
         return finish_plan(turn, q, "hamilton", [{"phase": "rotate", "cycle": h.order}])

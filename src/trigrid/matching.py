@@ -53,9 +53,6 @@ class Matching:
     def covered(self) -> Set[int]:
         return set(self._mate)
 
-    def partner(self, v: int) -> Optional[int]:
-        return self._mate.get(v)
-
     def covers(self, v: int) -> bool:
         return v in self._mate
 

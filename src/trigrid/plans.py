@@ -4,7 +4,7 @@ transposition memo, and the pentagon building block."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, List, Set, Tuple
 
 from .grid import Edge
 from .placement import (Placement, SlideSequence, cut_loops, replay,
@@ -86,13 +86,11 @@ class Transpositions:
         return gadget
 
 
-def base_pentagon(p: Placement, q: Placement,
-                  edges: Optional[Set[Edge]] = None) -> SlideSequence:
-    """Shortest plan from p to q that slides only along `edges` (default:
-    every edge of the host), by breadth-first search; for small cores such
-    as the pentagon. Raises PlanError if q is unreachable that way."""
-    seq = shortest_slides_within(p, p.graph.edges if edges is None else edges,
-                                 lambda s: s.pieces == q.pieces)
+def base_pentagon(p: Placement, q: Placement, edges: Set[Edge]) -> SlideSequence:
+    """Shortest plan from p to q that slides only along `edges`, by
+    breadth-first search; for small cores such as the pentagon. Raises
+    PlanError if q is unreachable that way."""
+    seq = shortest_slides_within(p, edges, lambda s: s.pieces == q.pieces)
     if seq is None:
         raise PlanError("core target unreachable within region")
     return seq

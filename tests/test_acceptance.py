@@ -99,7 +99,7 @@ def test_criterion_3_diamond_cycle_base():
     worst = {}
     for n in (3, 4, 5):
         g = diamond_cycle_graph(n)
-        d, _ = find_admissible(g)
+        d = find_admissible(g)
         worst[n] = 0
         for _ in range(100):
             p = random_placement(g, rng)
@@ -140,7 +140,7 @@ def test_criterion_5_ear_pipeline_corpus():
     assert corpus
     pairs_done = 0
     for g in corpus:
-        d, _ = find_admissible(g)
+        d = find_admissible(g)
         comp = None
         if g.n <= 11:
             comp = bfs_component(g, random_placement(g, rng))

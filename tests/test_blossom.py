@@ -106,7 +106,7 @@ def test_level_matchings_equal_networkx():
     on each degree-6 corpus host, every level of its admissible core and
     every vertex of that level get networkx's matching."""
     for g in degree6_corpus():
-        d, _ = find_admissible(g)
+        d = find_admissible(g)
         for i in range(1, d.levels + 1):
             vs, es = d.region(i)
             for v in sorted(vs):

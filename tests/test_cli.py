@@ -184,7 +184,9 @@ def test_short_vertex_record_is_parse_error(tmp_path):
     ("v 1 1 0\nv 2 0 0\nv 3 0 1\n", 1,
      "vertex ids must follow lexicographic point order (x, then y)"),
     ("av 1\nav 3\nae 1 3\n", 1, "vertex ids must be dense 1..|V|"),
-], ids=["duplicate-id", "mixed-records", "point-order", "sparse-abstract-ids"])
+    ("v 1 0 0\nv 2 0 0\nv 3 1 0\n", 2, "duplicate lattice point (0, 0)"),
+], ids=["duplicate-id", "mixed-records", "point-order", "sparse-abstract-ids",
+        "duplicate-point"])
 def test_graph_file_refusals_are_parse_errors(tmp_path, capsys, text, lineno, message):
     """`check` refuses a malformed graph file with exit 3 and one
     `parse error: line N: ...` line."""
@@ -255,6 +257,21 @@ def test_plan_refuses_host_without_admissible_core(tmp_path, capsys):
     start = _write_placement(tmp_path, "s.p", g, [(1, 2), (4, 5)])
     assert main(["plan", str(gpath), str(start), str(start)]) == 2
     assert "refused" in capsys.readouterr().err
+
+
+def test_plan_refuses_host_whose_ear_growth_stalls(tmp_path, capsys):
+    """The host has a pentagon core, but no matching exposes vertex 4, so
+    no alternating ear reaches it: the ear planner's growth refuses with
+    exit 2."""
+    gpath = _write_lattice(tmp_path, "stall.graph", [(-2, 0), (-2, 1), (-2, 2), (-1, -1),
+                                                     (-1, 0), (-1, 1), (0, -2)])
+    g = formats.parse_graph(gpath.read_text())
+    start = _write_placement(tmp_path, "s.p", g, sorted(near_perfect_matching(g, 1).edges))
+    target = _write_placement(tmp_path, "t.p", g, sorted(near_perfect_matching(g, 7).edges))
+    capsys.readouterr()
+    assert main(["plan", str(gpath), str(start), str(target), "--strategy", "ear",
+                 "--out", str(tmp_path / "x.plan")]) == 2
+    assert capsys.readouterr().err == "refused: no alternating ear extends the subgraph\n"
 
 
 def test_check_collinear_host(tmp_path, capsys):

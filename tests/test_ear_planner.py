@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from trigrid import matching
 from trigrid.corpus import degree6_corpus
 from trigrid.ear_planner import _Planner, base_diamond_cycle, plan_ear
-from trigrid.ears import align_with_ears, find_admissible
-from trigrid.grid import (DIRS, build_graph, degree6_vertices, diamond_cycle_graph, edge_key,
-                          hex_with_hole_graph, hexagon_points, is_two_connected)
+from trigrid.ears import (EarDecomposition, align_with_ears, find_admissible,
+                          validate_decomposition)
+from trigrid.grid import (DIRS, build_abstract, build_graph, degree6_vertices,
+                          diamond_cycle_graph, edge_key, hex_with_hole_graph, hexagon_points,
+                          is_two_connected)
 from trigrid.matching import enumerate_near_perfect_matchings, is_factor_critical
 from trigrid.oracle import bfs_component
 from trigrid.placement import Placement, replay, verify_sequence
@@ -31,16 +33,31 @@ def test_base_pentagon_all_pairs(pentagon):
     states = _all_states(pentagon)
     for p in states:
         for q in states:
-            seq = base_pentagon(p, q)
+            seq = base_pentagon(p, q, pentagon.edges)
             assert len(seq) <= 8
             rep = verify_sequence(seq, expected_end=q)
             assert rep.ok and rep.matches_expected
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_base_diamond_cycle_bound(n, rng):
-    g = diamond_cycle_graph(n)
-    d, _ = find_admissible(g)
+def _ring_reversed_diamond_cycle():
+    """diamond_cycle(3) relabelled so that its base cycle runs from the
+    diamond's u = 1 to 2, away from its v = 6: `base_diamond_cycle`
+    reverses the ring before it splices in the diamond's path."""
+    g = build_abstract(7, [(1, 2), (1, 6), (1, 7), (2, 3), (3, 5), (4, 6), (4, 7),
+                           (5, 6), (6, 7)])
+    d = EarDecomposition((1, 2, 3, 5, 6), ((1, 7, 4, 6), (6, 7)), kind="diamond_cycle")
+    validate_decomposition(g, d)
+    return g, d
+
+
+@pytest.mark.parametrize("n, host", [(3, None), (4, None), (3, _ring_reversed_diamond_cycle)],
+                         ids=["3", "4", "3-ring-reversed"])
+def test_base_diamond_cycle_bound(n, host, rng):
+    if host is None:
+        g = diamond_cycle_graph(n)
+        d = find_admissible(g)
+    else:
+        g, d = host()
     for _ in range(25):
         p = random_placement(g, rng)
         q = random_placement(g, rng)
@@ -55,7 +72,7 @@ def test_base_diamond_cycle_runs_no_matching_search(n, rng, monkeypatch):
     """The diamond core aligns both ends through its Hamilton cycle's
     forced dominoes: given its decomposition, it never calls the blossom."""
     g = diamond_cycle_graph(n)
-    d, _ = find_admissible(g)
+    d = find_admissible(g)
     assert d.kind == "diamond_cycle"
     pairs = [(random_placement(g, rng), random_placement(g, rng)) for _ in range(10)]
 
@@ -150,7 +167,7 @@ def test_plan_ear_refuses_triangle():
 def test_base_pentagon_goal_outside_edges(pentagon):
     p = Placement.make(pentagon, [(2, 3), (4, 5)])
     q = Placement.make(pentagon, [(1, 2), (4, 5)])
-    assert len(base_pentagon(p, q)) >= 1
+    assert len(base_pentagon(p, q, pentagon.edges)) >= 1
     with pytest.raises(PlanError):
         base_pentagon(p, q, set(pentagon.edges) - {(1, 2)})
 
@@ -286,7 +303,7 @@ def test_transpose_at_every_level(build, kinds):
     diamond_cycle(6)), proper ears and chords, and on both lattice hosts
     some states need the plan(j) fallback."""
     g = build()
-    d, _ = find_admissible(g)
+    d = find_admissible(g)
     rng = random.Random(17)
     seen = set()
     for j in range(3, d.levels + 1):

@@ -7,9 +7,9 @@ from trigrid.grid import (build_abstract, build_graph, cycle_edges, diamond_cycl
                           edge_key, enumerate_diamonds, hex_with_hole_graph,
                           star_of_david_points, triangles)
 from trigrid.ears import (EarDecomposition, EarError, NoAdmissibleError,
-                          LevelMatchings, _fans, align_with_ears,
-                          find_admissible, grow_ears, is_aligned_with, path_edges,
-                          validate_decomposition)
+                          LevelMatchings, _fans, _pentagon_structure,
+                          align_with_ears, find_admissible, grow_ears, is_aligned_with,
+                          path_edges, validate_decomposition)
 from trigrid.matching import enumerate_near_perfect_matchings, near_perfect_matching
 from trigrid.placement import Placement
 
@@ -58,7 +58,7 @@ def test_validate_rejects_missing_edge(pentagon):
 
 
 def test_find_admissible_pentagon(pentagon):
-    d, m = find_admissible(pentagon)
+    d = find_admissible(pentagon)
     assert d.kind == "pentagon"
     validate_decomposition(pentagon, d)
     vs, _ = d.region(d.levels)
@@ -67,7 +67,7 @@ def test_find_admissible_pentagon(pentagon):
 
 def test_find_admissible_diamond_cycle():
     g = diamond_cycle_graph(4)
-    d, m = find_admissible(g)
+    d = find_admissible(g)
     assert d.kind == "diamond_cycle"
     validate_decomposition(g, d)
     vs, _ = d.region(d.levels)
@@ -76,7 +76,7 @@ def test_find_admissible_diamond_cycle():
 
 def test_find_admissible_corpus():
     for g in degree6_corpus():
-        d, m = find_admissible(g)
+        d = find_admissible(g)
         assert d.kind in ("pentagon", "diamond_cycle")
         validate_decomposition(g, d)
         vs, _ = d.region(d.levels)
@@ -104,7 +104,8 @@ def test_ear_decomposition_from_matching(hex7):
 
 
 def test_extend_from_central(hex7):
-    d, m = find_admissible(hex7)
+    d = find_admissible(hex7)
+    _, m = _pentagon_structure(hex7)
     vs, es = d.region(1)
     full = EarDecomposition(d.base, tuple(grow_ears(hex7, m, vs, es)), d.kind)
     assert full.base == d.base and full.kind == d.kind
@@ -115,7 +116,7 @@ def test_extend_from_central(hex7):
 
 def test_align_with_ears(rng):
     for g in degree6_corpus():
-        d, _ = find_admissible(g)
+        d = find_admissible(g)
         levels = LevelMatchings(g, d)            # shared, as within one plan
         for _ in range(5):
             p = random_placement(g, rng)
@@ -128,7 +129,7 @@ def test_level_matchings_are_fresh_matchings():
     """Each table entry is what a fresh `near_perfect_matching` call on the
     level's region returns, and a second lookup returns the same object."""
     g = degree6_corpus(13, 12)[-1]
-    d, _ = find_admissible(g)
+    d = find_admissible(g)
     levels = LevelMatchings(g, d)
     for i in range(1, d.levels + 1):
         vs, es = d.region(i)
@@ -147,7 +148,7 @@ def test_is_aligned_with_every_placement():
     is checked too."""
     seen = set()
     for g in locally_connected_corpus()[:5]:            # pent5 .. hex13
-        full, _ = find_admissible(g)
+        full = find_admissible(g)
         for d in (full, EarDecomposition(full.base, (), full.kind)):
             for m in enumerate_near_perfect_matchings(g):
                 p = Placement.make(g, sorted(m.edges))

@@ -143,7 +143,7 @@ def test_sort_swaps_are_the_fewest_cyclic_inversions(rng):
             want = _label_order(aq, forced_cycle_dominoes(h.order, aq.exposed))
             fewest = min(_inversions(have, want[r:] + want[:r])
                          for r in range(len(want)))
-            rep = plan_hamilton(g, p, q, h)
+            rep = plan_hamilton(g, p, q)
             assert rep.recursion_trace[-1] == {"phase": "sort", "swaps": fewest}
             assert verify_sequence(rep.sequence, expected_end=q).matches_expected
 
@@ -170,7 +170,7 @@ def test_pentagon_swap_searches_once_per_label_order(monkeypatch):
         for _ in range(3):
             p, q = random_placement(g, rng), random_placement(g, rng)
             calls.clear()
-            rep = plan_hamilton(g, p, q, h)
+            rep = plan_hamilton(g, p, q)
             assert len(calls) <= 2 < rep.recursion_trace[-1]["swaps"]
             assert rep.stats["gadgets"] == len(calls)
             assert rep.stats["swaps"] == rep.recursion_trace[-1]["swaps"]
@@ -219,9 +219,8 @@ def test_planner_rotations_match_shortest_slides_within(monkeypatch):
     rng = random.Random(3)
     for g in locally_connected_corpus():
         if g.name in ("para21", "hex23", "para25"):
-            h = find_hamilton(g)
             for _ in range(2):
-                plan_hamilton(g, random_placement(g, rng), random_placement(g, rng), h)
+                plan_hamilton(g, random_placement(g, rng), random_placement(g, rng))
     assert len(calls) > 60
     for p, cycle, exposed, pieces in calls:
         def goal(s):

@@ -115,7 +115,7 @@ def test_matching_partner_map():
     """Partners come from the map built in the disjointness check; it is
     no field, so equality, hashing and repr see only the edges."""
     m = Matching(frozenset({(2, 3), (4, 5)}))
-    assert [m.partner(v) for v in range(1, 6)] == [None, 3, 2, 5, 4]
+    assert [m._mate.get(v) for v in range(1, 6)] == [None, 3, 2, 5, 4]
     assert m.covered == {2, 3, 4, 5}
     assert m.covers(4) and not m.covers(1)
     same = Matching(frozenset({(4, 5), (2, 3)}))

@@ -193,10 +193,13 @@ def test_rotation_target_off_cycle():
 
 def test_rotate_refuses_misaligned_start_and_gap_off_cycle(pentagon):
     """`rotate` refuses a start not aligned with the cycle, and a gap
-    target the cycle does not pass through."""
+    target the cycle does not pass through. A goal for a label off the
+    cycle, already on its edge, changes nothing."""
     tri = (1, 2, 3)
     aligned = Placement.make(pentagon, [(2, 3), (4, 5)])      # exposed 1
     assert rotate(aligned, tri, exposed=2).end.exposed == 2
+    off_cycle_goal = rotate(aligned, tri, exposed=2, pieces=[(2, (4, 5))])
+    assert off_cycle_goal == rotate(aligned, tri, exposed=2)
     with pytest.raises(PlacementError, match="not aligned"):
         rotate(Placement.make(pentagon, [(2, 4), (3, 5)]), tri, exposed=2)
     with pytest.raises(PlacementError, match="unreachable"):
