@@ -17,15 +17,22 @@ ids must fit in a byte, so hosts with more than 256 edges are refused.
 `bfs_component` runs a level-synchronous BFS from one placement. Its
 frontier is grouped by configuration; the tables and next configurations
 of each configuration are built once per search, and each group takes a
-move in one C-level pass over its states. `distance` looks q up in the
-component of p.
+move in one C-level pass over its states (`_level`).
+
+`distance` meets in the middle with the same level step: one search from
+p and one from q, since the inverse of a slide is a slide. Each round
+expands the side with fewer frontier states by one whole level and stops
+at the first new state the other side already holds. Each side then goes
+about half the distance deep, so a reachable q costs a small part of the
+component. An unreachable q costs up to both components, more than one
+`bfs_component`: the search ends only when one side runs out.
 """
 
 import csv
 import math
 from dataclasses import dataclass, field
 from itertools import filterfalse, repeat
-from typing import Dict, IO, List, Optional, Tuple
+from typing import Callable, Dict, IO, List, Optional, Tuple
 
 from .grid import Edge, TriGridGraph, edge_key
 from .matching import enumerate_near_perfect_matchings
@@ -45,11 +52,12 @@ class OracleBudgetError(Exception):
 class Component:
     """One connected component of the slide graph, with BFS distances keyed
     on encoded states. `edges` is the host's sorted edge list, which maps
-    the edge ids in a state back to edges."""
+    the edge ids in a state back to edges; `index` maps them forth."""
 
     start: Placement
     distances: Dict[bytes, int]
     edges: Tuple[Edge, ...] = field(repr=False, compare=False)
+    index: Dict[Edge, int] = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -63,7 +71,7 @@ class Component:
         return self.distance_to(p) is not None
 
     def distance_to(self, p: Placement) -> Optional[int]:
-        key = _key(p, {e: i for i, e in enumerate(self.edges)})
+        key = _key(p, self.index)
         return None if key is None else self.distances.get(key)
 
     def decode(self, s: bytes) -> Tuple[Tuple[Edge, ...], int]:
@@ -74,6 +82,12 @@ class Component:
         return pieces, nv * (nv + 1) // 2 - sum(map(sum, pieces))
 
 
+def _encoding(g: TriGridGraph) -> Tuple[Tuple[Edge, ...], Dict[Edge, int]]:
+    """The host's sorted edge list and its inverse, edge -> id."""
+    edges = tuple(sorted(g.edges))
+    return edges, {e: i for i, e in enumerate(edges)}
+
+
 def _key(p: Placement, index: Dict[Edge, int]) -> Optional[bytes]:
     """Encode p: byte i is the edge id of label i + 1's piece. None if a
     piece is not a host edge."""
@@ -81,28 +95,76 @@ def _key(p: Placement, index: Dict[Edge, int]) -> Optional[bytes]:
     return None if None in ids else bytes(ids)
 
 
-def _moves(g: TriGridGraph, cfg: bytes, edges: Tuple[Edge, ...],
-           index: Dict[Edge, int],
-           tables: Dict[Tuple[int, int], bytes]) -> List[Tuple[bytes, bytes]]:
-    """(table, next configuration) for every slide from configuration cfg.
-    A table depends only on the two edge ids of the slide, so `tables`
-    keeps one per pair for the whole search, not one per move: on `hex13`
-    that is 156 tables instead of 684."""
-    cover = {}
-    for i in cfg:
-        u, v = edges[i]
-        cover[u] = cover[v] = i
-    (x,) = set(g.vertex_ids).difference(cover)
-    out = []
-    for w in g.adj[x]:
-        old, new = cover[w], index[edge_key(w, x)]
-        if (old, new) not in tables:
-            table = bytearray(range(256))
-            table[old] = new
-            tables[old, new] = bytes(table)
-        nxt = bytes(sorted(cfg.replace(bytes([old]), bytes([new]))))
-        out.append((tables[old, new], nxt))
-    return out
+def _start_key(p: Placement, index: Dict[Edge, int]) -> bytes:
+    start = _key(p, index)
+    if start is None:
+        raise ValueError("the start placement has a piece that is not a host edge")
+    return start
+
+
+_Moves = List[Tuple[bytes, bytes]]
+
+
+def _slides(g: TriGridGraph, edges: Tuple[Edge, ...],
+            index: Dict[Edge, int]) -> Callable[[bytes], _Moves]:
+    """A function that gives (table, next configuration) for every slide
+    from a configuration, built once per configuration. A table depends
+    only on the two edge ids of the slide, so one is kept per pair, not
+    one per move: on `hex13` that is 156 tables instead of 684."""
+    tables: Dict[Tuple[int, int], bytes] = {}
+    moves: Dict[bytes, _Moves] = {}
+
+    def moves_of(cfg: bytes) -> _Moves:
+        if cfg in moves:
+            return moves[cfg]
+        cover = {}
+        for i in cfg:
+            u, v = edges[i]
+            cover[u] = cover[v] = i
+        (x,) = set(g.vertex_ids).difference(cover)
+        out = moves[cfg] = []
+        for w in g.adj[x]:
+            old, new = cover[w], index[edge_key(w, x)]
+            if (old, new) not in tables:
+                table = bytearray(range(256))
+                table[old] = new
+                tables[old, new] = bytes(table)
+            nxt = bytes(sorted(cfg.replace(bytes([old]), bytes([new]))))
+            out.append((tables[old, new], nxt))
+        return out
+    return moves_of
+
+
+_Frontier = Dict[bytes, List[bytes]]
+
+
+def _level(frontier: _Frontier, dist: Dict[bytes, int], d: int,
+           moves_of: Callable[[bytes], _Moves],
+           other: Optional[Dict[bytes, int]] = None
+           ) -> Tuple[_Frontier, Optional[int]]:
+    """One BFS level. `frontier` holds the states at depth d - 1, grouped
+    by configuration: every state in a group takes the same slides, each
+    one `bytes.translate` with a shared table. The new states go into dist
+    at depth d and into the returned frontier. If `other` holds a new
+    state s, the level stops there and returns d + other[s] as well."""
+    nxt: _Frontier = {}
+    for cfg, states in frontier.items():
+        for table, cfg2 in moves_of(cfg):
+            # A table is injective on one configuration's states, so a
+            # group yields no duplicates, and dist takes each group's new
+            # states before the next group runs. Probing dist per
+            # successor is the cheap side: a set's difference_update(dist)
+            # would walk all of dist.
+            new = list(filterfalse(dist.__contains__,
+                                   map(bytes.translate, states, repeat(table))))
+            if new:
+                dist.update(dict.fromkeys(new, d))
+                if other:
+                    met = next(filter(other.__contains__, new), None)
+                    if met is not None:
+                        return nxt, d + other[met]
+                nxt.setdefault(cfg2, []).extend(new)
+    return nxt, None
 
 
 def _check_budget(g: TriGridGraph, bound: int) -> None:
@@ -119,37 +181,16 @@ def bfs_component(g: TriGridGraph, p: Placement,
                   vertex_bound: int = DEFAULT_VERTEX_BOUND) -> Component:
     """All placements reachable from p, each with its shortest slide count."""
     _check_budget(g, vertex_bound)
-    edges = tuple(sorted(g.edges))
-    index = {e: i for i, e in enumerate(edges)}
-    start = _key(p, index)
-    if start is None:
-        raise ValueError("the start placement has a piece that is not a host edge")
-    dist: Dict[bytes, int] = {start: 0}
-    # the frontier grouped by configuration: every state in a group takes
-    # the same slides, each one `bytes.translate` with a shared table
+    edges, index = _encoding(g)
+    start = _start_key(p, index)
+    dist = {start: 0}
     frontier = {bytes(sorted(start)): [start]}
-    moves: Dict[bytes, List[Tuple[bytes, bytes]]] = {}
-    tables: Dict[Tuple[int, int], bytes] = {}
+    moves_of = _slides(g, edges, index)
     d = 0
     while frontier:
         d += 1
-        nxt: Dict[bytes, List[bytes]] = {}
-        for cfg, states in frontier.items():
-            if cfg not in moves:
-                moves[cfg] = _moves(g, cfg, edges, index, tables)
-            for table, cfg2 in moves[cfg]:
-                # A table is injective on one configuration's states, so a
-                # group yields no duplicates, and dist takes each group's
-                # new states before the next group runs. Probing dist per
-                # successor is the cheap side: a set's
-                # difference_update(dist) would walk all of dist.
-                new = list(filterfalse(dist.__contains__,
-                                       map(bytes.translate, states, repeat(table))))
-                if new:
-                    dist.update(dict.fromkeys(new, d))
-                    nxt.setdefault(cfg2, []).extend(new)
-        frontier = nxt
-    return Component(p, dist, edges)
+        frontier, _ = _level(frontier, dist, d, moves_of)
+    return Component(p, dist, edges, index)
 
 
 def state_count(g: TriGridGraph) -> int:
@@ -173,11 +214,45 @@ def is_reconfigurable_bruteforce(g: TriGridGraph,
 
 def distance(g: TriGridGraph, p: Placement, q: Placement,
              vertex_bound: int = DEFAULT_VERTEX_BOUND) -> Optional[int]:
-    """Shortest slide count from p to q, or None if unreachable.
+    """Shortest slide count from p to q: 0 if p == q, None if q is not a
+    placement of the host (a piece off it, or pieces that are not a
+    near-perfect matching) or lies in another component.
 
-    Runs the whole `bfs_component` from p, so a call costs the same for
-    every q in the component."""
-    return bfs_component(g, p, vertex_bound).distance_to(q)
+    Meets in the middle: a search from p and one from q share one
+    `_level` step and one set of slide tables. Each round expands the side
+    with fewer frontier states by one whole level d and stops at the first
+    new state s the other side holds, returning d + other[s]. That is a
+    shortest path: before this level, no state of this side at depth
+    <= d - 1 was in the other side, which has searched every depth up to
+    its own k, so the distance is at least d + k, and other[s] <= k.
+
+    A reachable q costs the states within about half the distance of p
+    and of q. An unreachable q costs up to both components, since the
+    search ends only when one side runs out: on `chord_cycle(5, 3)` about
+    twice one `bfs_component`."""
+    _check_budget(g, vertex_bound)
+    edges, index = _encoding(g)
+    start = _start_key(p, index)
+    goal = _key(q, index)
+    # q's side takes slides only if q is n disjoint host edges, as p is
+    if (goal is None or len(goal) != len(start)
+            or len({v for i in goal for v in edges[i]}) != 2 * len(goal)):
+        return None
+    if goal == start:
+        return 0
+    moves_of = _slides(g, edges, index)
+    dists = ({start: 0}, {goal: 0})
+    frontiers = [{bytes(sorted(s)): [s]} for s in (start, goal)]
+    depths = [0, 0]
+    while all(frontiers):
+        sizes = [sum(map(len, f.values())) for f in frontiers]
+        i = int(sizes[1] < sizes[0])
+        depths[i] += 1
+        frontiers[i], met = _level(frontiers[i], dists[i], depths[i],
+                                   moves_of, dists[1 - i])
+        if met is not None:
+            return met
+    return None
 
 
 def export_csv(comp: Component, out: IO[str]) -> None:

@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import time
 from collections import deque
 from itertools import permutations
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from trigrid.corpus import degree6_corpus, locally_connected_corpus
 from trigrid.grid import (DIRS, GridError, build_graph, chord_cycle_graph,
                           diamond_cycle_graph, hexagon_points)
 from trigrid.matching import enumerate_near_perfect_matchings
@@ -165,3 +167,63 @@ def test_placement_off_the_host_is_not_in_the_component(pentagon):
     assert not comp.contains(off)
     with pytest.raises(ValueError):
         bfs_component(pentagon, off)
+
+
+def _oracle_host(name):
+    if name == "diamond_cycle6":
+        return diamond_cycle_graph(6)
+    corpus = degree6_corpus() if name.startswith("deg6") else locally_connected_corpus()
+    return next(g for g in corpus if g.name == name)
+
+
+@pytest.mark.parametrize("host, eccentricity", [("hex11", None), ("deg6-11v-5", None),
+                                                ("diamond_cycle6", 129)])
+def test_distance_matches_the_component_on_the_oracle_hosts(host, eccentricity):
+    """The meet-in-the-middle search against the whole component, on the
+    hosts whose distances the benchmark certifies: seeded pairs, the
+    component's farthest state and p itself."""
+    g = _oracle_host(host)
+    rnd = random.Random(host)
+    for _ in range(3):
+        p = random_placement(g, rnd)
+        comp = bfs_component(g, p)
+        for _ in range(4):
+            q = random_placement(g, rnd)
+            assert distance(g, p, q) == comp.distance_to(q)
+        far = max(comp.distances, key=comp.distances.get)
+        assert distance(g, p, Placement(g, *comp.decode(far))) == comp.eccentricity
+        assert eccentricity in (None, comp.eccentricity)
+        assert distance(g, p, p) == 0
+
+
+def test_distance_to_malformed_or_unreachable_targets(hex7):
+    """A target that is no placement of the host is unreachable, not an
+    error; a start with a piece off the host is an error."""
+    p = Placement.make(hex7, [(1, 2), (3, 4), (5, 7)])
+    assert distance(hex7, p, Placement(hex7, ((1, 2), (3, 4), (5, 99)), 6)) is None
+    # host edges, but overlapping: the search from q must not step it
+    assert distance(hex7, p, Placement(hex7, ((1, 2), (1, 2), (3, 4)), 5)) is None
+    # one piece short
+    assert distance(hex7, p, Placement(hex7, ((1, 2), (3, 4)), 5)) is None
+    with pytest.raises(ValueError):
+        distance(hex7, Placement(hex7, ((1, 2), (3, 4), (5, 99)), 6), p)
+
+
+def test_para15_distances_at_vertex_bound_15():
+    """15 vertices, past the default bound: the distances to three seeded
+    targets match one full BFS from p, which they do not need to run."""
+    g = next(g for g in locally_connected_corpus() if g.name == "para15")
+    rnd = random.Random(1)
+    p = random_placement(g, rnd)
+    t0 = time.perf_counter()
+    comp = bfs_component(g, p, vertex_bound=15)
+    print(f"\npara15: bfs_component {comp.size} states, "
+          f"{time.perf_counter() - t0:.2f} s")
+    for _ in range(3):
+        q = random_placement(g, rnd)
+        t0 = time.perf_counter()
+        d = distance(g, p, q, vertex_bound=15)
+        print(f"para15: distance {d}, {time.perf_counter() - t0:.2f} s")
+        assert d == comp.distance_to(q)
+    with pytest.raises(OracleBudgetError):
+        distance(g, p, p)
