@@ -20,6 +20,22 @@ and no T-blossom ever exists. networkx's least-slack edges, its delta steps
 port leaves them out. It keeps networkx's order and its asserts on the code
 that does run.
 
+Greedy stages: while the last single vertex v (in the dict's order) has a
+single neighbour, the port matches v to the first one, in O(deg v), and
+runs the full stages only from the first v that has none. Each such match
+is the one networkx's stage makes there. A stage starts from the matching
+alone: labels are cleared and every blossom of the last stage is expanded.
+It pops v first, as v is the last single vertex queued. While it scans v's
+list, each matched neighbour w either is free, and becomes T with its mate
+S, or is one of those S-vertices or lies in a blossom made of them: its
+edge then closes a blossom based at v or lies inside one. No other vertex
+is scanned yet, so no other tree grows. The first single neighbour u is an
+S-root of its own tree, and the stage ends with the augmenting path v-u.
+Augmenting through a blossom from its base v changes no edge, so the stage
+only matches v to u. The full stages keep every assert, and the last of
+them, which finds no augmenting path, gives the certificate's duals as
+before.
+
 Input order: the graph is a dict from each vertex to the list of its
 neighbours, with no loops and no repeated edges. Wherever the algorithm has
 a choice it takes candidates in that order: single vertices in the dict's
@@ -290,6 +306,19 @@ def max_cardinality_matching(adj: Dict[int, List[int]]) -> Dict[int, int]:
                 # augment through.
                 assert bt == t
                 mate[j] = s
+
+    # Greedy stages (see the module docstring): while the last single vertex
+    # has a single neighbour, its stage only matches it to the first one.
+    for v in reversed(gnodes):
+        if v in mate:
+            continue
+        for w in adj[v]:
+            if w not in mate:
+                mate[v] = w
+                mate[w] = v
+                break
+        else:
+            break
 
     # Each stage finds one augmenting path, until none is left.
     while 1:

@@ -128,10 +128,9 @@ def cmd_plan(args) -> int:
     p = formats.parse_placement(_read(args.start), g)
     q = formats.parse_placement(_read(args.target), g)
     planner = plan_hamilton if _pick_strategy(g, args.strategy) == "hamilton" else plan_ear
+    # both planners return only through `plans.finish_plan`, which replays
+    # the plan under the four checks and compares its end with q
     report = planner(g, p, q)
-    check = verify_sequence(report.sequence, expected_end=q)
-    if not check.ok:
-        raise PlanInvariantError(f"produced plan fails verification: {check.message}")
     _write(args.out, formats.serialize_plan(report.strategy, report.sequence))
     if os.environ.get("TRIGRID_LOG"):
         line = f"trigrid: plan strategy {report.strategy} slides {report.slide_count}"

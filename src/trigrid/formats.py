@@ -159,8 +159,7 @@ def parse_placement(text: str, g: TriGridGraph) -> Placement:
 # moves and sequences
 
 def serialize_moves(moves: Sequence[SlideMove]) -> str:
-    return "\n".join(f"s {m.label} {m.kept_vertex} {m.dest_vertex}"
-                     for m in moves) + ("\n" if moves else "")
+    return "".join(map("s %d %d %d\n".__mod__, moves))
 
 
 def parse_moves(text: str) -> List[SlideMove]:

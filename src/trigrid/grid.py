@@ -356,7 +356,11 @@ def chord_cycle_graph(n: int, m: int) -> TriGridGraph:
 
 
 def hex_with_hole_graph(radius: int = 2) -> TriGridGraph:
-    """The filled hexagon of the given radius without (1, -1) and (-1, 1)."""
+    """The filled hexagon of the given radius without (1, -1) and (-1, 1).
+    Those two points are holes only from radius 2 on: radius 1 would leave
+    a five-vertex host without a hole, so radius < 2 is refused."""
+    if radius < 2:
+        raise GridError("hex_with_hole requires radius >= 2")
     pts = [p for p in hexagon_points(radius) if p not in ((1, -1), (-1, 1))]
     return build_graph(pts, name=f"hex_with_hole(r={radius})")
 

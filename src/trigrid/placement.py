@@ -159,15 +159,17 @@ class Board:
     """A placement stepped in place: the pieces by label, `owner` holding
     the label covering each vertex (0 where none does), and the exposed
     vertex `gap`. A slide is fixed by its kept vertex: the piece covering
-    it pivots onto the gap. `step` trusts that the kept vertex neighbours
-    the gap; `slide` and `verify_sequence` check every move, by the one
+    it pivots onto the gap. Pieces enter normalised, (min, max), as every
+    library-built `Placement` holds them, and `step` stores each moved
+    piece the same way. `step` trusts that the kept vertex neighbours the
+    gap; `slide` and `verify_sequence` check every move, by the one
     routine `_check_slide`."""
 
     __slots__ = ("graph", "pieces", "owner", "gap")
 
     def __init__(self, p: Placement):
         self.graph = p.graph
-        self.pieces = list(p.pieces)            # unordered ends until `placement`
+        self.pieces = list(p.pieces)
         self.owner = array("H", bytes(2 * (p.graph.num_vertices + 1)))
         for label, (u, v) in enumerate(p.pieces, 1):
             self.owner[u] = self.owner[v] = label
@@ -182,14 +184,13 @@ class Board:
             raise PlacementError(f"vertex {kept} is not covered")
         a, b = self.pieces[label - 1]
         far = b if kept == a else a
-        self.pieces[label - 1] = (kept, gap)
+        self.pieces[label - 1] = (kept, gap) if kept < gap else (gap, kept)
         owner[gap], owner[far] = label, 0
         self.gap = far
         return label
 
     def placement(self) -> Placement:
-        return Placement(self.graph, tuple(edge_key(a, b) for a, b in self.pieces),
-                         self.gap)
+        return Placement(self.graph, tuple(self.pieces), self.gap)
 
     def is_aligned(self, cycle: Sequence[int]) -> bool:
         """True iff cycle is an odd cycle of the host through the gap whose
@@ -408,7 +409,7 @@ def cut_loops(seq: SlideSequence) -> SlideSequence:
             raise PlacementError(f"vertex {kept} is not covered")
         a, b = pieces[label - 1]
         far = b if kept == a else a
-        pieces[label - 1] = (kept, gap)
+        pieces[label - 1] = (kept, gap) if kept < gap else (gap, kept)
         owner[gap], owner[far] = label, 0
         gap = far
         keys.append(owner.tobytes())

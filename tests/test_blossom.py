@@ -58,6 +58,14 @@ def _ordered_graphs(draw):
 @example(([1, 2, 3, 4, 5, 6], [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6)]))
 @example(([3, 1, 2, 6, 4, 5], [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)]))
 @example(([1, 2, 3], []))
+# the greedy stages match 1-2 and stop at 3, whose neighbours are matched;
+# the full stage finds the augmenting path 3-2=1-4 through the pendant 4
+@example(([4, 2, 3, 1], [(1, 2), (2, 3), (3, 1), (1, 4)]))
+# after 1-2, vertex 3 meets 2 and its mate 1 before the single 4: a blossom
+# based at 3, and the augmenting path 3-4 through it
+@example(([4, 3, 2, 1], [(1, 2), (3, 2), (1, 3), (3, 4)]))
+# the last vertex is isolated, so the full stages start from no matching
+@example(([1, 2, 3, 4, 5], [(1, 2), (2, 3), (3, 4)]))
 def test_port_returns_the_networkx_matching(graph):
     nodes, edges = graph
     assert _port_matching(nodes, edges) == _networkx_matching(nodes, edges)

@@ -19,7 +19,7 @@ from trigrid.grid import build_graph, hexagon_points, star_of_david_points
 from trigrid.hc_planner import plan_hamilton
 from trigrid.matching import (MatchingError, enumerate_near_perfect_matchings,
                               near_perfect_matching)
-from trigrid.placement import Placement, PlacementError
+from trigrid.placement import Placement, PlacementError, verify_sequence
 
 from support import CROSSING_ARCS_EDGES
 
@@ -297,6 +297,15 @@ def test_gen_hex_with_hole_removed_param_refused(tmp_path):
                  "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("radius", ["0", "1", "-1"])
+def test_gen_hex_with_hole_radius_below_2_refused(tmp_path, capsys, radius):
+    out = tmp_path / "x"
+    assert main(["gen", "hex_with_hole", "--param", f"radius={radius}",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "refused: hex_with_hole requires radius >= 2\n"
+    assert not out.exists()
+
+
 def test_gen_hexagon_radius_param_refused(tmp_path):
     out = tmp_path / "x"
     assert main(["gen", "hexagon", "--param", "radius=3", "--out", str(out)]) == 2
@@ -390,6 +399,25 @@ def _hex7_plan_argv(tmp_path, strategy):
                               sorted(near_perfect_matching(g, 7).edges, reverse=True))
     return ["plan", str(gpath), str(start), str(target), "--strategy", strategy,
             "--out", str(tmp_path / f"{strategy}.plan")]
+
+
+@pytest.mark.parametrize("strategy", ["ear", "hamilton"])
+def test_plan_replays_once(tmp_path, monkeypatch, strategy):
+    """`plan` replays its plan under the four checks exactly once, in
+    `plans.finish_plan`, which both planners return through."""
+    from trigrid import cli, plans
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return verify_sequence(*args, **kwargs)
+
+    argv = _hex7_plan_argv(tmp_path, strategy)
+    monkeypatch.setattr(plans, "verify_sequence", counted)
+    monkeypatch.setattr(cli, "verify_sequence", counted)
+    assert main(argv) == 0
+    assert len(calls) == 1
 
 
 def test_ear_plan_failing_finish_plan_replay_is_internal_error(tmp_path, capsys,

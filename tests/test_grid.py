@@ -36,6 +36,14 @@ def test_holed_instance_census():
     assert hole_count(g) == 2
 
 
+@pytest.mark.parametrize("radius", [0, 1, -1])
+def test_hex_with_hole_refuses_radius_below_2(radius):
+    """Below radius 2 the two removed points are no holes: radius 1 would
+    leave a five-vertex host and radius 0 a single vertex."""
+    with pytest.raises(GridError, match=r"^hex_with_hole requires radius >= 2$"):
+        hex_with_hole_graph(radius)
+
+
 def _missing_components(points):
     """Holes counted independently of the host's edges: the connected
     components of the lattice points missing from the bounding box (plus a
