@@ -7,7 +7,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .grid import Edge, TriGridGraph, cycle_edges, edge_key
 from .matching import Matching, alternating_path_to
-from .ears import EarDecomposition, LevelMatchings, align_with_ears, find_admissible
+from .ears import EarDecomposition, LevelMatchings, align_with_ears, ear_settled, find_admissible
 from .placement import (Placement, SlideSequence, cut_loops, expose, forced_cycle_dominoes,
                         invert_sequence, replay, rotate)
 from .plans import PlanError, PlanReport, Transpositions, base_pentagon, finish_plan
@@ -25,16 +25,25 @@ class _Planner:
     def plan(self, i: int, p: Placement, q: Placement) -> SlideSequence:
         """Plan p -> q using only edges of G_i; p and q agree outside G_i.
 
-        Above the core, expose the first vertex of ear i on both sides,
-        which aligns the ear, stage the target's ear labels onto the ear if
-        it has an interior (a chord holds no piece), plan level i - 1, and
-        undo the target side's exposing."""
+        A level above the core whose ear is settled (`ear_settled`) in both
+        p and q, with the same labels on its dominoes, needs no slides: p
+        and q then agree outside G_{i-1}, which holds both gaps, so the
+        plan is level i - 1's. At any other level above the core, expose
+        the first vertex of ear i on both sides, which aligns the ear,
+        stage the target's ear labels onto the ear if it has an interior
+        (a chord holds no piece), plan level i - 1, and undo the target
+        side's exposing."""
         if p.pieces == q.pieces and p.exposed == q.exposed:
             return SlideSequence(p, ())
+        if i > 3:
+            at_p = {e: lab for lab, e in enumerate(p.pieces, 1)}
+            at_q = {e: lab for lab, e in enumerate(q.pieces, 1)}
+            while i > 3 and self._settled_alike(self.d.ear(i), at_p, at_q):
+                i -= 1
         if i <= 3:
             if self.d.kind == "pentagon":
                 self.trace.append({"level": i, "kind": "pentagon-core"})
-                return base_pentagon(p, q, self.levels.regions[i][1])
+                return base_pentagon(p, q, self.levels.region(i)[1])
             if self.d.kind == "diamond_cycle":
                 self.trace.append({"level": i, "kind": "diamond-core"})
                 return base_diamond_cycle(p, q, self.d)
@@ -47,11 +56,19 @@ class _Planner:
         mid = self.plan(i - 1, sp.end, sq.end)
         return sp.then(mid).then(invert_sequence(sq))
 
+    @staticmethod
+    def _settled_alike(ear: Tuple[int, ...], at_p: Dict[Edge, int],
+                       at_q: Dict[Edge, int]) -> bool:
+        """True iff the ear is settled in both placements, given as maps
+        from piece to label, with the same label on each of its dominoes."""
+        return (ear_settled(at_p, ear) and ear_settled(at_q, ear)
+                and all(at_p[e] == at_q[e] for e in map(edge_key, ear[1::2], ear[2::2])))
+
     def _stage(self, i: int, cur: Placement, tgt: Placement) -> SlideSequence:
         """With the gap at the first vertex of ear i on both sides, move
         the labels the target holds on the ear onto the same ear edges."""
         ear = self.d.ear(i)
-        vs, _ = self.levels.regions[i]
+        vs, _ = self.levels.region(i)
         q_dominoes = [edge_key(ear[t], ear[t + 1]) for t in range(1, len(ear) - 1, 2)]
         lam = [tgt.label_at(e) for e in q_dominoes]
         assert all(x is not None for x in lam), "target ear is not aligned"
@@ -151,7 +168,7 @@ class _Planner:
         """Non-Hamilton branch: park labels at the far end of the ear
         through a spare matched edge off the cycle."""
         v = ear[0]
-        sub_vs, _ = self.levels.regions[i - 1]
+        sub_vs, _ = self.levels.region(i - 1)
         e1 = edge_key(ppath[-2], ppath[-1])
         e2 = edge_key(ear[-3], ear[-2])
         staging = edge_key(ppath[1], ppath[2])

@@ -8,7 +8,7 @@ from a vertex just outside, cut where it first comes back in."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Container, Dict, List, Optional, Sequence, Set, Tuple
 
 from .grid import Edge, TriGridGraph, cycle_edges, edge_key, enumerate_diamonds
 from .matching import (Matching, MatchingError, alternating_path_to, near_perfect_matching,
@@ -88,20 +88,22 @@ def validate_decomposition(g: TriGridGraph, d: EarDecomposition) -> None:
         raise EarError("decomposition does not cover the graph exactly")
 
 
+def ear_settled(pieces: Container[Edge], ear: Sequence[int]) -> bool:
+    """True iff the pieces on the ear's edges are exactly its interior
+    dominoes (ear[1], ear[2]), (ear[3], ear[4]), ...: its end edges hold no
+    piece, and a chord holds none. `pieces` holds a placement's pieces, as
+    a set or as a map from piece to label."""
+    return all((edge_key(a, b) in pieces) == (t % 2 == 1)
+               for t, (a, b) in enumerate(zip(ear, ear[1:])))
+
+
 def is_aligned_with(p: Placement, d: EarDecomposition) -> bool:
     """Conditions: (a) the placement is aligned with the base cycle
-    (`Board.is_aligned`); (b) each ear alternates with endpoints uncovered
-    by its own matching edges."""
+    (`Board.is_aligned`); (b) every ear is settled (`ear_settled`)."""
     if not Board(p).is_aligned(d.base):
         return False
-    m = p.matching
-    for ear in d.ears:
-        flags = [edge_key(a, b) in m.edges for a, b in zip(ear, ear[1:])]
-        # odd ear, endpoints free: pattern must be 0,1,0,1,...,0
-        want = [t % 2 == 1 for t in range(len(flags))]
-        if flags != want:
-            return False
-    return True
+    pieces = p.matching.edges
+    return all(ear_settled(pieces, ear) for ear in d.ears)
 
 
 # ---------------------------------------------------------------------------
@@ -240,27 +242,35 @@ def find_admissible(g: TriGridGraph) -> EarDecomposition:
 
 class LevelMatchings:
     """One plan's table of the levels of a decomposition: the region G_i of
-    every level, built once, and for each (level, vertex) asked for the
-    nearly perfect matching of G_i that exposes the vertex, computed on
-    first use. The ear planner makes one per plan and drops it with the
-    plan; the cycle planner aligns on its cycle's forced dominoes instead.
+    each level asked for, built on first use, and for each (level, vertex)
+    asked for the nearly perfect matching of G_i that exposes the vertex,
+    computed on first use. The ear planner makes one per plan and drops it
+    with the plan; the cycle planner aligns on its cycle's forced dominoes
+    instead.
 
-    Each matching is `near_perfect_matching` on `d.region(i)`, whose sets
-    are built in the same order on every call; the blossom algorithm's
-    answer depends on that order, so the table returns what a fresh call
-    would.
+    Each region is `d.region(i)`, whose sets are built in the same order on
+    every call, and each matching is `near_perfect_matching` on it; the
+    blossom algorithm's answer depends on that order, so the table returns
+    what a fresh call would.
     """
 
     def __init__(self, g: TriGridGraph, d: EarDecomposition):
         self.g, self.d = g, d
-        self.regions = {i: d.region(i) for i in range(1, d.levels + 1)}
+        self._regions: Dict[int, Tuple[Set[int], Set[Edge]]] = {}
         self._exposing: Dict[Tuple[int, int], Matching] = {}
+
+    def region(self, i: int) -> Tuple[Set[int], Set[Edge]]:
+        """The vertex and edge sets of G_i, as `d.region(i)` builds them."""
+        r = self._regions.get(i)
+        if r is None:
+            r = self._regions[i] = self.d.region(i)
+        return r
 
     def exposing(self, i: int, v: int) -> Matching:
         """The nearly perfect matching of G_i that exposes v."""
         m = self._exposing.get((i, v))
         if m is None:
-            vs, es = self.regions[i]
+            vs, es = self.region(i)
             m = near_perfect_matching(self.g, v, within=vs, edges=es)
             if m is None:
                 raise MatchingError(f"no matching of level {i} exposes vertex {v}")
@@ -276,12 +286,19 @@ class LevelMatchings:
 
 
 def align_with_ears(p: Placement, levels: LevelMatchings) -> SlideSequence:
-    """Expose an endpoint of each ear, last to first, inside the stage
-    subgraph; interior degree-2 forcing then aligns every ear and finally
-    the base cycle."""
+    """Align p with the decomposition, ear by ear from the last: expose the
+    first vertex of ear i inside G_i, whose degree-2 interior then forces
+    the ear's dominoes, and leave the gap in G_{i-1}. An ear above level 3
+    that is settled already (`ear_settled`) is passed over: its interior
+    is covered by its own dominoes, so the gap and the rest of G_i's
+    pieces lie in G_{i-1} as an exposure would leave them. The core's two
+    exposures, at levels 3 and 2, always run; the last one aligns the base
+    cycle."""
     d = levels.d
     seq = SlideSequence(p, ())
     for i in range(d.levels, 1, -1):
+        if i > 3 and ear_settled(frozenset(seq.end.pieces), d.ear(i)):
+            continue
         seq = seq.then(levels.expose(seq.end, i, d.ear(i)[0]))
     assert is_aligned_with(seq.end, d), "alignment postcondition failed"
     return seq

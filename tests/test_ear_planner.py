@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from trigrid import matching
 from trigrid.corpus import degree6_corpus
 from trigrid.ear_planner import _Planner, base_diamond_cycle, plan_ear
-from trigrid.ears import (EarDecomposition, align_with_ears, find_admissible,
+from trigrid.ears import (EarDecomposition, LevelMatchings, align_with_ears, find_admissible,
                           validate_decomposition)
 from trigrid.grid import (DIRS, build_abstract, build_graph, degree6_vertices,
                           diamond_cycle_graph, edge_key, hex_with_hole_graph, hexagon_points,
@@ -172,6 +172,25 @@ def test_base_pentagon_goal_outside_edges(pentagon):
         base_pentagon(p, q, set(pentagon.edges) - {(1, 2)})
 
 
+def test_plan_ear_passes_through_settled_levels(rng):
+    """On hex19, q is an aligned p with the two labels on G_3's edges
+    swapped. Every ear above the core is settled on both sides with the
+    same labels, so the plan stays in G_3 and plans only the core."""
+    g = build_graph(hexagon_points(2))
+    d = find_admissible(g)
+    _, core_edges = d.region(3)
+    for _ in range(3):
+        p = align_with_ears(random_placement(g, rng), LevelMatchings(g, d)).end
+        a, b = [lab for lab in range(1, p.n + 1) if p.piece(lab) in core_edges]
+        pieces = list(p.pieces)
+        pieces[a - 1], pieces[b - 1] = pieces[b - 1], pieces[a - 1]
+        q = Placement(g, tuple(pieces), p.exposed)
+        rep = plan_ear(g, p, q)
+        assert rep.slide_count > 0
+        assert all(edge_key(kept, dest) in core_edges for _, kept, dest in rep.sequence.moves)
+        assert rep.recursion_trace == [{"level": 3, "kind": "pentagon-core"}]
+
+
 def test_plan_ear_matches_each_level_once(monkeypatch, rng):
     """One plan computes the matching of G_i exposing v at most once per
     (level, vertex), however often the recursion re-plans a level. Each
@@ -284,7 +303,7 @@ def _g_j_state(planner, j, rng):
     its gap moved to a random vertex of G_j inside G_j, and two labels
     on edges of G_j."""
     cur = align_with_ears(random_placement(planner.levels.g, rng), planner.levels).end
-    vs, es = planner.levels.regions[j]
+    vs, es = planner.levels.region(j)
     cur = planner.levels.expose(cur, j, rng.choice(sorted(vs))).end
     a, b = rng.sample([x for x in range(1, cur.n + 1) if cur.piece(x) in es], 2)
     return cur, a, b

@@ -4,12 +4,12 @@ import pytest
 
 from trigrid.corpus import degree6_corpus, locally_connected_corpus
 from trigrid.grid import (build_abstract, build_graph, cycle_edges, diamond_cycle_graph,
-                          edge_key, enumerate_diamonds, hex_with_hole_graph,
+                          edge_key, enumerate_diamonds, hex_with_hole_graph, hexagon_points,
                           star_of_david_points, triangles)
 from trigrid.ears import (EarDecomposition, EarError, NoAdmissibleError,
                           LevelMatchings, _fans, _pentagon_structure,
-                          align_with_ears, find_admissible, grow_ears, is_aligned_with,
-                          path_edges, validate_decomposition)
+                          align_with_ears, ear_settled, find_admissible, grow_ears,
+                          is_aligned_with, path_edges, validate_decomposition)
 from trigrid.matching import enumerate_near_perfect_matchings, near_perfect_matching
 from trigrid.placement import Placement
 
@@ -125,15 +125,47 @@ def test_align_with_ears(rng):
             assert is_aligned_with(seq.end, d)
 
 
+def test_align_with_ears_passes_settled_ears(rng):
+    """Aligning a placement that is aligned already slides no piece onto
+    an ear above level 3: each of those ears is settled, so only the
+    core's two exposures run."""
+    for g in degree6_corpus()[-3:] + [build_graph(hexagon_points(2)), hex_with_hole_graph(2)]:
+        d = find_admissible(g)
+        levels = LevelMatchings(g, d)
+        _, core_edges = d.region(3)
+        for _ in range(3):
+            p = align_with_ears(random_placement(g, rng), levels).end
+            seq = align_with_ears(p, levels)
+            assert all(edge_key(kept, dest) in core_edges for _, kept, dest in seq.moves)
+            assert is_aligned_with(seq.end, d)
+
+
+def test_ear_settled_reads_the_ear_pattern():
+    """An odd ear is settled exactly when its pieces are its interior
+    dominoes; a chord is settled exactly when it holds no piece."""
+    ear = (1, 2, 3, 4, 5, 6)
+    assert ear_settled({(2, 3), (4, 5), (7, 8)}, ear)
+    assert not ear_settled({(2, 3)}, ear)                   # (4, 5) missing
+    assert not ear_settled({(1, 2), (3, 4), (5, 6)}, ear)   # end edges held
+    assert not ear_settled({(2, 3), (4, 5), (5, 6)}, ear)
+    assert ear_settled({(2, 3)}, (1, 4))
+    assert not ear_settled({(1, 4)}, (4, 1))
+
+
 def test_level_matchings_are_fresh_matchings():
     """Each table entry is what a fresh `near_perfect_matching` call on the
-    level's region returns, and a second lookup returns the same object."""
+    level's region returns, and a second lookup returns the same object.
+    Each region is built on first use, equals `d.region(i)` and lists its
+    vertices and edges in the same order, which the blossom's answer
+    depends on."""
     g = degree6_corpus(13, 12)[-1]
     d = find_admissible(g)
     levels = LevelMatchings(g, d)
-    for i in range(1, d.levels + 1):
+    for i in range(d.levels, 0, -1):
         vs, es = d.region(i)
-        assert levels.regions[i] == (vs, es)
+        assert levels.region(i) == (vs, es)
+        assert [list(x) for x in levels.region(i)] == [list(vs), list(es)]
+        assert levels.region(i) is levels.region(i)
         for v in sorted(vs):
             m = levels.exposing(i, v)
             assert m == near_perfect_matching(g, v, within=vs, edges=es)
