@@ -29,28 +29,39 @@ CASES = {
     "hex11-hamilton": (_hex11, plan_hamilton,
                        "b6a19d586e91ec88edfae6ae986a0d8d7534caee4674f56a8f3a383091860be5"),
     "deg6-11v-ear": (lambda: degree6_corpus(13, 12)[-1], plan_ear,
-                     "488ba7a5930e964b595b7206616f3d9767eff1fff0354a735f31f77f58d8780e"),
+                     "cb231f283cbf73f9320f744c483e4bf555978e8c37d25d32040fe8ae4890f705"),
     "diamond_cycle6-ear": (lambda: diamond_cycle_graph(6), plan_ear,
                            "38095e4f3cb744e1c4b3b6be19497ae2e7bc9276942ad470e97147d8934df957"),
-    # the two below reach the ear planner's spare-edge branch (`_spare_fill`),
-    # which the cases above never take
     "hex19-ear": (lambda: build_graph(hexagon_points(2)), plan_ear,
-                  "592c1ecb3464e277176d00a1315650683e2b052fcb95e93b0044802e83f3220f"),
+                  "e7609fb61a3f36a2c44d0a96d825dda30695f7b74c3e7b144eeb07b9582dd678"),
     "hex_with_hole2-ear": (lambda: hex_with_hole_graph(2), plan_ear,
-                           "faf464ca0cb1988c74649307565856b8ad28409f16822fd22b25311842663327"),
+                           "c8f600c5db124a83dda22d85a468b3c93b4c2cece15424a189567a7a363a73db"),
 }
+# the cases whose pairs reach the ear planner's spare-edge branch
+# (`_spare_fill`), which the other ear cases never take
+SPARE_EDGE = {"hex19-ear", "hex_with_hole2-ear"}
 
 
-def plan_digest(g, planner, pairs=4):
+def seeded_reports(g, planner, pairs=4):
     rng = random.Random(20260826)
-    h = hashlib.sha256()
+    out = []
     for _ in range(pairs):
         p, q = random_placement(g, rng), random_placement(g, rng)
-        h.update(serialize_moves(planner(g, p, q).sequence.moves).encode())
+        out.append(planner(g, p, q))
+    return out
+
+
+def plan_digest(reports):
+    h = hashlib.sha256()
+    for rep in reports:
+        h.update(serialize_moves(rep.sequence.moves).encode())
     return h.hexdigest()
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_plan_digest(case):
     build, planner, digest = CASES[case]
-    assert plan_digest(build(), planner) == digest
+    reports = seeded_reports(build(), planner)
+    assert plan_digest(reports) == digest
+    branches = {e.get("branch") for rep in reports for e in rep.recursion_trace}
+    assert ("spare-edge" in branches) == (case in SPARE_EDGE)
