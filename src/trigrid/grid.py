@@ -190,12 +190,33 @@ def is_two_connected(g: TriGridGraph) -> bool:
     return True
 
 
+def _one_cyclic_run(mask: int) -> bool:
+    """True iff the set bits of a 6-bit mask form at most one cyclic run."""
+    return sum(1 for k in range(6) if mask >> k & 1 and not mask >> (k - 1) % 6 & 1) <= 1
+
+
+# indexed by a vertex's neighbour mask: bit k is set when the lattice point
+# in direction DIRS[k] is a vertex
+_CONNECTED_NEIGHBOURHOOD = tuple(_one_cyclic_run(mask) for mask in range(64))
+
+
 def is_locally_connected(g: TriGridGraph) -> bool:
-    """True iff every neighborhood induces a connected subgraph."""
-    for v in g.vertex_ids:
-        nbrs = set(g.adj[v])
-        sub_adj = {u: tuple(w for w in g.adj[u] if w in nbrs) for u in nbrs}
-        if not _connected(nbrs, sub_adj):
+    """True iff every neighborhood induces a connected subgraph.
+
+    Two lattice neighbours of a vertex are adjacent exactly when their
+    directions are consecutive in DIRS, cyclically, so a neighbourhood is
+    connected exactly when its directions form one cyclic run. Raises
+    NotLatticeError on an abstract host.
+    """
+    if not g.is_lattice:
+        raise NotLatticeError("abstract graph has no lattice neighbourhoods")
+    pset = set(g.points)
+    for x, y in g.points:
+        mask = 0
+        for k, (dx, dy) in enumerate(DIRS):
+            if (x + dx, y + dy) in pset:
+                mask |= 1 << k
+        if not _CONNECTED_NEIGHBOURHOOD[mask]:
             return False
     return True
 

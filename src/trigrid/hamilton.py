@@ -7,10 +7,9 @@ cycle.
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import FrozenSet, Iterator, List, Sequence, Set, Tuple
+from typing import FrozenSet, Iterator, Sequence, Set, Tuple
 
-from .grid import (Edge, GridError, TriGridGraph, cartesian, cycle_edges, edge_key,
-                   enumerate_diamonds, is_star_of_david)
+from .grid import Edge, GridError, TriGridGraph, cartesian, cycle_edges, is_star_of_david
 from .plans import PlanError
 
 
@@ -159,62 +158,23 @@ class ParityDiamond:
     p2: Tuple[int, ...]          # vertex path b -> c, odd edge count
 
 
-def _arc(order: Sequence[int], frm: int, to: int, avoid: int) -> Tuple[int, ...]:
-    """The cycle arc from `frm` to `to` not passing through `avoid`: the
-    forward arc if it avoids it, else the backward one, both sliced from
-    the cycle turned to start at `frm`."""
-    i = order.index(frm)
-    ring = tuple(order[i:]) + tuple(order[:i])
-    j = ring.index(to)
-    for path in (ring[:j + 1], ring[:1] + ring[:j - 1:-1]):
-        if avoid not in path:
-            return path
-    raise HamiltonError("both arcs pass through the avoided vertex")
-
-
-def _parity_labelings(h: HamiltonCycle,
-                      diamond: Tuple[int, int, int, int]) -> List[ParityDiamond]:
-    """All labelings of the diamond satisfying the parity conditions."""
-    s1, s2, t1, t2 = diamond
-    out = []
-    for a, c in ((s1, s2), (s2, s1)):
-        for b, d in ((t1, t2), (t2, t1)):
-            he = h.edges
-            if edge_key(a, b) not in he or edge_key(a, c) in he:
-                continue
-            p1 = _arc(h.order, d, a, avoid=b)
-            p2 = _arc(h.order, b, c, avoid=a)
-            if ((len(p1) - 1) % 2 != 0 or (len(p2) - 1) % 2 != 1
-                    or c in p1 or d in p2):            # arcs that cross
-                continue
-            # (b, c) on the cycle makes p2 that one edge: case ii; else case i
-            # needs (c, d) on the cycle
-            if len(p2) == 2:
-                case = "ii"
-            elif edge_key(c, d) in he:
-                case = "i"
-            else:
-                continue
-            out.append(ParityDiamond(a, b, c, d, h, case, p1, p2))
-    return out
-
-
-def _scan(g: TriGridGraph, h: HamiltonCycle) -> List[ParityDiamond]:
-    found = []
-    for diamond in enumerate_diamonds(g):
-        found.extend(_parity_labelings(h, diamond))
-    return found
-
-
-def _best(cands: List[ParityDiamond]) -> ParityDiamond:
-    return min(cands, key=lambda pd: (len(pd.p1), len(pd.p2), (pd.a, pd.b, pd.c, pd.d)))
-
-
 def find_local_structure(g: TriGridGraph, h: HamiltonCycle) -> ParityDiamond:
     """The parity diamond on the given Hamilton cycle with the shortest p1,
     then the shortest p2 (ties broken by vertex labels); its `cycle` is h.
     Each adjacent swap of the cycle planner rotates over p1, and a p1 of
     three vertices makes the swap a five-vertex search.
+
+    Every labeling is walked from its cycle edge (a, b): c is a common
+    neighbour of a and b, and d a common neighbour of a and c other than b
+    and not adjacent to b. With r(v) the steps from a to v along the cycle
+    in b's direction, p2 is the arc r = 1 .. r(c) from b to c and p1 the
+    arc r = r(d) .. k from d round to a, on a cycle of k vertices (k odd).
+    So p2 has r(c) - 1 edges and p1 k - r(d): r(c) must be even and r(d)
+    odd. Case ii is r(c) = 2, p2 the edge (b, c); case i is (c, d) on the
+    cycle with the arcs apart, r(d) = r(c) + 1. Both put d after c, so
+    the arcs never cross (they cross exactly when r(d) < r(c)), and (a, c)
+    is on the cycle only at r(c) = k - 1, with no room for d after it.
+    Only the winner's paths are built.
 
     Raises HamiltonError below five vertices and when no diamond on h
     meets the parity conditions.
@@ -222,7 +182,31 @@ def find_local_structure(g: TriGridGraph, h: HamiltonCycle) -> ParityDiamond:
     if g.num_vertices < 5:
         raise HamiltonError("graph too small for the diamond structure")
     validate_cycle(g, h)
-    cands = _scan(g, h)
-    if not cands:
+    order = h.order
+    k = len(order)
+    pos = {v: i for i, v in enumerate(order)}
+    nbrs = {v: set(g.adj[v]) for v in order}
+    best = None
+    for i, a in enumerate(order):
+        for s in (1, -1):
+            b = order[(i + s) % k]
+            for c in nbrs[a] & nbrs[b]:
+                rc = (pos[c] - i) * s % k
+                if rc % 2:                              # p2 needs an odd edge count
+                    continue
+                for d in nbrs[a] & nbrs[c]:
+                    if d == b or d in nbrs[b]:
+                        continue
+                    rd = (pos[d] - i) * s % k
+                    if not (rd == rc + 1 or (rc == 2 and rd % 2)):
+                        continue
+                    key = (k - rd, rc, (a, b, c, d), s)
+                    if best is None or key < best:
+                        best = key
+    if best is None:
         raise HamiltonError("no parity diamond on the Hamilton cycle")
-    return _best(cands)
+    p1_edges, rc, (a, b, c, d), s = best
+    i = pos[a]
+    p1 = tuple(order[(i + s * r) % k] for r in range(k - p1_edges, k + 1))
+    p2 = tuple(order[(i + s * r) % k] for r in range(1, rc + 1))
+    return ParityDiamond(a, b, c, d, h, "ii" if rc == 2 else "i", p1, p2)

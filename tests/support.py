@@ -1,16 +1,17 @@
 """Reference helpers that only tests call: canonical aligned states on a
 cycle, the alignment check on a placement and its matching-based reference,
 the centrality test, an ear decomposition grown from a matching, the
-orientation of one parity diamond, and a host whose only parity labeling
-has crossing arcs. No planner uses them, so they live with the tests.
+neighbourhood search that defines local connectivity, the scan over every
+diamond labeling that defines the parity diamond, the orientation of one
+parity diamond, and a host whose only parity labeling has crossing arcs.
+No planner uses them, so they live with the tests.
 """
 
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from trigrid.ears import EarDecomposition, EarError, grow_ears, validate_decomposition
-from trigrid.grid import Edge, TriGridGraph, cycle_edges, edge_key
-from trigrid.hamilton import (HamiltonCycle, HamiltonError, ParityDiamond, _best,
-                              _parity_labelings)
+from trigrid.grid import Edge, TriGridGraph, cycle_edges, edge_key, enumerate_diamonds
+from trigrid.hamilton import HamiltonCycle, HamiltonError, ParityDiamond
 from trigrid.matching import Matching, odd_alternating_cycle_through, perfect_matching
 from trigrid.placement import Board, Placement, PlacementError
 
@@ -92,12 +93,84 @@ def ear_decomposition(g: TriGridGraph, m: Matching) -> EarDecomposition:
     return d
 
 
+def neighbourhoods_connected(g: TriGridGraph) -> bool:
+    """The definition of local connectivity: a depth-first search over the
+    subgraph each vertex's neighbours induce reaches all of them."""
+    for v in g.vertex_ids:
+        nbrs = set(g.adj[v])
+        seen = set()
+        stack = list(nbrs)[:1]
+        while stack:
+            u = stack.pop()
+            if u not in seen:
+                seen.add(u)
+                stack.extend(w for w in g.adj[u] if w in nbrs)
+        if seen != nbrs:
+            return False
+    return True
+
+
+def arc(order: Sequence[int], frm: int, to: int, avoid: int) -> Tuple[int, ...]:
+    """The cycle arc from `frm` to `to` not passing through `avoid`: the
+    forward arc if it avoids it, else the backward one, both sliced from
+    the cycle turned to start at `frm`."""
+    i = order.index(frm)
+    ring = tuple(order[i:]) + tuple(order[:i])
+    j = ring.index(to)
+    for path in (ring[:j + 1], ring[:1] + ring[:j - 1:-1]):
+        if avoid not in path:
+            return path
+    raise HamiltonError("both arcs pass through the avoided vertex")
+
+
+def parity_labelings(h: HamiltonCycle,
+                     diamond: Tuple[int, int, int, int]) -> List[ParityDiamond]:
+    """All labelings of the diamond satisfying the parity conditions."""
+    s1, s2, t1, t2 = diamond
+    out = []
+    for a, c in ((s1, s2), (s2, s1)):
+        for b, d in ((t1, t2), (t2, t1)):
+            he = h.edges
+            if edge_key(a, b) not in he or edge_key(a, c) in he:
+                continue
+            p1 = arc(h.order, d, a, avoid=b)
+            p2 = arc(h.order, b, c, avoid=a)
+            if ((len(p1) - 1) % 2 != 0 or (len(p2) - 1) % 2 != 1
+                    or c in p1 or d in p2):            # arcs that cross
+                continue
+            # (b, c) on the cycle makes p2 that one edge: case ii; else case i
+            # needs (c, d) on the cycle
+            if len(p2) == 2:
+                case = "ii"
+            elif edge_key(c, d) in he:
+                case = "i"
+            else:
+                continue
+            out.append(ParityDiamond(a, b, c, d, h, case, p1, p2))
+    return out
+
+
+def scan_parity_diamonds(g: TriGridGraph, h: HamiltonCycle) -> List[ParityDiamond]:
+    """Every parity diamond on h, labeling by labeling over
+    `enumerate_diamonds`."""
+    found = []
+    for diamond in enumerate_diamonds(g):
+        found.extend(parity_labelings(h, diamond))
+    return found
+
+
+def best_parity_diamond(cands: List[ParityDiamond]) -> ParityDiamond:
+    """The candidate `find_local_structure` picks: the shortest p1, then the
+    shortest p2, then the smallest (a, b, c, d)."""
+    return min(cands, key=lambda pd: (len(pd.p1), len(pd.p2), (pd.a, pd.b, pd.c, pd.d)))
+
+
 def select_parity(h: HamiltonCycle,
                   diamond: Tuple[int, int, int, int]) -> ParityDiamond:
     """Orient a qualifying diamond so the two cycle subpaths have the
     required parities; exactly the right orientation exists because the
     cycle has odd length."""
-    cands = _parity_labelings(h, diamond)
+    cands = parity_labelings(h, diamond)
     if not cands:
         raise HamiltonError("diamond does not meet the parity conditions")
-    return _best(cands)
+    return best_parity_diamond(cands)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trigrid.grid import (DIRS, DisconnectedError, DuplicatePointError,
@@ -11,6 +11,8 @@ from trigrid.grid import (DIRS, DisconnectedError, DuplicatePointError,
                           hex_with_hole_graph, hexagon_points, hole_count,
                           is_locally_connected, is_star_of_david,
                           is_two_connected, star_of_david_points, triangles)
+
+from support import neighbourhoods_connected
 
 TRIANGLE = [(0, 0), (1, 0), (0, 1)]
 
@@ -201,6 +203,37 @@ def test_locally_connected():
     assert is_locally_connected(build_graph(TRIANGLE))
     assert is_locally_connected(build_graph(star_of_david_points()))
     assert is_locally_connected(build_graph(hexagon_points(1)))
+
+
+def test_locally_connected_refuses_abstract_hosts():
+    with pytest.raises(NotLatticeError):
+        is_locally_connected(chord_cycle_graph(4, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rnd=st.randoms(use_true_random=False))
+def test_locally_connected_equals_neighbourhood_search(rnd):
+    """The direction-mask table agrees with a search of each induced
+    neighbourhood on random grown and punched polyhexes."""
+    try:
+        g = build_graph(_random_points(rnd))
+    except GridError:
+        assume(False)
+    assert is_locally_connected(g) == neighbourhoods_connected(g)
+
+
+def test_locally_connected_sees_both_answers():
+    """The random hosts of the test above hold both answers often."""
+    rng = random.Random(20261019)
+    answers = []
+    while len(answers) < 200:
+        try:
+            g = build_graph(_random_points(rng))
+        except GridError:
+            continue
+        answers.append(is_locally_connected(g))
+        assert answers[-1] == neighbourhoods_connected(g)
+    assert 20 <= sum(answers) <= 180
 
 
 def test_star_of_david_detection():

@@ -6,12 +6,13 @@ import pytest
 from trigrid.corpus import locally_connected_corpus
 from trigrid.grid import (GridError, TriGridGraph, build_abstract, build_graph, edge_key,
                           star_of_david_points)
-from trigrid.hamilton import (HamiltonCycle, HamiltonError, _arc, _hamilton_search,
+from trigrid.hamilton import (HamiltonCycle, HamiltonError, _hamilton_search,
                               enumerate_hamilton_cycles, find_hamilton,
                               find_local_structure, validate_cycle)
 
 from dual_forests import dual_forests
-from support import CROSSING_ARCS_EDGES, select_parity
+from support import (CROSSING_ARCS_EDGES, arc, best_parity_diamond, scan_parity_diamonds,
+                     select_parity)
 
 
 def _brute_cycles(g):
@@ -200,6 +201,23 @@ def test_local_structure_keeps_cycle(hex7):
         assert find_local_structure(hex7, h).cycle == h
 
 
+def test_find_local_structure_equals_the_labeling_scan():
+    """On up to 300 Hamilton cycles of every corpus host of at most 19
+    vertices, and on the crossing-arcs host, the position walk returns the
+    diamond that the scan over every diamond labeling picks, or both find
+    none."""
+    hosts = [g for g in locally_connected_corpus() if g.num_vertices <= 19]
+    hosts += [build_abstract(9, CROSSING_ARCS_EDGES)]
+    for g in hosts:
+        for h in itertools.islice(enumerate_hamilton_cycles(g), 300):
+            cands = scan_parity_diamonds(g, h)
+            if not cands:
+                with pytest.raises(HamiltonError, match="no parity diamond"):
+                    find_local_structure(g, h)
+                continue
+            assert find_local_structure(g, h) == best_parity_diamond(cands), (g.name, h)
+
+
 def _arc_walk(order, frm, to, avoid):
     """Walk the cycle from `frm` forwards, then backwards, until `to`;
     the first walk that misses `avoid`, or None."""
@@ -224,6 +242,6 @@ def test_arc_matches_walk_on_corpus_cycles():
             want = _arc_walk(order, frm, to, avoid)
             if want is None:
                 with pytest.raises(HamiltonError):
-                    _arc(order, frm, to, avoid)
+                    arc(order, frm, to, avoid)
             else:
-                assert _arc(order, frm, to, avoid) == want
+                assert arc(order, frm, to, avoid) == want

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from trigrid.corpus import locally_connected_corpus
 from trigrid.grid import (build_graph, cycle_edges, edge_key, hexagon_points,
                           star_of_david_points)
-from trigrid.hamilton import _scan, find_hamilton, find_local_structure
+from trigrid.hamilton import find_hamilton, find_local_structure
 from trigrid.hc_planner import (_label_order, _swap_special, align_with_hamilton,
                                 plan_hamilton, swap_adjacent, turning_frame)
 from trigrid.placement import (Placement, forced_cycle_dominoes, rotate,
@@ -16,7 +16,7 @@ from trigrid.placement import (Placement, forced_cycle_dominoes, rotate,
 from trigrid.plans import PlanError, PlanInvariantError, Transpositions, base_pentagon
 
 from conftest import random_placement
-from support import is_aligned
+from support import is_aligned, scan_parity_diamonds
 
 
 @settings(max_examples=100, deadline=None)
@@ -103,7 +103,7 @@ def test_swap_adjacent_is_transposition(rng):
 def _diamonds(name):
     """Every parity diamond on the Hamilton cycle of a corpus host."""
     g = next(g for g in locally_connected_corpus() if g.name == name)
-    return g, _scan(g, find_hamilton(g))
+    return g, scan_parity_diamonds(g, find_hamilton(g))
 
 
 @settings(max_examples=100, deadline=None)
