@@ -3,14 +3,15 @@ decompositions: align both placements, then reconfigure level by level."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from typing import Dict, List, Optional, Set, Tuple
 
 from .grid import Edge, TriGridGraph, cycle_edges, edge_key
 from .matching import Matching, alternating_path_to
 from .ears import EarDecomposition, LevelMatchings, align_with_ears, ear_settled, find_admissible
-from .placement import (Placement, SlideSequence, cut_loops, expose, forced_cycle_dominoes,
-                        invert_sequence, replay, rotate)
-from .plans import PlanError, PlanReport, Transpositions, base_pentagon, finish_plan
+from .placement import (Placement, SlideMove, SlideSequence, cut_loops, expose,
+                        forced_cycle_dominoes, invert_sequence, replay, rotate)
+from .plans import PlanError, PlanReport, Transpositions, finish_plan
 
 
 class _Planner:
@@ -217,6 +218,49 @@ class _Planner:
                 assert seq.end.piece(nxt) == w1
                 seq = seq.then(self._swap(i, seq.end, a, nxt))
         return seq.then(rotate(seq.end, cyc, v, [(lam[0], dominoes[0])]))
+
+
+def base_pentagon(p: Placement, q: Placement, edges: Set[Edge]) -> SlideSequence:
+    """Shortest plan from p to q that slides only along `edges`, host edges
+    such as the pentagon core's, by breadth-first search; raises PlanError
+    if q is unreachable that way.
+
+    A slide is expanded only when its piece and its landing edge both lie
+    in `edges`, so pieces off `edges` never move. Each state is its tuple
+    of pieces, its gap and a vertex -> label map of the pieces on `edges`;
+    its slides are read from the gap's neighbours across `edges` in
+    `legal_moves` order (by label, then kept vertex), and the search stops
+    at the first state holding q's pieces, the one a search over
+    `legal_moves` and `slide` reaches first.
+    """
+    goal = q.pieces
+    if p.pieces == goal:
+        return SlideSequence(p, ())
+    nbrs: Dict[int, List[int]] = {}
+    for a, b in edges:
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    owner = {v: label for label, e in enumerate(p.pieces, 1) if e in edges for v in e}
+    seen = {p.pieces}
+    frontier = deque([(p.pieces, p.exposed, owner, ())])
+    while frontier:
+        pieces, gap, owner, moves = frontier.popleft()
+        for label, kept in sorted((owner[w], w) for w in nbrs.get(gap, ()) if w in owner):
+            a, b = pieces[label - 1]
+            far = b if kept == a else a
+            landing = (kept, gap) if kept < gap else (gap, kept)
+            nxt = pieces[:label - 1] + (landing,) + pieces[label:]
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            path = moves + (SlideMove(label, kept, gap),)
+            if nxt == goal:
+                return SlideSequence(p, path, q)
+            nowner = dict(owner)
+            nowner[gap] = label
+            del nowner[far]
+            frontier.append((nxt, far, nowner, path))
+    raise PlanError("core target unreachable within region")
 
 
 def base_diamond_cycle(p: Placement, q: Placement, d: EarDecomposition) -> SlideSequence:

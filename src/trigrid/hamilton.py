@@ -161,8 +161,8 @@ class ParityDiamond:
 def find_local_structure(g: TriGridGraph, h: HamiltonCycle) -> ParityDiamond:
     """The parity diamond on the given Hamilton cycle with the shortest p1,
     then the shortest p2 (ties broken by vertex labels); its `cycle` is h.
-    Each adjacent swap of the cycle planner rotates over p1, and a p1 of
-    three vertices makes the swap a five-vertex search.
+    Each adjacent swap of the cycle planner rotates over p1, so its gadget
+    grows with p1: 5 slides for a p1 of three vertices, 2m + 4 for m > 3.
 
     Every labeling is walked from its cycle edge (a, b): c is a common
     neighbour of a and b, and d a common neighbour of a and c other than b

@@ -15,8 +15,7 @@ from .hamilton import (HamiltonCycle, ParityDiamond, find_hamilton,
 from .matching import Matching
 from .placement import (Placement, SlideSequence, expose, forced_cycle_dominoes,
                         invert_sequence, replay, rotate)
-from .plans import (PlanError, PlanInvariantError, PlanReport, Transpositions,
-                    base_pentagon, finish_plan)
+from .plans import PlanError, PlanInvariantError, PlanReport, Transpositions, finish_plan
 
 
 def align_with_hamilton(p: Placement, h: HamiltonCycle) -> SlideSequence:
@@ -72,15 +71,19 @@ def turning_frame(pd: ParityDiamond) -> TurningFrame:
 def _swap_special(cur: Placement, frame: TurningFrame, memo: Transpositions) -> SlideSequence:
     """Exchange the labels on the two swap dominoes; gap stays at c.
 
-    Short even side (two edges): the five vertices a, b, c, d and the
-    inner vertex of p1 form a pentagon, solved by `base_pentagon` on the
-    edges among them. Slides are label-blind and the search breaks ties
-    by label, so its kept vertices depend only on the unlabeled pieces
-    and on which of the two labels is smaller: that is its key in `memo`,
-    and later swaps on the same state replay it. Longer even side: slide
-    the (a, b) piece to (b, c), rotate the p1 + (a, d) cycle one notch,
-    then rotate the p1 + (a, b), (b, c), (c, d) cycle back to the
-    swapped state.
+    One construction for every diamond: slide the (a, b) piece onto
+    (b, c), rotate the p1 + (a, d) cycle until the lower label sits on
+    (d, p1[1]), then rotate the p1 + (a, b), (b, c), (c, d) cycle to the
+    swapped state. A p1 of three vertices makes these a triangle, on which
+    nothing turns, and a 5-cycle: 5 slides, as short as any swap inside
+    those five vertices. A longer p1 of m vertices takes 2m + 4 slides.
+
+    The build goes through `memo` under the unlabeled pieces and which of
+    the two labels is smaller, as `rotate` breaks ties by label; later
+    swaps on the same state replay its kept vertices. On a p1 of three
+    vertices no other label is on the two cycles, so a replay equals a
+    fresh build; on a longer p1 a tie may turn on a third label, and the
+    replay then takes the other, equally long, direction to the same end.
     """
     pd = frame.pd
     a, b, c, d = pd.a, pd.b, pd.c, pd.d
@@ -89,20 +92,15 @@ def _swap_special(cur: Placement, frame: TurningFrame, memo: Transpositions) -> 
     lo = cur.label_at(frame.dominoes[frame.i_v])
     assert hi is not None and lo is not None
 
-    if len(pd.p1) == 3:
-        def search(target: Placement) -> SlideSequence:
-            vs = {a, b, c, d, pd.p1[1]}
-            es = {edge_key(x, y) for x in vs for y in vs
-                  if x < y and cur.graph.has_edge(x, y)}
-            return base_pentagon(cur, target, es)
-        return memo(cur, hi, lo, (frozenset(cur.pieces), hi < lo), search)
-    v1, v2, v3 = pd.p1[-2], pd.p1[-3], pd.p1[1]
-    s1 = replay(cur, (b,))                     # the (a, b) piece onto (b, c)
-    cyc_a = pd.p1                              # d .. a, closed by (a, d)
-    s2 = rotate(s1.end, cyc_a, a, [(lo, edge_key(d, v3))])
-    cyc_b = pd.p1 + (b, c)                     # d .. a, b, c, closed by (c, d)
-    s3 = rotate(s2.end, cyc_b, c, [(hi, edge_key(v1, v2)), (lo, edge_key(a, b))])
-    return s1.then(s2).then(s3)
+    def build(target: Placement) -> SlideSequence:
+        v1, v2, v3 = pd.p1[-2], pd.p1[-3], pd.p1[1]
+        s1 = replay(cur, (b,))                 # the (a, b) piece onto (b, c)
+        cyc_a = pd.p1                          # d .. a, closed by (a, d)
+        s2 = rotate(s1.end, cyc_a, a, [(lo, edge_key(d, v3))])
+        cyc_b = pd.p1 + (b, c)                 # d .. a, b, c, closed by (c, d)
+        s3 = rotate(s2.end, cyc_b, c, [(hi, edge_key(v1, v2)), (lo, edge_key(a, b))])
+        return s1.then(s2).then(s3)
+    return memo(cur, hi, lo, (frozenset(cur.pieces), hi < lo), build)
 
 
 def swap_adjacent(cur: Placement, j: int, frame: TurningFrame,
@@ -114,7 +112,7 @@ def swap_adjacent(cur: Placement, j: int, frame: TurningFrame,
     the one after it, then exchanges them there. The end placement is the
     start turned by lo - j domino positions, lo being the lower swap
     domino's position, with x and y exchanged; the gap is back at c.
-    `frame` is the plan's turning frame and `memo` its pentagon-swap memo
+    `frame` is the plan's turning frame and `memo` its swap-gadget memo
     (see `_swap_special`). Raises PlanInvariantError if the swap misses
     that end.
     """

@@ -1,15 +1,16 @@
 """Labeled placements, the slide move and its checks (`slide`,
 `verify_sequence`), the in-place slide kernel (`Board`, `replay`), an odd
-cycle's forced dominoes and rotation along it, and vertex exposure."""
+cycle's forced dominoes and rotation along it, vertex exposure and loop
+cutting. Nothing here searches over slides: `rotate` solves its goals in
+closed form, and the one slide search is the ear planner's pentagon core
+(`ear_planner.base_pentagon`)."""
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import (Callable, Collection, Dict, Iterable, List, NamedTuple, Optional,
-                    Sequence, Set, Tuple)
+from typing import Collection, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .grid import Edge, TriGridGraph, edge_key
 from .matching import Matching, alternating_path_to
@@ -227,51 +228,6 @@ def replay(p: Placement, kept_vertices: Iterable[int]) -> SlideSequence:
     return SlideSequence(p, tuple(moves), board.placement())
 
 
-def shortest_slides_within(p: Placement, edges: Set[Edge],
-                           goal: Callable[[Placement], bool]) -> Optional[SlideSequence]:
-    """Breadth-first search for a shortest slide sequence from p to a state
-    meeting `goal`, or None if none is reachable.
-
-    Only slides whose piece and landing edge both lie in `edges` are
-    expanded, so pieces off `edges` never move. Each state carries a
-    vertex -> label map of the pieces on `edges`; its slides are read from
-    the neighbours of the exposed vertex across `edges`, in `legal_moves`
-    order (by label, then kept vertex), so the first goal state found is
-    the one a search over `legal_moves` and `slide` returns.
-    """
-    if goal(p):
-        return SlideSequence(p, ())
-    g = p.graph
-    nbrs: Dict[int, List[int]] = {}
-    for a, b in edges:
-        if g.has_edge(a, b):
-            nbrs.setdefault(a, []).append(b)
-            nbrs.setdefault(b, []).append(a)
-    owner = {v: label for label, e in enumerate(p.pieces, 1) if e in edges
-             for v in e}
-    seen = {p.pieces}
-    frontier: deque = deque([(p.pieces, p.exposed, owner, ())])
-    while frontier:
-        pieces, gap, owner, moves = frontier.popleft()
-        for label, kept in sorted((owner[w], w) for w in nbrs.get(gap, ())
-                                  if w in owner):
-            a, b = pieces[label - 1]
-            far = b if kept == a else a
-            nxt = pieces[:label - 1] + (edge_key(kept, gap),) + pieces[label:]
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            path = moves + (SlideMove(label, kept, gap),)
-            state = Placement(g, nxt, far)
-            if goal(state):
-                return SlideSequence(p, path, state)
-            nowner = dict(owner)
-            nowner[gap] = label
-            del nowner[far]
-            frontier.append((nxt, far, nowner, path))
-    return None
-
-
 def rotate(p: Placement, cycle: Tuple[int, ...], exposed: Optional[int] = None,
            pieces: Iterable[Tuple[int, Edge]] = ()) -> SlideSequence:
     """Shortest rotation along the aligned odd `cycle` that exposes
@@ -291,7 +247,8 @@ def rotate(p: Placement, cycle: Tuple[int, ...], exposed: Optional[int] = None,
     u = a - i mod k and 2u = j - 1 - 2i mod n: one u mod n*k each.
     The shorter walk to a state meeting every goal wins, ties going to
     the direction whose first slide comes first in `legal_moves` order:
-    these are the moves of `shortest_slides_within` on the cycle's edges.
+    these are the moves a breadth-first search over `legal_moves`,
+    restricted to the cycle's edges, finds first.
     Only the winner's moves are built, the kept vertices sliced from the
     ring and the labels cycled from L, in O(n + moves), and its end
     placement from the forced dominoes at its gap. A label off the cycle

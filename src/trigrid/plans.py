@@ -1,14 +1,12 @@
-"""What both planners share: their errors, the finished plan, the
-transposition memo, and the pentagon building block."""
+"""What both planners share: their errors, the finished plan and the
+transposition memo."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Set, Tuple
+from typing import Callable, Dict, Hashable, List, Tuple
 
-from .grid import Edge
-from .placement import (Placement, SlideSequence, cut_loops, replay,
-                        shortest_slides_within, verify_sequence)
+from .placement import Placement, SlideSequence, cut_loops, replay, verify_sequence
 
 
 class PlanError(Exception):
@@ -28,10 +26,11 @@ class PlanReport:
     the ear planner's level fills, not the lower-level ones each of them is
     conjugated from, and the cycle planner's adjacent swaps. `gadgets`
     counts the transpositions built rather than replayed (`Transpositions`):
-    the ear planner's at every level, the cycle planner's pentagon
-    searches. `fallbacks` counts the levels the ear planner planned whole
-    for a transposition because no rotation brought both pieces into the
-    level below (0 for the cycle planner)."""
+    the ear planner's at every level, the cycle planner's swap gadgets
+    (one slide and two rotations each, at most two a plan). `fallbacks`
+    counts the levels the ear planner planned whole for a transposition
+    because no rotation brought both pieces into the level below (0 for
+    the cycle planner)."""
 
     sequence: SlideSequence
     slide_count: int
@@ -85,12 +84,3 @@ class Transpositions:
             self.kept[key] = tuple(mv.kept_vertex for mv in gadget.moves)
         return gadget
 
-
-def base_pentagon(p: Placement, q: Placement, edges: Set[Edge]) -> SlideSequence:
-    """Shortest plan from p to q that slides only along `edges`, by
-    breadth-first search; for small cores such as the pentagon. Raises
-    PlanError if q is unreachable that way."""
-    seq = shortest_slides_within(p, edges, lambda s: s.pieces == q.pieces)
-    if seq is None:
-        raise PlanError("core target unreachable within region")
-    return seq

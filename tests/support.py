@@ -1,19 +1,22 @@
 """Reference helpers that only tests call: canonical aligned states on a
 cycle, the alignment check on a placement and its matching-based reference,
-the centrality test, an ear decomposition grown from a matching, the
+the restricted slide search over `legal_moves` and `slide` that `rotate`,
+the swap gadget and `ear_planner.base_pentagon` are checked against, the
+centrality test, an ear decomposition grown from a matching, the
 neighbourhood search that defines local connectivity, the scan over every
 diamond labeling that defines the parity diamond, the orientation of one
 parity diamond, and a host whose only parity labeling has crossing arcs.
 No planner uses them, so they live with the tests.
 """
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from collections import deque
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from trigrid.ears import EarDecomposition, EarError, grow_ears, validate_decomposition
 from trigrid.grid import Edge, TriGridGraph, cycle_edges, edge_key, enumerate_diamonds
 from trigrid.hamilton import HamiltonCycle, HamiltonError, ParityDiamond
 from trigrid.matching import Matching, odd_alternating_cycle_through, perfect_matching
-from trigrid.placement import Board, Placement, PlacementError
+from trigrid.placement import Board, Placement, PlacementError, SlideMove, legal_moves, slide
 
 
 # the 9-vertex host whose Hamilton cycle (1, 7, 5, 6, 3, 2, 4, 8, 9) has one
@@ -26,6 +29,33 @@ CROSSING_ARCS_EDGES = [(1, 3), (1, 5), (1, 7), (1, 8), (1, 9), (2, 3), (2, 4), (
 def is_aligned(p: Placement, cycle: Sequence[int]) -> bool:
     """True iff cycle is an odd M_p-alternating cycle containing v_p."""
     return Board(p).is_aligned(cycle)
+
+
+def reference_slides_within(p: Placement, edges: Set[Edge],
+                            goal: Callable[[Placement], bool]
+                            ) -> Optional[Tuple[SlideMove, ...]]:
+    """The moves of a shortest slide sequence from p to a state meeting
+    `goal` whose pieces and landing edges lie in `edges`, by breadth-first
+    search over `legal_moves` and `slide`; None if no such state is
+    reachable."""
+    if goal(p):
+        return ()
+    seen = {p.pieces}
+    frontier = deque([(p, ())])
+    while frontier:
+        cur, moves = frontier.popleft()
+        for mv in legal_moves(cur):
+            if (edge_key(mv.kept_vertex, mv.dest_vertex) not in edges
+                    or cur.piece(mv.label) not in edges):
+                continue
+            nxt = slide(cur, mv)
+            if nxt.pieces in seen:
+                continue
+            seen.add(nxt.pieces)
+            if goal(nxt):
+                return moves + (mv,)
+            frontier.append((nxt, moves + (mv,)))
+    return None
 
 
 def is_alternating_cycle(m: Matching, cycle: Sequence[int]) -> bool:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from trigrid import matching
 from trigrid.corpus import degree6_corpus
-from trigrid.ear_planner import _Planner, base_diamond_cycle, plan_ear
+from trigrid.ear_planner import _Planner, base_diamond_cycle, base_pentagon, plan_ear
 from trigrid.ears import (EarDecomposition, LevelMatchings, align_with_ears, find_admissible,
                           validate_decomposition)
 from trigrid.grid import (DIRS, build_abstract, build_graph, degree6_vertices,
@@ -16,7 +16,7 @@ from trigrid.grid import (DIRS, build_abstract, build_graph, degree6_vertices,
 from trigrid.matching import enumerate_near_perfect_matchings, is_factor_critical
 from trigrid.oracle import bfs_component
 from trigrid.placement import Placement, replay, verify_sequence
-from trigrid.plans import PlanError, PlanInvariantError, base_pentagon
+from trigrid.plans import PlanError, PlanInvariantError
 
 from conftest import random_placement
 

@@ -11,12 +11,12 @@ from trigrid.grid import (build_graph, cycle_edges, edge_key, hexagon_points,
 from trigrid.hamilton import find_hamilton, find_local_structure
 from trigrid.hc_planner import (_label_order, _swap_special, align_with_hamilton,
                                 plan_hamilton, swap_adjacent, turning_frame)
-from trigrid.placement import (Placement, forced_cycle_dominoes, rotate,
-                               shortest_slides_within, verify_sequence)
-from trigrid.plans import PlanError, PlanInvariantError, Transpositions, base_pentagon
+from trigrid.placement import (Placement, apply_sequence, forced_cycle_dominoes, rotate,
+                               verify_sequence)
+from trigrid.plans import PlanError, PlanInvariantError, Transpositions
 
 from conftest import random_placement
-from support import is_aligned, scan_parity_diamonds
+from support import is_aligned, reference_slides_within, scan_parity_diamonds
 
 
 @settings(max_examples=100, deadline=None)
@@ -81,7 +81,7 @@ def test_swap_adjacent_is_transposition(rng):
     """On every corpus host, every adjacent pair is exchanged exactly, in a
     frame turned so that the pair sits on the swap dominoes: the end is
     the start turned by lo - j positions, with the two labels exchanged.
-    One pentagon-swap memo serves each host's swaps, as in a plan."""
+    One swap-gadget memo serves each host's swaps, as in a plan."""
     for g in locally_connected_corpus():
         pd, cur = _aligned_at_c(g, rng)
         memo = Transpositions()
@@ -122,6 +122,37 @@ def test_swap_special_exchanges_the_swap_dominoes(name, data, rnd):
                     _exchanged(g, cur.pieces, x, y, pd.c))
 
 
+def test_swap_gadget_is_no_longer_than_the_window_search(rng):
+    """On every parity diamond of the corpus hosts whose p1 has three
+    vertices, the swap gadget is no longer than the shortest swap the
+    restricted BFS finds inside the five vertices a, b, c, d and p1's inner
+    vertex. Prints the gadget's length for each length of p1, and the
+    window search's."""
+    lengths, searched = {}, []
+    for name in [g.name for g in locally_connected_corpus()]:
+        g, cands = _diamonds(name)
+        for pd in cands:
+            _, cur = _aligned_at_c(g, rng, pd)
+            frame = turning_frame(pd)
+            x, y = (cur.label_at(frame.dominoes[i]) for i in (frame.i_ab, frame.i_v))
+            want = _exchanged(g, cur.pieces, x, y, pd.c)
+            gadget = _swap_special(cur, frame, Transpositions())
+            _assert_reaches(gadget, want)
+            lengths.setdefault(len(pd.p1), set()).add(len(gadget))
+            if len(pd.p1) == 3:
+                vs = {pd.a, pd.b, pd.c, pd.d, pd.p1[1]}
+                window = {e for e in g.edges if e[0] in vs and e[1] in vs}
+                ref = reference_slides_within(cur, window,
+                                              lambda s: s.pieces == want.pieces)
+                assert ref is not None and len(gadget) <= len(ref)
+                searched.append(len(ref))
+    assert len(searched) == 15
+    print("\nswap gadget slides by p1 vertices:",
+          ", ".join(f"{n}: {sorted(lengths[n])}" for n in sorted(lengths)))
+    print(f"window search slides on the {len(searched)} diamonds with a p1 of 3:",
+          sorted(set(searched)))
+
+
 def _inversions(have, want):
     pos = {lab: i for i, lab in enumerate(have)}
     s = [pos[lab] for lab in want]
@@ -149,18 +180,22 @@ def test_sort_swaps_are_the_fewest_cyclic_inversions(rng):
 
 
 def test_pentagon_swap_searches_once_per_label_order(monkeypatch):
-    """Within a plan, the pentagon swap's search runs at most once for each
-    order of the two swapped labels; every other swap replays its kept
-    vertices. The plans still verify."""
+    """Within a plan, the swap gadget is built at most once for each order
+    of the two swapped labels, so at most twice and fewer times than the
+    plan swaps; every other swap replays its kept vertices. The plans
+    still verify."""
     from trigrid import hc_planner
 
-    calls = []
+    builds = []
 
-    def counted(*args):
-        calls.append(args)
-        return base_pentagon(*args)
+    class Counting(Transpositions):
+        def __call__(self, cur, a, b, key, build):
+            def counted(target):
+                builds.append(key)
+                return build(target)
+            return super().__call__(cur, a, b, key, counted)
 
-    monkeypatch.setattr(hc_planner, "base_pentagon", counted)
+    monkeypatch.setattr(hc_planner, "Transpositions", Counting)
     rng = random.Random(1)
     for g in locally_connected_corpus():
         if g.name not in ("para21", "hex23", "para25"):
@@ -169,16 +204,16 @@ def test_pentagon_swap_searches_once_per_label_order(monkeypatch):
         assert len(find_local_structure(g, h).p1) == 3
         for _ in range(3):
             p, q = random_placement(g, rng), random_placement(g, rng)
-            calls.clear()
+            builds.clear()
             rep = plan_hamilton(g, p, q)
-            assert len(calls) <= 2 < rep.recursion_trace[-1]["swaps"]
-            assert rep.stats["gadgets"] == len(calls)
+            assert len(builds) <= 2 < rep.recursion_trace[-1]["swaps"]
+            assert rep.stats["gadgets"] == len(builds)
             assert rep.stats["swaps"] == rep.recursion_trace[-1]["swaps"]
             assert verify_sequence(rep.sequence, expected_end=q).matches_expected
 
 
 def test_plan_hamilton_corrupted_gadget_fails_its_next_hit(monkeypatch):
-    """A stored pentagon-swap gadget that is one move short raises
+    """A stored swap gadget that is one move short raises
     PlanInvariantError when a later swap on the same state replays it."""
     from trigrid import hc_planner
 
@@ -205,8 +240,9 @@ def test_plan_hamilton_corrupted_gadget_fails_its_next_hit(monkeypatch):
 
 def test_planner_rotations_match_shortest_slides_within(monkeypatch):
     """Every rotation the cycle planner asks for on the cycle-large hosts,
-    replayed through the breadth-first search over the cycle's edges: the
-    same moves and the same end."""
+    its swap gadgets' included, replayed through the reference
+    breadth-first search over the cycle's edges: the same moves and the
+    same end."""
     from trigrid import hc_planner
 
     calls = []
@@ -227,10 +263,11 @@ def test_planner_rotations_match_shortest_slides_within(monkeypatch):
             return ((exposed is None or s.exposed == exposed)
                     and all(s.piece(lab) == e for lab, e in pieces))
 
-        ref = shortest_slides_within(p, cycle_edges(cycle), goal)
+        ref = reference_slides_within(p, cycle_edges(cycle), goal)
         seq = rotate(p, cycle, exposed, pieces)
-        assert seq.moves == ref.moves
-        assert seq.end.pieces == ref.end.pieces and seq.end.exposed == ref.end.exposed
+        assert seq.moves == ref
+        end = apply_sequence(p, ref)
+        assert seq.end.pieces == end.pieces and seq.end.exposed == end.exposed
 
 
 def test_plan_hamilton_identity(hex7, rng):

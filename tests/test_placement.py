@@ -1,5 +1,3 @@
-from collections import deque
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,14 +7,17 @@ from trigrid.grid import build_abstract, build_graph, edge_key
 from trigrid.hamilton import find_hamilton
 from trigrid.matching import Matching, near_perfect_matching
 from trigrid.oracle import bfs_component
+from trigrid.ear_planner import base_pentagon
 from trigrid.placement import (IllegalMoveError, Placement, PlacementError,
                                SlideMove, SlideSequence, VerifyReport,
                                apply_sequence, cut_loops, expose, forced_cycle_dominoes,
                                invert_sequence, legal_moves, replay, rotate,
-                               shortest_slides_within, slide, verify_sequence)
+                               slide, verify_sequence)
+from trigrid.plans import PlanError
 
 from conftest import random_placement
-from support import aligned_cycle_state, is_aligned, is_alternating_cycle
+from support import (aligned_cycle_state, is_aligned, is_alternating_cycle,
+                     reference_slides_within)
 
 
 def _cycle_graph(n):
@@ -106,36 +107,15 @@ def test_rotation_bounds_small():
 
 
 def test_shortest_slides_within_is_shortest(hex7, rng):
+    """`ear_planner.base_pentagon` over the whole host's edges plans as
+    many slides as the oracle's distance."""
     p = random_placement(hex7, rng)
     comp = bfs_component(hex7, p)
     for _ in range(10):
         q = random_placement(hex7, rng)
-        seq = shortest_slides_within(p, hex7.edges, lambda s: s.pieces == q.pieces)
+        seq = base_pentagon(p, q, hex7.edges)
         assert len(seq) == comp.distance_to(q)
         assert verify_sequence(seq, expected_end=q).matches_expected
-
-
-def _reference_slides_within(p, edges, goal):
-    """The restricted slide BFS over `legal_moves` and `slide`: its moves,
-    or None."""
-    if goal(p):
-        return ()
-    seen = {p.pieces}
-    frontier = deque([(p, ())])
-    while frontier:
-        cur, moves = frontier.popleft()
-        for mv in legal_moves(cur):
-            if (edge_key(mv.kept_vertex, mv.dest_vertex) not in edges
-                    or cur.piece(mv.label) not in edges):
-                continue
-            nxt = slide(cur, mv)
-            if nxt.pieces in seen:
-                continue
-            seen.add(nxt.pieces)
-            if goal(nxt):
-                return moves + (mv,)
-            frontier.append((nxt, moves + (mv,)))
-    return None
 
 
 def _random_host_placement(n, rnd):
@@ -156,8 +136,10 @@ def _random_host_placement(n, rnd):
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 4), rnd=st.randoms(use_true_random=False))
 def test_shortest_slides_within_matches_reference(n, rnd):
-    """Same moves as the `legal_moves`/`slide` BFS, ties included, or None
-    with it, on small random hosts, placements, edge subsets and goals."""
+    """`ear_planner.base_pentagon` gives the moves of the `legal_moves`/
+    `slide` BFS to q's pieces, ties included, and raises PlanError exactly
+    where that BFS finds nothing, on small random hosts, placements and
+    edge subsets."""
     p, order = _random_host_placement(n, rnd)
     g, m = p.graph, len(order)
     edges = {e for e in g.edges if rnd.random() < 0.8}
@@ -165,19 +147,16 @@ def test_shortest_slides_within_matches_reference(n, rnd):
     q = p                                   # a random walk in the whole host
     for _ in range(rnd.randrange(3 * m)):
         q = slide(q, rnd.choice(legal_moves(q)))
-    lab, e, v = rnd.randrange(1, n + 1), rnd.choice(sorted(g.edges)), rnd.choice(order)
-    goal = rnd.choice([lambda s: s.pieces == q.pieces,
-                       lambda s: s.piece(lab) == e,
-                       lambda s: s.exposed == v and s.piece(lab) == q.piece(lab)])
 
-    ref = _reference_slides_within(p, edges, goal)
-    seq = shortest_slides_within(p, edges, goal)
+    ref = reference_slides_within(p, edges, lambda s: s.pieces == q.pieces)
     if ref is None:
-        assert seq is None
+        with pytest.raises(PlanError):
+            base_pentagon(p, q, edges)
         return
+    seq = base_pentagon(p, q, edges)
     assert seq.moves == ref
     end = apply_sequence(p, seq.moves)
-    assert seq.end.pieces == end.pieces and seq.end.exposed == end.exposed
+    assert seq.end.pieces == end.pieces == q.pieces and seq.end.exposed == end.exposed
 
 
 def test_rotation_target_off_cycle():
@@ -185,8 +164,8 @@ def test_rotation_target_off_cycle():
     g = build_abstract(7, [(i, i + 1) for i in range(1, 7)] + [(1, 7), (1, 3)])
     p = _cycle_placement(g, 3, 3, 1)
     cyc = tuple(range(1, 8))
-    assert shortest_slides_within(p, g.edges - {(1, 3)},
-                                  lambda s: s.piece(1) == (1, 3)) is None
+    assert reference_slides_within(p, g.edges - {(1, 3)},
+                                   lambda s: s.piece(1) == (1, 3)) is None
     with pytest.raises(PlacementError):
         rotate(p, cyc, pieces=[(1, (1, 3))])
 
@@ -432,13 +411,13 @@ def test_rotate_matches_shortest_slides_within(k, rnd):
         return ((exposed is None or s.exposed == exposed)
                 and all(s.piece(lab) == e for lab, e in want))
 
-    ref = shortest_slides_within(p, ces, goal)
+    ref = reference_slides_within(p, ces, goal)
     if ref is None:
         with pytest.raises(PlacementError):
             rotate(p, tuple(cyc), exposed, want)
         return
     seq = rotate(p, tuple(cyc), exposed, want)
-    assert seq.moves == ref.moves
+    assert seq.moves == ref
     end = apply_sequence(p, seq.moves)
     assert seq.end.pieces == end.pieces and seq.end.exposed == end.exposed
 
