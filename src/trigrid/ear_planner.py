@@ -248,8 +248,7 @@ def base_pentagon(p: Placement, q: Placement, edges: Set[Edge]) -> SlideSequence
         for label, kept in sorted((owner[w], w) for w in nbrs.get(gap, ()) if w in owner):
             a, b = pieces[label - 1]
             far = b if kept == a else a
-            landing = (kept, gap) if kept < gap else (gap, kept)
-            nxt = pieces[:label - 1] + (landing,) + pieces[label:]
+            nxt = pieces[:label - 1] + (edge_key(kept, gap),) + pieces[label:]
             if nxt in seen:
                 continue
             seen.add(nxt)

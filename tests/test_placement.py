@@ -108,13 +108,16 @@ def test_rotation_bounds_small():
 
 def test_shortest_slides_within_is_shortest(hex7, rng):
     """`ear_planner.base_pentagon` over the whole host's edges plans as
-    many slides as the oracle's distance."""
+    many slides as the oracle's distance, with the reference search's
+    moves, ties included."""
     p = random_placement(hex7, rng)
     comp = bfs_component(hex7, p)
     for _ in range(10):
         q = random_placement(hex7, rng)
         seq = base_pentagon(p, q, hex7.edges)
         assert len(seq) == comp.distance_to(q)
+        assert seq.moves == reference_slides_within(p, hex7.edges,
+                                                    lambda s: s.pieces == q.pieces)
         assert verify_sequence(seq, expected_end=q).matches_expected
 
 
