@@ -318,7 +318,7 @@ def test_plan_logs_summary_under_trigrid_log(tmp_path, capsys, monkeypatch):
     slides `cut_loops` removed, and the plan's swaps, gadgets built and
     fallbacks: for the ear planner its fills' transpositions, the gadgets
     it built at every level and the levels it re-planned whole; for the
-    cycle planner its adjacent swaps and pentagon searches."""
+    cycle planner its adjacent swaps and swap gadgets built."""
     from collections import Counter
 
     from trigrid.ear_planner import plan_ear
