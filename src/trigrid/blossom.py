@@ -32,9 +32,10 @@ edge then closes a blossom based at v or lies inside one. No other vertex
 is scanned yet, so no other tree grows. The first single neighbour u is an
 S-root of its own tree, and the stage ends with the augmenting path v-u.
 Augmenting through a blossom from its base v changes no edge, so the stage
-only matches v to u. The full stages keep every assert, and the last of
-them, which finds no augmenting path, gives the certificate's duals as
-before.
+only matches v to u. The full stages keep every assert. No stage starts
+once at most one vertex is single, as that matching is maximum by its
+size; otherwise the last stage, which finds no augmenting path, gives the
+certificate's duals as before.
 
 Input order: the graph is a dict from each vertex to the list of its
 neighbours, with no loops and no repeated edges. Wherever the algorithm has
@@ -320,8 +321,10 @@ def max_cardinality_matching(adj: Dict[int, List[int]]) -> Dict[int, int]:
         else:
             break
 
-    # Each stage finds one augmenting path, until none is left.
-    while 1:
+    # Each stage finds one augmenting path, until none is left. A matching
+    # that leaves at most one vertex single is maximum by its size, so no
+    # stage starts from it.
+    while len(gnodes) - len(mate) >= 2:
         label.clear()
         labeledge.clear()
         queue.clear()

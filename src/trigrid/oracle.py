@@ -16,8 +16,8 @@ ids must fit in a byte, so hosts with more than 256 edges are refused.
 
 `bfs_component` runs a level-synchronous BFS from one placement. Its
 frontier is grouped by configuration; the tables and next configurations
-of each configuration are built once per search, and each group takes a
-move in one C-level pass over its states (`_level`).
+of each configuration are built once per search and shared by every state
+of its group, and `_level` steps the states one by one.
 
 `distance` meets in the middle with the same level step: one search from
 p and one from q, since the inverse of a slide is a slide. Each round
@@ -31,7 +31,6 @@ component. An unreachable q costs up to both components, more than one
 import csv
 import math
 from dataclasses import dataclass, field
-from itertools import filterfalse, repeat
 from typing import Callable, Dict, IO, List, Optional, Tuple
 
 from .grid import Edge, TriGridGraph, edge_key
@@ -105,18 +104,20 @@ def _start_key(p: Placement, index: Dict[Edge, int]) -> bytes:
 _Moves = List[Tuple[bytes, bytes]]
 
 
-def _slides(g: TriGridGraph, edges: Tuple[Edge, ...],
-            index: Dict[Edge, int]) -> Callable[[bytes], _Moves]:
+def _slides(g: TriGridGraph, edges: Tuple[Edge, ...]) -> Callable[[bytes], _Moves]:
     """A function that gives (table, next configuration) for every slide
     from a configuration, built once per configuration. A table depends
     only on the two edge ids of the slide, so one is kept per pair, not
     one per move: on `hex13` that is 156 tables instead of 684."""
+    # the id of edge (w, x) under both orders of its ends
+    ids = {(w, x): i for i, (u, v) in enumerate(edges) for w, x in ((u, v), (v, u))}
     tables: Dict[Tuple[int, int], bytes] = {}
     moves: Dict[bytes, _Moves] = {}
 
     def moves_of(cfg: bytes) -> _Moves:
-        if cfg in moves:
-            return moves[cfg]
+        out = moves.get(cfg)
+        if out is not None:
+            return out
         cover = {}
         for i in cfg:
             u, v = edges[i]
@@ -124,13 +125,13 @@ def _slides(g: TriGridGraph, edges: Tuple[Edge, ...],
         (x,) = set(g.vertex_ids).difference(cover)
         out = moves[cfg] = []
         for w in g.adj[x]:
-            old, new = cover[w], index[edge_key(w, x)]
-            if (old, new) not in tables:
+            old, new = cover[w], ids[w, x]
+            table = tables.get((old, new))
+            if table is None:
                 table = bytearray(range(256))
                 table[old] = new
-                tables[old, new] = bytes(table)
-            nxt = bytes(sorted(cfg.replace(bytes([old]), bytes([new]))))
-            out.append((tables[old, new], nxt))
+                table = tables[old, new] = bytes(table)
+            out.append((table, bytes(sorted(cfg.translate(table)))))
         return out
     return moves_of
 
@@ -144,26 +145,21 @@ def _level(frontier: _Frontier, dist: Dict[bytes, int], d: int,
            ) -> Tuple[_Frontier, Optional[int]]:
     """One BFS level. `frontier` holds the states at depth d - 1, grouped
     by configuration: every state in a group takes the same slides, each
-    one `bytes.translate` with a shared table. The new states go into dist
-    at depth d and into the returned frontier. If `other` holds a new
-    state s, the level stops there and returns d + other[s] as well."""
+    one `bytes.translate` with a shared table. Each successor not yet in
+    dist goes into dist at depth d and into the returned frontier, in the
+    order the loop meets it. If `other` holds a new state s, the level
+    stops there and returns d + other[s] as well."""
     nxt: _Frontier = {}
     for cfg, states in frontier.items():
         for table, cfg2 in moves_of(cfg):
-            # A table is injective on one configuration's states, so a
-            # group yields no duplicates, and dist takes each group's new
-            # states before the next group runs. Probing dist per
-            # successor is the cheap side: a set's difference_update(dist)
-            # would walk all of dist.
-            new = list(filterfalse(dist.__contains__,
-                                   map(bytes.translate, states, repeat(table))))
-            if new:
-                dist.update(dict.fromkeys(new, d))
-                if other:
-                    met = next(filter(other.__contains__, new), None)
-                    if met is not None:
-                        return nxt, d + other[met]
-                nxt.setdefault(cfg2, []).extend(new)
+            for s in states:
+                t = s.translate(table)
+                if t in dist:
+                    continue
+                dist[t] = d
+                if other and t in other:
+                    return nxt, d + other[t]
+                nxt.setdefault(cfg2, []).append(t)
     return nxt, None
 
 
@@ -185,7 +181,7 @@ def bfs_component(g: TriGridGraph, p: Placement,
     start = _start_key(p, index)
     dist = {start: 0}
     frontier = {bytes(sorted(start)): [start]}
-    moves_of = _slides(g, edges, index)
+    moves_of = _slides(g, edges)
     d = 0
     while frontier:
         d += 1
@@ -240,7 +236,7 @@ def distance(g: TriGridGraph, p: Placement, q: Placement,
         return None
     if goal == start:
         return 0
-    moves_of = _slides(g, edges, index)
+    moves_of = _slides(g, edges)
     dists = ({start: 0}, {goal: 0})
     frontiers = [{bytes(sorted(s)): [s]} for s in (start, goal)]
     depths = [0, 0]

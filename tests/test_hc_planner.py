@@ -179,7 +179,7 @@ def test_sort_swaps_are_the_fewest_cyclic_inversions(rng):
             assert verify_sequence(rep.sequence, expected_end=q).matches_expected
 
 
-def test_pentagon_swap_searches_once_per_label_order(monkeypatch):
+def test_swap_gadget_builds_once_per_label_order(monkeypatch):
     """Within a plan, the swap gadget is built at most once for each order
     of the two swapped labels, so at most twice and fewer times than the
     plan swaps; every other swap replays its kept vertices. The plans
@@ -238,7 +238,7 @@ def test_plan_hamilton_corrupted_gadget_fails_its_next_hit(monkeypatch):
     assert stored
 
 
-def test_planner_rotations_match_shortest_slides_within(monkeypatch):
+def test_planner_rotations_match_reference_search(monkeypatch):
     """Every rotation the cycle planner asks for on the cycle-large hosts,
     its swap gadgets' included, replayed through the reference
     breadth-first search over the cycle's edges: the same moves and the

@@ -177,7 +177,7 @@ def _oracle_host(name):
 
 
 @pytest.mark.parametrize("host, eccentricity", [("hex11", None), ("deg6-11v-5", None),
-                                                ("diamond_cycle6", 129)])
+                                                ("diamond_cycle6", 129), ("hex13", None)])
 def test_distance_matches_the_component_on_the_oracle_hosts(host, eccentricity):
     """The meet-in-the-middle search against the whole component, on the
     hosts whose distances the benchmark certifies: seeded pairs, the

@@ -106,7 +106,7 @@ def test_rotation_bounds_small():
                     assert full.end.pieces == tgt.pieces
 
 
-def test_shortest_slides_within_is_shortest(hex7, rng):
+def test_base_pentagon_is_shortest(hex7, rng):
     """`ear_planner.base_pentagon` over the whole host's edges plans as
     many slides as the oracle's distance, with the reference search's
     moves, ties included."""
@@ -136,20 +136,48 @@ def _random_host_placement(n, rnd):
     return Placement.make(g, pieces), order
 
 
+def _chorded_cycle_pair(n, rnd):
+    """A placement p of n pieces on a cycle of 2n + 1 vertices in random
+    order with up to three chords, and the state q half way round the
+    cycle of (2n + 1)n states that turning the pieces along the cycle
+    passes through. With n even both ways round are shortest, so p's two
+    first moves tie unless a chord gives a shorter plan."""
+    m = 2 * n + 1
+    order = list(range(1, m + 1))
+    rnd.shuffle(order)
+    ring = {edge_key(order[i], order[(i + 1) % m]) for i in range(m)}
+    chords = [edge_key(a, b) for a in order for b in order
+              if a < b and edge_key(a, b) not in ring]
+    g = build_abstract(m, ring | set(rnd.sample(chords, rnd.randint(0, min(3, len(chords))))))
+    pieces = [edge_key(order[t], order[t + 1]) for t in range(1, m, 2)]
+    rnd.shuffle(pieces)
+    p = q = Placement.make(g, pieces)
+    for _ in range(m * n // 2):
+        kept = order[(order.index(q.exposed) + 1) % m]
+        q = slide(q, SlideMove(q.label_covering(kept), kept, q.exposed))
+    return p, q
+
+
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 4), rnd=st.randoms(use_true_random=False))
-def test_shortest_slides_within_matches_reference(n, rnd):
+@given(n=st.integers(1, 4), chorded=st.booleans(), rnd=st.randoms(use_true_random=False))
+def test_base_pentagon_matches_reference(n, chorded, rnd):
     """`ear_planner.base_pentagon` gives the moves of the `legal_moves`/
     `slide` BFS to q's pieces, ties included, and raises PlanError exactly
     where that BFS finds nothing, on small random hosts, placements and
-    edge subsets."""
-    p, order = _random_host_placement(n, rnd)
-    g, m = p.graph, len(order)
-    edges = {e for e in g.edges if rnd.random() < 0.8}
+    edge subsets, and on chorded odd cycles, whose shortest plans often
+    tie: there an order of slides other than by label, then kept vertex,
+    gives other moves."""
+    if chorded:
+        p, q = _chorded_cycle_pair(n, rnd)
+        edges = set(p.graph.edges)
+    else:
+        p, order = _random_host_placement(n, rnd)
+        g, m = p.graph, len(order)
+        edges = {e for e in g.edges if rnd.random() < 0.8}
 
-    q = p                                   # a random walk in the whole host
-    for _ in range(rnd.randrange(3 * m)):
-        q = slide(q, rnd.choice(legal_moves(q)))
+        q = p                               # a random walk in the whole host
+        for _ in range(rnd.randrange(3 * m)):
+            q = slide(q, rnd.choice(legal_moves(q)))
 
     ref = reference_slides_within(p, edges, lambda s: s.pieces == q.pieces)
     if ref is None:
@@ -373,7 +401,7 @@ def _on_cycle_moves(p, ces):
 
 @settings(max_examples=300, deadline=None)
 @given(k=st.integers(1, 13), rnd=st.randoms(use_true_random=False))
-def test_rotate_matches_shortest_slides_within(k, rnd):
+def test_rotate_matches_reference_search(k, rnd):
     """`rotate` returns the moves of the restricted BFS, ties included, and
     raises exactly when the BFS finds nothing. The cycle sits in a host
     with chords and off-cycle pieces, whose slides both must ignore."""
