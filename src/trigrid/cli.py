@@ -23,7 +23,7 @@ from . import formats
 from .ear_planner import plan_ear
 from .grid import (GridError, TriGridGraph, degree6_vertices, generate, hole_count,
                    is_locally_connected, is_star_of_david, is_two_connected)
-from .ears import NoAdmissibleError, find_admissible
+from .ears import EarError, find_admissible
 from .hc_planner import plan_hamilton
 from .matching import MatchingError, is_factor_critical
 from .oracle import (DEFAULT_VERTEX_BOUND, OracleBudgetError, bfs_component,
@@ -78,10 +78,12 @@ def cmd_gen(args) -> int:
 
 
 def _has_admissible_core(g: TriGridGraph) -> bool:
+    """True iff `find_admissible` decomposes g; False where it finds no
+    core or its ear growth stalls, both `EarError`s."""
     try:
         find_admissible(g)
         return True
-    except NoAdmissibleError:
+    except EarError:
         return False
 
 

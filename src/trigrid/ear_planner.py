@@ -3,13 +3,12 @@ decompositions: align both placements, then reconfigure level by level."""
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .grid import Edge, TriGridGraph, cycle_edges, edge_key
-from .matching import Matching, alternating_path_to
+from .matching import alternating_path_to
 from .ears import EarDecomposition, LevelMatchings, align_with_ears, ear_settled, find_admissible
-from .placement import (Placement, SlideMove, SlideSequence, cut_loops, expose,
+from .placement import (Placement, SlideSequence, align_with_cycle, cut_loops,
                         forced_cycle_dominoes, invert_sequence, replay, rotate)
 from .plans import PlanError, PlanReport, Transpositions, finish_plan
 
@@ -33,7 +32,9 @@ class _Planner:
         the first vertex of ear i on both sides, which aligns the ear,
         stage the target's ear labels onto the ear if it has an interior
         (a chord holds no piece), plan level i - 1, and undo the target
-        side's exposing."""
+        side's exposing. The core levels (i <= 3) are planned on the
+        core's cycle, given the decomposition, by `base_pentagon` or
+        `base_diamond_cycle`."""
         if p.pieces == q.pieces and p.exposed == q.exposed:
             return SlideSequence(p, ())
         if i > 3:
@@ -44,7 +45,7 @@ class _Planner:
         if i <= 3:
             if self.d.kind == "pentagon":
                 self.trace.append({"level": i, "kind": "pentagon-core"})
-                return base_pentagon(p, q, self.levels.region(i)[1])
+                return base_pentagon(p, q, self.d)
             if self.d.kind == "diamond_cycle":
                 self.trace.append({"level": i, "kind": "diamond-core"})
                 return base_diamond_cycle(p, q, self.d)
@@ -220,53 +221,32 @@ class _Planner:
         return seq.then(rotate(seq.end, cyc, v, [(lam[0], dominoes[0])]))
 
 
-def base_pentagon(p: Placement, q: Placement, edges: Set[Edge]) -> SlideSequence:
-    """Shortest plan from p to q that slides only along `edges`, host edges
-    such as the pentagon core's, by breadth-first search; raises PlanError
-    if q is unreachable that way.
+def base_pentagon(p: Placement, q: Placement, d: EarDecomposition) -> SlideSequence:
+    """Plan on the pentagon core of `d`: align both ends with the base
+    5-cycle, turn once along it, and undo the target side's alignment.
 
-    A slide is expanded only when its piece and its landing edge both lie
-    in `edges`, so pieces off `edges` never move. Each state is its tuple
-    of pieces, its gap and a vertex -> label map of the pieces on `edges`;
-    its slides are read from the gap's neighbours across `edges` in
-    `legal_moves` order (by label, then kept vertex), and the search stops
-    at the first state holding q's pieces, the one a search over
-    `legal_moves` and `slide` reaches first.
-    """
-    goal = q.pieces
-    if p.pieces == goal:
-        return SlideSequence(p, ())
-    nbrs: Dict[int, List[int]] = {}
-    for a, b in edges:
-        nbrs.setdefault(a, []).append(b)
-        nbrs.setdefault(b, []).append(a)
-    owner = {v: label for label, e in enumerate(p.pieces, 1) if e in edges for v in e}
-    seen = {p.pieces}
-    frontier = deque([(p.pieces, p.exposed, owner, ())])
-    while frontier:
-        pieces, gap, owner, moves = frontier.popleft()
-        for label, kept in sorted((owner[w], w) for w in nbrs.get(gap, ()) if w in owner):
-            a, b = pieces[label - 1]
-            far = b if kept == a else a
-            nxt = pieces[:label - 1] + (edge_key(kept, gap),) + pieces[label:]
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            path = moves + (SlideMove(label, kept, gap),)
-            if nxt == goal:
-                return SlideSequence(p, path, q)
-            nowner = dict(owner)
-            nowner[gap] = label
-            del nowner[far]
-            frontier.append((nxt, far, nowner, path))
-    raise PlanError("core target unreachable within region")
+    The core is the 5-cycle with the apex's two chords, `d.ear(2)` and
+    `d.ear(3)`, and holds two labels. Two labels have one cyclic order,
+    and 5 and 2 are coprime, so the 10 states aligned with the cycle lie
+    on one turn of it (`rotate`): a single rotation reaches the target's
+    aligned gap and labels, and no search is needed. p and q agree off
+    the core and hold their gaps in it, as at the planner's core level."""
+    chords = (edge_key(*d.ear(2)), edge_key(*d.ear(3)))
+    sp = align_with_cycle(p, d.base, chords)
+    sq = align_with_cycle(q, d.base, chords)
+    tgt = sq.end
+    turn = rotate(sp.end, d.base, tgt.exposed,
+                  [(tgt.label_at(e), e) for e in forced_cycle_dominoes(d.base, tgt.exposed)])
+    return sp.then(turn).then(invert_sequence(sq))
 
 
 def base_diamond_cycle(p: Placement, q: Placement, d: EarDecomposition) -> SlideSequence:
     """Plan on the diamond core of `d`, an odd cycle with an attached
-    diamond, via the two-cycle rotation loop: stage each target label on
-    the diamond's far edge along the Hamilton cycle, then park it with an
-    inner-cycle rotation."""
+    diamond: align both ends with the core's Hamilton cycle, clearing its
+    two chords, (u, v) and the diamond's diagonal, with `align_with_cycle`;
+    then run the two-cycle rotation loop, staging each target label on the
+    diamond's far edge along the Hamilton cycle and parking it with an
+    inner-cycle rotation; then undo the target side's alignment."""
     c_inner = d.base
     u, x, y, v = d.ear(2)         # the diamond's path; d.ear(3) is its diagonal
     # Hamilton cycle: inner cycle with edge (u, v) replaced by the ear path
@@ -284,10 +264,9 @@ def base_diamond_cycle(p: Placement, q: Placement, d: EarDecomposition) -> Slide
     park_edge = edge_key(v, w)
     mid_edge = edge_key(x, y)
 
-    # align both ends with the Hamilton cycle by clearing the two chords
     chords = (edge_key(u, v), d.ear(3))
-    sp = _clear_chords(p, c_prime, chords)
-    sq = _clear_chords(q, c_prime, chords)
+    sp = align_with_cycle(p, c_prime, chords)
+    sq = align_with_cycle(q, c_prime, chords)
     cur, tgt = sp.end, sq.end
 
     # target labels along the Hamilton cycle, read against the parking
@@ -315,26 +294,6 @@ def base_diamond_cycle(p: Placement, q: Placement, d: EarDecomposition) -> Slide
     best = min((run(labels[shift:] + labels[:shift]) for shift in range(len(labels))),
                key=lambda s: len(s.moves))
     return sp.then(best).then(invert_sequence(sq))
-
-
-def _clear_chords(p: Placement, cyc: Tuple[int, ...],
-                  chords: Tuple[Edge, ...]) -> SlideSequence:
-    """Align with the core's Hamilton cycle `cyc` by exposing, chord by
-    chord, the chord's first endpoint unless the gap is there already.
-
-    The core's edges are the cycle's and the two chords', (u, v) and the
-    diamond's diagonal. A nearly perfect matching of the core that exposes
-    an endpoint of either chord uses neither: with (u, v), x and y match
-    each other and all four diamond vertices are covered; the diagonal
-    (x, v) strands y, whose only neighbours are x and v, and (u, y) strands
-    x, neither of them a chord endpoint then. So the cycle's forced
-    dominoes are the only such matching, and no search is needed."""
-    seq = SlideSequence(p, ())
-    for e in chords:
-        if seq.end.exposed != e[0]:
-            m = Matching(frozenset(forced_cycle_dominoes(cyc, e[0])))
-            seq = seq.then(expose(seq.end, e[0], m))
-    return seq
 
 
 def plan_ear(g: TriGridGraph, p: Placement, q: Placement) -> PlanReport:

@@ -12,31 +12,17 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 from .grid import Edge, TriGridGraph, edge_key, is_locally_connected, is_star_of_david
 from .hamilton import (HamiltonCycle, ParityDiamond, find_hamilton,
                        find_local_structure)
-from .matching import Matching
-from .placement import (Placement, SlideSequence, expose, forced_cycle_dominoes,
+from .placement import (Placement, SlideSequence, align_with_cycle, forced_cycle_dominoes,
                         invert_sequence, replay, rotate)
 from .plans import PlanError, PlanInvariantError, PlanReport, Transpositions, finish_plan
 
 
 def align_with_hamilton(p: Placement, h: HamiltonCycle) -> SlideSequence:
-    """Move every piece onto the cycle, chord by chord; afterwards the
-    cycle alternates and holds the exposed vertex.
-
-    The chords are walked sorted, last to first. A chord that holds a
-    piece has its first endpoint exposed through the cycle's forced
-    dominoes at that vertex, the one nearly perfect matching of the odd
-    cycle that exposes it. Every slide lands its piece on one of those
-    dominoes, a cycle edge, so an emptied chord stays empty and each chord
-    needs at most one `expose`.
-    """
-    seq = SlideSequence(p, ())
-    for e in sorted(p.graph.edges - h.edges, reverse=True):
-        cur = seq.end
-        if e in cur.pieces:
-            dominoes = Matching(frozenset(forced_cycle_dominoes(h.order, e[0])))
-            seq = seq.then(expose(cur, e[0], dominoes))
-    assert seq.end.matching.edges <= h.edges
-    return seq
+    """Move every piece onto the Hamilton cycle: `align_with_cycle` with
+    every other edge of the host as a chord. Afterwards the cycle
+    alternates and holds the exposed vertex. The benchmark's trace books
+    the cycle planner's alignment (`hc_planner.align_s`) under this name."""
+    return align_with_cycle(p, h.order, p.graph.edges - h.edges)
 
 
 # ---------------------------------------------------------------------------

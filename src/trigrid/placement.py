@@ -1,9 +1,9 @@
 """Labeled placements, the slide move and its checks (`slide`,
 `verify_sequence`), the in-place slide kernel (`Board`, `replay`), an odd
-cycle's forced dominoes and rotation along it, vertex exposure and loop
-cutting. Nothing here searches over slides: `rotate` solves its goals in
-closed form, and the one slide search is the ear planner's pentagon core
-(`ear_planner.base_pentagon`)."""
+cycle's forced dominoes, alignment with and rotation along it, vertex
+exposure and loop cutting. Nothing here searches over slides, and neither
+planner does: `rotate` solves its goals in closed form, and
+`align_with_cycle` clears a cycle's chords through its forced dominoes."""
 
 from __future__ import annotations
 
@@ -337,6 +337,32 @@ def expose(p: Placement, v: int, m: Matching) -> SlideSequence:
                              "vertex lies outside its subgraph")
     path = alternating_path_to(p.matching, m, p.exposed, v)
     return replay(p, path[1::2])
+
+
+def align_with_cycle(p: Placement, cycle: Tuple[int, ...],
+                     chords: Iterable[Edge]) -> SlideSequence:
+    """Align p with the odd `cycle` of its host: move every piece off the
+    `chords`, so that the cycle's forced dominoes at the gap are pieces
+    (`Board.is_aligned`). p's gap must lie on the cycle, and every piece
+    that touches the cycle on a cycle edge or a chord, an edge between
+    two of its vertices.
+
+    The chords are walked sorted, last to first. A chord that holds a
+    piece has its first endpoint exposed through the cycle's forced
+    dominoes at that vertex, the one nearly perfect matching of the odd
+    cycle that exposes it. Every slide lands its piece on one of those
+    dominoes, a cycle edge, so an emptied chord stays empty, each chord
+    needs at most one `expose`, and a chord that holds no piece needs
+    none.
+    """
+    seq = SlideSequence(p, ())
+    for e in sorted(chords, reverse=True):
+        cur = seq.end
+        if e in cur.pieces:
+            dominoes = Matching(frozenset(forced_cycle_dominoes(cycle, e[0])))
+            seq = seq.then(expose(cur, e[0], dominoes))
+    assert Board(seq.end).is_aligned(cycle), "alignment postcondition failed"
+    return seq
 
 
 def invert_sequence(seq: SlideSequence) -> SlideSequence:

@@ -1,7 +1,7 @@
 """Reference helpers that only tests call: canonical aligned states on a
 cycle, the alignment check on a placement and its matching-based reference,
 the restricted slide search over `legal_moves` and `slide` that `rotate`,
-the swap gadget and `ear_planner.base_pentagon` are checked against, the
+the swap gadget and the pentagon core's plans are checked against, the
 centrality test, an ear decomposition grown from a matching, the
 neighbourhood search that defines local connectivity, the scan over every
 diamond labeling that defines the parity diamond, the orientation of one

@@ -274,6 +274,36 @@ def test_plan_refuses_host_whose_ear_growth_stalls(tmp_path, capsys):
     assert capsys.readouterr().err == "refused: no alternating ear extends the subgraph\n"
 
 
+# a 45-vertex host in the first theorem's domain (factor-critical,
+# 2-connected, with degree-6 vertices) on which the ear growth stalls
+STALLING_HOST_45 = [
+    (-4, -3), (-4, -2), (-3, -4), (-3, -3), (-3, -2), (-3, 0), (-3, 1), (-2, -4),
+    (-2, -3), (-2, -2), (-2, -1), (-2, 0), (-2, 1), (-2, 2), (-2, 3), (-2, 4), (-2, 5),
+    (-1, -4), (-1, -3), (-1, -2), (-1, -1), (-1, 1), (-1, 2), (-1, 3), (-1, 4), (-1, 5),
+    (0, -4), (0, -3), (0, -2), (0, -1), (0, 0), (0, 1), (0, 2), (0, 3), (1, -4), (1, -3),
+    (1, -1), (1, 0), (1, 1), (1, 2), (1, 3), (2, -4), (2, -3), (2, -1), (2, 1)]
+
+
+def test_check_prints_every_property_where_the_ear_growth_stalls(tmp_path, capsys):
+    """`check` prints the properties of a host whose ear growth stalls
+    and exits 0, with no sufficient condition; `plan --strategy ear`
+    refuses it with exit 2 and one line."""
+    gpath = _write_lattice(tmp_path, "stall45.graph", STALLING_HOST_45)
+    g = formats.parse_graph(gpath.read_text())
+    capsys.readouterr()
+    assert main(["check", str(gpath)]) == 0
+    out = capsys.readouterr().out
+    assert "vertices 45" in out and "factor_critical True" in out
+    assert "two_connected True" in out and "locally_connected False" in out
+    assert out.endswith("sufficient_condition none\n")
+    start = _write_placement(tmp_path, "s.p", g, sorted(near_perfect_matching(g, 1).edges))
+    target = _write_placement(tmp_path, "t.p", g, sorted(near_perfect_matching(g, 45).edges))
+    assert main(["plan", str(gpath), str(start), str(target), "--strategy", "ear",
+                 "--out", str(tmp_path / "x.plan")]) == 2
+    assert capsys.readouterr().err == "refused: no alternating ear extends the subgraph\n"
+    assert not (tmp_path / "x.plan").exists()
+
+
 def test_check_collinear_host(tmp_path, capsys):
     gpath = _write_lattice(tmp_path, "line.graph", [(0, 0), (1, 0), (2, 0)])
     assert main(["check", str(gpath)]) == 0
@@ -451,8 +481,9 @@ def test_planner_internal_error_exits_4(tmp_path, capsys, monkeypatch, strategy,
     """A placement or matching error raised inside a planner is the planner's
     fault, not a parse error of its inputs: exit 4, one line, no traceback.
     The exposing step is the ear planner's level-matching lookup and the
-    cycle planner's `expose` onto the cycle's forced dominoes."""
-    from trigrid import ear_planner, ears, hc_planner
+    cycle planner's `expose` onto the cycle's forced dominoes, which
+    `placement.align_with_cycle` calls."""
+    from trigrid import ear_planner, ears, hc_planner, placement
 
     def broken(*args, **kwargs):
         raise error("injected")
@@ -463,7 +494,7 @@ def test_planner_internal_error_exits_4(tmp_path, capsys, monkeypatch, strategy,
     elif strategy == "ear":
         monkeypatch.setattr(ears.LevelMatchings, "exposing", broken)
     else:
-        monkeypatch.setattr(hc_planner, "expose", broken)
+        monkeypatch.setattr(placement, "expose", broken)
     argv = _hex7_plan_argv(tmp_path, strategy)
     capsys.readouterr()
     assert main(argv) == 4

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trigrid import matching
+from trigrid import ear_planner, matching
 from trigrid.corpus import degree6_corpus
 from trigrid.ear_planner import _Planner, base_diamond_cycle, base_pentagon, plan_ear
 from trigrid.ears import (EarDecomposition, LevelMatchings, align_with_ears, find_admissible,
@@ -16,9 +16,10 @@ from trigrid.grid import (DIRS, build_abstract, build_graph, degree6_vertices,
 from trigrid.matching import enumerate_near_perfect_matchings, is_factor_critical
 from trigrid.oracle import bfs_component
 from trigrid.placement import Placement, replay, verify_sequence
-from trigrid.plans import PlanError, PlanInvariantError
+from trigrid.plans import PlanInvariantError
 
 from conftest import random_placement
+from support import reference_slides_within
 
 
 def _all_states(g):
@@ -30,13 +31,26 @@ def _all_states(g):
 
 
 def test_base_pentagon_all_pairs(pentagon):
+    """The pentagon core's plan between any two of its 14 states verifies,
+    takes at most 8 slides and at most 2 more than the shortest plan that
+    stays inside the core."""
+    d = find_admissible(pentagon)
+    assert d.kind == "pentagon"
     states = _all_states(pentagon)
+    lengths, shortest = [], []
     for p in states:
         for q in states:
-            seq = base_pentagon(p, q, pentagon.edges)
-            assert len(seq) <= 8
+            seq = base_pentagon(p, q, d)
+            ref = reference_slides_within(p, pentagon.edges, lambda s: s.pieces == q.pieces)
+            assert len(seq) <= 8 and len(seq) <= len(ref) + 2
             rep = verify_sequence(seq, expected_end=q)
             assert rep.ok and rep.matches_expected
+            lengths.append(len(seq))
+            shortest.append(len(ref))
+    over = [a - b for a, b in zip(lengths, shortest)]
+    print(f"pentagon core, {len(lengths)} pairs: mean {sum(lengths) / len(lengths):.2f} "
+          f"slides against the shortest in-core plan's {sum(shortest) / len(shortest):.2f}, "
+          f"worst {max(lengths)}, at most {max(over)} above the shortest")
 
 
 def _ring_reversed_diamond_cycle():
@@ -67,22 +81,47 @@ def test_base_diamond_cycle_bound(n, host, rng):
         assert rep.ok and rep.matches_expected
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_base_diamond_cycle_runs_no_matching_search(n, rng, monkeypatch):
-    """The diamond core aligns both ends through its Hamilton cycle's
-    forced dominoes: given its decomposition, it never calls the blossom."""
-    g = diamond_cycle_graph(n)
+@pytest.mark.parametrize("n", [3, 4, 5, 6, "pentagon"])
+def test_base_diamond_cycle_runs_no_matching_search(n, rng, monkeypatch, pentagon):
+    """Both cores align both ends through their cycle's forced dominoes:
+    given its decomposition, neither the diamond core of diamond_cycle(n)
+    nor the pentagon core calls the blossom."""
+    g = pentagon if n == "pentagon" else diamond_cycle_graph(n)
     d = find_admissible(g)
-    assert d.kind == "diamond_cycle"
+    assert d.kind == ("pentagon" if n == "pentagon" else "diamond_cycle")
+    core = base_pentagon if n == "pentagon" else base_diamond_cycle
     pairs = [(random_placement(g, rng), random_placement(g, rng)) for _ in range(10)]
 
     def no_search(adj):
-        raise AssertionError("the diamond core ran a matching search")
+        raise AssertionError("the core ran a matching search")
 
     monkeypatch.setattr(matching, "max_cardinality_matching", no_search)
     for p, q in pairs:
-        rep = verify_sequence(base_diamond_cycle(p, q, d), expected_end=q)
+        rep = verify_sequence(core(p, q, d), expected_end=q)
         assert rep.ok and rep.matches_expected
+
+
+def test_plan_ear_core_calls_stay_in_the_pentagon(monkeypatch, rng):
+    """Every pentagon-core call inside `plan_ear` on the degree-6 corpus
+    ends at its target, and every move's kept vertex and gap lie on the
+    base 5-cycle."""
+    calls = []
+
+    def spy(p, q, d):
+        seq = base_pentagon(p, q, d)
+        calls.append((q, d, seq))
+        return seq
+
+    monkeypatch.setattr(ear_planner, "base_pentagon", spy)
+    for g in degree6_corpus():
+        for _ in range(5):
+            p, q = random_placement(g, rng), random_placement(g, rng)
+            plan_ear(g, p, q)
+    assert calls
+    for q, d, seq in calls:
+        rep = verify_sequence(seq, expected_end=q)
+        assert rep.ok and rep.matches_expected
+        assert all(kept in d.base and gap in d.base for _, kept, gap in seq.moves)
 
 
 def test_plan_ear_report_fields(pentagon, rng):
@@ -162,14 +201,6 @@ def test_plan_ear_refuses_triangle():
     p = Placement.make(g, [(1, 2)])
     with pytest.raises(Exception):
         plan_ear(g, p, p)
-
-
-def test_base_pentagon_goal_outside_edges(pentagon):
-    p = Placement.make(pentagon, [(2, 3), (4, 5)])
-    q = Placement.make(pentagon, [(1, 2), (4, 5)])
-    assert len(base_pentagon(p, q, pentagon.edges)) >= 1
-    with pytest.raises(PlanError):
-        base_pentagon(p, q, set(pentagon.edges) - {(1, 2)})
 
 
 def test_plan_ear_passes_through_settled_levels(rng):

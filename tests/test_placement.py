@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,14 +8,12 @@ from trigrid.corpus import locally_connected_corpus
 from trigrid.grid import build_abstract, build_graph, edge_key
 from trigrid.hamilton import find_hamilton
 from trigrid.matching import Matching, near_perfect_matching
-from trigrid.oracle import bfs_component
-from trigrid.ear_planner import base_pentagon
+from trigrid import placement
 from trigrid.placement import (IllegalMoveError, Placement, PlacementError,
                                SlideMove, SlideSequence, VerifyReport,
-                               apply_sequence, cut_loops, expose, forced_cycle_dominoes,
-                               invert_sequence, legal_moves, replay, rotate,
-                               slide, verify_sequence)
-from trigrid.plans import PlanError
+                               align_with_cycle, apply_sequence, cut_loops, expose,
+                               forced_cycle_dominoes, invert_sequence, legal_moves,
+                               replay, rotate, slide, verify_sequence)
 
 from conftest import random_placement
 from support import (aligned_cycle_state, is_aligned, is_alternating_cycle,
@@ -106,21 +106,6 @@ def test_rotation_bounds_small():
                     assert full.end.pieces == tgt.pieces
 
 
-def test_base_pentagon_is_shortest(hex7, rng):
-    """`ear_planner.base_pentagon` over the whole host's edges plans as
-    many slides as the oracle's distance, with the reference search's
-    moves, ties included."""
-    p = random_placement(hex7, rng)
-    comp = bfs_component(hex7, p)
-    for _ in range(10):
-        q = random_placement(hex7, rng)
-        seq = base_pentagon(p, q, hex7.edges)
-        assert len(seq) == comp.distance_to(q)
-        assert seq.moves == reference_slides_within(p, hex7.edges,
-                                                    lambda s: s.pieces == q.pieces)
-        assert verify_sequence(seq, expected_end=q).matches_expected
-
-
 def _random_host_placement(n, rnd):
     """A placement of n pieces on a random connected host of 2n + 1
     vertices, and the host's vertices in random order."""
@@ -134,60 +119,6 @@ def _random_host_placement(n, rnd):
     extra = rnd.sample(others, rnd.randint(0, min(m, len(others))))
     g = build_abstract(m, set(pieces) | set(tree) | set(extra))
     return Placement.make(g, pieces), order
-
-
-def _chorded_cycle_pair(n, rnd):
-    """A placement p of n pieces on a cycle of 2n + 1 vertices in random
-    order with up to three chords, and the state q half way round the
-    cycle of (2n + 1)n states that turning the pieces along the cycle
-    passes through. With n even both ways round are shortest, so p's two
-    first moves tie unless a chord gives a shorter plan."""
-    m = 2 * n + 1
-    order = list(range(1, m + 1))
-    rnd.shuffle(order)
-    ring = {edge_key(order[i], order[(i + 1) % m]) for i in range(m)}
-    chords = [edge_key(a, b) for a in order for b in order
-              if a < b and edge_key(a, b) not in ring]
-    g = build_abstract(m, ring | set(rnd.sample(chords, rnd.randint(0, min(3, len(chords))))))
-    pieces = [edge_key(order[t], order[t + 1]) for t in range(1, m, 2)]
-    rnd.shuffle(pieces)
-    p = q = Placement.make(g, pieces)
-    for _ in range(m * n // 2):
-        kept = order[(order.index(q.exposed) + 1) % m]
-        q = slide(q, SlideMove(q.label_covering(kept), kept, q.exposed))
-    return p, q
-
-
-@settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 4), chorded=st.booleans(), rnd=st.randoms(use_true_random=False))
-def test_base_pentagon_matches_reference(n, chorded, rnd):
-    """`ear_planner.base_pentagon` gives the moves of the `legal_moves`/
-    `slide` BFS to q's pieces, ties included, and raises PlanError exactly
-    where that BFS finds nothing, on small random hosts, placements and
-    edge subsets, and on chorded odd cycles, whose shortest plans often
-    tie: there an order of slides other than by label, then kept vertex,
-    gives other moves."""
-    if chorded:
-        p, q = _chorded_cycle_pair(n, rnd)
-        edges = set(p.graph.edges)
-    else:
-        p, order = _random_host_placement(n, rnd)
-        g, m = p.graph, len(order)
-        edges = {e for e in g.edges if rnd.random() < 0.8}
-
-        q = p                               # a random walk in the whole host
-        for _ in range(rnd.randrange(3 * m)):
-            q = slide(q, rnd.choice(legal_moves(q)))
-
-    ref = reference_slides_within(p, edges, lambda s: s.pieces == q.pieces)
-    if ref is None:
-        with pytest.raises(PlanError):
-            base_pentagon(p, q, edges)
-        return
-    seq = base_pentagon(p, q, edges)
-    assert seq.moves == ref
-    end = apply_sequence(p, seq.moves)
-    assert seq.end.pieces == end.pieces == q.pieces and seq.end.exposed == end.exposed
 
 
 def test_rotation_target_off_cycle():
@@ -451,6 +382,33 @@ def test_rotate_matches_reference_search(k, rnd):
     assert seq.moves == ref
     end = apply_sequence(p, seq.moves)
     assert seq.end.pieces == end.pieces and seq.end.exposed == end.exposed
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 6), rnd=st.randoms(use_true_random=False))
+def test_align_with_cycle_clears_the_chords(k, rnd):
+    """On an odd cycle with up to three chords, from a random placement of
+    the host, `align_with_cycle` leaves no piece on a chord and the
+    placement aligned with the cycle, with at most one `expose` for each
+    chord that held a piece."""
+    m = 2 * k + 1
+    cyc = list(range(1, m + 1))
+    rnd.shuffle(cyc)
+    ces = {edge_key(cyc[i], cyc[(i + 1) % m]) for i in range(m)}
+    others = [edge_key(a, b) for a in cyc for b in cyc
+              if a < b and edge_key(a, b) not in ces]
+    chords = set(rnd.sample(others, rnd.randint(0, min(3, len(others)))))
+    g = build_abstract(m, sorted(ces | chords))
+    p = Placement.make(g, near_perfect_matching(g, rnd.choice(cyc)).edges)
+    for _ in range(rnd.randrange(3 * m)):
+        p = slide(p, rnd.choice(legal_moves(p)))
+    held = len(chords & set(p.pieces))
+    with mock.patch.object(placement, "expose", wraps=placement.expose) as spy:
+        seq = align_with_cycle(p, tuple(cyc), chords)
+    assert spy.call_count <= held
+    assert not chords & set(seq.end.pieces)
+    assert is_aligned(seq.end, cyc)
+    assert apply_sequence(p, seq.moves).pieces == seq.end.pieces
 
 
 def test_then_chain_end_matches_replay(hex7, rng):
