@@ -31,9 +31,9 @@ CASES = {
     "deg6-11v-ear": (lambda: degree6_corpus(13, 12)[-1], plan_ear,
                      "cb231f283cbf73f9320f744c483e4bf555978e8c37d25d32040fe8ae4890f705"),
     "diamond_cycle6-ear": (lambda: diamond_cycle_graph(6), plan_ear,
-                           "38095e4f3cb744e1c4b3b6be19497ae2e7bc9276942ad470e97147d8934df957"),
+                           "80e1f475de1ae9f3f6ea15eeacef3762d072ee8dcdad33544afd3c1cf519f366"),
     "hex19-ear": (lambda: build_graph(hexagon_points(2)), plan_ear,
-                  "e7609fb61a3f36a2c44d0a96d825dda30695f7b74c3e7b144eeb07b9582dd678"),
+                  "ee9bff7c3a1411d9c07ce22a241f3bb20dd2585ea03faab3df74b7121554d9a5"),
     "hex_with_hole2-ear": (lambda: hex_with_hole_graph(2), plan_ear,
                            "c8f600c5db124a83dda22d85a468b3c93b4c2cece15424a189567a7a363a73db"),
 }
