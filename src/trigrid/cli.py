@@ -78,8 +78,6 @@ def cmd_gen(args) -> int:
 
 
 def _has_admissible_core(g: TriGridGraph) -> bool:
-    """True iff `find_admissible` decomposes g; False where it finds no
-    core or its ear growth stalls, both `EarError`s."""
     try:
         find_admissible(g)
         return True

@@ -32,9 +32,8 @@ class _Planner:
         the first vertex of ear i on both sides, which aligns the ear,
         stage the target's ear labels onto the ear if it has an interior
         (a chord holds no piece), plan level i - 1, and undo the target
-        side's exposing. The core levels (i <= 3) are planned on the
-        core's cycle, given the decomposition, by `base_pentagon` or
-        `base_diamond_cycle`."""
+        side's exposing. The core levels (i <= 3) go to `base_pentagon`
+        or `base_diamond_cycle`, which plan on the core's cycle."""
         if p.pieces == q.pieces and p.exposed == q.exposed:
             return SlideSequence(p, ())
         if i > 3:
@@ -222,15 +221,11 @@ class _Planner:
 
 
 def base_pentagon(p: Placement, q: Placement, d: EarDecomposition) -> SlideSequence:
-    """Plan on the pentagon core of `d`: align both ends with the base
-    5-cycle, turn once along it, and undo the target side's alignment.
-
-    The core is the 5-cycle with the apex's two chords, `d.ear(2)` and
-    `d.ear(3)`, and holds two labels. Two labels have one cyclic order,
-    and 5 and 2 are coprime, so the 10 states aligned with the cycle lie
-    on one turn of it (`rotate`): a single rotation reaches the target's
-    aligned gap and labels, and no search is needed. p and q agree off
-    the core and hold their gaps in it, as at the planner's core level."""
+    """Plan on the pentagon core of `d`, the base 5-cycle with the apex's
+    chords `d.ear(2)` and `d.ear(3)`: align both ends with the cycle, turn
+    once along it, and undo the target side's alignment. p and q agree
+    off the core, which holds two labels. These have one cyclic order, and
+    5 and 2 are coprime, so the 10 aligned states lie on one turn (`rotate`)."""
     chords = (edge_key(*d.ear(2)), edge_key(*d.ear(3)))
     sp = align_with_cycle(p, d.base, chords)
     sq = align_with_cycle(q, d.base, chords)
@@ -242,11 +237,10 @@ def base_pentagon(p: Placement, q: Placement, d: EarDecomposition) -> SlideSeque
 
 def base_diamond_cycle(p: Placement, q: Placement, d: EarDecomposition) -> SlideSequence:
     """Plan on the diamond core of `d`, an odd cycle with an attached
-    diamond: align both ends with the core's Hamilton cycle, clearing its
-    two chords, (u, v) and the diamond's diagonal, with `align_with_cycle`;
-    then run the two-cycle rotation loop, staging each target label on the
-    diamond's far edge along the Hamilton cycle and parking it with an
-    inner-cycle rotation; then undo the target side's alignment."""
+    diamond: align both ends with the core's Hamilton cycle
+    (`align_with_cycle`), stage each target label on the diamond's far edge
+    along that cycle and park it with an inner-cycle rotation, then undo
+    the target side's alignment."""
     c_inner = d.base
     u, x, y, v = d.ear(2)         # the diamond's path; d.ear(3) is its diagonal
     # Hamilton cycle: inner cycle with edge (u, v) replaced by the ear path

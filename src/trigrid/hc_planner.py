@@ -18,10 +18,8 @@ from .plans import PlanError, PlanInvariantError, PlanReport, Transpositions, fi
 
 
 def align_with_hamilton(p: Placement, h: HamiltonCycle) -> SlideSequence:
-    """Move every piece onto the Hamilton cycle: `align_with_cycle` with
-    every other edge of the host as a chord. Afterwards the cycle
-    alternates and holds the exposed vertex. The benchmark's trace books
-    the cycle planner's alignment (`hc_planner.align_s`) under this name."""
+    """`align_with_cycle` on the Hamilton cycle, every other host edge a
+    chord; the benchmark's trace books `hc_planner.align_s` by this name."""
     return align_with_cycle(p, h.order, p.graph.edges - h.edges)
 
 

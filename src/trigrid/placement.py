@@ -341,19 +341,17 @@ def expose(p: Placement, v: int, m: Matching) -> SlideSequence:
 
 def align_with_cycle(p: Placement, cycle: Tuple[int, ...],
                      chords: Iterable[Edge]) -> SlideSequence:
-    """Align p with the odd `cycle` of its host: move every piece off the
-    `chords`, so that the cycle's forced dominoes at the gap are pieces
-    (`Board.is_aligned`). p's gap must lie on the cycle, and every piece
-    that touches the cycle on a cycle edge or a chord, an edge between
-    two of its vertices.
+    """Move every piece of p off the `chords`, edges between two vertices
+    of the odd `cycle`, so that p is aligned with the cycle
+    (`Board.is_aligned`). p's gap must lie on the cycle, and each piece
+    touching it on a cycle edge or a chord.
 
     The chords are walked sorted, last to first. A chord that holds a
     piece has its first endpoint exposed through the cycle's forced
-    dominoes at that vertex, the one nearly perfect matching of the odd
-    cycle that exposes it. Every slide lands its piece on one of those
-    dominoes, a cycle edge, so an emptied chord stays empty, each chord
-    needs at most one `expose`, and a chord that holds no piece needs
-    none.
+    dominoes there, the one nearly perfect matching of the odd cycle that
+    exposes it. Every slide lands on one of them, a cycle edge, so an
+    emptied chord stays empty: each chord costs at most one `expose`, and
+    one that holds no piece costs none.
     """
     seq = SlideSequence(p, ())
     for e in sorted(chords, reverse=True):
