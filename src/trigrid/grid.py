@@ -13,7 +13,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+
+if TYPE_CHECKING:
+    from .oracle import SlideSpace
 
 Point = Tuple[int, int]
 Edge = Tuple[int, int]
@@ -88,6 +92,17 @@ class TriGridGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self.edges
+
+    @cached_property
+    def slide_space(self) -> SlideSpace:
+        """The oracle's edge ids, slide tables and per-configuration move
+        memo for this host, built on first use and kept as long as this
+        graph object. The memo holds one entry per configuration a search
+        has reached, so it is bounded by the host's configuration count,
+        its near-perfect matchings. It is no dataclass field, so equality
+        and hashing ignore it, and an equal graph object has its own."""
+        from .oracle import SlideSpace  # oracle imports grid
+        return SlideSpace(self)
 
 
 def _lattice_edges(points: Sequence[Point]) -> Set[Tuple[Point, Point]]:

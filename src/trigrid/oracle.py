@@ -16,8 +16,10 @@ ids must fit in a byte, so hosts with more than 256 edges are refused.
 
 `bfs_component` runs a level-synchronous BFS from one placement. Its
 frontier is grouped by configuration; the tables and next configurations
-of each configuration are built once per search and shared by every state
-of its group, and `_level` steps the states one by one.
+of each configuration are built once per host, in the `SlideSpace` that
+the graph object owns (`TriGridGraph.slide_space`), and shared by every
+state of its group and by every later search on the same graph object.
+`_level` steps the states one by one.
 
 `distance` meets in the middle with the same level step: one search from
 p and one from q, since the inverse of a slide is a slide. Each round
@@ -30,7 +32,7 @@ component. An unreachable q costs up to both components, more than one
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, IO, List, Optional, Tuple
 
 from .grid import Edge, TriGridGraph, edge_key
@@ -47,16 +49,63 @@ class OracleBudgetError(Exception):
     pass
 
 
+_Moves = List[Tuple[bytes, bytes]]
+
+
+class SlideSpace:
+    """The slides of one host over its configurations, built on demand and
+    kept: the host owns one as `TriGridGraph.slide_space`, so every search
+    on the same graph object shares it.
+
+    `edges` is the host's sorted edge list, which maps the edge ids in a
+    state back to edges, and `index` maps them forth. `moves_of(cfg)`
+    gives (table, next configuration) for every slide from a
+    configuration, built once per configuration. A table depends only on
+    the two edge ids of the slide, so one is kept per pair, not one per
+    move: on `hex13` that is 156 tables instead of 684. The space holds
+    the host's adjacency, not the host, so it keeps no graph alive."""
+
+    def __init__(self, g: TriGridGraph):
+        self.edges: Tuple[Edge, ...] = tuple(sorted(g.edges))
+        self.index: Dict[Edge, int] = {e: i for i, e in enumerate(self.edges)}
+        # the id of edge (w, x) under both orders of its ends
+        self._ids = {(w, x): i for i, (u, v) in enumerate(self.edges)
+                     for w, x in ((u, v), (v, u))}
+        self._vertices = frozenset(g.vertex_ids)
+        self._adj = g.adj
+        self._tables: Dict[Tuple[int, int], bytes] = {}
+        self._moves: Dict[bytes, _Moves] = {}
+
+    def moves_of(self, cfg: bytes) -> _Moves:
+        out = self._moves.get(cfg)
+        if out is not None:
+            return out
+        edges, ids, tables = self.edges, self._ids, self._tables
+        cover = {}
+        for i in cfg:
+            u, v = edges[i]
+            cover[u] = cover[v] = i
+        (x,) = self._vertices.difference(cover)
+        out = self._moves[cfg] = []
+        for w in self._adj[x]:
+            old, new = cover[w], ids[w, x]
+            table = tables.get((old, new))
+            if table is None:
+                table = bytearray(range(256))
+                table[old] = new
+                table = tables[old, new] = bytes(table)
+            out.append((table, bytes(sorted(cfg.translate(table)))))
+        return out
+
+
 @dataclass(frozen=True)
 class Component:
     """One connected component of the slide graph, with BFS distances keyed
-    on encoded states. `edges` is the host's sorted edge list, which maps
-    the edge ids in a state back to edges; `index` maps them forth."""
+    on encoded states. The edge ids in a state are those of the start's
+    host, `start.graph.slide_space`."""
 
     start: Placement
     distances: Dict[bytes, int]
-    edges: Tuple[Edge, ...] = field(repr=False, compare=False)
-    index: Dict[Edge, int] = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -70,21 +119,16 @@ class Component:
         return self.distance_to(p) is not None
 
     def distance_to(self, p: Placement) -> Optional[int]:
-        key = _key(p, self.index)
+        key = _key(p, self.start.graph.slide_space.index)
         return None if key is None else self.distances.get(key)
 
     def decode(self, s: bytes) -> Tuple[Tuple[Edge, ...], int]:
         """The (pieces, exposed) pair of state s, each piece as (min, max)."""
         nv = self.start.graph.num_vertices
-        pieces = tuple(self.edges[i] for i in s)
+        edges = self.start.graph.slide_space.edges
+        pieces = tuple(edges[i] for i in s)
         # every vertex but the exposed one is covered exactly once
         return pieces, nv * (nv + 1) // 2 - sum(map(sum, pieces))
-
-
-def _encoding(g: TriGridGraph) -> Tuple[Tuple[Edge, ...], Dict[Edge, int]]:
-    """The host's sorted edge list and its inverse, edge -> id."""
-    edges = tuple(sorted(g.edges))
-    return edges, {e: i for i, e in enumerate(edges)}
 
 
 def _key(p: Placement, index: Dict[Edge, int]) -> Optional[bytes]:
@@ -99,41 +143,6 @@ def _start_key(p: Placement, index: Dict[Edge, int]) -> bytes:
     if start is None:
         raise ValueError("the start placement has a piece that is not a host edge")
     return start
-
-
-_Moves = List[Tuple[bytes, bytes]]
-
-
-def _slides(g: TriGridGraph, edges: Tuple[Edge, ...]) -> Callable[[bytes], _Moves]:
-    """A function that gives (table, next configuration) for every slide
-    from a configuration, built once per configuration. A table depends
-    only on the two edge ids of the slide, so one is kept per pair, not
-    one per move: on `hex13` that is 156 tables instead of 684."""
-    # the id of edge (w, x) under both orders of its ends
-    ids = {(w, x): i for i, (u, v) in enumerate(edges) for w, x in ((u, v), (v, u))}
-    tables: Dict[Tuple[int, int], bytes] = {}
-    moves: Dict[bytes, _Moves] = {}
-
-    def moves_of(cfg: bytes) -> _Moves:
-        out = moves.get(cfg)
-        if out is not None:
-            return out
-        cover = {}
-        for i in cfg:
-            u, v = edges[i]
-            cover[u] = cover[v] = i
-        (x,) = set(g.vertex_ids).difference(cover)
-        out = moves[cfg] = []
-        for w in g.adj[x]:
-            old, new = cover[w], ids[w, x]
-            table = tables.get((old, new))
-            if table is None:
-                table = bytearray(range(256))
-                table[old] = new
-                table = tables[old, new] = bytes(table)
-            out.append((table, bytes(sorted(cfg.translate(table)))))
-        return out
-    return moves_of
 
 
 _Frontier = Dict[bytes, List[bytes]]
@@ -177,16 +186,15 @@ def bfs_component(g: TriGridGraph, p: Placement,
                   vertex_bound: int = DEFAULT_VERTEX_BOUND) -> Component:
     """All placements reachable from p, each with its shortest slide count."""
     _check_budget(g, vertex_bound)
-    edges, index = _encoding(g)
-    start = _start_key(p, index)
+    space = g.slide_space
+    start = _start_key(p, space.index)
     dist = {start: 0}
     frontier = {bytes(sorted(start)): [start]}
-    moves_of = _slides(g, edges)
     d = 0
     while frontier:
         d += 1
-        frontier, _ = _level(frontier, dist, d, moves_of)
-    return Component(p, dist, edges, index)
+        frontier, _ = _level(frontier, dist, d, space.moves_of)
+    return Component(p, dist)
 
 
 def state_count(g: TriGridGraph) -> int:
@@ -215,7 +223,7 @@ def distance(g: TriGridGraph, p: Placement, q: Placement,
     near-perfect matching) or lies in another component.
 
     Meets in the middle: a search from p and one from q share one
-    `_level` step and one set of slide tables. Each round expands the side
+    `_level` step and the host's `SlideSpace`. Each round expands the side
     with fewer frontier states by one whole level d and stops at the first
     new state s the other side holds, returning d + other[s]. That is a
     shortest path: before this level, no state of this side at depth
@@ -227,16 +235,15 @@ def distance(g: TriGridGraph, p: Placement, q: Placement,
     search ends only when one side runs out: on `chord_cycle(5, 3)` about
     twice one `bfs_component`."""
     _check_budget(g, vertex_bound)
-    edges, index = _encoding(g)
-    start = _start_key(p, index)
-    goal = _key(q, index)
+    space = g.slide_space
+    start = _start_key(p, space.index)
+    goal = _key(q, space.index)
     # q's side takes slides only if q is n disjoint host edges, as p is
     if (goal is None or len(goal) != len(start)
-            or len({v for i in goal for v in edges[i]}) != 2 * len(goal)):
+            or len({v for i in goal for v in space.edges[i]}) != 2 * len(goal)):
         return None
     if goal == start:
         return 0
-    moves_of = _slides(g, edges)
     dists = ({start: 0}, {goal: 0})
     frontiers = [{bytes(sorted(s)): [s]} for s in (start, goal)]
     depths = [0, 0]
@@ -245,7 +252,7 @@ def distance(g: TriGridGraph, p: Placement, q: Placement,
         i = int(sizes[1] < sizes[0])
         depths[i] += 1
         frontiers[i], met = _level(frontiers[i], dists[i], depths[i],
-                                   moves_of, dists[1 - i])
+                                   space.moves_of, dists[1 - i])
         if met is not None:
             return met
     return None

@@ -82,7 +82,7 @@ def test_base_diamond_cycle_bound(n, host, rng):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, "pentagon"])
-def test_base_diamond_cycle_runs_no_matching_search(n, rng, monkeypatch, pentagon):
+def test_base_cores_run_no_matching_search(n, rng, monkeypatch, pentagon):
     """Both cores align both ends through their cycle's forced dominoes:
     given its decomposition, neither the diamond core of diamond_cycle(n)
     nor the pentagon core calls the blossom."""

@@ -1,7 +1,11 @@
+import dataclasses
+import gc
 import io
 import math
 import random
+import statistics
 import time
+import weakref
 from collections import deque
 from itertools import permutations
 
@@ -10,8 +14,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trigrid.corpus import degree6_corpus, locally_connected_corpus
-from trigrid.grid import (DIRS, GridError, build_graph, chord_cycle_graph,
-                          diamond_cycle_graph, hexagon_points)
+from trigrid.grid import (DIRS, GridError, TriGridGraph, build_graph,
+                          chord_cycle_graph, diamond_cycle_graph, hexagon_points)
 from trigrid.matching import enumerate_near_perfect_matchings
 from trigrid.oracle import (OracleBudgetError, bfs_component, distance,
                             export_csv, is_reconfigurable_bruteforce,
@@ -194,6 +198,61 @@ def test_distance_matches_the_component_on_the_oracle_hosts(host, eccentricity):
         assert distance(g, p, Placement(g, *comp.decode(far))) == comp.eccentricity
         assert eccentricity in (None, comp.eccentricity)
         assert distance(g, p, p) == 0
+
+
+def _on(g, p):
+    """p on the equal graph object g."""
+    return Placement(g, p.pieces, p.exposed)
+
+
+@pytest.mark.parametrize("host", ["hex11", "diamond_cycle6"])
+def test_searches_on_a_warm_host_match_a_fresh_one(host):
+    """The slide space outlives a search: on one graph object every
+    search after the first finds its moves built. Seeded `distance` and
+    `bfs_component` results there equal those on a fresh, equal graph
+    object, on which `distance` runs first, so from an empty memo. Prints
+    a cold and a warm `distance` time; nothing asserts on time."""
+    warm = _oracle_host(host)
+    rnd = random.Random(host)
+    cold_s, warm_s = [], []
+    for _ in range(4):
+        p, q = random_placement(warm, rnd), random_placement(warm, rnd)
+        comp = bfs_component(warm, p)
+        t0 = time.perf_counter()
+        d = distance(warm, p, q)
+        warm_s.append(time.perf_counter() - t0)
+        fresh = _oracle_host(host)
+        assert fresh == warm and fresh is not warm
+        t0 = time.perf_counter()
+        assert distance(fresh, _on(fresh, p), _on(fresh, q)) == d
+        cold_s.append(time.perf_counter() - t0)
+        assert d == comp.distance_to(q)
+        comp2 = bfs_component(fresh, _on(fresh, p))
+        assert list(comp2.distances.items()) == list(comp.distances.items())
+    print(f"\n{host}: distance cold {statistics.median(cold_s) * 1e3:.2f} ms, "
+          f"warm {statistics.median(warm_s) * 1e3:.2f} ms (medians of 4 pairs)")
+
+
+def test_the_oracle_keeps_no_state_beyond_the_host():
+    """The slide space lives on its graph object only: a search leaves an
+    equal graph object untouched and changes no field, equality or hash,
+    and nothing keeps a searched graph alive."""
+    fields = dataclasses.fields(TriGridGraph)
+    g, g2 = _oracle_host("hex11"), _oracle_host("hex11")
+    assert g == g2 and hash(g) == hash(g2)
+    rnd = random.Random(1)
+    p, q = random_placement(g, rnd), random_placement(g, rnd)
+    d = distance(g, p, q)
+    assert bfs_component(g, p).distance_to(q) == d
+    assert "slide_space" not in vars(g2)
+    assert distance(g2, _on(g2, p), _on(g2, q)) == d
+    assert g.slide_space is g.slide_space is not g2.slide_space
+    assert g == g2 and hash(g) == hash(g2)
+    assert dataclasses.fields(TriGridGraph) == fields
+    ref = weakref.ref(g)
+    del g, p, q                          # a placement holds its graph
+    gc.collect()
+    assert ref() is None
 
 
 def test_distance_to_malformed_or_unreachable_targets(hex7):
