@@ -131,7 +131,7 @@ def cmd_plan(args) -> int:
     # both planners return only through `plans.finish_plan`, which replays
     # the plan under the four checks and compares its end with q
     report = planner(g, p, q)
-    _write(args.out, formats.serialize_plan(report.strategy, report.sequence))
+    _write(args.out, formats.serialize_plan(report.strategy, report.start, report.moves))
     if os.environ.get("TRIGRID_LOG"):
         line = f"trigrid: plan strategy {report.strategy} slides {report.slide_count}"
         if report.strategy == "ear":
@@ -149,11 +149,11 @@ def cmd_plan(args) -> int:
 
 def cmd_verify(args) -> int:
     g = _load_graph(args.graph)
-    strategy, seq = formats.parse_plan(_read(args.plan), g)
+    strategy, start, moves = formats.parse_plan(_read(args.plan), g)
     expected = None
     if args.target:
         expected = formats.parse_placement(_read(args.target), g)
-    report = verify_sequence(seq, expected_end=expected)
+    report = verify_sequence(start, moves, expected_end=expected)
     print(f"strategy {strategy}")
     print(f"moves {report.move_count}")
     print(f"ok {report.ok}")
@@ -191,11 +191,11 @@ def cmd_render(args) -> int:
         if args.out == "-":
             raise OSError(errno.EINVAL, "a plan's frames are files, one per state, "
                           "not stdout", "-")
-        _, seq = formats.parse_plan(_read(args.plan), g)
-        check = verify_sequence(seq)
+        _, start, moves = formats.parse_plan(_read(args.plan), g)
+        check = verify_sequence(start, moves)
         if not check.ok:
             return _plan_failed(check)
-        frames = render_plan_frames(g, seq)
+        frames = render_plan_frames(g, start, moves)
         base = Path(args.out or "plan.svg")
         for i, svg in enumerate(frames):
             path = base.with_name(f"{base.stem}-{i:04d}{base.suffix}")

@@ -8,8 +8,8 @@ from typing import Dict, List, Optional, Tuple
 from .grid import Edge, TriGridGraph, cycle_edges, edge_key
 from .matching import alternating_path_to
 from .ears import EarDecomposition, LevelMatchings, align_with_ears, ear_settled, find_admissible
-from .placement import (Placement, SlideSequence, align_with_cycle, cut_loops,
-                        forced_cycle_dominoes, invert_sequence, replay, rotate)
+from .placement import (Placement, SlideSequence, align_with_cycle, forced_cycle_dominoes,
+                        invert_sequence, replay, rotate)
 from .plans import PlanError, PlanReport, Transpositions, finish_plan
 
 
@@ -106,12 +106,12 @@ class _Planner:
 
         The memo is keyed by the level, the unlabeled pieces, the gap and
         the two positions: the first transposition of a key is built by
-        `_conjugate` and cut, and every later one replays it.
+        `_conjugate`, and every later one replays its word, uncut, as
+        `finish_plan` cuts the whole plan once.
         """
         key = (j, frozenset(cur.pieces), cur.exposed,
                frozenset((cur.piece(a), cur.piece(b))))
-        return self.gadgets(cur, a, b, key, lambda target: cut_loops(
-            self._conjugate(j, cur, a, b, target)))
+        return self.gadgets(cur, a, b, key, lambda target: self._conjugate(j, cur, a, b, target))
 
     def _conjugate(self, j: int, cur: Placement, a: int, b: int,
                    target: Placement) -> SlideSequence:
@@ -139,7 +139,7 @@ class _Planner:
                 return self.plan(j, cur, target)
             outer = outer.then(turn)
         inner = self._transpose(j - 1, outer.end, a, b)
-        back = replay(inner.end, [mv.kept_vertex for mv in reversed(outer.moves)])
+        back = replay(inner.end, outer.kept[::-1])
         return outer.then(inner).then(back)
 
     def _lower(self, j: int, cur: Placement, a: int, b: int) -> Optional[SlideSequence]:
@@ -286,7 +286,7 @@ def base_diamond_cycle(p: Placement, q: Placement, d: EarDecomposition) -> Slide
     # any cyclic shift of the reading produces the same cyclic order; take
     # the first cheapest one
     best = min((run(labels[shift:] + labels[:shift]) for shift in range(len(labels))),
-               key=lambda s: len(s.moves))
+               key=len)
     return sp.then(best).then(invert_sequence(sq))
 
 

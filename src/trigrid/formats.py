@@ -11,7 +11,7 @@ whole file.
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .grid import Edge, TriGridGraph, build_abstract, build_graph, edge_key
-from .placement import Placement, PlacementError, SlideMove, SlideSequence
+from .placement import Placement, PlacementError, SlideMove
 
 
 class ParseError(Exception):
@@ -171,15 +171,14 @@ def parse_moves(text: str) -> List[SlideMove]:
     return out
 
 
-def serialize_sequence(seq: SlideSequence) -> str:
-    return ("start\n" + serialize_placement(seq.start)
-            + serialize_moves(seq.moves))
+def serialize_sequence(start: Placement, moves: Sequence[SlideMove]) -> str:
+    return "start\n" + serialize_placement(start) + serialize_moves(moves)
 
 
 def _read_sequence(text: str, g: TriGridGraph,
-                   plan: bool) -> Tuple[str, SlideSequence]:
+                   plan: bool) -> Tuple[str, Placement, List[SlideMove]]:
     """The one pass behind `parse_sequence` and, with `plan`, `parse_plan`:
-    the strategy ("" unless `plan`) and the sequence.
+    the strategy ("" unless `plan`), the start placement and the moves.
 
     `p` records belong to the start block, from a `start` line up to the
     next `s` record; `s` records are moves wherever they stand. With
@@ -227,23 +226,24 @@ def _read_sequence(text: str, g: TriGridGraph,
     if plan and slides != len(moves):
         raise ParseError(f"header says {slides} slides, file has {len(moves)}",
                          slides_line)
-    seq = SlideSequence(pieces.placement(start_line or 1), tuple(moves))
-    return strategy or "", seq
+    return strategy or "", pieces.placement(start_line or 1), moves
 
 
-def parse_sequence(text: str, g: TriGridGraph) -> SlideSequence:
-    return _read_sequence(text, g, plan=False)[1]
+def parse_sequence(text: str, g: TriGridGraph) -> Tuple[Placement, List[SlideMove]]:
+    """The start placement and moves of a sequence file."""
+    return _read_sequence(text, g, plan=False)[1:]
 
 
 # ---------------------------------------------------------------------------
 # plans
 
-def serialize_plan(strategy: str, seq: SlideSequence) -> str:
-    return (f"strategy {strategy}\nslides {len(seq.moves)}\n"
-            + serialize_sequence(seq))
+def serialize_plan(strategy: str, start: Placement, moves: Sequence[SlideMove]) -> str:
+    return (f"strategy {strategy}\nslides {len(moves)}\n"
+            + serialize_sequence(start, moves))
 
 
-def parse_plan(text: str, g: TriGridGraph) -> Tuple[str, SlideSequence]:
-    """The strategy and sequence of a plan file, read in one pass over its
-    lines; a `ParseError` names the offending line of the file."""
+def parse_plan(text: str, g: TriGridGraph) -> Tuple[str, Placement, List[SlideMove]]:
+    """The strategy, start placement and moves of a plan file, read in one
+    pass over its lines; a `ParseError` names the offending line of the
+    file."""
     return _read_sequence(text, g, plan=True)

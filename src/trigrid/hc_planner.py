@@ -113,7 +113,7 @@ def swap_adjacent(cur: Placement, j: int, frame: TurningFrame,
     want[x - 1], want[y - 1] = want[y - 1], want[x - 1]
     if swap.end.exposed != pd.c or list(swap.end.pieces) != want:
         raise PlanInvariantError("adjacent swap does not end at its target")
-    return SlideSequence(cur, turn.moves + swap.moves, swap.end)
+    return SlideSequence(cur, turn.kept + swap.kept, swap.end)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,7 @@ def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement) -> PlanReport:
         aligned_q, forced_cycle_dominoes(h.order, aligned_q.exposed)))
     trace: List[Dict] = [{"phase": "align", "cycle": h.order,
                           "diamond": (pd.a, pd.b, pd.c, pd.d), "case": pd.case}]
-    moves = list(sp.moves + rp.moves)
+    word = list(sp.kept + rp.kept)
     swaps = 0
     memo = Transpositions()
     # bubble sort in the turning frame: `have` lists the labels in cycle
@@ -187,13 +187,13 @@ def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement) -> PlanReport:
     for j, lab in enumerate(want):
         for i in range(have.index(lab, j), j, -1):
             step = swap_adjacent(cur, slot[cur.piece(have[i - 1])], frame, memo)
-            moves.extend(step.moves)
+            word.extend(step.kept)
             cur = step.end
             have[i - 1], have[i] = have[i], have[i - 1]
             swaps += 1
     trace.append({"phase": "sort", "swaps": swaps})
     last = rotate(cur, h.order, aligned_q.exposed, [(want[0], aligned_q.piece(want[0]))])
     assert last.end.pieces == aligned_q.pieces and last.end.exposed == aligned_q.exposed
-    seq = SlideSequence(p, tuple(moves) + last.moves, aligned_q)
+    seq = SlideSequence(p, tuple(word) + last.kept, aligned_q)
     return finish_plan(seq.then(invert_sequence(sq)), q, "hamilton", trace,
                        swaps, len(memo))

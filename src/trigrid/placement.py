@@ -1,15 +1,17 @@
-"""Labeled placements, the slide move and its checks (`slide`,
-`verify_sequence`), the in-place slide kernel (`Board`, `replay`), an odd
-cycle's forced dominoes, alignment with and rotation along it, vertex
-exposure and loop cutting. Nothing here searches over slides, and neither
-planner does: `rotate` solves its goals in closed form, and
+"""Labeled placements and plans. A slide is fixed by its kept vertex, whose
+piece pivots onto the gap, so a plan is a `SlideSequence`: a start, a word
+of kept vertices and an end, stepped in place by `Board` (`replay`).
+`cut_loops` cuts a plan once and labels the slides it keeps as the
+`SlideMove`s that `slide`, the checked reference, and `verify_sequence`
+check. Also an odd cycle's forced dominoes, alignment with and rotation
+along it, and vertex exposure. Nothing here searches over slides, and
+neither planner does: `rotate` solves its goals in closed form, and
 `align_with_cycle` clears a cycle's chords through its forced dominoes."""
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Collection, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .grid import Edge, TriGridGraph, edge_key
@@ -80,30 +82,31 @@ class SlideMove(NamedTuple):
 
 @dataclass(frozen=True)
 class SlideSequence:
-    """Moves from `start`. Builders that already hold the end placement pass
-    it as `_end`; otherwise (an empty sequence excepted) `end` replays the
-    moves once on first access and keeps the result."""
+    """A plan as a word: from `start`, the slides that keep the vertices of
+    `kept` in turn, ending at `end`. The states fix each slide's label and
+    destination, so the word does not carry them. Builders pass the end
+    placement they hold as `_end`; only an empty word may leave it out.
+    `end` is a property because the benchmark's trace wraps it."""
 
     start: Placement
-    moves: Tuple[SlideMove, ...] = ()
+    kept: Tuple[int, ...] = ()
     _end: Optional[Placement] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self._end is None and not self.moves:
+        if self._end is None:
+            assert not self.kept, "a non-empty word needs its end placement"
             object.__setattr__(self, "_end", self.start)
 
     def __len__(self) -> int:
-        return len(self.moves)
+        return len(self.kept)
 
     @property
     def end(self) -> Placement:
-        if self._end is None:
-            object.__setattr__(self, "_end", apply_sequence(self.start, self.moves))
         return self._end
 
     def then(self, other: "SlideSequence") -> "SlideSequence":
         assert other.start.pieces == self.end.pieces
-        return SlideSequence(self.start, self.moves + other.moves, other.end)
+        return SlideSequence(self.start, self.kept + other.kept, other.end)
 
 
 def _check_slide(pieces: Sequence[Edge], gap: int, edges: Collection[Edge],
@@ -150,12 +153,6 @@ def legal_moves(p: Placement) -> List[SlideMove]:
     return out
 
 
-def apply_sequence(p: Placement, moves: Iterable[SlideMove]) -> Placement:
-    for mv in moves:
-        p = slide(p, mv)
-    return p
-
-
 class Board:
     """A placement stepped in place: the pieces by label, `owner` holding
     the label covering each vertex (0 where none does), and the exposed
@@ -176,9 +173,9 @@ class Board:
             self.owner[u] = self.owner[v] = label
         self.gap = p.exposed
 
-    def step(self, kept: int) -> int:
-        """Slide the piece covering `kept` onto the gap and return its
-        label; raises PlacementError if no piece covers `kept`."""
+    def step(self, kept: int) -> None:
+        """Slide the piece covering `kept` onto the gap; raises
+        PlacementError if no piece covers `kept`."""
         owner, gap = self.owner, self.gap
         label = owner[kept]
         if not label:
@@ -188,7 +185,6 @@ class Board:
         self.pieces[label - 1] = (kept, gap) if kept < gap else (gap, kept)
         owner[gap], owner[far] = label, 0
         self.gap = far
-        return label
 
     def placement(self) -> Placement:
         return Placement(self.graph, tuple(self.pieces), self.gap)
@@ -218,14 +214,13 @@ def forced_cycle_dominoes(cycle: Sequence[int], gap: int) -> List[Edge]:
 
 
 def replay(p: Placement, kept_vertices: Iterable[int]) -> SlideSequence:
-    """The slides from p that keep `kept_vertices` in turn, labels read off
-    the board; raises PlacementError at a kept vertex no piece covers."""
+    """The word `kept_vertices` from p, stepped on a `Board` for its end;
+    raises PlacementError at a kept vertex no piece covers."""
     board = Board(p)
-    moves = []
-    for kept in kept_vertices:
-        gap = board.gap
-        moves.append(SlideMove(board.step(kept), kept, gap))
-    return SlideSequence(p, tuple(moves), board.placement())
+    kept = tuple(kept_vertices)
+    for v in kept:
+        board.step(v)
+    return SlideSequence(p, kept, board.placement())
 
 
 def rotate(p: Placement, cycle: Tuple[int, ...], exposed: Optional[int] = None,
@@ -249,12 +244,11 @@ def rotate(p: Placement, cycle: Tuple[int, ...], exposed: Optional[int] = None,
     the direction whose first slide comes first in `legal_moves` order:
     these are the moves a breadth-first search over `legal_moves`,
     restricted to the cycle's edges, finds first.
-    Only the winner's moves are built, the kept vertices sliced from the
-    ring and the labels cycled from L, in O(n + moves), and its end
-    placement from the forced dominoes at its gap. A label off the cycle
-    never moves, so its edge must be the one it holds. Raises
-    PlacementError if p is not aligned with the cycle, or if no state
-    along it meets every goal.
+    Only the winner's word is built, its kept vertices sliced from the
+    ring, in O(n + moves), and its end placement from the forced dominoes
+    at its gap. A label off the cycle never moves, so its edge must be the
+    one it holds. Raises PlacementError if p is not aligned with the
+    cycle, or if no state along it meets every goal.
     """
     board = Board(p)
     if not board.is_aligned(cycle):
@@ -303,24 +297,17 @@ def rotate(p: Placement, cycle: Tuple[int, ...], exposed: Optional[int] = None,
     # the lead direction: its first slide comes first in legal_moves order
     forward_leads = (labels[0], ring[1]) < (labels[-1], ring[-1])
     if fwd < bwd or (fwd == bwd and forward_leads):
-        u, t, walk, order = fwd, fwd, ring, labels
+        u, t, walk = fwd, fwd, ring
     else:
-        u, t, walk, order = n * k - bwd, bwd, ring[:1] + ring[:0:-1], labels[::-1]
-    # step s keeps walk[2s+1] with the gap at walk[2s] (indices mod n),
-    # and moves order[s mod k]
-    twice = walk + walk
-    laps = t // n + 1
-    # tuple.__new__ builds each SlideMove as `SlideMove._make` does, without
-    # a Python-level call per move
-    moves = tuple(map(tuple.__new__, repeat(SlideMove),
-                      zip((order * (t // k + 1))[:t], (twice[1::2] * laps)[:t],
-                          (twice[0::2] * laps)[:t])))
+        u, t, walk = n * k - bwd, bwd, ring[:1] + ring[:0:-1]
+    # step s keeps walk[2s+1] (indices mod n)
+    kept = ((walk + walk)[1::2] * (t // n + 1))[:t]
     # the end: gap at ring[2u], L turned left by u on the dominoes after it
     gap, turn = ring[2 * u % n], u % k
     end = list(p.pieces)
     for label, e in zip(labels[turn:] + labels[:turn], forced_cycle_dominoes(ring, gap)):
         end[label - 1] = e
-    return SlideSequence(p, moves, Placement(p.graph, tuple(end), gap))
+    return SlideSequence(p, kept, Placement(p.graph, tuple(end), gap))
 
 
 def expose(p: Placement, v: int, m: Matching) -> SlideSequence:
@@ -364,46 +351,49 @@ def align_with_cycle(p: Placement, cycle: Tuple[int, ...],
 
 
 def invert_sequence(seq: SlideSequence) -> SlideSequence:
-    """The reverse reconfiguration: a slide is undone by keeping the same
-    vertex, so the inverse keeps the kept vertices in reverse order."""
-    return replay(seq.end, [mv.kept_vertex for mv in reversed(seq.moves)])
+    """The reverse reconfiguration, from `seq.end` back to `seq.start`: a
+    slide is undone by keeping the same vertex, so the inverse is the word
+    reversed."""
+    return SlideSequence(seq.end, seq.kept[::-1], seq.start)
 
 
-def cut_loops(seq: SlideSequence) -> SlideSequence:
-    """The plan with every revisited state cut out: from the start, jump to
-    the last visit of each state before taking its next move.
+def cut_loops(seq: SlideSequence) -> Tuple[SlideMove, ...]:
+    """The moves of `seq` with every revisited state cut out: from the
+    start, jump to the last visit of each state before taking its next
+    slide.
 
-    The result has the same start and end, visits no state twice, and its
-    moves are an in-order subsequence of `seq.moves`. One replay on a
+    The cut plan has the same start and end, visits no state twice, and
+    its slides are an in-order subsequence of `seq`'s. One replay on a
     `Board` keys each state by the bytes of its vertex -> label map, two
-    writes per slide, so the cut is linear in the plan. The moves are
-    assumed legal; `verify_sequence` checks them, as both planners do on
-    the cut plan.
+    writes per slide, and reads each slide's label and gap, so the cut is
+    linear in the plan and builds a `SlideMove` for each slide it keeps
+    only. `plans.finish_plan` cuts each full plan once and checks the moves
+    with `verify_sequence`. Raises PlacementError at a kept vertex no piece
+    covers.
     """
-    moves, start = seq.moves, seq.start
-    board = Board(start)
+    word = seq.kept
+    board = Board(seq.start)
     pieces, owner, gap = board.pieces, board.owner, board.gap
-    keys = [owner.tobytes()]
-    for _, kept, _ in moves:                   # `Board.step`, inlined
+    keys, labels, gaps = [owner.tobytes()], [], []
+    for kept in word:                          # `Board.step`, inlined
         label = owner[kept]
         if not label:
             raise PlacementError(f"vertex {kept} is not covered")
+        labels.append(label)
+        gaps.append(gap)
         a, b = pieces[label - 1]
         far = b if kept == a else a
         pieces[label - 1] = (kept, gap) if kept < gap else (gap, kept)
         owner[gap], owner[far] = label, 0
         gap = far
         keys.append(owner.tobytes())
-    board.gap = gap
     last = {key: i for i, key in enumerate(keys)}
-    kept_moves = []
+    moves = []
     i = last[keys[0]]
-    while i < len(moves):
-        kept_moves.append(moves[i])
+    while i < len(word):
+        moves.append(SlideMove(labels[i], word[i], gaps[i]))
         i = last[keys[i + 1]]
-    if len(kept_moves) == len(moves):
-        return seq
-    return SlideSequence(start, tuple(kept_moves), board.placement())
+    return tuple(moves)
 
 
 @dataclass(frozen=True)
@@ -416,15 +406,14 @@ class VerifyReport:
     matches_expected: Optional[bool] = None
 
 
-def verify_sequence(seq: SlideSequence,
+def verify_sequence(start: Placement, moves: Sequence[SlideMove],
                     expected_end: Optional[Placement] = None) -> VerifyReport:
-    """Replay `seq` from its start with `slide`'s checks on every move,
+    """Replay `moves` from `start` with `slide`'s checks on every move,
     stepping one list of pieces and the gap in place; the first illegal
     move ends the replay with its index and message. The end placement is
     built once and compared with `expected_end` when one is given."""
-    start = seq.start
     pieces, gap, edges = list(start.pieces), start.exposed, start.graph.edges
-    for i, (label, kept, dest) in enumerate(seq.moves):
+    for i, (label, kept, dest) in enumerate(moves):
         try:
             gap, pieces[label - 1] = _check_slide(pieces, gap, edges, label, kept, dest)
         except IllegalMoveError as exc:
@@ -435,5 +424,5 @@ def verify_sequence(seq: SlideSequence,
         matches = (cur.pieces == expected_end.pieces
                    and cur.exposed == expected_end.exposed)
     ok = matches is not False
-    return VerifyReport(ok, len(seq.moves), cur, matches_expected=matches,
+    return VerifyReport(ok, len(moves), cur, matches_expected=matches,
                         message="" if ok else "final placement differs from expected")

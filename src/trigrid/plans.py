@@ -1,12 +1,13 @@
-"""What both planners share: their errors, the finished plan and the
-transposition memo."""
+"""What both planners share: their errors, the transposition memo, and
+`finish_plan`, which cuts a plan's word once into the verified moves of
+its report."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Tuple
 
-from .placement import Placement, SlideSequence, cut_loops, replay, verify_sequence
+from .placement import Placement, SlideMove, SlideSequence, cut_loops, replay, verify_sequence
 
 
 class PlanError(Exception):
@@ -21,35 +22,42 @@ class PlanInvariantError(Exception):
 
 @dataclass
 class PlanReport:
-    """A verified plan. `stats["uncut_slides"]` is the slide count before
-    `cut_loops`. `swaps` counts the transpositions the planner asks for:
-    the ear planner's level fills, not the lower-level ones each of them is
-    conjugated from, and the cycle planner's adjacent swaps. `gadgets`
-    counts the transpositions built rather than replayed (`Transpositions`):
-    the ear planner's at every level, the cycle planner's swap gadgets
-    (one slide and two rotations each, at most two a plan). `fallbacks`
-    counts the levels the ear planner planned whole for a transposition
-    because no rotation brought both pieces into the level below (0 for
-    the cycle planner)."""
+    """A verified plan: its start and its `(label, kept, dest)` moves, which
+    end at the target. `stats["uncut_slides"]` is the length of the word
+    before `cut_loops`, gadgets' loops included. `swaps` counts the
+    transpositions the planner asks for: the ear planner's level fills,
+    not the lower-level ones each of them is conjugated from, and the cycle
+    planner's adjacent swaps. `gadgets` counts the transpositions built
+    rather than replayed (`Transpositions`): the ear planner's at every
+    level, the cycle planner's swap gadgets (one slide and two rotations
+    each, at most two a plan). `fallbacks` counts the levels the ear
+    planner planned whole for a transposition because no rotation brought
+    both pieces into the level below (0 for the cycle planner)."""
 
-    sequence: SlideSequence
-    slide_count: int
+    start: Placement
+    moves: Tuple[SlideMove, ...]
     strategy: str
     recursion_trace: List[Dict] = field(default_factory=list)
     stats: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def slide_count(self) -> int:
+        return len(self.moves)
 
 
 def finish_plan(seq: SlideSequence, q: Placement, strategy: str,
                 trace: List[Dict], swaps: int = 0, gadgets: int = 0,
                 fallbacks: int = 0) -> PlanReport:
-    """Cut the loops out of a full plan, replay it, and report it; raises
-    PlanInvariantError if the replay does not end at q."""
-    cut = cut_loops(seq)
-    check = verify_sequence(cut, expected_end=q)
+    """Cut the loops out of a full plan's word, the one cut a plan gets,
+    which labels its slides in the same replay; check the moves with
+    `verify_sequence` and report them. Raises PlanInvariantError if they
+    do not replay to q."""
+    moves = cut_loops(seq)
+    check = verify_sequence(seq.start, moves, expected_end=q)
     if not check.ok:
         raise PlanInvariantError(f"plan verification failed: {check.message}")
-    return PlanReport(cut, len(cut.moves), strategy, recursion_trace=trace,
-                      stats={"uncut_slides": len(seq.moves), "swaps": swaps,
+    return PlanReport(seq.start, moves, strategy, recursion_trace=trace,
+                      stats={"uncut_slides": len(seq), "swaps": swaps,
                              "gadgets": gadgets, "fallbacks": fallbacks})
 
 
@@ -58,7 +66,8 @@ class Transpositions:
     kept vertex and the gap, not by labels, so a gadget built once for a
     key replays on any labels. Within one plan a key must fix the
     unlabeled state, the gap, the two positions and whatever else `build`
-    depends on. `kept` maps each key to its gadget's kept vertices; the
+    depends on. `kept` maps each key to its gadget's word, stored as
+    built, loops and all: `finish_plan` cuts the whole plan once. The
     memo's length is the number of builds."""
 
     def __init__(self) -> None:
@@ -81,6 +90,5 @@ class Transpositions:
         if gadget.end != target:
             raise PlanInvariantError("gadget does not end at the swap target")
         if kept is None:
-            self.kept[key] = tuple(mv.kept_vertex for mv in gadget.moves)
+            self.kept[key] = gadget.kept
         return gadget
-

@@ -9,7 +9,7 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 from .grid import TriGridGraph, cartesian
-from .placement import Placement, SlideSequence, slide
+from .placement import Placement, SlideMove, slide
 
 SCALE = 60.0
 MARGIN = 40.0
@@ -75,11 +75,11 @@ def render_graph(g: TriGridGraph, p: Optional[Placement] = None) -> str:
     return "\n".join(parts) + "\n"
 
 
-def render_plan_frames(g: TriGridGraph, seq: SlideSequence) -> List[str]:
+def render_plan_frames(g: TriGridGraph, start: Placement, moves: Sequence[SlideMove]) -> List[str]:
     """One SVG per state, from the start through every slide."""
-    frames = [render_graph(g, seq.start)]
-    cur = seq.start
-    for mv in seq.moves:
+    frames = [render_graph(g, start)]
+    cur = start
+    for mv in moves:
         cur = slide(cur, mv)
         frames.append(render_graph(g, cur))
     return frames

@@ -1,5 +1,7 @@
-"""Reference helpers that only tests call: canonical aligned states on a
-cycle, the alignment check on a placement and its matching-based reference,
+"""Reference helpers that only tests call: the reference replay of moves
+and of a word of kept vertices through the checked `slide`, a spy on a
+library function under every name the library holds it by, canonical
+aligned states on a cycle, the alignment check on a placement and its matching-based reference,
 the restricted slide search over `legal_moves` and `slide` that `rotate`,
 the swap gadget and the pentagon core's plans are checked against, the
 centrality test, an ear decomposition grown from a matching, the
@@ -9,6 +11,7 @@ parity diamond, and a host whose only parity labeling has crossing arcs.
 No planner uses them, so they live with the tests.
 """
 
+import sys
 from collections import deque
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -16,7 +19,8 @@ from trigrid.ears import EarDecomposition, EarError, grow_ears, validate_decompo
 from trigrid.grid import Edge, TriGridGraph, cycle_edges, edge_key, enumerate_diamonds
 from trigrid.hamilton import HamiltonCycle, HamiltonError, ParityDiamond
 from trigrid.matching import Matching, odd_alternating_cycle_through, perfect_matching
-from trigrid.placement import Board, Placement, PlacementError, SlideMove, legal_moves, slide
+from trigrid.placement import (Board, Placement, PlacementError, SlideMove, SlideSequence,
+                               VerifyReport, legal_moves, slide, verify_sequence)
 
 
 # the 9-vertex host whose Hamilton cycle (1, 7, 5, 6, 3, 2, 4, 8, 9) has one
@@ -24,6 +28,50 @@ from trigrid.placement import Board, Placement, PlacementError, SlideMove, legal
 CROSSING_ARCS_EDGES = [(1, 3), (1, 5), (1, 7), (1, 8), (1, 9), (2, 3), (2, 4), (2, 5),
                        (2, 7), (3, 6), (3, 7), (3, 9), (4, 5), (4, 8), (5, 6), (5, 7),
                        (7, 9), (8, 9)]
+
+
+def apply_sequence(p: Placement, moves: Iterable[SlideMove]) -> Placement:
+    """The reference replay: `slide` on each move in turn."""
+    for mv in moves:
+        p = slide(p, mv)
+    return p
+
+
+def label_word(seq: SlideSequence) -> Tuple[SlideMove, ...]:
+    """The moves of `seq`'s word: each label and destination read off the
+    placement that the checked `slide` has reached. Raises
+    IllegalMoveError at a kept vertex that no piece covers or that does
+    not neighbour the gap."""
+    p, moves = seq.start, []
+    for kept in seq.kept:
+        mv = SlideMove(p.label_covering(kept) or 0, kept, p.exposed)
+        p = slide(p, mv)
+        moves.append(mv)
+    return tuple(moves)
+
+
+def verify_word(seq: SlideSequence,
+                expected_end: Optional[Placement] = None) -> VerifyReport:
+    """`verify_sequence` on the moves `label_word` reads off `seq`, from its
+    start, against `expected_end`."""
+    return verify_sequence(seq.start, label_word(seq), expected_end)
+
+
+def spy_everywhere(monkeypatch, fn: Callable) -> List[tuple]:
+    """Wrap the library function `fn` under every name a trigrid module
+    holds it by, as `from .placement import fn` copies it; returns the
+    list that each call's arguments are appended to."""
+    calls: List[tuple] = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("trigrid"):
+            for key, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, key, spy)
+    return calls
 
 
 def is_aligned(p: Placement, cycle: Sequence[int]) -> bool:

@@ -25,7 +25,7 @@ from trigrid.plans import PlanError
 
 from conftest import random_placement
 from dual_forests import dual_forests
-from support import aligned_cycle_state
+from support import aligned_cycle_state, verify_word
 
 
 class _Budget:
@@ -106,7 +106,7 @@ def test_criterion_3_diamond_cycle_base():
             q = random_placement(g, rng)
             seq = base_diamond_cycle(p, q, d)
             assert len(seq) <= n ** 3 + n ** 2
-            rep = verify_sequence(seq, expected_end=q)
+            rep = verify_word(seq, expected_end=q)
             assert rep.ok and rep.matches_expected
             worst[n] = max(worst[n], len(seq))
         budget.check()
@@ -148,7 +148,7 @@ def test_criterion_5_ear_pipeline_corpus():
             p = random_placement(g, rng)
             q = random_placement(g, rng)
             rep = plan_ear(g, p, q)
-            check = verify_sequence(rep.sequence, expected_end=q)
+            check = verify_sequence(rep.start, rep.moves, expected_end=q)
             assert check.ok and check.matches_expected
             if comp is not None:
                 assert comp.contains(p) and comp.contains(q), \
@@ -171,7 +171,7 @@ def test_criterion_6_cycle_planner_scaling():
             p = random_placement(g, rng)
             q = random_placement(g, rng)
             rep = plan_hamilton(g, p, q)
-            check = verify_sequence(rep.sequence, expected_end=q)
+            check = verify_sequence(rep.start, rep.moves, expected_end=q)
             assert check.ok and check.matches_expected
             worst = max(worst, rep.slide_count)
         nv = g.num_vertices
@@ -264,7 +264,7 @@ def test_criterion_10_ear_planner_scaling():
             p = random_placement(g, rng)
             q = random_placement(g, rng)
             rep = plan_ear(g, p, q)
-            check = verify_sequence(rep.sequence, expected_end=q)
+            check = verify_sequence(rep.start, rep.moves, expected_end=q)
             assert check.ok and check.matches_expected
             worst = max(worst, rep.slide_count)
         nv = g.num_vertices

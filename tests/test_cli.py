@@ -99,6 +99,48 @@ def test_plan_refuses_star_of_david(tmp_path):
     assert main(["plan", str(gpath), str(start), str(start)]) == 2
 
 
+def _abstract_graph(tmp_path, name, n, edges):
+    """An abstract host file with vertices 1..n and the given edges."""
+    path = tmp_path / f"{name}.graph"
+    path.write_text("".join(f"av {v}\n" for v in range(1, n + 1))
+                    + "".join(f"ae {u} {v}\n" for u, v in edges))
+    return path
+
+
+def test_plan_hamilton_refuses_a_host_not_locally_connected(tmp_path, capsys):
+    """`plan --strategy hamilton` on hex_with_hole(2), which is not locally
+    connected, exits 2 with the cycle planner's refusal."""
+    gpath = _gen(tmp_path, "hex_with_hole")
+    g = formats.parse_graph(gpath.read_text())
+    start = _write_placement(tmp_path, "s.p", g, sorted(near_perfect_matching(g, 1).edges))
+    capsys.readouterr()
+    assert main(["plan", str(gpath), str(start), str(start), "--strategy", "hamilton"]) == 2
+    assert capsys.readouterr().err == ("refused: cycle planner needs a "
+                                       "locally-connected graph\n")
+
+
+def test_plan_hamilton_refuses_a_host_with_no_hamilton_cycle(tmp_path, capsys):
+    """`plan --strategy hamilton` on a bowtie, two triangles sharing vertex
+    3, exits 2: the host has no Hamilton cycle."""
+    gpath = _abstract_graph(tmp_path, "bowtie", 5,
+                            [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)])
+    g = formats.parse_graph(gpath.read_text())
+    start = _write_placement(tmp_path, "s.p", g, [(1, 2), (4, 5)])
+    target = _write_placement(tmp_path, "t.p", g, [(1, 3), (4, 5)])
+    capsys.readouterr()
+    assert main(["plan", str(gpath), str(start), str(target), "--strategy", "hamilton"]) == 2
+    assert capsys.readouterr().err == "refused: no Hamilton cycle found\n"
+
+
+def test_oracle_on_a_host_with_no_placement(tmp_path, capsys):
+    """The star K1,4 has no near-perfect matching, so no placement: `oracle`
+    says it is not reconfigurable and exits 0."""
+    gpath = _abstract_graph(tmp_path, "star", 5, [(1, 2), (1, 3), (1, 4), (1, 5)])
+    capsys.readouterr()
+    assert main(["oracle", str(gpath)]) == 0
+    assert capsys.readouterr().out == "reconfigurable False\n"
+
+
 def test_oracle_cli(tmp_path, capsys):
     gpath = _gen(tmp_path, "pentagon")
     assert main(["oracle", str(gpath)]) == 0
@@ -401,11 +443,10 @@ def test_plan_logs_summary_under_trigrid_log(tmp_path, capsys, monkeypatch):
 def test_plan_failing_final_replay_is_internal_error(tmp_path, capsys, monkeypatch):
     """A plan that fails the planner's own final replay exits 4, not 2."""
     from trigrid import plans
-    from trigrid.placement import SlideSequence, cut_loops
+    from trigrid.placement import cut_loops
 
     def drop_last(seq):
-        cut = cut_loops(seq)
-        return SlideSequence(cut.start, cut.moves[:-1])
+        return cut_loops(seq)[:-1]
 
     monkeypatch.setattr(plans, "cut_loops", drop_last)
     gpath = _gen(tmp_path, "hexagon")
@@ -455,12 +496,12 @@ def test_ear_plan_failing_finish_plan_replay_is_internal_error(tmp_path, capsys,
     """A full ear plan that does not end at the target fails `finish_plan`'s
     own replay, with every gadget intact, and exits 4."""
     from trigrid import ear_planner
-    from trigrid.placement import SlideSequence
+    from trigrid.placement import replay
 
     finish = ear_planner.finish_plan
 
     def short_of_target(seq, *args):
-        return finish(SlideSequence(seq.start, seq.moves[:-1]), *args)
+        return finish(replay(seq.start, seq.kept[:-1]), *args)
 
     monkeypatch.setattr(ear_planner, "finish_plan", short_of_target)
     argv = _hex7_plan_argv(tmp_path, "ear")
@@ -617,7 +658,7 @@ def test_render_plan_writes_one_frame_per_state(tmp_path, capsys):
     assert main(argv) == 0
     gpath, plan = argv[1], tmp_path / "hamilton.plan"
     g = formats.parse_graph(Path(gpath).read_text())
-    moves = formats.parse_plan(plan.read_text(), g)[1].moves
+    moves = formats.parse_plan(plan.read_text(), g)[2]
     frames = tmp_path / "frames"
     frames.mkdir()
     capsys.readouterr()
@@ -669,7 +710,7 @@ def _hex7_files() -> Dict[str, str]:
     return {"graph": formats.serialize_graph(g),
             "start": formats.serialize_placement(p),
             "target": formats.serialize_placement(q),
-            "plan": formats.serialize_plan(plan.strategy, plan.sequence)}
+            "plan": formats.serialize_plan(plan.strategy, plan.start, plan.moves)}
 
 
 _HEX7_FILES = _hex7_files()

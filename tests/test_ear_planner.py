@@ -15,11 +15,11 @@ from trigrid.grid import (DIRS, build_abstract, build_graph, degree6_vertices,
                           is_two_connected)
 from trigrid.matching import enumerate_near_perfect_matchings, is_factor_critical
 from trigrid.oracle import bfs_component
-from trigrid.placement import Placement, replay, verify_sequence
+from trigrid.placement import Placement, cut_loops, replay, verify_sequence
 from trigrid.plans import PlanInvariantError
 
 from conftest import random_placement
-from support import reference_slides_within
+from support import label_word, reference_slides_within, spy_everywhere, verify_word
 
 
 def _all_states(g):
@@ -43,7 +43,7 @@ def test_base_pentagon_all_pairs(pentagon):
             seq = base_pentagon(p, q, d)
             ref = reference_slides_within(p, pentagon.edges, lambda s: s.pieces == q.pieces)
             assert len(seq) <= 8 and len(seq) <= len(ref) + 2
-            rep = verify_sequence(seq, expected_end=q)
+            rep = verify_word(seq, expected_end=q)
             assert rep.ok and rep.matches_expected
             lengths.append(len(seq))
             shortest.append(len(ref))
@@ -77,7 +77,7 @@ def test_base_diamond_cycle_bound(n, host, rng):
         q = random_placement(g, rng)
         seq = base_diamond_cycle(p, q, d)
         assert len(seq) <= n ** 3 + n ** 2
-        rep = verify_sequence(seq, expected_end=q)
+        rep = verify_word(seq, expected_end=q)
         assert rep.ok and rep.matches_expected
 
 
@@ -97,7 +97,7 @@ def test_base_cores_run_no_matching_search(n, rng, monkeypatch, pentagon):
 
     monkeypatch.setattr(matching, "max_cardinality_matching", no_search)
     for p, q in pairs:
-        rep = verify_sequence(core(p, q, d), expected_end=q)
+        rep = verify_word(core(p, q, d), expected_end=q)
         assert rep.ok and rep.matches_expected
 
 
@@ -119,9 +119,9 @@ def test_plan_ear_core_calls_stay_in_the_pentagon(monkeypatch, rng):
             plan_ear(g, p, q)
     assert calls
     for q, d, seq in calls:
-        rep = verify_sequence(seq, expected_end=q)
+        rep = verify_word(seq, expected_end=q)
         assert rep.ok and rep.matches_expected
-        assert all(kept in d.base and gap in d.base for _, kept, gap in seq.moves)
+        assert all(kept in d.base and gap in d.base for _, kept, gap in label_word(seq))
 
 
 def test_plan_ear_report_fields(pentagon, rng):
@@ -129,16 +129,16 @@ def test_plan_ear_report_fields(pentagon, rng):
     q = random_placement(pentagon, rng)
     rep = plan_ear(pentagon, p, q)
     assert rep.strategy == "ear"
-    assert rep.slide_count == len(rep.sequence.moves)
-    check = verify_sequence(rep.sequence, expected_end=q)
+    assert rep.slide_count == len(rep.moves)
+    check = verify_sequence(rep.start, rep.moves, expected_end=q)
     assert check.ok and check.matches_expected
 
 
 def test_plan_ear_identity(pentagon, rng):
     p = random_placement(pentagon, rng)
     rep = plan_ear(pentagon, p, p)
-    assert rep.sequence.end.pieces == p.pieces
-    assert rep.sequence.end.exposed == p.exposed
+    assert rep.moves == ()
+    assert verify_sequence(rep.start, rep.moves, expected_end=p).matches_expected
 
 
 def test_plan_ear_corpus_sample(rng):
@@ -147,7 +147,7 @@ def test_plan_ear_corpus_sample(rng):
             p = random_placement(g, rng)
             q = random_placement(g, rng)
             rep = plan_ear(g, p, q)
-            check = verify_sequence(rep.sequence, expected_end=q)
+            check = verify_sequence(rep.start, rep.moves, expected_end=q)
             assert check.ok and check.matches_expected
 
 
@@ -181,7 +181,7 @@ def test_plan_ear_plans_its_whole_domain(seed, size):
     assert degree6_vertices(g)
     p, q = random_placement(g, rng), random_placement(g, rng)
     rep = plan_ear(g, p, q)
-    check = verify_sequence(rep.sequence, expected_end=q)
+    check = verify_sequence(rep.start, rep.moves, expected_end=q)
     assert check.ok and check.matches_expected
 
 
@@ -193,7 +193,21 @@ def test_plan_ear_matches_oracle_reachability(rng):
         q = random_placement(g, rng)
         assert comp.contains(q)
         rep = plan_ear(g, p, q)
-        assert len(rep.sequence) >= comp.distance_to(q)
+        assert rep.slide_count >= comp.distance_to(q)
+
+
+def test_plan_ear_cuts_loops_once(monkeypatch, rng):
+    """Each ear plan is cut once, whole, in `finish_plan`: the gadgets the
+    plan builds and replays keep their loops until then."""
+    calls = spy_everywhere(monkeypatch, cut_loops)
+    gadgets = 0
+    for g in degree6_corpus(max_vertices=19):
+        p, q = random_placement(g, rng), random_placement(g, rng)
+        calls.clear()
+        rep = plan_ear(g, p, q)
+        gadgets += rep.stats["gadgets"]
+        assert len(calls) == 1 and len(calls[0][0]) == rep.stats["uncut_slides"]
+    assert gadgets > 0
 
 
 def test_plan_ear_refuses_triangle():
@@ -218,7 +232,7 @@ def test_plan_ear_passes_through_settled_levels(rng):
         q = Placement(g, tuple(pieces), p.exposed)
         rep = plan_ear(g, p, q)
         assert rep.slide_count > 0
-        assert all(edge_key(kept, dest) in core_edges for _, kept, dest in rep.sequence.moves)
+        assert all(edge_key(kept, dest) in core_edges for _, kept, dest in rep.moves)
         assert rep.recursion_trace == [{"level": 3, "kind": "pentagon-core"}]
 
 
@@ -284,7 +298,7 @@ def test_plan_ear_builds_each_gadget_once(monkeypatch, rng):
     assert len(transposes) > len(swaps) and set(swaps) <= set(transposes)
     assert len({key[0] for key in builds}) > 1, "builds at one level only"
     assert rep.stats["swaps"] == len(swaps) and rep.stats["gadgets"] == len(builds)
-    check = verify_sequence(rep.sequence, expected_end=q)
+    check = verify_sequence(rep.start, rep.moves, expected_end=q)
     assert check.ok and check.matches_expected
 
 
@@ -322,7 +336,7 @@ def test_plan_ear_gadget_build_is_checked(monkeypatch, rng):
 
     def short(self, j, cur, a, b, target):
         seq = conjugate(self, j, cur, a, b, target)
-        return replay(seq.start, [mv.kept_vertex for mv in seq.moves[:-1]])
+        return replay(seq.start, seq.kept[:-1])
 
     monkeypatch.setattr(_Planner, "_conjugate", short)
     with pytest.raises(PlanInvariantError, match="gadget does not end at the swap target"):
@@ -365,11 +379,10 @@ def test_transpose_at_every_level(build, kinds):
             pieces = list(cur.pieces)
             pieces[a - 1], pieces[b - 1] = pieces[b - 1], pieces[a - 1]
             seq = planner._transpose(j, cur, a, b)
-            check = verify_sequence(seq, expected_end=Placement(g, tuple(pieces),
-                                                                cur.exposed))
+            check = verify_word(seq, expected_end=Placement(g, tuple(pieces), cur.exposed))
             assert check.ok and check.matches_expected, (j, a, b)
             now = list(cur.pieces)
-            for label, kept, dest in seq.moves:
+            for label, kept, dest in label_word(seq):
                 assert now[label - 1] in es and edge_key(kept, dest) in es, j
                 now[label - 1] = edge_key(kept, dest)
             if planner.fallbacks:

@@ -14,7 +14,7 @@ from trigrid.matching import enumerate_near_perfect_matchings, near_perfect_matc
 from trigrid.placement import Placement
 
 from conftest import random_placement
-from support import ear_decomposition
+from support import ear_decomposition, label_word
 
 
 def test_decomposition_regions():
@@ -128,7 +128,7 @@ def test_align_with_ears(rng):
             assert seq.start.pieces == p.pieces
             assert is_aligned_with(seq.end, d)
             again = align_with_ears(seq.end, levels)
-            assert all(edge_key(kept, dest) in core_edges for _, kept, dest in again.moves)
+            assert all(edge_key(kept, dest) in core_edges for _, kept, dest in label_word(again))
 
 
 def test_ear_settled_reads_the_ear_pattern():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from trigrid import formats
 from trigrid.corpus import locally_connected_corpus
 from trigrid.grid import chord_cycle_graph, diamond_cycle_graph, hex_with_hole_graph
-from trigrid.placement import Placement, SlideMove, legal_moves, slide, SlideSequence
+from trigrid.placement import Placement, SlideMove, legal_moves, slide, verify_sequence
 
 from conftest import random_placement
 
@@ -50,12 +50,12 @@ def test_placement_rejects_gapped_labels(pentagon):
 def test_sequence_roundtrip(pentagon):
     p = Placement.make(pentagon, [(2, 3), (4, 5)])
     s1 = slide(p, SlideMove(1, 2, 1))
-    seq = SlideSequence(p, (SlideMove(1, 2, 1),))
-    text = formats.serialize_sequence(seq)
-    back = formats.parse_sequence(text, pentagon)
-    assert back.start.pieces == p.pieces
-    assert back.moves == seq.moves
-    assert back.end.pieces == s1.pieces
+    moves = [SlideMove(1, 2, 1)]
+    text = formats.serialize_sequence(p, moves)
+    start, back = formats.parse_sequence(text, pentagon)
+    assert start.pieces == p.pieces
+    assert back == moves
+    assert verify_sequence(start, back).final.pieces == s1.pieces
 
 
 def test_moves_roundtrip():
@@ -65,10 +65,10 @@ def test_moves_roundtrip():
 
 def test_plan_roundtrip(pentagon):
     p = Placement.make(pentagon, [(2, 3), (4, 5)])
-    seq = SlideSequence(p, (SlideMove(1, 2, 1),))
-    text = formats.serialize_plan("ear", seq)
-    strategy, back = formats.parse_plan(text, pentagon)
-    assert strategy == "ear" and back.moves == seq.moves
+    moves = [SlideMove(1, 2, 1)]
+    text = formats.serialize_plan("ear", p, moves)
+    strategy, start, back = formats.parse_plan(text, pentagon)
+    assert strategy == "ear" and start == p and back == moves
 
 
 @settings(max_examples=100, deadline=None)
@@ -87,42 +87,41 @@ def test_parse_inverts_serialize(g, seed, steps, strategy):
         mv = rng.choice(legal_moves(cur))
         cur = slide(cur, mv)
         moves.append(mv)
-    seq = SlideSequence(p, tuple(moves))
-    name, back_seq = formats.parse_plan(formats.serialize_plan(strategy, seq), g)
+    name, start, back = formats.parse_plan(formats.serialize_plan(strategy, p, moves), g)
     assert name == strategy
-    assert back_seq.start == p and back_seq.moves == seq.moves and back_seq.end == cur
+    assert start == p and back == moves and verify_sequence(start, back).final == cur
 
 
 def test_plan_slide_count_mismatch(pentagon):
     p = Placement.make(pentagon, [(2, 3), (4, 5)])
-    seq = SlideSequence(p, (SlideMove(1, 2, 1),))
-    text = formats.serialize_plan("ear", seq).replace("slides 1", "slides 2")
+    text = formats.serialize_plan("ear", p, [SlideMove(1, 2, 1)]).replace("slides 1", "slides 2")
     with pytest.raises(formats.ParseError):
         formats.parse_plan(text, pentagon)
 
 
 def _hex7_plan(hex7, rng):
+    """A cycle plan between two random placements, and its target."""
     from trigrid.hc_planner import plan_hamilton
     p, q = random_placement(hex7, rng), random_placement(hex7, rng)
-    seq = plan_hamilton(hex7, p, q).sequence
-    assert len(seq.moves) >= 3
-    return seq
+    rep = plan_hamilton(hex7, p, q)
+    assert rep.slide_count >= 3
+    return rep, q
 
 
 def test_plan_and_sequence_read_back_through_comments(hex7, rng):
     """A valid plan or sequence, with comments, blank lines and indentation
     between its records, reads back to the same start and moves."""
-    seq = _hex7_plan(hex7, rng)
-    for text, parse in ((formats.serialize_plan("hamilton", seq),
+    rep, q = _hex7_plan(hex7, rng)
+    for text, parse in ((formats.serialize_plan("hamilton", rep.start, rep.moves),
                          lambda t: formats.parse_plan(t, hex7)),
-                        (formats.serialize_sequence(seq),
-                         lambda t: ("hamilton", formats.parse_sequence(t, hex7)))):
+                        (formats.serialize_sequence(rep.start, rep.moves),
+                         lambda t: ("hamilton",) + formats.parse_sequence(t, hex7))):
         noisy = "".join(f"# {i}\n\n  {line} \n" for i, line in enumerate(text.splitlines()))
         for t in (text, noisy):
-            strategy, back = parse(t)
+            strategy, start, moves = parse(t)
             assert strategy == "hamilton"
-            assert back.start == seq.start and back.moves == seq.moves
-            assert back.end == seq.end
+            assert start == rep.start and tuple(moves) == rep.moves
+            assert verify_sequence(start, moves, expected_end=q).matches_expected
 
 
 # In a plan the header takes lines 1-2 and `start` line 3, so hex7's three
@@ -134,9 +133,9 @@ def test_plan_and_sequence_read_back_through_comments(hex7, rng):
     (6, "p 3 1 x"), (6, "p 3 1"), (6, "p 1 1 2"), (6, "s 1"), (6, "start 1"),
 ])
 def test_parse_error_names_the_line_of_the_file(hex7, rng, plan, lineno, bad):
-    seq = _hex7_plan(hex7, rng)
-    text = (formats.serialize_plan("hamilton", seq) if plan
-            else formats.serialize_sequence(seq))
+    rep, _ = _hex7_plan(hex7, rng)
+    text = (formats.serialize_plan("hamilton", rep.start, rep.moves) if plan
+            else formats.serialize_sequence(rep.start, rep.moves))
     lineno -= 0 if plan else 2
     lines = text.splitlines()
     lines[lineno - 1] = bad
@@ -164,9 +163,9 @@ def test_placement_errors_name_their_line(hex7):
 
 
 def test_plan_header_errors(hex7, rng):
-    seq = _hex7_plan(hex7, rng)
-    text = formats.serialize_plan("hamilton", seq)
-    n = len(seq.moves)
+    rep, _ = _hex7_plan(hex7, rng)
+    text = formats.serialize_plan("hamilton", rep.start, rep.moves)
+    n = rep.slide_count
     for bad, lineno in ((text.replace(f"slides {n}\n", f"slides {n + 1}\n"), 2),
                         (text.replace("strategy hamilton\n", "strategy\n"), 1),
                         (text.replace("strategy hamilton\n", ""), 1),

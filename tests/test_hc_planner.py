@@ -11,12 +11,12 @@ from trigrid.grid import (build_graph, cycle_edges, edge_key, hexagon_points,
 from trigrid.hamilton import find_hamilton, find_local_structure
 from trigrid.hc_planner import (_label_order, _swap_special, align_with_hamilton,
                                 plan_hamilton, swap_adjacent, turning_frame)
-from trigrid.placement import (Placement, apply_sequence, forced_cycle_dominoes, rotate,
-                               verify_sequence)
+from trigrid.placement import Placement, cut_loops, forced_cycle_dominoes, rotate, verify_sequence
 from trigrid.plans import PlanError, PlanInvariantError, Transpositions
 
 from conftest import random_placement
-from support import is_aligned, reference_slides_within, scan_parity_diamonds
+from support import (apply_sequence, is_aligned, label_word, reference_slides_within,
+                     scan_parity_diamonds, spy_everywhere, verify_word)
 
 
 @settings(max_examples=100, deadline=None)
@@ -29,14 +29,14 @@ def test_align_with_hamilton(host, rnd):
     p = random_placement(host, rnd)
     seq = align_with_hamilton(p, h)
     assert seq.start.pieces == p.pieces
-    assert verify_sequence(seq, expected_end=seq.end).ok
+    assert verify_word(seq, expected_end=seq.end).ok
     assert all(edge_key(mv.kept_vertex, mv.dest_vertex) in h.edges
-               for mv in seq.moves)
+               for mv in label_word(seq))
     assert is_aligned(seq.end, h.order)
     dominoes = forced_cycle_dominoes(h.order, rnd.choice(h.order))
     rnd.shuffle(dominoes)
     for aligned in (seq.end, Placement.make(host, dominoes)):
-        assert align_with_hamilton(aligned, h).moves == ()
+        assert align_with_hamilton(aligned, h).kept == ()
 
 
 def test_plan_hamilton_runs_no_matching_search(monkeypatch, rng):
@@ -51,7 +51,8 @@ def test_plan_hamilton_runs_no_matching_search(monkeypatch, rng):
              for g in locally_connected_corpus()[4:]]
     monkeypatch.setattr(matching, "max_cardinality_matching", no_blossom)
     for g, p, q in pairs:
-        assert verify_sequence(plan_hamilton(g, p, q).sequence, expected_end=q).ok
+        rep = plan_hamilton(g, p, q)
+        assert verify_sequence(rep.start, rep.moves, expected_end=q).ok
 
 
 def _aligned_at_c(g, rng, pd=None):
@@ -73,7 +74,7 @@ def _exchanged(g, pieces, x, y, gap):
 
 def _assert_reaches(seq, want):
     """The moves replay legally to `want`, and the sequence ends there."""
-    assert verify_sequence(seq, expected_end=want).matches_expected
+    assert verify_word(seq, expected_end=want).matches_expected
     assert seq.end.pieces == want.pieces and seq.end.exposed == want.exposed
 
 
@@ -176,7 +177,7 @@ def test_sort_swaps_are_the_fewest_cyclic_inversions(rng):
                          for r in range(len(want)))
             rep = plan_hamilton(g, p, q)
             assert rep.recursion_trace[-1] == {"phase": "sort", "swaps": fewest}
-            assert verify_sequence(rep.sequence, expected_end=q).matches_expected
+            assert verify_sequence(rep.start, rep.moves, expected_end=q).matches_expected
 
 
 def test_swap_gadget_builds_once_per_label_order(monkeypatch):
@@ -209,7 +210,7 @@ def test_swap_gadget_builds_once_per_label_order(monkeypatch):
             assert len(builds) <= 2 < rep.recursion_trace[-1]["swaps"]
             assert rep.stats["gadgets"] == len(builds)
             assert rep.stats["swaps"] == rep.recursion_trace[-1]["swaps"]
-            assert verify_sequence(rep.sequence, expected_end=q).matches_expected
+            assert verify_sequence(rep.start, rep.moves, expected_end=q).matches_expected
 
 
 def test_plan_hamilton_corrupted_gadget_fails_its_next_hit(monkeypatch):
@@ -265,7 +266,7 @@ def test_planner_rotations_match_reference_search(monkeypatch):
 
         ref = reference_slides_within(p, cycle_edges(cycle), goal)
         seq = rotate(p, cycle, exposed, pieces)
-        assert seq.moves == ref
+        assert label_word(seq) == ref
         end = apply_sequence(p, ref)
         assert seq.end.pieces == end.pieces and seq.end.exposed == end.exposed
 
@@ -273,8 +274,8 @@ def test_planner_rotations_match_reference_search(monkeypatch):
 def test_plan_hamilton_identity(hex7, rng):
     p = random_placement(hex7, rng)
     rep = plan_hamilton(hex7, p, p)
-    assert rep.sequence.end.pieces == p.pieces
-    assert rep.sequence.end.exposed == p.exposed
+    assert rep.moves == ()
+    assert verify_sequence(rep.start, rep.moves, expected_end=p).matches_expected
 
 
 def test_plan_hamilton_pentagon_pairs(pentagon, rng):
@@ -283,8 +284,8 @@ def test_plan_hamilton_pentagon_pairs(pentagon, rng):
         q = random_placement(pentagon, rng)
         rep = plan_hamilton(pentagon, p, q)
         assert rep.strategy == "hamilton"
-        assert rep.slide_count == len(rep.sequence.moves)
-        check = verify_sequence(rep.sequence, expected_end=q)
+        assert rep.slide_count == len(rep.moves)
+        check = verify_sequence(rep.start, rep.moves, expected_end=q)
         assert check.ok and check.matches_expected
 
 
@@ -294,7 +295,7 @@ def test_plan_hamilton_corpus_sample(rng):
             p = random_placement(g, rng)
             q = random_placement(g, rng)
             rep = plan_hamilton(g, p, q)
-            check = verify_sequence(rep.sequence, expected_end=q)
+            check = verify_sequence(rep.start, rep.moves, expected_end=q)
             assert check.ok and check.matches_expected
 
 
@@ -305,8 +306,20 @@ def test_plan_hamilton_hex37():
     rng = random.Random(1)
     p, q = random_placement(g, rng), random_placement(g, rng)
     rep = plan_hamilton(g, p, q)
-    check = verify_sequence(rep.sequence, expected_end=q)
+    check = verify_sequence(rep.start, rep.moves, expected_end=q)
     assert check.ok and check.matches_expected
+
+
+def test_plan_hamilton_cuts_loops_once(monkeypatch, rng):
+    """Each cycle plan is cut once, whole, in `finish_plan`: no swap gadget
+    is cut on its own."""
+    calls = spy_everywhere(monkeypatch, cut_loops)
+    for g in locally_connected_corpus()[4:]:
+        p, q = random_placement(g, rng), random_placement(g, rng)
+        calls.clear()
+        rep = plan_hamilton(g, p, q)
+        assert rep.stats["swaps"] > 0
+        assert len(calls) == 1 and len(calls[0][0]) == rep.stats["uncut_slides"]
 
 
 def test_plan_hamilton_refuses_star_of_david():

@@ -11,13 +11,13 @@ from trigrid.matching import Matching, near_perfect_matching
 from trigrid import placement
 from trigrid.placement import (IllegalMoveError, Placement, PlacementError,
                                SlideMove, SlideSequence, VerifyReport,
-                               align_with_cycle, apply_sequence, cut_loops, expose,
+                               align_with_cycle, cut_loops, expose,
                                forced_cycle_dominoes, invert_sequence, legal_moves,
                                replay, rotate, slide, verify_sequence)
 
 from conftest import random_placement
-from support import (aligned_cycle_state, is_aligned, is_alternating_cycle,
-                     reference_slides_within)
+from support import (aligned_cycle_state, apply_sequence, is_aligned, is_alternating_cycle,
+                     label_word, reference_slides_within, verify_word)
 
 
 def _cycle_graph(n):
@@ -166,8 +166,10 @@ def test_invert_sequence(pentagon):
     p = Placement.make(pentagon, [(2, 3), (4, 5)])
     seq = _expose(p, 4)
     inv = invert_sequence(seq)
+    assert inv.kept == seq.kept[::-1]
     assert inv.start.pieces == seq.end.pieces
     assert inv.end.pieces == p.pieces and inv.end.exposed == p.exposed
+    assert verify_word(inv, expected_end=p).ok
 
 
 _HOSTS = locally_connected_corpus()
@@ -183,21 +185,21 @@ def test_invert_sequence_matches_slide_reference(host, rnd):
         mv = rnd.choice(legal_moves(states[-1]))
         moves.append(mv)
         states.append(slide(states[-1], mv))
-    seq = SlideSequence(states[0], tuple(moves))
+    seq = SlideSequence(states[0], tuple(mv.kept_vertex for mv in moves), states[-1])
     ref = tuple(SlideMove(mv.label, mv.kept_vertex, after.exposed)
                 for after, mv in zip(reversed(states[1:]), reversed(moves)))
     inv = invert_sequence(seq)
-    assert inv.moves == ref
+    assert label_word(inv) == ref
     assert inv.start.pieces == states[-1].pieces
     assert (inv.end.pieces, inv.end.exposed) == (states[0].pieces, states[0].exposed)
-    assert cut_loops(seq.then(inv)).moves == ()
+    assert cut_loops(seq.then(inv)) == ()
 
 
 def test_replay_raises_at_uncovered_kept_vertex(pentagon):
     p = Placement.make(pentagon, [(2, 3), (4, 5)])      # exposed 1
     seq = replay(p, (2,))
-    assert seq.moves == (SlideMove(1, 2, 1),)
-    assert seq.end.pieces == slide(p, seq.moves[0]).pieces and seq.end.exposed == 3
+    assert seq.kept == (2,) and label_word(seq) == (SlideMove(1, 2, 1),)
+    assert seq.end.pieces == slide(p, SlideMove(1, 2, 1)).pieces and seq.end.exposed == 3
     with pytest.raises(PlacementError):
         replay(p, (1,))                                 # the exposed vertex
     with pytest.raises(PlacementError):
@@ -207,17 +209,16 @@ def test_replay_raises_at_uncovered_kept_vertex(pentagon):
 def test_verify_sequence(pentagon):
     p = Placement.make(pentagon, [(2, 3), (4, 5)])
     seq = _expose(p, 3)
-    rep = verify_sequence(seq, expected_end=seq.end)
+    rep = verify_word(seq, expected_end=seq.end)
     assert rep.ok and rep.move_count == 1
-    bad = SlideSequence(p, seq.moves + (SlideMove(1, 1, 1),))
-    rep2 = verify_sequence(bad)
+    rep2 = verify_sequence(p, label_word(seq) + (SlideMove(1, 1, 1),))
     assert not rep2.ok and rep2.first_bad_index == 1
 
 
-def _verify_reference(seq, expected_end):
+def _verify_reference(start, moves, expected_end):
     """`verify_sequence` as a fold of `slide` over the moves."""
-    cur = seq.start
-    for i, mv in enumerate(seq.moves):
+    cur = start
+    for i, mv in enumerate(moves):
         try:
             cur = slide(cur, mv)
         except IllegalMoveError as exc:
@@ -225,7 +226,7 @@ def _verify_reference(seq, expected_end):
     matches = None
     if expected_end is not None:
         matches = (cur.pieces, cur.exposed) == (expected_end.pieces, expected_end.exposed)
-    return VerifyReport(matches is not False, len(seq.moves), cur,
+    return VerifyReport(matches is not False, len(moves), cur,
                         matches_expected=matches,
                         message="" if matches is not False
                         else "final placement differs from expected")
@@ -277,11 +278,10 @@ def test_verify_sequence_matches_slide_reference(host, rnd, kind, expect):
         bad = _corrupt(states[i], moves[i], kind, rnd)
     if bad is not None:
         moves[i] = bad[0]
-    seq = SlideSequence(states[0], tuple(moves))
     expected = {None: None, "end": states[-1],
                 "other": random_placement(host, rnd)}[expect]
-    rep = verify_sequence(seq, expected)
-    assert rep == _verify_reference(seq, expected)      # placements by pieces and gap
+    rep = verify_sequence(states[0], moves, expected)
+    assert rep == _verify_reference(states[0], moves, expected)   # placements by pieces and gap
     if bad is not None:
         assert (rep.ok, rep.first_bad_index, rep.message) == (False, i, bad[1])
     else:                                   # the end `Board` reaches
@@ -379,8 +379,8 @@ def test_rotate_matches_reference_search(k, rnd):
             rotate(p, tuple(cyc), exposed, want)
         return
     seq = rotate(p, tuple(cyc), exposed, want)
-    assert seq.moves == ref
-    end = apply_sequence(p, seq.moves)
+    assert label_word(seq) == ref
+    end = apply_sequence(p, ref)
     assert seq.end.pieces == end.pieces and seq.end.exposed == end.exposed
 
 
@@ -408,7 +408,7 @@ def test_align_with_cycle_clears_the_chords(k, rnd):
     assert spy.call_count <= held
     assert not chords & set(seq.end.pieces)
     assert is_aligned(seq.end, cyc)
-    assert apply_sequence(p, seq.moves).pieces == seq.end.pieces
+    assert apply_sequence(p, label_word(seq)).pieces == seq.end.pieces
 
 
 def test_then_chain_end_matches_replay(hex7, rng):
@@ -417,15 +417,15 @@ def test_then_chain_end_matches_replay(hex7, rng):
     for _ in range(6):
         step = _expose(seq.end, rng.choice(list(hex7.vertex_ids)))
         seq = seq.then(step).then(invert_sequence(step)).then(step)
-    raw = SlideSequence(p, seq.moves)              # no end given: replays once
-    end = apply_sequence(p, seq.moves)
+    raw = replay(p, seq.kept)                      # the word stepped on one board
+    end = apply_sequence(p, label_word(seq))
     for s in (seq, raw):
         assert s.end.pieces == end.pieces and s.end.exposed == end.exposed
 
 
-def _states(seq):
-    out = [seq.start]
-    for mv in seq.moves:
+def _states(start, moves):
+    out = [start]
+    for mv in moves:
         out.append(slide(out[-1], mv))
     return [(s.pieces, s.exposed) for s in out]
 
@@ -442,31 +442,30 @@ def test_cut_loops_properties(n, rnd):
     for _ in range(rnd.randrange(6 * m)):
         r = rnd.random()
         q = seq.end
-        if r < 0.3 and seq.moves:           # step back
-            last = seq.moves[-1]
-            mv = SlideMove(last.label, last.kept_vertex, q.exposed)
-        elif r < 0.4 and seq.moves:         # back along a stretch, then again
+        if r < 0.3 and seq.kept:            # step back
+            kept = seq.kept[-1]
+        elif r < 0.4 and seq.kept:          # back along a stretch, then again
             k = rnd.randint(1, min(len(seq), m))
-            tail = SlideSequence(apply_sequence(p, seq.moves[:-k]), seq.moves[-k:])
+            tail = replay(replay(p, seq.kept[:-k]).end, seq.kept[-k:])
             seq = seq.then(invert_sequence(tail)).then(tail)
             continue
         else:
-            mv = rnd.choice(legal_moves(q))
-        seq = seq.then(SlideSequence(q, (mv,), slide(q, mv)))
+            kept = rnd.choice(legal_moves(q)).kept_vertex
+        seq = seq.then(replay(q, (kept,)))
 
     cut = cut_loops(seq)
-    check = verify_sequence(cut, expected_end=seq.end)
+    check = verify_sequence(seq.start, cut, expected_end=seq.end)
     assert check.ok and check.matches_expected
-    assert cut.start is seq.start
-    assert (cut.end.pieces, cut.end.exposed) == (seq.end.pieces, seq.end.exposed)
     assert len(cut) <= len(seq)
-    states = _states(cut)
+    states = _states(seq.start, cut)
     assert len(set(states)) == len(states)
-    it = iter(seq.moves)
-    assert all(mv in it for mv in cut.moves)
-    assert cut_loops(cut).moves == cut.moves
-    if len(set(_states(seq))) == len(seq) + 1:
-        assert cut.moves == seq.moves
+    moves = label_word(seq)
+    it = iter(moves)
+    assert all(mv in it for mv in cut)
+    assert cut_loops(SlideSequence(seq.start, tuple(mv.kept_vertex for mv in cut),
+                                   seq.end)) == cut
+    if len(set(_states(seq.start, moves))) == len(seq) + 1:
+        assert cut == moves
 
 
 def test_cut_loops_round_trip_is_empty(hex7, rng):
@@ -474,6 +473,16 @@ def test_cut_loops_round_trip_is_empty(hex7, rng):
     out = _expose(p, next(v for v in hex7.vertex_ids if v != p.exposed))
     seq = out.then(invert_sequence(out))
     assert len(seq) > 0
-    cut = cut_loops(seq)
-    assert cut.moves == ()
-    assert (cut.end.pieces, cut.end.exposed) == (p.pieces, p.exposed)
+    assert cut_loops(seq) == ()
+    assert (seq.end.pieces, seq.end.exposed) == (p.pieces, p.exposed)
+
+
+def test_cut_loops_raises_at_uncovered_kept_vertex(pentagon):
+    """A word whose kept vertex no piece covers, as the gap is not, is no
+    plan: `cut_loops`' replay raises PlacementError there."""
+    p = Placement.make(pentagon, [(2, 3), (4, 5)])      # exposed 1
+    with pytest.raises(PlacementError, match="vertex 1 is not covered"):
+        cut_loops(SlideSequence(p, (1,), p))
+    step = replay(p, (2,))                              # exposes 3
+    with pytest.raises(PlacementError, match="vertex 3 is not covered"):
+        cut_loops(SlideSequence(p, (2, 3), step.end))

@@ -54,7 +54,7 @@ def seeded_reports(g, planner, pairs=4):
 def plan_digest(reports):
     h = hashlib.sha256()
     for rep in reports:
-        h.update(serialize_moves(rep.sequence.moves).encode())
+        h.update(serialize_moves(rep.moves).encode())
     return h.hexdigest()
 
 
