@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .grid import Edge, TriGridGraph, cycle_edges, edge_key
+from .grid import TriGridGraph, cycle_edges, edge_key
 from .matching import alternating_path_to
 from .ears import EarDecomposition, LevelMatchings, align_with_ears, ear_settled, find_admissible
 from .placement import (Placement, SlideSequence, align_with_cycle, forced_cycle_dominoes,
@@ -36,11 +36,8 @@ class _Planner:
         or `base_diamond_cycle`, which plan on the core's cycle."""
         if p.pieces == q.pieces and p.exposed == q.exposed:
             return SlideSequence(p, ())
-        if i > 3:
-            at_p = {e: lab for lab, e in enumerate(p.pieces, 1)}
-            at_q = {e: lab for lab, e in enumerate(q.pieces, 1)}
-            while i > 3 and self._settled_alike(self.d.ear(i), at_p, at_q):
-                i -= 1
+        while i > 3 and self._settled_alike(self.d.ear(i), p, q):
+            i -= 1
         if i <= 3:
             if self.d.kind == "pentagon":
                 self.trace.append({"level": i, "kind": "pentagon-core"})
@@ -58,12 +55,11 @@ class _Planner:
         return sp.then(mid).then(invert_sequence(sq))
 
     @staticmethod
-    def _settled_alike(ear: Tuple[int, ...], at_p: Dict[Edge, int],
-                       at_q: Dict[Edge, int]) -> bool:
-        """True iff the ear is settled in both placements, given as maps
-        from piece to label, with the same label on each of its dominoes."""
-        return (ear_settled(at_p, ear) and ear_settled(at_q, ear)
-                and all(at_p[e] == at_q[e] for e in map(edge_key, ear[1::2], ear[2::2])))
+    def _settled_alike(ear: Tuple[int, ...], p: Placement, q: Placement) -> bool:
+        """True iff the ear is settled in both placements, with the same
+        label on each of its dominoes."""
+        return (ear_settled(p, ear) and ear_settled(q, ear)
+                and all(p.label_at(e) == q.label_at(e) for e in zip(ear[1::2], ear[2::2])))
 
     def _stage(self, i: int, cur: Placement, tgt: Placement) -> SlideSequence:
         """With the gap at the first vertex of ear i on both sides, move

@@ -13,7 +13,7 @@ from typing import Container, Dict, List, Optional, Sequence, Set, Tuple
 from .grid import Edge, TriGridGraph, cycle_edges, edge_key, enumerate_diamonds
 from .matching import (Matching, MatchingError, alternating_path_to, near_perfect_matching,
                        odd_alternating_cycle_through, perfect_matching)
-from .placement import Board, Placement, SlideSequence, expose
+from .placement import Placement, SlideSequence, expose
 from .plans import PlanError
 
 
@@ -91,19 +91,16 @@ def validate_decomposition(g: TriGridGraph, d: EarDecomposition) -> None:
 def ear_settled(pieces: Container[Edge], ear: Sequence[int]) -> bool:
     """True iff the pieces on the ear's edges are exactly its interior
     dominoes (ear[1], ear[2]), (ear[3], ear[4]), ...: its end edges hold no
-    piece, and a chord holds none. `pieces` holds a placement's pieces, as
-    a set or as a map from piece to label."""
+    piece, and a chord holds none. `pieces` is a set of pieces or a
+    `Placement`, which answers from its cover map."""
     return all((edge_key(a, b) in pieces) == (t % 2 == 1)
                for t, (a, b) in enumerate(zip(ear, ear[1:])))
 
 
 def is_aligned_with(p: Placement, d: EarDecomposition) -> bool:
     """Conditions: (a) the placement is aligned with the base cycle
-    (`Board.is_aligned`); (b) every ear is settled (`ear_settled`)."""
-    if not Board(p).is_aligned(d.base):
-        return False
-    pieces = p.matching.edges
-    return all(ear_settled(pieces, ear) for ear in d.ears)
+    (`Placement.is_aligned`); (b) every ear is settled (`ear_settled`)."""
+    return p.is_aligned(d.base) and all(ear_settled(p, ear) for ear in d.ears)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +294,7 @@ def align_with_ears(p: Placement, levels: LevelMatchings) -> SlideSequence:
     d = levels.d
     seq = SlideSequence(p, ())
     for i in range(d.levels, 1, -1):
-        if i > 3 and ear_settled(frozenset(seq.end.pieces), d.ear(i)):
+        if i > 3 and ear_settled(seq.end, d.ear(i)):
             continue
         seq = seq.then(levels.expose(seq.end, i, d.ear(i)[0]))
     assert is_aligned_with(seq.end, d), "alignment postcondition failed"

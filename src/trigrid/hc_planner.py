@@ -120,9 +120,12 @@ def swap_adjacent(cur: Placement, j: int, frame: TurningFrame,
 # full plan
 
 def _label_order(p: Placement, dominoes: Sequence[Edge]) -> List[int]:
-    """The labels on `dominoes`, in turn; every domino must hold a piece."""
-    label_of = {e: label for label, e in enumerate(p.pieces, 1)}
-    return [label_of[e] for e in dominoes]
+    """The labels on `dominoes`, in turn; raises PlanInvariantError if a
+    domino holds no piece."""
+    labels = [p.label_at(e) for e in dominoes]
+    if None in labels:
+        raise PlanInvariantError("a domino of the cycle holds no piece")
+    return labels
 
 
 def _nearest_rotation(have: List[int], want: List[int]) -> List[int]:
@@ -164,7 +167,7 @@ def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement) -> PlanReport:
     h = find_hamilton(g)
     if g.num_vertices < 5:
         turn = rotate(p, h.order, q.exposed)
-        return finish_plan(turn, q, "hamilton", [{"phase": "rotate", "cycle": h.order}])
+        return finish_plan(turn, q, "hamilton", [])
     pd = find_local_structure(g, h)
 
     sp = align_with_hamilton(p, h)
@@ -177,8 +180,6 @@ def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement) -> PlanReport:
     have = _label_order(cur, frame.dominoes)
     want = _nearest_rotation(have, _label_order(
         aligned_q, forced_cycle_dominoes(h.order, aligned_q.exposed)))
-    trace: List[Dict] = [{"phase": "align", "cycle": h.order,
-                          "diamond": (pd.a, pd.b, pd.c, pd.d), "case": pd.case}]
     word = list(sp.kept + rp.kept)
     swaps = 0
     memo = Transpositions()
@@ -191,9 +192,8 @@ def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement) -> PlanReport:
             cur = step.end
             have[i - 1], have[i] = have[i], have[i - 1]
             swaps += 1
-    trace.append({"phase": "sort", "swaps": swaps})
     last = rotate(cur, h.order, aligned_q.exposed, [(want[0], aligned_q.piece(want[0]))])
     assert last.end.pieces == aligned_q.pieces and last.end.exposed == aligned_q.exposed
     seq = SlideSequence(p, tuple(word) + last.kept, aligned_q)
-    return finish_plan(seq.then(invert_sequence(sq)), q, "hamilton", trace,
+    return finish_plan(seq.then(invert_sequence(sq)), q, "hamilton", [],
                        swaps, len(memo))

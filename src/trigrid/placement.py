@@ -1,4 +1,6 @@
-"""Labeled placements and plans. A slide is fixed by its kept vertex, whose
+"""Labeled placements and plans. A `Placement`'s cover map answers which
+label covers a vertex or lies on an edge, and so whether it is aligned
+with an odd cycle. A slide is fixed by its kept vertex, whose
 piece pivots onto the gap, so a plan is a `SlideSequence`: a start, a word
 of kept vertices and an end, stepped in place by `Board` (`replay`).
 `cut_loops` cuts a plan once and labels the slides it keeps as the
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Collection, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .grid import Edge, TriGridGraph, edge_key
@@ -60,18 +63,40 @@ class Placement:
     def matching(self) -> Matching:
         return Matching(frozenset(self.pieces))
 
+    @cached_property
+    def owner(self) -> array:
+        """The cover map: the label covering each vertex, 0 at the gap.
+        Only the gap is uncovered, so an edge holds a piece exactly when
+        its two ends share a nonzero owner."""
+        owner = array("H", bytes(2 * (self.graph.num_vertices + 1)))
+        for label, (u, v) in enumerate(self.pieces, 1):
+            owner[u] = owner[v] = label
+        return owner
+
     def label_at(self, e: Edge) -> Optional[int]:
-        e = edge_key(*e)
-        for i, pe in enumerate(self.pieces):
-            if pe == e:
-                return i + 1
-        return None
+        """The label on edge e, or None if no piece lies on it."""
+        a, b = e
+        label = self.owner[a]
+        return label if label and label == self.owner[b] else None
 
     def label_covering(self, v: int) -> Optional[int]:
-        for i, (a, b) in enumerate(self.pieces):
-            if v in (a, b):
-                return i + 1
-        return None
+        """The label covering vertex v, or None at the gap."""
+        return self.owner[v] or None
+
+    def __contains__(self, e: Edge) -> bool:
+        """True iff a piece lies on edge e."""
+        return self.label_at(e) is not None
+
+    def is_aligned(self, cycle: Sequence[int]) -> bool:
+        """True iff cycle is an odd cycle of the host through the gap whose
+        forced dominoes are pieces: no domino holds the gap, so its two
+        ends share an owner exactly when one piece covers both."""
+        cycle, edges, owner = tuple(cycle), self.graph.edges, self.owner
+        return (len(cycle) % 2 == 1 and self.exposed in cycle
+                and all(((a, b) if a < b else (b, a)) in edges
+                        for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+                and all(owner[a] == owner[b]
+                        for a, b in forced_cycle_dominoes(cycle, self.exposed)))
 
 
 class SlideMove(NamedTuple):
@@ -154,23 +179,20 @@ def legal_moves(p: Placement) -> List[SlideMove]:
 
 
 class Board:
-    """A placement stepped in place: the pieces by label, `owner` holding
-    the label covering each vertex (0 where none does), and the exposed
-    vertex `gap`. A slide is fixed by its kept vertex: the piece covering
-    it pivots onto the gap. Pieces enter normalised, (min, max), as every
-    library-built `Placement` holds them, and `step` stores each moved
-    piece the same way. `step` trusts that the kept vertex neighbours the
-    gap; `slide` and `verify_sequence` check every move, by the one
-    routine `_check_slide`."""
+    """A placement stepped in place: the pieces by label, a copy of its
+    cover map `owner` and the exposed vertex `gap`. A slide is fixed by its
+    kept vertex: the piece covering it pivots onto the gap. Pieces enter
+    normalised, (min, max), as every library-built `Placement` holds them,
+    and `step` stores each moved piece the same way. `step` trusts that the
+    kept vertex neighbours the gap; `slide` and `verify_sequence` check
+    every move, by the one routine `_check_slide`."""
 
     __slots__ = ("graph", "pieces", "owner", "gap")
 
     def __init__(self, p: Placement):
         self.graph = p.graph
         self.pieces = list(p.pieces)
-        self.owner = array("H", bytes(2 * (p.graph.num_vertices + 1)))
-        for label, (u, v) in enumerate(p.pieces, 1):
-            self.owner[u] = self.owner[v] = label
+        self.owner = p.owner[:]
         self.gap = p.exposed
 
     def step(self, kept: int) -> None:
@@ -185,24 +207,6 @@ class Board:
         self.pieces[label - 1] = (kept, gap) if kept < gap else (gap, kept)
         owner[gap], owner[far] = label, 0
         self.gap = far
-
-    def placement(self) -> Placement:
-        return Placement(self.graph, tuple(self.pieces), self.gap)
-
-    def is_aligned(self, cycle: Sequence[int]) -> bool:
-        """True iff cycle is an odd cycle of the host through the gap whose
-        forced dominoes are pieces. Only the gap is uncovered, so the two
-        ends of a domino share an owner exactly when one piece covers
-        both."""
-        cycle = tuple(cycle)
-        if len(cycle) % 2 == 0 or self.gap not in cycle:
-            return False
-        edges = self.graph.edges
-        if not all(((a, b) if a < b else (b, a)) in edges
-                   for a, b in zip(cycle, cycle[1:] + cycle[:1])):
-            return False
-        owner = self.owner
-        return all(owner[a] == owner[b] for a, b in forced_cycle_dominoes(cycle, self.gap))
 
 
 def forced_cycle_dominoes(cycle: Sequence[int], gap: int) -> List[Edge]:
@@ -220,7 +224,9 @@ def replay(p: Placement, kept_vertices: Iterable[int]) -> SlideSequence:
     kept = tuple(kept_vertices)
     for v in kept:
         board.step(v)
-    return SlideSequence(p, kept, board.placement())
+    end = Placement(p.graph, tuple(board.pieces), board.gap)
+    end.__dict__["owner"] = board.owner        # the board is done: its map is the end's
+    return SlideSequence(p, kept, end)
 
 
 def rotate(p: Placement, cycle: Tuple[int, ...], exposed: Optional[int] = None,
@@ -250,13 +256,12 @@ def rotate(p: Placement, cycle: Tuple[int, ...], exposed: Optional[int] = None,
     one it holds. Raises PlacementError if p is not aligned with the
     cycle, or if no state along it meets every goal.
     """
-    board = Board(p)
-    if not board.is_aligned(cycle):
+    if not p.is_aligned(cycle):
         raise PlacementError("placement is not aligned with the rotation cycle")
     n, k = len(cycle), len(cycle) // 2
     g = cycle.index(p.exposed)
     ring = cycle[g:] + cycle[:g]               # from the gap, forwards
-    labels = [board.owner[v] for v in ring[1::2]]
+    labels = [p.owner[v] for v in ring[1::2]]
     index = {v: i for i, v in enumerate(ring)}
     slot = {lab: i for i, lab in enumerate(labels)}
     # goals as (label position, index j of the edge's first vertex from
@@ -330,7 +335,7 @@ def align_with_cycle(p: Placement, cycle: Tuple[int, ...],
                      chords: Iterable[Edge]) -> SlideSequence:
     """Move every piece of p off the `chords`, edges between two vertices
     of the odd `cycle`, so that p is aligned with the cycle
-    (`Board.is_aligned`). p's gap must lie on the cycle, and each piece
+    (`Placement.is_aligned`). p's gap must lie on the cycle, and each piece
     touching it on a cycle edge or a chord.
 
     The chords are walked sorted, last to first. A chord that holds a
@@ -342,11 +347,10 @@ def align_with_cycle(p: Placement, cycle: Tuple[int, ...],
     """
     seq = SlideSequence(p, ())
     for e in sorted(chords, reverse=True):
-        cur = seq.end
-        if e in cur.pieces:
+        if e in seq.end:
             dominoes = Matching(frozenset(forced_cycle_dominoes(cycle, e[0])))
-            seq = seq.then(expose(cur, e[0], dominoes))
-    assert Board(seq.end).is_aligned(cycle), "alignment postcondition failed"
+            seq = seq.then(expose(seq.end, e[0], dominoes))
+    assert seq.end.is_aligned(cycle), "alignment postcondition failed"
     return seq
 
 
@@ -364,8 +368,8 @@ def cut_loops(seq: SlideSequence) -> Tuple[SlideMove, ...]:
 
     The cut plan has the same start and end, visits no state twice, and
     its slides are an in-order subsequence of `seq`'s. One replay on a
-    `Board` keys each state by the bytes of its vertex -> label map, two
-    writes per slide, and reads each slide's label and gap, so the cut is
+    `Board` keys each state by the bytes of its cover map, two writes per
+    slide, and reads each slide's label and gap, so the cut is
     linear in the plan and builds a `SlideMove` for each slide it keeps
     only. `plans.finish_plan` cuts each full plan once and checks the moves
     with `verify_sequence`. Raises PlacementError at a kept vertex no piece

@@ -23,7 +23,9 @@ class PlanInvariantError(Exception):
 @dataclass
 class PlanReport:
     """A verified plan: its start and its `(label, kept, dest)` moves, which
-    end at the target. `stats["uncut_slides"]` is the length of the word
+    end at the target. `recursion_trace` is the ear planner's level log,
+    one entry per core call and per staged ear; the cycle planner leaves
+    it empty. `stats["uncut_slides"]` is the length of the word
     before `cut_loops`, gadgets' loops included. `swaps` counts the
     transpositions the planner asks for: the ear planner's level fills,
     not the lower-level ones each of them is conjugated from, and the cycle

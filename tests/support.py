@@ -1,8 +1,8 @@
 """Reference helpers that only tests call: the reference replay of moves
 and of a word of kept vertices through the checked `slide`, a spy on a
 library function under every name the library holds it by, canonical
-aligned states on a cycle, the alignment check on a placement and its matching-based reference,
-the restricted slide search over `legal_moves` and `slide` that `rotate`,
+aligned states on a cycle, the matching-based reference of the alignment
+check, the restricted slide search over `legal_moves` and `slide` that `rotate`,
 the swap gadget and the pentagon core's plans are checked against, the
 centrality test, an ear decomposition grown from a matching, the
 neighbourhood search that defines local connectivity, the scan over every
@@ -19,7 +19,7 @@ from trigrid.ears import EarDecomposition, EarError, grow_ears, validate_decompo
 from trigrid.grid import Edge, TriGridGraph, cycle_edges, edge_key, enumerate_diamonds
 from trigrid.hamilton import HamiltonCycle, HamiltonError, ParityDiamond
 from trigrid.matching import Matching, odd_alternating_cycle_through, perfect_matching
-from trigrid.placement import (Board, Placement, PlacementError, SlideMove, SlideSequence,
+from trigrid.placement import (Placement, PlacementError, SlideMove, SlideSequence,
                                VerifyReport, legal_moves, slide, verify_sequence)
 
 
@@ -72,11 +72,6 @@ def spy_everywhere(monkeypatch, fn: Callable) -> List[tuple]:
                 if value is fn:
                     monkeypatch.setattr(mod, key, spy)
     return calls
-
-
-def is_aligned(p: Placement, cycle: Sequence[int]) -> bool:
-    """True iff cycle is an odd M_p-alternating cycle containing v_p."""
-    return Board(p).is_aligned(cycle)
 
 
 def reference_slides_within(p: Placement, edges: Set[Edge],

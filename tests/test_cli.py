@@ -436,7 +436,7 @@ def test_plan_logs_summary_under_trigrid_log(tmp_path, capsys, monkeypatch):
     assert lines == [f"trigrid: plan strategy hamilton slides {rep.slide_count}"
                      f" cut {cut} swaps {swaps} gadgets {gadgets} fallbacks 0"]
     assert cut > 0
-    assert swaps == rep.recursion_trace[-1]["swaps"] > gadgets > 0
+    assert swaps > gadgets > 0
     assert rep.stats["fallbacks"] == 0
 
 

@@ -63,6 +63,11 @@ def test_moves_roundtrip():
     assert formats.parse_moves(formats.serialize_moves(moves)) == moves
 
 
+def test_parse_moves_refuses_other_records():
+    with pytest.raises(formats.ParseError, match="^line 2: unknown record 'p'$"):
+        formats.parse_moves("s 1 2 3\np 1 2 3\n")
+
+
 def test_plan_roundtrip(pentagon):
     p = Placement.make(pentagon, [(2, 3), (4, 5)])
     moves = [SlideMove(1, 2, 1)]

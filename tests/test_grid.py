@@ -270,6 +270,26 @@ def test_abstract_flag():
     c = chord_cycle_graph(4, 2)
     assert not c.is_lattice
     assert build_graph(TRIANGLE).is_lattice
+    # an abstract host has no points, so none is the Star of David, even at 13 vertices
+    with pytest.raises(NotLatticeError, match="^abstract graph has no lattice coordinates$"):
+        c.point_of(1)
+    assert not is_star_of_david(chord_cycle_graph(6, 2))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: build_abstract(4, [(1, 2), (2, 3), (3, 4)]), EvenOrderError,
+     r"^\|V\| = 4 must be odd$"),
+    (lambda: build_abstract(3, [(1, 2), (2, 4)]), GridError, r"^edge \(2,4\) out of range$"),
+    (lambda: build_abstract(5, [(1, 2), (2, 3), (1, 3), (4, 5)]), DisconnectedError,
+     "^abstract graph is disconnected$"),
+    (lambda: diamond_cycle_graph(2), GridError, "^diamond_cycle requires n >= 3$"),
+    (lambda: chord_cycle_graph(4, 1), GridError, "^chord_cycle requires 2 <= m <= n-1$"),
+    (lambda: chord_cycle_graph(4, 4), GridError, "^chord_cycle requires 2 <= m <= n-1$"),
+], ids=["even-order", "edge-out-of-range", "disconnected", "diamond-cycle-n2",
+        "chord-cycle-m1", "chord-cycle-m-n"])
+def test_abstract_builders_refuse_bad_input(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 def test_canonical_form_invariance():

@@ -110,8 +110,10 @@ def test_hex7_has_six_cycles(hex7):
 
 
 def test_validate_cycle_rejects_non_cycle(pentagon):
-    with pytest.raises(HamiltonError):
+    with pytest.raises(HamiltonError, match=r"^cycle uses a non-edge \("):
         validate_cycle(pentagon, HamiltonCycle((1, 2, 5, 4, 3)))
+    with pytest.raises(HamiltonError, match="^cycle does not span the vertex set$"):
+        validate_cycle(pentagon, HamiltonCycle((1, 2, 3)))
 
 
 def test_dual_forests_triangle():

@@ -17,6 +17,19 @@ def _cycle_graph(n):
     return build_abstract(n, edges)
 
 
+def test_matching_searches_refuse_bad_vertices(pentagon):
+    """A vertex to expose must be a host vertex inside `within`, and an
+    alternating cycle must start at a vertex the matching leaves exposed."""
+    with pytest.raises(MatchingError, match="^vertex 6 out of range$"):
+        near_perfect_matching(pentagon, 6)
+    with pytest.raises(MatchingError, match="^vertex 1 outside the subgraph$"):
+        near_perfect_matching(pentagon, 1, within={2, 3, 4})
+    g = _cycle_graph(5)
+    m = near_perfect_matching(g, 1)
+    with pytest.raises(MatchingError, match="^vertex 2 is covered by the matching$"):
+        odd_alternating_cycle_through(g, m, 2, (1, 2))
+
+
 def test_triangle_matching():
     g = build_graph([(0, 0), (1, 0), (0, 1)])
     m = near_perfect_matching(g, 3)

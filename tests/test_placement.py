@@ -16,7 +16,7 @@ from trigrid.placement import (IllegalMoveError, Placement, PlacementError,
                                replay, rotate, slide, verify_sequence)
 
 from conftest import random_placement
-from support import (aligned_cycle_state, apply_sequence, is_aligned, is_alternating_cycle,
+from support import (aligned_cycle_state, apply_sequence, is_alternating_cycle,
                      label_word, reference_slides_within, verify_word)
 
 
@@ -60,6 +60,14 @@ def test_illegal_moves():
         slide(p, SlideMove(1, 1, 2))          # destination not exposed
     with pytest.raises(IllegalMoveError):
         slide(p, SlideMove(2, 2, 3))          # no such label
+
+
+def test_make_refuses_a_piece_off_the_host_and_overlapping_pieces():
+    g = _cycle_graph(7)
+    with pytest.raises(PlacementError, match=r"^piece edge \(1, 3\) not in graph$"):
+        Placement.make(g, [(1, 3), (4, 5), (6, 7)])
+    with pytest.raises(PlacementError, match="^pieces overlap$"):
+        Placement.make(g, [(1, 2), (2, 3), (4, 5)])
 
 
 def test_legal_moves_counts(pentagon):
@@ -303,7 +311,7 @@ def _is_aligned_reference(p, cycle):
 @settings(max_examples=200, deadline=None)
 @given(host=st.sampled_from(_HOSTS), rnd=st.randoms(use_true_random=False))
 def test_is_aligned_matches_matching_reference(host, rnd):
-    """The board check agrees with the matching-based reference on states a
+    """The cover-map check agrees with the matching-based reference on states a
     few random slides from one aligned with a Hamilton cycle: for the cycle
     from any start in both directions, for the vertex sequences left without
     its last one or two vertices, and for every triangle at the exposed
@@ -321,7 +329,36 @@ def test_is_aligned_matches_matching_reference(host, rnd):
     cycles += [(gap, a, b) for a in host.adj[gap] for b in host.adj[a]
                if b in host.adj[gap]]
     for cyc in cycles:
-        assert is_aligned(p, cyc) == _is_aligned_reference(p, cyc)
+        assert p.is_aligned(cyc) == _is_aligned_reference(p, cyc)
+
+
+def test_cover_map_matches_a_scan_of_the_pieces(rng):
+    """`label_at` and `in` on every host edge, either way round, and
+    `label_covering` on every vertex, the gap included, agree with a scan
+    of `p.pieces`: on random placements of the locally-connected corpus
+    and on the ends of random words replayed from them. The replay steps
+    a copy of the start's cover map, which stays as it was."""
+    for g in locally_connected_corpus():
+        for _ in range(3):
+            p = cur = random_placement(g, rng)
+            word = []
+            for _ in range(rng.randrange(1, 12)):
+                mv = rng.choice(legal_moves(cur))
+                cur = slide(cur, mv)
+                word.append(mv.kept_vertex)
+            assert p.owner                      # built before the replay copies it
+            end = replay(p, word).end
+            assert end.pieces == cur.pieces
+            for x in (p, end):
+                for e in g.edges:
+                    on = [lab for lab, pe in enumerate(x.pieces, 1) if pe == e]
+                    want = on[0] if on else None
+                    assert x.label_at(e) == x.label_at(e[::-1]) == want
+                    assert (e in x) == (e[::-1] in x) == (want is not None)
+                for v in g.vertex_ids:
+                    on = [lab for lab, pe in enumerate(x.pieces, 1) if v in pe]
+                    assert x.label_covering(v) == (on[0] if on else None)
+                assert x.label_covering(x.exposed) is None
 
 
 def _on_cycle_moves(p, ces):
@@ -407,7 +444,7 @@ def test_align_with_cycle_clears_the_chords(k, rnd):
         seq = align_with_cycle(p, tuple(cyc), chords)
     assert spy.call_count <= held
     assert not chords & set(seq.end.pieces)
-    assert is_aligned(seq.end, cyc)
+    assert seq.end.is_aligned(cyc)
     assert apply_sequence(p, label_word(seq)).pieces == seq.end.pieces
 
 
