@@ -84,9 +84,9 @@ class _Planner:
         """With the gap at the first vertex v of ear i and the ear aligned:
         the odd cycle that runs along the ear from v and back to v through
         G_{i-1}, on the alternating path from v to the ear's last vertex,
-        and that path."""
+        walked on cur's cover map, and that path."""
         ear = self.d.ear(i)
-        ppath = alternating_path_to(cur.matching, self.levels.exposing(i - 1, ear[-1]),
+        ppath = alternating_path_to(cur, self.levels.exposing(i - 1, ear[-1]),
                                     ear[0], ear[-1])
         return tuple(ear[:-1]) + tuple(reversed(ppath[1:])), ppath
 

@@ -1,8 +1,8 @@
 """Hamilton cycles and the diamond local structure used by the cycle planner.
 
-Provides exact backtracking search for Hamilton cycles and extraction of a
-diamond whose subpath parities allow swapping adjacent pieces along the
-cycle.
+Provides exact backtracking search for Hamilton cycles, on bit masks,
+and extraction of a diamond whose subpath parities allow swapping
+adjacent pieces along the cycle.
 """
 
 from dataclasses import dataclass
@@ -74,37 +74,44 @@ def _hamilton_search(g: TriGridGraph) -> Iterator[Tuple[int, ...]]:
     other unvisited vertex keeps the count it had, which the check one
     level up passed. So each step checks t's unvisited neighbors alone,
     except the first, which checks every unvisited vertex because the
-    root runs no check."""
-    nvert = g.num_vertices
-    start = min(g.vertex_ids, key=lambda v: (g.degree(v), v))
-    visited = {start}
+    root runs no check.
+
+    Vertex sets are int bit masks, bit v for vertex v: x keeps two usable
+    neighbors when its neighbor mask meets the usable set in two bits or
+    more, m & (m - 1) != 0. The path starts at the vertex of least
+    (degree, id), and each tail tries its unvisited neighbors in that
+    order."""
+    rank = [(0, 0)] + [(g.degree(v), v) for v in g.vertex_ids]
+    start = min(g.vertex_ids, key=rank.__getitem__)
+    nbrs = [()] + [sorted(g.adj[v], key=rank.__getitem__) for v in g.vertex_ids]
+    mask = [0] + [sum(1 << w for w in g.adj[v]) for v in g.vertex_ids]
+    s = 1 << start
     path = [start]
 
-    def usable(w: int, tail: int) -> int:
-        cnt = 0
-        for x in g.adj[w]:
-            if x == tail or x == start or x not in visited:
-                cnt += 1
-        return cnt
-
-    def extend() -> Iterator[Tuple[int, ...]]:
-        tail = path[-1]
-        if len(path) == nvert:
-            if g.has_edge(tail, start):
+    def extend(tail: int, unvisited: int) -> Iterator[Tuple[int, ...]]:
+        if not unvisited:
+            if mask[tail] & s:
                 yield tuple(path)
             return
-        nbrs = sorted((w for w in g.adj[tail] if w not in visited),
-                      key=lambda w: (g.degree(w), w))
-        at_risk = g.vertex_ids if tail == start else g.adj[tail]
-        for w in nbrs:
-            visited.add(w)
-            path.append(w)
-            if all(usable(x, w) >= 2 for x in at_risk if x not in visited):
-                yield from extend()
-            path.pop()
-            visited.discard(w)
+        for w in nbrs[tail]:
+            b = 1 << w
+            if not unvisited & b:
+                continue
+            rest = unvisited ^ b
+            usable = rest | b | s
+            at_risk = rest if tail == start else rest & mask[tail]
+            while at_risk:
+                x = at_risk & -at_risk
+                m = mask[x.bit_length() - 1] & usable
+                if not m & (m - 1):
+                    break
+                at_risk ^= x
+            else:
+                path.append(w)
+                yield from extend(w, rest)
+                path.pop()
 
-    yield from extend()
+    yield from extend(start, sum(1 << v for v in g.vertex_ids) ^ s)
 
 
 def find_hamilton(g: TriGridGraph) -> HamiltonCycle:

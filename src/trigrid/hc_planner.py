@@ -4,16 +4,19 @@ Pipeline: align both placements with a spanning cycle, pin the gap at the
 diamond corner, bubble-sort the cyclic label order along the cycle using
 the parity diamond's adjacent swap, turning the cycle only as far as each
 swap needs and never back, rotate once into the target's frame, then undo
-the target-side alignment. Slide counts grow as O(n^3).
+the target-side alignment. The sort steps the list of labels on the
+cycle's dominoes, not a placement: each turn is arithmetic on it, and a
+placement is built only for each swap's gadget. Slide counts grow as
+O(n^3).
 """
 
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .grid import Edge, TriGridGraph, edge_key, is_locally_connected, is_star_of_david
 from .hamilton import (HamiltonCycle, ParityDiamond, find_hamilton,
                        find_local_structure)
 from .placement import (Placement, SlideSequence, align_with_cycle, forced_cycle_dominoes,
-                        invert_sequence, replay, rotate)
+                        invert_sequence, replay, rotate, shorter_walk)
 from .plans import PlanError, PlanInvariantError, PlanReport, Transpositions, finish_plan
 
 
@@ -28,28 +31,61 @@ def align_with_hamilton(p: Placement, h: HamiltonCycle) -> SlideSequence:
 
 class TurningFrame(NamedTuple):
     """The sort's frame with the gap at c, the same at every swap of a
-    plan: the cycle's forced dominoes listed from c, each domino's index,
-    the indices of the two swap dominoes (`i_ab` on (a, b), `i_v` its
-    neighbour along p1) and `lo`, the lower of the two in cycle order."""
+    plan: the host, the cycle listed from c (`ring`), its forced dominoes
+    listed from c, the indices of the two swap dominoes (`i_ab` on (a, b),
+    `i_v` its neighbour along p1) and `lo`, the lower of the two in cycle
+    order. With the gap at c, every piece lies on one of the dominoes, so
+    the list of labels on them, domino by domino, fixes the placement."""
 
     pd: ParityDiamond
+    graph: TriGridGraph
+    ring: Tuple[int, ...]
     dominoes: Tuple[Edge, ...]
-    slot: Dict[Edge, int]
     i_ab: int
     i_v: int
     lo: int
 
+    def placement(self, order: Sequence[int]) -> Placement:
+        """The placement with label order[i] on domino i and the gap at c."""
+        pieces = list(self.dominoes)
+        for e, label in zip(self.dominoes, order):
+            pieces[label - 1] = e
+        return Placement(self.graph, tuple(pieces), self.pd.c)
 
-def turning_frame(pd: ParityDiamond) -> TurningFrame:
-    dominoes = tuple(forced_cycle_dominoes(pd.cycle.order, pd.c))
-    slot = {e: i for i, e in enumerate(dominoes)}
-    i_ab = slot[edge_key(pd.a, pd.b)]
+
+def turning_frame(g: TriGridGraph, pd: ParityDiamond) -> TurningFrame:
+    cycle = pd.cycle.order
+    at_c = cycle.index(pd.c)
+    ring = cycle[at_c:] + cycle[:at_c]
+    dominoes = tuple(forced_cycle_dominoes(ring, pd.c))
+    i_ab = dominoes.index(edge_key(pd.a, pd.b))
     v1 = pd.p1[-2]
     i_v = next(i for i, e in enumerate(dominoes) if v1 in e)
     k = len(dominoes)
     assert (i_v - i_ab) % k in (1, k - 1), "swap dominoes not adjacent"
     lo = i_ab if (i_v - i_ab) % k == 1 else i_v
-    return TurningFrame(pd, dominoes, slot, i_ab, i_v, lo)
+    return TurningFrame(pd, g, ring, dominoes, i_ab, i_v, lo)
+
+
+def turn_to_swap(order: List[int], j: int,
+                 frame: TurningFrame) -> Tuple[Tuple[int, ...], List[int]]:
+    """The turn along the cycle, the gap at c before and after, that brings
+    order[j] onto the lower swap domino: its word and the label order it
+    ends at. `order` lists the labels on the frame's dominoes.
+
+    A turn that returns the gap to c is a whole number of laps of the
+    ring, and each lap forwards turns the list left by one, as n = 1 mod
+    k. So the turn is m = (j - lo) mod k laps, n*m slides forwards or
+    n*(k - m) backwards, whichever `shorter_walk` picks, and ends at the
+    list turned left by m: the word and end `rotate` gives for the same
+    placement and goals, with no placement built.
+    """
+    k = len(order)
+    m = (j - frame.lo) % k
+    if not m:
+        return (), list(order)
+    _, kept = shorter_walk(frame.ring, order, (len(frame.ring) * m,))
+    return kept, order[m:] + order[:m]
 
 
 def _swap_special(cur: Placement, frame: TurningFrame, memo: Transpositions) -> SlideSequence:
@@ -87,33 +123,25 @@ def _swap_special(cur: Placement, frame: TurningFrame, memo: Transpositions) -> 
     return memo(cur, hi, lo, (frozenset(cur.pieces), hi < lo), build)
 
 
-def swap_adjacent(cur: Placement, j: int, frame: TurningFrame,
-                  memo: Transpositions) -> SlideSequence:
-    """Transpose the labels x and y on dominoes j and j + 1 (cyclic
-    positions along the cycle from the gap at c), leaving the cycle turned.
+def swap_adjacent(order: List[int], j: int, frame: TurningFrame,
+                  memo: Transpositions) -> Tuple[Tuple[int, ...], List[int]]:
+    """Transpose the labels x = order[j] and y = order[j + 1] (cyclic
+    positions along the cycle from the gap at c), leaving the cycle
+    turned; `order` lists the labels on the frame's dominoes. Returns the
+    word and the label order it ends at.
 
-    Rotates along the cycle until x sits on the lower swap domino and y on
-    the one after it, then exchanges them there. The end placement is the
-    start turned by lo - j domino positions, lo being the lower swap
-    domino's position, with x and y exchanged; the gap is back at c.
-    `frame` is the plan's turning frame and `memo` its swap-gadget memo
-    (see `_swap_special`). Raises PlanInvariantError if the swap misses
-    that end.
+    Turns along the cycle until x sits on the lower swap domino and y on
+    the one after it (`turn_to_swap`), then exchanges them there with the
+    swap gadget, on the one placement this builds: the end is `order`
+    turned left by j - lo positions, with x and y exchanged, and the gap
+    is back at c. `frame` is the plan's turning frame and `memo` its
+    swap-gadget memo (see `_swap_special`), which raises
+    PlanInvariantError if a gadget misses its end.
     """
-    pd, dominoes, lo = frame.pd, frame.dominoes, frame.lo
-    assert cur.exposed == pd.c
-    k = len(dominoes)
-    order = _label_order(cur, dominoes)
-    x, y = order[j], order[(j + 1) % k]
-    turn = rotate(cur, pd.cycle.order, pd.c, [(x, dominoes[lo])])
-    swap = _swap_special(turn.end, frame, memo)
-    want = list(cur.pieces)
-    for i, lab in enumerate(order):
-        want[lab - 1] = dominoes[(i + lo - j) % k]
-    want[x - 1], want[y - 1] = want[y - 1], want[x - 1]
-    if swap.end.exposed != pd.c or list(swap.end.pieces) != want:
-        raise PlanInvariantError("adjacent swap does not end at its target")
-    return SlideSequence(cur, turn.kept + swap.kept, swap.end)
+    turn, order = turn_to_swap(order, j, frame)
+    swap = _swap_special(frame.placement(order), frame, memo)
+    order[frame.i_ab], order[frame.i_v] = order[frame.i_v], order[frame.i_ab]
+    return turn + swap.kept, order
 
 
 # ---------------------------------------------------------------------------
@@ -173,26 +201,26 @@ def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement) -> PlanReport:
     sp = align_with_hamilton(p, h)
     sq = align_with_hamilton(q, h)
     rp = rotate(sp.end, h.order, pd.c)
-    cur = rp.end
     aligned_q = sq.end
-    frame = turning_frame(pd)
-    slot = frame.slot
-    have = _label_order(cur, frame.dominoes)
+    frame = turning_frame(g, pd)
+    order = _label_order(rp.end, frame.dominoes)
+    have = list(order)
     want = _nearest_rotation(have, _label_order(
         aligned_q, forced_cycle_dominoes(h.order, aligned_q.exposed)))
     word = list(sp.kept + rp.kept)
     swaps = 0
     memo = Transpositions()
-    # bubble sort in the turning frame: `have` lists the labels in cycle
-    # order from the label that started on domino 0
+    # bubble sort in the turning frame on the labels alone: `order` lists
+    # them domino by domino, `have` in cycle order from the label that
+    # started on domino 0
     for j, lab in enumerate(want):
         for i in range(have.index(lab, j), j, -1):
-            step = swap_adjacent(cur, slot[cur.piece(have[i - 1])], frame, memo)
-            word.extend(step.kept)
-            cur = step.end
+            kept, order = swap_adjacent(order, order.index(have[i - 1]), frame, memo)
+            word.extend(kept)
             have[i - 1], have[i] = have[i], have[i - 1]
             swaps += 1
-    last = rotate(cur, h.order, aligned_q.exposed, [(want[0], aligned_q.piece(want[0]))])
+    last = rotate(frame.placement(order), h.order, aligned_q.exposed,
+                  [(want[0], aligned_q.piece(want[0]))])
     assert last.end.pieces == aligned_q.pieces and last.end.exposed == aligned_q.exposed
     seq = SlideSequence(p, tuple(word) + last.kept, aligned_q)
     return finish_plan(seq.then(invert_sequence(sq)), q, "hamilton", [],

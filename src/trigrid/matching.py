@@ -22,7 +22,7 @@ prove that no larger matching exists. That covers each None from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Protocol, Set, Tuple
 
 from .blossom import max_cardinality_matching
 from .grid import Edge, TriGridGraph, edge_key
@@ -55,6 +55,17 @@ class Matching:
 
     def covers(self, v: int) -> bool:
         return v in self._mate
+
+    def partner(self, v: int) -> Optional[int]:
+        """The vertex matched to v, or None if v is exposed."""
+        return self._mate.get(v)
+
+
+class Partnered(Protocol):
+    """A matching as its partner map: a `Matching`, or a `Placement`,
+    whose cover map gives each vertex's partner in M_p."""
+
+    def partner(self, v: int) -> Optional[int]: ...
 
 
 def perfect_matching(g: TriGridGraph, skip: Iterable[int] = (),
@@ -103,7 +114,7 @@ def is_factor_critical(g: TriGridGraph) -> bool:
     return all(near_perfect_matching(g, v) is not None for v in g.vertex_ids)
 
 
-def alternating_path_to(m: Matching, target: Matching, frm: int, to: int) -> List[int]:
+def alternating_path_to(m: Partnered, target: Partnered, frm: int, to: int) -> List[int]:
     """Even alternating path from the exposed vertex `frm` to `to`.
 
     `target` is a nearly perfect matching exposing `to`, of the host or of
@@ -111,20 +122,21 @@ def alternating_path_to(m: Matching, target: Matching, frm: int, to: int) -> Lis
     the two partner maps from target's edge at `frm`: its edges alternate
     target/m edges, so every non-matching edge on it is a target edge and
     lies in target's subgraph. It is just [frm] when `frm` is `to`.
-    Callers that need many paths in one subgraph look the target matching
-    up once and pass it in.
+    `m` may be a placement, walked on its cover map, so no `Matching` of
+    its pieces is built. Callers that need many paths in one subgraph look
+    the target matching up once and pass it in.
     """
-    if m.covers(frm):
+    if m.partner(frm) is not None:
         raise MatchingError(f"vertex {frm} is not exposed by the matching")
     # each vertex the walk reaches holds the edge it came by in one map and
     # leaves by the other map's edge, which differs, so it lies in M Δ target
-    mate, other = target._mate, m._mate
+    step, other = target.partner, m.partner
     path = [frm]
-    nxt = mate.get(frm)
+    nxt = step(frm)
     while nxt is not None:
         path.append(nxt)
-        mate, other = other, mate
-        nxt = mate.get(nxt)
+        step, other = other, step
+        nxt = step(nxt)
     assert path[-1] == to and len(path) % 2 == 1
     return path
 

@@ -59,10 +59,6 @@ class Placement:
     def piece(self, label: int) -> Edge:
         return self.pieces[label - 1]
 
-    @property
-    def matching(self) -> Matching:
-        return Matching(frozenset(self.pieces))
-
     @cached_property
     def owner(self) -> array:
         """The cover map: the label covering each vertex, 0 at the gap.
@@ -87,16 +83,36 @@ class Placement:
         """True iff a piece lies on edge e."""
         return self.label_at(e) is not None
 
+    def partner(self, v: int) -> Optional[int]:
+        """The other end of the piece covering v, or None at the gap: the
+        partner of v in the matching M_p, read off the cover map."""
+        label = self.owner[v]
+        if not label:
+            return None
+        a, b = self.pieces[label - 1]
+        return b if v == a else a
+
     def is_aligned(self, cycle: Sequence[int]) -> bool:
         """True iff cycle is an odd cycle of the host through the gap whose
-        forced dominoes are pieces: no domino holds the gap, so its two
-        ends share an owner exactly when one piece covers both."""
-        cycle, edges, owner = tuple(cycle), self.graph.edges, self.owner
-        return (len(cycle) % 2 == 1 and self.exposed in cycle
-                and all(((a, b) if a < b else (b, a)) in edges
-                        for a, b in zip(cycle, cycle[1:] + cycle[:1]))
-                and all(owner[a] == owner[b]
-                        for a, b in forced_cycle_dominoes(cycle, self.exposed)))
+        forced dominoes are pieces (`_aligned_ring`)."""
+        return self._aligned_ring(tuple(cycle)) is not None
+
+    def _aligned_ring(self, cycle: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
+        """The cycle listed from the gap, if it is an odd cycle of the host
+        through the gap whose forced dominoes are pieces, else None. The
+        ring is read once: its forced dominoes are (ring[1], ring[2]),
+        (ring[3], ring[4]), ..., none holds the gap, so each is a piece
+        exactly when the owners of its two ends agree, and the two owner
+        lists, of the odd and the even places, are compared whole."""
+        edges = self.graph.edges
+        if (len(cycle) % 2 == 0 or self.exposed not in cycle
+                or not all(((a, b) if a < b else (b, a)) in edges
+                           for a, b in zip(cycle, cycle[1:] + cycle[:1]))):
+            return None
+        g = cycle.index(self.exposed)
+        ring = cycle[g:] + cycle[:g]
+        owner = self.owner
+        return ring if [owner[v] for v in ring[1::2]] == [owner[v] for v in ring[2::2]] else None
 
 
 class SlideMove(NamedTuple):
@@ -229,6 +245,27 @@ def replay(p: Placement, kept_vertices: Iterable[int]) -> SlideSequence:
     return SlideSequence(p, kept, end)
 
 
+def shorter_walk(ring: Tuple[int, ...], labels: Sequence[int],
+                 us: Collection[int]) -> Tuple[int, Tuple[int, ...]]:
+    """`rotate`'s choice of direction and its word. `ring` is an aligned
+    odd cycle of n = 2k+1 vertices listed from the gap, `labels` the labels
+    on its dominoes after the gap, and `us` the states, 0 < u < n*k, that
+    meet every goal. Returns the state the shorter walk reaches and its
+    kept vertices. Walking forwards to u takes u slides and backwards
+    n*k - u; ties go to the direction whose first slide comes first in
+    `legal_moves` order, (label, kept vertex), as a breadth-first search
+    over `legal_moves` would find it. The word is sliced from the ring:
+    step s keeps walk[2s+1], indices mod n."""
+    n, k = len(ring), len(ring) // 2
+    fwd, bwd = min(us), n * k - max(us)
+    forward_leads = (labels[0], ring[1]) < (labels[-1], ring[-1])
+    if fwd < bwd or (fwd == bwd and forward_leads):
+        u, t, walk = fwd, fwd, ring
+    else:
+        u, t, walk = n * k - bwd, bwd, ring[:1] + ring[:0:-1]
+    return u, ((walk + walk)[1::2] * (t // n + 1))[:t]
+
+
 def rotate(p: Placement, cycle: Tuple[int, ...], exposed: Optional[int] = None,
            pieces: Iterable[Tuple[int, Edge]] = ()) -> SlideSequence:
     """Shortest rotation along the aligned odd `cycle` that exposes
@@ -247,21 +284,21 @@ def rotate(p: Placement, cycle: Tuple[int, ...], exposed: Optional[int] = None,
     ring[j+1]) needs, for one of the k positions i it can hold,
     u = a - i mod k and 2u = j - 1 - 2i mod n: one u mod n*k each.
     The shorter walk to a state meeting every goal wins, ties going to
-    the direction whose first slide comes first in `legal_moves` order:
-    these are the moves a breadth-first search over `legal_moves`,
-    restricted to the cycle's edges, finds first.
+    the direction whose first slide comes first in `legal_moves` order
+    (`shorter_walk`): these are the moves a breadth-first search over
+    `legal_moves`, restricted to the cycle's edges, finds first.
     Only the winner's word is built, its kept vertices sliced from the
     ring, in O(n + moves), and its end placement from the forced dominoes
     at its gap. A label off the cycle never moves, so its edge must be the
     one it holds. Raises PlacementError if p is not aligned with the
     cycle, or if no state along it meets every goal.
     """
-    if not p.is_aligned(cycle):
+    ring = p._aligned_ring(tuple(cycle))       # from the gap, forwards
+    if ring is None:
         raise PlacementError("placement is not aligned with the rotation cycle")
-    n, k = len(cycle), len(cycle) // 2
-    g = cycle.index(p.exposed)
-    ring = cycle[g:] + cycle[:g]               # from the gap, forwards
-    labels = [p.owner[v] for v in ring[1::2]]
+    n, k = len(ring), len(ring) // 2
+    owner = p.owner
+    labels = [owner[v] for v in ring[1::2]]
     index = {v: i for i, v in enumerate(ring)}
     slot = {lab: i for i, lab in enumerate(labels)}
     # goals as (label position, index j of the edge's first vertex from
@@ -298,15 +335,7 @@ def rotate(p: Placement, cycle: Tuple[int, ...], exposed: Optional[int] = None,
         raise PlacementError("rotation target unreachable along the cycle")
     if 0 in us:
         return SlideSequence(p, ())
-    fwd, bwd = min(us), n * k - max(us)
-    # the lead direction: its first slide comes first in legal_moves order
-    forward_leads = (labels[0], ring[1]) < (labels[-1], ring[-1])
-    if fwd < bwd or (fwd == bwd and forward_leads):
-        u, t, walk = fwd, fwd, ring
-    else:
-        u, t, walk = n * k - bwd, bwd, ring[:1] + ring[:0:-1]
-    # step s keeps walk[2s+1] (indices mod n)
-    kept = ((walk + walk)[1::2] * (t // n + 1))[:t]
+    u, kept = shorter_walk(ring, labels, us)
     # the end: gap at ring[2u], L turned left by u on the dominoes after it
     gap, turn = ring[2 * u % n], u % k
     end = list(p.pieces)
@@ -320,14 +349,15 @@ def expose(p: Placement, v: int, m: Matching) -> SlideSequence:
 
     `m` is a nearly perfect matching exposing v, of the host or of the
     subgraph to stay in, which must hold p's exposed vertex. The path is
-    the component of M_p Δ m at p's exposed vertex, and every slide lands
+    the component of M_p Δ m at p's exposed vertex, walked on p's cover
+    map (`Placement.partner`) and m's partner map, and every slide lands
     its piece on an m-edge; the move count is half the path length, at
     most n.
     """
     if m.covers(v) or (p.exposed != v and not m.covers(p.exposed)):
         raise PlacementError("the matching does not expose v, or p's exposed "
                              "vertex lies outside its subgraph")
-    path = alternating_path_to(p.matching, m, p.exposed, v)
+    path = alternating_path_to(p, m, p.exposed, v)
     return replay(p, path[1::2])
 
 

@@ -4,7 +4,9 @@ library function under every name the library holds it by, canonical
 aligned states on a cycle, the matching-based reference of the alignment
 check, the restricted slide search over `legal_moves` and `slide` that `rotate`,
 the swap gadget and the pentagon core's plans are checked against, the
-centrality test, an ear decomposition grown from a matching, the
+Hamilton search over sets that the bit-mask search in `hamilton` is
+checked against, the centrality test, an ear decomposition grown from a
+matching, the
 neighbourhood search that defines local connectivity, the scan over every
 diamond labeling that defines the parity diamond, the orientation of one
 parity diamond, and a host whose only parity labeling has crossing arcs.
@@ -13,7 +15,7 @@ No planner uses them, so they live with the tests.
 
 import sys
 from collections import deque
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from trigrid.ears import EarDecomposition, EarError, grow_ears, validate_decomposition
 from trigrid.grid import Edge, TriGridGraph, cycle_edges, edge_key, enumerate_diamonds
@@ -72,6 +74,45 @@ def spy_everywhere(monkeypatch, fn: Callable) -> List[tuple]:
                 if value is fn:
                     monkeypatch.setattr(mod, key, spy)
     return calls
+
+
+def reference_hamilton_search(g: TriGridGraph) -> Iterator[Tuple[int, ...]]:
+    """The Hamilton search over sets, the reference for the bit-mask
+    search in `hamilton`: backtracking over simple paths from the vertex
+    of least (degree, id), each tail's unvisited neighbors tried in that
+    order, with the prune that every unvisited vertex keeps two usable
+    neighbors (unvisited, the tail or the start). Each step checks the old
+    tail's unvisited neighbors alone, the first every unvisited vertex."""
+    nvert = g.num_vertices
+    start = min(g.vertex_ids, key=lambda v: (g.degree(v), v))
+    visited = {start}
+    path = [start]
+
+    def usable(w: int, tail: int) -> int:
+        cnt = 0
+        for x in g.adj[w]:
+            if x == tail or x == start or x not in visited:
+                cnt += 1
+        return cnt
+
+    def extend() -> Iterator[Tuple[int, ...]]:
+        tail = path[-1]
+        if len(path) == nvert:
+            if g.has_edge(tail, start):
+                yield tuple(path)
+            return
+        nbrs = sorted((w for w in g.adj[tail] if w not in visited),
+                      key=lambda w: (g.degree(w), w))
+        at_risk = g.vertex_ids if tail == start else g.adj[tail]
+        for w in nbrs:
+            visited.add(w)
+            path.append(w)
+            if all(usable(x, w) >= 2 for x in at_risk if x not in visited):
+                yield from extend()
+            path.pop()
+            visited.discard(w)
+
+    yield from extend()
 
 
 def reference_slides_within(p: Placement, edges: Set[Edge],

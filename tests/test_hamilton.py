@@ -1,18 +1,24 @@
+import functools
 import itertools
+import random
+import sys
 
 import networkx as nx
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from trigrid.corpus import locally_connected_corpus
-from trigrid.grid import (GridError, TriGridGraph, build_abstract, build_graph, edge_key,
-                          star_of_david_points)
-from trigrid.hamilton import (HamiltonCycle, HamiltonError, _hamilton_search,
+from trigrid.grid import (DIRS, GridError, TriGridGraph, build_abstract, build_graph,
+                          chord_cycle_graph, diamond_cycle_graph, edge_key, hexagon_points,
+                          is_locally_connected, is_star_of_david, star_of_david_points)
+from trigrid.hamilton import (HamiltonCycle, HamiltonError, _hamilton_search, _normalize,
                               enumerate_hamilton_cycles, find_hamilton,
                               find_local_structure, validate_cycle)
 
 from dual_forests import dual_forests
-from support import (CROSSING_ARCS_EDGES, arc, best_parity_diamond, scan_parity_diamonds,
-                     select_parity)
+from support import (CROSSING_ARCS_EDGES, arc, best_parity_diamond, reference_hamilton_search,
+                     scan_parity_diamonds, select_parity)
 
 
 def _brute_cycles(g):
@@ -84,12 +90,14 @@ def _full_check_search(g):
 
 
 def test_search_matches_full_check_reference(monkeypatch):
-    """The same paths in the same order as the full-check search, through
-    the same nodes: the log of `degree` calls, made for the unvisited
-    neighbours of every path either search extends, is the same too. The
-    first twenty paths on every locally-connected corpus host, and every
-    path on the smallest hosts. On a path of three vertices only the first
-    step's full check prunes: its far end has one neighbour."""
+    """The reference search over sets, which checks only the vertices a
+    step can make fail, finds the same paths in the same order as the
+    full-check search, through the same nodes: the log of `degree` calls,
+    made for the unvisited neighbours of every path either search extends,
+    is the same too. The first twenty paths on every locally-connected
+    corpus host, and every path on the smallest hosts. On a path of three
+    vertices only the first step's full check prunes: its far end has one
+    neighbour."""
     calls = []
     degree = TriGridGraph.degree
     monkeypatch.setattr(TriGridGraph, "degree",
@@ -98,11 +106,94 @@ def test_search_matches_full_check_reference(monkeypatch):
     for g in locally_connected_corpus() + [line]:
         count = None if g.num_vertices <= 9 else 20
         runs = []
-        for search in (_hamilton_search, _full_check_search):
+        for search in (reference_hamilton_search, _full_check_search):
             calls.clear()
             runs.append((list(itertools.islice(search(g), count)), list(calls)))
         assert runs[0] == runs[1], g.name
         assert bool(runs[0][0]) == (g is not line)
+
+
+def _reference_cycles(g):
+    """`enumerate_hamilton_cycles` on the reference search."""
+    seen = set()
+    for order in reference_hamilton_search(g):
+        h = HamiltonCycle(_normalize(g, order))
+        key = min(h.order, (h.order[0],) + h.order[1:][::-1])
+        if key not in seen:
+            seen.add(key)
+            yield h
+
+
+def _assert_same_search(g, count):
+    """The bit-mask search yields the reference search's first `count`
+    paths, in the same order, and `enumerate_hamilton_cycles` its first
+    `count` distinct cycles."""
+    for mine, ref in ((_hamilton_search, reference_hamilton_search),
+                      (enumerate_hamilton_cycles, _reference_cycles)):
+        assert (list(itertools.islice(mine(g), count))
+                == list(itertools.islice(ref(g), count))), g.name
+
+
+def _extend_frames(search, g, count):
+    """How many times the search's `extend` generator is entered or
+    resumed while it yields its first `count` paths: one entry per path
+    that passes the prune, and one resume per level for each yield."""
+    calls = 0
+
+    def tracer(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "extend":
+            calls += 1
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        list(itertools.islice(search(g), count))
+    finally:
+        sys.settrace(previous)
+    return calls
+
+
+@functools.lru_cache(maxsize=None)
+def _hex37():
+    return build_graph(hexagon_points(3), name="hex37")
+
+
+@pytest.mark.parametrize("name", [g.name for g in locally_connected_corpus()]
+                         + ["hex37", "diamond_cycle(6)", "chord_cycle(7,4)", "line3"])
+def test_bitmask_search_matches_the_reference(name):
+    """The first 300 paths and cycles on every locally-connected corpus
+    host, `hex37`, two abstract hosts and a path of three vertices, through
+    as many nodes as the reference: the same prune, not only the same
+    order, since a weaker prune yields the same paths after more dead
+    ends. On the path only the first step's full check prunes."""
+    hosts = {g.name: g for g in locally_connected_corpus()}
+    hosts.update({"hex37": _hex37(), "diamond_cycle(6)": diamond_cycle_graph(6),
+                  "chord_cycle(7,4)": chord_cycle_graph(7, 4),
+                  "line3": build_graph([(0, 0), (1, 0), (2, 0)], name="line3")})
+    g = hosts[name]
+    _assert_same_search(g, 300)
+    assert (_extend_frames(_hamilton_search, g, 300)
+            == _extend_frames(reference_hamilton_search, g, 300))
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(1, 12).map(lambda h: 2 * h + 1), seed=st.integers(0, 2 ** 32))
+def test_bitmask_search_matches_the_reference_on_random_hosts(size, seed):
+    """The first 50 paths and cycles on random locally-connected hosts of
+    3-25 vertices, grown from an edge one triangle at a time: each new
+    point neighbours two adjacent points of the host."""
+    rnd = random.Random(seed)
+    pts = {(0, 0), (1, 0)}
+    turns = list(zip(DIRS, DIRS[1:] + DIRS[:1]))
+    while len(pts) < size:
+        front = sorted({(x + dx, y + dy) for x, y in pts for dx, dy in DIRS} - pts)
+        pts.add(rnd.choice([(x, y) for x, y in front
+                            if any((x + a, y + b) in pts and (x + c, y + d) in pts
+                                   for (a, b), (c, d) in turns)]))
+    g = build_graph(sorted(pts))
+    assume(is_locally_connected(g) and not is_star_of_david(g))
+    _assert_same_search(g, 50)
 
 
 def test_hex7_has_six_cycles(hex7):

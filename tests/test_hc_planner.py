@@ -10,8 +10,9 @@ from trigrid.grid import (build_graph, cycle_edges, edge_key, hexagon_points,
                           star_of_david_points)
 from trigrid.hamilton import find_hamilton, find_local_structure
 from trigrid.hc_planner import (_label_order, _swap_special, align_with_hamilton,
-                                plan_hamilton, swap_adjacent, turning_frame)
-from trigrid.placement import Placement, cut_loops, forced_cycle_dominoes, rotate, verify_sequence
+                                plan_hamilton, swap_adjacent, turn_to_swap, turning_frame)
+from trigrid.placement import (Placement, SlideSequence, cut_loops, forced_cycle_dominoes,
+                               rotate, verify_sequence)
 from trigrid.plans import PlanError, PlanInvariantError, Transpositions
 
 from conftest import random_placement
@@ -80,24 +81,49 @@ def _assert_reaches(seq, want):
 
 def test_swap_adjacent_is_transposition(rng):
     """On every corpus host, every adjacent pair is exchanged exactly, in a
-    frame turned so that the pair sits on the swap dominoes: the end is
-    the start turned by lo - j positions, with the two labels exchanged.
-    One swap-gadget memo serves each host's swaps, as in a plan."""
+    frame turned so that the pair sits on the swap dominoes: the word
+    steps the start to the start turned by lo - j positions, with the two
+    labels exchanged, and the label order returned is that end's. One
+    swap-gadget memo serves each host's swaps, as in a plan."""
     for g in locally_connected_corpus():
         pd, cur = _aligned_at_c(g, rng)
         memo = Transpositions()
-        frame = turning_frame(pd)
+        frame = turning_frame(g, pd)
         dominoes, lo = frame.dominoes, frame.lo          # y's domino follows x's
         k = len(dominoes)
+        order = _label_order(cur, dominoes)
         for j in range(k):
+            assert frame.placement(order) == cur
             before = _label_order(cur, dominoes)
             turned = list(cur.pieces)
             for i, lab in enumerate(before):
                 turned[lab - 1] = dominoes[(i + lo - j) % k]
             want = _exchanged(g, turned, before[j], before[(j + 1) % k], pd.c)
-            step = swap_adjacent(cur, j, frame, memo)
+            kept, order = swap_adjacent(order, j, frame, memo)
+            step = SlideSequence(cur, kept, frame.placement(order))
             _assert_reaches(step, want)
             cur = step.end
+
+
+def test_sort_turns_match_rotate(rng):
+    """Each turn of the sort, for every start position j, has the word and
+    the end that `rotate` gives for the same placement and goals: the gap
+    at c and the label at j on the lower swap domino. On every parity
+    diamond of every corpus host, so on frames of an even number of
+    dominoes too, where a half-lap turn ties and `rotate`'s tie rule
+    picks the direction."""
+    for name in [g.name for g in locally_connected_corpus()]:
+        g, cands = _diamonds(name)
+        for pd in cands:
+            _, cur = _aligned_at_c(g, rng, pd)
+            frame = turning_frame(g, pd)
+            order = _label_order(cur, frame.dominoes)
+            for j in range(len(order)):
+                kept, end = turn_to_swap(order, j, frame)
+                ref = rotate(cur, pd.cycle.order, pd.c,
+                             [(order[j], frame.dominoes[frame.lo])])
+                assert kept == ref.kept
+                assert frame.placement(end) == ref.end
 
 
 @functools.lru_cache(maxsize=None)
@@ -117,7 +143,7 @@ def test_swap_special_exchanges_the_swap_dominoes(name, data, rnd):
     g, cands = _diamonds(name)
     pd = data.draw(st.sampled_from(cands))
     _, cur = _aligned_at_c(g, rnd, pd)
-    frame = turning_frame(pd)
+    frame = turning_frame(g, pd)
     x, y = (cur.label_at(frame.dominoes[i]) for i in (frame.i_ab, frame.i_v))
     _assert_reaches(_swap_special(cur, frame, Transpositions()),
                     _exchanged(g, cur.pieces, x, y, pd.c))
@@ -134,7 +160,7 @@ def test_swap_gadget_is_no_longer_than_the_window_search(rng):
         g, cands = _diamonds(name)
         for pd in cands:
             _, cur = _aligned_at_c(g, rng, pd)
-            frame = turning_frame(pd)
+            frame = turning_frame(g, pd)
             x, y = (cur.label_at(frame.dominoes[i]) for i in (frame.i_ab, frame.i_v))
             want = _exchanged(g, cur.pieces, x, y, pd.c)
             gadget = _swap_special(cur, frame, Transpositions())
@@ -250,31 +276,40 @@ def test_plan_hamilton_corrupted_gadget_fails_its_next_hit(monkeypatch):
 
 def test_planner_rotations_match_reference_search(monkeypatch):
     """Every rotation the cycle planner asks for on the cycle-large hosts,
-    its swap gadgets' included, replayed through the reference
-    breadth-first search over the cycle's edges: the same moves and the
-    same end."""
+    its swap gadgets' and the sort's turns included, replayed through the
+    reference breadth-first search over the cycle's edges: the same moves
+    and the same end."""
     from trigrid import hc_planner
 
     calls = []
 
     def recorded(p, cycle, exposed=None, pieces=()):
-        calls.append((p, cycle, exposed, list(pieces)))
-        return rotate(p, cycle, exposed, pieces)
+        pieces = list(pieces)
+        seq = rotate(p, cycle, exposed, pieces)
+        calls.append((p, cycle, exposed, pieces, seq))
+        return seq
+
+    def recorded_turn(order, j, frame):
+        kept, end = turn_to_swap(order, j, frame)
+        p, pd = frame.placement(order), frame.pd
+        calls.append((p, pd.cycle.order, pd.c, [(order[j], frame.dominoes[frame.lo])],
+                      SlideSequence(p, kept, frame.placement(end))))
+        return kept, end
 
     monkeypatch.setattr(hc_planner, "rotate", recorded)
+    monkeypatch.setattr(hc_planner, "turn_to_swap", recorded_turn)
     rng = random.Random(3)
     for g in locally_connected_corpus():
         if g.name in ("para21", "hex23", "para25"):
             for _ in range(2):
                 plan_hamilton(g, random_placement(g, rng), random_placement(g, rng))
     assert len(calls) > 60
-    for p, cycle, exposed, pieces in calls:
+    for p, cycle, exposed, pieces, seq in calls:
         def goal(s):
             return ((exposed is None or s.exposed == exposed)
                     and all(s.piece(lab) == e for lab, e in pieces))
 
         ref = reference_slides_within(p, cycle_edges(cycle), goal)
-        seq = rotate(p, cycle, exposed, pieces)
         assert label_word(seq) == ref
         end = apply_sequence(p, ref)
         assert seq.end.pieces == end.pieces and seq.end.exposed == end.exposed

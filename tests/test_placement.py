@@ -305,7 +305,7 @@ def _is_aligned_reference(p, cycle):
     for a, b in zip(cycle, list(cycle[1:]) + [cycle[0]]):
         if not p.graph.has_edge(a, b):
             return False
-    return is_alternating_cycle(p.matching, cycle)
+    return is_alternating_cycle(Matching(frozenset(p.pieces)), cycle)
 
 
 @settings(max_examples=200, deadline=None)
