@@ -140,7 +140,7 @@ def cmd_plan(args) -> int:
             line += "".join(f" {b} {branches[b]}" for b in EAR_BRANCHES)
         line += f" cut {report.stats['uncut_slides'] - report.slide_count}"
         line += "".join(f" {k} {report.stats[k]}"
-                        for k in ("swaps", "gadgets", "fallbacks"))
+                        for k in ("swaps", "gadgets", "fallbacks", "windows"))
         print(line, file=sys.stderr)
     print(f"verified {report.slide_count} slides ({report.strategy})",
           file=sys.stderr)

@@ -8,6 +8,7 @@ in the text given to the parser, which for a plan or sequence is the
 whole file.
 """
 
+from itertools import repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .grid import Edge, TriGridGraph, build_abstract, build_graph, edge_key
@@ -183,13 +184,14 @@ def _read_sequence(text: str, g: TriGridGraph,
     `p` records belong to the start block, from a `start` line up to the
     next `s` record; `s` records are moves wherever they stand. With
     `plan`, `strategy` and `slides` header records may stand anywhere;
-    both must be present, and the slide count must match the moves.
+    both must be present, and the slide count must match the moves. Each
+    move is read as a plain tuple and made a `SlideMove` at the end.
     """
     strategy: Optional[str] = None
     slides: Optional[int] = None
     slides_line = start_line = 0
     pieces = _Pieces(g)
-    moves: List[SlideMove] = []
+    moves: List[Tuple[int, int, int]] = []
     append = moves.append
     in_start = False
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -200,7 +202,7 @@ def _read_sequence(text: str, g: TriGridGraph,
         if tag == "s":
             try:
                 _, label, kept, dest = parts
-                append(SlideMove(int(label), int(kept), int(dest)))
+                append((int(label), int(kept), int(dest)))
             except ValueError:
                 raise _int_error(parts[1:], lineno, 3) from None
             in_start = False
@@ -226,7 +228,8 @@ def _read_sequence(text: str, g: TriGridGraph,
     if plan and slides != len(moves):
         raise ParseError(f"header says {slides} slides, file has {len(moves)}",
                          slides_line)
-    return strategy or "", pieces.placement(start_line or 1), moves
+    return (strategy or "", pieces.placement(start_line or 1),
+            list(map(tuple.__new__, repeat(SlideMove), moves)))
 
 
 def parse_sequence(text: str, g: TriGridGraph) -> Tuple[Placement, List[SlideMove]]:

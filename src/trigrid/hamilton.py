@@ -7,7 +7,7 @@ adjacent pieces along the cycle.
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import FrozenSet, Iterator, Sequence, Set, Tuple
+from typing import FrozenSet, Iterator, List, Sequence, Set, Tuple
 
 from .grid import Edge, GridError, TriGridGraph, cartesian, cycle_edges, is_star_of_david
 from .plans import PlanError
@@ -65,9 +65,11 @@ def _normalize(g: TriGridGraph, order: Sequence[int]) -> Tuple[int, ...]:
 
 
 def _hamilton_search(g: TriGridGraph) -> Iterator[Tuple[int, ...]]:
-    """Backtracking over simple paths with a connectivity-style prune:
-    every unvisited vertex must keep two usable neighbors (unvisited, the
-    tail or the start).
+    """Backtracking over simple paths with two sound prunes: every
+    unvisited vertex must keep two usable neighbors (unvisited, the tail
+    or the start), and the unvisited vertices, the tail and the start must
+    induce a connected subgraph, as the rest of a Hamilton cycle runs from
+    the tail through every unvisited vertex back to the start.
 
     Extending the path from tail t to w takes a usable neighbor only from
     the unvisited neighbors of t, and none when t is the start; every
@@ -76,11 +78,21 @@ def _hamilton_search(g: TriGridGraph) -> Iterator[Tuple[int, ...]]:
     except the first, which checks every unvisited vertex because the
     root runs no check.
 
+    Whichever w a step takes, the new tail, the vertices left unvisited
+    and the start are t's unvisited vertices and the start: one set for
+    all of t's steps, checked once before them. That set and t were
+    connected one level up (at the root they are the host, which the
+    graph builders keep connected), so it is connected when t's
+    neighbors in it are; only when they are not does a flood fill over
+    the whole set decide.
+
     Vertex sets are int bit masks, bit v for vertex v: x keeps two usable
     neighbors when its neighbor mask meets the usable set in two bits or
-    more, m & (m - 1) != 0. The path starts at the vertex of least
+    more, m & (m - 1) != 0, and a flood fill grows its set by the
+    neighbor masks of its vertices. The path starts at the vertex of least
     (degree, id), and each tail tries its unvisited neighbors in that
-    order."""
+    order. Neither prune drops a path that closes into a Hamilton cycle,
+    so the cycles come in the order of the search without them."""
     rank = [(0, 0)] + [(g.degree(v), v) for v in g.vertex_ids]
     start = min(g.vertex_ids, key=rank.__getitem__)
     nbrs = [()] + [sorted(g.adj[v], key=rank.__getitem__) for v in g.vertex_ids]
@@ -88,17 +100,30 @@ def _hamilton_search(g: TriGridGraph) -> Iterator[Tuple[int, ...]]:
     s = 1 << start
     path = [start]
 
+    def connected(region: int) -> bool:
+        """True iff the vertices of `region` induce a connected subgraph."""
+        seen = frontier = region & -region
+        while frontier:
+            x = frontier & -frontier
+            frontier ^= x
+            new = mask[x.bit_length() - 1] & region & ~seen
+            seen |= new
+            frontier |= new
+        return seen == region
+
     def extend(tail: int, unvisited: int) -> Iterator[Tuple[int, ...]]:
         if not unvisited:
             if mask[tail] & s:
                 yield tuple(path)
+            return
+        usable = unvisited | s
+        if not connected(mask[tail] & usable) and not connected(usable):
             return
         for w in nbrs[tail]:
             b = 1 << w
             if not unvisited & b:
                 continue
             rest = unvisited ^ b
-            usable = rest | b | s
             at_risk = rest if tail == start else rest & mask[tail]
             while at_risk:
                 x = at_risk & -at_risk
@@ -167,9 +192,18 @@ class ParityDiamond:
 
 def find_local_structure(g: TriGridGraph, h: HamiltonCycle) -> ParityDiamond:
     """The parity diamond on the given Hamilton cycle with the shortest p1,
-    then the shortest p2 (ties broken by vertex labels); its `cycle` is h.
-    Each adjacent swap of the cycle planner rotates over p1, so its gadget
-    grows with p1: 5 slides for a p1 of three vertices, 2m + 4 for m > 3.
+    then the shortest p2 (ties broken by vertex labels): the first of
+    `parity_diamonds`, which raises HamiltonError below five vertices and
+    when no diamond on h meets the parity conditions."""
+    return parity_diamonds(g, h)[0]
+
+
+def parity_diamonds(g: TriGridGraph, h: HamiltonCycle) -> List[ParityDiamond]:
+    """Every parity diamond on the given Hamilton cycle, the shortest p1
+    first, then the shortest p2, ties broken by vertex labels; each one's
+    `cycle` is h. Each is a window where the cycle planner can swap two
+    adjacent pieces with the gap at its corner c, by a gadget that rotates
+    over p1: 5 slides for a p1 of three vertices, 2m + 4 for m > 3.
 
     Every labeling is walked from its cycle edge (a, b): c is a common
     neighbour of a and b, and d a common neighbour of a and c other than b
@@ -181,7 +215,6 @@ def find_local_structure(g: TriGridGraph, h: HamiltonCycle) -> ParityDiamond:
     cycle with the arcs apart, r(d) = r(c) + 1. Both put d after c, so
     the arcs never cross (they cross exactly when r(d) < r(c)), and (a, c)
     is on the cycle only at r(c) = k - 1, with no room for d after it.
-    Only the winner's paths are built.
 
     Raises HamiltonError below five vertices and when no diamond on h
     meets the parity conditions.
@@ -193,7 +226,7 @@ def find_local_structure(g: TriGridGraph, h: HamiltonCycle) -> ParityDiamond:
     k = len(order)
     pos = {v: i for i, v in enumerate(order)}
     nbrs = {v: set(g.adj[v]) for v in order}
-    best = None
+    found = []
     for i, a in enumerate(order):
         for s in (1, -1):
             b = order[(i + s) % k]
@@ -205,15 +238,18 @@ def find_local_structure(g: TriGridGraph, h: HamiltonCycle) -> ParityDiamond:
                     if d == b or d in nbrs[b]:
                         continue
                     rd = (pos[d] - i) * s % k
-                    if not (rd == rc + 1 or (rc == 2 and rd % 2)):
-                        continue
-                    key = (k - rd, rc, (a, b, c, d), s)
-                    if best is None or key < best:
-                        best = key
-    if best is None:
+                    if rd == rc + 1 or (rc == 2 and rd % 2):
+                        found.append((k - rd, rc, (a, b, c, d), s))
+    if not found:
         raise HamiltonError("no parity diamond on the Hamilton cycle")
-    p1_edges, rc, (a, b, c, d), s = best
-    i = pos[a]
-    p1 = tuple(order[(i + s * r) % k] for r in range(k - p1_edges, k + 1))
-    p2 = tuple(order[(i + s * r) % k] for r in range(1, rc + 1))
-    return ParityDiamond(a, b, c, d, h, "ii" if rc == 2 else "i", p1, p2)
+    found.sort()
+    twice = order + order                      # arcs sliced from i to i + k
+    out = []
+    for p1_edges, rc, (a, b, c, d), s in found:
+        i = pos[a]
+        if s == 1:
+            p1, p2 = twice[i + k - p1_edges:i + k + 1], twice[i + 1:i + rc + 1]
+        else:
+            p1, p2 = twice[i:i + p1_edges + 1][::-1], twice[i + k - rc:i + k][::-1]
+        out.append(ParityDiamond(a, b, c, d, h, "ii" if rc == 2 else "i", p1, p2))
+    return out

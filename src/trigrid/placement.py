@@ -15,6 +15,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress, repeat
 from typing import Collection, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .grid import Edge, TriGridGraph, edge_key
@@ -399,11 +400,11 @@ def cut_loops(seq: SlideSequence) -> Tuple[SlideMove, ...]:
     The cut plan has the same start and end, visits no state twice, and
     its slides are an in-order subsequence of `seq`'s. One replay on a
     `Board` keys each state by the bytes of its cover map, two writes per
-    slide, and reads each slide's label and gap, so the cut is
-    linear in the plan and builds a `SlideMove` for each slide it keeps
-    only. `plans.finish_plan` cuts each full plan once and checks the moves
-    with `verify_sequence`. Raises PlacementError at a kept vertex no piece
-    covers.
+    slide, and reads each slide's label and gap, so the cut is linear in
+    the plan. It marks the slides it keeps, then builds their `SlideMove`s
+    in one pass. `plans.finish_plan` cuts each full plan once and checks
+    the moves with `verify_sequence`. Raises PlacementError at a kept
+    vertex no piece covers.
     """
     word = seq.kept
     board = Board(seq.start)
@@ -422,12 +423,13 @@ def cut_loops(seq: SlideSequence) -> Tuple[SlideMove, ...]:
         gap = far
         keys.append(owner.tobytes())
     last = {key: i for i, key in enumerate(keys)}
-    moves = []
+    keep = bytearray(len(word))
     i = last[keys[0]]
     while i < len(word):
-        moves.append(SlideMove(labels[i], word[i], gaps[i]))
+        keep[i] = 1
         i = last[keys[i + 1]]
-    return tuple(moves)
+    return tuple(map(tuple.__new__, repeat(SlideMove),
+                     compress(zip(labels, word, gaps), keep)))
 
 
 @dataclass(frozen=True)
@@ -444,14 +446,26 @@ def verify_sequence(start: Placement, moves: Sequence[SlideMove],
                     expected_end: Optional[Placement] = None) -> VerifyReport:
     """Replay `moves` from `start` with `slide`'s checks on every move,
     stepping one list of pieces and the gap in place; the first illegal
-    move ends the replay with its index and message. The end placement is
-    built once and compared with `expected_end` when one is given."""
+    move ends the replay with its index and `_check_slide`'s message. The
+    four checks run inline, with no call per move; a move they refuse is
+    passed to `_check_slide` for its message. The end placement is built
+    once and compared with `expected_end` when one is given."""
     pieces, gap, edges = list(start.pieces), start.exposed, start.graph.edges
+    n = len(pieces)
     for i, (label, kept, dest) in enumerate(moves):
+        if 1 <= label <= n and dest == gap:
+            u, v = pieces[label - 1]
+            if kept == v or kept == u:
+                landing = (kept, gap) if kept < gap else (gap, kept)
+                if landing in edges:
+                    pieces[label - 1] = landing
+                    gap = u if kept == v else v
+                    continue
         try:
-            gap, pieces[label - 1] = _check_slide(pieces, gap, edges, label, kept, dest)
+            _check_slide(pieces, gap, edges, label, kept, dest)
         except IllegalMoveError as exc:
             return VerifyReport(False, i, None, first_bad_index=i, message=str(exc))
+        raise AssertionError("the inline checks refused a move _check_slide passes")
     cur = Placement(start.graph, tuple(pieces), gap)
     matches = None
     if expected_end is not None:

@@ -32,9 +32,11 @@ class PlanReport:
     planner's adjacent swaps. `gadgets` counts the transpositions built
     rather than replayed (`Transpositions`): the ear planner's at every
     level, the cycle planner's swap gadgets (one slide and two rotations
-    each, at most two a plan). `fallbacks` counts the levels the ear
+    each, one a window that swaps). `fallbacks` counts the levels the ear
     planner planned whole for a transposition because no rotation brought
-    both pieces into the level below (0 for the cycle planner)."""
+    both pieces into the level below (0 for the cycle planner). `windows`
+    counts the distinct parity diamonds at which the cycle planner swapped
+    (0 for the ear planner)."""
 
     start: Placement
     moves: Tuple[SlideMove, ...]
@@ -49,7 +51,7 @@ class PlanReport:
 
 def finish_plan(seq: SlideSequence, q: Placement, strategy: str,
                 trace: List[Dict], swaps: int = 0, gadgets: int = 0,
-                fallbacks: int = 0) -> PlanReport:
+                fallbacks: int = 0, windows: int = 0) -> PlanReport:
     """Cut the loops out of a full plan's word, the one cut a plan gets,
     which labels its slides in the same replay; check the moves with
     `verify_sequence` and report them. Raises PlanInvariantError if they
@@ -60,7 +62,8 @@ def finish_plan(seq: SlideSequence, q: Placement, strategy: str,
         raise PlanInvariantError(f"plan verification failed: {check.message}")
     return PlanReport(seq.start, moves, strategy, recursion_trace=trace,
                       stats={"uncut_slides": len(seq), "swaps": swaps,
-                             "gadgets": gadgets, "fallbacks": fallbacks})
+                             "gadgets": gadgets, "fallbacks": fallbacks,
+                             "windows": windows})
 
 
 class Transpositions:

@@ -5,7 +5,7 @@ aligned states on a cycle, the matching-based reference of the alignment
 check, the restricted slide search over `legal_moves` and `slide` that `rotate`,
 the swap gadget and the pentagon core's plans are checked against, the
 Hamilton search over sets that the bit-mask search in `hamilton` is
-checked against, the centrality test, an ear decomposition grown from a
+checked against and its connectivity test, the centrality test, an ear decomposition grown from a
 matching, the
 neighbourhood search that defines local connectivity, the scan over every
 diamond labeling that defines the parity diamond, the orientation of one
@@ -76,13 +76,28 @@ def spy_everywhere(monkeypatch, fn: Callable) -> List[tuple]:
     return calls
 
 
+def induces_connected(g: TriGridGraph, vertices: Set[int]) -> bool:
+    """True iff `vertices`, not empty, induce a connected subgraph of g: a
+    depth-first search inside them from one of them reaches them all."""
+    first = next(iter(vertices))
+    seen, stack = {first}, [first]
+    while stack:
+        for w in g.adj[stack.pop()]:
+            if w in vertices and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen == vertices
+
+
 def reference_hamilton_search(g: TriGridGraph) -> Iterator[Tuple[int, ...]]:
     """The Hamilton search over sets, the reference for the bit-mask
     search in `hamilton`: backtracking over simple paths from the vertex
     of least (degree, id), each tail's unvisited neighbors tried in that
     order, with the prune that every unvisited vertex keeps two usable
-    neighbors (unvisited, the tail or the start). Each step checks the old
-    tail's unvisited neighbors alone, the first every unvisited vertex."""
+    neighbors (unvisited, the tail or the start) and that the unvisited
+    vertices, the tail and the start induce a connected subgraph. Each
+    step checks the old tail's unvisited neighbors alone, the first every
+    unvisited vertex."""
     nvert = g.num_vertices
     start = min(g.vertex_ids, key=lambda v: (g.degree(v), v))
     visited = {start}
@@ -107,7 +122,8 @@ def reference_hamilton_search(g: TriGridGraph) -> Iterator[Tuple[int, ...]]:
         for w in nbrs:
             visited.add(w)
             path.append(w)
-            if all(usable(x, w) >= 2 for x in at_risk if x not in visited):
+            if (all(usable(x, w) >= 2 for x in at_risk if x not in visited)
+                    and induces_connected(g, set(g.vertex_ids) - visited | {w, start})):
                 yield from extend()
             path.pop()
             visited.discard(w)
@@ -273,10 +289,16 @@ def scan_parity_diamonds(g: TriGridGraph, h: HamiltonCycle) -> List[ParityDiamon
     return found
 
 
+def parity_key(pd: ParityDiamond) -> Tuple[int, int, Tuple[int, int, int, int]]:
+    """The order of `parity_diamonds`: the shortest p1, then the shortest
+    p2, then the smallest (a, b, c, d)."""
+    return len(pd.p1), len(pd.p2), (pd.a, pd.b, pd.c, pd.d)
+
+
 def best_parity_diamond(cands: List[ParityDiamond]) -> ParityDiamond:
-    """The candidate `find_local_structure` picks: the shortest p1, then the
-    shortest p2, then the smallest (a, b, c, d)."""
-    return min(cands, key=lambda pd: (len(pd.p1), len(pd.p2), (pd.a, pd.b, pd.c, pd.d)))
+    """The candidate `find_local_structure` picks, the first by
+    `parity_key`."""
+    return min(cands, key=parity_key)
 
 
 def select_parity(h: HamiltonCycle,

@@ -390,7 +390,8 @@ def test_plan_logs_summary_under_trigrid_log(tmp_path, capsys, monkeypatch):
     slides `cut_loops` removed, and the plan's swaps, gadgets built and
     fallbacks: for the ear planner its fills' transpositions, the gadgets
     it built at every level and the levels it re-planned whole; for the
-    cycle planner its adjacent swaps and swap gadgets built."""
+    cycle planner its adjacent swaps and swap gadgets built. Last, the
+    windows at which the cycle planner swapped (0 for the ear planner)."""
     from collections import Counter
 
     from trigrid.ear_planner import plan_ear
@@ -421,7 +422,8 @@ def test_plan_logs_summary_under_trigrid_log(tmp_path, capsys, monkeypatch):
     assert lines == [f"trigrid: plan strategy ear slides {rep.slide_count}"
                      f" pentagon-core {seen['pentagon-core']} diamond-core 0"
                      f" hamilton {seen['hamilton']} spare-edge {seen['spare-edge']}"
-                     f" cut {cut} swaps {swaps} gadgets {gadgets} fallbacks {fallbacks}"]
+                     f" cut {cut} swaps {swaps} gadgets {gadgets} fallbacks {fallbacks}"
+                     " windows 0"]
     assert seen["pentagon-core"] and seen["hamilton"] and seen["spare-edge"]
     assert cut > 0
     # gadgets count builds at every level, so they can outnumber the swaps
@@ -432,11 +434,13 @@ def test_plan_logs_summary_under_trigrid_log(tmp_path, capsys, monkeypatch):
              if ln.startswith("trigrid: plan ")]
     rep = plan_hamilton(g, p, q)
     cut = rep.stats["uncut_slides"] - rep.slide_count
-    swaps, gadgets = rep.stats["swaps"], rep.stats["gadgets"]
+    swaps, gadgets, windows = (rep.stats[k] for k in ("swaps", "gadgets", "windows"))
     assert lines == [f"trigrid: plan strategy hamilton slides {rep.slide_count}"
-                     f" cut {cut} swaps {swaps} gadgets {gadgets} fallbacks 0"]
+                     f" cut {cut} swaps {swaps} gadgets {gadgets} fallbacks 0"
+                     f" windows {windows}"]
     assert cut > 0
     assert swaps > gadgets > 0
+    assert gadgets == windows > 1
     assert rep.stats["fallbacks"] == 0
 
 

@@ -2,6 +2,7 @@ import functools
 import itertools
 import random
 import sys
+import time
 
 import networkx as nx
 import pytest
@@ -14,11 +15,12 @@ from trigrid.grid import (DIRS, GridError, TriGridGraph, build_abstract, build_g
                           is_locally_connected, is_star_of_david, star_of_david_points)
 from trigrid.hamilton import (HamiltonCycle, HamiltonError, _hamilton_search, _normalize,
                               enumerate_hamilton_cycles, find_hamilton,
-                              find_local_structure, validate_cycle)
+                              find_local_structure, parity_diamonds, validate_cycle)
 
 from dual_forests import dual_forests
-from support import (CROSSING_ARCS_EDGES, arc, best_parity_diamond, reference_hamilton_search,
-                     scan_parity_diamonds, select_parity)
+from support import (CROSSING_ARCS_EDGES, arc, best_parity_diamond, induces_connected,
+                     parity_key, reference_hamilton_search, scan_parity_diamonds,
+                     select_parity)
 
 
 def _brute_cycles(g):
@@ -64,7 +66,8 @@ def test_enumerate_matches_brute_force(pentagon, hex7):
 def _full_check_search(g):
     """The Hamilton search with the prune checking every unvisited vertex
     after every step, as a reference for the search that checks only the
-    vertices a step can make fail."""
+    vertices a step can make fail; both run the same connectivity
+    prune."""
     start = min(g.vertex_ids, key=lambda v: (g.degree(v), v))
     visited, path = {start}, [start]
 
@@ -81,7 +84,8 @@ def _full_check_search(g):
                         key=lambda w: (g.degree(w), w)):
             visited.add(w)
             path.append(w)
-            if all(usable(x, w) >= 2 for x in g.vertex_ids if x not in visited):
+            if (all(usable(x, w) >= 2 for x in g.vertex_ids if x not in visited)
+                    and induces_connected(g, set(g.vertex_ids) - visited | {w, start})):
                 yield from extend()
             path.pop()
             visited.discard(w)
@@ -296,18 +300,21 @@ def test_local_structure_keeps_cycle(hex7):
 
 def test_find_local_structure_equals_the_labeling_scan():
     """On up to 300 Hamilton cycles of every corpus host of at most 19
-    vertices, and on the crossing-arcs host, the position walk returns the
-    diamond that the scan over every diamond labeling picks, or both find
-    none."""
+    vertices, and on the crossing-arcs host, `parity_diamonds` lists every
+    diamond that the scan over every diamond labeling finds, in the order
+    of `parity_key`, and `find_local_structure` returns the one the scan
+    picks, or all three find none."""
     hosts = [g for g in locally_connected_corpus() if g.num_vertices <= 19]
     hosts += [build_abstract(9, CROSSING_ARCS_EDGES)]
     for g in hosts:
         for h in itertools.islice(enumerate_hamilton_cycles(g), 300):
             cands = scan_parity_diamonds(g, h)
             if not cands:
-                with pytest.raises(HamiltonError, match="no parity diamond"):
-                    find_local_structure(g, h)
+                for find in (parity_diamonds, find_local_structure):
+                    with pytest.raises(HamiltonError, match="no parity diamond"):
+                        find(g, h)
                 continue
+            assert parity_diamonds(g, h) == sorted(cands, key=parity_key)
             assert find_local_structure(g, h) == best_parity_diamond(cands), (g.name, h)
 
 
@@ -338,3 +345,47 @@ def test_arc_matches_walk_on_corpus_cycles():
                     arc(order, frm, to, avoid)
             else:
                 assert arc(order, frm, to, avoid) == want
+
+
+# a locally-connected host of 33 vertices on which the search without the
+# connectivity prune took seconds to find its first cycle
+STALL_POINTS = [(-5, 4), (-4, 1), (-4, 3), (-4, 4), (-3, 0), (-3, 1), (-3, 2), (-3, 3),
+                (-2, -1), (-2, 0), (-2, 1), (-2, 2), (-2, 3), (-1, -1), (-1, 0), (-1, 1),
+                (-1, 2), (-1, 3), (0, -2), (0, -1), (0, 0), (0, 1), (0, 2), (1, -2),
+                (1, -1), (1, 0), (1, 1), (2, -2), (2, -1), (3, -3), (3, -2), (3, -1),
+                (4, -3)]
+
+
+def test_find_hamilton_and_auto_plan_on_the_33_vertex_host(tmp_path, capsys):
+    """On a 33-vertex locally-connected host whose unvisited vertices the
+    path cuts off again and again, `find_hamilton` and a default (`auto`)
+    `trigrid plan` each finish within 1 s, and the plan verifies. Prints
+    both times."""
+    from trigrid import formats
+    from trigrid.cli import main
+
+    from conftest import random_placement
+
+    g = build_graph(STALL_POINTS, name="stall33")
+    assert g.num_vertices == 33 and is_locally_connected(g) and not is_star_of_david(g)
+    t0 = time.perf_counter()
+    h = find_hamilton(g)
+    search_s = time.perf_counter() - t0
+    validate_cycle(g, h)
+    rng = random.Random(1)
+    paths = []
+    for name, text in (("g.graph", formats.serialize_graph(g)),
+                       ("s.p", formats.serialize_placement(random_placement(g, rng))),
+                       ("t.p", formats.serialize_placement(random_placement(g, rng)))):
+        paths.append(str(tmp_path / name))
+        (tmp_path / name).write_text(text)
+    t0 = time.perf_counter()
+    assert main(["plan", *paths, "--out", str(tmp_path / "out.plan")]) == 0
+    plan_s = time.perf_counter() - t0
+    assert "(hamilton)" in capsys.readouterr().err
+    assert main(["verify", paths[0], str(tmp_path / "out.plan"), "--target", paths[2]]) == 0
+    assert "ok True" in capsys.readouterr().out
+    with capsys.disabled():
+        print(f"\n33-vertex host: find_hamilton {search_s * 1e3:.1f} ms, "
+              f"auto plan {plan_s * 1e3:.1f} ms")
+    assert search_s < 1.0 and plan_s < 1.0

@@ -8,16 +8,18 @@ from hypothesis import strategies as st
 from trigrid.corpus import locally_connected_corpus
 from trigrid.grid import (build_graph, cycle_edges, edge_key, hexagon_points,
                           star_of_david_points)
-from trigrid.hamilton import find_hamilton, find_local_structure
+from trigrid.hamilton import find_hamilton, find_local_structure, parity_diamonds
 from trigrid.hc_planner import (_label_order, _swap_special, align_with_hamilton,
-                                plan_hamilton, swap_adjacent, turn_to_swap, turning_frame)
+                                gadget_slides, plan_hamilton, swap_adjacent, turn_to_swap,
+                                turning_frame)
 from trigrid.placement import (Placement, SlideSequence, cut_loops, forced_cycle_dominoes,
                                rotate, verify_sequence)
 from trigrid.plans import PlanError, PlanInvariantError, Transpositions
 
 from conftest import random_placement
-from support import (apply_sequence, label_word, reference_slides_within,
-                     scan_parity_diamonds, spy_everywhere, verify_word)
+from support import (apply_sequence, best_parity_diamond, label_word,
+                     reference_slides_within, scan_parity_diamonds, spy_everywhere,
+                     verify_word)
 
 
 @settings(max_examples=100, deadline=None)
@@ -99,7 +101,7 @@ def test_swap_adjacent_is_transposition(rng):
             for i, lab in enumerate(before):
                 turned[lab - 1] = dominoes[(i + lo - j) % k]
             want = _exchanged(g, turned, before[j], before[(j + 1) % k], pd.c)
-            kept, order = swap_adjacent(order, j, frame, memo)
+            kept, order = swap_adjacent(order, j, frame, frame, memo)
             step = SlideSequence(cur, kept, frame.placement(order))
             _assert_reaches(step, want)
             cur = step.end
@@ -108,22 +110,53 @@ def test_swap_adjacent_is_transposition(rng):
 def test_sort_turns_match_rotate(rng):
     """Each turn of the sort, for every start position j, has the word and
     the end that `rotate` gives for the same placement and goals: the gap
-    at c and the label at j on the lower swap domino. On every parity
-    diamond of every corpus host, so on frames of an even number of
-    dominoes too, where a half-lap turn ties and `rotate`'s tie rule
-    picks the direction."""
+    at the corner of the window turned to and the label at j on its lower
+    swap domino. On every parity diamond of every corpus host, so on
+    frames of an even number of dominoes too, where a half-lap turn ties
+    and `rotate`'s tie rule picks the direction; from the diamond's own
+    corner and from the first window's, as the sort turns mid-lap."""
     for name in [g.name for g in locally_connected_corpus()]:
         g, cands = _diamonds(name)
+        first = turning_frame(g, best_parity_diamond(cands))
         for pd in cands:
-            _, cur = _aligned_at_c(g, rng, pd)
-            frame = turning_frame(g, pd)
-            order = _label_order(cur, frame.dominoes)
-            for j in range(len(order)):
-                kept, end = turn_to_swap(order, j, frame)
-                ref = rotate(cur, pd.cycle.order, pd.c,
-                             [(order[j], frame.dominoes[frame.lo])])
-                assert kept == ref.kept
-                assert frame.placement(end) == ref.end
+            to = turning_frame(g, pd)
+            for frm in (to, first):
+                _, cur = _aligned_at_c(g, rng, frm.pd)
+                order = _label_order(cur, frm.dominoes)
+                for j in range(len(order)):
+                    kept, end = turn_to_swap(order, j, frm, to)
+                    ref = rotate(cur, pd.cycle.order, pd.c,
+                                 [(order[j], to.dominoes[to.lo])])
+                    assert kept == ref.kept
+                    assert to.placement(end) == ref.end
+
+
+def test_every_window_swaps_mid_lap(rng):
+    """On every corpus host, the gap at the first window's corner: going
+    on forwards, less than a lap, to each window's corner, its gadget
+    exchanges the two labels on its swap dominoes and returns the gap to
+    its corner, and the order `swap_adjacent` returns is that end's. One
+    memo serves each host's windows, as in a plan, and builds each
+    window's gadget once."""
+    for g in locally_connected_corpus()[1:]:
+        h = find_hamilton(g)
+        windows = parity_diamonds(g, h)
+        first = turning_frame(g, windows[0])
+        _, cur = _aligned_at_c(g, rng, windows[0])
+        order = _label_order(cur, first.dominoes)
+        k, memo = len(order), Transpositions()
+        for pd in windows:
+            to = turning_frame(g, pd)
+            t = first.ring.index(pd.c) * (k + 1) % len(first.ring)
+            j = (to.lo + t) % k
+            mid = rotate(cur, h.order, pd.c, [(order[j], to.dominoes[to.lo])])
+            assert len(mid) == t < len(first.ring)
+            want = _exchanged(g, mid.end.pieces, *(mid.end.label_at(to.dominoes[i])
+                                                   for i in (to.i_ab, to.i_v)), pd.c)
+            kept, end = swap_adjacent(list(order), j, first, to, memo)
+            _assert_reaches(SlideSequence(cur, kept, to.placement(end)), want)
+            assert len(kept) == t + gadget_slides(pd)
+        assert len(memo) == len(windows)
 
 
 @functools.lru_cache(maxsize=None)
@@ -217,10 +250,10 @@ def test_sort_swaps_are_the_fewest_cyclic_inversions(rng):
 
 
 def test_swap_gadget_builds_once_per_label_order(monkeypatch):
-    """Within a plan, the swap gadget is built at most once for each order
-    of the two swapped labels, so at most twice and fewer times than the
-    plan swaps; every other swap replays its kept vertices. The plans
-    still verify."""
+    """Within a plan, the swap gadget is built once at each window that
+    swaps, whatever the order of the two swapped labels, so no more times
+    than the plan swaps; every other swap replays its kept vertices. The
+    plans still verify."""
     from trigrid import hc_planner
 
     builds = []
@@ -243,9 +276,105 @@ def test_swap_gadget_builds_once_per_label_order(monkeypatch):
             p, q = random_placement(g, rng), random_placement(g, rng)
             builds.clear()
             rep = plan_hamilton(g, p, q)
-            assert len(builds) <= 2 < rep.stats["swaps"]
+            assert len(set(builds)) == len(builds) == rep.stats["windows"]
+            assert len(builds) <= rep.stats["swaps"]
             assert rep.stats["gadgets"] == len(builds)
             assert verify_sequence(rep.start, rep.moves, expected_end=q).matches_expected
+
+
+def test_sort_takes_the_cheaper_move_at_every_swap(monkeypatch):
+    """Every swap of the sort removes one inversion of `have`, never across
+    its seam, and costs the fewest slides of its two moves: the insertion
+    sort's next swap at the first window, after the shorter turn either
+    way, or going on forwards, less than a lap, to a window whose pair is
+    an inversion when the gap reaches its corner. The distance to a corner
+    is counted by stepping the gap two places a slide along the cycle."""
+    from trigrid import hc_planner
+
+    sort, swap = hc_planner._sort, hc_planner.swap_adjacent
+    sorts, steps = [], []
+
+    def recorded_sort(frames, order, want, memo):
+        sorts.append((frames, list(order), want))
+        return sort(frames, order, want, memo)
+
+    def recorded_swap(order, j, frm, to, memo):
+        before = list(order)
+        kept, end = swap(order, j, frm, to, memo)
+        steps.append((before, j, frm, len(kept)))
+        return kept, end
+
+    monkeypatch.setattr(hc_planner, "_sort", recorded_sort)
+    monkeypatch.setattr(hc_planner, "swap_adjacent", recorded_swap)
+    rng = random.Random(2)
+    windows_ahead = 0
+    for g in locally_connected_corpus():
+        if g.name not in ("hex19", "para21", "hex23", "para25"):
+            continue
+        for _ in range(2):
+            sorts.clear()
+            steps.clear()
+            plan_hamilton(g, random_placement(g, rng), random_placement(g, rng))
+            ((frames, have, want),) = sorts
+            first, k = frames[0], len(have)
+            n = 2 * k + 1
+
+            def inversion(x, y):
+                i = have.index(x)
+                return i < k - 1 and have[i + 1] == y and want.index(x) > want.index(y)
+
+            for order, j, frm, spent in steps:
+                lab = next(w for h, w in zip(have, want) if h != w)
+                x = have[have.index(lab) - 1]
+                cheapest = (len(turn_to_swap(order, order.index(x), frm, first)[0])
+                            + gadget_slides(first.pd))
+                best_ahead = None
+                for f in frames:
+                    t = next(t for t in range(n) if frm.ring[2 * t % n] == f.pd.c)
+                    i = (f.lo + t) % k
+                    if inversion(order[i], order[(i + 1) % k]):
+                        cost = t + gadget_slides(f.pd)
+                        best_ahead = cost if best_ahead is None else min(best_ahead, cost)
+                if best_ahead is not None and best_ahead < cheapest:
+                    cheapest = best_ahead
+                    windows_ahead += 1
+                assert spent == cheapest
+                x, y = order[j], order[(j + 1) % k]
+                assert inversion(x, y)
+                i = have.index(x)
+                have[i], have[i + 1] = y, x
+            assert have == want
+    assert windows_ahead > 20
+
+
+# total slides of the cycle plans over pairs 1-10 (the first two placements
+# `random_placement` draws from random.Random(k)) when the sort swapped at
+# the first window alone
+FIRST_WINDOW_SLIDES = {"pent5": 30, "hex7": 111, "hex9": 316, "hex11": 495, "hex13": 1245,
+                       "para15": 1798, "hex19": 4310, "para21": 5770, "hex23": 8301,
+                       "para25": 11668, "hex37": 38837}
+
+
+def test_windows_shorten_mean_plans_on_every_host(capsys):
+    """Over pairs 1-10, no corpus host's mean cycle plan, nor `hex37`'s, is
+    longer than when the sort swapped at the first window alone, and
+    `para25`'s and `hex37`'s are at least 25% shorter. Prints both means
+    for each host."""
+    hosts = locally_connected_corpus() + [build_graph(hexagon_points(3), name="hex37")]
+    lines = []
+    for g in hosts:
+        total = 0
+        for k in range(1, 11):
+            rng = random.Random(k)
+            total += plan_hamilton(g, random_placement(g, rng), random_placement(g, rng)).slide_count
+        before = FIRST_WINDOW_SLIDES[g.name]
+        lines.append(f"{g.name}: mean {total / 10:.1f} slides, first window alone "
+                     f"{before / 10:.1f} ({(total - before) / before:+.1%})")
+        assert total <= before, lines[-1]
+        if g.name in ("para25", "hex37"):
+            assert total <= 0.75 * before, lines[-1]
+    with capsys.disabled():
+        print("\ncycle plans over pairs 1-10:\n" + "\n".join(lines))
 
 
 def test_plan_hamilton_corrupted_gadget_fails_its_next_hit(monkeypatch):
@@ -276,12 +405,13 @@ def test_plan_hamilton_corrupted_gadget_fails_its_next_hit(monkeypatch):
 
 def test_planner_rotations_match_reference_search(monkeypatch):
     """Every rotation the cycle planner asks for on the cycle-large hosts,
-    its swap gadgets' and the sort's turns included, replayed through the
-    reference breadth-first search over the cycle's edges: the same moves
-    and the same end."""
+    its swap gadgets' and the sort's turns included, those that go on to
+    another window's corner mid-lap too, replayed through the reference
+    breadth-first search over the cycle's edges: the same moves and the
+    same end."""
     from trigrid import hc_planner
 
-    calls = []
+    calls, mid_lap = [], []
 
     def recorded(p, cycle, exposed=None, pieces=()):
         pieces = list(pieces)
@@ -289,11 +419,12 @@ def test_planner_rotations_match_reference_search(monkeypatch):
         calls.append((p, cycle, exposed, pieces, seq))
         return seq
 
-    def recorded_turn(order, j, frame):
-        kept, end = turn_to_swap(order, j, frame)
-        p, pd = frame.placement(order), frame.pd
-        calls.append((p, pd.cycle.order, pd.c, [(order[j], frame.dominoes[frame.lo])],
-                      SlideSequence(p, kept, frame.placement(end))))
+    def recorded_turn(order, j, frm, to):
+        kept, end = turn_to_swap(order, j, frm, to)
+        p, pd = frm.placement(order), to.pd
+        calls.append((p, pd.cycle.order, pd.c, [(order[j], to.dominoes[to.lo])],
+                      SlideSequence(p, kept, to.placement(end))))
+        mid_lap.append(frm.pd != pd)
         return kept, end
 
     monkeypatch.setattr(hc_planner, "rotate", recorded)
@@ -304,6 +435,7 @@ def test_planner_rotations_match_reference_search(monkeypatch):
             for _ in range(2):
                 plan_hamilton(g, random_placement(g, rng), random_placement(g, rng))
     assert len(calls) > 60
+    assert 0 < sum(mid_lap) < len(mid_lap)
     for p, cycle, exposed, pieces, seq in calls:
         def goal(s):
             return ((exposed is None or s.exposed == exposed)
