@@ -27,7 +27,7 @@ def _hex11():
 
 CASES = {
     "hex11-hamilton": (_hex11, plan_hamilton,
-                       "36c1a38c0646539b953a3e49c308f172c80d3e65209b51f99ce1b852e0b0a61b"),
+                       "68e1c07970a03622e644bbc49041d859f1518598159cfc348af50c9265bd5bd4"),
     "deg6-11v-ear": (lambda: degree6_corpus(13, 12)[-1], plan_ear,
                      "cb231f283cbf73f9320f744c483e4bf555978e8c37d25d32040fe8ae4890f705"),
     "diamond_cycle6-ear": (lambda: diamond_cycle_graph(6), plan_ear,
