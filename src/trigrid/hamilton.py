@@ -1,8 +1,9 @@
 """Hamilton cycles and the diamond local structure used by the cycle planner.
 
 Provides exact backtracking search for Hamilton cycles, on bit masks,
-and extraction of a diamond whose subpath parities allow swapping
-adjacent pieces along the cycle.
+and the diamonds on a cycle whose subpath parities allow swapping
+adjacent pieces along it: every one of them, each a window of the cycle
+planner's sort.
 """
 
 from dataclasses import dataclass

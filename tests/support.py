@@ -5,9 +5,8 @@ aligned states on a cycle, the matching-based reference of the alignment
 check, the restricted slide search over `legal_moves` and `slide` that `rotate`,
 the swap gadget and the pentagon core's plans are checked against, the
 Hamilton search over sets that the bit-mask search in `hamilton` is
-checked against and its connectivity test, the centrality test, an ear decomposition grown from a
-matching, the
-neighbourhood search that defines local connectivity, the scan over every
+checked against and its connectivity test, the centrality test, an ear
+decomposition grown from a matching, the neighbourhood search that defines local connectivity, the scan over every
 diamond labeling that defines the parity diamond, the orientation of one
 parity diamond, and a host whose only parity labeling has crossing arcs.
 No planner uses them, so they live with the tests.
