@@ -3,19 +3,21 @@ alternating cycles, and `alternating_path_to`, the one walk over the
 symmetric difference of two matchings (expose, ear cycles, ear growth).
 
 Every maximum matching here comes from one exact solver,
-`blossom.max_cardinality_matching`: Edmonds' blossom method in Galil's
-primal-dual form, ported from networkx's `max_weight_matching` for unit
-weights. `perfect_matching` builds each subgraph for it in a fixed input
-order: vertices in the iteration order of the kept set, neighbours in the
-order their edges appear in the edge pool. Which of several maximum
-matchings comes back depends on that order, and with it the ear planner's
-plans and the benchmark's placements; for the same order the solver returns
-what networkx returned.
+`blossom.max_cardinality_matching`: Edmonds' cardinality search with
+Gabow's path labels, which takes its candidates in the order networkx's
+`max_weight_matching` takes them. `perfect_matching` builds each subgraph
+for it in a fixed input order: vertices in the iteration order of the kept
+set, neighbours in the order their edges appear in the edge pool. Which of
+several maximum matchings comes back depends on that order, and with it the
+ear planner's plans and the benchmark's placements; as the search runs in
+networkx's order, for the same input order it returns networkx's matching.
 
 Two certificates back each answer. A matching that leaves at most one
 vertex exposed is maximum by its size alone. Every other one is checked
-against the solver's final duals (networkx's dual-optimality check), which
-prove that no larger matching exists. That covers each None from
+against a Tutte-Berge barrier read off the search's last, failed stage: its
+inner vertices A, with G - A having |A| + (exposed vertices) odd
+components, prove that no larger matching exists. The check raises, so it
+runs under ``python -O`` too. That covers each None from
 `near_perfect_matching` on a subgraph with an even number of vertices left.
 """
 

@@ -1,19 +1,28 @@
-"""The in-house blossom matching against networkx, its reference.
+"""The in-house matching search against networkx, its reference.
 
-`max_cardinality_matching` ports networkx's `max_weight_matching` for unit
-weights and maximum cardinality, and must return the very matching networkx
-returns for the same insertion order: the benchmark's placements and the ear
-planner's plans depend on which maximum matching comes back.
+`max_cardinality_matching` is Edmonds' cardinality search with Gabow's path
+labels. It takes its candidates in the order of networkx's
+`max_weight_matching` (unit weights, maximum cardinality), and must return
+the very matching networkx returns for the same insertion order: the
+benchmark's placements and the ear planner's plans depend on which maximum
+matching comes back. Every answer that leaves two or more vertices single
+passes the Tutte-Berge barrier check of the search's last stage, which
+raises otherwise; `check_barrier` is also tested on its own.
 """
 
+import itertools
+import random
+
 import networkx as nx
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trigrid.blossom import max_cardinality_matching
+from trigrid.blossom import check_barrier, max_cardinality_matching
 from trigrid.corpus import degree6_corpus, locally_connected_corpus
 from trigrid.ears import find_admissible
-from trigrid.grid import build_graph, edge_key, star_of_david_points, triangles
+from trigrid.grid import (_lattice_edges, build_graph, edge_key, hexagon_points,
+                          star_of_david_points, triangles)
 from trigrid.matching import near_perfect_matching
 
 from support import is_central
@@ -28,7 +37,7 @@ def _networkx_matching(nodes, edges):
     return {frozenset(e) for e in nx.max_weight_matching(h, maxcardinality=True)}
 
 
-def _port_matching(nodes, edges):
+def _search_matching(nodes, edges):
     adj = {v: [] for v in nodes}
     for u, v in edges:
         adj[u].append(v)
@@ -42,7 +51,7 @@ def _port_matching(nodes, edges):
 def _ordered_graphs(draw):
     """A simple graph on 0-26 vertices as a node insertion order and an edge
     insertion order, each edge in a drawn orientation. Sparse draws leave
-    many vertices exposed, so the dual check runs."""
+    many vertices exposed, so the barrier check runs."""
     n = draw(st.integers(0, 26))
     nodes = draw(st.permutations(range(1, n + 1)))
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
@@ -53,8 +62,35 @@ def _ordered_graphs(draw):
     return nodes, [(v, u) if f else (u, v) for (u, v), f in zip(edges, flips)]
 
 
+def _lattice_graphs(count=60, seed=38):
+    """Seeded planner-sized hosts for the networkx comparison: induced
+    subgraphs of `hexagon_points(3..6)` on 37-127 points, as a node
+    insertion order and an edge insertion order, both shuffled, each edge in
+    a random orientation. Their searches nest blossoms deeper than the
+    hypothesis draws' do."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        pts = hexagon_points(rng.randint(3, 6))
+        pts = rng.sample(pts, rng.randint(37, len(pts)))
+        ids = {p: i for i, p in enumerate(pts, 1)}
+        edges = [(ids[p], ids[q]) for p, q in sorted(_lattice_edges(pts))]
+        rng.shuffle(edges)
+        nodes = list(ids.values())
+        rng.shuffle(nodes)
+        graphs.append((nodes, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]))
+    return graphs
+
+
+def _with_lattice_examples(test):
+    for graph in _lattice_graphs():
+        test = example(graph)(test)
+    return test
+
+
 @settings(max_examples=400, deadline=None)
 @given(_ordered_graphs())
+@_with_lattice_examples
 @example(([1, 2, 3, 4, 5, 6], [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6)]))
 @example(([3, 1, 2, 6, 4, 5], [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)]))
 @example(([1, 2, 3], []))
@@ -68,7 +104,25 @@ def _ordered_graphs(draw):
 @example(([1, 2, 3, 4, 5], [(1, 2), (2, 3), (3, 4)]))
 def test_port_returns_the_networkx_matching(graph):
     nodes, edges = graph
-    assert _port_matching(nodes, edges) == _networkx_matching(nodes, edges)
+    assert _search_matching(nodes, edges) == _networkx_matching(nodes, edges)
+
+
+def test_barrier_refuses_a_matching_that_is_not_maximum():
+    """On the path 1-2-3-4 with only 2-3 matched, no vertex set certifies
+    the matching; on the star with centre 1, the centre certifies 1-2, and
+    the empty set does not."""
+    path = {1: [2], 2: [1, 3], 3: [2, 4], 4: [3]}
+    for k in range(5):
+        for barrier in itertools.combinations(path, k):
+            with pytest.raises(AssertionError):
+                check_barrier(path, {2: 3, 3: 2}, barrier)
+    star = {1: [2, 3, 4], 2: [1], 3: [1], 4: [1]}
+    check_barrier(star, {1: 2, 2: 1}, {1})
+    with pytest.raises(AssertionError):
+        check_barrier(star, {1: 2, 2: 1}, set())
+    # a mate dict that is not a matching of the graph
+    with pytest.raises(AssertionError):
+        check_barrier(star, {3: 4, 4: 3}, {1})
 
 
 def _networkx_perfect(g, skip=(), within=None, edges=None):
