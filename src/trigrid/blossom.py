@@ -78,15 +78,15 @@ def max_cardinality_matching(adj: Dict[int, List[int]]) -> Dict[int, int]:
     single = [v for v in adj if v not in mate]
     barrier = None
     while barrier is None and len(single) >= 2:
-        barrier = _search(adj, mate, single)
+        barrier = search(adj, mate, single)
         single = [v for v in single if v not in mate]
     if len(single) >= 2:
         check_barrier(adj, mate, barrier)
     return mate
 
 
-def _search(adj: Dict[int, List[int]], mate: Dict[int, int],
-            single: List[int]) -> Optional[Set[int]]:
+def search(adj: Dict[int, List[int]], mate: Dict[int, int],
+           single: List[int]) -> Optional[Set[int]]:
     """One stage from the `single` vertices, in the dict's order: augment
     `mate` along the first augmenting path found and return None, or return
     the inner vertices if there is none."""

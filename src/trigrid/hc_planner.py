@@ -2,25 +2,26 @@
 
 Pipeline: align both placements with a spanning cycle, pin the gap at the
 first window's corner, sort the cyclic label order along the cycle by
-adjacent swaps, rotate once into the target's frame, then undo the
+adjacent swaps, turn once into the target's frame, then undo the
 target-side alignment. A window is a parity diamond on the cycle, and its
 gadget swaps the two labels on its swap dominoes with the gap at its
 corner c. A lap of the cycle takes the gap past every corner with the
 placement aligned, so each swap is made at whichever window is cheaper to
 reach: the first window after a turn either way round, or a window ahead
-on the way forwards. The sort steps the list of labels on the cycle's
-dominoes, not a placement: each turn is arithmetic on it, and a placement
-is built only for each swap's gadget. Slide counts grow as O(n^3), the
-turns between swaps being the cubic term.
+on the way forwards. From the first corner on, the plan is arithmetic on
+the list of labels on the cycle's dominoes: each turn and each gadget's
+word is read off it in closed form, and no placement is built until
+`finish_plan` checks the plan. Slide counts grow as O(n^3), the turns
+between swaps being the cubic term.
 """
 
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .grid import Edge, TriGridGraph, edge_key, is_locally_connected, is_star_of_david
+from .grid import Edge, TriGridGraph, is_locally_connected, is_star_of_david
 from .hamilton import HamiltonCycle, ParityDiamond, find_hamilton, parity_diamonds
 from .placement import (Placement, SlideSequence, align_with_cycle, forced_cycle_dominoes,
-                        invert_sequence, replay, rotate, shorter_walk)
-from .plans import PlanError, PlanInvariantError, PlanReport, Transpositions, finish_plan
+                        invert_sequence, rotate, shorter_walk, walk_word)
+from .plans import PlanError, PlanInvariantError, PlanReport, finish_plan
 
 
 def align_with_hamilton(p: Placement, h: HamiltonCycle) -> SlideSequence:
@@ -33,31 +34,23 @@ def align_with_hamilton(p: Placement, h: HamiltonCycle) -> SlideSequence:
 # adjacent swaps at the windows
 
 class TurningFrame(NamedTuple):
-    """A window's frame, the gap at its diamond's corner c: the host, the
-    cycle listed from c (`ring`), its forced dominoes listed from c, the
-    indices of the two swap dominoes (`i_ab` on (a, b), `i_v` its
-    neighbour along p1) and `lo`, the lower of the two in cycle order.
-    With the gap at c, every piece lies on one of the dominoes, so the
-    list of labels on them, domino by domino, fixes the placement. Every
-    window of a plan lists the same cycle in the same direction."""
+    """A window's frame, the gap at its diamond's corner c: the cycle
+    listed from c (`ring`), its forced dominoes listed from c, the indices
+    of the two swap dominoes (`i_ab` on (a, b), `i_v` its neighbour along
+    p1) and `lo`, the lower of the two in cycle order. With the gap at c,
+    every piece lies on one of the dominoes, so the list of labels on
+    them, domino by domino, fixes the placement. Every window of a plan
+    lists the same cycle in the same direction."""
 
     pd: ParityDiamond
-    graph: TriGridGraph
     ring: Tuple[int, ...]
     dominoes: Tuple[Edge, ...]
     i_ab: int
     i_v: int
     lo: int
 
-    def placement(self, order: Sequence[int]) -> Placement:
-        """The placement with label order[i] on domino i and the gap at c."""
-        pieces = list(self.dominoes)
-        for e, label in zip(self.dominoes, order):
-            pieces[label - 1] = e
-        return Placement(self.graph, tuple(pieces), self.pd.c)
 
-
-def turning_frame(g: TriGridGraph, pd: ParityDiamond) -> TurningFrame:
+def turning_frame(pd: ParityDiamond) -> TurningFrame:
     """The frame of the window `pd`. Domino i is (ring[2i+1], ring[2i+2]),
     so the vertex at ring index r > 0 lies on domino (r - 1) // 2."""
     cycle = pd.cycle.order
@@ -69,7 +62,7 @@ def turning_frame(g: TriGridGraph, pd: ParityDiamond) -> TurningFrame:
     k = len(dominoes)
     assert r_ab % 2 and (i_v - i_ab) % k in (1, k - 1), "swap dominoes not adjacent"
     lo = i_ab if (i_v - i_ab) % k == 1 else i_v
-    return TurningFrame(pd, g, ring, dominoes, i_ab, i_v, lo)
+    return TurningFrame(pd, ring, dominoes, i_ab, i_v, lo)
 
 
 def turn_to_swap(order: List[int], j: int, frm: TurningFrame,
@@ -81,68 +74,55 @@ def turn_to_swap(order: List[int], j: int, frm: TurningFrame,
 
     The gap moves two places a slide forwards, and each slide forwards
     turns the list left by one, so the turn is the one state u mod n*k
-    with 2u = e mod n, e the steps from frm's corner to to's, and
-    u = j - lo mod k. As n = 1 mod k, u = r + n*m with r = e/2 mod n, m
-    whole laps on top. It is u slides forwards or n*k - u backwards,
+    that `_turn` gives. It is u slides forwards or n*k - u backwards,
     whichever `shorter_walk` picks, and ends at the list turned left by
     u: the word and end `rotate` gives for the same placement and goals,
     with no placement built.
     """
     k = len(order)
-    u = _turn(j, frm, to, k)
-    if not u:
-        return (), list(order)
+    u = _turn(j, frm.ring, to.pd.c, to.lo, k)
     _, kept = shorter_walk(frm.ring, order, (u,))
-    u %= k
-    return kept, order[u:] + order[:u]
+    return kept, order[u % k:] + order[:u % k]
 
 
-def _turn(j: int, frm: TurningFrame, to: TurningFrame, k: int) -> int:
-    """The state u, 0 <= u < n*k, that `turn_to_swap` turns to: u slides
-    forwards, or n*k - u backwards."""
+def _turn(j: int, ring: Tuple[int, ...], gap: int, dom: int, k: int) -> int:
+    """The state u, 0 <= u < n*k, of the turn along `ring`, listed from the
+    gap, that exposes `gap` and brings the label at position j of the list
+    on ring's dominoes onto domino `dom` of the frame at `gap`: u slides
+    forwards, or n*k - u backwards. The gap at ring[e] needs 2u = e mod n,
+    and the label needs u = j - dom mod k; as n = 1 mod k, u = r + n*m
+    with r = e/2 mod n and m whole laps on top."""
     n = 2 * k + 1
-    r = frm.ring.index(to.pd.c) * (k + 1) % n
-    return r + n * ((j - to.lo - r) % k)
+    r = ring.index(gap) * (k + 1) % n
+    return r + n * ((j - dom - r) % k)
 
 
-def _swap_special(cur: Placement, frame: TurningFrame, memo: Transpositions) -> SlideSequence:
-    """Exchange the labels on the two swap dominoes; gap stays at c.
+def gadget_word(frame: TurningFrame, order: Sequence[int]) -> Tuple[int, ...]:
+    """The word of the swap gadget at `frame`'s window, `order` listing the
+    labels on its dominoes: it exchanges the labels on the two swap
+    dominoes and leaves the gap at c.
 
-    One construction for every diamond: slide the (a, b) piece onto
-    (b, c), rotate the p1 + (a, d) cycle until the lower label sits on
-    (d, p1[1]), then rotate the p1 + (a, b), (b, c), (c, d) cycle to the
-    swapped state. A p1 of three vertices makes these a triangle, on which
-    nothing turns, and a 5-cycle: 5 slides, as short as any swap inside
-    those five vertices. A longer p1 of m vertices takes 2m + 4 slides
-    (`gadget_slides`).
-
-    The build goes through `memo` under the diamond: with the gap at c the
-    cycle fixes the unlabeled state, so later swaps at this window replay
-    its kept vertices. The rotations' lengths are fixed too. After the
-    slide the gap is at a and the lower label on p1's last domino, so the
-    first rotation is no slide on a p1 of three vertices and one lap
-    backwards, m slides, on a longer one; the second is four slides
-    backwards on the 5-cycle, or m + 3 forwards. Only the first, on a p1
-    of five vertices, ties: a lap either way round to the same state,
-    which `rotate` breaks by the label on (d, p1[1]). A replay there may
-    take the other direction than a fresh build would, to the same end.
+    One construction for every diamond: keep b, so the (a, b) piece
+    slides onto (b, c) and the gap moves to a; one lap along the cycle p1
+    + (a, d), listed from a as (a,) + p1[:-1], brings the label on p1's
+    last domino onto (d, p1[1]); then a turn along the cycle p1 + (a, b),
+    (b, c), (c, d), listed from a as (a, b, c) + p1[:-1], reaches the
+    swapped state. These are `rotate`'s shortest rotations to those goals,
+    and slides are blind to labels, so with the gap at c the window alone
+    fixes their lengths. On a p1 of m vertices the lap is m slides
+    backwards, none for m = 3, where p1 + (a, d) is a triangle; the turn
+    is m + 3 slides forwards, or 4 backwards on the 5-cycle of m = 3:
+    `gadget_slides` in all. Only the lap on a p1 of five vertices ties, a
+    lap either way round to the same state; it goes forwards iff (the
+    label on (d, p1[1]), d) comes before (the label on p1's last domino,
+    p1[-2]), `shorter_walk`'s tie rule.
     """
     pd = frame.pd
-    a, b, c, d = pd.a, pd.b, pd.c, pd.d
-    assert cur.exposed == c
-    hi = cur.label_at(frame.dominoes[frame.i_ab])
-    lo = cur.label_at(frame.dominoes[frame.i_v])
-    assert hi is not None and lo is not None
-
-    def build(target: Placement) -> SlideSequence:
-        v1, v2, v3 = pd.p1[-2], pd.p1[-3], pd.p1[1]
-        s1 = replay(cur, (b,))                 # the (a, b) piece onto (b, c)
-        cyc_a = pd.p1                          # d .. a, closed by (a, d)
-        s2 = rotate(s1.end, cyc_a, a, [(lo, edge_key(d, v3))])
-        cyc_b = pd.p1 + (b, c)                 # d .. a, b, c, closed by (c, d)
-        s3 = rotate(s2.end, cyc_b, c, [(hi, edge_key(v1, v2)), (lo, edge_key(a, b))])
-        return s1.then(s2).then(s3)
-    return memo(cur, hi, lo, (a, b, c, d), build)
+    p1, m = pd.p1, len(pd.p1)
+    forwards = (order[(frame.ring.index(pd.d) - 1) // 2], pd.d) < (order[frame.i_v], p1[-2])
+    lap = 0 if m == 3 else m if m == 5 and forwards else -m
+    return ((pd.b,) + walk_word((pd.a,) + p1[:-1], lap)
+            + walk_word((pd.a, pd.b, pd.c) + p1[:-1], -4 if m == 3 else m + 3))
 
 
 def gadget_slides(pd: ParityDiamond) -> int:
@@ -153,7 +133,8 @@ def gadget_slides(pd: ParityDiamond) -> int:
 
 
 def swap_adjacent(order: List[int], j: int, frm: TurningFrame, to: TurningFrame,
-                  memo: Transpositions) -> Tuple[Tuple[int, ...], List[int]]:
+                  words: Dict[Tuple[int, ...], Tuple[int, ...]]
+                  ) -> Tuple[Tuple[int, ...], List[int]]:
     """Transpose the label x = order[j] and the one after it along the
     cycle; `order` lists the labels on frm's dominoes, the gap at its
     corner. Returns the word and the label order on to's dominoes it ends
@@ -161,14 +142,16 @@ def swap_adjacent(order: List[int], j: int, frm: TurningFrame, to: TurningFrame,
 
     Turns along the cycle until x sits on to's lower swap domino and its
     neighbour on the one after it (`turn_to_swap`), then exchanges them
-    there with to's swap gadget, on the one placement this builds. `memo`
-    is the plan's swap-gadget memo (see `_swap_special`), which raises
-    PlanInvariantError if a gadget misses its end.
+    there with to's swap gadget. `words` is the plan's dict from window,
+    (a, b, c, d), to gadget word, filled at the window's first swap, so a
+    tie on a p1 of five vertices goes the same way at every swap there.
     """
     turn, order = turn_to_swap(order, j, frm, to)
-    swap = _swap_special(to.placement(order), to, memo)
+    key = to.pd.a, to.pd.b, to.pd.c, to.pd.d
+    if key not in words:
+        words[key] = gadget_word(to, order)
     order[to.i_ab], order[to.i_v] = order[to.i_v], order[to.i_ab]
-    return turn + swap.kept, order
+    return turn + words[key], order
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +186,12 @@ def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement) -> PlanReport:
     """A verified slide plan from p to q on a locally-connected graph.
 
     Aligns both placements with a Hamilton cycle and pins p's gap at the
-    corner c of the first window (`find_local_structure`'s diamond). A
+    corner c of the first window, the first of `parity_diamonds`. A
     rotation keeps the cyclic order of the labels along the cycle, and
     nothing else, so the sort aims at the rotation of q's order with the
     fewest inversions and removes one inversion a swap (`_sort`). One
-    final rotation sets the frame to q's alignment, which is then undone.
+    last turn (`_turn`) sets the frame to q's alignment, which is then
+    undone; `finish_plan` checks the whole plan against q.
 
     Hosts below five vertices have no parity diamond: a single vertex
     holds no pieces, and the one piece on a triangle is placed by a
@@ -221,35 +205,35 @@ def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement) -> PlanReport:
         return finish_plan(SlideSequence(p, ()), q, "hamilton", [])
     h = find_hamilton(g)
     if g.num_vertices < 5:
-        turn = rotate(p, h.order, q.exposed)
-        return finish_plan(turn, q, "hamilton", [])
+        return finish_plan(rotate(p, h.order, q.exposed), q, "hamilton", [])
     windows = parity_diamonds(g, h)
 
     sp = align_with_hamilton(p, h)
     sq = align_with_hamilton(q, h)
     rp = rotate(sp.end, h.order, windows[0].c)
     aligned_q = sq.end
-    frames = [turning_frame(g, pd) for pd in windows]
+    frames = [turning_frame(pd) for pd in windows]
     order = _label_order(rp.end, frames[0].dominoes)
-    want = _nearest_rotation(order, _label_order(
-        aligned_q, forced_cycle_dominoes(h.order, aligned_q.exposed)))
-    memo = Transpositions()
-    word, order, at, swaps, used = _sort(frames, order, want, memo)
-    last = rotate(frames[at].placement(order), h.order, aligned_q.exposed,
-                  [(want[0], aligned_q.piece(want[0]))])
-    assert last.end.pieces == aligned_q.pieces and last.end.exposed == aligned_q.exposed
-    seq = SlideSequence(p, sp.kept + rp.kept + word + last.kept, aligned_q)
+    goal = _label_order(aligned_q, forced_cycle_dominoes(h.order, aligned_q.exposed))
+    want = _nearest_rotation(order, goal)
+    word, order, at, swaps, used = _sort(frames, order, want)
+    # the last turn: the gap onto q's, want[0] onto its domino in q's frame
+    ring = frames[at].ring
+    u = _turn(order.index(want[0]), ring, aligned_q.exposed, goal.index(want[0]), len(order))
+    _, last = shorter_walk(ring, order, (u,))
+    seq = SlideSequence(p, sp.kept + rp.kept + word + last, aligned_q)
     return finish_plan(seq.then(invert_sequence(sq)), q, "hamilton", [],
-                       swaps, len(memo), windows=used)
+                       swaps, used, windows=used)
 
 
-def _sort(frames: Sequence[TurningFrame], order: List[int], want: List[int],
-          memo: Transpositions) -> Tuple[Tuple[int, ...], List[int], int, int, int]:
+def _sort(frames: Sequence[TurningFrame], order: List[int],
+          want: List[int]) -> Tuple[Tuple[int, ...], List[int], int, int, int]:
     """Sort the labels on the cycle, the gap at frames[0]'s corner, from
     `order` to `want` by adjacent swaps at the windows `frames`, each of
     which removes one inversion. Returns the word, the label order it ends
     at, the index of the window at whose corner the gap ends, the swaps
-    and the number of windows that swapped.
+    and the number of windows that swapped, each of which makes its
+    gadget's word once (`swap_adjacent`).
 
     `have` lists the labels in cycle order from the one that started on
     domino 0, and a pair is an inversion when it is adjacent there, so
@@ -276,8 +260,8 @@ def _sort(frames: Sequence[TurningFrame], order: List[int], want: List[int],
     where = {lab: i for i, lab in enumerate(have)}
     rank = {lab: i for i, lab in enumerate(want)}
     word: List[int] = []
+    words: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     at = swaps = done = 0
-    used = set()
     while True:
         while done < k and have[done] == want[done]:
             done += 1
@@ -285,7 +269,7 @@ def _sort(frames: Sequence[TurningFrame], order: List[int], want: List[int],
             break
         # the insertion sort's next swap, at the first window
         j = order.index(have[where[want[done]] - 1])
-        u = _turn(j, frames[at], frames[0], k)
+        u = _turn(j, frames[at].ring, frames[0].pd.c, frames[0].lo, k)
         best, to = min(u, n * k - u) + ahead[0][3], 0
         here = ahead[at][1]
         # the windows ahead, within one lap forwards
@@ -297,12 +281,11 @@ def _sort(frames: Sequence[TurningFrame], order: List[int], want: List[int],
                 if rank[y] > rank[order[(i + 1) % k]] and where[y] != k - 1:
                     best, to, j = t + gadget, w, i
         y = order[j]
-        kept, order = swap_adjacent(order, j, frames[at], frames[to], memo)
+        kept, order = swap_adjacent(order, j, frames[at], frames[to], words)
         word.extend(kept)
         i = where[y]
         have[i], have[i + 1] = have[i + 1], have[i]
         where[have[i]], where[have[i + 1]] = i, i + 1
         swaps += 1
-        used.add(to)
         at = to
-    return tuple(word), order, at, swaps, len(used)
+    return tuple(word), order, at, swaps, len(words)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Protocol, Set, Tuple
 
-from .blossom import max_cardinality_matching
+from .blossom import max_cardinality_matching, search
 from .grid import Edge, TriGridGraph, edge_key
 
 
@@ -113,7 +113,17 @@ def near_perfect_matching(g: TriGridGraph, expose: int,
 
 
 def is_factor_critical(g: TriGridGraph) -> bool:
-    return all(near_perfect_matching(g, v) is not None for v in g.vertex_ids)
+    """True iff g - v has a perfect matching for every vertex v, decided by
+    one maximum matching of g and one more stage of the search from the
+    one vertex it leaves single. That stage finds no augmenting path, and
+    its outer vertices are those that some maximum matching leaves single
+    (Gallai-Edmonds), so g is factor-critical iff every vertex is outer.
+    A neighbour of an outer vertex is outer or inner, and hosts are
+    connected, so that holds iff the stage finds no inner vertex."""
+    adj = {v: list(g.adj[v]) for v in g.vertex_ids}
+    mate = max_cardinality_matching(adj)
+    single = [v for v in adj if v not in mate]
+    return len(single) == 1 and not search(adj, mate, single)
 
 
 def alternating_path_to(m: Partnered, target: Partnered, frm: int, to: int) -> List[int]:

@@ -246,25 +246,30 @@ def replay(p: Placement, kept_vertices: Iterable[int]) -> SlideSequence:
     return SlideSequence(p, kept, end)
 
 
+def walk_word(ring: Tuple[int, ...], t: int) -> Tuple[int, ...]:
+    """The kept vertices of |t| slides along the aligned odd cycle `ring`,
+    listed from the gap, forwards for t > 0 and backwards for t < 0: step
+    s keeps walk[2s+1], indices mod n, of the ring walked that way."""
+    walk = ring if t >= 0 else ring[:1] + ring[:0:-1]
+    t = abs(t)
+    return ((walk + walk)[1::2] * (t // len(ring) + 1))[:t]
+
+
 def shorter_walk(ring: Tuple[int, ...], labels: Sequence[int],
                  us: Collection[int]) -> Tuple[int, Tuple[int, ...]]:
     """`rotate`'s choice of direction and its word. `ring` is an aligned
     odd cycle of n = 2k+1 vertices listed from the gap, `labels` the labels
-    on its dominoes after the gap, and `us` the states, 0 < u < n*k, that
+    on its dominoes after the gap, and `us` the states, 0 <= u < n*k, that
     meet every goal. Returns the state the shorter walk reaches and its
-    kept vertices. Walking forwards to u takes u slides and backwards
-    n*k - u; ties go to the direction whose first slide comes first in
-    `legal_moves` order, (label, kept vertex), as a breadth-first search
-    over `legal_moves` would find it. The word is sliced from the ring:
-    step s keeps walk[2s+1], indices mod n."""
+    kept vertices (`walk_word`). Walking forwards to u takes u slides and
+    backwards n*k - u; ties go to the direction whose first slide comes
+    first in `legal_moves` order, (label, kept vertex), as a breadth-first
+    search over `legal_moves` would find it."""
     n, k = len(ring), len(ring) // 2
     fwd, bwd = min(us), n * k - max(us)
-    forward_leads = (labels[0], ring[1]) < (labels[-1], ring[-1])
-    if fwd < bwd or (fwd == bwd and forward_leads):
-        u, t, walk = fwd, fwd, ring
-    else:
-        u, t, walk = n * k - bwd, bwd, ring[:1] + ring[:0:-1]
-    return u, ((walk + walk)[1::2] * (t // n + 1))[:t]
+    if fwd < bwd or (fwd == bwd and (labels[0], ring[1]) < (labels[-1], ring[-1])):
+        return fwd, walk_word(ring, fwd)
+    return n * k - bwd, walk_word(ring, -bwd)
 
 
 def rotate(p: Placement, cycle: Tuple[int, ...], exposed: Optional[int] = None,

@@ -1,6 +1,6 @@
-"""What both planners share: their errors, the transposition memo, and
+"""What both planners share: their errors, their report, and
 `finish_plan`, which cuts a plan's word once into the verified moves of
-its report."""
+its report; also the ear planner's transposition memo."""
 
 from __future__ import annotations
 
@@ -30,13 +30,13 @@ class PlanReport:
     transpositions the planner asks for: the ear planner's level fills,
     not the lower-level ones each of them is conjugated from, and the cycle
     planner's adjacent swaps. `gadgets` counts the transpositions built
-    rather than replayed (`Transpositions`): the ear planner's at every
-    level, the cycle planner's swap gadgets (one slide and two rotations
-    each, one a window that swaps). `fallbacks` counts the levels the ear
-    planner planned whole for a transposition because no rotation brought
-    both pieces into the level below (0 for the cycle planner). `windows`
-    counts the distinct parity diamonds at which the cycle planner swapped
-    (0 for the ear planner)."""
+    rather than reused: the ear planner's at every level
+    (`Transpositions`), the cycle planner's swap-gadget words
+    (`hc_planner.gadget_word`, one a window that swaps). `fallbacks`
+    counts the levels the ear planner planned whole for a transposition
+    because no rotation brought both pieces into the level below (0 for
+    the cycle planner). `windows` counts the distinct parity diamonds at
+    which the cycle planner swapped (0 for the ear planner)."""
 
     start: Placement
     moves: Tuple[SlideMove, ...]
@@ -67,7 +67,8 @@ def finish_plan(seq: SlideSequence, q: Placement, strategy: str,
 
 
 class Transpositions:
-    """One plan's memo of transposition gadgets. A slide is fixed by its
+    """One ear plan's memo of transposition gadgets; the cycle planner
+    writes its gadgets' words in closed form. A slide is fixed by its
     kept vertex and the gap, not by labels, so a gadget built once for a
     key replays on any labels. Within one plan a key must fix the
     unlabeled state, the gap, the two positions and whatever else `build`

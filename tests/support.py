@@ -4,6 +4,10 @@ library function under every name the library holds it by, canonical
 aligned states on a cycle, the matching-based reference of the alignment
 check, the restricted slide search over `legal_moves` and `slide` that `rotate`,
 the swap gadget and the pentagon core's plans are checked against, the
+placement a turning frame's label list stands for and the swap gadget
+built by a slide and two rotations on it, which `hc_planner`'s
+closed-form words are checked against, the definition of
+factor-criticality by one matching per vertex, the
 Hamilton search over sets that the bit-mask search in `hamilton` is
 checked against and its connectivity test, the centrality test, an ear
 decomposition grown from a matching, the neighbourhood search that defines local connectivity, the scan over every
@@ -19,9 +23,12 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from trigrid.ears import EarDecomposition, EarError, grow_ears, validate_decomposition
 from trigrid.grid import Edge, TriGridGraph, cycle_edges, edge_key, enumerate_diamonds
 from trigrid.hamilton import HamiltonCycle, HamiltonError, ParityDiamond
-from trigrid.matching import Matching, odd_alternating_cycle_through, perfect_matching
+from trigrid.hc_planner import TurningFrame
+from trigrid.matching import (Matching, near_perfect_matching, odd_alternating_cycle_through,
+                              perfect_matching)
 from trigrid.placement import (Placement, PlacementError, SlideMove, SlideSequence,
-                               VerifyReport, legal_moves, slide, verify_sequence)
+                               VerifyReport, forced_cycle_dominoes, legal_moves, replay,
+                               rotate, slide, verify_sequence)
 
 
 # the 9-vertex host whose Hamilton cycle (1, 7, 5, 6, 3, 2, 4, 8, 9) has one
@@ -155,6 +162,39 @@ def reference_slides_within(p: Placement, edges: Set[Edge],
                 return moves + (mv,)
             frontier.append((nxt, moves + (mv,)))
     return None
+
+
+def frame_placement(g: TriGridGraph, ring: Sequence[int], order: Sequence[int]) -> Placement:
+    """The placement with the gap at ring[0] and label order[i] on the i-th
+    forced domino after it, every piece on the odd cycle `ring`: a turning
+    frame's placement for its ring and label list."""
+    pieces = [None] * len(order)
+    for label, e in zip(order, forced_cycle_dominoes(ring, ring[0])):
+        pieces[label - 1] = e
+    return Placement(g, tuple(pieces), ring[0])
+
+
+def reference_gadget(cur: Placement, frame: TurningFrame) -> SlideSequence:
+    """The swap gadget built on a placement, the gap at the frame's corner
+    c: slide the (a, b) piece onto (b, c), `rotate` the p1 + (a, d) cycle
+    until the label on p1's last domino sits on (d, p1[1]), then `rotate`
+    the p1 + (a, b), (b, c), (c, d) cycle to the swapped state."""
+    pd = frame.pd
+    a, b, c, d = pd.a, pd.b, pd.c, pd.d
+    assert cur.exposed == c
+    hi = cur.label_at(frame.dominoes[frame.i_ab])
+    lo = cur.label_at(frame.dominoes[frame.i_v])
+    v1, v2, v3 = pd.p1[-2], pd.p1[-3], pd.p1[1]
+    s1 = replay(cur, (b,))
+    s2 = rotate(s1.end, pd.p1, a, [(lo, edge_key(d, v3))])
+    s3 = rotate(s2.end, pd.p1 + (b, c), c, [(hi, edge_key(v1, v2)), (lo, edge_key(a, b))])
+    return s1.then(s2).then(s3)
+
+
+def factor_critical_by_definition(g: TriGridGraph) -> bool:
+    """True iff every vertex is left single by some nearly perfect
+    matching: one matching search per vertex."""
+    return all(near_perfect_matching(g, v) is not None for v in g.vertex_ids)
 
 
 def is_alternating_cycle(m: Matching, cycle: Sequence[int]) -> bool:

@@ -9,17 +9,16 @@ from trigrid.corpus import locally_connected_corpus
 from trigrid.grid import (build_graph, cycle_edges, edge_key, hexagon_points,
                           star_of_david_points)
 from trigrid.hamilton import find_hamilton, find_local_structure, parity_diamonds
-from trigrid.hc_planner import (_label_order, _swap_special, align_with_hamilton,
-                                gadget_slides, plan_hamilton, swap_adjacent, turn_to_swap,
-                                turning_frame)
+from trigrid.hc_planner import (_label_order, align_with_hamilton, gadget_slides, gadget_word,
+                                plan_hamilton, swap_adjacent, turn_to_swap, turning_frame)
 from trigrid.placement import (Placement, SlideSequence, cut_loops, forced_cycle_dominoes,
-                               rotate, verify_sequence)
-from trigrid.plans import PlanError, PlanInvariantError, Transpositions
+                               replay, rotate, shorter_walk, verify_sequence)
+from trigrid.plans import PlanError, PlanInvariantError
 
 from conftest import random_placement
-from support import (apply_sequence, best_parity_diamond, label_word,
-                     reference_slides_within, scan_parity_diamonds, spy_everywhere,
-                     verify_word)
+from support import (apply_sequence, best_parity_diamond, frame_placement, label_word,
+                     reference_gadget, reference_slides_within, scan_parity_diamonds,
+                     spy_everywhere, verify_word)
 
 
 @settings(max_examples=100, deadline=None)
@@ -85,24 +84,24 @@ def test_swap_adjacent_is_transposition(rng):
     """On every corpus host, every adjacent pair is exchanged exactly, in a
     frame turned so that the pair sits on the swap dominoes: the word
     steps the start to the start turned by lo - j positions, with the two
-    labels exchanged, and the label order returned is that end's. One
-    swap-gadget memo serves each host's swaps, as in a plan."""
+    labels exchanged, and the label order returned is that end's. One dict
+    of gadget words serves each host's swaps, as in a plan."""
     for g in locally_connected_corpus():
         pd, cur = _aligned_at_c(g, rng)
-        memo = Transpositions()
-        frame = turning_frame(g, pd)
+        words = {}
+        frame = turning_frame(pd)
         dominoes, lo = frame.dominoes, frame.lo          # y's domino follows x's
         k = len(dominoes)
         order = _label_order(cur, dominoes)
         for j in range(k):
-            assert frame.placement(order) == cur
+            assert frame_placement(g, frame.ring, order) == cur
             before = _label_order(cur, dominoes)
             turned = list(cur.pieces)
             for i, lab in enumerate(before):
                 turned[lab - 1] = dominoes[(i + lo - j) % k]
             want = _exchanged(g, turned, before[j], before[(j + 1) % k], pd.c)
-            kept, order = swap_adjacent(order, j, frame, frame, memo)
-            step = SlideSequence(cur, kept, frame.placement(order))
+            kept, order = swap_adjacent(order, j, frame, frame, words)
+            step = SlideSequence(cur, kept, frame_placement(g, frame.ring, order))
             _assert_reaches(step, want)
             cur = step.end
 
@@ -117,9 +116,9 @@ def test_sort_turns_match_rotate(rng):
     corner and from the first window's, as the sort turns mid-lap."""
     for name in [g.name for g in locally_connected_corpus()]:
         g, cands = _diamonds(name)
-        first = turning_frame(g, best_parity_diamond(cands))
+        first = turning_frame(best_parity_diamond(cands))
         for pd in cands:
-            to = turning_frame(g, pd)
+            to = turning_frame(pd)
             for frm in (to, first):
                 _, cur = _aligned_at_c(g, rng, frm.pd)
                 order = _label_order(cur, frm.dominoes)
@@ -128,7 +127,7 @@ def test_sort_turns_match_rotate(rng):
                     ref = rotate(cur, pd.cycle.order, pd.c,
                                  [(order[j], to.dominoes[to.lo])])
                     assert kept == ref.kept
-                    assert to.placement(end) == ref.end
+                    assert frame_placement(g, to.ring, end) == ref.end
 
 
 def test_every_window_swaps_mid_lap(rng):
@@ -136,27 +135,27 @@ def test_every_window_swaps_mid_lap(rng):
     on forwards, less than a lap, to each window's corner, its gadget
     exchanges the two labels on its swap dominoes and returns the gap to
     its corner, and the order `swap_adjacent` returns is that end's. One
-    memo serves each host's windows, as in a plan, and builds each
-    window's gadget once."""
+    dict of gadget words serves each host's windows, as in a plan, and
+    holds one word per window."""
     for g in locally_connected_corpus():
         h = find_hamilton(g)
         windows = parity_diamonds(g, h)
-        first = turning_frame(g, windows[0])
+        first = turning_frame(windows[0])
         _, cur = _aligned_at_c(g, rng, windows[0])
         order = _label_order(cur, first.dominoes)
-        k, memo = len(order), Transpositions()
+        k, words = len(order), {}
         for pd in windows:
-            to = turning_frame(g, pd)
+            to = turning_frame(pd)
             t = first.ring.index(pd.c) * (k + 1) % len(first.ring)
             j = (to.lo + t) % k
             mid = rotate(cur, h.order, pd.c, [(order[j], to.dominoes[to.lo])])
             assert len(mid) == t < len(first.ring)
             want = _exchanged(g, mid.end.pieces, *(mid.end.label_at(to.dominoes[i])
                                                    for i in (to.i_ab, to.i_v)), pd.c)
-            kept, end = swap_adjacent(list(order), j, first, to, memo)
-            _assert_reaches(SlideSequence(cur, kept, to.placement(end)), want)
+            kept, end = swap_adjacent(list(order), j, first, to, words)
+            _assert_reaches(SlideSequence(cur, kept, frame_placement(g, to.ring, end)), want)
             assert len(kept) == t + gadget_slides(pd)
-        assert len(memo) == len(windows)
+        assert len(words) == len(windows)
 
 
 @functools.lru_cache(maxsize=None)
@@ -169,17 +168,40 @@ def _diamonds(name):
 @settings(max_examples=100, deadline=None)
 @given(name=st.sampled_from([g.name for g in locally_connected_corpus()]),
        data=st.data(), rnd=st.randoms(use_true_random=False))
-def test_swap_special_exchanges_the_swap_dominoes(name, data, rnd):
+def test_gadget_word_exchanges_the_swap_dominoes(name, data, rnd):
     """For any parity diamond on the cycle, not only the one the planner
-    picks, `_swap_special` exchanges exactly the labels on the two swap
-    dominoes and leaves the gap at c."""
+    picks, `gadget_word`'s word exchanges exactly the labels on the two
+    swap dominoes and leaves the gap at c."""
     g, cands = _diamonds(name)
     pd = data.draw(st.sampled_from(cands))
     _, cur = _aligned_at_c(g, rnd, pd)
-    frame = turning_frame(g, pd)
+    frame = turning_frame(pd)
     x, y = (cur.label_at(frame.dominoes[i]) for i in (frame.i_ab, frame.i_v))
-    _assert_reaches(_swap_special(cur, frame, Transpositions()),
+    _assert_reaches(replay(cur, gadget_word(frame, _label_order(cur, frame.dominoes))),
                     _exchanged(g, cur.pieces, x, y, pd.c))
+
+
+def test_gadget_word_matches_the_rotation_built_gadget():
+    """On every parity diamond of every corpus host, `hex37` and `hex61`,
+    over shuffled label orders, `gadget_word` is the word of the gadget
+    built by a slide and two `rotate` calls on the placement the order
+    stands for (`support.reference_gadget`), and `gadget_slides` long.
+    Both ways round the tied lap on a p1 of five vertices are taken."""
+    rnd = random.Random(39)
+    hosts = locally_connected_corpus() + [build_graph(hexagon_points(r)) for r in (3, 4)]
+    laps = set()
+    for g in hosts:
+        for pd in scan_parity_diamonds(g, find_hamilton(g)):
+            frame = turning_frame(pd)
+            order = list(range(1, g.n + 1))
+            for _ in range(3):
+                rnd.shuffle(order)
+                word = gadget_word(frame, order)
+                assert word == reference_gadget(frame_placement(g, frame.ring, order), frame).kept
+                assert len(word) == gadget_slides(pd)
+                if len(pd.p1) == 5:
+                    laps.add(word[1] == pd.d)          # a lap forwards keeps d first
+    assert laps == {False, True}
 
 
 def test_swap_gadget_is_no_longer_than_the_window_search(rng):
@@ -193,10 +215,10 @@ def test_swap_gadget_is_no_longer_than_the_window_search(rng):
         g, cands = _diamonds(name)
         for pd in cands:
             _, cur = _aligned_at_c(g, rng, pd)
-            frame = turning_frame(g, pd)
+            frame = turning_frame(pd)
             x, y = (cur.label_at(frame.dominoes[i]) for i in (frame.i_ab, frame.i_v))
             want = _exchanged(g, cur.pieces, x, y, pd.c)
-            gadget = _swap_special(cur, frame, Transpositions())
+            gadget = replay(cur, gadget_word(frame, _label_order(cur, frame.dominoes)))
             _assert_reaches(gadget, want)
             lengths.setdefault(len(pd.p1), set()).add(len(gadget))
             if len(pd.p1) == 3:
@@ -250,22 +272,20 @@ def test_sort_swaps_are_the_fewest_cyclic_inversions(rng):
 
 
 def test_swap_gadget_builds_once_per_label_order(monkeypatch):
-    """Within a plan, the swap gadget is built once at each window that
-    swaps, whatever the order of the two swapped labels, so no more times
-    than the plan swaps; every other swap replays its kept vertices. The
-    plans still verify."""
+    """Within a plan, the swap gadget's word is made once at each window
+    that swaps, whatever the order of the two swapped labels, so no more
+    times than the plan swaps; every other swap there reuses it. The plans
+    still verify."""
     from trigrid import hc_planner
 
     builds = []
 
-    class Counting(Transpositions):
-        def __call__(self, cur, a, b, key, build):
-            def counted(target):
-                builds.append(key)
-                return build(target)
-            return super().__call__(cur, a, b, key, counted)
+    def counted(frame, order):
+        pd = frame.pd
+        builds.append((pd.a, pd.b, pd.c, pd.d))
+        return gadget_word(frame, order)
 
-    monkeypatch.setattr(hc_planner, "Transpositions", Counting)
+    monkeypatch.setattr(hc_planner, "gadget_word", counted)
     rng = random.Random(1)
     for g in locally_connected_corpus():
         if g.name not in ("para21", "hex23", "para25"):
@@ -294,13 +314,13 @@ def test_sort_takes_the_cheaper_move_at_every_swap(monkeypatch):
     sort, swap = hc_planner._sort, hc_planner.swap_adjacent
     sorts, steps = [], []
 
-    def recorded_sort(frames, order, want, memo):
+    def recorded_sort(frames, order, want):
         sorts.append((frames, list(order), want))
-        return sort(frames, order, want, memo)
+        return sort(frames, order, want)
 
-    def recorded_swap(order, j, frm, to, memo):
+    def recorded_swap(order, j, frm, to, words):
         before = list(order)
-        kept, end = swap(order, j, frm, to, memo)
+        kept, end = swap(order, j, frm, to, words)
         steps.append((before, j, frm, len(kept)))
         return kept, end
 
@@ -377,41 +397,39 @@ def test_windows_shorten_mean_plans_on_every_host(capsys):
         print("\ncycle plans over pairs 1-10:\n" + "\n".join(lines))
 
 
-def test_plan_hamilton_corrupted_gadget_fails_its_next_hit(monkeypatch):
-    """A stored swap gadget that is one move short raises
-    PlanInvariantError when a later swap on the same state replays it."""
+def test_plan_hamilton_corrupted_gadget_fails_verification(monkeypatch):
+    """A swap gadget's word one move short is caught by `finish_plan`'s one
+    check of the whole plan, which raises PlanInvariantError."""
     from trigrid import hc_planner
 
-    stored = []
+    made = []
 
-    class Corrupting(dict):
-        def __setitem__(self, key, kept):
-            stored.append(key)
-            super().__setitem__(key, kept[:-1])
+    def short(frame, order):
+        made.append(frame)
+        return gadget_word(frame, order)[:-1]
 
-    def corrupting_memo():
-        memo = Transpositions()
-        memo.kept = Corrupting()
-        return memo
-
-    monkeypatch.setattr(hc_planner, "Transpositions", corrupting_memo)
+    monkeypatch.setattr(hc_planner, "gadget_word", short)
     g = next(g for g in locally_connected_corpus() if g.name == "para21")
     rng = random.Random(1)
     p, q = random_placement(g, rng), random_placement(g, rng)
-    with pytest.raises(PlanInvariantError, match="gadget does not end at the swap target"):
+    with pytest.raises(PlanInvariantError, match="^plan verification failed: "):
         plan_hamilton(g, p, q)
-    assert stored
+    assert made
 
 
 def test_planner_rotations_match_reference_search(monkeypatch):
-    """Every rotation the cycle planner asks for on the cycle-large hosts,
-    its swap gadgets' and the sort's turns included, those that go on to
-    another window's corner mid-lap too, replayed through the reference
-    breadth-first search over the cycle's edges: the same moves and the
-    same end."""
+    """Every rotation the cycle planner makes on the cycle-large hosts,
+    replayed through the reference breadth-first search over the cycle's
+    edges: the same moves and the same end. They are the turn to the first
+    corner, the sort's turns, those that go on to another window's corner
+    mid-lap too, each gadget word's lap and turn (the two `rotate` calls of
+    `support.reference_gadget`, whose word it equals) and the last turn,
+    into q's frame."""
+    import support
     from trigrid import hc_planner
 
-    calls, mid_lap = [], []
+    calls, mid_lap, gadgets, last = [], [], [], []
+    turning, host = [], []
 
     def recorded(p, cycle, exposed=None, pieces=()):
         pieces = list(pieces)
@@ -420,22 +438,52 @@ def test_planner_rotations_match_reference_search(monkeypatch):
         return seq
 
     def recorded_turn(order, j, frm, to):
+        turning.append(1)
         kept, end = turn_to_swap(order, j, frm, to)
-        p, pd = frm.placement(order), to.pd
+        turning.pop()
+        p, pd = frame_placement(host[0], frm.ring, order), to.pd
         calls.append((p, pd.cycle.order, pd.c, [(order[j], to.dominoes[to.lo])],
-                      SlideSequence(p, kept, to.placement(end))))
+                      SlideSequence(p, kept, frame_placement(host[0], to.ring, end))))
         mid_lap.append(frm.pd != pd)
         return kept, end
 
+    def recorded_gadget(frame, order):
+        word = gadget_word(frame, order)
+        assert word == reference_gadget(frame_placement(host[0], frame.ring, order), frame).kept
+        gadgets.append(frame.pd)
+        return word
+
+    def recorded_walk(ring, labels, us):
+        u, kept = shorter_walk(ring, labels, us)
+        if not turning:                            # the last turn
+            k, s = len(labels), 2 * u % len(ring)
+            p = frame_placement(host[0], ring, labels)
+            end = frame_placement(host[0], ring[s:] + ring[:s],
+                                  labels[u % k:] + labels[:u % k])
+            calls.append((p, ring, end.exposed, list(enumerate(end.pieces, 1)),
+                          SlideSequence(p, kept, end)))
+            last.append(len(kept))
+        return u, kept
+
     monkeypatch.setattr(hc_planner, "rotate", recorded)
+    monkeypatch.setattr(support, "rotate", recorded)
     monkeypatch.setattr(hc_planner, "turn_to_swap", recorded_turn)
+    monkeypatch.setattr(hc_planner, "gadget_word", recorded_gadget)
+    monkeypatch.setattr(hc_planner, "shorter_walk", recorded_walk)
     rng = random.Random(3)
+    plans = 0
     for g in locally_connected_corpus():
         if g.name in ("para21", "hex23", "para25"):
+            host[:] = [g]
             for _ in range(2):
-                plan_hamilton(g, random_placement(g, rng), random_placement(g, rng))
+                before = len(gadgets)
+                rep = plan_hamilton(g, random_placement(g, rng), random_placement(g, rng))
+                plans += 1
+                assert len(gadgets) - before == rep.stats["gadgets"]
     assert len(calls) > 60
     assert 0 < sum(mid_lap) < len(mid_lap)
+    assert len(last) == plans and any(last)
+    assert len({(pd.a, pd.b, pd.c, pd.d) for pd in gadgets}) > 3
     for p, cycle, exposed, pieces, seq in calls:
         def goal(s):
             return ((exposed is None or s.exposed == exposed)
@@ -445,6 +493,46 @@ def test_planner_rotations_match_reference_search(monkeypatch):
         assert label_word(seq) == ref
         end = apply_sequence(p, ref)
         assert seq.end.pieces == end.pieces and seq.end.exposed == end.exposed
+
+
+def test_plan_hamilton_builds_no_placement_after_the_first_corner(monkeypatch):
+    """On hosts of five or more vertices, `rotate` runs once a plan, the
+    turn to the first window's corner, and from there to `finish_plan` no
+    `Placement` is built and no `replay` or `Transpositions` call runs:
+    the sort, its gadgets and the last turn are arithmetic on the list of
+    labels."""
+    from trigrid import hc_planner
+    from trigrid.plans import Transpositions, finish_plan
+
+    replays = spy_everywhere(monkeypatch, replay)
+    events = []                                # (name, replays so far)
+
+    def recorder(name, fn, on_return=False):
+        def recorded(*args, **kwargs):
+            if not on_return:
+                events.append((name, len(replays)))
+            out = fn(*args, **kwargs)
+            if on_return:
+                events.append((name, len(replays)))
+            return out
+        return recorded
+
+    monkeypatch.setattr(hc_planner, "rotate", recorder("rotate", rotate, on_return=True))
+    monkeypatch.setattr(hc_planner, "finish_plan", recorder("finish", finish_plan))
+    for cls, method in ((Placement, "__init__"), (Transpositions, "__init__"),
+                        (Transpositions, "__call__")):
+        monkeypatch.setattr(cls, method, recorder(cls.__name__, getattr(cls, method)))
+    rng = random.Random(4)
+    for g in locally_connected_corpus():
+        for _ in range(2):
+            p, q = random_placement(g, rng), random_placement(g, rng)
+            events.clear()
+            rep = plan_hamilton(g, p, q)
+            names = [name for name, _ in events]
+            assert names.count("rotate") == 1 and names.count("finish") == 1
+            at, done = names.index("rotate"), names.index("finish")
+            assert names[at + 1:done] == [] and events[at][1] == events[done][1]
+            assert rep.stats["swaps"] == 0 or rep.stats["gadgets"] > 0
 
 
 def test_plan_hamilton_identity(hex7, rng):
