@@ -3,14 +3,14 @@ decompositions: align both placements, then reconfigure level by level."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from .grid import TriGridGraph, cycle_edges, edge_key
 from .matching import alternating_path_to
 from .ears import EarDecomposition, LevelMatchings, align_with_ears, ear_settled, find_admissible
 from .placement import (Placement, SlideSequence, align_with_cycle, forced_cycle_dominoes,
-                        invert_sequence, replay, rotate)
-from .plans import PlanError, PlanReport, Transpositions, finish_plan
+                        invert_sequence, rotate)
+from .plans import PlanError, PlanReport, finish_plan
 
 
 class _Planner:
@@ -18,7 +18,7 @@ class _Planner:
         self.d = d
         self.levels = LevelMatchings(g, d)
         self.trace: List[Dict] = []
-        self.gadgets = Transpositions()
+        self.gadgets: Dict[Hashable, Tuple[int, ...]] = {}
         self.swaps = 0
         self.fallbacks = 0
 
@@ -100,43 +100,48 @@ class _Planner:
         """Slides inside G_j that transpose labels a and b, both on edges of
         G_j, and leave every other piece and the gap where they were.
 
-        The memo is keyed by the level, the unlabeled pieces, the gap and
-        the two positions: the first transposition of a key is built by
-        `_conjugate`, and every later one replays its word, uncut, as
-        `finish_plan` cuts the whole plan once.
+        A slide is fixed by its kept vertex and the gap, not by labels, so
+        the memo `gadgets` keeps the word `_conjugate` builds for a key and
+        reuses it, unreplayed, for any labels: within one plan, a key must
+        fix the level, the unlabeled pieces, the gap and the two positions.
+        Words stay uncut; `finish_plan` cuts and checks the whole plan once.
         """
+        pieces = list(cur.pieces)
+        pieces[a - 1], pieces[b - 1] = pieces[b - 1], pieces[a - 1]
+        target = Placement(cur.graph, tuple(pieces), cur.exposed)
         key = (j, frozenset(cur.pieces), cur.exposed,
                frozenset((cur.piece(a), cur.piece(b))))
-        return self.gadgets(cur, a, b, key, lambda target: self._conjugate(j, cur, a, b, target))
+        word = self.gadgets.get(key)
+        if word is None:
+            word = self.gadgets[key] = self._conjugate(j, cur, a, b, target)
+        return SlideSequence(cur, word, target)
 
     def _conjugate(self, j: int, cur: Placement, a: int, b: int,
-                   target: Placement) -> SlideSequence:
-        """The transposition of labels a and b at level j as
-        E . R . T . R^-1 . E^-1.
+                   target: Placement) -> Tuple[int, ...]:
+        """The word of the transposition of labels a and b at level j, from
+        cur to target, as E . R . T . R^-1 . E^-1.
 
         E exposes the first vertex v of ear j, which aligns the ear. R
         turns the labels along `_ear_cycle`, the gap back at v, so that
         both pieces lie in G_{j-1}; a chord needs none, as then no piece
         is on it. T is the same transposition at level j - 1. Slides are
-        label-blind, so R's and E's kept vertices replayed in reverse after
-        T undo them and leave only the transposition. The core levels
-        (j <= 3) are planned directly, and so is level j, counted in
-        `fallbacks`, when no turn of the cycle brings both pieces into
-        G_{j-1}.
+        label-blind, so R's and E's kept vertices in reverse after T undo
+        them and leave only the transposition. The core levels (j <= 3)
+        are planned directly, and so is level j, counted in `fallbacks`,
+        when no turn of the cycle brings both pieces into G_{j-1}.
         """
         if j <= 3:
-            return self.plan(j, cur, target)
+            return self.plan(j, cur, target).kept
         ear = self.d.ear(j)
         outer = self.levels.expose(cur, j, ear[0])
         if len(ear) > 2:
             turn = self._lower(j, outer.end, a, b)
             if turn is None:
                 self.fallbacks += 1
-                return self.plan(j, cur, target)
+                return self.plan(j, cur, target).kept
             outer = outer.then(turn)
         inner = self._transpose(j - 1, outer.end, a, b)
-        back = replay(inner.end, outer.kept[::-1])
-        return outer.then(inner).then(back)
+        return outer.kept + inner.kept + outer.kept[::-1]
 
     def _lower(self, j: int, cur: Placement, a: int, b: int) -> Optional[SlideSequence]:
         """The shortest rotation along ear j's cycle, the gap at the ear's

@@ -1,13 +1,15 @@
 """What both planners share: their errors, their report, and
 `finish_plan`, which cuts a plan's word once into the verified moves of
-its report; also the ear planner's transposition memo."""
+its report. Both planners build their plans as words and step no board
+to check them on the way; `finish_plan` is each plan's one check."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Tuple
+from typing import Dict, List, Tuple
 
-from .placement import Placement, SlideMove, SlideSequence, cut_loops, replay, verify_sequence
+from .placement import (Placement, PlacementError, SlideMove, SlideSequence, cut_loops,
+                        verify_sequence)
 
 
 class PlanError(Exception):
@@ -31,7 +33,7 @@ class PlanReport:
     not the lower-level ones each of them is conjugated from, and the cycle
     planner's adjacent swaps. `gadgets` counts the transpositions built
     rather than reused: the ear planner's at every level
-    (`Transpositions`), the cycle planner's swap-gadget words
+    (`_Planner._transpose`'s memo), the cycle planner's swap-gadget words
     (`hc_planner.gadget_word`, one a window that swaps). `fallbacks`
     counts the levels the ear planner planned whole for a transposition
     because no rotation brought both pieces into the level below (0 for
@@ -54,9 +56,13 @@ def finish_plan(seq: SlideSequence, q: Placement, strategy: str,
                 fallbacks: int = 0, windows: int = 0) -> PlanReport:
     """Cut the loops out of a full plan's word, the one cut a plan gets,
     which labels its slides in the same replay; check the moves with
-    `verify_sequence` and report them. Raises PlanInvariantError if they
-    do not replay to q."""
-    moves = cut_loops(seq)
+    `verify_sequence` and report them. Raises PlanInvariantError if the
+    word steps from a vertex no piece covers or the moves do not replay
+    to q."""
+    try:
+        moves = cut_loops(seq)
+    except PlacementError as exc:
+        raise PlanInvariantError(f"plan verification failed: {exc}") from exc
     check = verify_sequence(seq.start, moves, expected_end=q)
     if not check.ok:
         raise PlanInvariantError(f"plan verification failed: {check.message}")
@@ -65,36 +71,3 @@ def finish_plan(seq: SlideSequence, q: Placement, strategy: str,
                              "gadgets": gadgets, "fallbacks": fallbacks,
                              "windows": windows})
 
-
-class Transpositions:
-    """One ear plan's memo of transposition gadgets; the cycle planner
-    writes its gadgets' words in closed form. A slide is fixed by its
-    kept vertex and the gap, not by labels, so a gadget built once for a
-    key replays on any labels. Within one plan a key must fix the
-    unlabeled state, the gap, the two positions and whatever else `build`
-    depends on. `kept` maps each key to its gadget's word, stored as
-    built, loops and all: `finish_plan` cuts the whole plan once. The
-    memo's length is the number of builds."""
-
-    def __init__(self) -> None:
-        self.kept: Dict[Hashable, Tuple[int, ...]] = {}
-
-    def __len__(self) -> int:
-        return len(self.kept)
-
-    def __call__(self, cur: Placement, a: int, b: int, key: Hashable,
-                 build: Callable[[Placement], SlideSequence]) -> SlideSequence:
-        """Slides from cur that exchange the pieces of labels a and b and
-        keep every other piece and the gap: replayed for a known key, else
-        `build(target)`, target being the swapped placement. Raises
-        PlanInvariantError if they do not end at target."""
-        pieces = list(cur.pieces)
-        pieces[a - 1], pieces[b - 1] = pieces[b - 1], pieces[a - 1]
-        target = Placement(cur.graph, tuple(pieces), cur.exposed)
-        kept = self.kept.get(key)
-        gadget = build(target) if kept is None else replay(cur, kept)
-        if gadget.end != target:
-            raise PlanInvariantError("gadget does not end at the swap target")
-        if kept is None:
-            self.kept[key] = gadget.kept
-        return gadget

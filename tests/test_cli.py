@@ -476,6 +476,30 @@ def _hex7_plan_argv(tmp_path, strategy):
             "--out", str(tmp_path / f"{strategy}.plan")]
 
 
+def test_ear_plan_stepping_an_uncovered_vertex_is_internal_error(tmp_path, capsys,
+                                                                 monkeypatch):
+    """A full ear plan whose word steps from the vertex no piece covers
+    fails `finish_plan` with its own PlanInvariantError, not `cut_loops`'
+    PlacementError, and exits 4."""
+    from trigrid import ear_planner
+    from trigrid.placement import SlideSequence
+
+    finish = ear_planner.finish_plan
+
+    def past_the_gap(seq, *args):
+        return finish(SlideSequence(seq.start, seq.kept + (seq.end.exposed,), seq.end), *args)
+
+    monkeypatch.setattr(ear_planner, "finish_plan", past_the_gap)
+    argv = _hex7_plan_argv(tmp_path, "ear")
+    capsys.readouterr()
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal invariant failure: PlanInvariantError: "
+                          "plan verification failed: vertex ")
+    assert "is not covered" in err
+    assert not (tmp_path / "ear.plan").exists()
+
+
 @pytest.mark.parametrize("strategy", ["ear", "hamilton"])
 def test_plan_replays_once(tmp_path, monkeypatch, strategy):
     """`plan` replays its plan under the four checks exactly once, in

@@ -15,7 +15,7 @@ from trigrid.grid import (DIRS, build_abstract, build_graph, degree6_vertices,
                           is_two_connected)
 from trigrid.matching import enumerate_near_perfect_matchings, is_factor_critical
 from trigrid.oracle import bfs_component
-from trigrid.placement import Placement, cut_loops, replay, verify_sequence
+from trigrid.placement import Placement, cut_loops, expose, replay, verify_sequence
 from trigrid.plans import PlanInvariantError
 
 from conftest import random_placement
@@ -197,8 +197,8 @@ def test_plan_ear_matches_oracle_reachability(rng):
 
 
 def test_plan_ear_cuts_loops_once(monkeypatch, rng):
-    """Each ear plan is cut once, whole, in `finish_plan`: the gadgets the
-    plan builds and replays keep their loops until then."""
+    """Each ear plan is cut once, whole, in `finish_plan`: the gadget words
+    the plan builds and reuses keep their loops until then."""
     calls = spy_everywhere(monkeypatch, cut_loops)
     gadgets = 0
     for g in degree6_corpus(max_vertices=19):
@@ -269,7 +269,7 @@ def _gadget_key(j, cur, a, b):
 def test_plan_ear_builds_each_gadget_once(monkeypatch, rng):
     """A transposition of two positions from one unlabeled state at one
     level is built once per plan, at every level of the recursion; later
-    transpositions of the same key, nested ones included, replay it.
+    transpositions of the same key, nested ones included, reuse its word.
     `swaps` counts only the fills' transpositions and `gadgets` the
     builds."""
     g = build_graph(hexagon_points(2))
@@ -302,10 +302,11 @@ def test_plan_ear_builds_each_gadget_once(monkeypatch, rng):
     assert check.ok and check.matches_expected
 
 
-def test_plan_ear_corrupted_gadget_fails_its_next_hit(monkeypatch, rng):
-    """A stored gadget that no longer transposes its two positions raises
-    PlanInvariantError when a later transposition, at its own level or
-    nested in a higher one, replays it."""
+def test_plan_ear_corrupted_gadget_fails_verification(monkeypatch, rng):
+    """A stored gadget word that no longer transposes its two positions is
+    reused, unreplayed, by every later transposition of its key, at its
+    own level or nested in a higher one, and fails `finish_plan`'s check
+    of the whole plan."""
     g = build_graph(hexagon_points(2))
     p, q = random_placement(g, rng), random_placement(g, rng)
     stored = []
@@ -319,28 +320,45 @@ def test_plan_ear_corrupted_gadget_fails_its_next_hit(monkeypatch, rng):
 
     def corrupting_init(self, *args):
         init(self, *args)
-        self.gadgets.kept = Corrupting()
+        self.gadgets = Corrupting()
 
     monkeypatch.setattr(_Planner, "__init__", corrupting_init)
-    with pytest.raises(PlanInvariantError, match="gadget does not end at the swap target"):
+    with pytest.raises(PlanInvariantError, match="^plan verification failed: "):
         plan_ear(g, p, q)
     assert stored
 
 
-def test_plan_ear_gadget_build_is_checked(monkeypatch, rng):
-    """A built gadget that misses its target raises PlanInvariantError
-    before the memo keeps it."""
+def test_plan_ear_wrong_gadget_build_fails_verification(monkeypatch, rng):
+    """A built gadget word that misses its target is taken as built, and
+    the plan fails `finish_plan`'s check of the whole plan."""
     g = build_graph(hexagon_points(2))
     p, q = random_placement(g, rng), random_placement(g, rng)
     conjugate = _Planner._conjugate
 
     def short(self, j, cur, a, b, target):
-        seq = conjugate(self, j, cur, a, b, target)
-        return replay(seq.start, seq.kept[:-1])
+        return conjugate(self, j, cur, a, b, target)[:-1]
 
     monkeypatch.setattr(_Planner, "_conjugate", short)
-    with pytest.raises(PlanInvariantError, match="gadget does not end at the swap target"):
+    with pytest.raises(PlanInvariantError, match="^plan verification failed: "):
         plan_ear(g, p, q)
+
+
+def test_plan_ear_replays_only_exposures(monkeypatch, rng):
+    """An ear plan steps a board only inside `placement.expose`: gadget
+    words, reused or built, are joined as words, so every `replay` during
+    `plan_ear` is the one each exposure makes, from its own start."""
+    exposes = spy_everywhere(monkeypatch, expose)
+    replays = spy_everywhere(monkeypatch, replay)
+    gadgets = 0
+    for g in [build_graph(hexagon_points(2)), hex_with_hole_graph(2)]:
+        p, q = random_placement(g, rng), random_placement(g, rng)
+        exposes.clear()
+        replays.clear()
+        rep = plan_ear(g, p, q)
+        gadgets += rep.stats["gadgets"]
+        assert exposes and len(replays) == len(exposes)
+        assert all(r[0] is e[0] for r, e in zip(replays, exposes))
+    assert gadgets > 0
 
 
 def _g_j_state(planner, j, rng):

@@ -498,11 +498,10 @@ def test_planner_rotations_match_reference_search(monkeypatch):
 def test_plan_hamilton_builds_no_placement_after_the_first_corner(monkeypatch):
     """On hosts of five or more vertices, `rotate` runs once a plan, the
     turn to the first window's corner, and from there to `finish_plan` no
-    `Placement` is built and no `replay` or `Transpositions` call runs:
-    the sort, its gadgets and the last turn are arithmetic on the list of
-    labels."""
+    `Placement` is built and no `replay` runs: the sort, its gadgets and
+    the last turn are arithmetic on the list of labels."""
     from trigrid import hc_planner
-    from trigrid.plans import Transpositions, finish_plan
+    from trigrid.plans import finish_plan
 
     replays = spy_everywhere(monkeypatch, replay)
     events = []                                # (name, replays so far)
@@ -519,9 +518,7 @@ def test_plan_hamilton_builds_no_placement_after_the_first_corner(monkeypatch):
 
     monkeypatch.setattr(hc_planner, "rotate", recorder("rotate", rotate, on_return=True))
     monkeypatch.setattr(hc_planner, "finish_plan", recorder("finish", finish_plan))
-    for cls, method in ((Placement, "__init__"), (Transpositions, "__init__"),
-                        (Transpositions, "__call__")):
-        monkeypatch.setattr(cls, method, recorder(cls.__name__, getattr(cls, method)))
+    monkeypatch.setattr(Placement, "__init__", recorder("Placement", Placement.__init__))
     rng = random.Random(4)
     for g in locally_connected_corpus():
         for _ in range(2):
