@@ -95,12 +95,14 @@ class TriGridGraph:
 
     @cached_property
     def slide_space(self) -> SlideSpace:
-        """The oracle's edge ids, slide tables and per-configuration move
-        memo for this host, built on first use and kept as long as this
-        graph object. The memo holds one entry per configuration a search
-        has reached, so it is bounded by the host's configuration count,
-        its near-perfect matchings. It is no dataclass field, so equality
-        and hashing ignore it, and an equal graph object has its own."""
+        """The oracle's edge ids, slide tables, labeling ranks and
+        per-configuration move memos for this host, built on first use and
+        kept as long as this graph object. The memos hold one entry per
+        configuration a search has reached, so they are bounded by the
+        host's configuration count, its near-perfect matchings; the ranks
+        take n! entries and the rank steps at most n^2 lists of n! each.
+        It is no dataclass field, so equality and hashing ignore it, and an
+        equal graph object has its own."""
         from .oracle import SlideSpace  # oracle imports grid
         return SlideSpace(self)
 

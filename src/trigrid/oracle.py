@@ -1,8 +1,9 @@
 """Exhaustive ground truth over the labeled-placement state space.
 
 Breadth-first search over every placement reachable by single slides;
-usable for instances up to roughly thirteen vertices, where a component
-holds up to about 10^5 states (matchings times label orderings).
+usable for instances up to roughly fifteen vertices (thirteen by
+default), where a component holds up to about 1.4 * 10^6 states
+(matchings times label orderings).
 
 A state is a `bytes` of length n, the number of pieces: byte i is the
 index, in the host's sorted edge list, of the edge under label i + 1. The
@@ -14,25 +15,47 @@ so a successor is `s.translate(table)` with a 256-byte table that depends
 only on those two ids. No `Placement` is built during a search. Edge
 ids must fit in a byte, so hosts with more than 256 edges are refused.
 
-`bfs_component` runs a level-synchronous BFS from one placement. Its
-frontier is grouped by configuration; the tables and next configurations
-of each configuration are built once per host, in the `SlideSpace` that
-the graph object owns (`TriGridGraph.slide_space`), and shared by every
-state of its group and by every later search on the same graph object.
-`_level` steps the states one by one.
+The two searches store states differently, because they touch different
+parts of the space:
 
-`distance` meets in the middle with the same level step: one search from
-p and one from q, since the inverse of a slide is a slide. Each round
-expands the side with fewer frontier states by one whole level and stops
-at the first new state the other side already holds. Each side then goes
-about half the distance deep, so a reachable q costs a small part of the
-component. An unreachable q costs up to both components, more than one
-`bfs_component`: the search ends only when one side runs out.
+- `bfs_component` reaches a whole component, so it keeps one dense row
+  of n! distances per configuration it reaches. A state there is its
+  configuration and its labeling: the position of each label's piece in
+  the sorted configuration, a permutation of range(n). A row is indexed by
+  the labeling's rank in the host's one list of the n! permutations
+  (`SlideSpace.labelings`, ranked through one dict, `SlideSpace.rank`).
+  The labelings reached at one configuration form one coset of a label
+  group (Wilson, JCTB 1974), so the rows of a reconfigurable host fill
+  up. A slide moves the piece at one position of the sorted configuration
+  to another, whatever its label, so it maps labeling ranks to labeling
+  ranks through one list of n! ranks that depends only on those two
+  positions. The BFS runs level by level on ranks, with its frontier
+  grouped by configuration, and steps each rank with one list index. A
+  state costs one list slot, not a `bytes` key and a dict entry.
+
+- `distance` meets in the middle and touches a small part of a
+  component, spread over many configurations: over seeded pairs a call
+  has a median of 586-3,984 states over 64-184 configurations on
+  `deg6-11v-5`, `hex11` and `hex13`. A row per configuration would cost
+  more than it saves, so it keeps byte states in one dict per side and
+  steps them with the edge-id tables. Each round expands the
+  side with fewer frontier states by one whole level and stops at the
+  first new state the other side already holds. Each side then goes
+  about half the distance deep, so a reachable q costs a small part of
+  the component. An unreachable q costs up to both components, more than
+  one `bfs_component`: the search ends only when one side runs out.
+
+Both searches take a configuration's slides, tables included, from the
+`SlideSpace` that the graph object owns (`TriGridGraph.slide_space`),
+built once per configuration and shared by every later search on the
+same graph object.
 """
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, IO, List, Optional, Tuple
 
 from .grid import Edge, TriGridGraph, edge_key
@@ -50,6 +73,8 @@ class OracleBudgetError(Exception):
 
 
 _Moves = List[Tuple[bytes, bytes]]
+# (rank step, next configuration) of each slide
+_RankedMoves = List[Tuple[List[int], bytes]]
 
 
 class SlideSpace:
@@ -62,10 +87,22 @@ class SlideSpace:
     gives (table, next configuration) for every slide from a
     configuration, built once per configuration. A table depends only on
     the two edge ids of the slide, so one is kept per pair, not one per
-    move: on `hex13` that is 156 tables instead of 684. The space holds
-    the host's adjacency, not the host, so it keeps no graph alive."""
+    move: on `hex13` that is 156 tables instead of 684.
+
+    `labelings` lists the n! labelings, the permutations of range(n), in
+    rank order, and `rank` maps each to its index. `ranked_moves_of(cfg)`
+    gives (rank step, next configuration) for every slide from a
+    configuration, built once per configuration. A slide takes the piece
+    at position a of the sorted configuration to position b of the next
+    one, and the pieces between shift by one. Its rank step is a list of
+    n! ranks, the rank of each labeling after the slide, which a 256-byte
+    position table steps. A rank step depends only on (a, b), so a host
+    keeps at most n^2 of them. These are built on first use by
+    `bfs_component`; `distance` needs none. The space holds the host's
+    adjacency, not the host, so it keeps no graph alive."""
 
     def __init__(self, g: TriGridGraph):
+        self.n = g.n
         self.edges: Tuple[Edge, ...] = tuple(sorted(g.edges))
         self.index: Dict[Edge, int] = {e: i for i, e in enumerate(self.edges)}
         # the id of edge (w, x) under both orders of its ends
@@ -75,6 +112,17 @@ class SlideSpace:
         self._adj = g.adj
         self._tables: Dict[Tuple[int, int], bytes] = {}
         self._moves: Dict[bytes, _Moves] = {}
+        self._rank_steps: Dict[Tuple[int, int], List[int]] = {}
+        self._ranked_moves: Dict[bytes, _RankedMoves] = {}
+
+    @cached_property
+    def labelings(self) -> Tuple[bytes, ...]:
+        """Every permutation of range(n) as bytes, in lexicographic order."""
+        return tuple(map(bytes, itertools.permutations(range(self.n))))
+
+    @cached_property
+    def rank(self) -> Dict[bytes, int]:
+        return {lab: r for r, lab in enumerate(self.labelings)}
 
     def moves_of(self, cfg: bytes) -> _Moves:
         out = self._moves.get(cfg)
@@ -97,30 +145,80 @@ class SlideSpace:
             out.append((table, bytes(sorted(cfg.translate(table)))))
         return out
 
+    def ranked_moves_of(self, cfg: bytes) -> _RankedMoves:
+        out = self._ranked_moves.get(cfg)
+        if out is None:
+            out = self._ranked_moves[cfg] = []
+            for _, cfg2 in self.moves_of(cfg):
+                (old,) = set(cfg).difference(cfg2)
+                (new,) = set(cfg2).difference(cfg)
+                step = self._rank_step(cfg.index(old), cfg2.index(new))
+                out.append((step, cfg2))
+        return out
+
+    def _rank_step(self, a: int, b: int) -> List[int]:
+        step = self._rank_steps.get((a, b))
+        if step is None:
+            order = list(range(self.n))      # order[k]: the old position now at k
+            order.insert(b, order.pop(a))
+            position = bytearray(range(256))
+            for k, j in enumerate(order):
+                position[j] = k
+            rank = self.rank
+            step = self._rank_steps[a, b] = [rank[lab.translate(position)]
+                                             for lab in self.labelings]
+        return step
+
+
+def _split(s: bytes) -> Tuple[bytes, bytes]:
+    """(configuration, labeling) of state s. The labeling is no
+    permutation if s repeats an edge id."""
+    cfg = bytes(sorted(s))
+    position = bytearray(256)
+    for j, i in enumerate(cfg):
+        position[i] = j
+    return cfg, s.translate(position)
+
 
 @dataclass(frozen=True)
 class Component:
-    """One connected component of the slide graph, with BFS distances keyed
-    on encoded states. The edge ids in a state are those of the start's
-    host, `start.graph.slide_space`."""
+    """One connected component of the slide graph: per configuration, a
+    row of n! distances indexed by labeling rank, None where a labeling
+    lies outside the component; the number of states and the largest
+    distance, both counted during the search. The edge ids in a
+    configuration are those of the start's host, `start.graph.slide_space`."""
 
     start: Placement
-    distances: Dict[bytes, int]
+    rows: Dict[bytes, List[Optional[int]]]
+    size: int
+    eccentricity: int
 
     @property
-    def size(self) -> int:
-        return len(self.distances)
-
-    @property
-    def eccentricity(self) -> int:
-        return max(self.distances.values(), default=0)
+    def distances(self) -> Dict[bytes, int]:
+        """Every state's distance, keyed on encoded states. Built anew on
+        each access: rows in the order the search reached their
+        configurations, each in rank order."""
+        labelings = self.start.graph.slide_space.labelings
+        out = {}
+        for cfg, row in self.rows.items():
+            edge_of = cfg.ljust(256, b"\0")     # position -> edge id
+            for r, d in enumerate(row):
+                if d is not None:
+                    out[labelings[r].translate(edge_of)] = d
+        return out
 
     def contains(self, p: Placement) -> bool:
         return self.distance_to(p) is not None
 
     def distance_to(self, p: Placement) -> Optional[int]:
-        key = _key(p, self.start.graph.slide_space.index)
-        return None if key is None else self.distances.get(key)
+        space = self.start.graph.slide_space
+        key = _key(p, space.index)
+        if key is None:
+            return None
+        cfg, lab = _split(key)
+        row = self.rows.get(cfg)
+        r = space.rank.get(lab)
+        return None if row is None or r is None else row[r]
 
     def decode(self, s: bytes) -> Tuple[Tuple[Edge, ...], int]:
         """The (pieces, exposed) pair of state s, each piece as (min, max)."""
@@ -138,10 +236,18 @@ def _key(p: Placement, index: Dict[Edge, int]) -> Optional[bytes]:
     return None if None in ids else bytes(ids)
 
 
-def _start_key(p: Placement, index: Dict[Edge, int]) -> bytes:
-    start = _key(p, index)
-    if start is None:
-        raise ValueError("the start placement has a piece that is not a host edge")
+def _is_state(key: Optional[bytes], space: SlideSpace) -> bool:
+    """True iff key is n pieces on disjoint host edges, so that slides
+    step it."""
+    return (key is not None and len(key) == space.n
+            and len({v for i in key for v in space.edges[i]}) == 2 * space.n)
+
+
+def _start_key(p: Placement, space: SlideSpace) -> bytes:
+    start = _key(p, space.index)
+    if not _is_state(start, space):
+        raise ValueError(f"the start placement is not {space.n} pieces "
+                         "on disjoint host edges")
     return start
 
 
@@ -152,12 +258,13 @@ def _level(frontier: _Frontier, dist: Dict[bytes, int], d: int,
            moves_of: Callable[[bytes], _Moves],
            other: Optional[Dict[bytes, int]] = None
            ) -> Tuple[_Frontier, Optional[int]]:
-    """One BFS level. `frontier` holds the states at depth d - 1, grouped
-    by configuration: every state in a group takes the same slides, each
-    one `bytes.translate` with a shared table. Each successor not yet in
-    dist goes into dist at depth d and into the returned frontier, in the
-    order the loop meets it. If `other` holds a new state s, the level
-    stops there and returns d + other[s] as well."""
+    """One level of `distance`'s search over byte states. `frontier`
+    holds the states at depth d - 1, grouped by configuration: every state
+    in a group takes the same slides, each one `bytes.translate` with a
+    shared table. Each successor not yet in dist goes into dist at depth d
+    and into the returned frontier, in the order the loop meets it. If
+    `other` holds a new state s, the level stops there and returns
+    d + other[s] as well."""
     nxt: _Frontier = {}
     for cfg, states in frontier.items():
         for table, cfg2 in moves_of(cfg):
@@ -184,17 +291,44 @@ def _check_budget(g: TriGridGraph, bound: int) -> None:
 
 def bfs_component(g: TriGridGraph, p: Placement,
                   vertex_bound: int = DEFAULT_VERTEX_BOUND) -> Component:
-    """All placements reachable from p, each with its shortest slide count."""
+    """All placements reachable from p, each with its shortest slide count.
+
+    Level by level, with the frontier's labeling ranks grouped by
+    configuration: each slide of a configuration steps every rank of its
+    group through one rank step, and a rank is new where its slot in the
+    next configuration's row is still None."""
     _check_budget(g, vertex_bound)
     space = g.slide_space
-    start = _start_key(p, space.index)
-    dist = {start: 0}
-    frontier = {bytes(sorted(start)): [start]}
-    d = 0
+    cfg, lab = _split(_start_key(p, space))
+    width = len(space.labelings)
+    r = space.rank[lab]
+    rows = {cfg: [None] * width}
+    rows[cfg][r] = 0
+    frontier = {cfg: [r]}
+    size, d = 1, 0
     while frontier:
         d += 1
-        frontier, _ = _level(frontier, dist, d, space.moves_of)
-    return Component(p, dist)
+        nxt: Dict[bytes, List[int]] = {}
+        for cfg, ranks in frontier.items():
+            for step, cfg2 in space.ranked_moves_of(cfg):
+                row = rows.get(cfg2)
+                if row is None:
+                    row = rows[cfg2] = [None] * width
+                new = []
+                for r in ranks:
+                    r = step[r]
+                    if row[r] is None:
+                        row[r] = d
+                        new.append(r)
+                if new:
+                    size += len(new)
+                    group = nxt.get(cfg2)
+                    if group is None:
+                        nxt[cfg2] = new
+                    else:
+                        group += new
+        frontier = nxt
+    return Component(p, rows, size, d - 1)
 
 
 def state_count(g: TriGridGraph) -> int:
@@ -236,11 +370,10 @@ def distance(g: TriGridGraph, p: Placement, q: Placement,
     twice one `bfs_component`."""
     _check_budget(g, vertex_bound)
     space = g.slide_space
-    start = _start_key(p, space.index)
+    start = _start_key(p, space)
     goal = _key(q, space.index)
     # q's side takes slides only if q is n disjoint host edges, as p is
-    if (goal is None or len(goal) != len(start)
-            or len({v for i in goal for v in space.edges[i]}) != 2 * len(goal)):
+    if not _is_state(goal, space):
         return None
     if goal == start:
         return 0

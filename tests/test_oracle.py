@@ -5,6 +5,7 @@ import math
 import random
 import statistics
 import time
+import tracemalloc
 import weakref
 from collections import deque
 from itertools import permutations
@@ -171,6 +172,13 @@ def test_placement_off_the_host_is_not_in_the_component(pentagon):
     assert not comp.contains(off)
     with pytest.raises(ValueError):
         bfs_component(pentagon, off)
+    # host edges, but two pieces on one edge, or one piece short
+    for bad in (Placement(pentagon, ((2, 3), (2, 3)), 1),
+                Placement(pentagon, ((2, 3),), 1)):
+        with pytest.raises(ValueError, match="disjoint host edges"):
+            bfs_component(pentagon, bad)
+        with pytest.raises(ValueError, match="disjoint host edges"):
+            distance(pentagon, bad, p)
 
 
 def _oracle_host(name):
@@ -266,6 +274,36 @@ def test_distance_to_malformed_or_unreachable_targets(hex7):
     assert distance(hex7, p, Placement(hex7, ((1, 2), (3, 4)), 5)) is None
     with pytest.raises(ValueError):
         distance(hex7, Placement(hex7, ((1, 2), (3, 4), (5, 99)), 6), p)
+    # the ranked lookup meets a repeated edge id, a short key and an
+    # edge off the host
+    comp = bfs_component(hex7, p)
+    for q in (Placement(hex7, ((1, 2), (1, 2), (3, 4)), 5),
+              Placement(hex7, ((1, 2), (3, 4)), 5),
+              Placement(hex7, ((1, 2), (3, 4), (5, 99)), 6)):
+        assert comp.distance_to(q) is None
+        assert not comp.contains(q)
+
+
+def _traced(fn, *args):
+    """The result of one call of fn and its `tracemalloc` peak in MB."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_bfs_component_memory_on_hex13():
+    """One BFS over `hex13`'s 132,480 states on a fresh host, its slide
+    space included, peaks under 4 MB: a state costs one slot in its
+    configuration's row of distances, not a dict entry and a key."""
+    g = _oracle_host("hex13")
+    p = random_placement(g, random.Random(1))
+    comp, peak = _traced(bfs_component, g, p)
+    print(f"\nhex13: bfs_component traced peak {peak:.1f} MB")
+    assert comp.size == state_count(g) == 132480
+    assert peak < 4
 
 
 def test_para15_distances_at_vertex_bound_15():
@@ -276,8 +314,10 @@ def test_para15_distances_at_vertex_bound_15():
     p = random_placement(g, rnd)
     t0 = time.perf_counter()
     comp = bfs_component(g, p, vertex_bound=15)
-    print(f"\npara15: bfs_component {comp.size} states, "
-          f"{time.perf_counter() - t0:.2f} s")
+    secs = time.perf_counter() - t0
+    _, peak = _traced(bfs_component, g, p, 15)
+    print(f"\npara15: bfs_component {comp.size} states, {secs:.2f} s, "
+          f"traced peak {peak:.1f} MB (a second, traced run)")
     for _ in range(3):
         q = random_placement(g, rnd)
         t0 = time.perf_counter()
