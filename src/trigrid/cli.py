@@ -116,9 +116,8 @@ def cmd_check(args) -> int:
 def _pick_strategy(g: TriGridGraph, requested: str) -> str:
     if requested != "auto":
         return requested
-    if g.is_lattice and is_locally_connected(g) and not is_star_of_david(g):
-        return "hamilton"
-    return "ear"
+    # `cmd_plan` has refused the Star of David, the cycle planner's one exception
+    return "hamilton" if g.is_lattice and is_locally_connected(g) else "ear"
 
 
 def cmd_plan(args) -> int:

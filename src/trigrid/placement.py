@@ -1,14 +1,13 @@
 """Labeled placements and plans. A `Placement`'s cover map answers which
 label covers a vertex or lies on an edge, and so whether it is aligned
-with an odd cycle. A slide is fixed by its kept vertex, whose
-piece pivots onto the gap, so a plan is a `SlideSequence`: a start, a word
-of kept vertices and an end, stepped in place by `Board` (`replay`).
+with an odd cycle. A slide is fixed by its kept vertex, whose piece
+pivots onto the gap, so a plan is a `SlideSequence`: a start, a word of
+kept vertices and an end, which each builder writes down unstepped.
 `cut_loops` cuts a plan once and labels the slides it keeps as the
 `SlideMove`s that `slide`, the checked reference, and `verify_sequence`
-check. Also an odd cycle's forced dominoes, alignment with and rotation
-along it, and vertex exposure. Nothing here searches over slides, and
-neither planner does: `rotate` solves its goals in closed form, and
-`align_with_cycle` clears a cycle's chords through its forced dominoes."""
+check. Also an odd cycle's forced dominoes, alignment with it, rotation
+along it and vertex exposure, the last two in closed form. Nothing here
+searches over slides, and neither planner does."""
 
 from __future__ import annotations
 
@@ -195,55 +194,12 @@ def legal_moves(p: Placement) -> List[SlideMove]:
     return out
 
 
-class Board:
-    """A placement stepped in place: the pieces by label, a copy of its
-    cover map `owner` and the exposed vertex `gap`. A slide is fixed by its
-    kept vertex: the piece covering it pivots onto the gap. Pieces enter
-    normalised, (min, max), as every library-built `Placement` holds them,
-    and `step` stores each moved piece the same way. `step` trusts that the
-    kept vertex neighbours the gap; `slide` and `verify_sequence` check
-    every move, by the one routine `_check_slide`."""
-
-    __slots__ = ("graph", "pieces", "owner", "gap")
-
-    def __init__(self, p: Placement):
-        self.graph = p.graph
-        self.pieces = list(p.pieces)
-        self.owner = p.owner[:]
-        self.gap = p.exposed
-
-    def step(self, kept: int) -> None:
-        """Slide the piece covering `kept` onto the gap; raises
-        PlacementError if no piece covers `kept`."""
-        owner, gap = self.owner, self.gap
-        label = owner[kept]
-        if not label:
-            raise PlacementError(f"vertex {kept} is not covered")
-        a, b = self.pieces[label - 1]
-        far = b if kept == a else a
-        self.pieces[label - 1] = (kept, gap) if kept < gap else (gap, kept)
-        owner[gap], owner[far] = label, 0
-        self.gap = far
-
-
 def forced_cycle_dominoes(cycle: Sequence[int], gap: int) -> List[Edge]:
     """Dominoes of the unique tiling of an odd cycle with the given gap,
     listed in cycle order starting after the gap."""
     i = cycle.index(gap)
     after = cycle[i + 1:] + cycle[:i]
     return [(a, b) if a < b else (b, a) for a, b in zip(after[::2], after[1::2])]
-
-
-def replay(p: Placement, kept_vertices: Iterable[int]) -> SlideSequence:
-    """The word `kept_vertices` from p, stepped on a `Board` for its end;
-    raises PlacementError at a kept vertex no piece covers."""
-    board = Board(p)
-    kept = tuple(kept_vertices)
-    for v in kept:
-        board.step(v)
-    end = Placement(p.graph, tuple(board.pieces), board.gap)
-    end.__dict__["owner"] = board.owner        # the board is done: its map is the end's
-    return SlideSequence(p, kept, end)
 
 
 def walk_word(ring: Tuple[int, ...], t: int) -> Tuple[int, ...]:
@@ -358,13 +314,26 @@ def expose(p: Placement, v: int, m: Matching) -> SlideSequence:
     the component of M_p Δ m at p's exposed vertex, walked on p's cover
     map (`Placement.partner`) and m's partner map, and every slide lands
     its piece on an m-edge; the move count is half the path length, at
-    most n.
+    most n. Each piece on the path x0 ... x2m moves once, so the end is
+    written down, not stepped: the label covering x_t, t odd, lands on
+    (x_{t-1}, x_t) and the gap on x2m. Raises PlacementError at a kept
+    vertex no piece covers.
     """
     if m.covers(v) or (p.exposed != v and not m.covers(p.exposed)):
         raise PlacementError("the matching does not expose v, or p's exposed "
                              "vertex lies outside its subgraph")
     path = alternating_path_to(p, m, p.exposed, v)
-    return replay(p, path[1::2])
+    pieces, owner, gap = list(p.pieces), p.owner[:], path[-1]
+    for prev, kept in zip(path[::2], path[1::2]):
+        label = owner[kept]
+        if not label:
+            raise PlacementError(f"vertex {kept} is not covered")
+        pieces[label - 1] = (prev, kept) if prev < kept else (kept, prev)
+        owner[prev] = label
+    owner[gap] = 0
+    end = Placement(p.graph, tuple(pieces), gap)
+    end.__dict__["owner"] = owner              # the rewritten map is the end's cover map
+    return SlideSequence(p, tuple(path[1::2]), end)
 
 
 def align_with_cycle(p: Placement, cycle: Tuple[int, ...],
@@ -403,19 +372,19 @@ def cut_loops(seq: SlideSequence) -> Tuple[SlideMove, ...]:
     slide.
 
     The cut plan has the same start and end, visits no state twice, and
-    its slides are an in-order subsequence of `seq`'s. One replay on a
-    `Board` keys each state by the bytes of its cover map, two writes per
-    slide, and reads each slide's label and gap, so the cut is linear in
-    the plan. It marks the slides it keeps, then builds their `SlideMove`s
-    in one pass. `plans.finish_plan` cuts each full plan once and checks
-    the moves with `verify_sequence`. Raises PlacementError at a kept
-    vertex no piece covers.
+    its slides are an in-order subsequence of `seq`'s. One replay steps
+    a copy of the start's pieces, cover map and gap in place, keys each
+    state by the bytes of its cover map, two writes per slide, and reads
+    each slide's label and gap, so the cut is linear in the plan. It
+    marks the slides it keeps, then builds their `SlideMove`s in one
+    pass. `plans.finish_plan` cuts each full plan once and checks the
+    moves with `verify_sequence`. Raises PlacementError at a kept vertex
+    no piece covers.
     """
-    word = seq.kept
-    board = Board(seq.start)
-    pieces, owner, gap = board.pieces, board.owner, board.gap
+    word, start = seq.kept, seq.start
+    pieces, owner, gap = list(start.pieces), start.owner[:], start.exposed
     keys, labels, gaps = [owner.tobytes()], [], []
-    for kept in word:                          # `Board.step`, inlined
+    for kept in word:                          # the piece on kept pivots onto the gap
         label = owner[kept]
         if not label:
             raise PlacementError(f"vertex {kept} is not covered")

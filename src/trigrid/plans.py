@@ -1,6 +1,6 @@
 """What both planners share: their errors, their report, and
 `finish_plan`, which cuts a plan's word once into the verified moves of
-its report. Both planners build their plans as words and step no board
+its report. Both planners build their plans as words and step no piece
 to check them on the way; `finish_plan` is each plan's one check."""
 
 from __future__ import annotations

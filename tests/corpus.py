@@ -8,9 +8,9 @@ and locally-connected grids spanning 5 to 25 vertices.
 import itertools
 from typing import List, Set, Tuple
 
-from .grid import (Point, TriGridGraph, build_graph, canonical_point_form, hexagon_points,
-                   is_locally_connected, is_star_of_david, is_two_connected)
-from .matching import is_factor_critical
+from trigrid.grid import (Point, TriGridGraph, build_graph, canonical_point_form, hexagon_points,
+                          is_locally_connected, is_star_of_david, is_two_connected)
+from trigrid.matching import is_factor_critical
 
 
 def _ring_points(radius: int) -> List[Point]:

@@ -1,5 +1,6 @@
 """Reference helpers that only tests call: the reference replay of moves
-and of a word of kept vertices through the checked `slide`, a spy on a
+and of a word of kept vertices through the checked `slide` (`replay`
+steps a word for its end, `label_word` reads its moves), a spy on a
 library function under every name the library holds it by, canonical
 aligned states on a cycle, the matching-based reference of the alignment
 check, the restricted slide search over `legal_moves` and `slide` that `rotate`,
@@ -27,8 +28,8 @@ from trigrid.hc_planner import TurningFrame
 from trigrid.matching import (Matching, near_perfect_matching, odd_alternating_cycle_through,
                               perfect_matching)
 from trigrid.placement import (Placement, PlacementError, SlideMove, SlideSequence,
-                               VerifyReport, forced_cycle_dominoes, legal_moves, replay,
-                               rotate, slide, verify_sequence)
+                               VerifyReport, forced_cycle_dominoes, legal_moves, rotate,
+                               slide, verify_sequence)
 
 
 # the 9-vertex host whose Hamilton cycle (1, 7, 5, 6, 3, 2, 4, 8, 9) has one
@@ -43,6 +44,16 @@ def apply_sequence(p: Placement, moves: Iterable[SlideMove]) -> Placement:
     for mv in moves:
         p = slide(p, mv)
     return p
+
+
+def replay(p: Placement, word: Iterable[int]) -> SlideSequence:
+    """The word of kept vertices from p, stepped through the checked
+    `slide` for its end. Raises IllegalMoveError at a kept vertex that no
+    piece covers or that does not neighbour the gap."""
+    cur, kept = p, tuple(word)
+    for v in kept:
+        cur = slide(cur, SlideMove(cur.label_covering(v) or 0, v, cur.exposed))
+    return SlideSequence(p, kept, cur)
 
 
 def label_word(seq: SlideSequence) -> Tuple[SlideMove, ...]:

@@ -19,12 +19,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trigrid.blossom import check_barrier, max_cardinality_matching
-from trigrid.corpus import degree6_corpus, locally_connected_corpus
 from trigrid.ears import find_admissible
 from trigrid.grid import (_lattice_edges, build_graph, edge_key, hexagon_points,
                           star_of_david_points, triangles)
 from trigrid.matching import near_perfect_matching
 
+from corpus import degree6_corpus, locally_connected_corpus
 from support import is_central
 
 

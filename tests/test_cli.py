@@ -21,7 +21,7 @@ from trigrid.matching import (MatchingError, enumerate_near_perfect_matchings,
                               near_perfect_matching)
 from trigrid.placement import Placement, PlacementError, verify_sequence
 
-from support import CROSSING_ARCS_EDGES
+from support import CROSSING_ARCS_EDGES, replay
 
 
 def _gen(tmp_path, kind, *params):
@@ -195,6 +195,20 @@ def test_oracle_refuses_host_beyond_encoding(tmp_path, capsys):
             assert main(["oracle", str(gpath), "--max-vertices", "1000"] + extra) == 2
             err = capsys.readouterr().err
             assert f"{len(g.edges)} edges exceed the 256-edge limit" in err
+
+
+def test_oracle_refuses_more_than_nine_pieces(tmp_path, capsys):
+    """`para21`, 21 vertices and 10 pieces, within `--max-vertices 21`:
+    refused with exit 2 before the ranked BFS builds its 10! labelings,
+    with and without a start."""
+    g = build_graph([(x, y) for x in range(7) for y in range(3)])
+    gpath = tmp_path / "para21.graph"
+    gpath.write_text(formats.serialize_graph(g))
+    start = _write_placement(tmp_path, "s.p", g, sorted(near_perfect_matching(g, 1).edges))
+    for extra in ([], ["--start", str(start)]):
+        assert main(["oracle", str(gpath), "--max-vertices", "21"] + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("refused: 10 pieces exceed the 9-piece limit")
 
 
 def test_parse_error_exit_code(tmp_path):
@@ -524,7 +538,6 @@ def test_ear_plan_failing_finish_plan_replay_is_internal_error(tmp_path, capsys,
     """A full ear plan that does not end at the target fails `finish_plan`'s
     own replay, with every gadget intact, and exits 4."""
     from trigrid import ear_planner
-    from trigrid.placement import replay
 
     finish = ear_planner.finish_plan
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigrid import ear_planner, matching
-from trigrid.corpus import degree6_corpus
 from trigrid.ear_planner import _Planner, base_diamond_cycle, base_pentagon, plan_ear
 from trigrid.ears import (EarDecomposition, LevelMatchings, align_with_ears, find_admissible,
                           validate_decomposition)
@@ -15,10 +14,11 @@ from trigrid.grid import (DIRS, build_abstract, build_graph, degree6_vertices,
                           is_two_connected)
 from trigrid.matching import enumerate_near_perfect_matchings, is_factor_critical
 from trigrid.oracle import bfs_component
-from trigrid.placement import Placement, cut_loops, expose, replay, verify_sequence
+from trigrid.placement import Placement, cut_loops, slide, verify_sequence
 from trigrid.plans import PlanInvariantError
 
 from conftest import random_placement
+from corpus import degree6_corpus
 from support import label_word, reference_slides_within, spy_everywhere, verify_word
 
 
@@ -343,21 +343,23 @@ def test_plan_ear_wrong_gadget_build_fails_verification(monkeypatch, rng):
         plan_ear(g, p, q)
 
 
-def test_plan_ear_replays_only_exposures(monkeypatch, rng):
-    """An ear plan steps a board only inside `placement.expose`: gadget
-    words, reused or built, are joined as words, so every `replay` during
-    `plan_ear` is the one each exposure makes, from its own start."""
-    exposes = spy_everywhere(monkeypatch, expose)
-    replays = spy_everywhere(monkeypatch, replay)
+def test_plan_ear_cuts_and_verifies_once_and_never_slides(monkeypatch, rng):
+    """An ear plan steps no piece while it is built: exposures and
+    rotations are written down in closed form and gadget words, reused or
+    built, are joined as words. The whole plan is cut once by `cut_loops`
+    and checked once by `verify_sequence`, and the checked `slide` never
+    runs."""
+    cuts = spy_everywhere(monkeypatch, cut_loops)
+    verifies = spy_everywhere(monkeypatch, verify_sequence)
+    slides = spy_everywhere(monkeypatch, slide)
     gadgets = 0
     for g in [build_graph(hexagon_points(2)), hex_with_hole_graph(2)]:
         p, q = random_placement(g, rng), random_placement(g, rng)
-        exposes.clear()
-        replays.clear()
+        for calls in (cuts, verifies, slides):
+            calls.clear()
         rep = plan_ear(g, p, q)
         gadgets += rep.stats["gadgets"]
-        assert exposes and len(replays) == len(exposes)
-        assert all(r[0] is e[0] for r, e in zip(replays, exposes))
+        assert len(cuts) == len(verifies) == 1 and slides == []
     assert gadgets > 0
 
 

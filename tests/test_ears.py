@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 
-from trigrid.corpus import degree6_corpus, locally_connected_corpus
 from trigrid.grid import (build_abstract, build_graph, cycle_edges, diamond_cycle_graph,
                           edge_key, enumerate_diamonds, hex_with_hole_graph,
                           star_of_david_points, triangles)
@@ -14,6 +13,7 @@ from trigrid.matching import enumerate_near_perfect_matchings, near_perfect_matc
 from trigrid.placement import Placement
 
 from conftest import random_placement
+from corpus import degree6_corpus, locally_connected_corpus
 from support import ear_decomposition, label_word
 
 

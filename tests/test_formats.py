@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigrid import formats
-from trigrid.corpus import locally_connected_corpus
 from trigrid.grid import chord_cycle_graph, diamond_cycle_graph, hex_with_hole_graph
 from trigrid.placement import Placement, SlideMove, legal_moves, slide, verify_sequence
 
 from conftest import random_placement
+from corpus import locally_connected_corpus
 
 # lattice hosts with and without holes, and abstract ones
 _HOSTS = locally_connected_corpus()[:8] + [hex_with_hole_graph(2), diamond_cycle_graph(3),

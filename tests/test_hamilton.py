@@ -9,7 +9,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from trigrid.corpus import locally_connected_corpus
 from trigrid.grid import (DIRS, GridError, TriGridGraph, build_abstract, build_graph,
                           chord_cycle_graph, diamond_cycle_graph, edge_key, hexagon_points,
                           is_locally_connected, is_star_of_david, star_of_david_points)
@@ -17,6 +16,7 @@ from trigrid.hamilton import (HamiltonCycle, HamiltonError, _hamilton_search, _n
                               enumerate_hamilton_cycles, find_hamilton,
                               find_local_structure, parity_diamonds, validate_cycle)
 
+from corpus import locally_connected_corpus
 from dual_forests import dual_forests
 from support import (CROSSING_ARCS_EDGES, arc, best_parity_diamond, induces_connected,
                      parity_key, reference_hamilton_search, scan_parity_diamonds,

@@ -5,19 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trigrid.corpus import locally_connected_corpus
 from trigrid.grid import (build_graph, cycle_edges, edge_key, hexagon_points,
                           star_of_david_points)
 from trigrid.hamilton import find_hamilton, find_local_structure, parity_diamonds
 from trigrid.hc_planner import (_label_order, align_with_hamilton, gadget_slides, gadget_word,
                                 plan_hamilton, swap_adjacent, turn_to_swap, turning_frame)
 from trigrid.placement import (Placement, SlideSequence, cut_loops, forced_cycle_dominoes,
-                               replay, rotate, shorter_walk, verify_sequence)
+                               rotate, shorter_walk, verify_sequence)
 from trigrid.plans import PlanError, PlanInvariantError
 
 from conftest import random_placement
+from corpus import locally_connected_corpus
 from support import (apply_sequence, best_parity_diamond, frame_placement, label_word,
-                     reference_gadget, reference_slides_within, scan_parity_diamonds,
+                     reference_gadget, reference_slides_within, replay, scan_parity_diamonds,
                      spy_everywhere, verify_word)
 
 
@@ -498,21 +498,20 @@ def test_planner_rotations_match_reference_search(monkeypatch):
 def test_plan_hamilton_builds_no_placement_after_the_first_corner(monkeypatch):
     """On hosts of five or more vertices, `rotate` runs once a plan, the
     turn to the first window's corner, and from there to `finish_plan` no
-    `Placement` is built and no `replay` runs: the sort, its gadgets and
-    the last turn are arithmetic on the list of labels."""
+    `Placement` is built: the sort, its gadgets and the last turn are
+    arithmetic on the list of labels."""
     from trigrid import hc_planner
     from trigrid.plans import finish_plan
 
-    replays = spy_everywhere(monkeypatch, replay)
-    events = []                                # (name, replays so far)
+    events = []
 
     def recorder(name, fn, on_return=False):
         def recorded(*args, **kwargs):
             if not on_return:
-                events.append((name, len(replays)))
+                events.append(name)
             out = fn(*args, **kwargs)
             if on_return:
-                events.append((name, len(replays)))
+                events.append(name)
             return out
         return recorded
 
@@ -525,10 +524,9 @@ def test_plan_hamilton_builds_no_placement_after_the_first_corner(monkeypatch):
             p, q = random_placement(g, rng), random_placement(g, rng)
             events.clear()
             rep = plan_hamilton(g, p, q)
-            names = [name for name, _ in events]
-            assert names.count("rotate") == 1 and names.count("finish") == 1
-            at, done = names.index("rotate"), names.index("finish")
-            assert names[at + 1:done] == [] and events[at][1] == events[done][1]
+            assert events.count("rotate") == 1 and events.count("finish") == 1
+            at, done = events.index("rotate"), events.index("finish")
+            assert events[at + 1:done] == []
             assert rep.stats["swaps"] == 0 or rep.stats["gadgets"] > 0
 
 

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from trigrid.corpus import degree6_corpus, locally_connected_corpus
 from trigrid.grid import (DIRS, build_abstract, build_graph, chord_cycle_graph,
                           diamond_cycle_graph, edge_key, hexagon_points, star_of_david_points)
 from trigrid.matching import (Matching, MatchingError, alternating_path_to,
@@ -11,6 +10,7 @@ from trigrid.matching import (Matching, MatchingError, alternating_path_to,
                               is_factor_critical, near_perfect_matching,
                               odd_alternating_cycle_through)
 
+from corpus import degree6_corpus, locally_connected_corpus
 from support import factor_critical_by_definition, is_alternating_cycle, is_central
 
 

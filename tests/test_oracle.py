@@ -14,7 +14,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from trigrid.corpus import degree6_corpus, locally_connected_corpus
 from trigrid.grid import (DIRS, GridError, TriGridGraph, build_graph,
                           chord_cycle_graph, diamond_cycle_graph, hexagon_points)
 from trigrid.matching import enumerate_near_perfect_matchings
@@ -24,6 +23,7 @@ from trigrid.oracle import (OracleBudgetError, bfs_component, distance,
 from trigrid.placement import Placement, legal_moves, slide
 
 from conftest import random_placement
+from corpus import degree6_corpus, locally_connected_corpus
 
 
 def test_triangle_component():
@@ -84,6 +84,21 @@ def test_budget_guard():
     g = chord_cycle_graph(8, 2)          # 17 vertices > default bound
     with pytest.raises(OracleBudgetError):
         is_reconfigurable_bruteforce(g)
+
+
+def test_ranked_searches_refuse_more_than_nine_pieces():
+    """`para21` has 10 pieces: past the 9-piece limit of the ranked BFS's
+    labeling table, both searches that rank labelings refuse it even at a
+    vertex bound of 21, before any labeling is built. `distance` ranks
+    none, so the vertex bound alone governs it."""
+    g = _oracle_host("para21")
+    p = random_placement(g, random.Random(1))
+    for search in (lambda: bfs_component(g, p, vertex_bound=21),
+                   lambda: is_reconfigurable_bruteforce(g, vertex_bound=21)):
+        with pytest.raises(OracleBudgetError, match="10 pieces exceed the 9-piece limit"):
+            search()
+    assert "labelings" not in vars(g.slide_space) and "rank" not in vars(g.slide_space)
+    assert distance(g, p, p, vertex_bound=21) == 0
 
 
 def test_export_csv(pentagon):

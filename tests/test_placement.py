@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trigrid.corpus import locally_connected_corpus
-from trigrid.grid import build_abstract, build_graph, edge_key
+from trigrid.ears import LevelMatchings, align_with_ears, find_admissible
+from trigrid.grid import build_abstract, build_graph, edge_key, hex_with_hole_graph, hexagon_points
 from trigrid.hamilton import find_hamilton
 from trigrid.matching import Matching, near_perfect_matching
 from trigrid import placement
@@ -13,11 +13,12 @@ from trigrid.placement import (IllegalMoveError, Placement, PlacementError,
                                SlideMove, SlideSequence, VerifyReport,
                                align_with_cycle, cut_loops, expose,
                                forced_cycle_dominoes, invert_sequence, legal_moves,
-                               replay, rotate, slide, verify_sequence)
+                               rotate, slide, verify_sequence)
 
 from conftest import random_placement
+from corpus import degree6_corpus, locally_connected_corpus
 from support import (aligned_cycle_state, apply_sequence, is_alternating_cycle,
-                     label_word, reference_slides_within, verify_word)
+                     label_word, reference_slides_within, replay, verify_word)
 
 
 def _cycle_graph(n):
@@ -170,6 +171,39 @@ def test_expose(pentagon):
         expose(p, 3, Matching(frozenset({(4, 5)})))
 
 
+def test_expose_ends_where_its_word_replays(rng):
+    """`expose` writes its end down without stepping: it is where the
+    checked `slide` takes the word (`support.replay`), and its cover map,
+    a rewritten copy of the start's, is the one the end's pieces give,
+    while the start's stays as it was. On random placements of the
+    corpus hosts, each exposing a random vertex through the host's
+    `near_perfect_matching`, and on placements aligned with an ear
+    decomposition, exposing random vertices of each level in turn, up
+    from the core, through its `LevelMatchings` matching, a subgraph's:
+    the levels above stay aligned, so each level's pieces stay in it."""
+    def check(p, v, m):
+        before = p.owner.tolist()
+        seq = expose(p, v, m)
+        ref = replay(p, seq.kept).end
+        assert (seq.end.pieces, seq.end.exposed) == (ref.pieces, ref.exposed)
+        assert seq.end.exposed == v and len(seq) <= p.n
+        assert seq.end.owner == Placement(p.graph, seq.end.pieces, v).owner
+        assert p.owner.tolist() == before
+        return seq.end
+
+    deg6 = degree6_corpus()[:4]
+    for g in locally_connected_corpus() + deg6:
+        for _ in range(4):
+            v = rng.choice(sorted(g.vertex_ids))
+            check(random_placement(g, rng), v, near_perfect_matching(g, v))
+    for g in deg6 + [build_graph(hexagon_points(2)), hex_with_hole_graph(2)]:
+        levels = LevelMatchings(g, find_admissible(g))
+        cur = align_with_ears(random_placement(g, rng), levels).end
+        for i in range(1, levels.d.levels + 1):
+            for v in rng.sample(sorted(levels.region(i)[0]), 2):
+                cur = check(cur, v, levels.exposing(i, v))
+
+
 def test_invert_sequence(pentagon):
     p = Placement.make(pentagon, [(2, 3), (4, 5)])
     seq = _expose(p, 4)
@@ -201,17 +235,6 @@ def test_invert_sequence_matches_slide_reference(host, rnd):
     assert inv.start.pieces == states[-1].pieces
     assert (inv.end.pieces, inv.end.exposed) == (states[0].pieces, states[0].exposed)
     assert cut_loops(seq.then(inv)) == ()
-
-
-def test_replay_raises_at_uncovered_kept_vertex(pentagon):
-    p = Placement.make(pentagon, [(2, 3), (4, 5)])      # exposed 1
-    seq = replay(p, (2,))
-    assert seq.kept == (2,) and label_word(seq) == (SlideMove(1, 2, 1),)
-    assert seq.end.pieces == slide(p, SlideMove(1, 2, 1)).pieces and seq.end.exposed == 3
-    with pytest.raises(PlacementError):
-        replay(p, (1,))                                 # the exposed vertex
-    with pytest.raises(PlacementError):
-        replay(p, (2, 3))                               # exposed after one slide
 
 
 def test_verify_sequence(pentagon):
@@ -274,7 +297,7 @@ def test_verify_sequence_matches_slide_reference(host, rnd, kind, expect):
     end, the in-place replay reports what a fold of `slide` reports. As
     `slide` shares its checks, two more asserts stand apart from it: a
     corrupted walk fails at the corrupted move with that check's message,
-    and a legal one ends where `replay` ends."""
+    and a legal one ends where `support.replay` ends."""
     states, moves = [random_placement(host, rnd)], []
     for _ in range(rnd.randrange(1, 4 * host.num_vertices)):
         mv = rnd.choice(legal_moves(states[-1]))
@@ -292,7 +315,7 @@ def test_verify_sequence_matches_slide_reference(host, rnd, kind, expect):
     assert rep == _verify_reference(states[0], moves, expected)   # placements by pieces and gap
     if bad is not None:
         assert (rep.ok, rep.first_bad_index, rep.message) == (False, i, bad[1])
-    else:                                   # the end `Board` reaches
+    else:                                   # the end the checked `slide` reaches
         end = replay(states[0], [mv.kept_vertex for mv in moves]).end
         assert (rep.final.pieces, rep.final.exposed) == (end.pieces, end.exposed)
 
@@ -336,8 +359,7 @@ def test_cover_map_matches_a_scan_of_the_pieces(rng):
     """`label_at` and `in` on every host edge, either way round, and
     `label_covering` on every vertex, the gap included, agree with a scan
     of `p.pieces`: on random placements of the locally-connected corpus
-    and on the ends of random words replayed from them. The replay steps
-    a copy of the start's cover map, which stays as it was."""
+    and on the ends of random words replayed from them."""
     for g in locally_connected_corpus():
         for _ in range(3):
             p = cur = random_placement(g, rng)
@@ -346,7 +368,6 @@ def test_cover_map_matches_a_scan_of_the_pieces(rng):
                 mv = rng.choice(legal_moves(cur))
                 cur = slide(cur, mv)
                 word.append(mv.kept_vertex)
-            assert p.owner                      # built before the replay copies it
             end = replay(p, word).end
             assert end.pieces == cur.pieces
             for x in (p, end):
@@ -454,7 +475,7 @@ def test_then_chain_end_matches_replay(hex7, rng):
     for _ in range(6):
         step = _expose(seq.end, rng.choice(list(hex7.vertex_ids)))
         seq = seq.then(step).then(invert_sequence(step)).then(step)
-    raw = replay(p, seq.kept)                      # the word stepped on one board
+    raw = replay(p, seq.kept)                      # the whole word, stepped once
     end = apply_sequence(p, label_word(seq))
     for s in (seq, raw):
         assert s.end.pieces == end.pieces and s.end.exposed == end.exposed

@@ -11,7 +11,6 @@ import random
 
 import pytest
 
-from trigrid.corpus import degree6_corpus, locally_connected_corpus
 from trigrid.ear_planner import plan_ear
 from trigrid.formats import serialize_moves
 from trigrid.grid import (build_graph, diamond_cycle_graph, hex_with_hole_graph,
@@ -19,6 +18,7 @@ from trigrid.grid import (build_graph, diamond_cycle_graph, hex_with_hole_graph,
 from trigrid.hc_planner import plan_hamilton
 
 from conftest import random_placement
+from corpus import degree6_corpus, locally_connected_corpus
 
 
 def _hex11():
