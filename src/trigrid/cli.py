@@ -37,7 +37,7 @@ EXIT_REFUSED = 2
 EXIT_PARSE = 3
 EXIT_INTERNAL = 4
 
-EAR_BRANCHES = ("pentagon-core", "diamond-core", "hamilton", "spare-edge")
+EAR_BRANCHES = ("pentagon-core", "diamond-core", "window", "spare-edge")
 
 
 def _read(path: str) -> str:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from .grid import TriGridGraph, cycle_edges, edge_key
+from .grid import Edge, TriGridGraph, cycle_edges, edge_key
 from .matching import alternating_path_to
 from .ears import EarDecomposition, LevelMatchings, align_with_ears, ear_settled, find_admissible
 from .placement import (Placement, SlideSequence, align_with_cycle, forced_cycle_dominoes,
@@ -63,19 +63,28 @@ class _Planner:
 
     def _stage(self, i: int, cur: Placement, tgt: Placement) -> SlideSequence:
         """With the gap at the first vertex of ear i on both sides, move
-        the labels the target holds on the ear onto the same ear edges."""
+        the labels the target holds on the ear onto the same ear edges.
+
+        The window fill runs where the ear cycle holds them all already, on
+        its forced dominoes, and at least two of those dominoes, the swap
+        window, lie in G_{i-1}; a cycle that spans G_i always does, as
+        G_{i-1} holds the 5-vertex core. The spare-edge fill runs otherwise."""
         ear = self.d.ear(i)
-        vs, _ = self.levels.region(i)
         q_dominoes = [edge_key(ear[t], ear[t + 1]) for t in range(1, len(ear) - 1, 2)]
         lam = [tgt.label_at(e) for e in q_dominoes]
         assert all(x is not None for x in lam), "target ear is not aligned"
 
         cyc, ppath = self._ear_cycle(i, cur)
-        hamilton = len(cyc) == len(vs)
+        dominoes = forced_cycle_dominoes(cyc, ear[0])
+        on_cycle = set(dominoes)
+        window = (len(dominoes) - len(lam) >= 2
+                  and all(cur.piece(lab) in on_cycle for lab in lam))
         self.trace.append({"level": i, "ell": len(lam),
-                           "branch": "hamilton" if hamilton else "spare-edge"})
-        fill = self._hamilton_fill if hamilton else self._spare_fill
-        seq = fill(i, cur, lam, cyc, ear, ppath)
+                           "branch": "window" if window else "spare-edge"})
+        if window:
+            seq = self._window_fill(i, cur, lam, cyc, dominoes)
+        else:
+            seq = self._spare_fill(i, cur, lam, cyc, ear, ppath)
         for lab, e in zip(lam, q_dominoes):
             assert seq.end.piece(lab) == e, "ear staging failed"
         return seq
@@ -167,7 +176,7 @@ class _Planner:
     def _spare_fill(self, i: int, cur: Placement, lam: List[int],
                     cyc: Tuple[int, ...], ear: Tuple[int, ...],
                     ppath: List[int]) -> SlideSequence:
-        """Non-Hamilton branch: park labels at the far end of the ear
+        """Spare-edge branch: park labels at the far end of the ear
         through a spare matched edge off the cycle."""
         v = ear[0]
         sub_vs, _ = self.levels.region(i - 1)
@@ -196,15 +205,13 @@ class _Planner:
         # final notch: pull the train fully onto the ear
         return seq.then(rotate(seq.end, cyc, v, [(lam[-1], e2)]))
 
-    def _hamilton_fill(self, i: int, cur: Placement, lam: List[int],
-                       cyc: Tuple[int, ...], ear: Tuple[int, ...],
-                       ppath: List[int]) -> SlideSequence:
-        """Hamilton branch: bubble the target labels into consecutive order
-        with a fixed two-domino swap window, then rotate into place."""
-        v = ear[0]
-        dominoes = forced_cycle_dominoes(cyc, v)
+    def _window_fill(self, i: int, cur: Placement, lam: List[int],
+                     cyc: Tuple[int, ...], dominoes: List[Edge]) -> SlideSequence:
+        """Window branch, with every label of `lam` on the cycle's
+        `dominoes`: bubble them into consecutive order with a fixed
+        two-domino swap window in G_{i-1}, then rotate into place."""
+        v = cyc[0]
         w1, w2 = dominoes[-1], dominoes[-2]   # adjacent, both in G_{i-1}
-        assert w1 == edge_key(ppath[1], ppath[2])
 
         def order_after(pl_: Placement, lab: int) -> int:
             idx = dominoes.index(pl_.piece(lab))

@@ -435,10 +435,10 @@ def test_plan_logs_summary_under_trigrid_log(tmp_path, capsys, monkeypatch):
     swaps, gadgets, fallbacks = (rep.stats[k] for k in ("swaps", "gadgets", "fallbacks"))
     assert lines == [f"trigrid: plan strategy ear slides {rep.slide_count}"
                      f" pentagon-core {seen['pentagon-core']} diamond-core 0"
-                     f" hamilton {seen['hamilton']} spare-edge {seen['spare-edge']}"
+                     f" window {seen['window']} spare-edge {seen['spare-edge']}"
                      f" cut {cut} swaps {swaps} gadgets {gadgets} fallbacks {fallbacks}"
                      " windows 0"]
-    assert seen["pentagon-core"] and seen["hamilton"] and seen["spare-edge"]
+    assert seen["pentagon-core"] and seen["window"] and seen["spare-edge"]
     assert cut > 0
     # gadgets count builds at every level, so they can outnumber the swaps
     assert swaps > 0 and gadgets > 0 and fallbacks > 0
