@@ -149,7 +149,10 @@ def alternating_path_to(m: Partnered, target: Partnered, frm: int, to: int) -> L
         path.append(nxt)
         step, other = other, step
         nxt = step(nxt)
-    assert path[-1] == to and len(path) % 2 == 1
+    if path[-1] != to:
+        # the walk stops where target covers nothing: a vertex outside its
+        # subgraph, which m's pieces reach when they leave it
+        raise MatchingError(f"the alternating path from {frm} ends at {path[-1]}, not {to}")
     return path
 
 

@@ -18,7 +18,7 @@ from itertools import compress, repeat
 from typing import Collection, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .grid import Edge, TriGridGraph, edge_key
-from .matching import Matching, alternating_path_to
+from .matching import Matching, MatchingError, alternating_path_to
 
 
 class PlacementError(Exception):
@@ -317,12 +317,16 @@ def expose(p: Placement, v: int, m: Matching) -> SlideSequence:
     most n. Each piece on the path x0 ... x2m moves once, so the end is
     written down, not stepped: the label covering x_t, t odd, lands on
     (x_{t-1}, x_t) and the gap on x2m. Raises PlacementError at a kept
-    vertex no piece covers.
+    vertex no piece covers, and where p's pieces leave m's subgraph, so
+    that the path stops short of v.
     """
     if m.covers(v) or (p.exposed != v and not m.covers(p.exposed)):
         raise PlacementError("the matching does not expose v, or p's exposed "
                              "vertex lies outside its subgraph")
-    path = alternating_path_to(p, m, p.exposed, v)
+    try:
+        path = alternating_path_to(p, m, p.exposed, v)
+    except MatchingError as exc:
+        raise PlacementError(f"p's pieces leave the matching's subgraph: {exc}") from exc
     pieces, owner, gap = list(p.pieces), p.owner[:], path[-1]
     for prev, kept in zip(path[::2], path[1::2]):
         label = owner[kept]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from trigrid.ears import LevelMatchings, align_with_ears, find_admissible
 from trigrid.grid import build_abstract, build_graph, edge_key, hex_with_hole_graph, hexagon_points
 from trigrid.hamilton import find_hamilton
-from trigrid.matching import Matching, near_perfect_matching
+from trigrid.matching import Matching, MatchingError, near_perfect_matching
 from trigrid import placement
 from trigrid.placement import (IllegalMoveError, Placement, PlacementError,
                                SlideMove, SlideSequence, VerifyReport,
@@ -202,6 +202,38 @@ def test_expose_ends_where_its_word_replays(rng):
         for i in range(1, levels.d.levels + 1):
             for v in rng.sample(sorted(levels.region(i)[0]), 2):
                 cur = check(cur, v, levels.exposing(i, v))
+
+
+def test_expose_raises_where_pieces_left_the_subgraph():
+    """Exposing at the top ear level of `hex19` moves pieces across the
+    boundaries of the levels below. Then exposing v through a lower
+    level's `LevelMatchings` matching, with the gap inside that level,
+    either ends with v exposed or raises PlacementError, from the
+    MatchingError of an alternating path that ran out of the level and
+    stopped short of v; the check is a raise, so it holds under
+    `python -O` too. Some such exposures do raise."""
+    g = build_graph(hexagon_points(2))
+    levels = LevelMatchings(g, find_admissible(g))
+    top = levels.d.levels
+    aligned = align_with_ears(Placement.make(g, sorted(near_perfect_matching(g, 1).edges)),
+                              levels).end
+    raised = 0
+    for w in sorted(levels.region(top)[0]):
+        cur = levels.expose(aligned, top, w).end
+        for j in range(3, top):
+            vs, es = levels.region(j)
+            if cur.exposed not in vs:
+                continue
+            left = any((a in vs) != (b in vs) for a, b in cur.pieces)
+            for v in sorted(vs):
+                try:
+                    end = expose(cur, v, levels.exposing(j, v)).end
+                except PlacementError as exc:
+                    assert left and isinstance(exc.__cause__, MatchingError)
+                    raised += 1
+                else:
+                    assert end.exposed == v
+    assert raised
 
 
 def test_invert_sequence(pentagon):
