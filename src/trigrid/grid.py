@@ -337,10 +337,11 @@ _SOD_CANON = None
 
 
 def is_star_of_david(g: TriGridGraph) -> bool:
+    """True iff g is the 13-vertex, 24-edge hexagram up to lattice
+    symmetry; the vertex and edge counts settle most hosts before the 12
+    transforms of `canonical_point_form` run."""
     global _SOD_CANON
-    if not g.is_lattice:
-        return False
-    if g.num_vertices != 13:
+    if not g.is_lattice or g.num_vertices != 13 or len(g.edges) != 24:
         return False
     if _SOD_CANON is None:
         _SOD_CANON = canonical_point_form(star_of_david_points())

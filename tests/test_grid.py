@@ -12,6 +12,7 @@ from trigrid.grid import (DIRS, DisconnectedError, DuplicatePointError,
                           is_locally_connected, is_star_of_david,
                           is_two_connected, star_of_david_points, triangles)
 
+from corpus import degree6_corpus, locally_connected_corpus
 from support import neighbourhoods_connected
 
 TRIANGLE = [(0, 0), (1, 0), (0, 1)]
@@ -233,6 +234,34 @@ def test_star_of_david_detection():
     mirrored = [(x + y, -y) for x, y in pts]
     assert is_star_of_david(build_graph(mirrored))
     assert not is_star_of_david(build_graph(TRIANGLE))
+
+
+def test_star_of_david_verdict_matches_the_canonical_form(monkeypatch):
+    """The vertex- and edge-count test leaves the verdict as the canonical
+    form gives it, on the Star of David, shifted and mirrored, and on every
+    13-vertex corpus host; a host without the hexagram's 24 edges is
+    refused before `canonical_point_form` runs."""
+    import trigrid.grid as grid
+
+    pts = star_of_david_points()
+    sod = canonical_point_form(pts)
+    hosts = [build_graph(pts), build_graph([(x + 3, y - 2) for x, y in pts]),
+             build_graph([(x + y, -y) for x, y in pts])]
+    hosts += [g for g in locally_connected_corpus() + degree6_corpus(13, 40)
+              if g.num_vertices == 13]
+    assert any(len(g.edges) == 24 for g in hosts[3:])
+    assert any(len(g.edges) != 24 for g in hosts[3:])
+    for g in hosts:
+        assert is_star_of_david(g) == (canonical_point_form(g.points) == sod), g.name
+    assert sum(is_star_of_david(g) for g in hosts) == 3
+
+    calls = []
+    monkeypatch.setattr(grid, "canonical_point_form",
+                        lambda points: calls.append(points) or sod)
+    for g in hosts:
+        if len(g.edges) != 24:
+            assert not is_star_of_david(g)
+    assert calls == []
 
 
 def test_degree6():
