@@ -76,9 +76,8 @@ class _Planner:
 
         cyc, ppath = self._ear_cycle(i, cur)
         dominoes = forced_cycle_dominoes(cyc, ear[0])
-        on_cycle = set(dominoes)
         window = (len(dominoes) - len(lam) >= 2
-                  and all(cur.piece(lab) in on_cycle for lab in lam))
+                  and {cur.piece(lab) for lab in lam} <= set(dominoes))
         self.trace.append({"level": i, "ell": len(lam),
                            "branch": "window" if window else "spare-edge"})
         if window:

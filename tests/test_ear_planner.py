@@ -14,11 +14,12 @@ from trigrid.grid import (DIRS, build_abstract, build_graph, degree6_vertices,
                           is_two_connected)
 from trigrid.matching import enumerate_near_perfect_matchings, is_factor_critical
 from trigrid.oracle import bfs_component
-from trigrid.placement import Placement, cut_loops, slide, verify_sequence
+from trigrid.placement import (Placement, cut_loops, forced_cycle_dominoes, slide,
+                               verify_sequence)
 from trigrid.plans import PlanInvariantError
 
 from conftest import random_placement
-from corpus import degree6_corpus
+from corpus import degree6_corpus, locally_connected_corpus
 from support import label_word, reference_slides_within, spy_everywhere, verify_word
 
 
@@ -408,3 +409,88 @@ def test_transpose_at_every_level(build, kinds):
             if planner.fallbacks:
                 seen.add("fallback")
     assert seen == kinds
+
+
+def test_fills_follow_what_the_ear_cycle_holds(monkeypatch, rng):
+    """`_stage` runs `_window_fill` on ear cycles that do not span G_i
+    too, wherever every target label lies on the cycle's forced dominoes
+    and two of those lie in G_{i-1}; each such fill's word replays to its
+    end, with the labels on the ear's dominoes in order. `_spare_fill`
+    still runs where a target label lies off the cycle."""
+    window, spare = [], []
+    fills = {"_window_fill": window, "_spare_fill": spare}
+    for name, calls in fills.items():
+        def recorded(self, i, cur, lam, cyc, *rest, _fill=getattr(_Planner, name),
+                     _calls=calls):
+            seq = _fill(self, i, cur, lam, cyc, *rest)
+            _calls.append((self, i, cur, lam, cyc, seq))
+            return seq
+        monkeypatch.setattr(_Planner, name, recorded)
+    for g in [build_graph(hexagon_points(2)), hex_with_hole_graph(2)]:
+        for _ in range(4):
+            p, q = random_placement(g, rng), random_placement(g, rng)
+            rep = plan_ear(g, p, q)
+            check = verify_sequence(rep.start, rep.moves, expected_end=q)
+            assert check.ok and check.matches_expected
+
+    def held(cur, lam, cyc):
+        dominoes = forced_cycle_dominoes(cyc, cyc[0])
+        return (len(dominoes) - len(lam) >= 2
+                and all(cur.piece(lab) in dominoes for lab in lam))
+
+    spanning = 0
+    for planner, i, cur, lam, cyc, seq in window:
+        assert held(cur, lam, cyc)
+        spanning += len(cyc) == len(planner.levels.region(i)[0])
+        ear = planner.d.ear(i)
+        assert [seq.end.piece(lab) for lab in lam] == [
+            edge_key(ear[t], ear[t + 1]) for t in range(1, len(ear) - 1, 2)]
+        check = verify_word(seq, expected_end=seq.end)
+        assert check.ok and check.matches_expected
+    assert 0 < spanning < len(window), "no window fill on a non-Hamilton ear cycle"
+    assert spare and not any(held(cur, lam, cyc) for _, _, cur, lam, cyc, _ in spare)
+    assert any(cur.piece(lab) not in forced_cycle_dominoes(cyc, cyc[0])
+               for _, _, cur, lam, cyc, _ in spare for lab in lam)
+
+
+# sums of ear-plan slides over pairs 1-10 (`random.Random(k)`), measured
+# when only ear cycles that span G_i got the window fill
+HAMILTON_ONLY_WINDOW_SLIDES = {
+    "pent5": 45, "hex7": 108, "hex9": 331, "hex11": 581, "hex13": 1047, "para15": 1674,
+    "hex19": 3633, "para21": 3814, "hex23": 5866, "para25": 6512, "deg6-7v-0": 108,
+    "deg6-9v-1": 301, "deg6-9v-2": 274, "deg6-9v-3": 223, "deg6-9v-4": 191,
+    "deg6-11v-5": 361, "deg6-11v-6": 520, "deg6-11v-7": 536, "deg6-11v-8": 727,
+    "deg6-11v-9": 732, "deg6-11v-10": 663, "deg6-11v-11": 398, "deg6-11v-12": 541,
+    "deg6-11v-13": 453, "deg6-11v-14": 353, "deg6-11v-15": 528, "deg6-11v-16": 581,
+    "deg6-11v-17": 665, "deg6-11v-18": 657, "deg6-11v-19": 521, "deg6-11v-20": 592,
+    "deg6-11v-21": 514, "deg6-11v-22": 565, "deg6-11v-23": 721, "deg6-13v-24": 1429,
+    "deg6-13v-25": 1218, "deg6-13v-26": 905, "deg6-13v-27": 1102, "deg6-13v-28": 834,
+    "deg6-13v-29": 1197, "deg6-13v-30": 870, "deg6-13v-31": 1172, "deg6-13v-32": 649,
+    "deg6-13v-33": 1106, "deg6-13v-34": 1106, "deg6-13v-35": 869, "deg6-13v-36": 1163,
+    "deg6-13v-37": 869, "deg6-13v-38": 923, "deg6-13v-39": 1222, "hex37": 14654,
+    "hex_with_hole(r=2)": 2842, "hex_with_hole(r=3)": 18233}
+
+
+def test_window_fill_shortens_mean_ear_plans_on_every_host(capsys):
+    """Over pairs 1-10, no corpus host's mean ear plan, nor `hex37`'s or
+    `hex_with_hole(2)`'s and `(3)`'s, is longer than when only ear cycles
+    that span G_i got the window fill, and `hex19`'s and `hex37`'s are at
+    least 15% shorter. Prints both means for each host."""
+    hosts = (locally_connected_corpus() + degree6_corpus(13, 40)
+             + [build_graph(hexagon_points(3), name="hex37"),
+                hex_with_hole_graph(2), hex_with_hole_graph(3)])
+    assert len(hosts) == len(HAMILTON_ONLY_WINDOW_SLIDES)
+    lines = []
+    for g in hosts:
+        total = 0
+        for k in range(1, 11):
+            rng = random.Random(k)
+            total += plan_ear(g, random_placement(g, rng), random_placement(g, rng)).slide_count
+        before = HAMILTON_ONLY_WINDOW_SLIDES[g.name]
+        lines.append(f"{g.name}: mean {total / 10:.1f} slides, window fill on Hamilton "
+                     f"ear cycles only {before / 10:.1f} ({(total - before) / before:+.1%})")
+        assert total <= before, lines[-1]
+        if g.name in ("hex19", "hex37"):
+            assert total <= 0.85 * before, lines[-1]
+    with capsys.disabled():
+        print("\near plans over pairs 1-10:\n" + "\n".join(lines))
