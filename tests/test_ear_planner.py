@@ -418,8 +418,7 @@ def test_fills_follow_what_the_ear_cycle_holds(monkeypatch, rng):
     end, with the labels on the ear's dominoes in order. `_spare_fill`
     still runs where a target label lies off the cycle."""
     window, spare = [], []
-    fills = {"_window_fill": window, "_spare_fill": spare}
-    for name, calls in fills.items():
+    for name, calls in (("_window_fill", window), ("_spare_fill", spare)):
         def recorded(self, i, cur, lam, cyc, *rest, _fill=getattr(_Planner, name),
                      _calls=calls):
             seq = _fill(self, i, cur, lam, cyc, *rest)
