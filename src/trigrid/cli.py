@@ -1,7 +1,8 @@
 """Command-line interface: gen | check | plan | verify | oracle | render.
 
 Exit codes: 0 success, 2 precondition refusal (a host, plan or budget
-outside what the command handles), 3 parse error (naming the line of
+outside what the command handles, or a host too big for a recursive
+search), 3 parse error (naming the line of
 the file; a file that is not UTF-8 text is one) or a file that cannot be
 read or written, 4 internal invariant failure (a planner that raises a
 placement or matching error, or whose plan fails its replay). Commands
@@ -270,7 +271,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"cannot read/write {exc.filename or '-'}: {exc.strerror or exc}",
               file=sys.stderr)
         return EXIT_PARSE
-    except (GridError, PlanError, OracleBudgetError) as exc:
+    except (GridError, PlanError, OracleBudgetError, RecursionError) as exc:
+        # a search whose recursion depth is the vertex count refuses a host too big for it
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except (PlanInvariantError, PlacementError, MatchingError, AssertionError) as exc:

@@ -12,7 +12,7 @@ from typing import Container, Dict, List, Optional, Sequence, Set, Tuple
 
 from .grid import Edge, TriGridGraph, cycle_edges, edge_key, enumerate_diamonds
 from .matching import (Matching, MatchingError, alternating_path_to, near_perfect_matching,
-                       odd_alternating_cycle_through, perfect_matching)
+                       perfect_matching)
 from .placement import Placement, SlideSequence, expose
 from .plans import PlanError
 
@@ -192,27 +192,27 @@ def _pentagon_structure(g: TriGridGraph) -> Optional[Tuple[EarDecomposition, Mat
 def _diamond_structure(g: TriGridGraph) -> Optional[Tuple[EarDecomposition, Matching]]:
     """For diamond (s1,s2,t1,t2) the outer 4-cycle is t1-s1-t2-s2-t1; each
     outer edge (u,v) yields core path u-x-y-v with (x,y) opposite and the
-    shared edge as the diagonal chord. The first core, an odd alternating
-    cycle through (u,v) that avoids x and y plus the piece on (x,y), with
-    its matching; None if no diamond has one."""
+    shared edge as the diagonal chord. The first core, with its matching
+    m: nearly perfect matchings m0 and n of G - {x, y} that expose u and v,
+    m = m0 + (x, y), and the odd m-alternating cycle that the path from u
+    to v over m Δ n (`alternating_path_to`) closes with (v, u); None if no
+    diamond has one. Flipping along an odd alternating cycle through
+    (u, v) that avoids x and y exposes any vertex on it, u and v among
+    them, so m0 and n exist exactly when such a cycle does."""
     for s1, s2, t1, t2 in enumerate_diamonds(g):
         ring = [t1, s1, t2, s2]
         diag = edge_key(s1, s2)
         for i in range(4):
             u, v = ring[i], ring[(i + 1) % 4]
             x, y = ring[(i + 3) % 4], ring[(i + 2) % 4]
-            for o in g.vertex_ids:
-                if o in (x, y):
-                    continue
-                m0 = near_perfect_matching(g, o, within=set(g.vertex_ids) - {x, y})
-                if m0 is None:
-                    continue
-                m = Matching(m0.edges | {edge_key(x, y)})
-                cyc = odd_alternating_cycle_through(g, m, o, edge_key(u, v), (x, y))
-                if cyc is None:
-                    continue
-                core = EarDecomposition(cyc, ((u, x, y, v), diag), kind="diamond_cycle")
-                return core, m
+            rest = set(g.vertex_ids) - {x, y}
+            m0 = near_perfect_matching(g, u, within=rest)
+            n = m0 and near_perfect_matching(g, v, within=rest)
+            if n is None:
+                continue
+            m = Matching(m0.edges | {edge_key(x, y)})
+            cyc = tuple(alternating_path_to(m, n, u, v))
+            return EarDecomposition(cyc, ((u, x, y, v), diag), kind="diamond_cycle"), m
     return None
 
 

@@ -8,7 +8,7 @@ planner's sort.
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import FrozenSet, Iterator, List, Sequence, Set, Tuple
+from typing import FrozenSet, Iterator, List, Sequence, Tuple
 
 from .grid import Edge, GridError, TriGridGraph, cartesian, cycle_edges, is_star_of_david
 from .plans import PlanError
@@ -153,20 +153,6 @@ def find_hamilton(g: TriGridGraph) -> HamiltonCycle:
         validate_cycle(g, h)
         return h
     raise HamiltonError("no Hamilton cycle found")
-
-
-def enumerate_hamilton_cycles(g: TriGridGraph) -> Iterator[HamiltonCycle]:
-    """All distinct Hamilton cycles (deduplicated up to rotation and
-    direction), in search order."""
-    seen: Set[Tuple[int, ...]] = set()
-    for order in _hamilton_search(g):
-        h = HamiltonCycle(_normalize(g, order))
-        key = min(h.order, (h.order[0],) + h.order[1:][::-1])
-        if key in seen:
-            continue
-        seen.add(key)
-        validate_cycle(g, h)
-        yield h
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Matching primitives: near-perfect matchings, factor-criticality, odd
-alternating cycles, and `alternating_path_to`, the one walk over the
-symmetric difference of two matchings (expose, ear cycles, ear growth).
+"""Matching primitives: near-perfect matchings, factor-criticality, and
+`alternating_path_to`, the one walk over the symmetric difference of two
+matchings (expose, ear cycles, ear growth, the diamond core's cycle).
 
 Every maximum matching here comes from one exact solver,
 `blossom.max_cardinality_matching`: Edmonds' cardinality search with
@@ -24,7 +24,7 @@ runs under ``python -O`` too. That covers each None from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Protocol, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Protocol, Set
 
 from .blossom import max_cardinality_matching, search
 from .grid import Edge, TriGridGraph, edge_key
@@ -174,41 +174,3 @@ def enumerate_near_perfect_matchings(g: TriGridGraph) -> List[Matching]:
 
     extend([], set(), sorted(g.edges))
     return out
-
-
-def odd_alternating_cycle_through(g: TriGridGraph, m: Matching, exposed: int, e: Edge,
-                                  avoid: Iterable[int] = ()) -> Optional[Tuple[int, ...]]:
-    """The first odd m-alternating cycle at the exposed vertex that contains
-    e and misses `avoid`, or None.
-
-    Depth-first search from `exposed` over sorted neighbours, leaving it by
-    a non-matching edge and alternating matching/non-matching edges until
-    it returns; the cycle is listed from `exposed` in search direction.
-    """
-    if m.covers(exposed):
-        raise MatchingError(f"vertex {exposed} is covered by the matching")
-    e = edge_key(*e)
-    avoid = set(avoid)
-
-    def dfs(path: List[int], need_m: bool) -> Optional[Tuple[int, ...]]:
-        cur = path[-1]
-        for w in sorted(g.adj[cur]):
-            if w in avoid or (edge_key(cur, w) in m.edges) != need_m:
-                continue
-            if w == exposed:
-                if any(edge_key(a, b) == e for a, b in zip(path, path[1:] + path[:1])):
-                    return tuple(path)
-                continue
-            if w in path:
-                continue
-            found = dfs(path + [w], not need_m)
-            if found is not None:
-                return found
-        return None
-
-    for first in sorted(g.adj[exposed]):
-        if first not in avoid:
-            found = dfs([exposed, first], True)
-            if found is not None:
-                return found
-    return None

@@ -75,10 +75,6 @@ class Placement:
         label = self.owner[a]
         return label if label and label == self.owner[b] else None
 
-    def label_covering(self, v: int) -> Optional[int]:
-        """The label covering vertex v, or None at the gap."""
-        return self.owner[v] or None
-
     def __contains__(self, e: Edge) -> bool:
         """True iff a piece lies on edge e."""
         return self.label_at(e) is not None
@@ -187,8 +183,8 @@ def slide(p: Placement, move: SlideMove) -> Placement:
 def legal_moves(p: Placement) -> List[SlideMove]:
     out = []
     for w in p.graph.adj[p.exposed]:
-        label = p.label_covering(w)
-        if label is not None:
+        label = p.owner[w]
+        if label:
             out.append(SlideMove(label, w, p.exposed))
     out.sort(key=lambda m: (m.label, m.kept_vertex))
     return out

@@ -10,10 +10,14 @@ built by a slide and two rotations on it, which `hc_planner`'s
 closed-form words are checked against, the definition of
 factor-criticality by one matching per vertex, the
 Hamilton search over sets that the bit-mask search in `hamilton` is
-checked against and its connectivity test, the centrality test, an ear
-decomposition grown from a matching, the neighbourhood search that defines local connectivity, the scan over every
-diamond labeling that defines the parity diamond, the orientation of one
-parity diamond, and a host whose only parity labeling has crossing arcs.
+checked against and its connectivity test, the enumeration of every
+Hamilton cycle on the bit-mask search, the centrality test, the odd alternating
+cycle search and the diamond core found with it, the reference for the
+alternating walk in `ears`, an ear decomposition grown from a matching,
+random polyhex and abstract hosts, the neighbourhood search that defines
+local connectivity, the scan over every diamond labeling that defines the
+parity diamond, the orientation of one parity diamond, and a host whose
+only parity labeling has crossing arcs.
 No planner uses them, so they live with the tests.
 """
 
@@ -22,11 +26,12 @@ from collections import deque
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from trigrid.ears import EarDecomposition, EarError, grow_ears, validate_decomposition
-from trigrid.grid import Edge, TriGridGraph, cycle_edges, edge_key, enumerate_diamonds
-from trigrid.hamilton import HamiltonCycle, HamiltonError, ParityDiamond
+from trigrid.grid import (DIRS, Edge, TriGridGraph, build_abstract, build_graph, cycle_edges,
+                          edge_key, enumerate_diamonds)
+from trigrid.hamilton import (HamiltonCycle, HamiltonError, ParityDiamond, _hamilton_search,
+                              _normalize, validate_cycle)
 from trigrid.hc_planner import TurningFrame
-from trigrid.matching import (Matching, near_perfect_matching, odd_alternating_cycle_through,
-                              perfect_matching)
+from trigrid.matching import Matching, MatchingError, near_perfect_matching, perfect_matching
 from trigrid.placement import (Placement, PlacementError, SlideMove, SlideSequence,
                                VerifyReport, forced_cycle_dominoes, legal_moves, rotate,
                                slide, verify_sequence)
@@ -52,7 +57,7 @@ def replay(p: Placement, word: Iterable[int]) -> SlideSequence:
     piece covers or that does not neighbour the gap."""
     cur, kept = p, tuple(word)
     for v in kept:
-        cur = slide(cur, SlideMove(cur.label_covering(v) or 0, v, cur.exposed))
+        cur = slide(cur, SlideMove(cur.owner[v], v, cur.exposed))
     return SlideSequence(p, kept, cur)
 
 
@@ -63,7 +68,7 @@ def label_word(seq: SlideSequence) -> Tuple[SlideMove, ...]:
     not neighbour the gap."""
     p, moves = seq.start, []
     for kept in seq.kept:
-        mv = SlideMove(p.label_covering(kept) or 0, kept, p.exposed)
+        mv = SlideMove(p.owner[kept], kept, p.exposed)
         p = slide(p, mv)
         moves.append(mv)
     return tuple(moves)
@@ -253,6 +258,106 @@ def aligned_cycle_state(k: int, j: int, h: int) -> Dict[int, Edge]:
         else:
             out[i] = edge_key(red(t), red(t + 1))
     return out
+
+
+def odd_alternating_cycle_through(g: TriGridGraph, m: Matching, exposed: int, e: Edge,
+                                  avoid: Iterable[int] = ()) -> Optional[Tuple[int, ...]]:
+    """The first odd m-alternating cycle at the exposed vertex that contains
+    e and misses `avoid`, or None.
+
+    Depth-first search from `exposed` over sorted neighbours, leaving it by
+    a non-matching edge and alternating matching/non-matching edges until
+    it returns; the cycle is listed from `exposed` in search direction.
+    """
+    if m.covers(exposed):
+        raise MatchingError(f"vertex {exposed} is covered by the matching")
+    e = edge_key(*e)
+    avoid = set(avoid)
+
+    def dfs(path: List[int], need_m: bool) -> Optional[Tuple[int, ...]]:
+        cur = path[-1]
+        for w in sorted(g.adj[cur]):
+            if w in avoid or (edge_key(cur, w) in m.edges) != need_m:
+                continue
+            if w == exposed:
+                if any(edge_key(a, b) == e for a, b in zip(path, path[1:] + path[:1])):
+                    return tuple(path)
+                continue
+            if w in path:
+                continue
+            found = dfs(path + [w], not need_m)
+            if found is not None:
+                return found
+        return None
+
+    for first in sorted(g.adj[exposed]):
+        if first not in avoid:
+            found = dfs([exposed, first], True)
+            if found is not None:
+                return found
+    return None
+
+
+def reference_diamond_structure(g: TriGridGraph) -> Optional[Tuple[EarDecomposition, Matching]]:
+    """The diamond core by search, the reference for
+    `ears._diamond_structure`: for each diamond and outer edge (u, v), in
+    its order, and each vertex o outside the opposite pair x, y, a nearly
+    perfect matching of G - {x, y} exposing o, plus (x, y), and the first
+    odd alternating cycle at o through (u, v) that avoids x and y
+    (`odd_alternating_cycle_through`); None if no diamond has one."""
+    for s1, s2, t1, t2 in enumerate_diamonds(g):
+        ring = [t1, s1, t2, s2]
+        for i in range(4):
+            u, v = ring[i], ring[(i + 1) % 4]
+            x, y = ring[(i + 3) % 4], ring[(i + 2) % 4]
+            for o in g.vertex_ids:
+                if o in (x, y):
+                    continue
+                m0 = near_perfect_matching(g, o, within=set(g.vertex_ids) - {x, y})
+                if m0 is None:
+                    continue
+                m = Matching(m0.edges | {edge_key(x, y)})
+                cyc = odd_alternating_cycle_through(g, m, o, edge_key(u, v), (x, y))
+                if cyc is not None:
+                    ears = ((u, x, y, v), edge_key(s1, s2))
+                    return EarDecomposition(cyc, ears, kind="diamond_cycle"), m
+    return None
+
+
+def random_polyhex(rng, n: int) -> TriGridGraph:
+    """A polyhex host of n points grown from (0, 0): each step adds the
+    lattice neighbour of a random point so far in a random direction, so
+    the points stay connected and `build_graph` accepts every odd n. A
+    sweep dedupes its hosts by `canonical_point_form(g.points)`."""
+    pts = {(0, 0)}
+    while len(pts) < n:
+        x, y = rng.choice(sorted(pts))
+        dx, dy = rng.choice(DIRS)
+        pts.add((x + dx, y + dy))
+    return build_graph(sorted(pts), name=f"polyhex{n}")
+
+
+def random_abstract(rng, n: int) -> TriGridGraph:
+    """A connected abstract host on n vertices, n odd: a random tree and
+    up to 2n more edges."""
+    edges = {edge_key(v, rng.randrange(1, v)) for v in range(2, n + 1)}
+    for _ in range(rng.randrange(2 * n + 1)):
+        edges.add(edge_key(*rng.sample(range(1, n + 1), 2)))
+    return build_abstract(n, sorted(edges))
+
+
+def enumerate_hamilton_cycles(g: TriGridGraph) -> Iterator[HamiltonCycle]:
+    """All distinct Hamilton cycles (deduplicated up to rotation and
+    direction), in the order of `hamilton`'s search."""
+    seen: Set[Tuple[int, ...]] = set()
+    for order in _hamilton_search(g):
+        h = HamiltonCycle(_normalize(g, order))
+        key = min(h.order, (h.order[0],) + h.order[1:][::-1])
+        if key in seen:
+            continue
+        seen.add(key)
+        validate_cycle(g, h)
+        yield h
 
 
 def ear_decomposition(g: TriGridGraph, m: Matching) -> EarDecomposition:

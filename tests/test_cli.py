@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from typing import Dict
@@ -357,6 +358,61 @@ def test_check_prints_every_property_where_the_ear_growth_stalls(tmp_path, capsy
     assert main(["plan", str(gpath), str(start), str(target), "--strategy", "ear",
                  "--out", str(tmp_path / "x.plan")]) == 2
     assert capsys.readouterr().err == "refused: no alternating ear extends the subgraph\n"
+    assert not (tmp_path / "x.plan").exists()
+
+
+# a 51-vertex host outside both domains (not factor-critical, not
+# 2-connected, not locally connected; 20 degree-6 vertices) with no pentagon
+# core, so the core search tries every diamond and outer edge before refusing
+NO_CORE_HOST_51 = [
+    (-3, -1), (-3, 1), (-2, -3), (-2, -2), (-2, 0), (-2, 1), (-2, 2), (-2, 4), (-2, 5),
+    (-1, -2), (-1, -1), (-1, 0), (-1, 1), (-1, 2), (-1, 3), (-1, 4), (-1, 5), (0, -3),
+    (0, -2), (0, -1), (0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, -3), (1, -2),
+    (1, -1), (1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, -3), (2, -2), (2, -1),
+    (2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, -3), (3, -2), (3, -1), (3, 2), (3, 3),
+    (4, -2), (5, -2), (6, -3)]
+
+
+def test_plan_refuses_the_51_vertex_host_without_a_core_quickly(tmp_path, capsys):
+    """A default `plan` on the 51-vertex host refuses it, with exit 2 and
+    one `refused: no admissible core found` line, within 1 s in-process.
+    Prints the time."""
+    gpath = _write_lattice(tmp_path, "nocore51.graph", NO_CORE_HOST_51)
+    g = formats.parse_graph(gpath.read_text())
+    assert main(["check", str(gpath)]) == 0
+    out = capsys.readouterr().out
+    for line in ("vertices 51", "factor_critical False", "two_connected False",
+                 "locally_connected False", "sufficient_condition none"):
+        assert line in out.splitlines()
+    assert len(out.split("degree6_vertices ")[1].split("\n")[0].split()) == 20
+    m = next(filter(None, (near_perfect_matching(g, v) for v in g.vertex_ids)))
+    ppath = _write_placement(tmp_path, "p.p", g, sorted(m.edges))
+    t0 = time.perf_counter()
+    code = main(["plan", str(gpath), str(ppath), str(ppath), "--out", str(tmp_path / "x.plan")])
+    plan_s = time.perf_counter() - t0
+    assert code == 2
+    assert capsys.readouterr().err == "refused: no admissible core found\n"
+    with capsys.disabled():
+        print(f"\n51-vertex host: refused in {plan_s * 1e3:.1f} ms")
+    assert plan_s < 1.0
+
+
+def test_plan_refuses_a_host_too_big_for_the_hamilton_search(tmp_path):
+    """On the 1,201-vertex two-row strip `auto` picks the cycle planner,
+    whose Hamilton search recurses once a vertex: `plan` exits 2 with one
+    `refused: ` line and no traceback."""
+    pts = [(x, y) for y in (0, 1) for x in range(600)] + [(600, 0)]
+    gpath = _write_lattice(tmp_path, "strip.graph", sorted(pts))
+    g = formats.parse_graph(gpath.read_text())
+    ppath = _write_placement(tmp_path, "p.p", g, sorted(near_perfect_matching(g, 1).edges))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = main(["plan", str(gpath), str(ppath), str(ppath),
+                     "--out", str(tmp_path / "x.plan")])
+    assert code == 2
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("refused: ")
+    assert "Traceback" not in err.getvalue()
     assert not (tmp_path / "x.plan").exists()
 
 

@@ -1,12 +1,13 @@
 import itertools
+import random
 
 import pytest
 
-from trigrid.grid import (build_abstract, build_graph, cycle_edges, diamond_cycle_graph,
-                          edge_key, enumerate_diamonds, hex_with_hole_graph,
-                          star_of_david_points, triangles)
+from trigrid.grid import (build_abstract, build_graph, canonical_point_form, cycle_edges,
+                          diamond_cycle_graph, edge_key, enumerate_diamonds,
+                          hex_with_hole_graph, star_of_david_points, triangles)
 from trigrid.ears import (EarDecomposition, EarError, NoAdmissibleError,
-                          LevelMatchings, _fans, _pentagon_structure,
+                          LevelMatchings, _diamond_structure, _fans, _pentagon_structure,
                           align_with_ears, ear_settled, find_admissible, grow_ears,
                           is_aligned_with, path_edges, validate_decomposition)
 from trigrid.matching import enumerate_near_perfect_matchings, near_perfect_matching
@@ -14,7 +15,8 @@ from trigrid.placement import Placement
 
 from conftest import random_placement
 from corpus import degree6_corpus, locally_connected_corpus
-from support import ear_decomposition, label_word
+from support import (ear_decomposition, is_alternating_cycle, label_word, random_abstract,
+                     random_polyhex, reference_diamond_structure)
 
 
 def test_decomposition_regions():
@@ -264,3 +266,40 @@ def test_fans_match_permutation_scan():
             fans += len(_fans(g, t))
     assert fans and not _fans(k5, 1) and len(_fans(wheel, 1)) == 6
     assert not any(_fans(h, 1) for h in chorded)
+
+
+def test_diamond_core_matches_the_cycle_search():
+    """`_diamond_structure`, two matchings and the alternating walk per
+    diamond and outer edge, picks the same diamond, ear u-x-y-v and chord
+    as the odd alternating cycle search at every vertex
+    (`support.reference_diamond_structure`), or refuses where it refuses.
+    Its base is an odd cycle through (u, v) that avoids x and y and
+    alternates under its matching, which exposes u. Hosts:
+    `diamond_cycle(3..10)`, K5 less an edge, 200 distinct random polyhexes
+    of 9-25 vertices and 100 random abstract hosts of 7-15 vertices; both
+    outcomes occur."""
+    rng = random.Random(44)
+    k5_less = build_abstract(5, [e for e in itertools.combinations(range(1, 6), 2)
+                                 if e != (1, 2)])
+    hosts = [diamond_cycle_graph(n) for n in range(3, 11)] + [k5_less]
+    seen = set()
+    while len(seen) < 200:
+        g = random_polyhex(rng, rng.randrange(9, 26, 2))
+        key = canonical_point_form(g.points)
+        if key not in seen:
+            seen.add(key)
+            hosts.append(g)
+    hosts += [random_abstract(rng, rng.randrange(7, 16, 2)) for _ in range(100)]
+    found = 0
+    for g in hosts:
+        mine, ref = _diamond_structure(g), reference_diamond_structure(g)
+        assert (mine is None) == (ref is None), g.name
+        if mine is None:
+            continue
+        found += 1
+        (d, m), (d_ref, _) = mine, ref
+        assert d.ears == d_ref.ears and d.kind == "diamond_cycle", g.name
+        (u, x, y, v), _ = d.ears
+        assert is_alternating_cycle(m, d.base) and not m.covers(u)
+        assert edge_key(u, v) in cycle_edges(d.base) and not {x, y} & set(d.base)
+    assert 9 < found < len(hosts)

@@ -13,14 +13,14 @@ from trigrid.grid import (DIRS, GridError, TriGridGraph, build_abstract, build_g
                           chord_cycle_graph, diamond_cycle_graph, edge_key, hexagon_points,
                           is_locally_connected, is_star_of_david, star_of_david_points)
 from trigrid.hamilton import (HamiltonCycle, HamiltonError, _hamilton_search, _normalize,
-                              enumerate_hamilton_cycles, find_hamilton,
-                              find_local_structure, parity_diamonds, validate_cycle)
+                              find_hamilton, find_local_structure, parity_diamonds,
+                              validate_cycle)
 
 from corpus import locally_connected_corpus
 from dual_forests import dual_forests
-from support import (CROSSING_ARCS_EDGES, arc, best_parity_diamond, induces_connected,
-                     parity_key, reference_hamilton_search, scan_parity_diamonds,
-                     select_parity)
+from support import (CROSSING_ARCS_EDGES, arc, best_parity_diamond,
+                     enumerate_hamilton_cycles, induces_connected, parity_key,
+                     reference_hamilton_search, scan_parity_diamonds, select_parity)
 
 
 def _brute_cycles(g):

@@ -7,11 +7,11 @@ from trigrid.grid import (DIRS, build_abstract, build_graph, chord_cycle_graph,
                           diamond_cycle_graph, edge_key, hexagon_points, star_of_david_points)
 from trigrid.matching import (Matching, MatchingError, alternating_path_to,
                               enumerate_near_perfect_matchings,
-                              is_factor_critical, near_perfect_matching,
-                              odd_alternating_cycle_through)
+                              is_factor_critical, near_perfect_matching)
 
 from corpus import degree6_corpus, locally_connected_corpus
-from support import factor_critical_by_definition, is_alternating_cycle, is_central
+from support import (factor_critical_by_definition, is_alternating_cycle, is_central,
+                     odd_alternating_cycle_through)
 
 
 def _cycle_graph(n):

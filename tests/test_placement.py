@@ -389,7 +389,7 @@ def test_is_aligned_matches_matching_reference(host, rnd):
 
 def test_cover_map_matches_a_scan_of_the_pieces(rng):
     """`label_at` and `in` on every host edge, either way round, and
-    `label_covering` on every vertex, the gap included, agree with a scan
+    `owner` on every vertex, 0 at the gap, agree with a scan
     of `p.pieces`: on random placements of the locally-connected corpus
     and on the ends of random words replayed from them."""
     for g in locally_connected_corpus():
@@ -410,8 +410,8 @@ def test_cover_map_matches_a_scan_of_the_pieces(rng):
                     assert (e in x) == (e[::-1] in x) == (want is not None)
                 for v in g.vertex_ids:
                     on = [lab for lab, pe in enumerate(x.pieces, 1) if v in pe]
-                    assert x.label_covering(v) == (on[0] if on else None)
-                assert x.label_covering(x.exposed) is None
+                    assert x.owner[v] == (on[0] if on else 0)
+                assert x.owner[x.exposed] == 0
 
 
 def _on_cycle_moves(p, ces):
