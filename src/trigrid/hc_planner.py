@@ -3,17 +3,19 @@
 Pipeline: align both placements with a spanning cycle, pin the gap at the
 first window's corner, sort the cyclic label order along the cycle by
 adjacent swaps, turn once into the target's frame, then undo the
-target-side alignment. A window is a parity diamond on the cycle, and its
-gadget swaps the two labels on its swap dominoes with the gap at its
-corner c. A lap of the cycle takes the gap past every corner with the
-placement aligned, so each swap is made at whichever window is cheaper to
-reach: the first window after a turn either way round, or a window ahead
-on the way forwards. From the first corner on, the plan is arithmetic on
+target-side alignment. The sort cuts the cyclic order at a seam and aims
+at a rotation of the target's order, the two chosen together for the
+fewest inversions, one swap each. A window is a parity diamond on the
+cycle, and its gadget swaps the two labels on its swap dominoes with the
+gap at its corner c. A lap of the cycle takes the gap past every corner
+with the placement aligned, so each swap is made at whichever window is
+cheaper to reach: the first window after a turn either way round, or a
+window ahead on the way forwards. From the first corner on, the plan is arithmetic on
 the list of labels on the cycle's dominoes: each turn and each gadget's
 word is read off it in closed form, and no placement is built until
-`finish_plan` checks the plan. Measured from `hex37` to `hex127`, plans
-take 1.3-1.7·n² slides on n vertices, of whose uncut slides the swap
-gadgets are 40-59% and the turns 34-47%.
+`finish_plan` checks the plan. Measured from `hex37` to `hex127` (pairs
+1-3), plans take 0.9-1.8·n² slides on n vertices; from `hex61` up, the
+swap gadgets are 44-51% of the uncut slides and the turns 33-45%.
 """
 
 from typing import Dict, List, NamedTuple, Sequence, Tuple
@@ -167,20 +169,32 @@ def _label_order(p: Placement, dominoes: Sequence[Edge]) -> List[int]:
     return labels
 
 
-def _nearest_rotation(have: List[int], want: List[int]) -> List[int]:
-    """The rotation of `want` with the fewest inversions against `have`
-    (ties to the smallest shift). Moving the first entry, at position s in
-    `have`, to the back changes the count by k - 1 - 2s."""
+def _nearest_seam(have: List[int], goal: List[int]) -> Tuple[int, List[int]]:
+    """The seam s and the rotation `want` of `goal` with the fewest
+    inversions between have[s:] + have[:s] and `want`, over all k seams
+    and k rotations (ties to the smallest seam, then the smallest shift).
+    Moving the first entry of `want`, at position p in `have`, to the back
+    changes the count by k - 1 - 2p; moving have[s] to the back of the cut
+    changes the count against `goal` turned left by r by
+    k - 1 - 2 * ((p - r) % k), p its position in `goal`."""
     k = len(have)
-    pos = {lab: i for i, lab in enumerate(have)}
-    s = [pos[lab] for lab in want]
+    in_have = {lab: i for i, lab in enumerate(have)}
+    in_goal = {lab: i for i, lab in enumerate(goal)}
+    s = [in_have[lab] for lab in goal]
     inv = sum(s[i] > s[t] for i in range(k) for t in range(i + 1, k))
-    best, shift = inv, 0
+    row = [inv]                    # row[r]: the count against goal turned left by r
     for r in range(k - 1):
         inv += k - 1 - 2 * s[r]
-        if inv < best:
-            best, shift = inv, r + 1
-    return want[shift:] + want[:shift]
+        row.append(inv)
+    fewest = min(row)
+    seam, shift = 0, row.index(fewest)
+    for cut in range(1, k):
+        p = in_goal[have[cut - 1]]
+        row = [v + k - 1 - 2 * ((p - r) % k) for r, v in enumerate(row)]
+        low = min(row)
+        if low < fewest:
+            fewest, seam, shift = low, cut, row.index(low)
+    return seam, goal[shift:] + goal[:shift]
 
 
 def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement) -> PlanReport:
@@ -189,10 +203,13 @@ def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement) -> PlanReport:
     Aligns both placements with a Hamilton cycle and pins p's gap at the
     corner c of the first window, the first of `parity_diamonds`. A
     rotation keeps the cyclic order of the labels along the cycle, and
-    nothing else, so the sort aims at the rotation of q's order with the
-    fewest inversions and removes one inversion a swap (`_sort`). One
-    last turn (`_turn`) sets the frame to q's alignment, which is then
-    undone; `finish_plan` checks the whole plan against q.
+    nothing else, and a sort by adjacent swaps need never swap across
+    the seam where it cuts that order into a line. So the sort cuts p's
+    order at the seam, and aims at the rotation of q's order, that
+    together have the fewest inversions (`_nearest_seam`), and removes
+    one inversion a swap (`_sort`). One last turn (`_turn`) sets the
+    frame to q's alignment, which is then undone; `finish_plan` checks
+    the whole plan against q.
 
     Hosts below five vertices have no parity diamond: a single vertex
     holds no pieces, and the one piece on a triangle is placed by a
@@ -216,8 +233,8 @@ def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement) -> PlanReport:
     frames = [turning_frame(pd) for pd in windows]
     order = _label_order(rp.end, frames[0].dominoes)
     goal = _label_order(aligned_q, forced_cycle_dominoes(h.order, aligned_q.exposed))
-    want = _nearest_rotation(order, goal)
-    word, order, at, swaps, used = _sort(frames, order, want)
+    seam, want = _nearest_seam(order, goal)
+    word, order, at, swaps, used = _sort(frames, order, seam, want)
     # the last turn: the gap onto q's, want[0] onto its domino in q's frame
     ring = frames[at].ring
     u = _turn(order.index(want[0]), ring, aligned_q.exposed, goal.index(want[0]), len(order))
@@ -227,27 +244,29 @@ def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement) -> PlanReport:
                        swaps, used, windows=used)
 
 
-def _sort(frames: Sequence[TurningFrame], order: List[int],
+def _sort(frames: Sequence[TurningFrame], order: List[int], seam: int,
           want: List[int]) -> Tuple[Tuple[int, ...], List[int], int, int, int]:
     """Sort the labels on the cycle, the gap at frames[0]'s corner, from
-    `order` to `want` by adjacent swaps at the windows `frames`, each of
-    which removes one inversion. Returns the word, the label order it ends
-    at, the index of the window at whose corner the gap ends, the swaps
-    and the number of windows that swapped, each of which makes its
-    gadget's word once (`swap_adjacent`).
+    `order`, cut at position `seam`, to `want` by adjacent swaps at the
+    windows `frames`, each of which removes one inversion. Returns the
+    word, the label order it ends at, the index of the window at whose
+    corner the gap ends, the swaps and the number of windows that
+    swapped, each of which makes its gadget's word once
+    (`swap_adjacent`).
 
     `have` lists the labels in cycle order from the one that started on
-    domino 0, and a pair is an inversion when it is adjacent there, so
-    never across that seam, and in the other order in `want`. Each step
-    takes the cheaper, in slides, of two moves: the next swap of an
-    insertion sort of `have`, at the first window, after the shorter turn
-    either way round the cycle; or going on forwards, less than a lap, to
-    a window whose pair is an inversion when the gap reaches its corner,
-    the one whose distance and gadget (`gadget_slides`) are fewest slides,
-    and swapping there. A lap takes the gap past the corner of every
-    window with the placement aligned with the cycle, so the second move
-    needs no turn of its own. Going on to the nearest such window instead
-    left `para25`'s plans 27% longer over pairs 1-10.
+    domino `seam`, order[seam:] + order[:seam], and a pair is an
+    inversion when it is adjacent there, so never across that seam, and
+    in the other order in `want`. Each step takes the cheaper, in slides,
+    of two moves: the next swap of an insertion sort of `have`, at the
+    first window, after the shorter turn either way round the cycle; or
+    going on forwards, less than a lap, to a window whose pair is an
+    inversion when the gap reaches its corner, the one whose distance and
+    gadget (`gadget_slides`) are fewest slides, and swapping there. A lap
+    takes the gap past the corner of every window with the placement
+    aligned with the cycle, so the second move needs no turn of its own.
+    Going on to the nearest such window instead left `para25`'s plans 27%
+    longer over pairs 1-10.
     """
     k = len(order)
     n = 2 * k + 1
@@ -257,7 +276,7 @@ def _sort(frames: Sequence[TurningFrame], order: List[int],
     # corner to its own, mod n, its lower swap domino and its gadget's length
     ahead = [(w, ring.index(f.pd.c) * half % n, f.lo, gadget_slides(f.pd))
              for w, f in enumerate(frames)]
-    have = list(order)
+    have = order[seam:] + order[:seam]
     where = {lab: i for i, lab in enumerate(have)}
     rank = {lab: i for i, lab in enumerate(want)}
     word: List[int] = []

@@ -499,7 +499,12 @@ def test_plan_logs_summary_under_trigrid_log(tmp_path, capsys, monkeypatch):
     # gadgets count builds at every level, so they can outnumber the swaps
     assert swaps > 0 and gadgets > 0 and fallbacks > 0
 
-    assert main(argv[:5] + ["hamilton", "--out", str(tmp_path / "h.plan")]) == 0
+    # the same matching, labelled the other way round: the cycle plan to
+    # this target still has loops to cut
+    q = Placement.make(g, sorted(near_perfect_matching(g, 19).edges))
+    target = _write_placement(tmp_path, "th.p", g, q.pieces)
+    assert main(["plan", str(gpath), str(start), str(target), "--strategy", "hamilton",
+                 "--out", str(tmp_path / "h.plan")]) == 0
     lines = [ln for ln in capsys.readouterr().err.splitlines()
              if ln.startswith("trigrid: plan ")]
     rep = plan_hamilton(g, p, q)
