@@ -171,7 +171,6 @@ class ParityDiamond:
     b: int
     c: int
     d: int
-    cycle: HamiltonCycle
     case: str                    # "i" or "ii"
     p1: Tuple[int, ...]          # vertex path d -> a, even edge count
     p2: Tuple[int, ...]          # vertex path b -> c, odd edge count
@@ -187,10 +186,10 @@ def find_local_structure(g: TriGridGraph, h: HamiltonCycle) -> ParityDiamond:
 
 def parity_diamonds(g: TriGridGraph, h: HamiltonCycle) -> List[ParityDiamond]:
     """Every parity diamond on the given Hamilton cycle, the shortest p1
-    first, then the shortest p2, ties broken by vertex labels; each one's
-    `cycle` is h. Each is a window where the cycle planner can swap two
-    adjacent pieces with the gap at its corner c, by a gadget that rotates
-    over p1: 5 slides for a p1 of three vertices, 2m + 4 for m > 3.
+    first, then the shortest p2, ties broken by vertex labels. Each is a
+    window where the cycle planner can swap two adjacent pieces with the
+    gap at its corner c, by a gadget that rotates over p1: 5 slides for a
+    p1 of three vertices, 2m + 4 for m > 3.
 
     Every labeling is walked from its cycle edge (a, b): c is a common
     neighbour of a and b, and d a common neighbour of a and c other than b
@@ -238,5 +237,5 @@ def parity_diamonds(g: TriGridGraph, h: HamiltonCycle) -> List[ParityDiamond]:
             p1, p2 = twice[i + k - p1_edges:i + k + 1], twice[i + 1:i + rc + 1]
         else:
             p1, p2 = twice[i:i + p1_edges + 1][::-1], twice[i + k - rc:i + k][::-1]
-        out.append(ParityDiamond(a, b, c, d, h, "ii" if rc == 2 else "i", p1, p2))
+        out.append(ParityDiamond(a, b, c, d, "ii" if rc == 2 else "i", p1, p2))
     return out

@@ -10,12 +10,15 @@ cycle, and its gadget swaps the two labels on its swap dominoes with the
 gap at its corner c. A lap of the cycle takes the gap past every corner
 with the placement aligned, so each swap is made at whichever window is
 cheaper to reach: the first window after a turn either way round, or a
-window ahead on the way forwards. From the first corner on, the plan is arithmetic on
-the list of labels on the cycle's dominoes: each turn and each gadget's
-word is read off it in closed form, and no placement is built until
-`finish_plan` checks the plan. Measured from `hex37` to `hex127` (pairs
-1-3), plans take 0.9-1.8·n² slides on n vertices; from `hex61` up, the
-swap gadgets are 44-51% of the uncut slides and the turns 33-45%.
+window ahead on the way forwards. From the first corner on, the plan
+runs on one ring, the cycle listed from that corner: its state is the
+list L of labels on the ring's dominoes and one number u mod n*k, and
+each window is a few offsets on the ring (`Window`). Each turn and each
+gadget's word is read off them in closed form, and no placement is
+built until `finish_plan` checks the plan. Criterion 11's longest plans
+(five pairs a host) take 1.23-1.84·n² slides on n vertices from `hex37`
+to `hex127`, c = 1.845 on `hex127` (29,758 slides); from `hex61` up,
+the swap gadgets are 44-51% of the uncut slides and the turns 33-45%.
 """
 
 from typing import Dict, List, NamedTuple, Sequence, Tuple
@@ -36,74 +39,65 @@ def align_with_hamilton(p: Placement, h: HamiltonCycle) -> SlideSequence:
 # ---------------------------------------------------------------------------
 # adjacent swaps at the windows
 
-class TurningFrame(NamedTuple):
-    """A window's frame, the gap at its diamond's corner c: the cycle
-    listed from c (`ring`), its forced dominoes listed from c, the indices
-    of the two swap dominoes (`i_ab` on (a, b), `i_v` its neighbour along
-    p1) and `lo`, the lower of the two in cycle order. With the gap at c,
-    every piece lies on one of the dominoes, so the list of labels on
-    them, domino by domino, fixes the placement. Every window of a plan
-    lists the same cycle in the same direction."""
+class Window(NamedTuple):
+    """A parity diamond `pd` as offsets on a ring, an odd cycle of n
+    vertices listed from the gap at state 0 (in a plan, the first
+    window's corner): `state`, the state mod n at which the gap sits at
+    its corner c, and the dominoes, counted from c, that hold (a, b)
+    (`i_ab`), p1[-2] (`i_v`, the other swap domino) and d (`i_d`); `lo`
+    is the lower of the two swap dominoes in cycle order. With the gap at
+    c, every piece lies on one of the dominoes, so the labels on them,
+    domino by domino, fix the placement."""
 
     pd: ParityDiamond
-    ring: Tuple[int, ...]
-    dominoes: Tuple[Edge, ...]
+    state: int
     i_ab: int
     i_v: int
     lo: int
+    i_d: int
 
 
-def turning_frame(pd: ParityDiamond) -> TurningFrame:
-    """The frame of the window `pd`. Domino i is (ring[2i+1], ring[2i+2]),
-    so the vertex at ring index r > 0 lies on domino (r - 1) // 2."""
-    cycle = pd.cycle.order
-    at_c = cycle.index(pd.c)
-    ring = cycle[at_c:] + cycle[:at_c]
-    dominoes = tuple(forced_cycle_dominoes(ring, pd.c))
-    r_ab = min(ring.index(pd.a), ring.index(pd.b))
-    i_ab, i_v = (r_ab - 1) // 2, (ring.index(pd.p1[-2]) - 1) // 2
-    k = len(dominoes)
-    assert r_ab % 2 and (i_v - i_ab) % k in (1, k - 1), "swap dominoes not adjacent"
-    lo = i_ab if (i_v - i_ab) % k == 1 else i_v
-    return TurningFrame(pd, ring, dominoes, i_ab, i_v, lo)
+def windows_on(ring: Tuple[int, ...], diamonds: Sequence[ParityDiamond]) -> List[Window]:
+    """The diamonds as windows on `ring`, an odd cycle of n = 2k + 1
+    vertices. The gap at ring[e] is state e/2 = e(k + 1) mod n, and with
+    the gap at ring[e] the vertex at ring[e + r], r > 0, lies on domino
+    (r - 1) // 2 after it."""
+    n = len(ring)
+    k = n // 2
+    at = {v: r for r, v in enumerate(ring)}
+    out = []
+    for pd in diamonds:
+        e = at[pd.c]
+        r_a, r_b, r_v, r_d = ((at[v] - e) % n for v in (pd.a, pd.b, pd.p1[-2], pd.d))
+        r_ab = min(r_a, r_b)
+        i_ab, i_v, i_d = (r_ab - 1) // 2, (r_v - 1) // 2, (r_d - 1) // 2
+        assert r_ab % 2 and (i_v - i_ab) % k in (1, k - 1), "swap dominoes not adjacent"
+        lo = i_ab if (i_v - i_ab) % k == 1 else i_v
+        out.append(Window(pd, e * (k + 1) % n, i_ab, i_v, lo, i_d))
+    return out
 
 
-def turn_to_swap(order: List[int], j: int, frm: TurningFrame,
-                 to: TurningFrame) -> Tuple[Tuple[int, ...], List[int]]:
-    """The turn along the cycle, from the gap at frm's corner to the gap at
-    to's corner, that brings order[j] onto to's lower swap domino: its
-    word and the label order on to's dominoes it ends at. `order` lists
-    the labels on frm's dominoes.
-
-    The gap moves two places a slide forwards, and each slide forwards
-    turns the list left by one, so the turn is the one state u mod n*k
-    that `_turn` gives. It is u slides forwards or n*k - u backwards,
-    whichever `shorter_walk` picks, and ends at the list turned left by
-    u: the word and end `rotate` gives for the same placement and goals,
-    with no placement built.
-    """
-    k = len(order)
-    u = _turn(j, frm.ring, to.pd.c, to.lo, k)
-    _, kept = shorter_walk(frm.ring, order, (u,))
-    return kept, order[u % k:] + order[:u % k]
+def _target(state: int, p: int, i: int, k: int) -> int:
+    """The state, 0 <= t < n*k on a ring of n = 2k + 1 vertices, that
+    puts the gap where `state` mod n does and L[p] on domino i after it:
+    t = state mod n, and t = p - i mod k as domino i holds L[(i + t) % k].
+    As n = 1 mod k, t = state + n*m with m = p - i - state mod k."""
+    return state + (2 * k + 1) * ((p - i - state) % k)
 
 
-def _turn(j: int, ring: Tuple[int, ...], gap: int, dom: int, k: int) -> int:
-    """The state u, 0 <= u < n*k, of the turn along `ring`, listed from the
-    gap, that exposes `gap` and brings the label at position j of the list
-    on ring's dominoes onto domino `dom` of the frame at `gap`: u slides
-    forwards, or n*k - u backwards. The gap at ring[e] needs 2u = e mod n,
-    and the label needs u = j - dom mod k; as n = 1 mod k, u = r + n*m
-    with r = e/2 mod n and m whole laps on top."""
-    n = 2 * k + 1
-    r = ring.index(gap) * (k + 1) % n
-    return r + n * ((j - dom - r) % k)
+def _walk(ring: Tuple[int, ...], labels: Sequence[int], u: int, t: int) -> Tuple[int, ...]:
+    """The word of the turn from state u to state t along `ring`:
+    `shorter_walk` on the ring and the label list, both read from the gap
+    at u, so the word and its direction are those `rotate` gives."""
+    n, k = len(ring), len(labels)
+    g, s = 2 * u % n, u % k
+    return shorter_walk(ring[g:] + ring[:g], labels[s:] + labels[:s], ((t - u) % (n * k),))[1]
 
 
-def gadget_word(frame: TurningFrame, order: Sequence[int]) -> Tuple[int, ...]:
-    """The word of the swap gadget at `frame`'s window, `order` listing the
-    labels on its dominoes: it exchanges the labels on the two swap
-    dominoes and leaves the gap at c.
+def gadget_word(w: Window, order: Sequence[int]) -> Tuple[int, ...]:
+    """The word of the swap gadget at the window w, `order` listing the
+    labels on its dominoes from its corner c: it exchanges the labels on
+    the two swap dominoes and leaves the gap at c.
 
     One construction for every diamond: keep b, so the (a, b) piece
     slides onto (b, c) and the gap moves to a; one lap along the cycle p1
@@ -120,9 +114,9 @@ def gadget_word(frame: TurningFrame, order: Sequence[int]) -> Tuple[int, ...]:
     label on (d, p1[1]), d) comes before (the label on p1's last domino,
     p1[-2]), `shorter_walk`'s tie rule.
     """
-    pd = frame.pd
+    pd = w.pd
     p1, m = pd.p1, len(pd.p1)
-    forwards = (order[(frame.ring.index(pd.d) - 1) // 2], pd.d) < (order[frame.i_v], p1[-2])
+    forwards = (order[w.i_d], pd.d) < (order[w.i_v], p1[-2])
     lap = 0 if m == 3 else m if m == 5 and forwards else -m
     return ((pd.b,) + walk_word((pd.a,) + p1[:-1], lap)
             + walk_word((pd.a, pd.b, pd.c) + p1[:-1], -4 if m == 3 else m + 3))
@@ -135,26 +129,30 @@ def gadget_slides(pd: ParityDiamond) -> int:
     return 5 if m == 3 else 2 * m + 4
 
 
-def swap_adjacent(order: List[int], j: int, frm: TurningFrame, to: TurningFrame,
-                  words: Dict[Tuple[int, ...], Tuple[int, ...]]
-                  ) -> Tuple[Tuple[int, ...], List[int]]:
-    """Transpose the label x = order[j] and the one after it along the
-    cycle; `order` lists the labels on frm's dominoes, the gap at its
-    corner. Returns the word and the label order on to's dominoes it ends
-    at, the gap at to's corner.
+def swap_adjacent(ring: Tuple[int, ...], labels: List[int], u: int, w: Window, t: int,
+                  words: Dict[Tuple[int, ...], Tuple[int, ...]]) -> Tuple[int, ...]:
+    """Turn from state u to state t, which puts the gap at w's corner,
+    and exchange the labels on w's swap dominoes there with its gadget;
+    returns the word. `labels` is the ring's label list L, at state t
+    read L[(i + t) % k] on domino i after the gap; the swap exchanges its
+    two adjacent entries on the swap dominoes in place, and the state
+    stays t.
 
-    Turns along the cycle until x sits on to's lower swap domino and its
-    neighbour on the one after it (`turn_to_swap`), then exchanges them
-    there with to's swap gadget. `words` is the plan's dict from window,
-    (a, b, c, d), to gadget word, filled at the window's first swap, so a
-    tie on a p1 of five vertices goes the same way at every swap there.
+    `words` is the plan's dict from window, (a, b, c, d), to gadget word,
+    filled at the window's first swap from L read from its corner at t,
+    so a tie on a p1 of five vertices goes the same way at every swap
+    there. The turn's word is built before the swap, as `shorter_walk`'s
+    tie rule reads the labels at u.
     """
-    turn, order = turn_to_swap(order, j, frm, to)
-    key = to.pd.a, to.pd.b, to.pd.c, to.pd.d
+    k = len(labels)
+    turn = _walk(ring, labels, u, t)
+    key = w.pd.a, w.pd.b, w.pd.c, w.pd.d
     if key not in words:
-        words[key] = gadget_word(to, order)
-    order[to.i_ab], order[to.i_v] = order[to.i_v], order[to.i_ab]
-    return turn + words[key], order
+        s = t % k
+        words[key] = gadget_word(w, labels[s:] + labels[:s])
+    i, j = (w.i_ab + t) % k, (w.i_v + t) % k
+    labels[i], labels[j] = labels[j], labels[i]
+    return turn + words[key]
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +199,17 @@ def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement) -> PlanReport:
     """A verified slide plan from p to q on a locally-connected graph.
 
     Aligns both placements with a Hamilton cycle and pins p's gap at the
-    corner c of the first window, the first of `parity_diamonds`. A
+    corner c of the first window, the first of `parity_diamonds`. From
+    there the plan runs on one ring, the cycle listed from c, as the list
+    L of labels on its dominoes and one state number (`_sort`). A
     rotation keeps the cyclic order of the labels along the cycle, and
     nothing else, and a sort by adjacent swaps need never swap across
-    the seam where it cuts that order into a line. So the sort cuts p's
-    order at the seam, and aims at the rotation of q's order, that
-    together have the fewest inversions (`_nearest_seam`), and removes
-    one inversion a swap (`_sort`). One last turn (`_turn`) sets the
-    frame to q's alignment, which is then undone; `finish_plan` checks
-    the whole plan against q.
+    the seam where it cuts that order into a line. So the sort cuts L at
+    the seam, and aims at the rotation of q's order, that together have
+    the fewest inversions (`_nearest_seam`), and removes one inversion a
+    swap. One last turn, by the sort's own arithmetic, sets the state of
+    q's alignment, which is then undone; `finish_plan` checks the whole
+    plan against q.
 
     Hosts below five vertices have no parity diamond: a single vertex
     holds no pieces, and the one piece on a triangle is placed by a
@@ -224,88 +224,78 @@ def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement) -> PlanReport:
     h = find_hamilton(g)
     if g.num_vertices < 5:
         return finish_plan(rotate(p, h.order, q.exposed), q, "hamilton", [])
-    windows = parity_diamonds(g, h)
+    diamonds = parity_diamonds(g, h)
 
     sp = align_with_hamilton(p, h)
     sq = align_with_hamilton(q, h)
-    rp = rotate(sp.end, h.order, windows[0].c)
+    rp = rotate(sp.end, h.order, diamonds[0].c)
     aligned_q = sq.end
-    frames = [turning_frame(pd) for pd in windows]
-    order = _label_order(rp.end, frames[0].dominoes)
+    e = h.order.index(diamonds[0].c)
+    ring = h.order[e:] + h.order[:e]
+    labels = _label_order(rp.end, forced_cycle_dominoes(ring, ring[0]))
     goal = _label_order(aligned_q, forced_cycle_dominoes(h.order, aligned_q.exposed))
-    seam, want = _nearest_seam(order, goal)
-    word, order, at, swaps, used = _sort(frames, order, seam, want)
+    seam, want = _nearest_seam(labels, goal)
+    word, u, swaps, used = _sort(ring, windows_on(ring, diamonds), labels, seam, want)
     # the last turn: the gap onto q's, want[0] onto its domino in q's frame
-    ring = frames[at].ring
-    u = _turn(order.index(want[0]), ring, aligned_q.exposed, goal.index(want[0]), len(order))
-    _, last = shorter_walk(ring, order, (u,))
-    seq = SlideSequence(p, sp.kept + rp.kept + word + last, aligned_q)
+    k = len(labels)
+    t = _target(ring.index(aligned_q.exposed) * (k + 1) % len(ring),
+                labels.index(want[0]), goal.index(want[0]), k)
+    seq = SlideSequence(p, sp.kept + rp.kept + word + _walk(ring, labels, u, t), aligned_q)
     return finish_plan(seq.then(invert_sequence(sq)), q, "hamilton", [],
                        swaps, used, windows=used)
 
 
-def _sort(frames: Sequence[TurningFrame], order: List[int], seam: int,
-          want: List[int]) -> Tuple[Tuple[int, ...], List[int], int, int, int]:
-    """Sort the labels on the cycle, the gap at frames[0]'s corner, from
-    `order`, cut at position `seam`, to `want` by adjacent swaps at the
-    windows `frames`, each of which removes one inversion. Returns the
-    word, the label order it ends at, the index of the window at whose
-    corner the gap ends, the swaps and the number of windows that
-    swapped, each of which makes its gadget's word once
-    (`swap_adjacent`).
+def _sort(ring: Tuple[int, ...], windows: Sequence[Window], labels: List[int], seam: int,
+          want: List[int]) -> Tuple[Tuple[int, ...], int, int, int]:
+    """Sort the labels on `ring`, the gap at its first vertex, the first
+    window's corner, from `labels`, cut at position `seam`, to `want` by
+    adjacent swaps at the windows, each of which removes one inversion.
+    Returns the word, the state at which it ends, the swaps and the
+    number of windows that swapped, each of which makes its gadget's
+    word once (`swap_adjacent`); `labels` ends sorted in place.
 
-    `have` lists the labels in cycle order from the one that started on
-    domino `seam`, order[seam:] + order[:seam], and a pair is an
-    inversion when it is adjacent there, so never across that seam, and
-    in the other order in `want`. Each step takes the cheaper, in slides,
-    of two moves: the next swap of an insertion sort of `have`, at the
-    first window, after the shorter turn either way round the cycle; or
-    going on forwards, less than a lap, to a window whose pair is an
-    inversion when the gap reaches its corner, the one whose distance and
-    gadget (`gadget_slides`) are fewest slides, and swapping there. A lap
-    takes the gap past the corner of every window with the placement
-    aligned with the cycle, so the second move needs no turn of its own.
-    Going on to the nearest such window instead left `para25`'s plans 27%
-    longer over pairs 1-10.
+    The sort's state is the label list L, `labels`, and one number u mod
+    n*k: u slides forwards put the gap at ring[2u] and L[(i + u) % k] on
+    domino i after it. Turns leave L as it is and a swap exchanges two
+    adjacent entries, so L read from the seam is the order being sorted,
+    and a pair is an inversion when it is adjacent there, so never across
+    that seam, and in the other order in `want`. Each step takes the
+    cheaper, in slides, of two moves: the next swap of an insertion sort
+    of L read from the seam, at the first window, after the shorter turn
+    either way round the cycle; or going on forwards, less than a lap, to
+    a window whose pair is an inversion when the gap reaches its corner,
+    the one whose distance and gadget (`gadget_slides`) are fewest
+    slides, and swapping there. A lap takes the gap past the corner of
+    every window with the placement aligned with the cycle, so the
+    second move needs no turn of its own. Going on to the nearest such
+    window instead left `para25`'s plans 27% longer over pairs 1-10.
     """
-    k = len(order)
+    k = len(labels)
     n = 2 * k + 1
-    half = k + 1                               # the inverse of 2 mod n
-    ring = frames[0].ring
-    # per window: its index, the slides forwards from the first window's
-    # corner to its own, mod n, its lower swap domino and its gadget's length
-    ahead = [(w, ring.index(f.pd.c) * half % n, f.lo, gadget_slides(f.pd))
-             for w, f in enumerate(frames)]
-    have = order[seam:] + order[:seam]
-    where = {lab: i for i, lab in enumerate(have)}
+    ahead = [(w, gadget_slides(w.pd)) for w in windows]
+    first, first_gadget = ahead[0]
     rank = {lab: i for i, lab in enumerate(want)}
     word: List[int] = []
     words: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-    at = swaps = done = 0
+    u = swaps = done = 0
     while True:
-        while done < k and have[done] == want[done]:
+        while done < k and labels[(seam + done) % k] == want[done]:
             done += 1
         if done == k:
             break
         # the insertion sort's next swap, at the first window
-        j = order.index(have[where[want[done]] - 1])
-        u = _turn(j, frames[at].ring, frames[0].pd.c, frames[0].lo, k)
-        best, to = min(u, n * k - u) + ahead[0][3], 0
-        here = ahead[at][1]
+        t = _target(first.state, labels.index(want[done]) - 1, first.lo, k)
+        step = (t - u) % (n * k)
+        best, to = min(step, n * k - step) + first_gadget, first
         # the windows ahead, within one lap forwards
-        for w, step, lo, gadget in ahead:
-            t = (step - here) % n
-            if t + gadget < best:
-                i = (lo + t) % k
-                y = order[i]
-                if rank[y] > rank[order[(i + 1) % k]] and where[y] != k - 1:
-                    best, to, j = t + gadget, w, i
-        y = order[j]
-        kept, order = swap_adjacent(order, j, frames[at], frames[to], words)
-        word.extend(kept)
-        i = where[y]
-        have[i], have[i + 1] = have[i + 1], have[i]
-        where[have[i]], where[have[i + 1]] = i, i + 1
+        for w, gadget in ahead:
+            step = (w.state - u) % n
+            if step + gadget < best:
+                i = (w.lo + u + step) % k
+                y = labels[i]
+                if rank[y] > rank[labels[(i + 1) % k]] and (i - seam) % k != k - 1:
+                    best, to, t = step + gadget, w, u + step
+        word.extend(swap_adjacent(ring, labels, u, to, t, words))
+        u = t % (n * k)
         swaps += 1
-        at = to
-    return tuple(word), order, at, swaps, len(words)
+    return tuple(word), u, swaps, len(words)

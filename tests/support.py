@@ -5,8 +5,8 @@ library function under every name the library holds it by, canonical
 aligned states on a cycle, the matching-based reference of the alignment
 check, the restricted slide search over `legal_moves` and `slide` that `rotate`,
 the swap gadget and the pentagon core's plans are checked against, the
-placement a turning frame's label list stands for and the swap gadget
-built by a slide and two rotations on it, which `hc_planner`'s
+placement a state of the cycle sort stands for and the swap gadget
+built by a slide and two rotations on a placement, which `hc_planner`'s
 closed-form words are checked against, the definition of
 factor-criticality by one matching per vertex, the
 Hamilton search over sets that the bit-mask search in `hamilton` is
@@ -30,7 +30,6 @@ from trigrid.grid import (DIRS, Edge, TriGridGraph, build_abstract, build_graph,
                           edge_key, enumerate_diamonds)
 from trigrid.hamilton import (HamiltonCycle, HamiltonError, ParityDiamond, _hamilton_search,
                               _normalize, validate_cycle)
-from trigrid.hc_planner import TurningFrame
 from trigrid.matching import Matching, MatchingError, near_perfect_matching, perfect_matching
 from trigrid.placement import (Placement, PlacementError, SlideMove, SlideSequence,
                                VerifyReport, forced_cycle_dominoes, legal_moves, rotate,
@@ -180,27 +179,30 @@ def reference_slides_within(p: Placement, edges: Set[Edge],
     return None
 
 
-def frame_placement(g: TriGridGraph, ring: Sequence[int], order: Sequence[int]) -> Placement:
-    """The placement with the gap at ring[0] and label order[i] on the i-th
-    forced domino after it, every piece on the odd cycle `ring`: a turning
-    frame's placement for its ring and label list."""
-    pieces = [None] * len(order)
-    for label, e in zip(order, forced_cycle_dominoes(ring, ring[0])):
-        pieces[label - 1] = e
-    return Placement(g, tuple(pieces), ring[0])
+def state_placement(g: TriGridGraph, ring: Sequence[int], labels: Sequence[int],
+                    u: int = 0) -> Placement:
+    """The placement at state u of the cycle sort on the odd cycle
+    `ring`, every piece on it: the gap at ring[2u mod n] and label
+    labels[(i + u) % k] on the i-th forced domino after the gap."""
+    n, k = len(ring), len(labels)
+    pieces = [None] * k
+    gap = ring[2 * u % n]
+    for i, e in enumerate(forced_cycle_dominoes(ring, gap)):
+        pieces[labels[(i + u) % k] - 1] = e
+    return Placement(g, tuple(pieces), gap)
 
 
-def reference_gadget(cur: Placement, frame: TurningFrame) -> SlideSequence:
-    """The swap gadget built on a placement, the gap at the frame's corner
-    c: slide the (a, b) piece onto (b, c), `rotate` the p1 + (a, d) cycle
-    until the label on p1's last domino sits on (d, p1[1]), then `rotate`
-    the p1 + (a, b), (b, c), (c, d) cycle to the swapped state."""
-    pd = frame.pd
+def reference_gadget(cur: Placement, pd: ParityDiamond) -> SlideSequence:
+    """The swap gadget built on a placement, the gap at the diamond's
+    corner c: slide the (a, b) piece onto (b, c), `rotate` the p1 + (a, d)
+    cycle until the label on p1's last domino, (p1[-3], p1[-2]), sits on
+    (d, p1[1]), then `rotate` the p1 + (a, b), (b, c), (c, d) cycle to the
+    swapped state."""
     a, b, c, d = pd.a, pd.b, pd.c, pd.d
     assert cur.exposed == c
-    hi = cur.label_at(frame.dominoes[frame.i_ab])
-    lo = cur.label_at(frame.dominoes[frame.i_v])
     v1, v2, v3 = pd.p1[-2], pd.p1[-3], pd.p1[1]
+    hi = cur.label_at(edge_key(a, b))
+    lo = cur.label_at(edge_key(v1, v2))
     s1 = replay(cur, (b,))
     s2 = rotate(s1.end, pd.p1, a, [(lo, edge_key(d, v3))])
     s3 = rotate(s2.end, pd.p1 + (b, c), c, [(hi, edge_key(v1, v2)), (lo, edge_key(a, b))])
@@ -431,7 +433,7 @@ def parity_labelings(h: HamiltonCycle,
                 case = "i"
             else:
                 continue
-            out.append(ParityDiamond(a, b, c, d, h, case, p1, p2))
+            out.append(ParityDiamond(a, b, c, d, case, p1, p2))
     return out
 
 

@@ -234,15 +234,13 @@ def test_criterion_8_dual_forest_invariants():
 
 def test_criterion_9_local_structure():
     budget = _Budget(60)
-    checked = modified = 0
+    checked = 0
     for g in locally_connected_corpus():
         h = find_hamilton(g)
         pd = find_local_structure(g, h)
-        validate_cycle(g, pd.cycle)
-        if pd.cycle.order != h.order:
-            modified += 1
-        assert edge_key(pd.a, pd.b) in pd.cycle.edges
-        assert edge_key(pd.a, pd.c) not in pd.cycle.edges
+        validate_cycle(g, h)
+        assert edge_key(pd.a, pd.b) in h.edges
+        assert edge_key(pd.a, pd.c) not in h.edges
         assert g.has_edge(pd.a, pd.c)
         assert len(pd.p1) % 2 == 1, "even-edge-count subpath expected"
         assert len(pd.p2) % 2 == 0, "odd-edge-count subpath expected"
@@ -250,8 +248,7 @@ def test_criterion_9_local_structure():
         checked += 1
     elapsed = budget.check()
     _report(9, f"parity diamond found on all {checked} instances "
-               f"({modified} via a modified cycle, all re-validated)",
-            elapsed)
+               f"(every Hamilton cycle re-validated)", elapsed)
 
 
 def test_criterion_10_ear_planner_scaling():

@@ -256,17 +256,24 @@ def test_select_parity_hex7(hex7):
         assert len(pd.p2) == 2
 
 
+def _arcs_on(pd, h):
+    """The diamond lies on h: p1 from d to a, the edge (a, b) and p2 from
+    b to c are one path along it."""
+    path = pd.p1 + pd.p2
+    return all(edge_key(u, v) in h.edges for u, v in zip(path, path[1:]))
+
+
 def test_find_local_structure_corpus():
     for g in locally_connected_corpus():
         h = find_hamilton(g)
         pd = find_local_structure(g, h)
-        validate_cycle(g, pd.cycle)
-        assert pd.cycle == h
+        validate_cycle(g, h)
+        assert _arcs_on(pd, h)
         ring = [(pd.a, pd.b), (pd.b, pd.c), (pd.c, pd.d), (pd.d, pd.a)]
         assert all(g.has_edge(u, v) for u, v in ring)
         assert g.has_edge(pd.a, pd.c)
-        assert edge_key(pd.a, pd.b) in pd.cycle.edges
-        assert edge_key(pd.a, pd.c) not in pd.cycle.edges
+        assert edge_key(pd.a, pd.b) in h.edges
+        assert edge_key(pd.a, pd.c) not in h.edges
         assert pd.p1[0] == pd.d and pd.p1[-1] == pd.a and pd.b not in pd.p1
         assert pd.p2[0] == pd.b and pd.p2[-1] == pd.c and pd.a not in pd.p2
         assert pd.c not in pd.p1 and pd.d not in pd.p2
@@ -295,7 +302,7 @@ def test_find_local_structure_rejects_tiny():
 def test_local_structure_keeps_cycle(hex7):
     # every Hamilton cycle of hex7 carries a parity diamond of its own
     for h in enumerate_hamilton_cycles(hex7):
-        assert find_local_structure(hex7, h).cycle == h
+        assert _arcs_on(find_local_structure(hex7, h), h)
 
 
 def test_find_local_structure_equals_the_labeling_scan():

@@ -8,18 +8,18 @@ from hypothesis import strategies as st
 from trigrid.grid import (build_graph, cycle_edges, edge_key, hexagon_points,
                           star_of_david_points)
 from trigrid.hamilton import find_hamilton, find_local_structure, parity_diamonds
-from trigrid.hc_planner import (_label_order, _nearest_seam, align_with_hamilton, gadget_slides,
-                                gadget_word, plan_hamilton, swap_adjacent, turn_to_swap,
-                                turning_frame)
+from trigrid.hc_planner import (_label_order, _nearest_seam, _target, _walk, align_with_hamilton,
+                                gadget_slides, gadget_word, plan_hamilton, swap_adjacent,
+                                windows_on)
 from trigrid.placement import (Placement, SlideSequence, cut_loops, forced_cycle_dominoes,
-                               rotate, shorter_walk, verify_sequence)
+                               rotate, verify_sequence)
 from trigrid.plans import PlanError, PlanInvariantError
 
 from conftest import random_placement
 from corpus import locally_connected_corpus
-from support import (apply_sequence, best_parity_diamond, frame_placement, label_word,
-                     reference_gadget, reference_slides_within, replay, scan_parity_diamonds,
-                     spy_everywhere, verify_word)
+from support import (apply_sequence, best_parity_diamond, label_word, reference_gadget,
+                     reference_slides_within, replay, scan_parity_diamonds, spy_everywhere,
+                     state_placement, verify_word)
 
 
 @settings(max_examples=100, deadline=None)
@@ -58,13 +58,30 @@ def test_plan_hamilton_runs_no_matching_search(monkeypatch, rng):
         assert verify_sequence(rep.start, rep.moves, expected_end=q).ok
 
 
-def _aligned_at_c(g, rng, pd=None):
-    if pd is None:
-        pd = find_local_structure(g, find_hamilton(g))
+def _aligned_at_c(g, rng, h, pd):
     p = random_placement(g, rng)
-    seq = align_with_hamilton(p, pd.cycle)
-    seq = seq.then(rotate(seq.end, pd.cycle.order, pd.c))
-    return pd, seq.end
+    seq = align_with_hamilton(p, h)
+    return seq.then(rotate(seq.end, h.order, pd.c)).end
+
+
+def _ring_from(h, v):
+    """h's cycle listed from v."""
+    i = h.order.index(v)
+    return h.order[i:] + h.order[:i]
+
+
+def _window(h, pd):
+    """pd as a window on h's cycle listed from its corner c, at state 0,
+    that ring and its forced dominoes from c."""
+    ring = _ring_from(h, pd.c)
+    return windows_on(ring, [pd])[0], ring, forced_cycle_dominoes(ring, pd.c)
+
+
+def _labels_at(labels, u):
+    """The ring's label list L whose state u reads `labels` from the
+    gap: L[(i + u) % k] = labels[i]."""
+    k = len(labels)
+    return labels[-u % k:] + labels[:-u % k]
 
 
 def _exchanged(g, pieces, x, y, gap):
@@ -82,53 +99,64 @@ def _assert_reaches(seq, want):
 
 
 def test_swap_adjacent_is_transposition(rng):
-    """On every corpus host, every adjacent pair is exchanged exactly, in a
-    frame turned so that the pair sits on the swap dominoes: the word
-    steps the start to the start turned by lo - j positions, with the two
-    labels exchanged, and the label order returned is that end's. One dict
-    of gadget words serves each host's swaps, as in a plan."""
+    """On every corpus host, every adjacent pair is exchanged exactly, at
+    the state of the window's corner that puts the pair on the swap
+    dominoes: the word steps the start to the start turned by lo - j
+    positions, with the two labels exchanged, and the label list and
+    state it ends at stand for that end. One dict of gadget words serves
+    each host's swaps, as in a plan."""
     for g in locally_connected_corpus():
-        pd, cur = _aligned_at_c(g, rng)
+        h = find_hamilton(g)
+        pd = find_local_structure(g, h)
+        cur = _aligned_at_c(g, rng, h, pd)
         words = {}
-        frame = turning_frame(pd)
-        dominoes, lo = frame.dominoes, frame.lo          # y's domino follows x's
+        w, ring, dominoes = _window(h, pd)
+        lo = w.lo                                         # y's domino follows x's
         k = len(dominoes)
-        order = _label_order(cur, dominoes)
+        labels, u = _label_order(cur, dominoes), 0
         for j in range(k):
-            assert frame_placement(g, frame.ring, order) == cur
+            assert state_placement(g, ring, labels, u) == cur
             before = _label_order(cur, dominoes)
             turned = list(cur.pieces)
             for i, lab in enumerate(before):
                 turned[lab - 1] = dominoes[(i + lo - j) % k]
             want = _exchanged(g, turned, before[j], before[(j + 1) % k], pd.c)
-            kept, order = swap_adjacent(order, j, frame, frame, words)
-            step = SlideSequence(cur, kept, frame_placement(g, frame.ring, order))
+            t = _target(w.state, (j + u) % k, lo, k)
+            kept = swap_adjacent(ring, labels, u, w, t, words)
+            step = SlideSequence(cur, kept, state_placement(g, ring, labels, t))
             _assert_reaches(step, want)
-            cur = step.end
+            cur, u = step.end, t
 
 
 def test_sort_turns_match_rotate(rng):
-    """Each turn of the sort, for every start position j, has the word and
-    the end that `rotate` gives for the same placement and goals: the gap
-    at the corner of the window turned to and the label at j on its lower
-    swap domino. On every parity diamond of every corpus host, so on
-    frames of an even number of dominoes too, where a half-lap turn ties
-    and `rotate`'s tie rule picks the direction; from the diamond's own
-    corner and from the first window's, as the sort turns mid-lap."""
+    """Each turn of the sort, for every start position p of the label
+    list, has the word and the end that `rotate` gives for the same
+    placement and goals: the gap at the corner of the window turned to and
+    the label at p on its lower swap domino. On every parity diamond of
+    every corpus host, so on rings of an even number of dominoes too,
+    where a half-lap turn ties and `rotate`'s tie rule picks the
+    direction; from the diamond's own corner and from the first window's,
+    as the sort turns mid-lap. The ring is listed from the first window's
+    corner, as in a plan."""
     for name in [g.name for g in locally_connected_corpus()]:
         g, cands = _diamonds(name)
-        first = turning_frame(best_parity_diamond(cands))
-        for pd in cands:
-            to = turning_frame(pd)
-            for frm in (to, first):
-                _, cur = _aligned_at_c(g, rng, frm.pd)
-                order = _label_order(cur, frm.dominoes)
-                for j in range(len(order)):
-                    kept, end = turn_to_swap(order, j, frm, to)
-                    ref = rotate(cur, pd.cycle.order, pd.c,
-                                 [(order[j], to.dominoes[to.lo])])
-                    assert kept == ref.kept
-                    assert frame_placement(g, to.ring, end) == ref.end
+        h = find_hamilton(g)
+        first = best_parity_diamond(cands)
+        ring = _ring_from(h, first.c)
+        k = len(ring) // 2
+        at_first, *windows = windows_on(ring, [first] + cands)
+        for w in windows:
+            dominoes = forced_cycle_dominoes(h.order, w.pd.c)
+            for frm in (w, at_first):
+                cur = _aligned_at_c(g, rng, h, frm.pd)
+                labels = _labels_at(_label_order(cur, forced_cycle_dominoes(h.order, frm.pd.c)),
+                                    frm.state)
+                assert state_placement(g, ring, labels, frm.state) == cur
+                for p in range(k):
+                    t = _target(w.state, p, w.lo, k)
+                    ref = rotate(cur, h.order, w.pd.c, [(labels[p], dominoes[w.lo])])
+                    assert _walk(ring, labels, frm.state, t) == ref.kept
+                    assert state_placement(g, ring, labels, t) == ref.end
 
 
 def test_every_window_swaps_mid_lap(rng):
@@ -140,23 +168,23 @@ def test_every_window_swaps_mid_lap(rng):
     holds one word per window."""
     for g in locally_connected_corpus():
         h = find_hamilton(g)
-        windows = parity_diamonds(g, h)
-        first = turning_frame(windows[0])
-        _, cur = _aligned_at_c(g, rng, windows[0])
-        order = _label_order(cur, first.dominoes)
-        k, words = len(order), {}
-        for pd in windows:
-            to = turning_frame(pd)
-            t = first.ring.index(pd.c) * (k + 1) % len(first.ring)
-            j = (to.lo + t) % k
-            mid = rotate(cur, h.order, pd.c, [(order[j], to.dominoes[to.lo])])
-            assert len(mid) == t < len(first.ring)
-            want = _exchanged(g, mid.end.pieces, *(mid.end.label_at(to.dominoes[i])
-                                                   for i in (to.i_ab, to.i_v)), pd.c)
-            kept, end = swap_adjacent(list(order), j, first, to, words)
-            _assert_reaches(SlideSequence(cur, kept, frame_placement(g, to.ring, end)), want)
-            assert len(kept) == t + gadget_slides(pd)
-        assert len(words) == len(windows)
+        diamonds = parity_diamonds(g, h)
+        cur = _aligned_at_c(g, rng, h, diamonds[0])
+        ring = _ring_from(h, diamonds[0].c)
+        labels = _label_order(cur, forced_cycle_dominoes(ring, ring[0]))
+        k, words = len(labels), {}
+        for w in windows_on(ring, diamonds):
+            dominoes = forced_cycle_dominoes(h.order, w.pd.c)
+            t = w.state
+            mid = rotate(cur, h.order, w.pd.c, [(labels[(w.lo + t) % k], dominoes[w.lo])])
+            assert len(mid) == t < len(ring)
+            want = _exchanged(g, mid.end.pieces, *(mid.end.label_at(dominoes[i])
+                                                   for i in (w.i_ab, w.i_v)), w.pd.c)
+            end = list(labels)
+            kept = swap_adjacent(ring, end, 0, w, t, words)
+            _assert_reaches(SlideSequence(cur, kept, state_placement(g, ring, end, t)), want)
+            assert len(kept) == t + gadget_slides(w.pd)
+        assert len(words) == len(diamonds)
 
 
 @functools.lru_cache(maxsize=None)
@@ -174,31 +202,43 @@ def test_gadget_word_exchanges_the_swap_dominoes(name, data, rnd):
     picks, `gadget_word`'s word exchanges exactly the labels on the two
     swap dominoes and leaves the gap at c."""
     g, cands = _diamonds(name)
+    h = find_hamilton(g)
     pd = data.draw(st.sampled_from(cands))
-    _, cur = _aligned_at_c(g, rnd, pd)
-    frame = turning_frame(pd)
-    x, y = (cur.label_at(frame.dominoes[i]) for i in (frame.i_ab, frame.i_v))
-    _assert_reaches(replay(cur, gadget_word(frame, _label_order(cur, frame.dominoes))),
+    cur = _aligned_at_c(g, rnd, h, pd)
+    w, _, dominoes = _window(h, pd)
+    x, y = (cur.label_at(dominoes[i]) for i in (w.i_ab, w.i_v))
+    _assert_reaches(replay(cur, gadget_word(w, _label_order(cur, dominoes))),
                     _exchanged(g, cur.pieces, x, y, pd.c))
 
 
 def test_gadget_word_matches_the_rotation_built_gadget():
     """On every parity diamond of every corpus host, `hex37` and `hex61`,
-    over shuffled label orders, `gadget_word` is the word of the gadget
-    built by a slide and two `rotate` calls on the placement the order
-    stands for (`support.reference_gadget`), and `gadget_slides` long.
-    Both ways round the tied lap on a p1 of five vertices are taken."""
+    as a window on the Hamilton cycle listed from its first vertex: the
+    window's state puts the gap on c, and counted from c its domino i_ab
+    is (a, b), i_v holds p1[-2] and i_d holds d. Over shuffled label
+    orders, read from c at the window's state, `gadget_word` is the word
+    of the gadget built by a slide and two `rotate` calls on the
+    placement the order stands for (`support.reference_gadget`), and
+    `gadget_slides` long. Both ways round the tied lap on a p1 of five
+    vertices are taken."""
     rnd = random.Random(39)
     hosts = locally_connected_corpus() + [build_graph(hexagon_points(r)) for r in (3, 4)]
     laps = set()
     for g in hosts:
-        for pd in scan_parity_diamonds(g, find_hamilton(g)):
-            frame = turning_frame(pd)
+        h = find_hamilton(g)
+        ring, n = h.order, len(h.order)
+        for w in windows_on(ring, scan_parity_diamonds(g, h)):
+            pd = w.pd
+            assert ring[2 * w.state % n] == pd.c
+            dominoes = forced_cycle_dominoes(ring, pd.c)
+            assert dominoes[w.i_ab] == edge_key(pd.a, pd.b)
+            assert pd.p1[-2] in dominoes[w.i_v] and pd.d in dominoes[w.i_d]
             order = list(range(1, g.n + 1))
             for _ in range(3):
                 rnd.shuffle(order)
-                word = gadget_word(frame, order)
-                assert word == reference_gadget(frame_placement(g, frame.ring, order), frame).kept
+                word = gadget_word(w, order)
+                cur = state_placement(g, ring, _labels_at(order, w.state), w.state)
+                assert word == reference_gadget(cur, pd).kept
                 assert len(word) == gadget_slides(pd)
                 if len(pd.p1) == 5:
                     laps.add(word[1] == pd.d)          # a lap forwards keeps d first
@@ -214,12 +254,13 @@ def test_swap_gadget_is_no_longer_than_the_window_search(rng):
     lengths, searched = {}, []
     for name in [g.name for g in locally_connected_corpus()]:
         g, cands = _diamonds(name)
+        h = find_hamilton(g)
         for pd in cands:
-            _, cur = _aligned_at_c(g, rng, pd)
-            frame = turning_frame(pd)
-            x, y = (cur.label_at(frame.dominoes[i]) for i in (frame.i_ab, frame.i_v))
+            cur = _aligned_at_c(g, rng, h, pd)
+            w, _, dominoes = _window(h, pd)
+            x, y = (cur.label_at(dominoes[i]) for i in (w.i_ab, w.i_v))
             want = _exchanged(g, cur.pieces, x, y, pd.c)
-            gadget = replay(cur, gadget_word(frame, _label_order(cur, frame.dominoes)))
+            gadget = replay(cur, gadget_word(w, _label_order(cur, dominoes)))
             _assert_reaches(gadget, want)
             lengths.setdefault(len(pd.p1), set()).add(len(gadget))
             if len(pd.p1) == 3:
@@ -305,10 +346,10 @@ def test_swap_gadget_builds_once_per_label_order(monkeypatch):
 
     builds = []
 
-    def counted(frame, order):
-        pd = frame.pd
+    def counted(w, order):
+        pd = w.pd
         builds.append((pd.a, pd.b, pd.c, pd.d))
-        return gadget_word(frame, order)
+        return gadget_word(w, order)
 
     monkeypatch.setattr(hc_planner, "gadget_word", counted)
     rng = random.Random(1)
@@ -332,23 +373,24 @@ def test_sort_takes_the_cheaper_move_at_every_swap(monkeypatch):
     its seam, and costs the fewest slides of its two moves: the insertion
     sort's next swap at the first window, after the shorter turn either
     way, or going on forwards, less than a lap, to a window whose pair is
-    an inversion when the gap reaches its corner. The distance to a corner
-    is counted by stepping the gap two places a slide along the cycle.
-    `have` is read from the seam `_sort` was given."""
+    an inversion when the gap reaches its corner. The states of a turn
+    and the distance to a corner are found by stepping the gap two places
+    a slide along the ring and the label list one place. `have` is the
+    label list read from the seam `_sort` was given."""
     from trigrid import hc_planner
 
     sort, swap = hc_planner._sort, hc_planner.swap_adjacent
     sorts, steps = [], []
 
-    def recorded_sort(frames, order, seam, want):
-        sorts.append((frames, order[seam:] + order[:seam], want))
-        return sort(frames, order, seam, want)
+    def recorded_sort(ring, windows, labels, seam, want):
+        sorts.append((ring, windows, labels[seam:] + labels[:seam], want))
+        return sort(ring, windows, labels, seam, want)
 
-    def recorded_swap(order, j, frm, to, words):
-        before = list(order)
-        kept, end = swap(order, j, frm, to, words)
-        steps.append((before, j, frm, len(kept)))
-        return kept, end
+    def recorded_swap(ring, labels, u, w, t, words):
+        before = list(labels)
+        kept = swap(ring, labels, u, w, t, words)
+        steps.append((before, u, w, t, len(kept)))
+        return kept
 
     monkeypatch.setattr(hc_planner, "_sort", recorded_sort)
     monkeypatch.setattr(hc_planner, "swap_adjacent", recorded_swap)
@@ -361,31 +403,33 @@ def test_sort_takes_the_cheaper_move_at_every_swap(monkeypatch):
             sorts.clear()
             steps.clear()
             plan_hamilton(g, random_placement(g, rng), random_placement(g, rng))
-            ((frames, have, want),) = sorts
-            first, k = frames[0], len(have)
+            ((ring, windows, have, want),) = sorts
+            first, k = windows[0], len(have)
             n = 2 * k + 1
 
             def inversion(x, y):
                 i = have.index(x)
                 return i < k - 1 and have[i + 1] == y and want.index(x) > want.index(y)
 
-            for order, j, frm, spent in steps:
-                lab = next(w for h, w in zip(have, want) if h != w)
+            for labels, u, w, t, spent in steps:
+                lab = next(b for a, b in zip(have, want) if a != b)
                 x = have[have.index(lab) - 1]
-                cheapest = (len(turn_to_swap(order, order.index(x), frm, first)[0])
-                            + gadget_slides(first.pd))
+                turn = next(v for v in range(n * k) if ring[2 * v % n] == first.pd.c
+                            and labels[(first.lo + v) % k] == x)
+                turn = (turn - u) % (n * k)
+                cheapest = min(turn, n * k - turn) + gadget_slides(first.pd)
                 best_ahead = None
-                for f in frames:
-                    t = next(t for t in range(n) if frm.ring[2 * t % n] == f.pd.c)
-                    i = (f.lo + t) % k
-                    if inversion(order[i], order[(i + 1) % k]):
-                        cost = t + gadget_slides(f.pd)
+                for f in windows:
+                    step = next(v for v in range(n) if ring[2 * (u + v) % n] == f.pd.c)
+                    i = (f.lo + u + step) % k
+                    if inversion(labels[i], labels[(i + 1) % k]):
+                        cost = step + gadget_slides(f.pd)
                         best_ahead = cost if best_ahead is None else min(best_ahead, cost)
                 if best_ahead is not None and best_ahead < cheapest:
                     cheapest = best_ahead
                     windows_ahead += 1
                 assert spent == cheapest
-                x, y = order[j], order[(j + 1) % k]
+                x, y = labels[(w.lo + t) % k], labels[(w.lo + t + 1) % k]
                 assert inversion(x, y)
                 i = have.index(x)
                 have[i], have[i + 1] = y, x
@@ -440,9 +484,9 @@ def test_plan_hamilton_corrupted_gadget_fails_verification(monkeypatch):
 
     made = []
 
-    def short(frame, order):
-        made.append(frame)
-        return gadget_word(frame, order)[:-1]
+    def short(w, order):
+        made.append(w)
+        return gadget_word(w, order)[:-1]
 
     monkeypatch.setattr(hc_planner, "gadget_word", short)
     g = next(g for g in locally_connected_corpus() if g.name == "para21")
@@ -473,44 +517,44 @@ def test_planner_rotations_match_reference_search(monkeypatch):
         calls.append((p, cycle, exposed, pieces, seq))
         return seq
 
-    def recorded_turn(order, j, frm, to):
-        turning.append(1)
-        kept, end = turn_to_swap(order, j, frm, to)
+    def recorded_swap(ring, labels, u, w, t, words):
+        turning.append(w)
+        mid_lap.append(u % len(ring) != w.state)
+        kept = swap_adjacent(ring, labels, u, w, t, words)
         turning.pop()
-        p, pd = frame_placement(host[0], frm.ring, order), to.pd
-        calls.append((p, pd.cycle.order, pd.c, [(order[j], to.dominoes[to.lo])],
-                      SlideSequence(p, kept, frame_placement(host[0], to.ring, end))))
-        mid_lap.append(frm.pd != pd)
-        return kept, end
+        return kept
 
-    def recorded_gadget(frame, order):
-        word = gadget_word(frame, order)
-        assert word == reference_gadget(frame_placement(host[0], frame.ring, order), frame).kept
-        gadgets.append(frame.pd)
-        return word
-
-    def recorded_walk(ring, labels, us):
-        u, kept = shorter_walk(ring, labels, us)
-        if not turning:                            # the last turn
-            k, s = len(labels), 2 * u % len(ring)
-            p = frame_placement(host[0], ring, labels)
-            end = frame_placement(host[0], ring[s:] + ring[:s],
-                                  labels[u % k:] + labels[:u % k])
+    def recorded_walk(ring, labels, u, t):
+        kept = _walk(ring, labels, u, t)
+        g, k = host[0], len(labels)
+        p, end = state_placement(g, ring, labels, u), state_placement(g, ring, labels, t)
+        if turning:          # a sort's turn: the gap at w's corner, a label on its lower swap domino
+            w = turning[-1]
+            goal = [(labels[(w.lo + t) % k], forced_cycle_dominoes(ring, w.pd.c)[w.lo])]
+            calls.append((p, ring, w.pd.c, goal, SlideSequence(p, kept, end)))
+        else:                # the last turn
             calls.append((p, ring, end.exposed, list(enumerate(end.pieces, 1)),
                           SlideSequence(p, kept, end)))
             last.append(len(kept))
-        return u, kept
+        return kept
+
+    def recorded_gadget(w, order):
+        word = gadget_word(w, order)
+        cur = state_placement(host[0], _ring_from(host[1], w.pd.c), order)
+        assert word == reference_gadget(cur, w.pd).kept
+        gadgets.append(w.pd)
+        return word
 
     monkeypatch.setattr(hc_planner, "rotate", recorded)
     monkeypatch.setattr(support, "rotate", recorded)
-    monkeypatch.setattr(hc_planner, "turn_to_swap", recorded_turn)
+    monkeypatch.setattr(hc_planner, "swap_adjacent", recorded_swap)
+    monkeypatch.setattr(hc_planner, "_walk", recorded_walk)
     monkeypatch.setattr(hc_planner, "gadget_word", recorded_gadget)
-    monkeypatch.setattr(hc_planner, "shorter_walk", recorded_walk)
     rng = random.Random(3)
     plans = 0
     for g in locally_connected_corpus():
         if g.name in ("para21", "hex23", "para25"):
-            host[:] = [g]
+            host[:] = [g, find_hamilton(g)]
             for _ in range(2):
                 before = len(gadgets)
                 rep = plan_hamilton(g, random_placement(g, rng), random_placement(g, rng))
