@@ -41,6 +41,10 @@ EXIT_INTERNAL = 4
 EAR_BRANCHES = ("pentagon-core", "diamond-core", "window", "spare-edge")
 
 
+class UsageError(Exception):
+    """A command line that parses but asks for what the command cannot do."""
+
+
 def _read(path: str) -> str:
     """The file's text; a byte sequence that is not UTF-8 is a parse error
     naming its line."""
@@ -169,6 +173,8 @@ def _plan_failed(report: VerifyReport) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.out and not args.start:
+        raise UsageError("oracle --out writes the component of --start, so it needs --start")
     g = _load_graph(args.graph)
     if args.start:
         p = formats.parse_placement(_read(args.start), g)
@@ -271,7 +277,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"cannot read/write {exc.filename or '-'}: {exc.strerror or exc}",
               file=sys.stderr)
         return EXIT_PARSE
-    except (GridError, PlanError, OracleBudgetError, RecursionError) as exc:
+    except (GridError, PlanError, OracleBudgetError, UsageError, RecursionError) as exc:
         # a search whose recursion depth is the vertex count refuses a host too big for it
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED

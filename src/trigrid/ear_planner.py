@@ -69,13 +69,11 @@ class _Planner:
         its forced dominoes, and at least two of those dominoes, the swap
         window, lie in G_{i-1}; a cycle that spans G_i always does, as
         G_{i-1} holds the 5-vertex core. The spare-edge fill runs otherwise."""
-        ear = self.d.ear(i)
-        q_dominoes = [edge_key(ear[t], ear[t + 1]) for t in range(1, len(ear) - 1, 2)]
+        cyc = self._ear_cycle(i, cur)
+        dominoes = forced_cycle_dominoes(cyc, cyc[0])
+        q_dominoes = dominoes[:len(self.d.ear(i)) // 2 - 1]     # the ear's own
         lam = [tgt.label_at(e) for e in q_dominoes]
         assert all(x is not None for x in lam), "target ear is not aligned"
-
-        cyc, ppath = self._ear_cycle(i, cur)
-        dominoes = forced_cycle_dominoes(cyc, ear[0])
         window = (len(dominoes) - len(lam) >= 2
                   and {cur.piece(lab) for lab in lam} <= set(dominoes))
         self.trace.append({"level": i, "ell": len(lam),
@@ -83,20 +81,20 @@ class _Planner:
         if window:
             seq = self._window_fill(i, cur, lam, cyc, dominoes)
         else:
-            seq = self._spare_fill(i, cur, lam, cyc, ear, ppath)
+            seq = self._spare_fill(i, cur, lam, cyc, dominoes)
         for lab, e in zip(lam, q_dominoes):
             assert seq.end.piece(lab) == e, "ear staging failed"
         return seq
 
-    def _ear_cycle(self, i: int, cur: Placement) -> Tuple[Tuple[int, ...], List[int]]:
+    def _ear_cycle(self, i: int, cur: Placement) -> Tuple[int, ...]:
         """With the gap at the first vertex v of ear i and the ear aligned:
         the odd cycle that runs along the ear from v and back to v through
         G_{i-1}, on the alternating path from v to the ear's last vertex,
-        walked on cur's cover map, and that path."""
+        walked on cur's cover map: its dominoes from v are the ear's first."""
         ear = self.d.ear(i)
         ppath = alternating_path_to(cur, self.levels.exposing(i - 1, ear[-1]),
                                     ear[0], ear[-1])
-        return tuple(ear[:-1]) + tuple(reversed(ppath[1:])), ppath
+        return tuple(ear[:-1]) + tuple(reversed(ppath[1:]))
 
     def _swap(self, i: int, cur: Placement, a: int, b: int) -> SlideSequence:
         """Sub-plan of a level-i fill that transposes labels a and b in
@@ -161,7 +159,7 @@ class _Planner:
         laps of the cycle, one domino a lap either way, so a turn by t
         costs min(t, k - t) laps.
         """
-        cyc, _ = self._ear_cycle(j, cur)
+        cyc = self._ear_cycle(j, cur)
         dominoes = forced_cycle_dominoes(cyc, cyc[0])
         m, k = len(self.d.ear(j)) // 2 - 1, len(dominoes)
         slots = [(x, dominoes.index(cur.piece(x))) for x in (a, b)
@@ -173,15 +171,13 @@ class _Planner:
         return rotate(cur, cyc, cyc[0], [(x, dominoes[(s - t) % k]) for x, s in slots])
 
     def _spare_fill(self, i: int, cur: Placement, lam: List[int],
-                    cyc: Tuple[int, ...], ear: Tuple[int, ...],
-                    ppath: List[int]) -> SlideSequence:
+                    cyc: Tuple[int, ...], dominoes: List[Edge]) -> SlideSequence:
         """Spare-edge branch: park labels at the far end of the ear
-        through a spare matched edge off the cycle."""
-        v = ear[0]
+        through a spare matched edge off the cycle. Of the cycle's
+        `dominoes`, e2 is the ear's last, e1 the next, staging the last."""
+        v, ear = cyc[0], self.d.ear(i)
         sub_vs, _ = self.levels.region(i - 1)
-        e1 = edge_key(ppath[-2], ppath[-1])
-        e2 = edge_key(ear[-3], ear[-2])
-        staging = edge_key(ppath[1], ppath[2])
+        e2, e1, staging = dominoes[len(lam) - 1], dominoes[len(lam)], dominoes[-1]
         on_cycle = cycle_edges(cyc)
         spare = None
         for e in sorted(cur.pieces):
@@ -272,9 +268,7 @@ def base_diamond_cycle(p: Placement, q: Placement, d: EarDecomposition) -> Slide
 
     # target labels along the Hamilton cycle, read against the parking
     # direction so the accumulating train matches the target cyclic order
-    dominoes = forced_cycle_dominoes(c_prime, tgt.exposed)
-    labels = [tgt.label_at(e) for e in reversed(dominoes)]
-    assert all(lab is not None for lab in labels)
+    labels = tgt.ring(c_prime)[1][::-1]
 
     def run(order: List[int]) -> SlideSequence:
         # once all labels but one form a consecutive train the cyclic order

@@ -333,18 +333,15 @@ def star_of_david_points() -> List[Point]:
     return sorted(set(up) | set(down))
 
 
-_SOD_CANON = None
+_SOD_CANON = canonical_point_form(star_of_david_points())
 
 
 def is_star_of_david(g: TriGridGraph) -> bool:
     """True iff g is the 13-vertex, 24-edge hexagram up to lattice
     symmetry; the vertex and edge counts settle most hosts before the 12
     transforms of `canonical_point_form` run."""
-    global _SOD_CANON
     if not g.is_lattice or g.num_vertices != 13 or len(g.edges) != 24:
         return False
-    if _SOD_CANON is None:
-        _SOD_CANON = canonical_point_form(star_of_david_points())
     return canonical_point_form(g.points) == _SOD_CANON
 
 

@@ -12,22 +12,24 @@ with the placement aligned, so each swap is made at whichever window is
 cheaper to reach: the first window after a turn either way round, or a
 window ahead on the way forwards. From the first corner on, the plan
 runs on one ring, the cycle listed from that corner: its state is the
-list L of labels on the ring's dominoes and one number u mod n*k, and
-each window is a few offsets on the ring (`Window`). Each turn and each
-gadget's word is read off them in closed form, and no placement is
-built until `finish_plan` checks the plan. Criterion 11's longest plans
-(five pairs a host) take 1.23-1.84·n² slides on n vertices from `hex37`
-to `hex127`, c = 1.845 on `hex127` (29,758 slides); from `hex61` up,
-the swap gadgets are 44-51% of the uncut slides and the turns 33-45%.
+list L of labels on the ring's dominoes (`Placement.ring`) and one
+number u mod n*k, and each window is a few offsets on the ring
+(`Window`). Each turn, to a state `rotate`'s congruence gives
+(`placement.ring_target`), and each gadget's word is read off them in
+closed form, and no placement is built until `finish_plan` checks the
+plan. Criterion 11's longest plans (five pairs a host) take
+1.23-1.84·n² slides on n vertices from `hex37` to `hex127`, c = 1.845
+on `hex127` (29,758 slides); from `hex61` up, the swap gadgets are
+44-51% of the uncut slides and the turns 33-45%.
 """
 
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .grid import Edge, TriGridGraph, is_locally_connected, is_star_of_david
+from .grid import TriGridGraph, is_locally_connected, is_star_of_david
 from .hamilton import HamiltonCycle, ParityDiamond, find_hamilton, parity_diamonds
-from .placement import (Placement, SlideSequence, align_with_cycle, forced_cycle_dominoes,
-                        invert_sequence, rotate, shorter_walk, walk_word)
-from .plans import PlanError, PlanInvariantError, PlanReport, finish_plan
+from .placement import (Placement, SlideSequence, align_with_cycle, gap_state, invert_sequence,
+                        ring_target, rotate, shorter_walk, walk_word)
+from .plans import PlanError, PlanReport, finish_plan
 
 
 def align_with_hamilton(p: Placement, h: HamiltonCycle) -> SlideSequence:
@@ -59,7 +61,7 @@ class Window(NamedTuple):
 
 def windows_on(ring: Tuple[int, ...], diamonds: Sequence[ParityDiamond]) -> List[Window]:
     """The diamonds as windows on `ring`, an odd cycle of n = 2k + 1
-    vertices. The gap at ring[e] is state e/2 = e(k + 1) mod n, and with
+    vertices. The gap at ring[e] is state `gap_state(e, n)`, and with
     the gap at ring[e] the vertex at ring[e + r], r > 0, lies on domino
     (r - 1) // 2 after it."""
     n = len(ring)
@@ -73,16 +75,8 @@ def windows_on(ring: Tuple[int, ...], diamonds: Sequence[ParityDiamond]) -> List
         i_ab, i_v, i_d = (r_ab - 1) // 2, (r_v - 1) // 2, (r_d - 1) // 2
         assert r_ab % 2 and (i_v - i_ab) % k in (1, k - 1), "swap dominoes not adjacent"
         lo = i_ab if (i_v - i_ab) % k == 1 else i_v
-        out.append(Window(pd, e * (k + 1) % n, i_ab, i_v, lo, i_d))
+        out.append(Window(pd, gap_state(e, n), i_ab, i_v, lo, i_d))
     return out
-
-
-def _target(state: int, p: int, i: int, k: int) -> int:
-    """The state, 0 <= t < n*k on a ring of n = 2k + 1 vertices, that
-    puts the gap where `state` mod n does and L[p] on domino i after it:
-    t = state mod n, and t = p - i mod k as domino i holds L[(i + t) % k].
-    As n = 1 mod k, t = state + n*m with m = p - i - state mod k."""
-    return state + (2 * k + 1) * ((p - i - state) % k)
 
 
 def _walk(ring: Tuple[int, ...], labels: Sequence[int], u: int, t: int) -> Tuple[int, ...]:
@@ -158,15 +152,6 @@ def swap_adjacent(ring: Tuple[int, ...], labels: List[int], u: int, w: Window, t
 # ---------------------------------------------------------------------------
 # full plan
 
-def _label_order(p: Placement, dominoes: Sequence[Edge]) -> List[int]:
-    """The labels on `dominoes`, in turn; raises PlanInvariantError if a
-    domino holds no piece."""
-    labels = [p.label_at(e) for e in dominoes]
-    if None in labels:
-        raise PlanInvariantError("a domino of the cycle holds no piece")
-    return labels
-
-
 def _nearest_seam(have: List[int], goal: List[int]) -> Tuple[int, List[int]]:
     """The seam s and the rotation `want` of `goal` with the fewest
     inversions between have[s:] + have[:s] and `want`, over all k seams
@@ -230,16 +215,13 @@ def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement) -> PlanReport:
     sq = align_with_hamilton(q, h)
     rp = rotate(sp.end, h.order, diamonds[0].c)
     aligned_q = sq.end
-    e = h.order.index(diamonds[0].c)
-    ring = h.order[e:] + h.order[:e]
-    labels = _label_order(rp.end, forced_cycle_dominoes(ring, ring[0]))
-    goal = _label_order(aligned_q, forced_cycle_dominoes(h.order, aligned_q.exposed))
+    ring, labels = rp.end.ring(h.order)
+    _, goal = aligned_q.ring(h.order)
     seam, want = _nearest_seam(labels, goal)
     word, u, swaps, used = _sort(ring, windows_on(ring, diamonds), labels, seam, want)
     # the last turn: the gap onto q's, want[0] onto its domino in q's frame
-    k = len(labels)
-    t = _target(ring.index(aligned_q.exposed) * (k + 1) % len(ring),
-                labels.index(want[0]), goal.index(want[0]), k)
+    t = ring_target(gap_state(ring.index(aligned_q.exposed), len(ring)),
+                    labels.index(want[0]), goal.index(want[0]), len(labels))
     seq = SlideSequence(p, sp.kept + rp.kept + word + _walk(ring, labels, u, t), aligned_q)
     return finish_plan(seq.then(invert_sequence(sq)), q, "hamilton", [],
                        swaps, used, windows=used)
@@ -284,7 +266,7 @@ def _sort(ring: Tuple[int, ...], windows: Sequence[Window], labels: List[int], s
         if done == k:
             break
         # the insertion sort's next swap, at the first window
-        t = _target(first.state, labels.index(want[done]) - 1, first.lo, k)
+        t = ring_target(first.state, labels.index(want[done]) - 1, first.lo, k)
         step = (t - u) % (n * k)
         best, to = min(step, n * k - step) + first_gadget, first
         # the windows ahead, within one lap forwards

@@ -5,9 +5,10 @@ pivots onto the gap, so a plan is a `SlideSequence`: a start, a word of
 kept vertices and an end, which each builder writes down unstepped.
 `cut_loops` cuts a plan once and labels the slides it keeps as the
 `SlideMove`s that `slide`, the checked reference, and `verify_sequence`
-check. Also an odd cycle's forced dominoes, alignment with it, rotation
-along it and vertex exposure, the last two in closed form. Nothing here
-searches over slides, and neither planner does."""
+check. Also an odd cycle's forced dominoes, alignment with it, the one
+reading of its labels (`Placement.ring`), rotation along it and vertex
+exposure, the last two in closed form. Nothing here searches over
+slides, and neither planner does."""
 
 from __future__ import annotations
 
@@ -92,6 +93,16 @@ class Placement:
         """True iff cycle is an odd cycle of the host through the gap whose
         forced dominoes are pieces (`_aligned_ring`)."""
         return self._aligned_ring(tuple(cycle)) is not None
+
+    def ring(self, cycle: Sequence[int]) -> Tuple[Tuple[int, ...], List[int]]:
+        """The odd `cycle` listed from the gap, and the labels on its forced
+        dominoes (ring[1], ring[2]), (ring[3], ring[4]), ... in order; raises
+        PlacementError unless p is aligned with it (`_aligned_ring`)."""
+        ring = self._aligned_ring(tuple(cycle))
+        if ring is None:
+            raise PlacementError("placement is not aligned with the cycle")
+        owner = self.owner
+        return ring, [owner[v] for v in ring[1::2]]
 
     def _aligned_ring(self, cycle: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
         """The cycle listed from the gap, if it is an odd cycle of the host
@@ -198,6 +209,20 @@ def forced_cycle_dominoes(cycle: Sequence[int], gap: int) -> List[Edge]:
     return [(a, b) if a < b else (b, a) for a, b in zip(after[::2], after[1::2])]
 
 
+def gap_state(e: int, n: int) -> int:
+    """The state mod n that puts the gap at ring[e], on a ring of n = 2k + 1
+    vertices listed from the gap at state 0: u = e/2 = e(k + 1) mod n."""
+    return e * (n // 2 + 1) % n
+
+
+def ring_target(state: int, p: int, i: int, k: int) -> int:
+    """The state, 0 <= t < n*k on a ring of n = 2k + 1 vertices, that
+    puts the gap where `state` mod n does and L[p] on domino i after it:
+    t = state mod n, and t = p - i mod k as domino i holds L[(i + t) % k].
+    As n = 1 mod k, t = state + n*m with m = p - i - state mod k."""
+    return state + (2 * k + 1) * ((p - i - state) % k)
+
+
 def walk_word(ring: Tuple[int, ...], t: int) -> Tuple[int, ...]:
     """The kept vertices of |t| slides along the aligned odd cycle `ring`,
     listed from the gap, forwards for t > 0 and backwards for t < 0: step
@@ -238,9 +263,10 @@ def rotate(p: Placement, cycle: Tuple[int, ...], exposed: Optional[int] = None,
     ring[2u] and L turned left by u, and as n and k are coprime the
     states reachable along the cycle form one cycle of n*k states. Each
     goal is a congruence on u. The gap at ring[e] needs u = e(k+1)
-    mod n, as k+1 halves mod n. The label at L[a] on the edge (ring[j],
-    ring[j+1]) needs, for one of the k positions i it can hold,
-    u = a - i mod k and 2u = j - 1 - 2i mod n: one u mod n*k each.
+    mod n, as k+1 halves mod n (`gap_state`). The label at L[a] on the
+    edge (ring[j], ring[j+1]) needs, for one of the k positions i it can
+    hold, u = a - i mod k and 2u = j - 1 - 2i mod n: one u mod n*k each
+    (`ring_target`).
     The shorter walk to a state meeting every goal wins, ties going to
     the direction whose first slide comes first in `legal_moves` order
     (`shorter_walk`): these are the moves a breadth-first search over
@@ -251,12 +277,8 @@ def rotate(p: Placement, cycle: Tuple[int, ...], exposed: Optional[int] = None,
     one it holds. Raises PlacementError if p is not aligned with the
     cycle, or if no state along it meets every goal.
     """
-    ring = p._aligned_ring(tuple(cycle))       # from the gap, forwards
-    if ring is None:
-        raise PlacementError("placement is not aligned with the rotation cycle")
-    n, k = len(ring), len(ring) // 2
-    owner = p.owner
-    labels = [owner[v] for v in ring[1::2]]
+    ring, labels = p.ring(cycle)               # from the gap, forwards
+    n, k = len(ring), len(labels)
     index = {v: i for i, v in enumerate(ring)}
     slot = {lab: i for i, lab in enumerate(labels)}
     # goals as (label position, index j of the edge's first vertex from
@@ -278,15 +300,11 @@ def rotate(p: Placement, cycle: Tuple[int, ...], exposed: Optional[int] = None,
         goals.append((slot[label], ia if (ib - ia) % n == 1 else ib))
     if not goals:
         return SlideSequence(p, ())
-    half = k + 1                               # the inverse of 2 mod n
     at, j = goals[0]
     if at is None:
-        us = [j * half % n + n * r for r in range(k)]
-    else:
-        us = []
-        for i in range(k):                     # u = r mod n and u = at - i mod k;
-            r = (j - 1 - 2 * i) * half % n     # n = 1 mod k, so u = r + n*m
-            us.append(r + n * ((at - i - r) % k))
+        us = [gap_state(j, n) + n * m for m in range(k)]
+    else:                                      # the gap at ring[j - 1 - 2i]
+        us = [ring_target(gap_state(j - 1 - 2 * i, n), at, i, k) for i in range(k)]
     for at, j in goals[1:]:                    # the label sits at L[(at - u) mod k]
         us = [u for u in us if (2 * u + 1 + 2 * ((at - u) % k) - j) % n == 0]
     if not us:

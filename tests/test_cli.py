@@ -150,6 +150,27 @@ def test_oracle_cli(tmp_path, capsys):
     assert main(["oracle", str(big)]) == 2
 
 
+def test_oracle_out_without_start_is_refused(tmp_path, capsys, monkeypatch):
+    """`oracle --out` writes the component of `--start`, so without a
+    start it is refused with exit 2 and one stderr line before any
+    search: nothing on stdout and no file written."""
+    from trigrid import cli
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the oracle searched")
+
+    gpath = _gen(tmp_path, "hexagon")
+    out = tmp_path / "nostart.csv"
+    monkeypatch.setattr(cli, "is_reconfigurable_bruteforce", no_search)
+    capsys.readouterr()
+    assert main(["oracle", str(gpath), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("refused: oracle --out writes the component of --start, "
+                            "so it needs --start\n")
+    assert not out.exists()
+
+
 # Digests of the CSV written by the tuple-keyed oracle this encoding replaced.
 @pytest.mark.parametrize("kind,params,digest", [
     ("hexagon", [], "fa5f167b852f0ac7804a713c8cf16a8db2b61a72c4c3072730015570b6cb8413"),

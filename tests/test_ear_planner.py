@@ -16,7 +16,7 @@ from trigrid.matching import enumerate_near_perfect_matchings, is_factor_critica
 from trigrid.oracle import bfs_component
 from trigrid.placement import (Placement, cut_loops, forced_cycle_dominoes, slide,
                                verify_sequence)
-from trigrid.plans import PlanInvariantError
+from trigrid.plans import PlanError, PlanInvariantError
 
 from conftest import random_placement
 from corpus import degree6_corpus, locally_connected_corpus
@@ -52,6 +52,17 @@ def test_base_pentagon_all_pairs(pentagon):
     print(f"pentagon core, {len(lengths)} pairs: mean {sum(lengths) / len(lengths):.2f} "
           f"slides against the shortest in-core plan's {sum(shortest) / len(shortest):.2f}, "
           f"worst {max(lengths)}, at most {max(over)} above the shortest")
+
+
+def test_plan_refuses_a_core_of_neither_kind(pentagon):
+    """`_Planner.plan` plans a core only as a pentagon or a diamond
+    cycle: the pentagon's own decomposition, its kind left at the
+    default, is refused when the plan reaches the core."""
+    d = find_admissible(pentagon)
+    planner = _Planner(pentagon, EarDecomposition(d.base, d.ears))
+    p, q = _all_states(pentagon)[:2]
+    with pytest.raises(PlanError, match="^decomposition is not admissible$"):
+        planner.plan(d.levels, p, q)
 
 
 def _ring_reversed_diamond_cycle():

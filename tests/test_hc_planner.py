@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from trigrid.grid import (build_graph, cycle_edges, edge_key, hexagon_points,
                           star_of_david_points)
 from trigrid.hamilton import find_hamilton, find_local_structure, parity_diamonds
-from trigrid.hc_planner import (_label_order, _nearest_seam, _target, _walk, align_with_hamilton,
-                                gadget_slides, gadget_word, plan_hamilton, swap_adjacent,
-                                windows_on)
-from trigrid.placement import (Placement, SlideSequence, cut_loops, forced_cycle_dominoes,
-                               rotate, verify_sequence)
+from trigrid.hc_planner import (_nearest_seam, _walk, align_with_hamilton, gadget_slides,
+                                gadget_word, plan_hamilton, swap_adjacent, windows_on)
+from trigrid.placement import (Placement, PlacementError, SlideSequence, cut_loops,
+                               forced_cycle_dominoes, legal_moves, ring_target, rotate, slide,
+                               verify_sequence)
 from trigrid.plans import PlanError, PlanInvariantError
 
 from conftest import random_placement
@@ -113,15 +113,15 @@ def test_swap_adjacent_is_transposition(rng):
         w, ring, dominoes = _window(h, pd)
         lo = w.lo                                         # y's domino follows x's
         k = len(dominoes)
-        labels, u = _label_order(cur, dominoes), 0
+        labels, u = cur.ring(ring)[1], 0
         for j in range(k):
             assert state_placement(g, ring, labels, u) == cur
-            before = _label_order(cur, dominoes)
+            before = cur.ring(ring)[1]
             turned = list(cur.pieces)
             for i, lab in enumerate(before):
                 turned[lab - 1] = dominoes[(i + lo - j) % k]
             want = _exchanged(g, turned, before[j], before[(j + 1) % k], pd.c)
-            t = _target(w.state, (j + u) % k, lo, k)
+            t = ring_target(w.state, (j + u) % k, lo, k)
             kept = swap_adjacent(ring, labels, u, w, t, words)
             step = SlideSequence(cur, kept, state_placement(g, ring, labels, t))
             _assert_reaches(step, want)
@@ -149,11 +149,10 @@ def test_sort_turns_match_rotate(rng):
             dominoes = forced_cycle_dominoes(h.order, w.pd.c)
             for frm in (w, at_first):
                 cur = _aligned_at_c(g, rng, h, frm.pd)
-                labels = _labels_at(_label_order(cur, forced_cycle_dominoes(h.order, frm.pd.c)),
-                                    frm.state)
+                labels = _labels_at(cur.ring(h.order)[1], frm.state)
                 assert state_placement(g, ring, labels, frm.state) == cur
                 for p in range(k):
-                    t = _target(w.state, p, w.lo, k)
+                    t = ring_target(w.state, p, w.lo, k)
                     ref = rotate(cur, h.order, w.pd.c, [(labels[p], dominoes[w.lo])])
                     assert _walk(ring, labels, frm.state, t) == ref.kept
                     assert state_placement(g, ring, labels, t) == ref.end
@@ -171,7 +170,7 @@ def test_every_window_swaps_mid_lap(rng):
         diamonds = parity_diamonds(g, h)
         cur = _aligned_at_c(g, rng, h, diamonds[0])
         ring = _ring_from(h, diamonds[0].c)
-        labels = _label_order(cur, forced_cycle_dominoes(ring, ring[0]))
+        labels = cur.ring(ring)[1]
         k, words = len(labels), {}
         for w in windows_on(ring, diamonds):
             dominoes = forced_cycle_dominoes(h.order, w.pd.c)
@@ -207,7 +206,7 @@ def test_gadget_word_exchanges_the_swap_dominoes(name, data, rnd):
     cur = _aligned_at_c(g, rnd, h, pd)
     w, _, dominoes = _window(h, pd)
     x, y = (cur.label_at(dominoes[i]) for i in (w.i_ab, w.i_v))
-    _assert_reaches(replay(cur, gadget_word(w, _label_order(cur, dominoes))),
+    _assert_reaches(replay(cur, gadget_word(w, cur.ring(h.order)[1])),
                     _exchanged(g, cur.pieces, x, y, pd.c))
 
 
@@ -260,7 +259,7 @@ def test_swap_gadget_is_no_longer_than_the_window_search(rng):
             w, _, dominoes = _window(h, pd)
             x, y = (cur.label_at(dominoes[i]) for i in (w.i_ab, w.i_v))
             want = _exchanged(g, cur.pieces, x, y, pd.c)
-            gadget = replay(cur, gadget_word(w, _label_order(cur, dominoes)))
+            gadget = replay(cur, gadget_word(w, cur.ring(h.order)[1]))
             _assert_reaches(gadget, want)
             lengths.setdefault(len(pd.p1), set()).add(len(gadget))
             if len(pd.p1) == 3:
@@ -308,13 +307,15 @@ def test_nearest_seam_is_the_brute_force_minimum(labels):
 
 
 def test_label_order_refuses_a_domino_without_a_piece(hex7):
-    """`_label_order` reads each domino's label off the cover map and
-    refuses a domino that holds no piece."""
+    """`Placement.ring`, which reads the planner's label orders, reads
+    each domino's label off the cover map and refuses a cycle one of
+    whose forced dominoes holds no piece: after a slide onto a chord."""
     order = find_hamilton(hex7).order
     p = Placement.make(hex7, forced_cycle_dominoes(order, order[0]))
-    assert _label_order(p, forced_cycle_dominoes(order, order[0])) == [1, 2, 3]
-    with pytest.raises(PlanInvariantError, match="^a domino of the cycle holds no piece$"):
-        _label_order(p, forced_cycle_dominoes(order, order[1]))
+    assert p.ring(order) == (order, [1, 2, 3])
+    chord = next(mv for mv in legal_moves(p) if mv.kept_vertex not in (order[1], order[-1]))
+    with pytest.raises(PlacementError, match="^placement is not aligned with the cycle$"):
+        slide(p, chord).ring(order)
 
 
 def test_sort_swaps_are_the_fewest_cyclic_inversions(rng):
@@ -328,9 +329,9 @@ def test_sort_swaps_are_the_fewest_cyclic_inversions(rng):
             p, q = random_placement(g, rng), random_placement(g, rng)
             sp = align_with_hamilton(p, h)
             at_c = rotate(sp.end, h.order, pd.c).end
-            have = _label_order(at_c, forced_cycle_dominoes(h.order, at_c.exposed))
+            have = at_c.ring(h.order)[1]
             aq = align_with_hamilton(q, h).end
-            want = _label_order(aq, forced_cycle_dominoes(h.order, aq.exposed))
+            want = aq.ring(h.order)[1]
             fewest, _, _ = _fewest_inversions(have, want)
             rep = plan_hamilton(g, p, q)
             assert rep.stats["swaps"] == fewest

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from trigrid.grid import (DIRS, build_abstract, build_graph, chord_cycle_graph,
+from trigrid.grid import (build_abstract, build_graph, chord_cycle_graph,
                           diamond_cycle_graph, edge_key, hexagon_points, star_of_david_points)
 from trigrid.matching import (Matching, MatchingError, alternating_path_to,
                               enumerate_near_perfect_matchings,
@@ -11,7 +11,7 @@ from trigrid.matching import (Matching, MatchingError, alternating_path_to,
 
 from corpus import degree6_corpus, locally_connected_corpus
 from support import (factor_critical_by_definition, is_alternating_cycle, is_central,
-                     odd_alternating_cycle_through)
+                     odd_alternating_cycle_through, random_abstract, random_polyhex)
 
 
 def _cycle_graph(n):
@@ -66,25 +66,6 @@ def test_factor_critical():
     assert any(near_perfect_matching(sod, v) is None for v in sod.vertex_ids)
 
 
-def _random_polyhex(rnd, size):
-    """A connected lattice point set of `size` points grown from the origin."""
-    pts = {(0, 0)}
-    while len(pts) < size:
-        x, y = rnd.choice(sorted(pts))
-        dx, dy = rnd.choice(DIRS)
-        pts.add((x + dx, y + dy))
-    return build_graph(sorted(pts))
-
-
-def _random_abstract(rnd, n):
-    """A connected abstract host on n vertices: a random tree and up to 2n
-    more edges."""
-    edges = {edge_key(v, rnd.randrange(1, v)) for v in range(2, n + 1)}
-    for _ in range(rnd.randrange(2 * n + 1)):
-        edges.add(edge_key(*rnd.sample(range(1, n + 1), 2)))
-    return build_abstract(n, sorted(edges))
-
-
 def test_factor_critical_matches_the_definition():
     """`is_factor_critical`, one maximum matching and one more search stage
     from the vertex it leaves single, agrees with the definition, a
@@ -96,8 +77,8 @@ def test_factor_critical_matches_the_definition():
              + [diamond_cycle_graph(n) for n in range(3, 8)]
              + [chord_cycle_graph(n, m) for n in range(3, 8) for m in range(2, n)])
     named = len(hosts)
-    hosts += [_random_polyhex(rnd, rnd.choice(range(3, 24, 2))) for _ in range(300)]
-    hosts += [_random_abstract(rnd, rnd.choice(range(3, 16, 2))) for _ in range(300)]
+    hosts += [random_polyhex(rnd, rnd.choice(range(3, 24, 2))) for _ in range(300)]
+    hosts += [random_abstract(rnd, rnd.choice(range(3, 16, 2))) for _ in range(300)]
     answers = [factor_critical_by_definition(g) for g in hosts]
     assert [is_factor_critical(g) for g in hosts] == answers
     assert set(answers[named:named + 300]) == set(answers[named + 300:]) == {False, True}

@@ -387,6 +387,38 @@ def test_is_aligned_matches_matching_reference(host, rnd):
         assert p.is_aligned(cyc) == _is_aligned_reference(p, cyc)
 
 
+@settings(max_examples=200, deadline=None)
+@given(host=st.sampled_from(_HOSTS), rnd=st.randoms(use_true_random=False))
+def test_ring_reads_the_labels_on_the_forced_dominoes(host, rnd):
+    """On random placements aligned with a Hamilton cycle, for the cycle
+    listed from any start in either direction, `Placement.ring` lists it
+    from the gap, with the labels `label_at` reads on its
+    `forced_cycle_dominoes` at the gap, in order. A few random slides
+    on, it reads the same way each cycle the placement is still aligned
+    with and refuses every other."""
+    order = find_hamilton(host).order
+    dominoes = forced_cycle_dominoes(order, rnd.choice(order))
+    rnd.shuffle(dominoes)
+    p = Placement.make(host, dominoes)
+    i = rnd.randrange(len(order))
+    turned = order[i:] + order[:i]
+    for step in range(2):
+        for cyc in (turned, turned[::-1]):
+            if not p.is_aligned(cyc):
+                assert step
+                with pytest.raises(PlacementError,
+                                   match="^placement is not aligned with the cycle$"):
+                    p.ring(cyc)
+                continue
+            ring, labels = p.ring(cyc)
+            g = cyc.index(p.exposed)
+            assert ring == cyc[g:] + cyc[:g]
+            want = [p.label_at(e) for e in forced_cycle_dominoes(cyc, p.exposed)]
+            assert None not in want and labels == want
+        for _ in range(rnd.randrange(1, 6)):
+            p = slide(p, rnd.choice(legal_moves(p)))
+
+
 def test_cover_map_matches_a_scan_of_the_pieces(rng):
     """`label_at` and `in` on every host edge, either way round, and
     `owner` on every vertex, 0 at the gap, agree with a scan
