@@ -8,11 +8,11 @@ in the text given to the parser, which for a plan or sequence is the
 whole file.
 """
 
-from itertools import repeat
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .grid import Edge, TriGridGraph, build_abstract, build_graph, edge_key
-from .placement import Placement, PlacementError, SlideMove
+from .placement import Move, Placement
 
 
 class ParseError(Exception):
@@ -36,11 +36,11 @@ def _int_error(fields: Sequence[str], lineno: int, count: int) -> ParseError:
     return ParseError(f"expected integers, got {fields!r}", lineno)
 
 
-def _ints(fields: Sequence[str], lineno: int, count: int) -> List[int]:
-    """The fields as exactly `count` integers."""
+def _ints(fields: Sequence[str], lineno: int, count: int, read=int) -> List[int]:
+    """The fields as exactly `count` integers, each read by `read`."""
     if len(fields) == count:
         try:
-            return [int(x) for x in fields]
+            return [read(x) for x in fields]
         except ValueError:
             pass
     raise _int_error(fields, lineno, count)
@@ -111,18 +111,27 @@ def serialize_placement(p: Placement) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Ids(dict):
+    """`str(i) -> i` for a host's ids 0..|V|; any other token reads as
+    `int()` reads it, or raises its ValueError. No entry is ever added."""
+
+    def __missing__(self, token: str) -> int:
+        return int(token)
+
+
 class _Pieces:
     """The `p label u v` records of one placement, each checked on its own
     line: three integers, a new label, a host edge, and no vertex that an
-    earlier piece covers."""
+    earlier piece covers. `read` reads each token: `int`, or the `_Ids` of
+    a plan or sequence, whose build one placement alone would not repay."""
 
-    def __init__(self, g: TriGridGraph):
-        self.g = g
+    def __init__(self, g: TriGridGraph, read: Callable[[str], int] = int):
+        self.g, self.read = g, read
         self.by_label: Dict[int, Edge] = {}
         self.owner: Dict[int, int] = {}          # covered vertex -> label
 
     def add(self, parts: List[str], lineno: int) -> None:
-        label, u, v = _ints(parts[1:], lineno, 3)
+        label, u, v = _ints(parts[1:], lineno, 3, self.read)
         if label in self.by_label:
             raise ParseError(f"duplicate label {label}", lineno)
         e = edge_key(u, v)
@@ -136,15 +145,15 @@ class _Pieces:
         self.by_label[label] = e
 
     def placement(self, lineno: int) -> Placement:
-        """The placement, its labels dense 1..n and n the host's piece
-        count; `lineno` is the line a whole-block error names."""
+        """The placement of the checked pieces, labels dense 1..n and n
+        the host's piece count; `lineno` is the line block errors name."""
         labels = sorted(self.by_label)
         if labels != list(range(1, len(labels) + 1)):
             raise ParseError("labels must be dense 1..n", lineno)
-        try:
-            return Placement.make(self.g, [self.by_label[i] for i in labels])
-        except PlacementError as exc:
-            raise ParseError(str(exc), lineno) from None
+        if len(labels) != self.g.n:
+            raise ParseError(f"expected {self.g.n} pieces, got {len(labels)}", lineno)
+        (gap,) = set(self.g.vertex_ids).difference(self.owner)
+        return Placement(self.g, tuple(self.by_label[i] for i in labels), gap)
 
 
 def parse_placement(text: str, g: TriGridGraph) -> Placement:
@@ -159,25 +168,26 @@ def parse_placement(text: str, g: TriGridGraph) -> Placement:
 # ---------------------------------------------------------------------------
 # moves and sequences
 
-def serialize_moves(moves: Sequence[SlideMove]) -> str:
-    return "".join(map("s %d %d %d\n".__mod__, moves))
+def serialize_moves(moves: Sequence[Move]) -> str:
+    """One `s label kept dest` line a move, all formatted in one operation."""
+    return "s %d %d %d\n" * len(moves) % tuple(chain.from_iterable(moves))
 
 
-def parse_moves(text: str) -> List[SlideMove]:
+def parse_moves(text: str) -> List[Move]:
     out = []
     for lineno, parts in _records(text):
         if parts[0] != "s":
             raise ParseError(f"unknown record {parts[0]!r}", lineno)
-        out.append(SlideMove(*_ints(parts[1:], lineno, 3)))
+        out.append(tuple(_ints(parts[1:], lineno, 3)))
     return out
 
 
-def serialize_sequence(start: Placement, moves: Sequence[SlideMove]) -> str:
+def serialize_sequence(start: Placement, moves: Sequence[Move]) -> str:
     return "start\n" + serialize_placement(start) + serialize_moves(moves)
 
 
 def _read_sequence(text: str, g: TriGridGraph,
-                   plan: bool) -> Tuple[str, Placement, List[SlideMove]]:
+                   plan: bool) -> Tuple[str, Placement, List[Move]]:
     """The one pass behind `parse_sequence` and, with `plan`, `parse_plan`:
     the strategy ("" unless `plan`), the start placement and the moves.
 
@@ -185,13 +195,14 @@ def _read_sequence(text: str, g: TriGridGraph,
     next `s` record; `s` records are moves wherever they stand. With
     `plan`, `strategy` and `slides` header records may stand anywhere;
     both must be present, and the slide count must match the moves. Each
-    move is read as a plain tuple and made a `SlideMove` at the end.
+    move is a plain tuple of three tokens read by the host's `_Ids`.
     """
     strategy: Optional[str] = None
     slides: Optional[int] = None
     slides_line = start_line = 0
-    pieces = _Pieces(g)
-    moves: List[Tuple[int, int, int]] = []
+    ids = _Ids({str(i): i for i in range(g.num_vertices + 1)})
+    pieces = _Pieces(g, ids.__getitem__)
+    moves: List[Move] = []
     append = moves.append
     in_start = False
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -202,7 +213,7 @@ def _read_sequence(text: str, g: TriGridGraph,
         if tag == "s":
             try:
                 _, label, kept, dest = parts
-                append((int(label), int(kept), int(dest)))
+                append((ids[label], ids[kept], ids[dest]))
             except ValueError:
                 raise _int_error(parts[1:], lineno, 3) from None
             in_start = False
@@ -228,11 +239,10 @@ def _read_sequence(text: str, g: TriGridGraph,
     if plan and slides != len(moves):
         raise ParseError(f"header says {slides} slides, file has {len(moves)}",
                          slides_line)
-    return (strategy or "", pieces.placement(start_line or 1),
-            list(map(tuple.__new__, repeat(SlideMove), moves)))
+    return strategy or "", pieces.placement(start_line or 1), moves
 
 
-def parse_sequence(text: str, g: TriGridGraph) -> Tuple[Placement, List[SlideMove]]:
+def parse_sequence(text: str, g: TriGridGraph) -> Tuple[Placement, List[Move]]:
     """The start placement and moves of a sequence file."""
     return _read_sequence(text, g, plan=False)[1:]
 
@@ -240,12 +250,12 @@ def parse_sequence(text: str, g: TriGridGraph) -> Tuple[Placement, List[SlideMov
 # ---------------------------------------------------------------------------
 # plans
 
-def serialize_plan(strategy: str, start: Placement, moves: Sequence[SlideMove]) -> str:
+def serialize_plan(strategy: str, start: Placement, moves: Sequence[Move]) -> str:
     return (f"strategy {strategy}\nslides {len(moves)}\n"
             + serialize_sequence(start, moves))
 
 
-def parse_plan(text: str, g: TriGridGraph) -> Tuple[str, Placement, List[SlideMove]]:
+def parse_plan(text: str, g: TriGridGraph) -> Tuple[str, Placement, List[Move]]:
     """The strategy, start placement and moves of a plan file, read in one
     pass over its lines; a `ParseError` names the offending line of the
     file."""

@@ -3,11 +3,12 @@ label covers a vertex or lies on an edge, and so whether it is aligned
 with an odd cycle. A slide is fixed by its kept vertex, whose piece
 pivots onto the gap, so a plan is a `SlideSequence`: a start, a word of
 kept vertices and an end, which each builder writes down unstepped.
-`cut_loops` cuts a plan once and labels the slides it keeps as the
-`SlideMove`s that `slide`, the checked reference, and `verify_sequence`
-check. Also an odd cycle's forced dominoes, alignment with it, the one
-reading of its labels (`Placement.ring`), rotation along it and vertex
-exposure, the last two in closed form. Nothing here searches over
+`cut_loops` cuts a plan once and labels the slides it keeps as plain
+`(label, kept, dest)` triples, which `verify_sequence` checks as `slide`,
+the checked reference, checks a `SlideMove`. Also an odd cycle's forced
+dominoes, alignment with it, the one reading of its labels
+(`Placement.ring`), rotation along it and vertex exposure, the last two
+in closed form. Nothing here searches over
 slides, and neither planner does."""
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress
 from typing import Collection, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .grid import Edge, TriGridGraph, edge_key
@@ -128,6 +129,9 @@ class SlideMove(NamedTuple):
     dest_vertex: int
 
 
+Move = Tuple[int, int, int]    # a plan's (label, kept, dest); a SlideMove is one
+
+
 @dataclass(frozen=True)
 class SlideSequence:
     """A plan as a word: from `start`, the slides that keep the vertices of
@@ -181,7 +185,7 @@ def _check_slide(pieces: Sequence[Edge], gap: int, edges: Collection[Edge],
     return abandoned, landing
 
 
-def slide(p: Placement, move: SlideMove) -> Placement:
+def slide(p: Placement, move: Move) -> Placement:
     """The checked reference slide: a new placement, or IllegalMoveError."""
     label, kept, dest = move
     abandoned, landing = _check_slide(p.pieces, p.exposed, p.graph.edges,
@@ -384,23 +388,26 @@ def invert_sequence(seq: SlideSequence) -> SlideSequence:
     return SlideSequence(seq.end, seq.kept[::-1], seq.start)
 
 
-def cut_loops(seq: SlideSequence) -> Tuple[SlideMove, ...]:
+def cut_loops(seq: SlideSequence) -> Tuple[Move, ...]:
     """The moves of `seq` with every revisited state cut out: from the
     start, jump to the last visit of each state before taking its next
     slide.
 
     The cut plan has the same start and end, visits no state twice, and
     its slides are an in-order subsequence of `seq`'s. One replay steps
-    a copy of the start's pieces, cover map and gap in place, keys each
-    state by the bytes of its cover map, two writes per slide, and reads
-    each slide's label and gap, so the cut is linear in the plan. It
-    marks the slides it keeps, then builds their `SlideMove`s in one
-    pass. `plans.finish_plan` cuts each full plan once and checks the
-    moves with `verify_sequence`. Raises PlacementError at a kept vertex
-    no piece covers.
+    a copy of the start's cover map, partners and gap in place (a piece's
+    far end is the kept vertex's partner), keys each state by the bytes
+    of its cover map, and reads each slide's label and gap, so the cut is
+    linear in the plan. It marks the slides it keeps and returns them as
+    plain `(label, kept, dest)` triples. `plans.finish_plan` cuts each
+    full plan once and checks the moves with `verify_sequence`. Raises
+    PlacementError at a kept vertex no piece covers.
     """
     word, start = seq.kept, seq.start
-    pieces, owner, gap = list(start.pieces), start.owner[:], start.exposed
+    owner, gap = start.owner[:], start.exposed
+    mate = [0] * len(owner)                    # each covered vertex's partner
+    for u, v in start.pieces:
+        mate[u], mate[v] = v, u
     keys, labels, gaps = [owner.tobytes()], [], []
     for kept in word:                          # the piece on kept pivots onto the gap
         label = owner[kept]
@@ -408,20 +415,18 @@ def cut_loops(seq: SlideSequence) -> Tuple[SlideMove, ...]:
             raise PlacementError(f"vertex {kept} is not covered")
         labels.append(label)
         gaps.append(gap)
-        a, b = pieces[label - 1]
-        far = b if kept == a else a
-        pieces[label - 1] = (kept, gap) if kept < gap else (gap, kept)
+        far = mate[kept]
+        mate[kept], mate[gap] = gap, kept
         owner[gap], owner[far] = label, 0
         gap = far
         keys.append(owner.tobytes())
-    last = {key: i for i, key in enumerate(keys)}
+    last = dict(zip(keys, range(len(keys))))
     keep = bytearray(len(word))
     i = last[keys[0]]
     while i < len(word):
         keep[i] = 1
         i = last[keys[i + 1]]
-    return tuple(map(tuple.__new__, repeat(SlideMove),
-                     compress(zip(labels, word, gaps), keep)))
+    return tuple(compress(zip(labels, word, gaps), keep))
 
 
 @dataclass(frozen=True)
@@ -434,7 +439,7 @@ class VerifyReport:
     matches_expected: Optional[bool] = None
 
 
-def verify_sequence(start: Placement, moves: Sequence[SlideMove],
+def verify_sequence(start: Placement, moves: Sequence[Move],
                     expected_end: Optional[Placement] = None) -> VerifyReport:
     """Replay `moves` from `start` with `slide`'s checks on every move,
     stepping one list of pieces and the gap in place; the first illegal

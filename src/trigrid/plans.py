@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .placement import (Placement, PlacementError, SlideMove, SlideSequence, cut_loops,
+from .placement import (Move, Placement, PlacementError, SlideSequence, cut_loops,
                         verify_sequence)
 
 
@@ -24,10 +24,10 @@ class PlanInvariantError(Exception):
 
 @dataclass
 class PlanReport:
-    """A verified plan: its start and its `(label, kept, dest)` moves, which
-    end at the target. `recursion_trace` is the ear planner's level log,
-    one entry per core call and per staged ear; the cycle planner leaves
-    it empty. `stats["uncut_slides"]` is the length of the word
+    """A verified plan: its start and its moves, plain `(label, kept, dest)`
+    triples that end at the target. `recursion_trace` is the ear planner's
+    level log, one entry per core call and per staged ear; the cycle
+    planner leaves it empty. `stats["uncut_slides"]` is the length of the word
     before `cut_loops`, gadgets' loops included. `swaps` counts the
     transpositions the planner asks for: the ear planner's level fills,
     not the lower-level ones each of them is conjugated from, and the cycle
@@ -41,7 +41,7 @@ class PlanReport:
     which the cycle planner swapped (0 for the ear planner)."""
 
     start: Placement
-    moves: Tuple[SlideMove, ...]
+    moves: Tuple[Move, ...]
     strategy: str
     recursion_trace: List[Dict] = field(default_factory=list)
     stats: Dict[str, int] = field(default_factory=dict)

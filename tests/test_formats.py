@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -181,3 +182,86 @@ def test_plan_header_errors(hex7, rng):
     with pytest.raises(formats.ParseError) as ei:
         formats.parse_sequence(text, hex7)
     assert str(ei.value) == "line 1: unknown record 'strategy'"
+
+
+class _IntReads(dict):
+    """The reference token table: it holds no entry, so every token reads
+    by `int()`."""
+
+    def __init__(self, entries):
+        super().__init__()
+
+    def __missing__(self, token):
+        return int(token)
+
+
+def _outcome(read):
+    """What `read()` returns, or the line and message of its ParseError."""
+    try:
+        return read()
+    except formats.ParseError as exc:
+        return exc.line, str(exc)
+
+
+_ACCEPTED = ["007", "+3", "-1", "1_0", "٣"]
+_REFUSED = ["x", "1.0", "0x1", "1__0"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(token=st.one_of(st.integers(0, 7).map(str), st.sampled_from(_ACCEPTED + _REFUSED)),
+       record=st.sampled_from(["s", "p", "placement"]), seed=st.integers(0, 2 ** 16),
+       field=st.integers(1, 3))
+def test_readers_read_tokens_as_int_does(hex7, token, record, seed, field):
+    """A token put into one `s` record of a plan, one `p` record of its
+    start or one `p` record of a placement reads as a reader built on
+    `int()` reads it: to `int(token)`, or to the same ParseError, line and
+    message. A plan's moves read back as plain tuples."""
+    rng = random.Random(seed)
+    start = random_placement(hex7, rng)
+    cur, moves = start, []
+    for _ in range(6):
+        mv = rng.choice(legal_moves(cur))
+        cur = slide(cur, mv)
+        moves.append(mv)
+    text = (formats.serialize_placement(start) if record == "placement"
+            else formats.serialize_plan("hamilton", start, moves))
+    lines = text.splitlines()
+    at = [k for k, line in enumerate(lines) if line.split()[0] == record[0]]
+    j = rng.randrange(len(at))                 # the j-th record of its kind
+    i = at[j]
+    parts = lines[i].split()
+
+    def read(word):
+        parts[field] = word
+        lines[i] = " ".join(parts)
+        text = "\n".join(lines) + "\n"
+        return _outcome(lambda: formats.parse_placement(text, hex7) if record == "placement"
+                        else formats.parse_plan(text, hex7))
+
+    got = read(token)
+    with mock.patch.object(formats, "_Ids", _IntReads):
+        assert got == read(token)
+    try:
+        value = int(token)
+    except ValueError:
+        assert got == (i + 1, f"line {i + 1}: expected integers, got {parts[1:]!r}")
+        return
+    assert got == read(str(value))
+    if record == "s":
+        _, back, read_moves = got
+        assert back == start and read_moves[j][field - 1] == value
+        assert all(type(m) is tuple for m in read_moves)
+        read_moves[j] = moves[j]
+        assert read_moves == moves
+
+
+@settings(max_examples=100, deadline=None)
+@given(moves=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99), st.integers(0, 99)),
+                      max_size=30))
+def test_serialize_moves_formats_each_move(moves):
+    """`serialize_moves` writes one `s` line a move, the empty list
+    included, and gives `SlideMove`s and plain triples the same text."""
+    text = formats.serialize_moves(moves)
+    assert text == "".join("s %d %d %d\n" % m for m in moves)
+    assert formats.serialize_moves([SlideMove(*m) for m in moves]) == text
+    assert formats.parse_moves(text) == moves

@@ -584,7 +584,7 @@ def test_cut_loops_properties(n, rnd):
     moves = label_word(seq)
     it = iter(moves)
     assert all(mv in it for mv in cut)
-    assert cut_loops(SlideSequence(seq.start, tuple(mv.kept_vertex for mv in cut),
+    assert cut_loops(SlideSequence(seq.start, tuple(kept for _, kept, _ in cut),
                                    seq.end)) == cut
     if len(set(_states(seq.start, moves))) == len(seq) + 1:
         assert cut == moves
