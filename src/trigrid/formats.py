@@ -9,10 +9,10 @@ whole file.
 """
 
 from itertools import chain
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .grid import Edge, TriGridGraph, build_abstract, build_graph, edge_key
-from .placement import Move, Placement
+from .placement import Move, Placement, PlacementError
 
 
 class ParseError(Exception):
@@ -36,11 +36,11 @@ def _int_error(fields: Sequence[str], lineno: int, count: int) -> ParseError:
     return ParseError(f"expected integers, got {fields!r}", lineno)
 
 
-def _ints(fields: Sequence[str], lineno: int, count: int, read=int) -> List[int]:
-    """The fields as exactly `count` integers, each read by `read`."""
+def _ints(fields: Sequence[str], lineno: int, count: int) -> List[int]:
+    """The fields as exactly `count` integers."""
     if len(fields) == count:
         try:
-            return [read(x) for x in fields]
+            return [int(x) for x in fields]
         except ValueError:
             pass
     raise _int_error(fields, lineno, count)
@@ -112,8 +112,7 @@ def serialize_placement(p: Placement) -> str:
 
 
 class _Ids(dict):
-    """`str(i) -> i` for a host's ids 0..|V|; any other token reads as
-    `int()` reads it, or raises its ValueError. No entry is ever added."""
+    """`str(i) -> i` for ids 0..|V|; any other token reads, or fails, as `int()` does."""
 
     def __missing__(self, token: str) -> int:
         return int(token)
@@ -122,16 +121,15 @@ class _Ids(dict):
 class _Pieces:
     """The `p label u v` records of one placement, each checked on its own
     line: three integers, a new label, a host edge, and no vertex that an
-    earlier piece covers. `read` reads each token: `int`, or the `_Ids` of
-    a plan or sequence, whose build one placement alone would not repay."""
+    earlier piece covers."""
 
-    def __init__(self, g: TriGridGraph, read: Callable[[str], int] = int):
-        self.g, self.read = g, read
+    def __init__(self, g: TriGridGraph):
+        self.g = g
         self.by_label: Dict[int, Edge] = {}
         self.owner: Dict[int, int] = {}          # covered vertex -> label
 
     def add(self, parts: List[str], lineno: int) -> None:
-        label, u, v = _ints(parts[1:], lineno, 3, self.read)
+        label, u, v = _ints(parts[1:], lineno, 3)
         if label in self.by_label:
             raise ParseError(f"duplicate label {label}", lineno)
         e = edge_key(u, v)
@@ -150,10 +148,10 @@ class _Pieces:
         labels = sorted(self.by_label)
         if labels != list(range(1, len(labels) + 1)):
             raise ParseError("labels must be dense 1..n", lineno)
-        if len(labels) != self.g.n:
-            raise ParseError(f"expected {self.g.n} pieces, got {len(labels)}", lineno)
-        (gap,) = set(self.g.vertex_ids).difference(self.owner)
-        return Placement(self.g, tuple(self.by_label[i] for i in labels), gap)
+        try:
+            return Placement.covering(self.g, tuple(map(self.by_label.get, labels)))
+        except PlacementError as exc:
+            raise ParseError(str(exc), lineno) from None
 
 
 def parse_placement(text: str, g: TriGridGraph) -> Placement:
@@ -195,13 +193,13 @@ def _read_sequence(text: str, g: TriGridGraph,
     next `s` record; `s` records are moves wherever they stand. With
     `plan`, `strategy` and `slides` header records may stand anywhere;
     both must be present, and the slide count must match the moves. Each
-    move is a plain tuple of three tokens read by the host's `_Ids`.
+    move is a plain triple of `_Ids` lookups; each `p` record reads by `int()`.
     """
     strategy: Optional[str] = None
     slides: Optional[int] = None
     slides_line = start_line = 0
     ids = _Ids({str(i): i for i in range(g.num_vertices + 1)})
-    pieces = _Pieces(g, ids.__getitem__)
+    pieces = _Pieces(g)
     moves: List[Move] = []
     append = moves.append
     in_start = False

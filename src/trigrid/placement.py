@@ -4,12 +4,11 @@ with an odd cycle. A slide is fixed by its kept vertex, whose piece
 pivots onto the gap, so a plan is a `SlideSequence`: a start, a word of
 kept vertices and an end, which each builder writes down unstepped.
 `cut_loops` cuts a plan once and labels the slides it keeps as plain
-`(label, kept, dest)` triples, which `verify_sequence` checks as `slide`,
+`(label, kept, dest)` triples; `verify_sequence` checks them as `slide`,
 the checked reference, checks a `SlideMove`. Also an odd cycle's forced
 dominoes, alignment with it, the one reading of its labels
 (`Placement.ring`), rotation along it and vertex exposure, the last two
-in closed form. Nothing here searches over
-slides, and neither planner does."""
+in closed form. Nothing here searches over slides; neither planner does."""
 
 from __future__ import annotations
 
@@ -21,6 +20,8 @@ from typing import Collection, Iterable, List, NamedTuple, Optional, Sequence, S
 
 from .grid import Edge, TriGridGraph, edge_key
 from .matching import Matching, MatchingError, alternating_path_to
+
+Move = Tuple[int, int, int]    # a plan's (label, kept, dest); a SlideMove is one
 
 
 class PlacementError(Exception):
@@ -42,17 +43,23 @@ class Placement:
     @staticmethod
     def make(graph: TriGridGraph, pieces: Iterable[Edge]) -> "Placement":
         norm = tuple(edge_key(u, v) for u, v in pieces)
-        if len(norm) != graph.n:
-            raise PlacementError(f"expected {graph.n} pieces, got {len(norm)}")
         covered: Set[int] = set()
-        for e in norm:
-            if e not in graph.edges:
-                raise PlacementError(f"piece edge {e} not in graph")
-            if e[0] in covered or e[1] in covered:
-                raise PlacementError("pieces overlap")
-            covered |= set(e)
-        (exposed,) = set(graph.vertex_ids) - covered
-        return Placement(graph, norm, exposed)
+        if len(norm) == graph.n:               # else `covering` names the count
+            for e in norm:
+                if e not in graph.edges:
+                    raise PlacementError(f"piece edge {e} not in graph")
+                if e[0] in covered or e[1] in covered:
+                    raise PlacementError("pieces overlap")
+                covered |= set(e)
+        return Placement.covering(graph, norm)
+
+    @staticmethod
+    def covering(graph: TriGridGraph, pieces: Tuple[Edge, ...]) -> "Placement":
+        """A placement of checked disjoint host edges; PlacementError unless there are n."""
+        if len(pieces) != graph.n:
+            raise PlacementError(f"expected {graph.n} pieces, got {len(pieces)}")
+        (exposed,) = set(graph.vertex_ids).difference(*pieces)
+        return Placement(graph, pieces, exposed)
 
     @property
     def n(self) -> int:
@@ -127,9 +134,6 @@ class SlideMove(NamedTuple):
     label: int
     kept_vertex: int
     dest_vertex: int
-
-
-Move = Tuple[int, int, int]    # a plan's (label, kept, dest); a SlideMove is one
 
 
 @dataclass(frozen=True)
@@ -405,9 +409,7 @@ def cut_loops(seq: SlideSequence) -> Tuple[Move, ...]:
     """
     word, start = seq.kept, seq.start
     owner, gap = start.owner[:], start.exposed
-    mate = [0] * len(owner)                    # each covered vertex's partner
-    for u, v in start.pieces:
-        mate[u], mate[v] = v, u
+    mate = [start.partner(v) for v in range(len(owner))]
     keys, labels, gaps = [owner.tobytes()], [], []
     for kept in word:                          # the piece on kept pivots onto the gap
         label = owner[kept]
