@@ -1,14 +1,14 @@
 """Command-line interface: gen | check | plan | verify | oracle | render.
 
 Exit codes: 0 success, 2 precondition refusal (a host, plan or budget
-outside what the command handles, or a host too big for a recursive
-search), 3 parse error (naming the line of
-the file; a file that is not UTF-8 text is one) or a file that cannot be
-read or written, 4 internal invariant failure (a planner that raises a
-placement or matching error, or whose plan fails its replay). Commands
-raise; `main` alone maps each error family to its exit code and one
-stderr line. Set TRIGRID_LOG=1 (any non-empty value) for a one-line
-summary of each plan on stderr.
+outside what the command handles, a host too big for a recursive search,
+or a plan too big for the memory the process may use), 3 parse error
+(naming the line of the file; a file that is not UTF-8 text is one) or a
+file that cannot be read or written, 4 internal invariant failure (a
+planner that raises a placement or matching error, or whose plan fails
+its replay). Commands raise; `main` alone maps each error family to its
+exit code and one stderr line. Set TRIGRID_LOG=1 (any non-empty value)
+for a one-line summary of each plan on stderr.
 """
 
 import argparse
@@ -18,7 +18,7 @@ import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import formats
 from .ear_planner import plan_ear
@@ -48,7 +48,8 @@ class UsageError(Exception):
 def _read(path: str) -> str:
     """The file's text; a byte sequence that is not UTF-8 is a parse error
     naming its line."""
-    data = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -58,14 +59,15 @@ def _read(path: str) -> str:
 
 
 def _load_graph(path: str) -> TriGridGraph:
-    return formats.parse_graph(_read(path), name=Path(path).stem)
+    return formats.parse_graph(_read(path))
 
 
 def _write(out: Optional[str], text: str) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            fh.write(text)
 
 
 def _param(kv: str) -> Tuple[str, int]:
@@ -215,59 +217,66 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its name -> command parser map."""
     ap = argparse.ArgumentParser(prog="trigrid", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    commands: Dict[str, argparse.ArgumentParser] = {}
 
-    g = sub.add_parser("gen", help="generate a named instance")
+    def command(name, fn, summary):
+        cp = commands[name] = sub.add_parser(name, help=summary)
+        cp.set_defaults(fn=fn)
+        return cp
+
+    g = command("gen", cmd_gen, "generate a named instance")
     g.add_argument("kind")
     g.add_argument("--param", action="append", type=_param, metavar="key=value")
     g.add_argument("--out")
-    g.set_defaults(fn=cmd_gen)
 
-    c = sub.add_parser("check", help="report graph properties")
+    c = command("check", cmd_check, "report graph properties")
     c.add_argument("graph")
     c.add_argument("--out")
-    c.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("plan", help="plan a reconfiguration")
+    p = command("plan", cmd_plan, "plan a reconfiguration")
     p.add_argument("graph")
     p.add_argument("start")
     p.add_argument("target")
     p.add_argument("--strategy", choices=["ear", "hamilton", "auto"],
                    default="auto")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_plan)
 
-    v = sub.add_parser("verify", help="replay and check a plan file")
+    v = command("verify", cmd_verify, "replay and check a plan file")
     v.add_argument("graph")
     v.add_argument("plan")
     v.add_argument("--target")
-    v.set_defaults(fn=cmd_verify)
 
-    o = sub.add_parser("oracle", help="exhaustive state-space search")
+    o = command("oracle", cmd_oracle, "exhaustive state-space search")
     o.add_argument("graph")
     o.add_argument("--start")
     o.add_argument("--max-vertices", type=int, default=DEFAULT_VERTEX_BOUND,
                    help="refuse hosts with more vertices (default %(default)s)")
     o.add_argument("--out")
-    o.set_defaults(fn=cmd_oracle)
 
-    r = sub.add_parser("render", help="draw graph/placement/plan as SVG")
+    r = command("render", cmd_render, "draw graph/placement/plan as SVG")
     r.add_argument("graph")
     r.add_argument("--placement")
     r.add_argument("--plan")
     r.add_argument("--out")
-    r.set_defaults(fn=cmd_render)
-    return ap
+    return ap, commands
 
 
 # built once per process: each `parse_args` fills a fresh namespace
-_PARSER = build_parser()
+_PARSER, _COMMANDS = build_parser()
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _PARSER.parse_args(argv)
+    # the first word's command parser parses the rest; the top-level parser parses
+    # or reports any other argv: none, `-h`, an unknown command, words left over
+    argv = sys.argv[1:] if argv is None else argv
+    cp = _COMMANDS.get(argv[0]) if argv else None
+    args, extras = cp.parse_known_args(argv[1:]) if cp else (None, None)
+    if cp is None or extras:
+        args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except formats.ParseError as exc:
@@ -277,9 +286,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"cannot read/write {exc.filename or '-'}: {exc.strerror or exc}",
               file=sys.stderr)
         return EXIT_PARSE
-    except (GridError, PlanError, OracleBudgetError, UsageError, RecursionError) as exc:
-        # a search whose recursion depth is the vertex count refuses a host too big for it
-        print(f"refused: {exc}", file=sys.stderr)
+    except (GridError, PlanError, OracleBudgetError, UsageError, RecursionError,
+            MemoryError) as exc:
+        # so is a host too big for a recursive search or a plan for the memory
+        print(f"refused: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_REFUSED
     except (PlanInvariantError, PlacementError, MatchingError, AssertionError) as exc:
         # the inputs parsed, so a bad placement or matching here is a planner's

@@ -3,9 +3,10 @@ plan files.
 
 All records are single ASCII lines; `#` starts a comment. Every reader
 makes one pass over its text: each line is split once, dispatched on its
-tag and converted once. A `ParseError` names the offending line's number
-in the text given to the parser, which for a plan or sequence is the
-whole file.
+tag and converted once, but a closing block of moves as written is split
+in one go (`_move_block`). A `ParseError` names the offending line's
+number in the text given to the parser, which for a plan or sequence is
+the whole file.
 """
 
 from itertools import chain
@@ -71,7 +72,11 @@ def parse_graph(text: str, name: str = "") -> TriGridGraph:
     for lineno, parts in _records(text):
         tag = parts[0]
         if tag == "v":
-            vid, x, y = _ints(parts[1:], lineno, 3)
+            try:
+                _, vid, x, y = parts
+                vid, x, y = int(vid), int(x), int(y)
+            except ValueError:
+                raise _int_error(parts[1:], lineno, 3) from None
             if vid in points:
                 raise ParseError(f"duplicate vertex id {vid}", lineno)
             if (x, y) in seen:
@@ -91,9 +96,9 @@ def parse_graph(text: str, name: str = "") -> TriGridGraph:
     if points:
         if sorted(points) != list(range(1, len(points) + 1)):
             raise ParseError("vertex ids must be dense 1..|V|", 1)
-        pts = [points[v] for v in sorted(points)]
+        pts = tuple(points[v] for v in range(1, len(points) + 1))
         g = build_graph(pts, name=name)
-        if [g.point_of(v) for v in g.vertex_ids] != pts:
+        if g.points != pts:
             raise ParseError("vertex ids must follow lexicographic point "
                              "order (x, then y)", 1)
         return g
@@ -129,7 +134,11 @@ class _Pieces:
         self.owner: Dict[int, int] = {}          # covered vertex -> label
 
     def add(self, parts: List[str], lineno: int) -> None:
-        label, u, v = _ints(parts[1:], lineno, 3)
+        try:
+            _, label, u, v = parts
+            label, u, v = int(label), int(u), int(v)
+        except ValueError:
+            raise _int_error(parts[1:], lineno, 3) from None
         if label in self.by_label:
             raise ParseError(f"duplicate label {label}", lineno)
         e = edge_key(u, v)
@@ -184,6 +193,35 @@ def serialize_sequence(start: Placement, moves: Sequence[Move]) -> str:
     return "start\n" + serialize_placement(start) + serialize_moves(moves)
 
 
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # the other splitlines() breaks
+
+
+def _move_block(text: str, ids: _Ids) -> Tuple[str, List[Move]]:
+    """The text before its closing block of moves, and the block's moves.
+
+    The block, from the first line that starts with `s ` to the end, is
+    split once if its m lines start with `s ` and end in "\n" (no other
+    line break), it holds 4m tokens and the three after each fourth convert.
+    No converted token is `s`, so the m line-starting `s` tokens fall on
+    every fourth token, each line holds four, and the moves are the line
+    loop's. Else (text, []) leaves the whole text to the line loop.
+    """
+    at = 0 if text.startswith("s ") else text.find("\ns ") + 1
+    block = text[at:]
+    m = block.count("\n")
+    if (not block.startswith("s ") or not block.endswith("\n")
+            or block.count("\ns ") != m - 1 or any(c in block for c in _OTHER_BREAKS)):
+        return text, []
+    tokens, look = block.split(), ids.__getitem__
+    try:
+        if len(tokens) == 4 * m:
+            return text[:at], list(zip(map(look, tokens[1::4]), map(look, tokens[2::4]),
+                                       map(look, tokens[3::4])))
+    except ValueError:
+        pass
+    return text, []
+
+
 def _read_sequence(text: str, g: TriGridGraph,
                    plan: bool) -> Tuple[str, Placement, List[Move]]:
     """The one pass behind `parse_sequence` and, with `plan`, `parse_plan`:
@@ -192,18 +230,20 @@ def _read_sequence(text: str, g: TriGridGraph,
     `p` records belong to the start block, from a `start` line up to the
     next `s` record; `s` records are moves wherever they stand. With
     `plan`, `strategy` and `slides` header records may stand anywhere;
-    both must be present, and the slide count must match the moves. Each
-    move is a plain triple of `_Ids` lookups; each `p` record reads by `int()`.
+    each must stand once, and the slide count must match the moves. Each
+    move is a plain triple of `_Ids` lookups, a closing block as written read
+    by `_move_block`; each `p` record reads by `int()`.
     """
     strategy: Optional[str] = None
     slides: Optional[int] = None
     slides_line = start_line = 0
     ids = _Ids({str(i): i for i in range(g.num_vertices + 1)})
     pieces = _Pieces(g)
+    head, block = _move_block(text, ids)
     moves: List[Move] = []
     append = moves.append
     in_start = False
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(head.splitlines(), start=1):
         parts = line.split()
         if not parts:
             continue
@@ -223,15 +263,20 @@ def _read_sequence(text: str, g: TriGridGraph,
         elif tag[0] == "#":
             continue
         elif plan and tag == "strategy":
+            if strategy is not None:
+                raise ParseError("repeated strategy record", lineno)
             if len(parts) != 2:
                 raise ParseError(f"expected one strategy name, got {parts[1:]!r}",
                                  lineno)
             strategy = parts[1]
         elif plan and tag == "slides":
+            if slides is not None:
+                raise ParseError("repeated slides record", lineno)
             (slides,) = _ints(parts[1:], lineno, 1)
             slides_line = lineno
         else:
             raise ParseError(f"unknown record {tag!r}", lineno)
+    moves += block
     if plan and (strategy is None or slides is None):
         raise ParseError("missing plan header", 1)
     if plan and slides != len(moves):

@@ -143,7 +143,11 @@ def _connected(vertices: Iterable[int], adj: Dict[int, Tuple[int, ...]]) -> bool
 
 
 def build_graph(points: Iterable[Point], name: str = "") -> TriGridGraph:
-    """Build the induced triangular grid graph on the given lattice points."""
+    """Build the induced triangular grid graph on the given lattice points.
+
+    Vertex ids follow lexicographic point order. The order edges are inserted
+    in fixes the iteration order of `edges`, the matching search's input: another
+    order changes matchings, ear plans and the benchmark's placements (tests pin it)."""
     pts = list(points)
     if not pts:
         raise GridError("empty point set")

@@ -79,7 +79,8 @@ def perfect_matching(g: TriGridGraph, skip: Iterable[int] = (),
     The blossom gets the subgraph's vertices in the iteration order of the
     kept set and each vertex's neighbours in the order their edges appear in
     the edge pool; that order decides which perfect matching comes back
-    (see the module docstring).
+    (see the module docstring). The default pool is `g.edges`, whose order
+    only `grid.build_graph`'s insertion order fixes.
     """
     keep = set(g.vertex_ids if within is None else within)
     keep -= set(skip)

@@ -2,14 +2,17 @@
 
 Two families: factor-critical 2-connected grids containing a degree-6
 vertex (built as a full hexagon plus subsets of its surrounding ring),
-and locally-connected grids spanning 5 to 25 vertices.
+and locally-connected grids spanning 5 to 25 vertices; plus the hosts of
+the benchmark's workloads, drawn from both families and the generators.
 """
 
 import itertools
-from typing import List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
-from trigrid.grid import (Point, TriGridGraph, build_graph, canonical_point_form, hexagon_points,
-                          is_locally_connected, is_star_of_david, is_two_connected)
+from trigrid.grid import (Point, TriGridGraph, build_graph, canonical_point_form,
+                          chord_cycle_graph, diamond_cycle_graph, hex_with_hole_graph,
+                          hexagon_points, is_locally_connected, is_star_of_david,
+                          is_two_connected)
 from trigrid.matching import is_factor_critical
 
 
@@ -71,4 +74,19 @@ def locally_connected_corpus() -> List[TriGridGraph]:
         assert is_locally_connected(g), name
         assert not is_star_of_david(g), name
         out.append(g)
+    return out
+
+
+def workload_hosts() -> Dict[str, TriGridGraph]:
+    """The hosts of the benchmark's three workloads, under the names
+    perfbench/workloads.json gives them, each equal to the host
+    perfbench/inputs.py builds."""
+    lc = {g.name: g for g in locally_connected_corpus()}
+    out = {name: lc[name] for name in ("hex11", "hex13", "hex19", "para21", "hex23", "para25")}
+    out["deg6-11v"] = degree6_corpus()[5]
+    out["deg6-17v"] = degree6_corpus(17, 100)[99]
+    out["hex_with_hole-r2"] = hex_with_hole_graph(2)
+    out["diamond_cycle-6"] = diamond_cycle_graph(6)
+    out["chord_cycle-5-3"] = chord_cycle_graph(5, 3)
+    out["chord_cycle-6-4"] = chord_cycle_graph(6, 4)
     return out

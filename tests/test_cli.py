@@ -263,8 +263,11 @@ def test_short_vertex_record_is_parse_error(tmp_path):
      "vertex ids must follow lexicographic point order (x, then y)"),
     ("av 1\nav 3\nae 1 3\n", 1, "vertex ids must be dense 1..|V|"),
     ("v 1 0 0\nv 2 0 0\nv 3 1 0\n", 2, "duplicate lattice point (0, 0)"),
+    ("v 1 0 0\nv 2 1\nv 3 0 1\n", 2, "expected 3 integers, got ['2', '1']"),
+    ("v 1 0 0\nv 2 0 1 5\nv 3 1 0\n", 2, "expected 3 integers, got ['2', '0', '1', '5']"),
+    ("v 1 0 0\nv 2 0 x\nv 3 1 0\n", 2, "expected integers, got ['2', '0', 'x']"),
 ], ids=["duplicate-id", "mixed-records", "point-order", "sparse-abstract-ids",
-        "duplicate-point"])
+        "duplicate-point", "two-fields", "four-fields", "non-integer"])
 def test_graph_file_refusals_are_parse_errors(tmp_path, capsys, text, lineno, message):
     """`check` refuses a malformed graph file with exit 3 and one
     `parse error: line N: ...` line."""
@@ -435,6 +438,24 @@ def test_plan_refuses_a_host_too_big_for_the_hamilton_search(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("refused: ")
     assert "Traceback" not in err.getvalue()
     assert not (tmp_path / "x.plan").exists()
+
+
+def test_plan_out_of_memory_is_refused(tmp_path, capsys, monkeypatch):
+    """A planner that runs out of memory is refused with exit 2 and one
+    `refused:` line, and no plan file is written. The planner raises
+    `MemoryError` itself: no test exhausts real memory."""
+    from trigrid import cli
+
+    def out_of_memory(g, p, q):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "plan_ear", out_of_memory)
+    argv = _hex7_plan_argv(tmp_path, "ear")
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "refused: out of memory\n"
+    assert not (tmp_path / "ear.plan").exists()
 
 
 def test_check_collinear_host(tmp_path, capsys):
@@ -679,30 +700,38 @@ def test_bad_placement_file_is_still_parse_error(tmp_path, capsys):
 
 
 def _missing_input_argv(tmp_path, command):
+    """The command line, and the path its one stderr line must name."""
     gpath = _gen(tmp_path, "pentagon")
     g = formats.parse_graph(gpath.read_text())
     start = _write_placement(tmp_path, "s.p", g, [(2, 3), (4, 5)])
     nope = str(tmp_path / "nope")
+    (tmp_path / "dir").mkdir()
+    folder = str(tmp_path / "dir")
+    out = str(tmp_path / "no-such-dir" / "out.plan")
     return {
-        "check": ["check", nope],
-        "plan": ["plan", str(gpath), str(start), nope],
-        "verify": ["verify", str(gpath), nope],
-        "oracle": ["oracle", str(gpath), "--start", nope],
-        "render": ["render", nope, "--placement", str(start)],
-        "plan --out": ["plan", str(gpath), str(start), str(start),
-                       "--out", str(tmp_path / "no-such-dir" / "out.plan")],
+        "check": (["check", nope], nope),
+        "plan": (["plan", str(gpath), str(start), nope], nope),
+        "verify": (["verify", str(gpath), nope], nope),
+        "oracle": (["oracle", str(gpath), "--start", nope], nope),
+        "render": (["render", nope, "--placement", str(start)], nope),
+        "plan --out": (["plan", str(gpath), str(start), str(start), "--out", out], out),
+        "check directory": (["check", folder], folder),
+        "verify directory": (["verify", str(gpath), folder], folder),
     }[command]
 
 
 @pytest.mark.parametrize("command", ["check", "plan", "verify", "oracle", "render",
-                                     "plan --out"])
+                                     "plan --out", "check directory", "verify directory"])
 def test_unreadable_or_unwritable_file_exits_3(tmp_path, capsys, command):
-    argv = _missing_input_argv(tmp_path, command)
+    """A missing file, a directory and an `--out` in a missing directory
+    exit 3 with one `cannot read/write <path>: <reason>` line."""
+    argv, path = _missing_input_argv(tmp_path, command)
+    reason = "Is a directory" if command.endswith("directory") else "No such file or directory"
     capsys.readouterr()
     assert main(argv) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"cannot read/write {tmp_path}") and err.count("\n") == 1
-    assert "Traceback" not in err
+    out, err = capsys.readouterr()
+    assert err == f"cannot read/write {path}: {reason}\n"
+    assert out == ""
 
 
 def test_main_carries_no_option_between_calls(tmp_path, capsys, monkeypatch):
@@ -734,6 +763,52 @@ def test_main_carries_no_option_between_calls(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path / "x.graph")]) == 2
     assert main(["gen", "hexagon", "--out", str(tmp_path / "y.graph")]) == 0
     assert formats.parse_graph((tmp_path / "y.graph").read_text()).num_vertices == 7
+
+
+def _dispatch_argvs(tmp_path):
+    """Command lines of every shape `main` parses: a valid one of each
+    command, help, none, an unknown command, words left over, a missing
+    positional, a bad option value and an abbreviated option."""
+    plan = _hex7_plan_argv(tmp_path, "ear")
+    gpath, start, target, out = plan[1], plan[2], plan[3], plan[-1]
+    assert main(plan) == 0
+    frame = str(tmp_path / "frame.svg")
+    return [
+        ["gen", "hexagon", "--param", "radius=1", "--out", str(tmp_path / "g.graph")],
+        ["check", gpath], plan, ["verify", gpath, out, "--target", target],
+        ["oracle", gpath, "--start", start], ["render", gpath, "--plan", out, "--out", frame],
+        ["render", gpath, "--placement", start],
+        ["-h"], ["plan", "-h"], ["verify", "--help"], [], ["plann"],
+        ["plan", "a", "b", "c", "--bogus"], ["verify", gpath, out, "extra"],
+        ["verify", gpath], ["plan", gpath, start, target, "--strategy", "bogus"],
+        ["gen", "hexagon", "--param", "radius=x"], ["oracle", gpath, "--max-v", "5"],
+        ["verify", "--", gpath, out], ["-h", "plan"], ["--bogus", "verify", gpath, out],
+    ]
+
+
+def test_main_dispatches_as_the_top_level_parser(tmp_path, capsys, monkeypatch):
+    """Each command line gives the exit status, stdout and stderr that
+    parsing it with the top-level parser alone gives (an empty command
+    map sends every command line there): `main` hands a command's words
+    to its own parser, and every other command line, or one with words
+    left over, to the top-level parser."""
+    from trigrid import cli
+
+    def run(argv):
+        capsys.readouterr()
+        try:
+            status = main(list(argv))
+        except SystemExit as exc:
+            status = ("exit", exc.code)
+        return (status,) + tuple(capsys.readouterr())
+
+    for argv in _dispatch_argvs(tmp_path):
+        got = run(argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_COMMANDS", {})
+            assert run(argv) == got, argv
+    assert run(["plan", "a", "b", "c", "--bogus"])[2].splitlines()[-1] == (
+        "trigrid: error: unrecognized arguments: --bogus")
 
 
 def test_verify_names_the_first_bad_move(tmp_path, capsys):

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigrid import formats
-from trigrid.grid import chord_cycle_graph, diamond_cycle_graph, hex_with_hole_graph
+from trigrid.grid import (build_graph, chord_cycle_graph, diamond_cycle_graph,
+                          hex_with_hole_graph, hexagon_points)
 from trigrid.placement import Placement, SlideMove, legal_moves, slide, verify_sequence
 
 from conftest import random_placement
-from corpus import locally_connected_corpus
+from corpus import degree6_corpus, locally_connected_corpus, workload_hosts
 
 # lattice hosts with and without holes, and abstract ones
 _HOSTS = locally_connected_corpus()[:8] + [hex_with_hole_graph(2), diamond_cycle_graph(3),
@@ -22,6 +23,25 @@ def test_graph_roundtrip_lattice(pentagon):
     back = formats.parse_graph(text, name=pentagon.name)
     assert back.points == pentagon.points
     assert back.edges == pentagon.edges
+    # `v` records out of id order still give ids in lexicographic point order
+    shuffled = "".join(reversed(text.splitlines(keepends=True)))
+    again = formats.parse_graph(shuffled, name=pentagon.name)
+    assert again == back and list(again.edges) == list(back.edges)
+
+
+def test_host_read_back_iterates_its_edges_in_order():
+    """The matching search reads its pool in the iteration order of
+    `g.edges`, so a host read back from its file iterates its edges as the
+    host written did: on every corpus host and on every workload host that
+    the benchmark draws placements on or plans on. The two chord cycles
+    are left out: `serialize_graph` writes an abstract host's edges sorted,
+    so theirs read back in another order, and only the oracle's verdict,
+    which no order changes, reads them."""
+    hosts = locally_connected_corpus() + degree6_corpus() + [
+        g for name, g in workload_hosts().items() if not name.startswith("chord_cycle")]
+    for g in hosts:
+        back = formats.parse_graph(formats.serialize_graph(g))
+        assert list(back.edges) == list(g.edges), g.name
 
 
 def test_graph_roundtrip_abstract():
@@ -137,6 +157,7 @@ def test_plan_and_sequence_read_back_through_comments(hex7, rng):
 @pytest.mark.parametrize("lineno,bad", [
     (8, "s 1 2 x"), (8, "s 1 2"), (8, "p 1 2 3"), (8, "q 1 2 3"),
     (6, "p 3 1 x"), (6, "p 3 1"), (6, "p 1 1 2"), (6, "s 1"), (6, "start 1"),
+    (6, "p 3 1 2 4"),
 ])
 def test_parse_error_names_the_line_of_the_file(hex7, rng, plan, lineno, bad):
     rep, _ = _hex7_plan(hex7, rng)
@@ -162,7 +183,11 @@ def test_placement_errors_name_their_line(hex7):
     for text, lineno, message in (
             ("p 1 1 2\np 2 3 4\np 3 5 5\n", 3, "piece edge (5, 5) not in graph"),
             ("p 1 1 2\np 2 2 4\np 3 5 7\n", 2, "piece 2 overlaps piece 1 at vertex 2"),
-            ("p 1 1 2\np 2 3 4\n", 1, "expected 3 pieces, got 2")):
+            ("p 1 1 2\np 2 3 4\n", 1, "expected 3 pieces, got 2"),
+            ("p 1 1 2\np 2 3\np 3 5 7\n", 2, "expected 3 integers, got ['2', '3']"),
+            ("p 1 1 2\np 2 3 4 6\np 3 5 7\n", 2,
+             "expected 3 integers, got ['2', '3', '4', '6']"),
+            ("p 1 1 2\np 2 3 4\np 3 5 y\n", 3, "expected integers, got ['3', '5', 'y']")):
         with pytest.raises(formats.ParseError) as ei:
             formats.parse_placement(text, hex7)
         assert (ei.value.line, str(ei.value)) == (lineno, f"line {lineno}: {message}")
@@ -179,6 +204,20 @@ def test_plan_header_errors(hex7, rng):
         with pytest.raises(formats.ParseError) as ei:
             formats.parse_plan(bad, hex7)
         assert ei.value.line == lineno
+    # a repeated header record is refused at its line, equal value or not
+    last = len(text.splitlines()) + 1
+    for bad, lineno, tag in ((text.replace(f"slides {n}\n", f"slides {n}\nslides {n}\n"),
+                              3, "slides"),
+                             (text.replace(f"slides {n}\n", f"slides 7\nslides {n}\n"),
+                              3, "slides"),
+                             (text + f"slides {n}\n", last, "slides"),
+                             (text.replace("strategy hamilton\n",
+                                           "strategy hamilton\nstrategy hamilton\n"),
+                              2, "strategy"),
+                             (text + "strategy ear\n", last, "strategy")):
+        with pytest.raises(formats.ParseError) as ei:
+            formats.parse_plan(bad, hex7)
+        assert str(ei.value) == f"line {lineno}: repeated {tag} record"
     with pytest.raises(formats.ParseError) as ei:
         formats.parse_sequence(text, hex7)
     assert str(ei.value) == "line 1: unknown record 'strategy'"
@@ -253,6 +292,121 @@ def test_readers_read_tokens_as_int_does(hex7, token, record, seed, field):
         assert all(type(m) is tuple for m in read_moves)
         read_moves[j] = moves[j]
         assert read_moves == moves
+
+
+_READER_HOSTS = {"hex7": build_graph(hexagon_points(1)),
+                 "pentagon": build_graph([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)])}
+# the line breaks of `str.splitlines`, "\n" aside
+_BREAKS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_LAYOUTS = ["comment", "blank", "whitespace", "leading space", "trailing space", "tab",
+            "double space", "extra field", "extra last field", "missing field", "bad token",
+            "s token", "padded",
+            "no final newline", "line break", "break inside", "s before start",
+            "header after moves"]
+
+
+def _relayout(rows, layout, r):
+    """`rows`, [line, line end] pairs, with one `layout` change at a place `r` picks."""
+    i = r % len(rows)
+    line = rows[i][0]
+    words = line.split(" ")
+    j = r // len(rows) % len(words)
+    if layout in ("comment", "blank", "whitespace"):
+        rows.insert(i, [{"comment": "# note", "blank": "", "whitespace": " \t "}[layout], "\n"])
+    elif layout == "leading space":
+        rows[i][0] = " " + line
+    elif layout == "trailing space":
+        rows[i][0] = line + " "
+    elif layout in ("tab", "double space", "break inside"):
+        gap = {"tab": "\t", "double space": "  "}.get(layout) or _BREAKS[r % len(_BREAKS)]
+        rows[i][0] = " ".join(words[:j]) + gap + " ".join(words[j:])
+    elif layout == "extra field":
+        rows[i][0] = line + " 9"
+    elif layout == "extra last field":
+        rows[-1][0] += " 9"
+    elif layout == "missing field":
+        rows[i][0] = " ".join(words[:-1])
+    elif layout in ("bad token", "s token", "padded"):
+        words[j] = {"bad token": "x", "s token": "s", "padded": "00" + words[j]}[layout]
+        rows[i][0] = " ".join(words)
+    elif layout == "no final newline":
+        rows[-1][1] = ""
+    elif layout == "line break":
+        rows[i][1] = _BREAKS[r % len(_BREAKS)]
+    elif layout == "s before start":
+        moves = [row for row in rows if row[0].startswith("s ")]
+        if moves:
+            rows.insert(next((k for k, row in enumerate(rows) if "start" in row[0]), 0),
+                        list(moves[r % len(moves)]))
+    else:
+        header = [row for row in rows if row[0].startswith(("strategy", "slides"))]
+        if header:
+            rows.remove(header[r % len(header)])
+            rows.append(header[r % len(header)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(host=st.sampled_from(sorted(_READER_HOSTS)), seed=st.integers(0, 2 ** 32 - 1),
+       steps=st.integers(0, 12), plan=st.booleans(),
+       changes=st.lists(st.tuples(st.sampled_from(_LAYOUTS), st.integers(0, 2 ** 16)),
+                        max_size=3))
+def test_readers_read_any_layout_as_the_line_loop_does(host, seed, steps, plan, changes):
+    """A plan or sequence file as written, or laid out another way, reads
+    as the line loop alone reads it: to the same strategy, start and moves,
+    or to the same ParseError, line and message. The writers' own output
+    takes the one-split path for its moves."""
+    g = _READER_HOSTS[host]
+    rng = random.Random(seed)
+    start = random_placement(g, rng)
+    cur, moves = start, []
+    for _ in range(steps):
+        mv = rng.choice(legal_moves(cur))
+        cur = slide(cur, mv)
+        moves.append(tuple(mv))
+    text = (formats.serialize_plan("ear", start, moves) if plan
+            else formats.serialize_sequence(start, moves))
+    if not changes:
+        ids = formats._Ids({str(i): i for i in range(g.num_vertices + 1)})
+        assert formats._move_block(text, ids)[1] == moves
+    rows = [[line, "\n"] for line in text.splitlines()]
+    for layout, r in changes:
+        _relayout(rows, layout, r)
+    text = "".join(line + end for line, end in rows)
+
+    def read():
+        return (_outcome(lambda: formats.parse_plan(text, g)),
+                _outcome(lambda: formats.parse_sequence(text, g)))
+
+    got = read()
+    with mock.patch.object(formats, "_move_block", lambda text, ids: (text, [])):
+        assert got == read()
+
+
+_HEX7_HEAD = "strategy ear\nslides 3\nstart\np 1 1 2\np 2 3 4\np 3 5 7\n"
+
+
+@pytest.mark.parametrize("text", [
+    _HEX7_HEAD + "s 1 2 3 s\ns 3 4\n",     # 4m tokens, `s` every fourth, one inside a line
+    _HEX7_HEAD + "s 1 2 3\ns 3 4\n1",      # 4m tokens, the last line no move and no "\n"
+    _HEX7_HEAD + "s 1 2 3\n1 3 4 1\n",     # 4m tokens, a line that is no `s` record
+    _HEX7_HEAD + "s 1 2\r3\ns 3 4 1\n",    # a line break that `str.split` reads as a space
+    _HEX7_HEAD + "s 1 2 3\ns 3 4 1 5\n",   # 4m + 1 tokens, the three after each fourth convert
+    "p 1 2 3\n",                          # one line of four tokens, but no `s ` line
+], ids=["inner-s", "no-final-newline", "other-record", "carriage-return", "five-tokens",
+        "no-move-line"])
+def test_move_block_refuses_lookalike_layouts(hex7, text):
+    """A text that passes all but one of the move block's checks goes
+    wholly through the line loop, and reads as the line loop alone reads it."""
+    ids = formats._Ids({str(i): i for i in range(hex7.num_vertices + 1)})
+    assert formats._move_block(text, ids) == (text, [])
+
+    def read():
+        return (_outcome(lambda: formats.parse_plan(text, hex7)),
+                _outcome(lambda: formats.parse_sequence(text, hex7)))
+
+    got = read()
+    with mock.patch.object(formats, "_move_block", lambda text, ids: (text, [])):
+        assert got == read()
 
 
 @settings(max_examples=100, deadline=None)

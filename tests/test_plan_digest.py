@@ -3,7 +3,9 @@
 Each digest is the SHA-256 of the serialized move lists of four seeded
 pairs. A change that alters any plan on these hosts changes its digest;
 performance work must keep them, and a change that means to alter plans
-updates them and says why.
+updates them and says why. One more digest covers the nearly perfect
+matchings exposing each vertex of the `ear-deep` workload's hosts, which
+a reordered host build changes before any plan shows it.
 """
 
 import hashlib
@@ -12,13 +14,14 @@ import random
 import pytest
 
 from trigrid.ear_planner import plan_ear
-from trigrid.formats import serialize_moves
+from trigrid.formats import parse_graph, serialize_graph, serialize_moves
 from trigrid.grid import (build_graph, diamond_cycle_graph, hex_with_hole_graph,
                           hexagon_points)
 from trigrid.hc_planner import plan_hamilton
+from trigrid.matching import near_perfect_matching
 
 from conftest import random_placement
-from corpus import degree6_corpus, locally_connected_corpus
+from corpus import degree6_corpus, locally_connected_corpus, workload_hosts
 
 
 def _hex11():
@@ -65,3 +68,26 @@ def test_plan_digest(case):
     assert plan_digest(reports) == digest
     branches = {e.get("branch") for rep in reports for e in rep.recursion_trace}
     assert ("spare-edge" in branches) == (case in SPARE_EDGE)
+
+
+EAR_DEEP_HOSTS = ("hex_with_hole-r2", "deg6-17v", "hex19", "hex23", "para25", "deg6-11v")
+MATCHING_DIGEST = "014eb15a062a9e2513bba7d55cf762f8e7731d4c6b5aa07f1d721472f566bc17"
+
+
+def test_matching_digest():
+    """`near_perfect_matching(g, v)` for every v of the `ear-deep` hosts,
+    built in memory as the benchmark draws placements on them and read
+    back from their files as `trigrid plan` reads them: the matching
+    search reads its pool in the iteration order of `g.edges`, which only
+    the host build's insertion order fixes."""
+    hosts = workload_hosts()
+    for read_back in (False, True):
+        h = hashlib.sha256()
+        for name in EAR_DEEP_HOSTS:
+            g = hosts[name]
+            if read_back:
+                g = parse_graph(serialize_graph(g))
+            for v in g.vertex_ids:
+                m = near_perfect_matching(g, v)
+                h.update(f"{name} {v} {sorted(m.edges)}\n".encode())
+        assert h.hexdigest() == MATCHING_DIGEST
