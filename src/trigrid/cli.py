@@ -97,7 +97,7 @@ def cmd_check(args) -> int:
     fc = is_factor_critical(g)
     tc = is_two_connected(g)
     lc = g.is_lattice and is_locally_connected(g)
-    sod = g.is_lattice and is_star_of_david(g)
+    sod = is_star_of_david(g)
     deg6 = sorted(degree6_vertices(g)) if g.is_lattice else []
     lines = [
         f"vertices {g.num_vertices}",
@@ -129,7 +129,7 @@ def _pick_strategy(g: TriGridGraph, requested: str) -> str:
 
 def cmd_plan(args) -> int:
     g = _load_graph(args.graph)
-    if g.is_lattice and is_star_of_david(g):
+    if is_star_of_david(g):
         raise PlanError("the Star of David graph is not reconfigurable")
     p = formats.parse_placement(_read(args.start), g)
     q = formats.parse_placement(_read(args.target), g)

@@ -243,22 +243,15 @@ def base_diamond_cycle(p: Placement, q: Placement, d: EarDecomposition) -> Slide
     diamond: align both ends with the core's Hamilton cycle
     (`align_with_cycle`), stage each target label on the diamond's far edge
     along that cycle and park it with an inner-cycle rotation, then undo
-    the target side's alignment."""
+    the target side's alignment. The base runs from the diamond's u to v, as
+    `_diamond_structure` lists it (else PlanError), so the reversed base
+    closed by the diamond's x, y is that Hamilton cycle."""
     c_inner = d.base
     u, x, y, v = d.ear(2)         # the diamond's path; d.ear(3) is its diagonal
-    # Hamilton cycle: inner cycle with edge (u, v) replaced by the ear path
-    ring = list(c_inner)
-    iu = ring.index(u)
-    if ring[(iu + 1) % len(ring)] != v:
-        ring.reverse()
-        iu = ring.index(u)
-    assert ring[(iu + 1) % len(ring)] == v
-    c_prime = tuple(ring[: iu + 1]) + (x, y) + tuple(ring[iu + 1:])
-
-    # w: the inner-cycle neighbor of v away from u
-    jv = ring.index(v)
-    w = ring[(jv + 1) % len(ring)]
-    park_edge = edge_key(v, w)
+    if c_inner[0] != u or c_inner[-1] != v:
+        raise PlanError("decomposition is not admissible")
+    c_prime = c_inner[::-1] + (x, y)
+    park_edge = edge_key(v, c_inner[-2])   # v's inner-cycle edge away from u
     mid_edge = edge_key(x, y)
 
     chords = (edge_key(u, v), d.ear(3))

@@ -243,10 +243,7 @@ def _read_sequence(text: str, g: TriGridGraph,
     moves: List[Move] = []
     append = moves.append
     in_start = False
-    for lineno, line in enumerate(head.splitlines(), start=1):
-        parts = line.split()
-        if not parts:
-            continue
+    for lineno, parts in _records(head):
         tag = parts[0]
         if tag == "s":
             try:
@@ -260,8 +257,6 @@ def _read_sequence(text: str, g: TriGridGraph,
         elif tag == "start" and len(parts) == 1:
             in_start = True
             start_line = start_line or lineno
-        elif tag[0] == "#":
-            continue
         elif plan and tag == "strategy":
             if strategy is not None:
                 raise ParseError("repeated strategy record", lineno)

@@ -129,8 +129,6 @@ def _adjacency(num_vertices: int, edges: Iterable[Edge]) -> Dict[int, Tuple[int,
 
 def _connected(vertices: Iterable[int], adj: Dict[int, Tuple[int, ...]]) -> bool:
     vs = list(vertices)
-    if not vs:
-        return True
     seen = {vs[0]}
     stack = [vs[0]]
     while stack:
@@ -142,12 +140,26 @@ def _connected(vertices: Iterable[int], adj: Dict[int, Tuple[int, ...]]) -> bool
     return len(seen) == len(vs)
 
 
+def _host(num_vertices: int, edges: FrozenSet[Edge], points: Tuple[Point, ...],
+          name: str) -> TriGridGraph:
+    """The host on vertices 1..num_vertices, lattice iff it has `points`;
+    DisconnectedError if it is disconnected."""
+    adj = _adjacency(num_vertices, edges)
+    if not _connected(adj, adj):
+        raise DisconnectedError(f"{'induced' if points else 'abstract'} graph is disconnected")
+    return TriGridGraph(n=(num_vertices - 1) // 2, points=points, edges=edges, adj=adj,
+                        is_lattice=bool(points), name=name)
+
+
 def build_graph(points: Iterable[Point], name: str = "") -> TriGridGraph:
     """Build the induced triangular grid graph on the given lattice points.
 
-    Vertex ids follow lexicographic point order. The order edges are inserted
-    in fixes the iteration order of `edges`, the matching search's input: another
-    order changes matchings, ear plans and the benchmark's placements (tests pin it)."""
+    Vertex ids follow lexicographic point order. The edge-order rule: the
+    order a builder inserts edges in fixes the iteration order of `edges`,
+    the matching search's input, so another order changes matchings, ear
+    plans and the benchmark's placements (tests pin it). It depends on the
+    point set alone here and on the edge set alone in `build_abstract`, so
+    a host read back from its file iterates its edges as the one written."""
     pts = list(points)
     if not pts:
         raise GridError("empty point set")
@@ -157,43 +169,26 @@ def build_graph(points: Iterable[Point], name: str = "") -> TriGridGraph:
         raise EvenOrderError(f"|V| = {len(pts)} must be odd")
     pts.sort()
     id_of = {p: i + 1 for i, p in enumerate(pts)}
-
-    edge_pts = _lattice_edges(pts)
-    edges = frozenset(edge_key(id_of[a], id_of[b]) for a, b in edge_pts)
-    adj = _adjacency(len(pts), edges)
-    if not _connected(adj, adj):
-        raise DisconnectedError("induced graph is disconnected")
-
-    return TriGridGraph(
-        n=(len(pts) - 1) // 2,
-        points=tuple(pts),
-        edges=edges,
-        adj=adj,
-        name=name,
-    )
+    edges = frozenset(edge_key(id_of[a], id_of[b]) for a, b in _lattice_edges(pts))
+    return _host(len(pts), edges, tuple(pts), name)
 
 
 def build_abstract(num_vertices: int, edge_list: Iterable[Edge], name: str = "") -> TriGridGraph:
-    """Build an abstract (non-lattice) graph usable by matching/placement/oracle."""
+    """Build an abstract (non-lattice) graph usable by matching/placement/oracle.
+
+    Edges are inserted sorted, as `formats.serialize_graph` writes them
+    (the edge-order rule of `build_graph`)."""
     if num_vertices % 2 == 0:
         raise EvenOrderError(f"|V| = {num_vertices} must be odd")
-    edges = frozenset(edge_key(u, v) for u, v in edge_list)
+    if num_vertices < 1:
+        raise GridError(f"|V| = {num_vertices} must be positive")
+    edges = frozenset(sorted(edge_key(u, v) for u, v in edge_list))
     for u, v in edges:
         if not (1 <= u <= num_vertices and 1 <= v <= num_vertices):
             raise GridError(f"edge ({u},{v}) out of range")
         if u == v:
             raise GridError(f"edge ({u},{v}) is a loop")
-    adj = _adjacency(num_vertices, edges)
-    if not _connected(adj, adj):
-        raise DisconnectedError("abstract graph is disconnected")
-    return TriGridGraph(
-        n=(num_vertices - 1) // 2,
-        points=(),
-        edges=edges,
-        adj=adj,
-        is_lattice=False,
-        name=name,
-    )
+    return _host(num_vertices, edges, (), name)
 
 
 # ---------------------------------------------------------------------------

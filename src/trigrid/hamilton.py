@@ -146,7 +146,7 @@ def find_hamilton(g: TriGridGraph) -> HamiltonCycle:
     The Star of David graph is rejected upfront: it is the one
     locally-connected triangular grid graph with no spanning cycle.
     """
-    if g.is_lattice and is_star_of_david(g):
+    if is_star_of_david(g):
         raise GridError("the Star of David graph has no Hamilton cycle")
     for order in _hamilton_search(g):
         h = HamiltonCycle(_normalize(g, order))

@@ -200,7 +200,7 @@ def plan_hamilton(g: TriGridGraph, p: Placement, q: Placement) -> PlanReport:
     holds no pieces, and the one piece on a triangle is placed by a
     rotation along it.
     """
-    if g.is_lattice and is_star_of_david(g):
+    if is_star_of_david(g):
         raise PlanError("the Star of David graph is not reconfigurable")
     if g.is_lattice and not is_locally_connected(g):
         raise PlanError("cycle planner needs a locally-connected graph")

@@ -80,7 +80,7 @@ def perfect_matching(g: TriGridGraph, skip: Iterable[int] = (),
     kept set and each vertex's neighbours in the order their edges appear in
     the edge pool; that order decides which perfect matching comes back
     (see the module docstring). The default pool is `g.edges`, whose order
-    only `grid.build_graph`'s insertion order fixes.
+    the builders fix (the edge-order rule of `grid.build_graph`).
     """
     keep = set(g.vertex_ids if within is None else within)
     keep -= set(skip)

@@ -348,8 +348,7 @@ def bfs_component(g: TriGridGraph, p: Placement,
 
 def state_count(g: TriGridGraph) -> int:
     """Total number of labeled placements on the graph."""
-    n = (g.num_vertices - 1) // 2
-    return len(enumerate_near_perfect_matchings(g)) * math.factorial(n)
+    return len(enumerate_near_perfect_matchings(g)) * math.factorial(g.n)
 
 
 def is_reconfigurable_bruteforce(g: TriGridGraph,
@@ -361,8 +360,7 @@ def is_reconfigurable_bruteforce(g: TriGridGraph,
         return False
     start = Placement.make(g, sorted(ms[0].edges))
     comp = bfs_component(g, start, vertex_bound)
-    n = (g.num_vertices - 1) // 2
-    return comp.size == len(ms) * math.factorial(n)
+    return comp.size == len(ms) * math.factorial(g.n)
 
 
 def distance(g: TriGridGraph, p: Placement, q: Placement,

@@ -200,13 +200,9 @@ def slide(p: Placement, move: Move) -> Placement:
 
 
 def legal_moves(p: Placement) -> List[SlideMove]:
-    out = []
-    for w in p.graph.adj[p.exposed]:
-        label = p.owner[w]
-        if label:
-            out.append(SlideMove(label, w, p.exposed))
-    out.sort(key=lambda m: (m.label, m.kept_vertex))
-    return out
+    """Every slide from p: each neighbour of the gap, the one uncovered vertex, holds a piece."""
+    owner, gap = p.owner, p.exposed
+    return sorted(SlideMove(owner[w], w, gap) for w in p.graph.adj[gap])
 
 
 def forced_cycle_dominoes(cycle: Sequence[int], gap: int) -> List[Edge]:

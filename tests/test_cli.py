@@ -21,6 +21,7 @@ from trigrid.hc_planner import plan_hamilton
 from trigrid.matching import (MatchingError, enumerate_near_perfect_matchings,
                               near_perfect_matching)
 from trigrid.placement import Placement, PlacementError, verify_sequence
+from trigrid.render import render_graph
 
 from support import CROSSING_ARCS_EDGES, replay
 
@@ -65,6 +66,15 @@ def test_plan_verify_render_pipeline(tmp_path, capsys):
     assert main(["render", str(gpath), "--placement", str(start),
                  "--out", str(svg)]) == 0
     assert svg.read_text().startswith("<svg")
+
+
+def test_render_without_placement_or_plan_draws_the_host(tmp_path):
+    """With neither `--placement` nor `--plan`, `render` writes the bare
+    host's picture, `render_graph(g)`."""
+    gpath = _gen(tmp_path, "pentagon")
+    svg = tmp_path / "host.svg"
+    assert main(["render", str(gpath), "--out", str(svg)]) == 0
+    assert svg.read_text() == render_graph(formats.parse_graph(gpath.read_text()))
 
 
 @pytest.mark.parametrize("points", [[(0, 0), (1, 0), (0, 1)], [(0, 0)]],

@@ -65,10 +65,43 @@ def test_plan_refuses_a_core_of_neither_kind(pentagon):
         planner.plan(d.levels, p, q)
 
 
+def test_plan_exposes_a_chord_level_without_staging(hex7):
+    """On hex7 the top level is the chord (6, 7). A start with a piece on
+    it is not settled there, so the plan exposes the chord's first vertex
+    on both sides and, a chord having no interior, stages nothing at that
+    level: no plan from aligned ends gets here, as an aligned start leaves
+    the chords empty."""
+    d = find_admissible(hex7)
+    assert d.ear(d.levels) == (6, 7)
+    planner = _Planner(hex7, d)
+    p = Placement.make(hex7, [(6, 7), (1, 2), (3, 4)])
+    q = align_with_ears(Placement.make(hex7, [(1, 2), (3, 4), (5, 7)]), planner.levels).end
+    assert q.label_at((6, 7)) is None
+    seq = planner.plan(d.levels, p, q)
+    assert not any(t["level"] == d.levels for t in planner.trace)
+    rep = verify_word(seq, expected_end=q)
+    assert rep.ok and rep.matches_expected
+
+
+def test_base_diamond_cycle_refuses_a_base_from_v_to_u(rng):
+    """The diamond core reads its Hamilton cycle off a base listed from the
+    diamond's u to its v, as `_diamond_structure` lists it; the same
+    decomposition with its base listed from v to u is refused."""
+    g = diamond_cycle_graph(3)
+    d = find_admissible(g)
+    u, _, _, v = d.ear(2)
+    assert (d.base[0], d.base[-1]) == (u, v)
+    reversed_base = EarDecomposition(d.base[::-1], d.ears, kind="diamond_cycle")
+    p, q = random_placement(g, rng), random_placement(g, rng)
+    with pytest.raises(PlanError, match="^decomposition is not admissible$"):
+        base_diamond_cycle(p, q, reversed_base)
+
+
 def _ring_reversed_diamond_cycle():
     """diamond_cycle(3) relabelled so that its base cycle runs from the
-    diamond's u = 1 to 2, away from its v = 6: `base_diamond_cycle`
-    reverses the ring before it splices in the diamond's path."""
+    diamond's u = 1 to 2, away from its v = 6: `base_diamond_cycle` lists
+    its Hamilton cycle from v back along the base to u, then the diamond's
+    path."""
     g = build_abstract(7, [(1, 2), (1, 6), (1, 7), (2, 3), (3, 5), (4, 6), (4, 7),
                            (5, 6), (6, 7)])
     d = EarDecomposition((1, 2, 3, 5, 6), ((1, 7, 4, 6), (6, 7)), kind="diamond_cycle")

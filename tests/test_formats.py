@@ -31,13 +31,13 @@ def test_graph_roundtrip_lattice(pentagon):
 def test_host_read_back_iterates_its_edges_in_order():
     """The matching search reads its pool in the iteration order of
     `g.edges`, so a host read back from its file iterates its edges as the
-    host written did: on every corpus host and on every workload host that
-    the benchmark draws placements on or plans on. The two chord cycles
-    are left out: `serialize_graph` writes an abstract host's edges sorted,
-    so theirs read back in another order, and only the oracle's verdict,
-    which no order changes, reads them."""
-    hosts = locally_connected_corpus() + degree6_corpus() + [
-        g for name, g in workload_hosts().items() if not name.startswith("chord_cycle")]
+    host written did: on every corpus host, every workload host, and every
+    `diamond_cycle(3..15)` and `chord_cycle(n, m)` with n <= 15, as
+    `build_abstract` inserts edges sorted, the order `serialize_graph`
+    writes them in."""
+    hosts = (locally_connected_corpus() + degree6_corpus() + list(workload_hosts().values())
+             + [diamond_cycle_graph(n) for n in range(3, 16)]
+             + [chord_cycle_graph(n, m) for n in range(3, 16) for m in range(2, n)])
     for g in hosts:
         back = formats.parse_graph(formats.serialize_graph(g))
         assert list(back.edges) == list(g.edges), g.name

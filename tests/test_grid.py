@@ -308,13 +308,14 @@ def test_abstract_flag():
 @pytest.mark.parametrize("build, error, message", [
     (lambda: build_abstract(4, [(1, 2), (2, 3), (3, 4)]), EvenOrderError,
      r"^\|V\| = 4 must be odd$"),
+    (lambda: build_abstract(-1, []), GridError, r"^\|V\| = -1 must be positive$"),
     (lambda: build_abstract(3, [(1, 2), (2, 4)]), GridError, r"^edge \(2,4\) out of range$"),
     (lambda: build_abstract(5, [(1, 2), (2, 3), (1, 3), (4, 5)]), DisconnectedError,
      "^abstract graph is disconnected$"),
     (lambda: diamond_cycle_graph(2), GridError, "^diamond_cycle requires n >= 3$"),
     (lambda: chord_cycle_graph(4, 1), GridError, "^chord_cycle requires 2 <= m <= n-1$"),
     (lambda: chord_cycle_graph(4, 4), GridError, "^chord_cycle requires 2 <= m <= n-1$"),
-], ids=["even-order", "edge-out-of-range", "disconnected", "diamond-cycle-n2",
+], ids=["even-order", "negative-order", "edge-out-of-range", "disconnected", "diamond-cycle-n2",
         "chord-cycle-m1", "chord-cycle-m-n"])
 def test_abstract_builders_refuse_bad_input(build, error, message):
     with pytest.raises(error, match=message):

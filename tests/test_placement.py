@@ -71,6 +71,15 @@ def test_make_refuses_a_piece_off_the_host_and_overlapping_pieces():
         Placement.make(g, [(1, 2), (2, 3), (4, 5)])
 
 
+def test_make_refuses_the_wrong_number_of_pieces():
+    """`make` leaves the count to `covering`, which names it."""
+    g = _cycle_graph(7)
+    with pytest.raises(PlacementError, match="^expected 3 pieces, got 2$"):
+        Placement.make(g, [(1, 2), (3, 4)])
+    with pytest.raises(PlacementError, match="^expected 3 pieces, got 4$"):
+        Placement.make(g, [(1, 2), (3, 4), (5, 6), (6, 7)])
+
+
 def test_legal_moves_counts(pentagon):
     g = build_graph([(0, 0), (1, 0), (0, 1)])
     assert len(legal_moves(Placement.make(g, [(1, 2)]))) == 2
