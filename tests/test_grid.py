@@ -295,6 +295,40 @@ def test_generate_families():
     assert sod.num_vertices == 13 and is_star_of_david(sod)
 
 
+@pytest.mark.parametrize("kind, params, message", [
+    ("mobius", {}, "unknown instance kind: mobius"),
+    ("triangle", {"radius": 3, "n": 3}, "triangle does not take parameter n"),
+    ("pentagon", {"m": 1}, "pentagon does not take parameter m"),
+    ("hexagon", {"radius": 1}, "hexagon does not take parameter radius"),
+    ("star_of_david", {"radius": 2, "a": 0}, "star_of_david does not take parameter a"),
+    ("diamond_cycle", {"n": 4, "radius": 2, "m": 3}, "diamond_cycle does not take parameter m"),
+    ("diamond_cycle", {"m": 3}, "diamond_cycle does not take parameter m"),
+    ("chord_cycle", {"n": 5, "m": 3, "radius": 2, "k": 1},
+     "chord_cycle does not take parameter k"),
+    ("hex_with_hole", {"removed": 3, "radius": 3, "n": 1},
+     "hex_with_hole does not take parameter n"),
+    ("diamond_cycle", {}, "diamond_cycle needs parameter n"),
+    ("chord_cycle", {}, "chord_cycle needs parameter n"),
+    ("chord_cycle", {"m": 3}, "chord_cycle needs parameter n"),
+    ("chord_cycle", {"n": 5}, "chord_cycle needs parameter m"),
+])
+def test_generate_refusals(kind, params, message):
+    """`generate` refuses an unknown kind, then a parameter the kind does
+    not take (the first in sorted order, before any missing one), then a
+    missing parameter (the first in the builder's order), each with its
+    exact message."""
+    with pytest.raises(GridError) as ei:
+        generate(kind, **params)
+    assert type(ei.value) is GridError and str(ei.value) == message
+
+
+def test_generate_hex_with_hole_defaults_to_radius_2():
+    g = generate("hex_with_hole")
+    assert g.name == "hex_with_hole(r=2)"
+    assert (g.points, g.edges) == (hex_with_hole_graph(2).points, hex_with_hole_graph(2).edges)
+    assert g.num_vertices == 17
+
+
 def test_abstract_flag():
     c = chord_cycle_graph(4, 2)
     assert not c.is_lattice

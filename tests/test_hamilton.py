@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trigrid.grid import (DIRS, GridError, TriGridGraph, build_abstract, build_graph,
-                          chord_cycle_graph, diamond_cycle_graph, edge_key, hexagon_points,
+                          cartesian, chord_cycle_graph, diamond_cycle_graph, edge_key, hexagon_points,
                           is_locally_connected, is_star_of_david, star_of_david_points)
 from trigrid.hamilton import (HamiltonCycle, HamiltonError, _hamilton_search, _normalize,
                               find_hamilton, find_local_structure, parity_diamonds,
@@ -126,6 +126,32 @@ def _reference_cycles(g):
         if key not in seen:
             seen.add(key)
             yield h
+
+
+def _float_shoelace_normalize(g, order):
+    """`_normalize` on a lattice host by the float shoelace sum of the
+    cartesian points: reversed when that sum is negative, then rotated to
+    start at the minimum id."""
+    pts = [cartesian(g.point_of(v)) for v in order]
+    area = sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]))
+    order = list(order)[::-1] if area < 0 else list(order)
+    i = order.index(min(order))
+    return tuple(order[i:] + order[:i])
+
+
+def test_normalize_orients_as_the_cartesian_shoelace():
+    """On every locally-connected corpus host, the first 50 Hamilton
+    cycles, each given in both directions from several start vertices,
+    are oriented and rotated as the float shoelace sum of the cartesian
+    points orients them: anti-clockwise, from the minimum id."""
+    for g in locally_connected_corpus():
+        for h in itertools.islice(enumerate_hamilton_cycles(g), 50):
+            n = len(h.order)
+            for order in (h.order, h.order[::-1]):
+                for s in sorted({0, 1, n // 2, n - 1}):
+                    rotated = order[s:] + order[:s]
+                    expected = _float_shoelace_normalize(g, rotated)
+                    assert _normalize(g, rotated) == expected == h.order, (g.name, rotated)
 
 
 def _assert_same_search(g, count):
