@@ -73,13 +73,19 @@ def _write(out: Optional[str], text: str) -> None:
 def _param(kv: str) -> Tuple[str, int]:
     key, _, value = kv.partition("=")
     try:
-        return key, int(value)
+        if key:
+            return key, int(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected key=integer, got {kv!r}")
+        pass
+    raise argparse.ArgumentTypeError(f"expected key=integer, got {kv!r}")
 
 
 def cmd_gen(args) -> int:
-    g = generate(args.kind, **dict(args.param or []))
+    params = dict(args.param or [])
+    if len(params) < len(args.param or []):
+        key = Counter(key for key, _ in args.param).most_common(1)[0][0]
+        raise UsageError(f"repeated parameter {key}")
+    g = generate(args.kind, **params)
     _write(args.out, formats.serialize_graph(g))
     return EXIT_OK
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from .grid import Edge, TriGridGraph, cycle_edges, edge_key
+from .grid import Edge, TriGridGraph, edge_key
 from .matching import alternating_path_to
 from .ears import EarDecomposition, LevelMatchings, align_with_ears, ear_settled, find_admissible
 from .placement import (Placement, SlideSequence, align_with_cycle, forced_cycle_dominoes,
@@ -178,7 +178,6 @@ class _Planner:
         v, ear = cyc[0], self.d.ear(i)
         sub_vs, _ = self.levels.region(i - 1)
         e2, e1, staging = dominoes[len(lam) - 1], dominoes[len(lam)], dominoes[-1]
-        on_cycle = cycle_edges(cyc)
         spare = None
         for e in sorted(cur.pieces):
             if (e[0] in sub_vs and e[1] in sub_vs
@@ -190,7 +189,7 @@ class _Planner:
         seq = SlideSequence(cur, ())
         for j, lab in enumerate(lam, start=1):
             pos = seq.end.piece(lab)
-            if pos in on_cycle and (pos[0] in ear[1:-1] or pos[1] in ear[1:-1]):
+            if pos[0] in ear[1:-1] or pos[1] in ear[1:-1]:
                 seq = seq.then(rotate(seq.end, cyc, v, [(lab, staging)]))
             if seq.end.piece(lab) != spare:
                 seq = seq.then(self._swap(i, seq.end, lab, seq.end.label_at(spare)))

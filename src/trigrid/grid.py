@@ -10,6 +10,7 @@ a host's holes are counted by Euler's formula (`hole_count`).
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -347,10 +348,6 @@ def is_star_of_david(g: TriGridGraph) -> bool:
 # ---------------------------------------------------------------------------
 # named instance generators
 
-def _pentagon_points() -> List[Point]:
-    return [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]
-
-
 def hexagon_points(radius: int = 1) -> List[Point]:
     """Filled lattice hexagon of the given radius around the origin."""
     pts = []
@@ -402,33 +399,24 @@ def hex_with_hole_graph(radius: int = 2) -> TriGridGraph:
 
 def generate(kind: str, **params) -> TriGridGraph:
     """Named instances: triangle, pentagon, hexagon, diamond_cycle(n),
-    chord_cycle(n, m), star_of_david, hex_with_hole(radius). Raises
-    GridError for an unknown kind, a missing parameter, or a parameter
-    the kind does not take."""
-    takes = {"triangle": (), "pentagon": (), "hexagon": (), "star_of_david": (),
-             "diamond_cycle": ("n",), "chord_cycle": ("n", "m"),
-             "hex_with_hole": ("radius",)}
-    if kind not in takes:
+    chord_cycle(n, m), star_of_david, hex_with_hole(radius), each taking
+    its builder's parameters. Raises GridError for an unknown kind, a
+    parameter the kind does not take, or a missing parameter."""
+    builders = {
+        "triangle": lambda: build_graph([(0, 0), (1, 0), (0, 1)], name="triangle"),
+        "pentagon": lambda: build_graph([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)],
+                                        name="pentagon"),
+        "hexagon": lambda: build_graph(hexagon_points(1), name="hexagon"),
+        "star_of_david": lambda: build_graph(star_of_david_points(), name="star_of_david"),
+        "diamond_cycle": diamond_cycle_graph, "chord_cycle": chord_cycle_graph,
+        "hex_with_hole": hex_with_hole_graph}
+    if kind not in builders:
         raise GridError(f"unknown instance kind: {kind}")
-    extra = sorted(set(params) - set(takes[kind]))
+    takes = inspect.signature(builders[kind]).parameters
+    extra = sorted(set(params) - set(takes))
     if extra:
         raise GridError(f"{kind} does not take parameter {extra[0]}")
-
-    def need(key: str) -> int:
-        if key not in params:
+    for key, param in takes.items():
+        if key not in params and param.default is param.empty:
             raise GridError(f"{kind} needs parameter {key}")
-        return params[key]
-
-    if kind == "triangle":
-        return build_graph([(0, 0), (1, 0), (0, 1)], name="triangle")
-    if kind == "pentagon":
-        return build_graph(_pentagon_points(), name="pentagon")
-    if kind == "hexagon":
-        return build_graph(hexagon_points(1), name="hexagon")
-    if kind == "star_of_david":
-        return build_graph(star_of_david_points(), name="star_of_david")
-    if kind == "diamond_cycle":
-        return diamond_cycle_graph(need("n"))
-    if kind == "chord_cycle":
-        return chord_cycle_graph(need("n"), need("m"))
-    return hex_with_hole_graph(params.get("radius", 2))
+    return builders[kind](**params)

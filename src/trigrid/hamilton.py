@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import FrozenSet, Iterator, List, Sequence, Tuple
 
-from .grid import Edge, GridError, TriGridGraph, cartesian, cycle_edges, is_star_of_david
+from .grid import Edge, GridError, TriGridGraph, cycle_edges, is_star_of_david
 from .plans import PlanError
 
 
@@ -42,12 +42,11 @@ def validate_cycle(g: TriGridGraph, h: HamiltonCycle) -> None:
             raise HamiltonError(f"cycle uses a non-edge ({u}, {v})")
 
 
-def _signed_area(g: TriGridGraph, order: Sequence[int]) -> float:
-    pts = [cartesian(g.point_of(v)) for v in order]
-    area = 0.0
-    for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
-        area += x1 * y2 - x2 * y1
-    return area / 2.0
+def _signed_area(g: TriGridGraph, order: Sequence[int]) -> int:
+    """Twice the signed area of the polygon `order`, in axial coordinates:
+    the cartesian map has determinant sqrt(3)/2 > 0, so the sign agrees."""
+    pts = [g.point_of(v) for v in order]
+    return sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]))
 
 
 def _normalize(g: TriGridGraph, order: Sequence[int]) -> Tuple[int, ...]:
@@ -55,9 +54,8 @@ def _normalize(g: TriGridGraph, order: Sequence[int]) -> Tuple[int, ...]:
     graph carries lattice coordinates, else take the lexicographically
     smaller direction."""
     order = list(order)
-    if g.is_lattice:
-        if _signed_area(g, order) < 0:
-            order.reverse()
+    if g.is_lattice and _signed_area(g, order) < 0:
+        order.reverse()
     i = order.index(min(order))
     order = order[i:] + order[:i]
     if not g.is_lattice and order[1] > order[-1]:

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, IO, List, Optional, Tuple
 
-from .grid import Edge, TriGridGraph, edge_key
+from .grid import Edge, TriGridGraph
 from .matching import enumerate_near_perfect_matchings
 from .placement import Placement
 
@@ -89,11 +89,11 @@ class SlideSpace:
     on the same graph object shares it.
 
     `edges` is the host's sorted edge list, which maps the edge ids in a
-    state back to edges, and `index` maps them forth. `moves_of(cfg)`
-    gives (table, next configuration) for every slide from a
-    configuration, built once per configuration. A table depends only on
-    the two edge ids of the slide, so one is kept per pair, not one per
-    move: on `hex13` that is 156 tables instead of 684.
+    state back to edges, and `index` maps them forth, each edge under both
+    orders of its ends. `moves_of(cfg)` gives (table, next configuration)
+    for every slide from a configuration, built once per configuration. A
+    table depends only on the two edge ids of the slide, so one is kept
+    per pair, not one per move: on `hex13`, 156 tables instead of 684.
 
     `labelings` lists the n! labelings, the permutations of range(n), in
     rank order, and `rank` maps each to its index. `ranked_moves_of(cfg)`
@@ -110,10 +110,8 @@ class SlideSpace:
     def __init__(self, g: TriGridGraph):
         self.n = g.n
         self.edges: Tuple[Edge, ...] = tuple(sorted(g.edges))
-        self.index: Dict[Edge, int] = {e: i for i, e in enumerate(self.edges)}
-        # the id of edge (w, x) under both orders of its ends
-        self._ids = {(w, x): i for i, (u, v) in enumerate(self.edges)
-                     for w, x in ((u, v), (v, u))}
+        self.index: Dict[Edge, int] = {(w, x): i for i, (u, v) in enumerate(self.edges)
+                                       for w, x in ((u, v), (v, u))}
         self._vertices = frozenset(g.vertex_ids)
         self._adj = g.adj
         self._tables: Dict[Tuple[int, int], bytes] = {}
@@ -134,7 +132,7 @@ class SlideSpace:
         out = self._moves.get(cfg)
         if out is not None:
             return out
-        edges, ids, tables = self.edges, self._ids, self._tables
+        edges, ids, tables = self.edges, self.index, self._tables
         cover = {}
         for i in cfg:
             u, v = edges[i]
@@ -238,7 +236,7 @@ class Component:
 def _key(p: Placement, index: Dict[Edge, int]) -> Optional[bytes]:
     """Encode p: byte i is the edge id of label i + 1's piece. None if a
     piece is not a host edge."""
-    ids = [index.get(edge_key(*e)) for e in p.pieces]
+    ids = [index.get(e) for e in p.pieces]
     return None if None in ids else bytes(ids)
 
 

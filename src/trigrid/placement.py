@@ -15,7 +15,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
 from typing import Collection, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .grid import Edge, TriGridGraph, edge_key
@@ -396,35 +395,32 @@ def cut_loops(seq: SlideSequence) -> Tuple[Move, ...]:
     The cut plan has the same start and end, visits no state twice, and
     its slides are an in-order subsequence of `seq`'s. One replay steps
     a copy of the start's cover map, partners and gap in place (a piece's
-    far end is the kept vertex's partner), keys each state by the bytes
-    of its cover map, and reads each slide's label and gap, so the cut is
-    linear in the plan. It marks the slides it keeps and returns them as
-    plain `(label, kept, dest)` triples. `plans.finish_plan` cuts each
-    full plan once and checks the moves with `verify_sequence`. Raises
+    far end is the kept vertex's partner) and erases each loop as it
+    closes: `at` maps each state on the path so far, keyed by its cover
+    map's bytes, to its position, and a return to position j drops the
+    path after j. A state stays only if the walk never returns to it or
+    to an earlier one, so each is kept at its last visit. Raises
     PlacementError at a kept vertex no piece covers.
     """
-    word, start = seq.kept, seq.start
-    owner, gap = start.owner[:], start.exposed
-    mate = [start.partner(v) for v in range(len(owner))]
-    keys, labels, gaps = [owner.tobytes()], [], []
-    for kept in word:                          # the piece on kept pivots onto the gap
+    owner, gap = seq.start.owner[:], seq.start.exposed
+    mate = [seq.start.partner(v) for v in range(len(owner))]
+    at = {owner.tobytes(): 0}
+    moves: List[Move] = []
+    for kept in seq.kept:                      # the piece on kept pivots onto the gap
         label = owner[kept]
         if not label:
             raise PlacementError(f"vertex {kept} is not covered")
-        labels.append(label)
-        gaps.append(gap)
+        moves.append((label, kept, gap))
         far = mate[kept]
         mate[kept], mate[gap] = gap, kept
         owner[gap], owner[far] = label, 0
         gap = far
-        keys.append(owner.tobytes())
-    last = dict(zip(keys, range(len(keys))))
-    keep = bytearray(len(word))
-    i = last[keys[0]]
-    while i < len(word):
-        keep[i] = 1
-        i = last[keys[i + 1]]
-    return tuple(compress(zip(labels, word, gaps), keep))
+        j = at.setdefault(owner.tobytes(), len(moves))
+        if j < len(moves):
+            while len(at) > j + 1:
+                at.popitem()
+            del moves[j:]
+    return tuple(moves)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Reference helpers that only tests call: the reference replay of moves
 and of a word of kept vertices through the checked `slide` (`replay`
-steps a word for its end, `label_word` reads its moves), a spy on a
-library function under every name the library holds it by, canonical
+steps a word for its end, `label_word` reads its moves), the last-visit
+loop cut that `cut_loops` is checked against, a spy on a library
+function under every name the library holds it by, canonical
 aligned states on a cycle, the matching-based reference of the alignment
 check, the restricted slide search over `legal_moves` and `slide` that `rotate`,
 the swap gadget and the pentagon core's plans are checked against, the
@@ -23,6 +24,7 @@ No planner uses them, so they live with the tests.
 
 import sys
 from collections import deque
+from itertools import compress
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from trigrid.ears import EarDecomposition, EarError, grow_ears, validate_decomposition
@@ -31,7 +33,7 @@ from trigrid.grid import (DIRS, Edge, TriGridGraph, build_abstract, build_graph,
 from trigrid.hamilton import (HamiltonCycle, HamiltonError, ParityDiamond, _hamilton_search,
                               _normalize, validate_cycle)
 from trigrid.matching import Matching, MatchingError, near_perfect_matching, perfect_matching
-from trigrid.placement import (Placement, PlacementError, SlideMove, SlideSequence,
+from trigrid.placement import (Move, Placement, PlacementError, SlideMove, SlideSequence,
                                VerifyReport, forced_cycle_dominoes, legal_moves, rotate,
                                slide, verify_sequence)
 
@@ -78,6 +80,40 @@ def verify_word(seq: SlideSequence,
     """`verify_sequence` on the moves `label_word` reads off `seq`, from its
     start, against `expected_end`."""
     return verify_sequence(seq.start, label_word(seq), expected_end)
+
+
+def reference_cut_loops(seq: SlideSequence) -> Tuple[Move, ...]:
+    """The moves of `seq` with every revisited state cut out: from the
+    start, jump to the last visit of each state before taking its next
+    slide.
+
+    One replay steps a copy of the start's cover map, partners and gap in
+    place, keys each state by the bytes of its cover map, and reads each
+    slide's label and gap. A dict maps each key to its last visit, and a
+    walk from the start marks the slides to keep. Raises PlacementError
+    at a kept vertex no piece covers."""
+    word, start = seq.kept, seq.start
+    owner, gap = start.owner[:], start.exposed
+    mate = [start.partner(v) for v in range(len(owner))]
+    keys, labels, gaps = [owner.tobytes()], [], []
+    for kept in word:                          # the piece on kept pivots onto the gap
+        label = owner[kept]
+        if not label:
+            raise PlacementError(f"vertex {kept} is not covered")
+        labels.append(label)
+        gaps.append(gap)
+        far = mate[kept]
+        mate[kept], mate[gap] = gap, kept
+        owner[gap], owner[far] = label, 0
+        gap = far
+        keys.append(owner.tobytes())
+    last = dict(zip(keys, range(len(keys))))
+    keep = bytearray(len(word))
+    i = last[keys[0]]
+    while i < len(word):
+        keep[i] = 1
+        i = last[keys[i + 1]]
+    return tuple(compress(zip(labels, word, gaps), keep))
 
 
 def spy_everywhere(monkeypatch, fn: Callable) -> List[tuple]:

@@ -340,6 +340,32 @@ def test_gen_missing_param_refused(tmp_path):
     assert main(["gen", "diamond_cycle", "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("value", ["=3", "=", ""])
+def test_gen_param_without_key(tmp_path, capsys, value):
+    """A `--param` with an empty key is refused as a bad value is."""
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "triangle", "--param", value, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err == f"trigrid gen: error: argument --param: expected key=integer, got {value!r}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, params", [("diamond_cycle", ("n=3", "n=4")),
+                                          ("chord_cycle", ("n=5", "m=3", "n=5"))])
+def test_gen_repeated_param_refused(tmp_path, capsys, kind, params):
+    """A parameter given twice is refused with one line, not read as its
+    last value."""
+    out = tmp_path / "x"
+    argv = ["gen", kind, "--out", str(out)]
+    for pv in params:
+        argv += ["--param", pv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "refused: repeated parameter n\n"
+    assert not out.exists()
+
+
 def test_plan_refuses_host_without_admissible_core(tmp_path, capsys):
     # a triangle with a pendant path has no pentagon or diamond core
     gpath = _write_lattice(tmp_path, "pendant.graph",

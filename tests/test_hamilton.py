@@ -10,8 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trigrid.grid import (DIRS, GridError, TriGridGraph, build_abstract, build_graph,
-                          cartesian, chord_cycle_graph, diamond_cycle_graph, edge_key, hexagon_points,
-                          is_locally_connected, is_star_of_david, star_of_david_points)
+                          cartesian, chord_cycle_graph, diamond_cycle_graph, edge_key,
+                          hexagon_points, is_locally_connected, is_star_of_david,
+                          star_of_david_points)
 from trigrid.hamilton import (HamiltonCycle, HamiltonError, _hamilton_search, _normalize,
                               find_hamilton, find_local_structure, parity_diamonds,
                               validate_cycle)

@@ -1,3 +1,4 @@
+import random
 from unittest import mock
 
 import pytest
@@ -5,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigrid.ears import LevelMatchings, align_with_ears, find_admissible
+from trigrid.ear_planner import plan_ear
 from trigrid.grid import build_abstract, build_graph, edge_key, hex_with_hole_graph, hexagon_points
 from trigrid.hamilton import find_hamilton
+from trigrid.hc_planner import plan_hamilton
 from trigrid.matching import Matching, MatchingError, near_perfect_matching
-from trigrid import placement
+from trigrid import placement, plans
 from trigrid.placement import (IllegalMoveError, Placement, PlacementError,
                                SlideMove, SlideSequence, VerifyReport,
                                align_with_cycle, cut_loops, expose,
@@ -18,7 +21,8 @@ from trigrid.placement import (IllegalMoveError, Placement, PlacementError,
 from conftest import random_placement
 from corpus import degree6_corpus, locally_connected_corpus
 from support import (aligned_cycle_state, apply_sequence, is_alternating_cycle,
-                     label_word, reference_slides_within, replay, verify_word)
+                     label_word, reference_cut_loops, reference_slides_within, replay,
+                     verify_word)
 
 
 def _cycle_graph(n):
@@ -597,6 +601,58 @@ def test_cut_loops_properties(n, rnd):
                                    seq.end)) == cut
     if len(set(_states(seq.start, moves))) == len(seq) + 1:
         assert cut == moves
+
+
+_HOSTS = {g.name: g for g in locally_connected_corpus()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(["pent5", "hex7", "hex11"]), rnd=st.randoms(use_true_random=False))
+def test_cut_loops_equals_the_last_visit_cut(name, rnd):
+    """On random words of `legal_moves`, looped by appending the reverse
+    of a random suffix, `cut_loops` cuts as `reference_cut_loops` does;
+    with the gap kept at a random step, both raise the same error."""
+    g = _HOSTS[name]
+    p = cur = random_placement(g, rnd)
+    word = []
+    for _ in range(rnd.randrange(4 * g.num_vertices)):
+        if word and rnd.random() < 0.25:
+            step = word[-rnd.randint(1, len(word)):][::-1]
+        else:
+            step = [rnd.choice(legal_moves(cur)).kept_vertex]
+        cur = replay(cur, step).end
+        word += step
+    seq = SlideSequence(p, tuple(word), cur)
+    assert cut_loops(seq) == reference_cut_loops(seq)
+    i = rnd.randrange(len(word) + 1)
+    gap = replay(p, word[:i]).end.exposed
+    bad = SlideSequence(p, tuple(word[:i] + [gap] + word[i:]), cur)
+    errors = []
+    for cut in (cut_loops, reference_cut_loops):
+        with pytest.raises(PlacementError) as ei:
+            cut(bad)
+        errors.append(str(ei.value))
+    assert errors == [f"vertex {gap} is not covered"] * 2
+
+
+def test_planner_cuts_equal_the_last_visit_cut(monkeypatch):
+    """Every plan `finish_plan` cuts, cycle plans on `para21` and ear
+    plans on `hex19` over seeded pairs, is cut as `reference_cut_loops`
+    cuts it."""
+    removed = []
+
+    def checked(seq):
+        cut = cut_loops(seq)
+        assert cut == reference_cut_loops(seq)
+        removed.append(len(seq) - len(cut))
+        return cut
+    monkeypatch.setattr(plans, "cut_loops", checked)
+    for planner, name in ((plan_hamilton, "para21"), (plan_ear, "hex19")):
+        g = _HOSTS[name]
+        for seed in range(1, 6):
+            rng = random.Random(seed)
+            planner(g, random_placement(g, rng), random_placement(g, rng))
+    assert len(removed) == 10 and all(removed)
 
 
 def test_cut_loops_round_trip_is_empty(hex7, rng):
